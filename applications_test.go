@@ -137,7 +137,7 @@ func TestFacadeLogRoundTrip(t *testing.T) {
 }
 
 func TestFacadeTrackerCompaction(t *testing.T) {
-	tracker := mixedclock.NewTracker()
+	tracker := openTracker(t)
 	th := tracker.NewThread("t")
 	o := tracker.NewObject("o")
 	pre := th.Write(o, nil)

@@ -376,7 +376,7 @@ func BenchmarkDeltaEncoding(b *testing.B) {
 func BenchmarkTracker(b *testing.B) {
 	for _, objects := range []int{1, 16} {
 		b.Run(fmt.Sprintf("objects=%d", objects), func(b *testing.B) {
-			tracker := mixedclock.NewTracker()
+			tracker := openTracker(b)
 			objs := make([]*mixedclock.Object, objects)
 			for i := range objs {
 				objs[i] = tracker.NewObject("o")
@@ -409,7 +409,7 @@ func BenchmarkTrackerParallel(b *testing.B) {
 			for _, objects := range []int{8, 64} {
 				name := fmt.Sprintf("%v/goroutines=%d/objects=%d", backend, goroutines, objects)
 				b.Run(name, func(b *testing.B) {
-					tracker := mixedclock.NewTracker(mixedclock.WithBackend(backend))
+					tracker := openTracker(b, mixedclock.WithBackend(backend))
 					objs := make([]*mixedclock.Object, objects)
 					for i := range objs {
 						objs[i] = tracker.NewObject("o")
@@ -477,7 +477,7 @@ func BenchmarkTrackerParallelContended(b *testing.B) {
 					var objs []*mixedclock.Object
 					var threads []*mixedclock.Thread
 					build := func() {
-						tracker = mixedclock.NewTracker()
+						tracker = openTracker(b)
 						objs = objs[:0]
 						for i := 0; i < objects; i++ {
 							objs = append(objs, tracker.NewObject("hot"))
@@ -568,7 +568,7 @@ func BenchmarkBatch(b *testing.B) {
 			var th *mixedclock.Thread
 			var o *mixedclock.Object
 			build := func() {
-				tracker := mixedclock.NewTracker()
+				tracker := openTracker(b)
 				th = tracker.NewThread("w")
 				o = tracker.NewObject("o")
 				th.Write(o, nil) // reveal the edge outside the timer
@@ -616,7 +616,7 @@ func BenchmarkStamp(b *testing.B) {
 					// private thread-object edge), then registers the hot
 					// thread and its objects.
 					build := func() {
-						tracker := mixedclock.NewTracker(mixedclock.WithBackend(backend))
+						tracker := openTracker(b, mixedclock.WithBackend(backend))
 						for i := 0; i < k; i++ {
 							tracker.NewThread("w").Write(tracker.NewObject("p"), nil)
 						}
@@ -668,9 +668,11 @@ func BenchmarkSnapshotStream(b *testing.B) {
 	build := func(events int, seal bool) *mixedclock.Tracker {
 		var opts []mixedclock.TrackerOption
 		if seal {
-			opts = append(opts, mixedclock.WithSpill(mixedclock.SpillPolicy{SealEvents: 4096}))
+			opts = append(opts, mixedclock.WithStore(mixedclock.Store{
+				Spill: mixedclock.SpillPolicy{SealEvery: 4096},
+			}))
 		}
-		tracker := mixedclock.NewTracker(opts...)
+		tracker := openTracker(b, opts...)
 		const nThreads, nObjects = 8, 32
 		threads := make([]*mixedclock.Thread, nThreads)
 		for i := range threads {
@@ -730,8 +732,9 @@ func BenchmarkSnapshotStream(b *testing.B) {
 //     timer each iteration.
 func BenchmarkSegmentCompact(b *testing.B) {
 	buildSealed := func(segments, perSegment int) *mixedclock.Tracker {
-		tracker := mixedclock.NewTracker(
-			mixedclock.WithSpill(mixedclock.SpillPolicy{SealEvents: perSegment}))
+		tracker := openTracker(b, mixedclock.WithStore(mixedclock.Store{
+			Spill: mixedclock.SpillPolicy{SealEvery: perSegment},
+		}))
 		const nThreads, nObjects = 4, 8
 		threads := make([]*mixedclock.Thread, nThreads)
 		for i := range threads {
@@ -820,7 +823,7 @@ func (s *countingSink) ConsumeStamp(mixedclock.Event, int, mixedclock.Vector) er
 // record.
 func BenchmarkStreamTail(b *testing.B) {
 	for _, events := range []int{5_000, 50_000} {
-		tracker := mixedclock.NewTracker()
+		tracker := openTracker(b)
 		const nThreads, nObjects = 8, 32
 		threads := make([]*mixedclock.Thread, nThreads)
 		for i := range threads {
@@ -894,7 +897,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Run(fmt.Sprintf("segs=%d/events=%d", cfg.segments, cfg.segments*cfg.perSegment), func(b *testing.B) {
 			dir := b.TempDir()
 			tracker, err := mixedclock.Open(dir, mixedclock.WithStore(mixedclock.Store{
-				Spill: mixedclock.SpillPolicy{SealEvents: cfg.perSegment},
+				Spill: mixedclock.SpillPolicy{SealEvery: cfg.perSegment},
 			}))
 			if err != nil {
 				b.Fatal(err)
@@ -950,7 +953,7 @@ func BenchmarkMonitorLive(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			tracker, err := mixedclock.Open(b.TempDir(), mixedclock.WithStore(mixedclock.Store{
-				Spill: mixedclock.SpillPolicy{SealEvents: 4096},
+				Spill: mixedclock.SpillPolicy{SealEvery: 4096},
 			}))
 			if err != nil {
 				b.Fatal(err)

@@ -63,8 +63,10 @@
 // (whose online mechanism discovers the components), optionally sealing
 // every -seal events and spilling sealed segments to -spill DIR, and the
 // log is produced by Tracker.SnapshotTo/Stream — no vector table is ever
-// materialized, whatever the trace length. The spill directory it leaves
-// behind is what mvc segments inspects and merges.
+// materialized, whatever the trace length. -seal N seals at every multiple
+// of N events. The spill directory it leaves behind is a closed durable run
+// that mvc segments inspects and merges; export refuses a -spill DIR that
+// already holds one.
 //
 // detect -live attaches the online analyses to a spill directory from the
 // outside: it follows the published catalog.json with a durable cursor and
@@ -144,8 +146,8 @@ func main() {
 	follow := fs.Bool("follow", false, "detect -live: keep polling the catalog until the run closes")
 	window := fs.Int("window", 0, "detect -live: census window in events (0: unbounded, exact)")
 	orderSpec := fs.String("order", "", "detect -live: FIRST,SECOND object names; flag writes to SECOND concurrent with the latest write to FIRST")
-	spillDir := fs.String("spill", "", "export -live: spill sealed segments to this directory")
-	seal := fs.Int("seal", 0, "export -live: seal every N events (0: only at the end)")
+	spillDir := fs.String("spill", "", "export -live: spill sealed segments to this directory (must not hold a run already)")
+	seal := fs.Int("seal", 0, "export -live: seal at every multiple of N events (0: only at the end)")
 	batch := fs.Int("batch", 0, "export -live: commit runs of up to N same-thread events as one batch (0: per-event)")
 	verify := fs.Bool("verify", false, "catalog: verify segment file sizes and content hashes")
 	maxSegs := fs.Int("max", 0, "compact: tolerated segment count (0: compact unconditionally)")
@@ -648,8 +650,19 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 	if format != "full" && format != "delta" {
 		return fmt.Errorf("export: unknown -format %q (want full or delta)", format)
 	}
-	tracker := track.NewTracker(track.WithBackend(b),
-		track.WithSpill(track.SpillPolicy{Dir: spillDir, SealEvents: seal}))
+	if spillDir != "" {
+		// Open would recover a previous run's directory and splice its
+		// history into this export; refuse instead.
+		if _, err := os.Stat(filepath.Join(spillDir, track.CatalogFileName)); err == nil {
+			return fmt.Errorf("export: -spill %s already holds a run (%s); choose an empty directory",
+				spillDir, track.CatalogFileName)
+		}
+	}
+	tracker, err := track.Open(spillDir, track.WithBackend(b),
+		track.WithStore(track.Store{Spill: track.SpillPolicy{SealEvery: seal}}))
+	if err != nil {
+		return err
+	}
 	threads := make([]*track.Thread, tr.Threads())
 	for i := range threads {
 		threads[i] = tracker.NewThread(fmt.Sprintf("T%d", i+1))
@@ -685,9 +698,10 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 			threads[e.Thread].Do(objects[e.Object], e.Op, nil)
 		}
 	}
-	// Seal the remaining tail — this is what "-seal 0: only at the end"
-	// promises, and it is what puts the final events into -spill DIR.
-	if err := tracker.Seal(); err != nil {
+	// Close seals the remaining tail — this is what "-seal 0: only at the
+	// end" promises, and it is what puts the final events into -spill DIR,
+	// under a catalog marked closed. Reads keep working after Close.
+	if err := tracker.Close(); err != nil {
 		return err
 	}
 	if err := tracker.Err(); err != nil {

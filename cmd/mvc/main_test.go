@@ -331,6 +331,44 @@ func TestExportLiveAndSegments(t *testing.T) {
 	}
 }
 
+// TestExportLiveSpillDir: export -live -spill opens DIR as a durable run.
+// Spilling must not change a byte of the exported log, and a second export
+// into the same directory must be refused rather than recover the first
+// run's history into the new log.
+func TestExportLiveSpillDir(t *testing.T) {
+	tr := liveTrace(t)
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	spilled := filepath.Join(dir, "spilled.mvclog")
+	plain := filepath.Join(dir, "plain.mvclog")
+	if err := exportLive(io.Discard, tr, spilled, vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := exportLive(io.Discard, tr, plain, vclock.BackendFlat, "delta", "", 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(spilled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("export with -spill differs from export without it")
+	}
+
+	again := filepath.Join(dir, "again.mvclog")
+	err = exportLive(io.Discard, tr, again, vclock.BackendFlat, "delta", spill, 20, 0)
+	if err == nil || !strings.Contains(err.Error(), spill) {
+		t.Fatalf("second export into %s: err = %v, want a refusal naming the directory", spill, err)
+	}
+	if _, err := os.Stat(again); !os.IsNotExist(err) {
+		t.Errorf("refused export left %s behind (stat err %v)", again, err)
+	}
+}
+
 func TestExportLiveFullFormat(t *testing.T) {
 	tr := liveTrace(t)
 	dir := t.TempDir()
@@ -625,7 +663,7 @@ func TestRecoverDirQuarantined(t *testing.T) {
 func TestDetectLiveOutput(t *testing.T) {
 	spill := t.TempDir()
 	tk, err := track.Open(spill, track.WithStore(track.Store{
-		Spill: track.SpillPolicy{SealEvents: 2},
+		Spill: track.SpillPolicy{SealEvery: 2},
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -37,9 +37,10 @@
 // # Live tracking
 //
 // To track a real concurrent Go program, use the Tracker: goroutines are
-// threads, lock-protected shared state are objects:
+// threads, lock-protected shared state are objects. Open is the one
+// constructor; an empty directory keeps the run in memory:
 //
-//	tracker := mixedclock.NewTracker()
+//	tracker, err := mixedclock.Open("")
 //	account := tracker.NewObject("account")
 //	th := tracker.NewThread("worker-1") // one per goroutine
 //	stamp := th.Write(account, func() { balance += 10 })
@@ -64,7 +65,7 @@
 //
 //	trace, stamps := tracker.Snapshot() // one barrier, consistent pair
 //
-// Snapshot, Trace, Stamps, Seal and Compact are stop-the-world barriers
+// Snapshot, Seal and Compact are stop-the-world barriers
 // that quiesce in-flight operations, merge the per-thread delta records,
 // and materialize their stamps; see the internal/track package
 // documentation for the full concurrency model.
@@ -102,13 +103,12 @@
 // explicit Seal, or automatically under a spill policy — into immutable,
 // delta-encoded segments (the same wire format the logs use), and the
 // store's spill policy moves sealed segments to disk so a long-running
-// tracker holds bounded memory however many events it records. The
-// canonical way to start a spilling run is Open with a Store (see
-// "Durability and recovery" below); an in-memory NewTracker can opt into
-// spilling alone with the same policy:
+// tracker holds bounded memory however many events it records. A spilling
+// run is Open on a directory with a Store (see "Durability and recovery"
+// below); Open("") with the same Store seals in memory instead:
 //
 //	tracker, err := mixedclock.Open(dir, mixedclock.WithStore(mixedclock.Store{
-//		Spill: mixedclock.SpillPolicy{SealEvents: 100_000},
+//		Spill: mixedclock.SpillPolicy{SealEvery: 100_000},
 //	}))
 //
 // Sealing is invisible to every reader: Snapshot, Stamped comparisons and
@@ -136,8 +136,9 @@
 // into larger ones with replay bytes unchanged — arm it through
 // Store.Compact, run a pass explicitly with Tracker.CompactSegments, or
 // compact a retired spill directory offline with `mvc compact`. Seal
-// boundaries can be aligned (SpillPolicy.SealEvery) or wall-time capped
-// (SpillPolicy.SealInterval) so segment edges line up with retention wants.
+// boundaries are aligned to multiples of SpillPolicy.SealEvery and can be
+// wall-time capped (SpillPolicy.SealInterval), so segment edges line up
+// with retention wants.
 //
 // External log shippers poll the Catalog — epoch, index range, size, spill
 // file and SHA-256 per segment, plus tracker health — via Tracker.Catalog
@@ -154,7 +155,7 @@
 //
 //	tracker, err := mixedclock.Open(dir,
 //		mixedclock.WithStore(mixedclock.Store{
-//			Spill:  mixedclock.SpillPolicy{SealEvents: 100_000},
+//			Spill:  mixedclock.SpillPolicy{SealEvery: 100_000},
 //			Retain: mixedclock.RetainPolicy{MaxBytes: 1 << 30},
 //		}))
 //	defer tracker.Close()
@@ -178,8 +179,8 @@
 // reopen from the command line and prints the report.
 //
 // Store gathers every storage policy — spilling, tiered compaction,
-// retention — into one validated struct (WithSpill, WithCompaction and
-// WithRetention remain as sugar over its fields). A RetainPolicy retires
+// retention — into one validated struct, set with WithStore, the only
+// storage option. A RetainPolicy retires
 // graduated segments, i.e. those of closed epochs, once they age past
 // MaxAge or push the directory over MaxBytes — deleting them or, with
 // Archive set, moving them aside — and replay then starts at the retention
@@ -233,7 +234,7 @@
 //
 //	clk := analysis.NewClockBackend(mixedclock.Tree)
 //	online := mixedclock.NewOnlineClockBackend(mixedclock.NewHybrid(), mixedclock.Tree)
-//	tracker := mixedclock.NewTracker(mixedclock.WithBackend(mixedclock.Tree))
+//	tracker, err := mixedclock.Open("", mixedclock.WithBackend(mixedclock.Tree))
 //
 // Flat (the default) stores a []uint64 and pays O(k) per join, with minimal
 // constants — the right choice for narrow clocks and for workloads whose

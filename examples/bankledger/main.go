@@ -42,7 +42,7 @@ func main() {
 	dir := filepath.Join(os.TempDir(), "bankledger-spill")
 	os.RemoveAll(dir)
 	tracker, err := mixedclock.Open(dir, mixedclock.WithStore(mixedclock.Store{
-		Spill: mixedclock.SpillPolicy{SealEvents: 32},
+		Spill: mixedclock.SpillPolicy{SealEvery: 32},
 	}))
 	if err != nil {
 		panic(err)

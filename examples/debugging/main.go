@@ -20,7 +20,10 @@ import (
 )
 
 func main() {
-	tracker := mixedclock.NewTracker()
+	tracker, err := mixedclock.Open("")
+	if err != nil {
+		panic(err)
+	}
 
 	queue := tracker.NewObject("queue")
 	results := tracker.NewObject("results")

@@ -11,7 +11,7 @@
 // aligned SealEvery boundaries, so segment edges land at predictable
 // indices — and spills them to disk, so the tracker holds only the live
 // tail. Frequent seals would litter the directory with tiny files;
-// WithCompaction merges adjacent small segments into larger tiers (replay
+// Store.Compact merges adjacent small segments into larger tiers (replay
 // bytes unchanged). The catalog — both Tracker.Catalog and the catalog.json
 // the tracker maintains next to the spill files — is the stable view an
 // external log shipper polls: index ranges, epochs, sizes and content
@@ -40,17 +40,22 @@ func main() {
 	}
 	defer os.RemoveAll(spillDir)
 
-	tracker := mixedclock.NewTracker(
+	tracker, err := mixedclock.Open(spillDir,
 		mixedclock.WithMechanism(mixedclock.Popularity{}),
-		// Seal at aligned 100-event boundaries and spill sealed segments to
-		// disk: the in-memory suffix is bounded however long the service
-		// runs, and segment edges land at predictable indices.
-		mixedclock.WithSpill(mixedclock.SpillPolicy{Dir: spillDir, SealEvery: 100}),
-		// Keep the spill directory tidy: whenever more than 4 segments have
-		// accumulated, merge adjacent small ones (within one epoch) into
-		// tiers of up to 64 KiB.
-		mixedclock.WithCompaction(mixedclock.CompactPolicy{MaxSegments: 4, TargetBytes: 64 << 10}),
+		mixedclock.WithStore(mixedclock.Store{
+			// Seal at aligned 100-event boundaries and spill sealed segments
+			// to disk: the in-memory suffix is bounded however long the
+			// service runs, and segment edges land at predictable indices.
+			Spill: mixedclock.SpillPolicy{SealEvery: 100},
+			// Keep the spill directory tidy: whenever more than 4 segments
+			// have accumulated, merge adjacent small ones (within one epoch)
+			// into tiers of up to 64 KiB.
+			Compact: mixedclock.CompactPolicy{MaxSegments: 4, TargetBytes: 64 << 10},
+		}),
 	)
+	if err != nil {
+		panic(err)
+	}
 
 	// Phase 1: twelve request handlers hammer two hot caches.
 	hotA := tracker.NewObject("cache-A")

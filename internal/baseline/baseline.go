@@ -114,9 +114,11 @@ var (
 //
 // and opens a new chain when none qualifies. The greedy scan does not carry
 // the original paper's optimality guarantee ((w+1)·w/2 chains via online
-// antichain decomposition) — see DESIGN.md §5 — but it is a valid vector
-// clock, and on the evaluation workloads it stays at or below the number of
-// threads (asserted in tests).
+// antichain decomposition): it is a first-fit chain partition, and
+// first-fit has no bound in the poset's width w — an adversarial reveal
+// order can force it to open arbitrarily many chains even at width 2. It is
+// still a valid vector clock, and on the evaluation workloads it stays at
+// or below the number of threads (asserted in tests).
 type ChainClock struct {
 	threads map[event.ThreadID]vclock.Vector
 	objects map[event.ObjectID]vclock.Vector

@@ -133,7 +133,8 @@ func TestChainClockNeverBelowWidth(t *testing.T) {
 func TestChainClockBoundedByThreadsOnWorkloads(t *testing.T) {
 	// On these generated workloads the greedy chain clock should not need
 	// more chains than threads (deterministic seeds keep this stable; the
-	// greedy scan has no general guarantee, see DESIGN.md §5).
+	// greedy scan is a first-fit chain partition, which has no general
+	// bound in the poset's width).
 	rng := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 20; trial++ {
 		nT := 2 + rng.Intn(8)

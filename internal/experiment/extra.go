@@ -12,10 +12,10 @@ import (
 	"mixedclock/internal/trace"
 )
 
-// Ablations beyond the paper's four figures. DESIGN.md lists these as the
-// design-choice experiments: how the mixed clock behaves on structured
-// workloads rather than random graphs, how sensitive the online mechanisms
-// are to reveal order, and where the Hybrid thresholds should sit.
+// Ablations beyond the paper's four figures, one per design choice the
+// paper leaves open: how the mixed clock behaves on structured workloads
+// rather than random graphs, how sensitive the online mechanisms are to
+// reveal order, and where the Hybrid thresholds should sit.
 
 // WorkloadClockSizes compares clock sizes across the built-in workload
 // families: classical thread- and object-based clocks, the chain-clock

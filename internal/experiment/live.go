@@ -29,7 +29,10 @@ import (
 // the given mechanism and backend, one committed write per edge, and
 // returns the final mixed-clock width.
 func liveCoverSize(order []bipartite.Edge, m core.Mechanism, b vclock.Backend) int {
-	t := track.NewTracker(track.WithMechanism(m), track.WithBackend(b))
+	t, err := track.Open("", track.WithMechanism(m), track.WithBackend(b))
+	if err != nil {
+		panic(err) // unreachable: an in-memory tracker without a Store validates
+	}
 	maxT, maxO := -1, -1
 	for _, e := range order {
 		if e.Thread > maxT {

@@ -74,10 +74,10 @@ type Config struct {
 	Seed int64 `json:"seed"`
 }
 
-// sealEvents is the seal cadence Run arms for durable (and monitored)
+// sealEvery is the seal cadence Run arms for durable (and monitored)
 // trackers: frequent enough that a short run exercises the whole seal →
 // compact → retain pipeline, long enough to stay off the hot path.
-const sealEvents = 50_000
+const sealEvery = 50_000
 
 // withDefaults fills unset knobs with the documented defaults.
 func (c Config) withDefaults() Config {
@@ -167,24 +167,19 @@ func Run(cfg Config) (*Report, error) {
 		}
 		opts = append(opts, track.WithBackend(b))
 	}
-	var tr *track.Tracker
-	if cfg.Store != "" {
-		opts = append(opts, track.WithStore(track.Store{
-			Spill:   track.SpillPolicy{SealEvents: sealEvents},
-			Compact: track.CompactPolicy{MaxSegments: 12},
-			Retain:  track.RetainPolicy{MaxBytes: 512 << 20},
-		}))
-		var err error
-		tr, err = track.Open(cfg.Store, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: opening store: %w", err)
+	// Without a store, a monitored run still seals (in memory) so the
+	// monitor has a stream.
+	if cfg.Store != "" || cfg.Monitor {
+		st := track.Store{Spill: track.SpillPolicy{SealEvery: sealEvery}}
+		if cfg.Store != "" {
+			st.Compact = track.CompactPolicy{MaxSegments: 12}
+			st.Retain = track.RetainPolicy{MaxBytes: 512 << 20}
 		}
-	} else {
-		if cfg.Monitor {
-			// No spill dir: seal in memory so the monitor has a stream.
-			opts = append(opts, track.WithSpill(track.SpillPolicy{SealEvents: sealEvents}))
-		}
-		tr = track.NewTracker(opts...)
+		opts = append(opts, track.WithStore(st))
+	}
+	tr, err := track.Open(cfg.Store, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: opening store: %w", err)
 	}
 
 	// The monitor window is deliberately small: the windowed census costs

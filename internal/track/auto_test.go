@@ -23,7 +23,7 @@ func sliceTrace(full *event.Trace, start, end int) *event.Trace {
 // flat from the start (nothing observed), re-decided at each Compact from
 // the compacted width and join shape.
 func TestAutoBackendResolvesAtCompact(t *testing.T) {
-	tr := NewTracker(WithBackend(vclock.BackendAuto))
+	tr := mustOpen(t, "", WithBackend(vclock.BackendAuto))
 	if tr.Backend() != vclock.BackendFlat {
 		t.Fatalf("fresh auto tracker backend = %v, want flat", tr.Backend())
 	}
@@ -62,7 +62,7 @@ func TestAutoBackendResolvesAtCompact(t *testing.T) {
 
 // TestAutoBackendStaysFlatWhenNarrow pins the other side of the heuristic.
 func TestAutoBackendStaysFlatWhenNarrow(t *testing.T) {
-	tr := NewTracker(WithBackend(vclock.BackendAuto))
+	tr := mustOpen(t, "", WithBackend(vclock.BackendAuto))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 10; i++ {

@@ -13,7 +13,7 @@ import (
 // compacts mid-run, and validates the full recorded computation against the
 // happened-before oracle. Run under -race in CI.
 func TestTrackerTreeBackend(t *testing.T) {
-	tracker := NewTracker(WithBackend(vclock.BackendTree))
+	tracker := mustOpen(t, "", WithBackend(vclock.BackendTree))
 	if tracker.Backend() != vclock.BackendTree {
 		t.Fatalf("Backend = %v", tracker.Backend())
 	}
@@ -54,7 +54,7 @@ func TestTrackerTreeBackend(t *testing.T) {
 	}
 	// Validate each epoch's stamps independently (epochs are barriers; the
 	// cross-epoch order is by construction).
-	full, stamps := tracker.Trace(), tracker.Stamps()
+	full, stamps := tracker.Snapshot()
 	starts := append(tracker.EpochStarts(), full.Len())
 	for e := 0; e+1 < len(starts); e++ {
 		seg := event.NewTrace()
@@ -77,7 +77,7 @@ func TestTrackerBackendsAgree(t *testing.T) {
 		script = append(script, op{thread: i % 3, object: (i * 7) % 4})
 	}
 	runScript := func(b vclock.Backend) []vclock.Vector {
-		tracker := NewTracker(WithBackend(b))
+		tracker := mustOpen(t, "", WithBackend(b))
 		threads := make([]*Thread, 3)
 		for i := range threads {
 			threads[i] = tracker.NewThread("t")
@@ -92,7 +92,8 @@ func TestTrackerBackendsAgree(t *testing.T) {
 		if err := tracker.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return tracker.Stamps()
+		_, stamps := tracker.Snapshot()
+		return stamps
 	}
 	flat := runScript(vclock.BackendFlat)
 	tree := runScript(vclock.BackendTree)

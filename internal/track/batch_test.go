@@ -135,16 +135,15 @@ func TestBatchMatchesDo(t *testing.T) {
 		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
 			for _, mode := range []string{"plain", "sealed"} {
 				t.Run(fmt.Sprintf("%v/%v/%s", wl, backend, mode), func(t *testing.T) {
-					optsFor := func() []Option {
-						opts := []Option{WithBackend(backend)}
+					open := func() *Tracker {
 						if mode == "sealed" {
-							opts = append(opts, WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 75}))
+							return mustOpen(t, t.TempDir(), WithBackend(backend),
+								WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
 						}
-						return opts
+						return mustOpen(t, "", WithBackend(backend))
 					}
-					ref := NewTracker(optsFor()...)
-					want := replayDo(t, ref, src, compactAt)
-					got := replayBatched(t, NewTracker(optsFor()...), src, chunks, compactAt)
+					want := replayDo(t, open(), src, compactAt)
+					got := replayBatched(t, open(), src, chunks, compactAt)
 					if len(got) != len(want) {
 						t.Fatalf("batched replay produced %d stamps, want %d", len(got), len(want))
 					}
@@ -173,7 +172,7 @@ func TestBatchMatchesDo(t *testing.T) {
 // contiguous, program order holds across batches, and the recorded
 // computation remains a valid clocked trace per epoch. Run under -race.
 func TestBatchRacesSeal(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{SealEvents: 64}))
+	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 64}}))
 	const nWorkers, nObjects, batches, batchLen = 8, 3, 40, 8
 	objects := make([]*Object, nObjects)
 	for i := range objects {
@@ -255,7 +254,7 @@ func TestBatchRacesSeal(t *testing.T) {
 // monitor must have consumed exactly the recorded computation, with a
 // census matching the final snapshot. Run under -race.
 func TestBatchOverlapsMonitor(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 50}))
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 50}}))
 	m := tr.NewMonitor(MonitorPolicy{})
 	defer m.Close()
 	const nWorkers, nObjects, batches, batchLen = 6, 3, 30, 8

@@ -16,7 +16,7 @@ import (
 // early tie-breaks admitted extra thread components.
 func driftTracker(t *testing.T) *Tracker {
 	t.Helper()
-	tr := NewTracker(WithMechanism(core.Popularity{}))
+	tr := mustOpen(t, "", WithMechanism(core.Popularity{}))
 	hot1 := tr.NewObject("hot1")
 	hot2 := tr.NewObject("hot2")
 	var wg sync.WaitGroup
@@ -66,7 +66,7 @@ func TestCompactShrinksToOptimal(t *testing.T) {
 }
 
 func TestCompactEpochOrdering(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	a := tr.NewObject("a")
 	b := tr.NewObject("b")
@@ -95,7 +95,7 @@ func TestCompactNeverInvertsTrueOrder(t *testing.T) {
 	// Soundness: for any pair with a true happened-before relation in the
 	// full recorded computation, the epoch-aware Order must agree with the
 	// direction (it may add order to concurrent pairs, never flip one).
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	ths := []*Thread{tr.NewThread("a"), tr.NewThread("b"), tr.NewThread("c")}
 	objs := []*Object{tr.NewObject("x"), tr.NewObject("y")}
 
@@ -115,7 +115,8 @@ func TestCompactNeverInvertsTrueOrder(t *testing.T) {
 	}
 	record(ths[2].Write(objs[0], nil))
 
-	oracle := hb.New(tr.Trace())
+	full, _ := tr.Snapshot()
+	oracle := hb.New(full)
 	for i := range stamps {
 		for j := range stamps {
 			if i == j {
@@ -145,8 +146,7 @@ func TestCompactEpochSegmentsAreValidClocks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	full := tr.Trace()
-	stamps := tr.Stamps()
+	full, stamps := tr.Snapshot()
 	starts := tr.EpochStarts()
 	for ei, start := range starts {
 		end := full.Len()
@@ -169,7 +169,7 @@ func TestCompactEpochSegmentsAreValidClocks(t *testing.T) {
 func TestCompactMechanismContinues(t *testing.T) {
 	// New edges after compaction still grow the component set via the
 	// mechanism, and the cover invariant holds.
-	tr := NewTracker(WithMechanism(core.NaiveThreads{}))
+	tr := mustOpen(t, "", WithMechanism(core.NaiveThreads{}))
 	th1 := tr.NewThread("a")
 	o1 := tr.NewObject("x")
 	th1.Write(o1, nil)
@@ -188,7 +188,7 @@ func TestCompactMechanismContinues(t *testing.T) {
 }
 
 func TestEpochBookkeeping(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	th.Write(o, nil) // event 0, epoch 0
@@ -211,7 +211,7 @@ func TestEpochBookkeeping(t *testing.T) {
 }
 
 func TestCompactEmptyTracker(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	epoch, size, err := tr.Compact()
 	if err != nil {
 		t.Fatal(err)

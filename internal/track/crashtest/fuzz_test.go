@@ -64,7 +64,7 @@ func FuzzFaultyRecover(f *testing.F) {
 
 	cfg := sweepConfig{
 		name:      "fuzz",
-		spill:     track.SpillPolicy{SealEvents: 3},
+		spill:     track.SpillPolicy{SealEvery: 3},
 		compact:   track.CompactPolicy{MaxSegments: 2},
 		retain:    track.RetainPolicy{MaxBytes: 1},
 		rounds:    5,

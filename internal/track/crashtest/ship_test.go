@@ -62,7 +62,7 @@ func TestShipperCrashSweep(t *testing.T) {
 	src := t.TempDir()
 	cfg := sweepConfig{
 		name:      "ship-src",
-		spill:     track.SpillPolicy{SealEvents: 4},
+		spill:     track.SpillPolicy{SealEvery: 4},
 		rounds:    6,
 		compactAt: map[int]int{2: 1},
 	}
@@ -124,7 +124,7 @@ func TestShipperCrashLeavesSourceIntact(t *testing.T) {
 	src := t.TempDir()
 	cfg := sweepConfig{
 		name:   "ship-src",
-		spill:  track.SpillPolicy{SealEvents: 4},
+		spill:  track.SpillPolicy{SealEvery: 4},
 		rounds: 4,
 	}
 	tr, err := openAndRun(src, cfg.store(nil), cfg)

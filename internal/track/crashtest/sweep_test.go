@@ -305,7 +305,7 @@ func sweep(t *testing.T, c sweepConfig) {
 func sweepConfigs() []sweepConfig {
 	full := sweepConfig{
 		name:      "full",
-		spill:     track.SpillPolicy{SealEvents: 4},
+		spill:     track.SpillPolicy{SealEvery: 4},
 		compact:   track.CompactPolicy{MaxSegments: 2},
 		retain:    track.RetainPolicy{MaxBytes: 1},
 		rounds:    8,
@@ -318,19 +318,19 @@ func sweepConfigs() []sweepConfig {
 		full,
 		{
 			name:   "spill-only",
-			spill:  track.SpillPolicy{SealEvents: 3},
+			spill:  track.SpillPolicy{SealEvery: 3},
 			rounds: 8,
 		},
 		{
 			name:      "compaction",
-			spill:     track.SpillPolicy{SealEvents: 3},
+			spill:     track.SpillPolicy{SealEvery: 3},
 			compact:   track.CompactPolicy{MaxSegments: 1},
 			rounds:    10,
 			compactAt: map[int]int{3: 1, 7: 1},
 		},
 		{
 			name:      "retention",
-			spill:     track.SpillPolicy{SealEvents: 2},
+			spill:     track.SpillPolicy{SealEvery: 2},
 			retain:    track.RetainPolicy{MaxBytes: 1},
 			rounds:    10,
 			compactAt: map[int]int{2: 1, 4: 1, 7: 1},

@@ -22,7 +22,7 @@ func TestDegradedModeENOSPC(t *testing.T) {
 	dir := t.TempDir()
 	fi := vfs.NewFaulty(vfs.OS)
 	tr, err := Open(dir, WithStore(Store{
-		Spill: SpillPolicy{SealEvents: 2, Probe: time.Millisecond},
+		Spill: SpillPolicy{SealEvery: 2, Probe: time.Millisecond},
 		FS:    fi,
 	}))
 	if err != nil {
@@ -128,7 +128,7 @@ func TestDegradedSinceSticky(t *testing.T) {
 	dir := t.TempDir()
 	fi := vfs.NewFaulty(vfs.OS)
 	tr, err := Open(dir, WithStore(Store{
-		Spill: SpillPolicy{SealEvents: 1, Probe: time.Hour}, // probe never fires
+		Spill: SpillPolicy{SealEvery: 1, Probe: time.Hour}, // probe never fires
 		FS:    fi,
 	}))
 	if err != nil {

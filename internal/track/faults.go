@@ -134,7 +134,7 @@ const defaultProbeInterval = time.Second
 // re-arms auto-sealing, so the next commit seals the accumulated tail and —
 // via sealLocked — clears degraded mode and publishes a healthy catalog.
 func (t *Tracker) maybeProbe() {
-	if t.spill.Dir == "" {
+	if t.dir == "" {
 		return
 	}
 	interval := t.spill.Probe
@@ -146,7 +146,7 @@ func (t *Tracker) maybeProbe() {
 	if now-last < int64(interval) || !t.lastProbeNano.CompareAndSwap(last, now) {
 		return
 	}
-	if probeSpillDir(t.fs, t.spill.Dir) == nil {
+	if probeSpillDir(t.fs, t.dir) == nil {
 		t.sealBroken.Store(false)
 	}
 }

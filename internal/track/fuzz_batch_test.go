@@ -56,7 +56,7 @@ func FuzzBatchCommit(f *testing.F) {
 		sched := decodeBatchSchedule(data)
 
 		// Reference: the per-event Do loop.
-		ref := NewTracker()
+		ref := mustOpen(t, "")
 		refThreads := make(map[int]*Thread)
 		refObjects := make(map[int]*Object)
 		var want []Stamped
@@ -81,7 +81,7 @@ func FuzzBatchCommit(f *testing.F) {
 
 		// Batched: same schedule, cut into batches at the fuzzed boundaries
 		// (and forcibly at thread changes — a Batch belongs to one thread).
-		tr := NewTracker()
+		tr := mustOpen(t, "")
 		threads := make(map[int]*Thread)
 		objects := make(map[int]*Object)
 		var got []Stamped

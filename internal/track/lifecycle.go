@@ -45,7 +45,7 @@ import (
 // tlog.PlanSegmentCompaction for the planning rules):
 //
 //   - MaxSegments is how many sealed segments the tracker tolerates. The
-//     automatic pass (WithCompaction) runs after a seal pushes the count
+//     automatic pass (Store.Compact) runs after a seal pushes the count
 //     above it; an explicit CompactSegments with MaxSegments > 0 plans
 //     nothing while the count is at or below it, and with MaxSegments <= 0
 //     compacts unconditionally.
@@ -59,18 +59,6 @@ import (
 type CompactPolicy struct {
 	MaxSegments int
 	TargetBytes int64
-}
-
-// WithCompaction arms automatic tiered compaction: after every successful
-// seal (explicit, automatic, or at Compact) whose result exceeds
-// p.MaxSegments segments, a compaction pass rewrites small adjacent
-// segments per the policy. The zero policy (MaxSegments == 0) never runs
-// automatically. Sugar for WithStore with only the Compact field set.
-//
-// Deprecated: new code should configure storage through WithStore;
-// WithCompaction remains for compatibility.
-func WithCompaction(p CompactPolicy) Option {
-	return func(o *options) { o.store.Compact = p }
 }
 
 // maybeCompactSegments runs the armed compaction policy if the sealed
@@ -198,13 +186,13 @@ func (t *Tracker) mergeRun(run []*segment) (*segment, error) {
 			out.sealedAt = sg.sealedAt
 		}
 	}
-	if t.spill.Dir == "" {
+	if t.dir == "" {
 		out.data = data
 		return out, nil
 	}
 	// Write-then-rename (with an fsync) so a crash mid-compaction never
 	// leaves a spill file that parses as a truncated segment.
-	out.dir, out.file, out.fs = t.spill.Dir, tlog.SegmentFileName(meta), t.fs
+	out.dir, out.file, out.fs = t.dir, tlog.SegmentFileName(meta), t.fs
 	if err := writeFileSync(t.fs, out.dir, out.file, data); err != nil {
 		return nil, err
 	}
@@ -270,13 +258,13 @@ func (t *Tracker) Catalog() tlog.Catalog {
 // rename; no-op without one). Failures surface through Err — the catalog is
 // advisory for shippers, never load-bearing for the tracker itself.
 func (t *Tracker) publishCatalog() {
-	if t.spill.Dir == "" {
+	if t.dir == "" {
 		return
 	}
 	t.catMu.Lock()
 	defer t.catMu.Unlock()
 	c := t.Catalog()
-	if err := writeCatalogFile(t.fs, t.spill.Dir, &c); err != nil {
+	if err := writeCatalogFile(t.fs, t.dir, &c); err != nil {
 		t.noteErr(fmt.Errorf("track: publishing catalog: %w", err))
 	}
 }

@@ -36,7 +36,7 @@ func segFiles(t *testing.T, dir string) []string {
 // and every stamp — unchanged.
 func TestCompactSegmentsReducesFiles(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: dir, SealEvents: 2}))
+	tr := mustOpen(t, dir, WithStore(Store{Spill: SpillPolicy{SealEvery: 2}}))
 	th := tr.NewThread("t")
 	o1 := tr.NewObject("o1")
 	o2 := tr.NewObject("o2")
@@ -119,8 +119,8 @@ func TestCompactSegmentsPreservesReplay(t *testing.T) {
 		}
 		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
 			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
-				tr := NewTracker(WithBackend(backend),
-					WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 30}))
+				tr := mustOpen(t, t.TempDir(), WithBackend(backend),
+					WithStore(Store{Spill: SpillPolicy{SealEvery: 30}}))
 				replayTrace(t, tr, src, src.Len()/2)
 				if err := tr.Seal(); err != nil {
 					t.Fatal(err)
@@ -182,7 +182,7 @@ func TestCompactSegmentsPreservesReplay(t *testing.T) {
 // commit pattern, and the overshoot waits in the tail for the next boundary.
 func TestSealAligned(t *testing.T) {
 	const every = 25
-	tr := NewTracker(WithSpill(SpillPolicy{SealEvery: every}))
+	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: every}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 130; i++ {
@@ -219,11 +219,42 @@ func TestSealAligned(t *testing.T) {
 	}
 }
 
+// TestSealEveryBoundsUnsealed pins the memory bound SealEvery gives a single
+// committing goroutine: after every commit, fewer than SealEvery events sit
+// unsealed — including after an epoch Compact leaves the seal point off the
+// interval grid.
+func TestSealEveryBoundsUnsealed(t *testing.T) {
+	const every, total, compactAt = 16, 300, 137
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: every}}))
+	ths := []*Thread{tr.NewThread("a"), tr.NewThread("b")}
+	objs := []*Object{tr.NewObject("x"), tr.NewObject("y"), tr.NewObject("z")}
+	for i := 0; i < total; i++ {
+		if i == compactAt {
+			if _, _, err := tr.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if h := tr.Health(); h.UnsealedEvents != 0 {
+				t.Fatalf("Compact left %d events unsealed", h.UnsealedEvents)
+			}
+		}
+		ths[i%2].Do(objs[(i*7)%3], event.Op(i%2), nil)
+		if h := tr.Health(); h.UnsealedEvents >= every {
+			t.Fatalf("after commit %d: %d events unsealed, want < %d", i, h.UnsealedEvents, every)
+		}
+	}
+	if got, want := tr.Catalog().SealedEvents, total/every*every; got != want {
+		t.Fatalf("sealed through %d, want the last boundary %d", got, want)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSealInterval pins wall-time sealing: commits trickling in slower than
 // the interval still get sealed (and thus shipped), without any event-count
 // trigger firing.
 func TestSealInterval(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{SealInterval: time.Millisecond}))
+	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealInterval: time.Millisecond}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 4; i++ {
@@ -246,7 +277,7 @@ func TestSealInterval(t *testing.T) {
 // addressed, and regenerated on compaction.
 func TestCatalog(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: dir, SealEvents: 10}))
+	tr := mustOpen(t, dir, WithStore(Store{Spill: SpillPolicy{SealEvery: 10}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 55; i++ {
@@ -332,7 +363,7 @@ func TestCatalogHealth(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("in the way"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: blocked, SealEvents: 10}))
+	tr := mustOpen(t, blocked, WithStore(Store{Spill: SpillPolicy{SealEvery: 10}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 30; i++ {
@@ -409,7 +440,7 @@ func (s *overlapSink) ConsumeStamp(e event.Event, _ int, _ vclock.Vector) error 
 // merged tail must let concurrent commits through mid-replay, and still
 // deliver exactly the consistent prefix from its freeze point.
 func TestStreamTailOverlapsCommits(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("w")
 	o := tr.NewObject("o")
 	const preStream = 50
@@ -447,10 +478,10 @@ func TestStreamTailOverlapsCommits(t *testing.T) {
 // stream's retry against the merged replacement must be invisible. Run
 // under -race and -count in CI.
 func TestStreamRacesSegmentCompact(t *testing.T) {
-	tr := NewTracker(
-		WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 24}),
-		WithCompaction(CompactPolicy{MaxSegments: 4}),
-	)
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{
+		Spill:   SpillPolicy{SealEvery: 24},
+		Compact: CompactPolicy{MaxSegments: 4},
+	}))
 	const nWorkers, nObjects, opsPer, rounds = 8, 5, 250, 8
 	objects := make([]*Object, nObjects)
 	for i := range objects {

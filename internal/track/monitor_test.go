@@ -51,9 +51,9 @@ func TestMonitorMatchesOffline(t *testing.T) {
 		}
 		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
 			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
-				tr := NewTracker(
+				tr := mustOpen(t, t.TempDir(),
 					WithBackend(backend),
-					WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 75}),
+					WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}),
 				)
 				m := tr.NewMonitor(MonitorPolicy{})
 				m.WatchPossibly("both-odd", oddPred)
@@ -130,7 +130,7 @@ func ScheduleSensitivePairsOffline(tr *event.Trace) []detect.Pair {
 // a causally ordered one does not, and the first detection arms a
 // consistent recovery line.
 func TestMonitorWatchOrder(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	m := tr.NewMonitor(MonitorPolicy{})
 	guard := tr.NewObject("guard")
 	data := tr.NewObject("data")
@@ -178,7 +178,7 @@ func TestMonitorWatchOrder(t *testing.T) {
 // after a final Seal+Sync the monitor has evaluated every committed record
 // with in-range provenance. Run under -race and -count in CI.
 func TestMonitorOverlapsCommits(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 64}))
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 64}}))
 	const nWorkers, nObjects, opsPer = 6, 4, 300
 	objects := make([]*Object, nObjects)
 	for i := range objects {

@@ -14,7 +14,7 @@ import (
 // stripe, so they can be in flight simultaneously. Each callback waits for
 // the other to start; if reads still serialized, this would deadlock.
 func TestReaderCallbacksOverlap(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	o := tr.NewObject("o")
 	a := tr.NewThread("a")
 	b := tr.NewThread("b")
@@ -44,7 +44,7 @@ func TestReaderCallbacksOverlap(t *testing.T) {
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if err := clock.Validate(tr.Trace(), tr.Stamps(), "overlapping-reads"); err != nil {
+	if err := validate(tr, "overlapping-reads"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,7 +53,7 @@ func TestReaderCallbacksOverlap(t *testing.T) {
 // write callback holds the object exclusively, so a concurrent read cannot
 // observe it mid-flight.
 func TestWriterExcludesReaders(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	o := tr.NewObject("o")
 	w := tr.NewThread("w")
 	r := tr.NewThread("r")
@@ -95,7 +95,7 @@ func TestWriterExcludesReaders(t *testing.T) {
 func TestSameObjectFastPathStamps(t *testing.T) {
 	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
 		t.Run(backend.String(), func(t *testing.T) {
-			tr := NewTracker(WithBackend(backend))
+			tr := mustOpen(t, "", WithBackend(backend))
 			hot := tr.NewObject("hot")
 			other := tr.NewObject("other")
 			a := tr.NewThread("a")
@@ -129,7 +129,7 @@ func TestSameObjectFastPathStamps(t *testing.T) {
 // be invisible in the produced timestamps.
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	runScript := func(b vclock.Backend) []vclock.Vector {
-		tr := NewTracker(WithBackend(b))
+		tr := mustOpen(t, "", WithBackend(b))
 		th := []*Thread{tr.NewThread("x"), tr.NewThread("y")}
 		obj := []*Object{tr.NewObject("p"), tr.NewObject("q")}
 		for i := 0; i < 80; i++ {
@@ -145,7 +145,8 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 		if err := tr.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Stamps()
+		_, stamps := tr.Snapshot()
+		return stamps
 	}
 	flat := runScript(vclock.BackendFlat)
 	tree := runScript(vclock.BackendTree)
@@ -160,7 +161,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 // readers and a trickle of writers, then validates the full computation —
 // the workload the read fast path exists for, run under -race in CI.
 func TestReadHeavyParallelValid(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	hot := tr.NewObject("hot")
 	const nReaders, nWriters, opsPer = 6, 2, 150
 	var wg sync.WaitGroup
@@ -198,11 +199,11 @@ func TestReadHeavyParallelValid(t *testing.T) {
 }
 
 // TestLazyStampMaterialization pins the Stamped contract after the delta
-// rework: Vector() reconstructs the exact stamp (matching Stamps()), copies
+// rework: Vector() reconstructs the exact stamp (matching Snapshot()), copies
 // are independent of tracker internals, and materialization works from
 // inside a Do callback and across compactions.
 func TestLazyStampMaterialization(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 
@@ -210,7 +211,7 @@ func TestLazyStampMaterialization(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		collected = append(collected, th.Write(o, nil))
 	}
-	stamps := tr.Stamps()
+	_, stamps := tr.Snapshot()
 	for i, s := range collected {
 		if got := s.Vector(); !got.Equal(stamps[i]) {
 			t.Fatalf("stamp %d: lazy %v, merged %v", i, got, stamps[i])
@@ -222,7 +223,7 @@ func TestLazyStampMaterialization(t *testing.T) {
 	// Mutating a returned vector must not corrupt the tracker's history.
 	v := collected[0].Vector()
 	v[0] = 999
-	if tr.Stamps()[0].At(0) == 999 || collected[0].Vector().At(0) == 999 {
+	if _, again := tr.Snapshot(); again[0].At(0) == 999 || collected[0].Vector().At(0) == 999 {
 		t.Fatal("Vector() leaked shared storage")
 	}
 	// Materialization inside a callback takes the same barrier Snapshot

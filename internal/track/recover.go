@@ -83,7 +83,7 @@ type RecoveryInfo struct {
 // is downgraded to quarantine + health, never an error; the only errors are
 // ones that leave recovery unable to construct any consistent state at all.
 func (t *Tracker) recoverDir(o options) error {
-	dir := t.spill.Dir
+	dir := t.dir
 	info := &RecoveryInfo{}
 	t.recovery = info
 

@@ -20,10 +20,7 @@ import (
 // lose).
 func runSealedWorkload(t *testing.T, dir string, nThreads, nObjects, rounds int) *Tracker {
 	t.Helper()
-	tr, err := Open(dir, WithStore(Store{Spill: SpillPolicy{Dir: dir}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustOpen(t, dir)
 	threads := make([]*Thread, nThreads)
 	for i := range threads {
 		threads[i] = tr.NewThread(fmt.Sprintf("t%d", i))
@@ -462,16 +459,16 @@ func TestRecoverMovedDir(t *testing.T) {
 	}
 }
 
-// TestOpenValidatesOptions: Open rejects what NewTracker tolerates.
+// TestOpenValidatesOptions: Open rejects contradictory storage policies.
 func TestOpenValidatesOptions(t *testing.T) {
-	if _, err := Open(t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvents: -1}})); err == nil {
-		t.Error("Open accepted a negative SealEvents")
+	if _, err := Open(t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: -1}})); err == nil {
+		t.Error("Open accepted a negative SealEvery")
 	}
-	if _, err := Open(t.TempDir(), WithRetention(RetainPolicy{MaxBytes: -1})); err == nil {
+	if _, err := Open("", WithStore(Store{Spill: SpillPolicy{SealEvery: -1}})); err == nil {
+		t.Error("in-memory Open accepted a negative SealEvery")
+	}
+	if _, err := Open(t.TempDir(), WithStore(Store{Retain: RetainPolicy{MaxBytes: -1}})); err == nil {
 		t.Error("Open accepted a negative RetainPolicy.MaxBytes")
-	}
-	if _, err := Open(t.TempDir(), WithSpill(SpillPolicy{Dir: "/somewhere/else"})); err == nil {
-		t.Error("Open accepted a conflicting WithSpill directory")
 	}
 	dir := t.TempDir()
 	if _, err := Open(dir, WithStore(Store{Retain: RetainPolicy{MaxBytes: 1, Archive: dir}})); err == nil {
@@ -490,10 +487,6 @@ func TestOpenValidatesOptions(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// NewTracker stays lenient.
-	if ltr := NewTracker(WithStore(Store{Spill: SpillPolicy{SealEvents: -1}})); ltr == nil {
-		t.Error("NewTracker rejected an invalid store")
-	}
 }
 
 // TestRecoverResumeRaces reopens a directory and immediately hammers the
@@ -508,7 +501,7 @@ func TestRecoverResumeRaces(t *testing.T) {
 	}
 	pre := tr.Events()
 
-	re, err := Open(dir, WithStore(Store{Spill: SpillPolicy{Dir: dir, SealEvents: 64}}))
+	re, err := Open(dir, WithStore(Store{Spill: SpillPolicy{SealEvery: 64}}))
 	if err != nil {
 		t.Fatal(err)
 	}

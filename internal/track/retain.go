@@ -23,8 +23,9 @@ import (
 	"mixedclock/internal/vfs"
 )
 
-// RetainPolicy bounds how much sealed history a tracker keeps. The zero
-// policy retains everything.
+// RetainPolicy bounds how much sealed history a tracker keeps. Set as
+// Store.Retain, it runs after every successful seal (and the compaction
+// pass, if any). The zero policy retains everything.
 type RetainPolicy struct {
 	// MaxAge, when positive, retires a graduated segment once its seal
 	// time (the newest contained event's seal, surviving reopen via the
@@ -43,13 +44,6 @@ type RetainPolicy struct {
 
 // enabled reports whether the policy can ever retire anything.
 func (p RetainPolicy) enabled() bool { return p.MaxAge > 0 || p.MaxBytes > 0 }
-
-// WithRetention arms automatic retention: after every successful seal (and
-// the compaction pass, if any), segments the policy marks as expired are
-// retired. Sugar for WithStore with only the Retain field set.
-func WithRetention(p RetainPolicy) Option {
-	return func(o *options) { o.store.Retain = p }
-}
 
 // maybeRetainSegments runs the armed retention policy, reporting whether a
 // pass retired anything (and thus already published the catalog).

@@ -100,7 +100,7 @@ func TestRetainGraduatedOnly(t *testing.T) {
 	}
 	// Replay starts at the floor; stamps below it are gone.
 	tr2 := tr // same tracker: Snapshot must deliver only [floor, end)
-	trace := tr2.Trace()
+	trace, _ := tr2.Snapshot()
 	if want := tr.Events() - floor; trace.Len() != want {
 		t.Errorf("post-retention trace holds %d events, want %d", trace.Len(), want)
 	}
@@ -238,7 +238,6 @@ func TestRetainThenReopen(t *testing.T) {
 func TestAutoRetention(t *testing.T) {
 	dir := t.TempDir()
 	tr, err := Open(dir, WithStore(Store{
-		Spill:  SpillPolicy{Dir: dir},
 		Retain: RetainPolicy{MaxBytes: 1},
 	}))
 	if err != nil {

@@ -2,10 +2,10 @@
 // the durability machinery.
 //
 //   - Store gathers every storage policy (spilling, tiered compaction,
-//     retention) into one validated struct; WithStore is the canonical
-//     option, and WithSpill/WithCompaction/WithRetention remain as thin
-//     wrappers over its fields.
-//   - Open(dir, opts...) brackets the start of a run: an empty or absent
+//     retention) into one validated struct; WithStore is the only storage
+//     option.
+//   - Open(dir, opts...) is the only constructor and brackets the start of
+//     a run: an empty dir is an in-memory tracker, an absent or empty
 //     directory starts fresh, an existing one is recovered (recover.go) —
 //     hashes verified, clocks rebuilt, a torn tail quarantined — and
 //     committing resumes at the correct epoch and trace index.
@@ -50,12 +50,9 @@ type Store struct {
 }
 
 // Validate checks the store's policies for contradictions a tracker would
-// otherwise act on silently. Open rejects invalid stores; the legacy
-// NewTracker accepts them as given.
+// otherwise act on silently. Open rejects an invalid store, and also one
+// whose RetainPolicy.Archive is the directory being opened.
 func (s Store) Validate() error {
-	if s.Spill.SealEvents < 0 {
-		return fmt.Errorf("track: store: SealEvents %d is negative", s.Spill.SealEvents)
-	}
 	if s.Spill.SealEvery < 0 {
 		return fmt.Errorf("track: store: SealEvery %d is negative", s.Spill.SealEvery)
 	}
@@ -80,22 +77,13 @@ func (s Store) Validate() error {
 	if s.Retain.Archive != "" && !s.Retain.enabled() {
 		return fmt.Errorf("track: store: RetainPolicy.Archive set but neither MaxAge nor MaxBytes is; nothing would ever be archived")
 	}
-	if s.Retain.Archive != "" && s.Spill.Dir != "" && s.Retain.Archive == s.Spill.Dir {
-		return fmt.Errorf("track: store: RetainPolicy.Archive is the spill directory itself")
-	}
 	return nil
 }
 
-// WithStore sets the tracker's complete storage configuration. An invalid
-// store is recorded and surfaced as an error by Open (NewTracker, the
-// lenient legacy constructor, applies it as given).
+// WithStore sets the tracker's complete storage configuration; Open
+// validates it.
 func WithStore(s Store) Option {
-	return func(o *options) {
-		if err := s.Validate(); err != nil && o.err == nil {
-			o.err = err
-		}
-		o.store = s
-	}
+	return func(o *options) { o.store = s }
 }
 
 // Open opens dir as a durable run and returns a live Tracker backed by it.
@@ -117,30 +105,22 @@ func WithStore(s Store) Option {
 //     Recovery and Err — the crash-consistency contract is that at most
 //     the unsealed (or unpublished) suffix is lost.
 //
-// Open validates its options (unlike NewTracker): an invalid Store, or a
-// WithSpill directory conflicting with dir, is an error. An empty dir is
-// allowed and means an in-memory tracker, for symmetry.
+// An empty dir is an in-memory tracker: sealed segments stay in memory and
+// there is nothing to recover. Open validates its options: an invalid
+// Store, or a RetainPolicy.Archive naming dir itself, is an error.
 func Open(dir string, opts ...Option) (*Tracker, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.err != nil {
-		return nil, fmt.Errorf("track: opening %q: %w", dir, o.err)
-	}
-	if dir != "" {
-		if o.store.Spill.Dir != "" && o.store.Spill.Dir != dir {
-			return nil, fmt.Errorf("track: opening %q: WithSpill names a different directory %q", dir, o.store.Spill.Dir)
-		}
-		o.store.Spill.Dir = dir
-	}
-	// Validate with the directory filled in, so dir-dependent checks (like
-	// Archive colliding with the spill directory) see the real value.
 	if err := o.store.Validate(); err != nil {
 		return nil, fmt.Errorf("track: opening %q: %w", dir, err)
 	}
-	t := newTracker(o)
-	if t.spill.Dir == "" {
+	if dir != "" && o.store.Retain.Archive == dir {
+		return nil, fmt.Errorf("track: opening %q: RetainPolicy.Archive is the spill directory itself", dir)
+	}
+	t := newTracker(dir, o)
+	if dir == "" {
 		return t, nil
 	}
 	if err := t.recoverDir(o); err != nil {
@@ -172,8 +152,8 @@ func (t *Tracker) Close() error {
 	t.world.Unlock()
 	t.reclaim.reclaim()
 	t.publishCatalog()
-	if t.spill.Dir != "" {
-		if serr := syncDir(t.fs, t.spill.Dir); serr != nil && err == nil {
+	if t.dir != "" {
+		if serr := syncDir(t.fs, t.dir); serr != nil && err == nil {
 			err = fmt.Errorf("track: closing: %w", serr)
 		}
 	}

@@ -19,37 +19,31 @@ import (
 )
 
 // SpillPolicy bounds a long-running tracker's memory: how often the merged
-// tail is sealed into an immutable delta-encoded segment, and where sealed
-// segments go. The zero policy never seals on its own and keeps what Compact
-// seals in memory.
+// tail is sealed into an immutable delta-encoded segment. Where sealed
+// segments go is Open's directory: there, each is spilled to its own
+// "seg-<first>-<last>.mvcseg" file and dropped from memory (everything that
+// replays it — Stream, Snapshot, lazy Stamped.Vector of an old event —
+// reads the file back), and a catalog.json is kept for external log
+// shippers (see Tracker.Catalog). Without a directory, sealed segments stay
+// in memory in their delta-encoded form. The zero policy never seals on its
+// own.
 type SpillPolicy struct {
-	// Dir, when non-empty, is the directory sealed segments are spilled to
-	// (one "seg-<first>-<last>.mvcseg" file each, created on first use).
-	// Spilled segments are dropped from memory; everything that replays
-	// them — Stream, Snapshot, lazy Stamped.Vector of an old event — reads
-	// the file back. The tracker also maintains a catalog.json there (see
-	// Tracker.Catalog), rewritten atomically after every seal and
-	// compaction, which external log shippers poll instead of the tracker.
-	// Empty keeps sealed segments in memory, still in their delta-encoded
-	// form (typically a small fraction of the vector table they replace).
-	Dir string
-	// SealEvents, when positive, seals automatically once at least this
-	// many events sit unsealed (live per-thread buffers plus the merged
-	// tail). Sealing is a stop-the-world barrier, so this trades a periodic
-	// pause — proportional to SealEvents, like any snapshot — for a bounded
-	// in-memory suffix. Zero seals only at Compact or an explicit Seal.
+	// SealEvery, when positive, seals automatically at every multiple of
+	// SealEvery events: the tail is sealed up to the largest such boundary,
+	// and any overshoot (commits keep flowing while the seal is pending)
+	// stays in the tail for the next one. A single committing goroutine
+	// therefore never leaves SealEvery or more events unsealed (live
+	// per-thread buffers plus the merged tail), and segment edges land at
+	// predictable indices — retention jobs and snapshot consumers can
+	// reason in whole intervals. Sealing is a stop-the-world barrier, so
+	// this trades a periodic pause — proportional to SealEvery, like any
+	// snapshot — for a bounded in-memory suffix. Zero seals only at
+	// Compact, an explicit Seal, or SealInterval.
+	//
 	// If an automatic seal fails (spill I/O), the error surfaces through
 	// Err and the catalog health field, the history stays in memory, and
-	// auto-sealing disarms until an explicit Seal or Compact succeeds — one
-	// failed barrier, not one per commit.
-	SealEvents int
-	// SealEvery, when positive, aligns automatic seal boundaries: the tail
-	// is sealed up to the largest multiple of SealEvery events, and any
-	// overshoot (commits keep flowing while the seal is pending) stays in
-	// the tail for the next boundary. Segment edges therefore land at
-	// predictable indices — retention jobs and snapshot consumers can
-	// reason in whole intervals instead of wherever a threshold happened to
-	// trip. Independent of SealEvents; set either or both.
+	// auto-sealing disarms until an explicit Seal or Compact succeeds (or a
+	// Probe re-arms it) — one failed barrier, not one per commit.
 	SealEvery int
 	// SealInterval, when positive, also triggers a seal once this much wall
 	// time has passed since the last one, bounding how stale the sealed
@@ -67,25 +61,12 @@ type SpillPolicy struct {
 	Probe time.Duration
 }
 
-// WithSpill sets the tracker's spill policy — sugar for WithStore with only
-// the Spill field set (the other store policies keep their prior values).
-//
-// Deprecated: new code should configure storage through WithStore (and open
-// durable runs with Open, which validates the policies); WithSpill remains
-// for compatibility.
-func WithSpill(p SpillPolicy) Option {
-	return func(o *options) { o.store.Spill = p }
-}
-
 // autoSealDue is the cheap post-commit check: committed and sealedUpTo are
 // the tracker's event and sealed counters, lastSealNano the last successful
 // seal time.
 func (p SpillPolicy) autoSealDue(committed, sealedUpTo, lastSealNano int64) bool {
 	if committed <= sealedUpTo {
 		return false
-	}
-	if p.SealEvents > 0 && committed-sealedUpTo >= int64(p.SealEvents) {
-		return true
 	}
 	if p.SealEvery > 0 && committed/int64(p.SealEvery)*int64(p.SealEvery) > sealedUpTo {
 		return true
@@ -247,11 +228,11 @@ func (t *Tracker) sealLocked(upTo int) error {
 	}
 	sum := sha256.Sum256(data)
 	sg := &segment{meta: meta, size: int64(len(data)), sha: hex.EncodeToString(sum[:]), sealedAt: time.Now()}
-	if t.spill.Dir != "" {
-		if err := t.fs.MkdirAll(t.spill.Dir); err != nil {
+	if t.dir != "" {
+		if err := t.fs.MkdirAll(t.dir); err != nil {
 			return fmt.Errorf("track: spilling: %w", err)
 		}
-		sg.dir, sg.file, sg.fs = t.spill.Dir, tlog.SegmentFileName(meta), t.fs
+		sg.dir, sg.file, sg.fs = t.dir, tlog.SegmentFileName(meta), t.fs
 		// Write-then-rename with an fsync in between: after the rename
 		// lands, the segment's bytes are durable, and a crash mid-write
 		// leaves at most a stray temp file (ignored and cleaned by Open),
@@ -314,11 +295,12 @@ func (t *Tracker) sealLocked(upTo int) error {
 }
 
 // Seal quiesces the tracker, merges all per-thread buffers, and seals the
-// tail into an immutable delta-encoded segment (spilled to disk under the
-// policy's Dir). Compact seals implicitly; the spill policy seals
-// automatically. Sealing never changes what any reader observes — only
-// where (and how compactly) the history is held. A successful Seal
-// publishes the catalog and re-arms auto-sealing after a spill failure.
+// tail into an immutable delta-encoded segment (spilled to disk when the
+// tracker was opened on a directory). Compact seals implicitly; the spill
+// policy seals automatically. Sealing never changes what any reader
+// observes — only where (and how compactly) the history is held. A
+// successful Seal publishes the catalog and re-arms auto-sealing after a
+// spill failure.
 func (t *Tracker) Seal() error {
 	if t.closed.Load() {
 		return fmt.Errorf("track: Seal on a closed Tracker")
@@ -678,22 +660,6 @@ type collectSink struct {
 
 func (c *collectSink) ConsumeStamp(e event.Event, _ int, v vclock.Vector) error {
 	c.trace.AppendEvent(e)
-	c.stamps = append(c.stamps, v.Clone())
-	return nil
-}
-
-// traceSink keeps only the events — the sink behind Trace.
-type traceSink struct{ trace *event.Trace }
-
-func (c *traceSink) ConsumeStamp(e event.Event, _ int, _ vclock.Vector) error {
-	c.trace.AppendEvent(e)
-	return nil
-}
-
-// stampsSink keeps only the stamps — the sink behind Stamps.
-type stampsSink struct{ stamps []vclock.Vector }
-
-func (c *stampsSink) ConsumeStamp(_ event.Event, _ int, v vclock.Vector) error {
 	c.stamps = append(c.stamps, v.Clone())
 	return nil
 }

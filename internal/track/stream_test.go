@@ -61,12 +61,13 @@ func TestSnapshotToMatchesWriteAllDelta(t *testing.T) {
 			for _, mode := range []string{"plain", "sealed"} {
 				t.Run(fmt.Sprintf("%v/%v/%s", wl, backend, mode), func(t *testing.T) {
 					opts := []Option{WithBackend(backend)}
-					compactAt := -1
+					dir, compactAt := "", -1
 					if mode == "sealed" {
-						opts = append(opts, WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 75}))
+						dir = t.TempDir()
+						opts = append(opts, WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
 						compactAt = src.Len() / 2
 					}
-					tr := NewTracker(opts...)
+					tr := mustOpen(t, dir, opts...)
 					replayTrace(t, tr, src, compactAt)
 
 					full, stamps := tr.Snapshot()
@@ -117,9 +118,9 @@ func TestSealPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := NewTracker()
+	plain := mustOpen(t, "")
 	replayTrace(t, plain, src, 130)
-	sealing := NewTracker(WithSpill(SpillPolicy{SealEvents: 40}))
+	sealing := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 40}}))
 	replayTrace(t, sealing, src, 130)
 	if err := sealing.Seal(); err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestSealPreservesSemantics(t *testing.T) {
 // file.
 func TestSpillBoundsAndRestores(t *testing.T) {
 	dir := t.TempDir()
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: dir, SealEvents: 50}))
+	tr := mustOpen(t, dir, WithStore(Store{Spill: SpillPolicy{SealEvery: 50}}))
 	a := tr.NewThread("a")
 	b := tr.NewThread("b")
 	x := tr.NewObject("x")
@@ -178,7 +179,7 @@ func TestSpillBoundsAndRestores(t *testing.T) {
 
 	segs := tr.Segments()
 	if len(segs) < 4 {
-		t.Fatalf("only %d segments after %d events at SealEvents=50", len(segs), total)
+		t.Fatalf("only %d segments after %d events at SealEvery=50", len(segs), total)
 	}
 	var covered int
 	for i, sg := range segs {
@@ -236,7 +237,7 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("in the way"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: blocked, SealEvents: 10}))
+	tr := mustOpen(t, blocked, WithStore(Store{Spill: SpillPolicy{SealEvery: 10}}))
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	for i := 0; i < 50; i++ {
@@ -281,7 +282,7 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 // a stamp never materialized before Compact must come back exactly as the
 // merged table would have had it, width included.
 func TestSealedLazyStamp(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o1 := tr.NewObject("o1")
 	o2 := tr.NewObject("o2")
@@ -289,7 +290,7 @@ func TestSealedLazyStamp(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		collected = append(collected, th.Write([]*Object{o1, o2}[i%2], nil))
 	}
-	stamps := tr.Stamps() // materialize the reference table first
+	_, stamps := tr.Snapshot() // materialize the reference table first
 	if _, _, err := tr.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func (c *streamCollector) ConsumeStamp(e event.Event, epoch int, v vclock.Vector
 // zero, epochs non-decreasing, and each stamp identical to what the final
 // materialized history records for that index.
 func TestStreamRacesCompact(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{SealEvents: 64}))
+	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 64}}))
 	const nWorkers, nObjects, opsPer, rounds = 8, 5, 300, 6
 	objects := make([]*Object, nObjects)
 	for i := range objects {
@@ -396,7 +397,7 @@ func TestStreamRacesCompact(t *testing.T) {
 // auto-sealing: phase 2 must pick up whatever sealed mid-stream without
 // dropping or duplicating records.
 func TestStreamWhileSealing(t *testing.T) {
-	tr := NewTracker(WithSpill(SpillPolicy{Dir: t.TempDir(), SealEvents: 32}))
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 32}}))
 	o := tr.NewObject("o")
 	done := make(chan struct{})
 	go func() {

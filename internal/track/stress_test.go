@@ -38,7 +38,7 @@ func validateEpochs(t *testing.T, tr *Tracker) {
 func TestCompactRacesDo(t *testing.T) {
 	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
 		t.Run(backend.String(), func(t *testing.T) {
-			tr := NewTracker(WithBackend(backend))
+			tr := mustOpen(t, "", WithBackend(backend))
 			const nWorkers, nObjects, opsPer, compactions = 8, 5, 300, 6
 			objects := make([]*Object, nObjects)
 			for i := range objects {
@@ -105,7 +105,7 @@ func TestCompactRacesDo(t *testing.T) {
 // the pointer is atomic (no world lock — the accessors stay safe even from
 // inside a Do callback). Run under -race.
 func TestAccessorsRaceCompact(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	done := make(chan struct{})
@@ -134,7 +134,7 @@ func TestAccessorsRaceCompact(t *testing.T) {
 // cannot deadlock a concurrent Snapshot/Compact (a hang the pre-sharding
 // tracker never had, and an early draft of this one did).
 func TestCallbackMayBlock(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	started := make(chan struct{})
@@ -166,7 +166,7 @@ func TestCallbackMayBlock(t *testing.T) {
 // TestTrackerMethodsInsideCallback pins that Tracker methods — snapshots
 // and compaction included — are legal from inside a Do callback.
 func TestTrackerMethodsInsideCallback(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	th.Write(o, nil)
@@ -195,7 +195,7 @@ func TestTrackerMethodsInsideCallback(t *testing.T) {
 // concurrent snapshot readers, followed by full validation of the recorded
 // computation.
 func TestTrackerParallelStress(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	const nWorkers, opsPer = 8, 250
 	seedObjects := make([]*Object, 4)
 	for i := range seedObjects {

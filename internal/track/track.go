@@ -59,7 +59,7 @@
 // record buffer stores only the event plus its arena range — O(changed
 // components) per event instead of O(k), and no allocation beyond amortized
 // buffer growth. Full vectors are materialized lazily, at the next
-// stop-the-world barrier (Snapshot, Trace, Stamps, Compact), by replaying
+// stop-the-world barrier (Snapshot, Stream, Compact), by replaying
 // each thread's deltas forward from its previous materialization — the
 // barrier already pays O(events·k) to copy stamps out, so reconstruction
 // hides there. A Stamped returned by Do carries a handle, not a vector;
@@ -71,7 +71,7 @@
 //
 // Trace recording is deferred: operations accumulate in per-thread buffers
 // and are merged (sorted by trace index) only when a snapshot is taken —
-// Trace, Stamps, Snapshot, Stream — or at sealing/compaction. Those merge
+// Snapshot, Stream — or at sealing/compaction. Those merge
 // points are stop-the-world barriers: they take the write side of the world
 // lock whose read side every commit holds (sharded per thread, see
 // world.go), quiescing all in-flight clock updates. This is what preserves
@@ -94,33 +94,33 @@
 //     order with their materialized stamps. The tail is the mutable,
 //     random-access suffix of history; Stamped.Vector of a tail event is an
 //     O(1) lookup.
-//   - Sealed: Seal (called by Compact, by SpillPolicy.SealEvents, or
-//     directly) re-encodes the whole tail as one immutable delta-encoded
-//     segment — the MVCLOG02 wire format inside a tlog "MVCSEG01" container
-//     that also records the epoch, the global index range, and the clock
-//     width at each record. A sealed segment never changes; with a
-//     SpillPolicy.Dir it is written to its own file in that directory and
-//     dropped from memory entirely, which is what bounds a long-running
-//     tracker's footprint: live + tail are bounded by SealEvents, and the
-//     sealed prefix lives on disk.
+//   - Sealed: Seal (called by Compact, by the spill policy, or directly)
+//     re-encodes the tail as one immutable delta-encoded segment — the
+//     MVCLOG02 wire format inside a tlog "MVCSEG01" container that also
+//     records the epoch, the global index range, and the clock width at
+//     each record. A sealed segment never changes; a tracker opened on a
+//     directory writes it to its own file there and drops it from memory
+//     entirely, which is what bounds a long-running tracker's footprint:
+//     live + tail are bounded by SpillPolicy.SealEvery, and the sealed
+//     prefix lives on disk.
 //
 // A segment never spans a compaction (Compact seals first, then starts the
 // new epoch), so each segment belongs to exactly one epoch; an epoch may
 // span many segments. Everything that reads history — Stream, SnapshotTo,
-// Snapshot, Trace, Stamps, lazy Stamped.Vector — replays sealed segments
-// plus the tail, in trace order, through one path; the bulk readers never
-// build a []Vector unless the caller asked for exactly that.
+// Snapshot, lazy Stamped.Vector — replays sealed segments plus the tail, in
+// trace order, through one path; the bulk readers never build a []Vector
+// unless the caller asked for exactly that.
 //
-// Seal boundaries follow the spill policy: SealEvents seals whenever that
-// many events sit unsealed, SealEvery aligns boundaries to multiples of the
-// interval (the overshoot waits in the tail), and SealInterval caps by wall
-// time how stale sealed history can go under light traffic.
+// Seal boundaries follow the spill policy: SealEvery seals at every
+// multiple of the interval (the overshoot waits in the tail for the next
+// boundary), and SealInterval caps by wall time how stale sealed history
+// can go under light traffic.
 //
 // # Segment lifecycle: compaction tiers and the catalog
 //
 // Sealed segments are managed for the rest of their lives by the lifecycle
 // manager (lifecycle.go). Tiered compaction (CompactSegments, armed
-// automatically by WithCompaction) rewrites runs of adjacent small
+// automatically by Store.Compact) rewrites runs of adjacent small
 // segments into larger ones: runs never cross an epoch boundary, a segment
 // at or above CompactPolicy.TargetBytes has graduated out of its tier, and
 // the pass triggers once more than MaxSegments segments exist. Compaction
@@ -310,8 +310,8 @@ import (
 // operation changed, and Vector (or any comparison helper) reconstructs the
 // full vector on first use by quiescing the tracker — the same barrier
 // Snapshot takes — then memoizes it, so later uses are free. Bulk consumers
-// should prefer one Snapshot/Stamps call over materializing stamps one by
-// one.
+// should prefer one Snapshot or Stream call over materializing stamps one
+// by one.
 type Stamped struct {
 	Event event.Event
 	Epoch int
@@ -411,8 +411,7 @@ type record struct {
 }
 
 // Tracker coordinates causality tracking across goroutines. Create one per
-// tracked computation with NewTracker; all methods are safe for concurrent
-// use.
+// tracked computation with Open; all methods are safe for concurrent use.
 type Tracker struct {
 	// world is the stop-the-world barrier: every Do holds one of its shards
 	// for reading across its commit; snapshots, Seal and Compact hold every
@@ -453,6 +452,10 @@ type Tracker struct {
 	spill   SpillPolicy
 	compact CompactPolicy
 	retain  RetainPolicy
+	// dir is the spill directory Open was given: sealed segments are
+	// written there, one file each, and dropped from memory, and the
+	// catalog is published there. Empty keeps sealed segments in memory.
+	dir string
 	// fs is the filesystem every durable path runs on (Store.FS; vfs.OS by
 	// default). Set once at construction, never on the commit hot path.
 	fs        vfs.FS
@@ -478,8 +481,8 @@ type Tracker struct {
 	// immutable value), and embedded in the published catalog so a
 	// restarted process can rebuild the tracker. Read under RLock(0).
 	resume *tlog.CatalogResume
-	// recovery describes what Open reconstructed; nil for trackers built
-	// by NewTracker.
+	// recovery describes what Open reconstructed; nil for in-memory
+	// trackers.
 	recovery *RecoveryInfo
 	// closed is set by Close: Do panics, mutating lifecycle calls error,
 	// reads keep working (post-mortem inspection).
@@ -577,9 +580,6 @@ type options struct {
 	backend    vclock.Backend
 	backendSet bool
 	store      Store
-	// err is the first invalid policy an option reported. NewTracker, the
-	// lenient legacy constructor, ignores it; Open surfaces it.
-	err error
 }
 
 // WithMechanism selects the online component-choice mechanism (default: the
@@ -600,23 +600,13 @@ func WithBackend(b vclock.Backend) Option {
 	return func(o *options) { o.backend, o.backendSet = b, true }
 }
 
-// NewTracker returns an empty tracker. It is the lenient legacy
-// constructor: policies are accepted as given, without the validation Open
-// performs. New code that spills should prefer Open, which also recovers an
-// existing directory.
-func NewTracker(opts ...Option) *Tracker {
-	o := defaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return newTracker(o)
-}
-
 func defaultOptions() options {
 	return options{mech: core.NewHybrid(), backend: vclock.BackendFlat}
 }
 
-func newTracker(o options) *Tracker {
+// newTracker builds an empty tracker spilling to dir ("" keeps sealed
+// history in memory); Open validates o first and recovers dir after.
+func newTracker(dir string, o options) *Tracker {
 	t := &Tracker{
 		world:     newWorldLock(),
 		requested: o.backend,
@@ -624,6 +614,7 @@ func newTracker(o options) *Tracker {
 		spill:     o.store.Spill,
 		compact:   o.store.Compact,
 		retain:    o.store.Retain,
+		dir:       dir,
 		fs:        o.store.FS,
 	}
 	if t.fs == nil {
@@ -632,7 +623,7 @@ func newTracker(o options) *Tracker {
 	t.reclaim.init()
 	t.hist.Store(&segState{})
 	t.lastSealNano.Store(time.Now().UnixNano())
-	t.sealArmed.Store(t.spill.SealEvents > 0 || t.spill.SealEvery > 0 || t.spill.SealInterval > 0)
+	t.sealArmed.Store(t.spill.SealEvery > 0 || t.spill.SealInterval > 0)
 	t.cover.Store(t.newCover(core.NewCoverTracker(o.mech)))
 	return t
 }
@@ -1036,7 +1027,7 @@ func (t *Tracker) Objects() []*Object {
 
 // Recovery reports what Open reconstructed from its directory — the resumed
 // event count and epoch, quarantined files, whether the previous run closed
-// cleanly. Nil for trackers built by NewTracker.
+// cleanly. Nil for in-memory trackers (Open with an empty dir).
 func (t *Tracker) Recovery() *RecoveryInfo { return t.recovery }
 
 // Snapshot quiesces the tracker and returns a copy of the recorded
@@ -1053,25 +1044,6 @@ func (t *Tracker) Snapshot() (*event.Trace, []vclock.Vector) {
 		t.noteErr(fmt.Errorf("track: snapshot: %w", err))
 	}
 	return sink.trace, sink.stamps
-}
-
-// Trace returns a copy of the recorded computation. It streams the same
-// path as Snapshot but keeps only the events, so no stamp is ever cloned.
-func (t *Tracker) Trace() *event.Trace {
-	sink := &traceSink{trace: event.NewTrace()}
-	if err := t.Stream(sink); err != nil {
-		t.noteErr(fmt.Errorf("track: trace: %w", err))
-	}
-	return sink.trace
-}
-
-// Stamps returns a copy of the recorded timestamps, indexed by event index.
-func (t *Tracker) Stamps() []vclock.Vector {
-	sink := &stampsSink{}
-	if err := t.Stream(sink); err != nil {
-		t.noteErr(fmt.Errorf("track: stamps: %w", err))
-	}
-	return sink.stamps
 }
 
 // Err surfaces tracker failures: clock misuse (an uncovered event, which

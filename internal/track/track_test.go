@@ -9,8 +9,19 @@ import (
 	"mixedclock/internal/event"
 )
 
+// mustOpen is Open for tests: dir "" is an in-memory tracker, and an error
+// fails the test.
+func mustOpen(tb testing.TB, dir string, opts ...Option) *Tracker {
+	tb.Helper()
+	tr, err := Open(dir, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 func TestSingleThreadSequence(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("main")
 	o := tr.NewObject("x")
 
@@ -37,7 +48,7 @@ func TestSingleThreadSequence(t *testing.T) {
 }
 
 func TestCrossThreadCausalityThroughObject(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	producer := tr.NewThread("producer")
 	consumer := tr.NewThread("consumer")
 	q := tr.NewObject("queue")
@@ -67,7 +78,7 @@ func TestCrossThreadCausalityThroughObject(t *testing.T) {
 }
 
 func TestConcurrentOperationsAreConcurrent(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	a := tr.NewThread("a")
 	b := tr.NewThread("b")
 	oa := tr.NewObject("xa")
@@ -112,7 +123,7 @@ func TestRecordedTraceIsValid(t *testing.T) {
 	for name, mech := range mechs {
 		name, mech := name, mech
 		t.Run(name, func(t *testing.T) {
-			tr := NewTracker(WithMechanism(mech))
+			tr := mustOpen(t, "", WithMechanism(mech))
 			const nThreads, nObjects, opsPer = 8, 6, 40
 			objects := make([]*Object, nObjects)
 			for i := range objects {
@@ -137,7 +148,7 @@ func TestRecordedTraceIsValid(t *testing.T) {
 			if err := tr.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if err := clock.Validate(tr.Trace(), tr.Stamps(), name); err != nil {
+			if err := validate(tr, name); err != nil {
 				t.Fatal(err)
 			}
 			// Only the naive mechanism bounds the size by the thread count;
@@ -158,7 +169,7 @@ func TestMixedTrackerBeatsNaiveOnSkewedWorkload(t *testing.T) {
 	// nothing else: the optimal cover is the three objects, so popularity
 	// should land near 3 while naive pays one component per thread.
 	run := func(mech core.Mechanism) int {
-		tr := NewTracker(WithMechanism(mech))
+		tr := mustOpen(t, "", WithMechanism(mech))
 		hots := []*Object{tr.NewObject("h0"), tr.NewObject("h1"), tr.NewObject("h2")}
 		const n = 12
 		var wg sync.WaitGroup
@@ -193,8 +204,8 @@ func TestMixedTrackerBeatsNaiveOnSkewedWorkload(t *testing.T) {
 }
 
 func TestTrackerCrossUsePanics(t *testing.T) {
-	t1 := NewTracker()
-	t2 := NewTracker()
+	t1 := mustOpen(t, "")
+	t2 := mustOpen(t, "")
 	th := t1.NewThread("a")
 	o := t2.NewObject("x")
 	defer func() {
@@ -206,7 +217,7 @@ func TestTrackerCrossUsePanics(t *testing.T) {
 }
 
 func TestNestedDo(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("main")
 	outer := tr.NewObject("outer")
 	inner := tr.NewObject("inner")
@@ -220,13 +231,13 @@ func TestNestedDo(t *testing.T) {
 	if !innerStamp.HappenedBefore(outerStamp) {
 		t.Fatalf("inner %v should precede outer %v", innerStamp.Vector(), outerStamp.Vector())
 	}
-	if err := clock.Validate(tr.Trace(), tr.Stamps(), "nested"); err != nil {
+	if err := validate(tr, "nested"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("worker-1")
 	o := tr.NewObject("account")
 	if th.Name() != "worker-1" || o.Name() != "account" {
@@ -249,17 +260,24 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestStampsAndTraceAreCopies(t *testing.T) {
-	tr := NewTracker()
+	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
 	o := tr.NewObject("o")
 	th.Write(o, nil)
 
-	stamps := tr.Stamps()
-	if len(stamps) != 1 {
+	full, stamps := tr.Snapshot()
+	if len(stamps) != 1 || full.Len() != 1 {
 		t.Fatal("missing stamp")
 	}
 	stamps[0] = stamps[0].Set(0, 99)
-	if tr.Stamps()[0].At(0) == 99 {
-		t.Fatal("Stamps leaked internal storage")
+	if _, again := tr.Snapshot(); again[0].At(0) == 99 {
+		t.Fatal("Snapshot leaked internal storage")
 	}
+}
+
+// validate checks the tracker's recorded stamps against the
+// happened-before oracle of its recorded trace (Theorem 2).
+func validate(tr *Tracker, scheme string) error {
+	full, stamps := tr.Snapshot()
+	return clock.Validate(full, stamps, scheme)
 }

@@ -80,11 +80,11 @@ type (
 	// per same-object run instead of once per operation; see
 	// Thread.NewBatch, Thread.DoBatch.
 	Batch = track.Batch
-	// TrackerOption configures NewTracker.
+	// TrackerOption configures Open.
 	TrackerOption = track.Option
 	// SpillPolicy bounds a long-running tracker's memory: when the merged
-	// tail is sealed into immutable delta-encoded segments and where sealed
-	// segments are spilled.
+	// tail is sealed into immutable delta-encoded segments (spilled to
+	// Open's directory, if any).
 	SpillPolicy = track.SpillPolicy
 	// SegmentInfo describes one sealed segment (epoch, index range, size,
 	// spill file, content hash), as reported by Tracker.Segments.
@@ -196,18 +196,14 @@ func NewClockBackend(comps *ComponentSet, b Backend) *MixedClock {
 // while the revealed graph is small and sparse, NaiveThreads afterwards.
 func NewHybrid() Hybrid { return core.NewHybrid() }
 
-// NewTracker returns a live tracker for goroutine-level causality tracking.
-// For a durable run backed by a spill directory — crash recovery, retention,
-// a clean shutdown — use Open and Tracker.Close instead; NewTracker with
-// WithSpill remains as sugar over the same store machinery, minus recovery.
-func NewTracker(opts ...TrackerOption) *Tracker { return track.NewTracker(opts...) }
-
-// Open opens dir as a durable run: an absent or empty directory starts a
+// Open returns a live tracker for goroutine-level causality tracking; it is
+// the only way to build one. An empty dir keeps everything in memory. A
+// non-empty dir is a durable run: an absent or empty directory starts a
 // fresh tracker spilling there, an existing one is recovered — every listed
 // segment verified by size and content hash, clocks and cover rebuilt, a
 // torn tail quarantined — and committing resumes at the correct epoch and
-// trace index. Bracket the run with Tracker.Close. Unlike NewTracker, Open
-// validates its options. See Tracker.Recovery for what was reconstructed.
+// trace index. Bracket a durable run with Tracker.Close. Open validates its
+// options; see Tracker.Recovery for what was reconstructed.
 func Open(dir string, opts ...TrackerOption) (*Tracker, error) { return track.Open(dir, opts...) }
 
 // WithMechanism selects the tracker's online mechanism.
@@ -216,35 +212,16 @@ func WithMechanism(m Mechanism) TrackerOption { return track.WithMechanism(m) }
 // WithBackend selects the tracker's clock representation (Flat or Tree).
 func WithBackend(b Backend) TrackerOption { return track.WithBackend(b) }
 
-// WithStore sets the tracker's complete storage configuration: spill,
-// compaction and retention policies in one struct. This is the canonical
-// storage option; WithSpill, WithCompaction and WithRetention are sugar over
-// its fields. Open rejects an invalid Store; NewTracker applies it as given.
+// WithStore sets the tracker's complete storage configuration — the only
+// storage option. Spill seals the merged tail into immutable delta-encoded
+// segments every SealEvery events (spilled to Open's directory, if any, so
+// a long-running tracker holds bounded memory); Compact merges adjacent
+// small segments after any seal that leaves more than MaxSegments (never
+// across an epoch boundary, never past TargetBytes, replay bytes
+// unchanged); Retain retires graduated segments on the seal path. Sealed
+// history is replayed transparently by Snapshot, Stream, SnapshotTo and
+// lazy Stamped vectors. Open rejects an invalid Store.
 func WithStore(s Store) TrackerOption { return track.WithStore(s) }
-
-// WithSpill sets the tracker's spill policy: seal the merged tail into
-// immutable delta-encoded segments every SealEvents events and, with a Dir,
-// spill sealed segments to disk so a long-running tracker holds bounded
-// memory. Sealed history is replayed transparently by Snapshot, Stream,
-// SnapshotTo and lazy Stamped vectors.
-//
-// Deprecated: prefer WithStore(Store{Spill: p}), or Open, which supplies
-// the directory itself.
-func WithSpill(p SpillPolicy) TrackerOption { return track.WithSpill(p) }
-
-// WithCompaction arms automatic tiered compaction of sealed segments: after
-// any seal that leaves more than MaxSegments segments, adjacent small
-// segments are merged (never across an epoch boundary, never past
-// TargetBytes) with replay bytes unchanged. Tracker.CompactSegments runs a
-// pass explicitly.
-//
-// Deprecated: prefer WithStore(Store{Compact: p}).
-func WithCompaction(p CompactPolicy) TrackerOption { return track.WithCompaction(p) }
-
-// WithRetention arms automatic retirement of graduated segments on the seal
-// path; Tracker.RetainSegments runs a pass explicitly. Equivalent to setting
-// Store.Retain via WithStore.
-func WithRetention(p RetainPolicy) TrackerOption { return track.WithRetention(p) }
 
 // ErrCatalogBehind is returned (wrapped) by Shipper.ConsumeUpTo when the
 // published catalog generation is still behind the requested one.

@@ -8,6 +8,17 @@ import (
 	"mixedclock"
 )
 
+// openTracker is Open("") for tests and benchmarks: an in-memory tracker,
+// with an error failing tb.
+func openTracker(tb testing.TB, opts ...mixedclock.TrackerOption) *mixedclock.Tracker {
+	tb.Helper()
+	tracker, err := mixedclock.Open("", opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tracker
+}
+
 // TestFacadeOfflineWorkflow exercises the documented offline path end to
 // end through the public API only.
 func TestFacadeOfflineWorkflow(t *testing.T) {
@@ -57,7 +68,7 @@ func TestFacadeOnlineWorkflow(t *testing.T) {
 }
 
 func TestFacadeTracker(t *testing.T) {
-	tracker := mixedclock.NewTracker(mixedclock.WithMechanism(mixedclock.Popularity{}))
+	tracker := openTracker(t, mixedclock.WithMechanism(mixedclock.Popularity{}))
 	shared := tracker.NewObject("shared")
 
 	var wg sync.WaitGroup
@@ -80,9 +91,22 @@ func TestFacadeTracker(t *testing.T) {
 	if err := mixedclock.Validate(trace, stamps, "tracker"); err != nil {
 		t.Fatal(err)
 	}
-	// The one-barrier Snapshot and the individual accessors must agree.
-	if trace.Len() != tracker.Trace().Len() || len(stamps) != len(tracker.Stamps()) {
-		t.Fatal("Snapshot disagrees with Trace/Stamps")
+	// The materializing Snapshot and the streamed log must agree.
+	var log bytes.Buffer
+	if err := tracker.SnapshotTo(&log); err != nil {
+		t.Fatal(err)
+	}
+	logTrace, logStamps, err := mixedclock.ReadLog(&log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logTrace.Len() != trace.Len() || len(logStamps) != len(stamps) {
+		t.Fatal("Snapshot disagrees with SnapshotTo")
+	}
+	for i := range stamps {
+		if !logStamps[i].Equal(stamps[i]) {
+			t.Fatalf("stamp %d: Snapshot %v, SnapshotTo %v", i, stamps[i], logStamps[i])
+		}
 	}
 	// Everything funnels through one object. Popularity's tie-break picks
 	// the first thread before the object becomes popular, so the size is 2:
