@@ -816,11 +816,14 @@ func (s *countingSink) ConsumeStamp(mixedclock.Event, int, mixedclock.Vector) er
 }
 
 // BenchmarkStreamTail measures Stream over a fully unsealed history — the
-// double-buffered merged tail, the path PR 5 took off the world barrier.
-// The barrier is now held only for the merge+freeze, so ns/op here is the
-// replay the tracker no longer stalls commits for; -benchmem locks in that
-// the replay allocates only the freeze snapshot (one block slice), not per
-// record.
+// double-buffered merged tail, replayed outside the world barrier, which is
+// held only for the merge+freeze. The tail keeps change sets, not stamps, so
+// the replay rebuilds every stamp by applying its change set to its
+// thread's running vector: ns/op is O(events × changed components), the
+// work the merge no longer does under the barrier. -benchmem locks in that
+// the replay allocates only the freeze snapshot — the block slice, the
+// per-thread bases and one slab for the running vectors — so allocs/op is
+// the same at every event count.
 func BenchmarkStreamTail(b *testing.B) {
 	for _, events := range []int{5_000, 50_000} {
 		tracker := openTracker(b)
@@ -855,6 +858,48 @@ func BenchmarkStreamTail(b *testing.B) {
 				}
 				if sink.n != events {
 					b.Fatalf("streamed %d of %d records", sink.n, events)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLazyTailStamp measures the first Stamped.Vector of a stamp still
+// in the unsealed tail: one thread, no seal policy, so the whole run is one
+// thread chain in the tail. Each op materializes a different stamp, which
+// replays at most 64 change sets from the thread's nearest full-stamp
+// checkpoint, so ns/op stays flat from 5k to 50k events — without the
+// checkpoints it would grow with the stamp's distance from the tail's start.
+func BenchmarkLazyTailStamp(b *testing.B) {
+	for _, events := range []int{5_000, 50_000} {
+		b.Run(fmt.Sprintf("events=%d", events), func(b *testing.B) {
+			var stamps []mixedclock.Stamped
+			build := func() {
+				tracker := openTracker(b)
+				th := tracker.NewThread("w")
+				objs := make([]*mixedclock.Object, 8)
+				for i := range objs {
+					objs[i] = tracker.NewObject("o")
+				}
+				stamps = stamps[:0]
+				for i := 0; i < events; i++ {
+					stamps = append(stamps, th.Write(objs[(i*3)%len(objs)], nil))
+				}
+				// Merge once outside the timer, as any earlier reader would.
+				stamps[0].Vector()
+			}
+			build()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := 1 + i%(events-1)
+				if j == 1 && i > 0 {
+					b.StopTimer()
+					build()
+					b.StartTimer()
+				}
+				if stamps[j].Vector() == nil {
+					b.Fatal("tail stamp did not materialize")
 				}
 			}
 		})

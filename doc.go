@@ -65,10 +65,12 @@
 //
 //	trace, stamps := tracker.Snapshot() // one barrier, consistent pair
 //
-// Snapshot, Seal and Compact are stop-the-world barriers
-// that quiesce in-flight operations, merge the per-thread delta records,
-// and materialize their stamps; see the internal/track package
-// documentation for the full concurrency model.
+// Snapshot, Seal and Compact are stop-the-world barriers that quiesce
+// in-flight operations and merge the per-thread delta records into the
+// tail. The merge keeps change sets, not stamps: full vectors are rebuilt
+// only where a reader asks for one, and a lazy stamp still in the tail
+// replays at most 64 change sets from its thread's nearest checkpoint. See
+// the internal/track package documentation for the full concurrency model.
 //
 // High-rate producers can amortize the remaining per-event cost — one
 // object-stripe acquisition, one world read-lock shard, one cover lookup,
@@ -94,7 +96,10 @@
 // until every in-flight commit and sealed replay has passed, so cover
 // growth, segment compaction and retention never stop the world. Only the
 // operations that must observe ALL threads at one instant — Snapshot, Seal,
-// Compact — still barrier.
+// Compact — still barrier, and Seal only twice, briefly: once to merge and
+// freeze the tail, once to publish the segment. Its encode, SHA-256 and
+// spill (write, fsync, rename) run while commits continue, and a lazy stamp
+// of a sealed event reads its segment with no barrier at all.
 //
 // # Segments, spilling and streaming
 //

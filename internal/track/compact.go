@@ -26,8 +26,9 @@ import (
 
 // Order compares two stamped operations from the same tracker, taking
 // epochs into account: within an epoch, the vector order; across epochs,
-// the epoch order. The comparison materializes both lazy stamps (one
-// tracker barrier each on first use; memoized afterwards).
+// the epoch order. The comparison materializes both lazy stamps (on first
+// use — a tail stamp takes one tracker barrier, a sealed one none;
+// memoized afterwards).
 func (s Stamped) Order(t Stamped) vclock.Ordering {
 	switch {
 	case s.Epoch < t.Epoch:
@@ -62,6 +63,8 @@ func (t *Tracker) Compact() (epoch, size int, err error) {
 
 // compactEpoch is Compact's barrier section.
 func (t *Tracker) compactEpoch() (epoch, size int, err error) {
+	t.sealMu.Lock()
+	defer t.sealMu.Unlock()
 	t.world.Lock()
 	defer t.world.Unlock()
 	t.mergeLocked()
@@ -98,11 +101,11 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 	// Reset every thread- and object-local clock: the new epoch starts from
 	// zero over the compacted components. No Do is in flight (we hold the
 	// write lock), so the per-thread and per-object state is quiescent.
-	// The delta replay base and the re-acquisition cache restart with it.
+	// The delta replay state and the re-acquisition cache restart with it.
 	t.reg.Lock()
 	for _, th := range t.threads {
 		th.clock = nil
-		th.base = nil
+		th.base, th.run, th.last, th.merged = nil, nil, -1, 0
 		th.lastObj = nil
 	}
 	for _, o := range t.objects {

@@ -332,7 +332,7 @@ func (t *Tracker) recoverDir(o options) error {
 	for _, name := range threadNames {
 		th := t.NewThread(name)
 		if v, ok := threadLast[int(th.id)]; ok && resumeUsable {
-			th.base = v
+			th.base, th.run = v, v.Clone()
 			th.clock = clockFromVector(t.backend, v)
 		}
 	}

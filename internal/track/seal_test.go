@@ -1,0 +1,361 @@
+package track
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"mixedclock/internal/clock"
+	"mixedclock/internal/event"
+	"mixedclock/internal/tlog"
+	"mixedclock/internal/trace"
+	"mixedclock/internal/vclock"
+	"mixedclock/internal/vfs"
+)
+
+// parkFS is vfs.OS, except that the first write into a segment temp file
+// parks until release is closed, announcing itself on parked first. It
+// holds a seal mid-spill for as long as a test needs.
+type parkFS struct {
+	vfs.FS
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func newParkFS() *parkFS {
+	return &parkFS{FS: vfs.OS, parked: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (p *parkFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	f, err := p.FS.CreateTemp(dir, pattern)
+	if err != nil || !strings.HasPrefix(pattern, ".seg-") {
+		return f, err
+	}
+	return &parkFile{File: f, fs: p}, nil
+}
+
+type parkFile struct {
+	vfs.File
+	fs *parkFS
+}
+
+func (f *parkFile) Write(b []byte) (int, error) {
+	f.fs.once.Do(func() {
+		close(f.fs.parked)
+		<-f.fs.release
+	})
+	return f.File.Write(b)
+}
+
+// TestSealDoesNotBarrierCommits is the acceptance proof that a seal encodes
+// and spills outside the world barrier: with a Seal parked inside its
+// segment write, a commit on another goroutine completes, as do a Snapshot
+// and a lazy stamp of a record the parked seal is writing. Before the split
+// seal, Seal held the world write lock across the write and the commit
+// would block until the spill finished.
+func TestSealDoesNotBarrierCommits(t *testing.T) {
+	fsys := newParkFS()
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{FS: fsys}))
+	a, o := tr.NewThread("a"), tr.NewObject("o")
+	var first []Stamped
+	for i := 0; i < 100; i++ {
+		first = append(first, a.Write(o, nil))
+	}
+	sealed := make(chan error, 1)
+	go func() { sealed <- tr.Seal() }()
+	select {
+	case <-fsys.parked:
+	case err := <-sealed:
+		t.Fatalf("Seal returned (%v) without writing a segment", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("Seal never reached its segment write")
+	}
+
+	committed := make(chan Stamped, 1)
+	go func() { committed <- tr.NewThread("b").Write(o, nil) }()
+	var late Stamped
+	select {
+	case late = <-committed:
+	case <-time.After(10 * time.Second):
+		close(fsys.release)
+		t.Fatal("a commit blocked while a seal was mid-spill")
+	}
+	// Readers work mid-spill too: the seal is not published yet, so the
+	// frozen records are still tail records.
+	full, stamps := tr.Snapshot()
+	if full.Len() != 101 {
+		close(fsys.release)
+		t.Fatalf("mid-spill snapshot has %d events, want 101", full.Len())
+	}
+	if got := first[50].Vector(); !got.Equal(stamps[50]) {
+		close(fsys.release)
+		t.Fatalf("mid-spill lazy stamp 50 = %v, want %v", got, stamps[50])
+	}
+
+	close(fsys.release)
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if segs := tr.Segments(); len(segs) != 1 || segs[0].FirstIndex != 0 || segs[0].Events != 100 {
+		t.Fatalf("segments after the seal = %+v, want one of events [0,100)", segs)
+	}
+	if got := tr.Stats().SealedEvents; got != 100 {
+		t.Fatalf("sealed %d events, want 100 (the late commit stays in the tail)", got)
+	}
+	if !first[99].HappenedBefore(late) {
+		t.Fatal("the sealed last write does not happen before the late commit on the same object")
+	}
+	full, stamps = tr.Snapshot()
+	if err := clock.Validate(full, stamps, "seal-mid-spill"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealedStampSkipsBarrier pins that materializing a sealed stamp reads
+// its segment without the world barrier: it completes while another
+// goroutine holds a world read lock, exactly as an in-flight commit would.
+func TestSealedStampSkipsBarrier(t *testing.T) {
+	tr := mustOpen(t, t.TempDir())
+	th, o := tr.NewThread("t"), tr.NewObject("o")
+	var stamps []Stamped
+	for i := 0; i < 40; i++ {
+		stamps = append(stamps, th.Write(o, nil))
+	}
+	_, want := tr.Snapshot()
+	if err := tr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	tr.world.RLock(0)
+	got := make(chan vclock.Vector, 1)
+	go func() { got <- stamps[17].Vector() }()
+	select {
+	case v := <-got:
+		tr.world.RUnlock(0)
+		if !v.Equal(want[17]) {
+			t.Fatalf("sealed stamp 17 = %v, want %v", v, want[17])
+		}
+	case <-time.After(10 * time.Second):
+		tr.world.RUnlock(0)
+		t.Fatal("sealed stamp materialization blocked on the world write lock")
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// nopSink drains a stream, keeping nothing.
+type nopSink struct{}
+
+func (nopSink) ConsumeStamp(event.Event, int, vclock.Vector) error { return nil }
+
+// tailStamps replays src through a tracker that never seals on its own and
+// returns every stamp as its tail replay produced it: the first epoch is
+// snapshotted just before the Compact at mid, the second at the end. It is
+// the seal-independent reference the sealing tracker is checked against.
+func tailStamps(t *testing.T, src *event.Trace, backend vclock.Backend, mid int) []vclock.Vector {
+	t.Helper()
+	tr := mustOpen(t, "", WithBackend(backend))
+	var ref []vclock.Vector
+	replayOps(t, tr, src, func(i int, _ []Stamped) {
+		if i == mid {
+			_, before := tr.Snapshot()
+			ref = append(ref, before...)
+			if _, _, err := tr.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	_, after := tr.Snapshot()
+	return append(ref, after[mid:]...)
+}
+
+// replayOps registers src's threads and objects on tr and commits src in
+// trace order, calling before(i, stamps) ahead of operation i with the
+// stamps committed so far.
+func replayOps(t *testing.T, tr *Tracker, src *event.Trace, before func(i int, stamps []Stamped)) []Stamped {
+	t.Helper()
+	threads := make([]*Thread, src.Threads())
+	for i := range threads {
+		threads[i] = tr.NewThread(fmt.Sprintf("t%d", i))
+	}
+	objects := make([]*Object, src.Objects())
+	for i := range objects {
+		objects[i] = tr.NewObject(fmt.Sprintf("o%d", i))
+	}
+	got := make([]Stamped, src.Len())
+	for i := range got {
+		before(i, got[:i])
+		e := src.At(i)
+		got[i] = threads[e.Thread].Do(objects[e.Object], e.Op, nil)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestSealedBytesMatchAppendEncode is the seal path's byte-identity
+// property: for every generator workload, on both backends, with an odd
+// SealEvery (cuts split blocks), a mid-run Compact, and Stream freezes
+// between commits (seals split frozen blocks), every sealed segment is
+// byte-identical to encoding the full stamps of its range with
+// DeltaWriter.Append — the encoding the seal used before it learned to
+// write straight from change sets. The reference stamps come from a twin
+// tracker that never seals, so they do not depend on the seal path at all.
+// Snapshot and every lazy stamp — taken mid-run from the tail and at the
+// end from segments and tail — must match them too.
+func TestSealedBytesMatchAppendEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, wl := range trace.Workloads() {
+		src, err := trace.Generate(wl, trace.Config{Threads: 8, Objects: 8, Events: 400}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid := src.Len() / 2
+		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
+			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
+				ref := tailStamps(t, src, backend, mid)
+				tr := mustOpen(t, "", WithBackend(backend), WithStore(Store{Spill: SpillPolicy{SealEvery: 37}}))
+				early := map[int]vclock.Vector{}
+				got := replayOps(t, tr, src, func(i int, got []Stamped) {
+					switch {
+					case i == mid:
+						if _, _, err := tr.Compact(); err != nil {
+							t.Fatal(err)
+						}
+					case i%29 == 0:
+						if err := tr.Stream(nopSink{}); err != nil {
+							t.Fatal(err)
+						}
+					case i%23 == 0 && i > 0:
+						early[i-1] = got[i-1].Vector()
+					}
+				})
+				full, stamps := tr.Snapshot()
+				if full.Len() != src.Len() {
+					t.Fatalf("snapshot has %d events, want %d", full.Len(), src.Len())
+				}
+				segs := tr.hist.Load().segs
+				if len(segs) < 4 {
+					t.Fatalf("only %d segments sealed", len(segs))
+				}
+				for _, sg := range segs {
+					m := sg.meta
+					var payload bytes.Buffer
+					w := tlog.NewDeltaWriter(&payload)
+					widths := make([]int, 0, m.Count)
+					for i := m.FirstIndex; i < m.FirstIndex+m.Count; i++ {
+						if err := w.Append(full.At(i), ref[i]); err != nil {
+							t.Fatal(err)
+						}
+						widths = append(widths, len(ref[i]))
+					}
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					want, err := tlog.AppendSegment(nil, m, widths, payload.Bytes())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(sg.data, want) {
+						t.Fatalf("segment %v: %d sealed bytes differ from the %d-byte Append re-encode",
+							m, len(sg.data), len(want))
+					}
+				}
+				same := func(what string, i int, v vclock.Vector) {
+					if !v.Equal(ref[i]) || len(v) != len(ref[i]) {
+						t.Fatalf("%s %d = %v (width %d), want %v (width %d)", what, i, v, len(v), ref[i], len(ref[i]))
+					}
+				}
+				for i, v := range stamps {
+					same("snapshot stamp", i, v)
+				}
+				for i, v := range early {
+					same("mid-run tail stamp", i, v)
+				}
+				for i, s := range got {
+					same("lazy stamp", i, s.Vector())
+				}
+				if err := tr.Err(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestLazyStampsRaceSeal materializes lazy stamps from worker goroutines
+// while they commit, auto-seal to disk, and race the main goroutine's
+// explicit Seals and Streams: a stamp may be read from the tail, from a
+// block a seal has frozen but not yet published, or from a spilled
+// segment. Every materialized stamp must equal the final history's. Run
+// under -race.
+func TestLazyStampsRaceSeal(t *testing.T) {
+	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 53}}))
+	const nWorkers, nObjects, opsPer = 6, 4, 400
+	objects := make([]*Object, nObjects)
+	for i := range objects {
+		objects[i] = tr.NewObject("obj")
+	}
+	type seen struct {
+		idx int
+		v   vclock.Vector
+	}
+	got := make([][]seen, nWorkers)
+	var wg sync.WaitGroup
+	for w := 0; w < nWorkers; w++ {
+		th := tr.NewThread("worker")
+		wg.Add(1)
+		go func(th *Thread, w int) {
+			defer wg.Done()
+			var mine []Stamped
+			for i := 0; i < opsPer; i++ {
+				op := event.OpWrite
+				if i%3 == 0 {
+					op = event.OpRead
+				}
+				mine = append(mine, th.Do(objects[(w+i)%nObjects], op, nil))
+				if i%7 == 0 {
+					s := mine[i*5/7] // anywhere from just committed to long sealed
+					got[w] = append(got[w], seen{s.Event.Index, s.Vector()})
+				}
+			}
+		}(th, w)
+	}
+	for r := 0; r < 8; r++ {
+		if err := tr.Seal(); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := tr.Stream(nopSink{}); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	wg.Wait()
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	_, stamps := tr.Snapshot()
+	for w, ss := range got {
+		for _, s := range ss {
+			if !s.v.Equal(stamps[s.idx]) || len(s.v) != len(stamps[s.idx]) {
+				t.Fatalf("worker %d: lazy stamp %d = %v, final history has %v", w, s.idx, s.v, stamps[s.idx])
+			}
+		}
+	}
+	validateEpochs(t, tr)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

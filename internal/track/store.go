@@ -141,6 +141,7 @@ func (t *Tracker) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	t.sealMu.Lock()
 	t.world.Lock()
 	t.mergeLocked()
 	err := t.sealLocked(t.mergedLenLocked())
@@ -150,6 +151,7 @@ func (t *Tracker) Close() error {
 		return &segState{segs: old.segs, retained: old.retained, gen: old.gen + 1}
 	})
 	t.world.Unlock()
+	t.sealMu.Unlock()
 	t.reclaim.reclaim()
 	t.publishCatalog()
 	if t.dir != "" {

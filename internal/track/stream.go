@@ -35,10 +35,13 @@ type SpillPolicy struct {
 	// therefore never leaves SealEvery or more events unsealed (live
 	// per-thread buffers plus the merged tail), and segment edges land at
 	// predictable indices — retention jobs and snapshot consumers can
-	// reason in whole intervals. Sealing is a stop-the-world barrier, so
-	// this trades a periodic pause — proportional to SealEvery, like any
-	// snapshot — for a bounded in-memory suffix. Zero seals only at
-	// Compact, an explicit Seal, or SealInterval.
+	// reason in whole intervals. An automatic seal stops commits only for
+	// its two short barriers — merging the per-thread buffers and freezing
+	// the tail, then publishing the written segment; the encode, hash and
+	// spill run with commits flowing. The pause each barrier costs is
+	// O(records merged × changed components), not O(SealEvery × clock
+	// width), and it never includes disk I/O. Zero seals only at Compact,
+	// an explicit Seal, or SealInterval.
 	//
 	// If an automatic seal fails (spill I/O), the error surfaces through
 	// Err and the catalog health field, the history stays in memory, and
@@ -186,51 +189,85 @@ func (sg *segment) stampAt(idx int) (vclock.Vector, error) {
 	}
 }
 
-// sealLocked re-encodes the tail's records below upTo as one immutable
-// segment, appends it to the sealed history, and spills it to disk when the
-// policy says so. upTo == mergedLenLocked() seals everything (what Seal and
-// Compact do); an aligned auto-seal passes the interval boundary and the
-// overshoot stays in the tail. The caller holds the world write lock and
-// has merged. On error (segment encoding, spill I/O) the tail is left
-// untouched, so no history is lost — the tracker just keeps it in memory.
-func (t *Tracker) sealLocked(upTo int) error {
-	if merged := t.mergedLenLocked(); upTo > merged {
-		upTo = merged
-	}
+// sealJob is one seal in flight: the tail records [from, upTo) of one epoch,
+// as the frozen blocks holding them plus every thread's base at from. The
+// freeze barrier captures it; from then on nothing it references is ever
+// mutated, so the encode and spill run with no lock held.
+type sealJob struct {
+	from, upTo, epoch int
+	blocks            []*tailBlock
+	bases             []vclock.Vector
+}
+
+// freezeSealLocked captures the seal of the tail below upTo (clamped to
+// what is merged): it freezes every block holding such records — later
+// merges start a fresh block — and snapshots the threads' bases. nil means
+// there is nothing to seal. The caller holds the world write lock and has
+// merged.
+func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
+	upTo = min(upTo, t.mergedLenLocked())
 	if upTo <= t.tailStart {
 		return nil
 	}
-	var payload bytes.Buffer
-	w := tlog.NewDeltaWriter(&payload)
-	widths := make([]int, 0, upTo-t.tailStart)
+	j := &sealJob{from: t.tailStart, upTo: upTo, epoch: t.epoch, bases: t.basesLocked()}
 	for _, b := range t.tail {
 		if b.start >= upTo {
 			break
 		}
-		n := upTo - b.start
-		if n > len(b.ev) {
-			n = len(b.ev)
-		}
+		b.frozen = true
+		j.blocks = append(j.blocks, b)
+	}
+	return j
+}
+
+// writeSeal encodes a frozen seal job as one MVCSEG01 container, hashes it,
+// and spills it when the tracker has a directory; it returns the segment and
+// every thread's base as of j.upTo. It takes no lock: the job's blocks and
+// bases are immutable. A thread's first record in the segment is encoded
+// from its full stamp (base plus change set), every later one straight from
+// its change set — byte-identical to encoding each full stamp, by
+// AppendDelta's contract.
+func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, error) {
+	var payload bytes.Buffer
+	w := tlog.NewDeltaWriter(&payload)
+	widths := make([]int, 0, j.upTo-j.from)
+	// cur[th] is thread th's running stamp once the segment has reached it;
+	// each is fresh storage, and the last value becomes the thread's base.
+	cur := make([]vclock.Vector, len(j.bases))
+	started := make([]bool, len(j.bases))
+	for _, b := range j.blocks {
+		n := min(j.upTo-b.start, len(b.ev))
 		for i := 0; i < n; i++ {
-			if err := w.Append(b.ev[i], b.stamps[i]); err != nil {
-				return fmt.Errorf("track: sealing: %w", err)
+			e, r := b.ev[i], b.recs[i]
+			ds := b.deltas[r.start:r.end]
+			var err error
+			if started[e.Thread] {
+				cur[e.Thread] = cur[e.Thread].Apply(ds).Grow(int(r.width))
+				err = w.AppendDelta(e, ds)
+			} else {
+				started[e.Thread] = true
+				cur[e.Thread] = j.bases[e.Thread].Clone().Apply(ds).Grow(int(r.width))
+				err = w.Append(e, cur[e.Thread])
 			}
-			widths = append(widths, len(b.stamps[i]))
+			if err != nil {
+				return nil, nil, fmt.Errorf("track: sealing: %w", err)
+			}
+			widths = append(widths, len(cur[e.Thread]))
 		}
 	}
 	if err := w.Flush(); err != nil {
-		return fmt.Errorf("track: sealing: %w", err)
+		return nil, nil, fmt.Errorf("track: sealing: %w", err)
 	}
-	meta := tlog.SegmentMeta{Epoch: t.epoch, FirstIndex: t.tailStart, Count: upTo - t.tailStart}
+	meta := tlog.SegmentMeta{Epoch: j.epoch, FirstIndex: j.from, Count: j.upTo - j.from}
 	data, err := tlog.AppendSegment(nil, meta, widths, payload.Bytes())
 	if err != nil {
-		return fmt.Errorf("track: sealing: %w", err)
+		return nil, nil, fmt.Errorf("track: sealing: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	sg := &segment{meta: meta, size: int64(len(data)), sha: hex.EncodeToString(sum[:]), sealedAt: time.Now()}
 	if t.dir != "" {
 		if err := t.fs.MkdirAll(t.dir); err != nil {
-			return fmt.Errorf("track: spilling: %w", err)
+			return nil, nil, fmt.Errorf("track: spilling: %w", err)
 		}
 		sg.dir, sg.file, sg.fs = t.dir, tlog.SegmentFileName(meta), t.fs
 		// Write-then-rename with an fsync in between: after the rename
@@ -238,17 +275,38 @@ func (t *Tracker) sealLocked(upTo int) error {
 		// leaves at most a stray temp file (ignored and cleaned by Open),
 		// never a torn .mvcseg.
 		if err := writeFileSync(t.fs, sg.dir, sg.file, data); err != nil {
-			return fmt.Errorf("track: spilling: %w", err)
+			return nil, nil, fmt.Errorf("track: spilling: %w", err)
 		}
 	} else {
 		sg.data = data
 	}
+	for th, ok := range started {
+		if !ok {
+			cur[th] = j.bases[th]
+		}
+	}
+	return sg, cur, nil
+}
+
+// publishSealLocked makes a written seal visible: it appends the segment to
+// the sealed history, installs the threads' new bases, cuts the consumed
+// records off the tail and moves tailStart. The caller holds the world
+// write lock, and holds sealMu across the freeze, the write and this
+// publish, so the tail below j.upTo is exactly the job's frozen blocks.
+func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vector) {
 	t.swapHist(func(old *segState) *segState {
 		segs := make([]*segment, len(old.segs)+1)
 		copy(segs, old.segs)
 		segs[len(old.segs)] = sg
 		return &segState{segs: segs, retained: old.retained, gen: old.gen + 1}
 	})
+	// Threads registered after the freeze have no record below upTo; their
+	// bases stay nil.
+	t.reg.Lock()
+	for i, v := range bases {
+		t.threads[i].base = v
+	}
+	t.reg.Unlock()
 	t.captureResumeLocked()
 	// Drop consumed blocks outright (rather than truncating) so a spilling
 	// tracker's footprint really is bounded by the seal interval; a block
@@ -259,27 +317,18 @@ func (t *Tracker) sealLocked(upTo int) error {
 	// references keep the blocks it replays alive regardless, and the limbo
 	// entry tracks the release of the seal's reference until every
 	// in-flight reader has passed the retirement.
+	upTo := j.upTo
 	var rest []*tailBlock
 	for _, b := range t.tail {
-		end := b.start + len(b.ev)
-		if end <= upTo {
-			consumed := b
-			t.reclaim.retireDeferred(func() { _ = consumed })
-			continue
+		if b.start+len(b.ev) > upTo {
+			if b.start >= upTo {
+				rest = append(rest, b)
+				continue
+			}
+			rest = append(rest, b.suffix(upTo-b.start))
 		}
-		if b.start >= upTo {
-			rest = append(rest, b)
-			continue
-		}
-		k := upTo - b.start
-		rest = append(rest, &tailBlock{
-			start:  upTo,
-			epoch:  b.epoch,
-			ev:     append([]event.Event(nil), b.ev[k:]...),
-			stamps: append([]vclock.Vector(nil), b.stamps[k:]...),
-		})
-		cut := b
-		t.reclaim.retireDeferred(func() { _ = cut })
+		consumed := b
+		t.reclaim.retireDeferred(func() { _ = consumed })
 	}
 	t.tail = rest
 	t.tailStart = upTo
@@ -291,7 +340,6 @@ func (t *Tracker) sealLocked(upTo int) error {
 	t.degradedSince.Store(0)
 	t.lastSealNano.Store(time.Now().UnixNano())
 	t.sealPasses.Add(1)
-	return nil
 }
 
 // Seal quiesces the tracker, merges all per-thread buffers, and seals the
@@ -301,18 +349,63 @@ func (t *Tracker) sealLocked(upTo int) error {
 // observes — only where (and how compactly) the history is held. A
 // successful Seal publishes the catalog and re-arms auto-sealing after a
 // spill failure.
+//
+// Commits stop only twice, briefly: once to merge and freeze the tail, and
+// once to publish the written segment. The encode, the SHA-256 and the
+// spill's write, fsync and rename run between the two with commits flowing.
 func (t *Tracker) Seal() error {
 	if t.closed.Load() {
 		return fmt.Errorf("track: Seal on a closed Tracker")
 	}
-	t.world.Lock()
-	t.mergeLocked()
-	err := t.sealLocked(t.mergedLenLocked())
-	t.world.Unlock()
-	if err != nil {
+	if err := t.sealSplit(t.mergedLenLocked); err != nil {
 		return err
 	}
 	t.afterSeal()
+	return nil
+}
+
+// sealLocked seals the tail below upTo entirely under the caller's world
+// write barrier — the freeze, encode, spill and publish of a seal in one
+// critical section. Compact and Close use it: they need history sealed at
+// the very instant they act. The caller holds sealMu and the world write
+// lock and has merged. On error (segment encoding, spill I/O) the tail
+// keeps its records, so no history is lost — the tracker just keeps it in
+// memory.
+func (t *Tracker) sealLocked(upTo int) error {
+	j := t.freezeSealLocked(upTo)
+	if j == nil {
+		return nil
+	}
+	sg, bases, err := t.writeSeal(j)
+	if err != nil {
+		return err
+	}
+	t.publishSealLocked(j, sg, bases)
+	return nil
+}
+
+// sealSplit seals the tail up to the boundary cut picks, outside the world
+// barrier: one barrier merges and freezes (cut runs under it), the segment
+// is written with no lock held, and a second barrier publishes it. sealMu
+// keeps any other seal, Compact or Close out for the whole span. On error
+// the frozen records stay in the tail.
+func (t *Tracker) sealSplit(cut func() int) error {
+	t.sealMu.Lock()
+	defer t.sealMu.Unlock()
+	t.world.Lock()
+	t.mergeLocked()
+	j := t.freezeSealLocked(cut())
+	t.world.Unlock()
+	if j == nil {
+		return nil
+	}
+	sg, bases, err := t.writeSeal(j)
+	if err != nil {
+		return err
+	}
+	t.world.Lock()
+	t.publishSealLocked(j, sg, bases)
+	t.world.Unlock()
 	return nil
 }
 
@@ -375,16 +468,15 @@ func (t *Tracker) maybeAutoSeal() {
 // multiple when alignment is on and a full interval is pending, the whole
 // tail otherwise.
 func (t *Tracker) autoSeal() error {
-	t.world.Lock()
-	t.mergeLocked()
-	upTo := t.mergedLenLocked()
-	if n := t.spill.SealEvery; n > 0 {
-		if aligned := upTo / n * n; aligned > t.tailStart {
-			upTo = aligned
+	err := t.sealSplit(func() int {
+		upTo := t.mergedLenLocked()
+		if n := t.spill.SealEvery; n > 0 {
+			if aligned := upTo / n * n; aligned > t.tailStart {
+				upTo = aligned
+			}
 		}
-	}
-	err := t.sealLocked(upTo)
-	t.world.Unlock()
+		return upTo
+	})
 	if err != nil {
 		return err
 	}
@@ -392,14 +484,24 @@ func (t *Tracker) autoSeal() error {
 	return nil
 }
 
-// sealedStamp reconstructs the stamp of sealed event idx from its segment.
-// The segment list is a lock-free snapshot; a spill file retired by a
-// concurrent compaction between the snapshot and the read is retried
-// against the fresh list, whose merged replacement covers the same records.
+// sealedStamp reconstructs the stamp of sealed event idx from its segment,
+// with no barrier: the segment list is a lock-free snapshot, and the read
+// is pinned as an epoch-reclamation reader (as replaySealed is), so a spill
+// file retired after the pin stays on disk until the read is done. A file
+// retired before the pin is retried against the fresh list, whose merged
+// replacement covers the same records.
 func (t *Tracker) sealedStamp(idx int) (vclock.Vector, error) {
+	rec := t.reclaim.register()
+	rec.pin(&t.reclaim)
+	defer t.reclaim.unregister(rec)
+	defer rec.unpin()
 	const maxRetries = 3
 	for attempt := 0; ; attempt++ {
-		segs := t.hist.Load().segs
+		st := t.hist.Load()
+		if idx < st.retained {
+			return nil, fmt.Errorf("event %d was retired by the retention policy (floor %d)", idx, st.retained)
+		}
+		segs := st.segs
 		i := sort.Search(len(segs), func(i int) bool {
 			m := segs[i].meta
 			return m.FirstIndex+m.Count > idx
@@ -513,12 +615,13 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 		delivered = n
 	}
 	// Phase 2: the freeze — the stream's only barrier. Merge the per-thread
-	// buffers, note how far sealed history reaches, and freeze every tail
-	// block; commits restart into a fresh active block the moment the
-	// barrier lifts.
+	// buffers, note how far sealed history reaches, snapshot the threads'
+	// bases there, and freeze every tail block; commits restart into a
+	// fresh active block the moment the barrier lifts.
 	t.world.Lock()
 	t.mergeLocked()
 	sealedEnd := t.tailStart
+	bases := t.basesLocked()
 	blocks := make([]*tailBlock, len(t.tail))
 	copy(blocks, t.tail)
 	for _, b := range blocks {
@@ -540,12 +643,39 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 		}
 		delivered = n
 	}
+	return replayTail(sink, blocks, bases, delivered)
+}
+
+// replayTail delivers the frozen tail blocks' records with global index at
+// or above from into sink, rebuilding each stamp by applying its change set
+// to its thread's running vector. The running vectors start from bases (the
+// threads' stamps where the blocks begin) and are carved out of one slab
+// sized by the widest record, so the replay allocates a constant amount
+// whatever the tail's length. Records below from are applied but not
+// delivered. The delivered vector is the running vector itself — borrowed,
+// as StampSink allows.
+func replayTail(sink StampSink, blocks []*tailBlock, bases []vclock.Vector, from int) error {
+	width := 0
+	for _, v := range bases {
+		width = max(width, len(v))
+	}
+	for _, b := range blocks {
+		width = max(width, b.width)
+	}
+	slab := make([]uint64, len(bases)*width)
+	cur := bases // reused in place: each entry is read once, then replaced
+	for i, v := range bases {
+		cur[i] = append(slab[i*width:i*width:(i+1)*width], v...)
+	}
 	for _, b := range blocks {
 		for i, e := range b.ev {
-			if e.Index < delivered {
+			r := b.recs[i]
+			v := cur[e.Thread].Apply(b.deltas[r.start:r.end]).Grow(int(r.width))
+			cur[e.Thread] = v
+			if e.Index < from {
 				continue // below from: already consumed by the caller
 			}
-			if err := sink.ConsumeStamp(e, b.epoch, b.stamps[i]); err != nil {
+			if err := sink.ConsumeStamp(e, b.epoch, v); err != nil {
 				return err
 			}
 		}

@@ -58,21 +58,37 @@
 // event actually changed are appended to a per-thread delta arena, and the
 // record buffer stores only the event plus its arena range — O(changed
 // components) per event instead of O(k), and no allocation beyond amortized
-// buffer growth. Full vectors are materialized lazily, at the next
-// stop-the-world barrier (Snapshot, Stream, Compact), by replaying
-// each thread's deltas forward from its previous materialization — the
-// barrier already pays O(events·k) to copy stamps out, so reconstruction
-// hides there. A Stamped returned by Do carries a handle, not a vector;
-// Stamped.Vector and the comparison helpers materialize through the barrier
-// on first use and memoize. Re-reading the same object the thread just
-// left (the read-heavy steady state) is cheaper still: a version check
-// proves the thread's clock already equals the object's, and the commit
-// degenerates to ticking the covered components — O(1) at any clock width.
+// buffer growth. Re-reading the same object the thread just left (the
+// read-heavy steady state) is cheaper still: a version check proves the
+// thread's clock already equals the object's, and the commit degenerates to
+// ticking the covered components — O(1) at any clock width.
+//
+// The change sets stay the representation after the merge, too. A barrier
+// copies each buffered change set into its dense index slot of the tail
+// (indices are dense, so there is no sort) and materializes no stamp; the
+// only O(k) work left per event is one checkpoint clone of the thread's
+// full stamp every stampCheckpointEvery (64, MVCLOG02's sync interval)
+// records of that thread. Full vectors are rebuilt only where a reader
+// asks for them, from each thread's base — its immutable stamp as of the
+// seal point — plus the thread's change sets:
+//
+//   - Seal encodes a thread's first record of the segment from its full
+//     stamp and every later one straight from its change set, which
+//     MVCLOG02's AppendDelta writes byte-identically to the full stamp;
+//   - Stream and Snapshot replay the tail through per-thread running
+//     vectors seeded from the bases;
+//   - a lazy tail stamp (Stamped.Vector, the comparison helpers) walks its
+//     thread's record chain back to the nearest checkpoint and replays at
+//     most 64 change sets, under the barrier, whatever the tail's length;
+//   - a lazy sealed stamp replays its segment with no barrier at all.
+//
+// A Stamped returned by Do carries a handle, not a vector; the first
+// Vector or comparison materializes it and memoizes.
 //
 // Trace recording is deferred: operations accumulate in per-thread buffers
-// and are merged (sorted by trace index) only when a snapshot is taken —
-// Snapshot, Stream — or at sealing/compaction. Those merge
-// points are stop-the-world barriers: they take the write side of the world
+// and are merged into trace order only when a snapshot is taken —
+// Snapshot, Stream, a lazy tail stamp — or at sealing/compaction. Those
+// merge points are stop-the-world barriers: they take the write side of the world
 // lock whose read side every commit holds (sharded per thread, see
 // world.go), quiescing all in-flight clock updates. This is what preserves
 // the epoch semantics of Compact (every event of epoch k commits before
@@ -91,11 +107,11 @@
 //   - Live: committed records sit in per-thread buffers as delta ranges
 //     (above). Nothing is ordered or materialized yet.
 //   - Tail: a barrier merges the buffers into the tail — events in trace
-//     order with their materialized stamps. The tail is the mutable,
-//     random-access suffix of history; Stamped.Vector of a tail event is an
-//     O(1) lookup.
+//     order with their change sets and periodic full-stamp checkpoints.
+//     The tail is the mutable suffix of history; Stamped.Vector of a tail
+//     event replays at most 64 change sets.
 //   - Sealed: Seal (called by Compact, by the spill policy, or directly)
-//     re-encodes the tail as one immutable delta-encoded segment — the
+//     encodes the tail as one immutable delta-encoded segment — the
 //     MVCLOG02 wire format inside a tlog "MVCSEG01" container that also
 //     records the epoch, the global index range, and the clock width at
 //     each record. A sealed segment never changes; a tracker opened on a
@@ -115,6 +131,19 @@
 // multiple of the interval (the overshoot waits in the tail for the next
 // boundary), and SealInterval caps by wall time how stale sealed history
 // can go under light traffic.
+//
+// A seal stops commits only twice, briefly. The first barrier merges the
+// buffers and freezes the tail blocks below the seal point, with a
+// snapshot of every thread's base. The encode, the SHA-256 and the
+// spill's write, fsync and rename then run with no lock held while commits
+// merge into a fresh block. The second barrier publishes: the segment
+// joins the sealed history (swapHist), the threads get their new bases,
+// the consumed blocks are cut from the tail and retired through the
+// reclaimer, and the resume manifest is captured. sealMu serializes seals
+// with each other and with Compact and Close; those two keep their whole
+// seal under their own barrier, since they must seal at the instant they
+// act. Nothing is visible before the second barrier, so the catalog still
+// lists a segment only after its file is durable.
 //
 // # Segment lifecycle: compaction tiers and the catalog
 //
@@ -166,7 +195,8 @@
 // Snapshot, Seal and Compact still stop the world, but for a different
 // reason: they must observe every thread's unmerged records at one instant
 // to merge them in trace order. That barrier is about the per-thread
-// buffers, not about reclamation — nothing else requires it anymore.
+// buffers, not about reclamation — nothing else requires it anymore, and a
+// Seal holds it only for the merge and for the publish, not for its I/O.
 //
 // # Streaming and barriers
 //
@@ -177,13 +207,15 @@
 // tail is double-buffered: Stream takes the barrier only to merge the
 // per-thread buffers and freeze the tail blocks, then replays the frozen
 // blocks outside the barrier while commits continue into a fresh active
-// block. The memory model is freeze-and-share: a frozen block is never
+// block, rebuilding each stamp from the threads' bases snapshotted at the
+// freeze. The memory model is freeze-and-share: a frozen block is never
 // mutated again (sealing replaces a partially sealed block with a copied
-// remainder rather than re-slicing it), so the replay needs no lock and no
-// clones; the streamer's references keep consumed blocks alive past any
-// seal. The stream is a consistent snapshot as of its freeze point, and the
-// stall commits observe is the O(unsealed suffix) merge — never the sink's
-// I/O. Sinks may block and may call back into the Tracker.
+// remainder rather than re-slicing it), and bases are immutable, so the
+// replay needs no lock; the streamer's references keep consumed blocks
+// alive past any seal. The stream is a consistent snapshot as of its
+// freeze point, and the stall commits observe is the O(unsealed suffix)
+// merge — never the sink's I/O. Sinks may block and may call back into the
+// Tracker.
 //
 // # Durability and recovery
 //
@@ -290,6 +322,7 @@ package track
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -308,10 +341,11 @@ import (
 //
 // The timestamp itself is lazy: Do records only the components the
 // operation changed, and Vector (or any comparison helper) reconstructs the
-// full vector on first use by quiescing the tracker — the same barrier
-// Snapshot takes — then memoizes it, so later uses are free. Bulk consumers
-// should prefer one Snapshot or Stream call over materializing stamps one
-// by one.
+// full vector on first use, then memoizes it, so later uses are free. A
+// stamp still in the unsealed tail is rebuilt under the same barrier
+// Snapshot takes, from at most 64 change sets; a sealed one is read back
+// from its segment with no barrier. Bulk consumers should prefer one
+// Snapshot or Stream call over materializing stamps one by one.
 type Stamped struct {
 	Event event.Event
 	Epoch int
@@ -382,21 +416,73 @@ func (c *stampCell) vector() vclock.Vector {
 const cellChunkSize = 128
 
 // tailBlock is one chunk of the merged-but-unsealed tail: events in trace
-// order with their materialized stamps, ev[i] at global index start+i, all
-// belonging to one epoch. The last block of the chain is active — the
-// barrier merges new records into it; earlier blocks were frozen by a
-// Stream, which swapped them out from under the barrier and may be
-// replaying them with no lock held, so a frozen block is never mutated.
-// Sealing consumes blocks (a streamer's own references keep them alive) and
-// a partial seal replaces the straddled block with a copied remainder
-// rather than re-slicing it, so frozen storage is never aliased by storage
-// that still grows.
+// order with their change sets, ev[i] and recs[i] at global index start+i,
+// all belonging to one epoch. The block owns the delta arena its records'
+// change sets live in and the full-stamp checkpoints some of them carry. The
+// last block of the chain is active — the barrier merges new records into
+// it; earlier blocks were frozen by a Stream or a seal, which may be reading
+// them with no lock held, so a frozen block is never mutated. Sealing
+// consumes blocks (a reader's own references keep them alive) and a partial
+// seal replaces the straddled block with a copied remainder rather than
+// re-slicing it, so frozen storage is never aliased by storage that still
+// grows.
 type tailBlock struct {
 	start  int
 	epoch  int
 	frozen bool
+	// width is the widest record in the block, which sizes a replay's
+	// per-thread running vectors up front.
+	width  int
 	ev     []event.Event
-	stamps []vclock.Vector
+	recs   []tailRec
+	deltas []vclock.Delta
+	ckpts  []vclock.Vector
+}
+
+// tailRec is one merged record's change set: deltas[start:end] of its block
+// is what the event changed relative to its thread's previous stamp, and
+// width is the clock width at commit (the stamp is padded to it). prev is
+// the global index of the same thread's previous merged record of the epoch
+// (-1 when none), the chain a lazy stamp walks back along; ck indexes the
+// block's ckpts when the record carries a full-stamp checkpoint, -1 when
+// not.
+type tailRec struct {
+	start, end int
+	prev       int
+	width      int32
+	ck         int32
+}
+
+// stampCheckpointEvery is the per-thread cadence of full-stamp checkpoints
+// in the tail: every such record of a thread keeps its materialized stamp,
+// so a lazy tail stamp replays at most this many change sets. It matches
+// the MVCLOG02 writer's sync interval — the same trade of one full vector
+// per interval against bounded replay.
+const stampCheckpointEvery = tlog.DefaultSyncEvery
+
+// suffix returns a fresh block holding b's records from position k on, with
+// copies of exactly their change sets — what a seal that cuts through b
+// leaves in the tail. Checkpoint vectors are immutable, so they are shared.
+func (b *tailBlock) suffix(k int) *tailBlock {
+	nb := &tailBlock{
+		start: b.start + k,
+		epoch: b.epoch,
+		ev:    append([]event.Event(nil), b.ev[k:]...),
+		recs:  make([]tailRec, 0, len(b.recs)-k),
+	}
+	for _, r := range b.recs[k:] {
+		ds := b.deltas[r.start:r.end]
+		r.start = len(nb.deltas)
+		nb.deltas = append(nb.deltas, ds...)
+		r.end = len(nb.deltas)
+		if r.ck >= 0 {
+			nb.ckpts = append(nb.ckpts, b.ckpts[r.ck])
+			r.ck = int32(len(nb.ckpts) - 1)
+		}
+		nb.width = max(nb.width, int(r.width))
+		nb.recs = append(nb.recs, r)
+	}
+	return nb
 }
 
 // record is one committed operation waiting in a thread's append buffer:
@@ -447,8 +533,9 @@ type Tracker struct {
 	// below tailStart live in segs (sealed, immutable, possibly spilled to
 	// disk); tail holds the merged-but-unsealed suffix as a chain of
 	// contiguous blocks — the last one active (the barrier merges new
-	// records into it), earlier ones frozen by a Stream and therefore
-	// immutable (a replay may be reading them with no lock held).
+	// records into it), earlier ones frozen by a Stream or a seal and
+	// therefore immutable (a replay or encode may be reading them with no
+	// lock held).
 	spill   SpillPolicy
 	compact CompactPolicy
 	retain  RetainPolicy
@@ -473,6 +560,11 @@ type Tracker struct {
 	// segMu serializes hist writers only (seal, compaction, retention,
 	// Close, recovery); it is never taken by readers or commits.
 	segMu sync.Mutex
+	// sealMu serializes whole seals — Seal, auto-seal, Compact, Close —
+	// against each other. A Seal holds it across the encode and spill it
+	// runs between its two short barriers, so at most one seal is ever in
+	// flight and the tail it froze cannot be cut underneath it.
+	sealMu sync.Mutex
 	// reclaim is the epoch-based reclamation state: commits and sealed
 	// replays pin it, retired resources wait on its limbo list.
 	reclaim reclaimer
@@ -666,9 +758,19 @@ type Thread struct {
 	// deltas is the arena their change sets live in.
 	buf    []record
 	deltas []vclock.Delta
-	// base is the materialized stamp of the thread's last drained record —
-	// the replay starting point for the next merge. Owned by the barrier.
+	// base is the thread's stamp as of tailStart — the stamp of its last
+	// sealed record of the epoch, nil when it has none. Immutable: a seal
+	// replaces it with a fresh vector, Compact resets it, recovery restores
+	// it, so a Stream or seal may read a snapshot of it with no lock held.
 	base vclock.Vector
+	// run is the stamp of the thread's last merged record, advanced in
+	// place by each merge and cloned into a tail checkpoint every
+	// stampCheckpointEvery records; last is that record's global index (-1
+	// when none this epoch) and merged counts the thread's merged records.
+	// All three are owned by the barrier.
+	run    vclock.Vector
+	last   int
+	merged int
 	// cells is the current chunk lazy stamp handles are allocated from.
 	cells     []stampCell
 	cellsUsed int
@@ -725,7 +827,7 @@ func (o *Object) Name() string { return o.name }
 func (t *Tracker) NewThread(name string) *Thread {
 	t.reg.Lock()
 	defer t.reg.Unlock()
-	th := &Thread{t: t, id: event.ThreadID(len(t.threads)), name: name}
+	th := &Thread{t: t, id: event.ThreadID(len(t.threads)), name: name, last: -1}
 	th.shard = t.world.shardFor(int(th.id))
 	th.rec = t.reclaim.register()
 	t.threads = append(t.threads, th)
@@ -885,46 +987,60 @@ func (t *Tracker) noteErr(err error) {
 	t.errMu.Unlock()
 }
 
-// mergeLocked drains every thread's append buffer into the tail, in
-// trace-index order, materializing each record's full stamp by replaying
-// the thread's delta arena forward from its previous materialization. The
+// mergeLocked drains every thread's append buffer into the active tail
+// block. Indices are dense, so each record goes straight to its slot — no
+// sort — and its change set is copied into the block's arena — no stamp is
+// materialized. Per record that is O(changed components), plus one O(k)
+// checkpoint clone every stampCheckpointEvery records of a thread. The
 // caller holds the world write lock, so no commit is in flight and the
-// indices below seq are all present exactly once. This is where the
-// O(events·k) cost the hot path shed is actually paid — once, at the
-// barrier.
+// indices below seq are all present exactly once.
 func (t *Tracker) mergeLocked() {
-	type stamped struct {
-		ev event.Event
-		v  vclock.Vector
+	first, end := t.mergedLenLocked(), int(t.seq.Load())
+	if end <= first {
+		return
 	}
+	b := t.activeBlockLocked()
+	lo := len(b.ev)
+	b.ev = slices.Grow(b.ev, end-first)[:lo+end-first]
+	b.recs = slices.Grow(b.recs, end-first)[:lo+end-first]
+	filled := 0
 	t.reg.Lock()
-	var pending []stamped
+	// Size the arena once: growing it by doubling would copy it repeatedly
+	// inside the barrier.
+	changed := 0
 	for _, th := range t.threads {
-		if len(th.buf) == 0 {
-			continue
-		}
-		cur := th.base
+		changed += len(th.deltas)
+	}
+	b.deltas = slices.Grow(b.deltas, changed)
+	for _, th := range t.threads {
 		for _, r := range th.buf {
-			cur = cur.Apply(th.deltas[r.start:r.end]).Grow(r.width)
-			pending = append(pending, stamped{ev: r.ev, v: cur.Clone()})
+			slot := r.ev.Index - b.start
+			if slot < lo || slot >= len(b.ev) {
+				t.noteErr(fmt.Errorf("track: merge misaligned: event %v outside the merge window [%d,%d)",
+					r.ev, first, end))
+				continue
+			}
+			ds := th.deltas[r.start:r.end]
+			rec := tailRec{start: len(b.deltas), prev: th.last, width: int32(r.width), ck: -1}
+			b.deltas = append(b.deltas, ds...)
+			rec.end = len(b.deltas)
+			th.run = th.run.Apply(ds).Grow(r.width)
+			if th.merged++; th.merged%stampCheckpointEvery == 0 {
+				rec.ck = int32(len(b.ckpts))
+				b.ckpts = append(b.ckpts, th.run.Clone())
+			}
+			b.ev[slot], b.recs[slot] = r.ev, rec
+			b.width = max(b.width, r.width)
+			th.last = r.ev.Index
+			filled++
 		}
-		th.base = cur
 		th.buf = th.buf[:0]
 		th.deltas = th.deltas[:0]
 	}
 	t.reg.Unlock()
-	if len(pending) == 0 {
-		return
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i].ev.Index < pending[j].ev.Index })
-	b := t.activeBlockLocked()
-	for _, r := range pending {
-		if want := b.start + len(b.ev); r.ev.Index != want {
-			// Indices are dense by construction; a gap means lost records.
-			t.noteErr(fmt.Errorf("track: merge misaligned: event %v landed at trace index %d", r.ev, want))
-		}
-		b.ev = append(b.ev, r.ev)
-		b.stamps = append(b.stamps, r.v)
+	if filled != end-first {
+		// Indices are dense by construction; a hole means lost records.
+		t.noteErr(fmt.Errorf("track: merge misaligned: %d records for trace indices [%d,%d)", filled, first, end))
 	}
 }
 
@@ -950,31 +1066,103 @@ func (t *Tracker) mergedLenLocked() int {
 	return t.tailStart
 }
 
-// stampAt quiesces the tracker and returns the (internal) stamp of event
-// idx — the lazy-materialization path behind Stamped. Tail stamps are an
-// index away; a stamp that has been sealed is reconstructed by replaying
-// its segment (one pass, then memoized by the caller's stampCell).
-func (t *Tracker) stampAt(idx int) vclock.Vector {
-	t.world.Lock()
-	defer t.world.Unlock()
-	t.mergeLocked()
-	if idx >= t.tailStart {
-		for _, b := range t.tail {
-			if idx < b.start+len(b.ev) {
-				return b.stamps[idx-b.start]
-			}
-		}
-		// Unreachable for cells minted by commit; guard against decay.
-		return nil
+// basesLocked snapshots every registered thread's base — the per-thread
+// stamps as of tailStart that a replay of the tail starts from. The vectors
+// are immutable, so the snapshot shares them. The caller holds the world
+// write lock.
+func (t *Tracker) basesLocked() []vclock.Vector {
+	t.reg.Lock()
+	defer t.reg.Unlock()
+	bases := make([]vclock.Vector, len(t.threads))
+	for i, th := range t.threads {
+		bases[i] = th.base
 	}
-	if r := t.hist.Load().retained; idx < r {
-		t.noteErr(fmt.Errorf("track: stamp %d was retired by the retention policy (floor %d)", idx, r))
-		return nil
+	return bases
+}
+
+// tailAtLocked locates merged tail record idx: its block and position. The
+// caller holds the world write lock and has checked idx against the tail's
+// range.
+func (t *Tracker) tailAtLocked(idx int) (*tailBlock, int) {
+	i := sort.Search(len(t.tail), func(i int) bool { return t.tail[i].start > idx }) - 1
+	if i < 0 || idx-t.tail[i].start >= len(t.tail[i].ev) {
+		return nil, 0
+	}
+	return t.tail[i], idx - t.tail[i].start
+}
+
+// stampAt returns the (internal) stamp of event idx — the lazy
+// materialization path behind Stamped. A sealed stamp is rebuilt from its
+// segment with no barrier at all (sealedStamp); a tail stamp takes the
+// barrier, merges, and replays at most stampCheckpointEvery change sets of
+// its thread (tailStampLocked). Either way the caller's stampCell memoizes.
+func (t *Tracker) stampAt(idx int) vclock.Vector {
+	if idx >= int(t.sealed.Load()) {
+		if v, ok := t.tailStamp(idx); ok {
+			return v
+		}
+		// Sealed between the check and the barrier: read it back below.
 	}
 	v, err := t.sealedStamp(idx)
 	if err != nil {
 		t.noteErr(fmt.Errorf("track: materializing sealed stamp %d: %w", idx, err))
 		return nil
+	}
+	return v
+}
+
+// tailStamp quiesces the tracker and rebuilds tail stamp idx; ok is false
+// when idx turned out to be sealed already.
+func (t *Tracker) tailStamp(idx int) (v vclock.Vector, ok bool) {
+	t.world.Lock()
+	defer t.world.Unlock()
+	t.mergeLocked()
+	if idx < t.tailStart {
+		return nil, false
+	}
+	return t.tailStampLocked(idx), true
+}
+
+// tailStampLocked rebuilds merged tail stamp idx: it walks back along the
+// thread's record chain to the nearest full-stamp checkpoint — or, past the
+// chain's start, to the thread's base at tailStart — and replays the change
+// sets forward from there. The walk stops within stampCheckpointEvery
+// records, so the cost is bounded whatever the tail's length. The caller
+// holds the world write lock and has merged.
+func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
+	b, i := t.tailAtLocked(idx)
+	if b == nil {
+		// Unreachable for cells minted by commit; guard against decay.
+		return nil
+	}
+	type pos struct {
+		b *tailBlock
+		i int
+	}
+	var chain [stampCheckpointEvery]pos
+	n := 0
+	var from vclock.Vector
+	for {
+		r := b.recs[i]
+		if r.ck >= 0 {
+			from = b.ckpts[r.ck]
+			break
+		}
+		chain[n] = pos{b, i}
+		n++
+		if r.prev < t.tailStart {
+			t.reg.Lock()
+			from = t.threads[b.ev[i].Thread].base
+			t.reg.Unlock()
+			break
+		}
+		b, i = t.tailAtLocked(r.prev)
+	}
+	v := from.Clone()
+	for n--; n >= 0; n-- {
+		p := chain[n]
+		r := p.b.recs[p.i]
+		v = v.Apply(p.b.deltas[r.start:r.end]).Grow(int(r.width))
 	}
 	return v
 }
