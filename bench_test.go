@@ -330,9 +330,11 @@ func BenchmarkOnlineReveal(b *testing.B) {
 }
 
 // BenchmarkDeltaEncoding measures the Singhal–Kshemkalyani differential
-// encoding against shipping full vectors, on a bursty workload (each thread
-// performs runs of operations on one object) where consecutive
-// transmissions on a channel differ in few components.
+// encoding (§VI) as the tracker ships it — MVCLOG02's per-thread change sets,
+// written by tlog.WriteAllDelta — against MVCLOG01's full vectors
+// (tlog.WriteAll), in bytes per event. The stamps are the thread clock's on
+// a bursty workload (each thread performs runs of operations on one
+// object), where a thread's consecutive stamps differ in few components.
 func BenchmarkDeltaEncoding(b *testing.B) {
 	const nThreads, nObjects, bursts, burstLen = 40, 40, 15, 10
 	rng := rand.New(rand.NewSource(23))
@@ -346,30 +348,24 @@ func BenchmarkDeltaEncoding(b *testing.B) {
 		}
 	}
 	stamps := clock.Run(tr, baseline.NewThreadClock(tr.Threads(), tr.Objects()))
-	events := tr.Events()
-
-	b.Run("delta", func(b *testing.B) {
-		var ints int
-		for i := 0; i < b.N; i++ {
-			var enc baseline.DeltaEncoder
-			ints = 0
-			for j, e := range events {
-				d := enc.Encode(fmt.Sprintf("%d-%d", e.Thread, e.Object), stamps[j])
-				ints += d.Ints()
+	for _, enc := range []struct {
+		name  string
+		write func(io.Writer, *mixedclock.Trace, []vclock.Vector) error
+	}{
+		{"delta", tlog.WriteAllDelta},
+		{"full", tlog.WriteAll},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := enc.write(&buf, tr, stamps); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportMetric(float64(ints)/float64(len(events)), "ints/event")
-	})
-	b.Run("full", func(b *testing.B) {
-		var ints int
-		for i := 0; i < b.N; i++ {
-			ints = 0
-			for j := range events {
-				ints += len(stamps[j])
-			}
-		}
-		b.ReportMetric(float64(ints)/float64(len(events)), "ints/event")
-	})
+			b.ReportMetric(float64(buf.Len())/float64(tr.Len()), "B/event")
+		})
+	}
 }
 
 // BenchmarkTracker measures the live tracker under goroutine contention.

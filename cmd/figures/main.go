@@ -4,16 +4,13 @@
 // Usage:
 //
 //	figures [-fig 4|5|6|7|extra|all] [-format table|csv|plot] [-trials N] [-seed S]
-//	        [-live] [-backend flat|tree|auto]
 //
-// By default the online series of Figs. 4–7 are measured on the modern live
-// pipeline: every reveal order is replayed through a real track.Tracker
-// (one committed event per edge) on the -backend clock representation. The
-// numbers are identical to the offline simulation — the equivalence is
-// pinned by test — so -live=false merely switches back to the faster
-// core.SimulateCover baseline. The extra figure additionally includes an
-// end-to-end throughput sweep (backend × readfrac × do/batch) on the
-// loadgen engine.
+// Figs. 4–7 replay each random graph's reveal order through the §IV online
+// mechanisms (core.SimulateCover) and set them against the offline optimum.
+// internal/experiment's TestLiveEquivalence runs the same sweeps through a
+// real track.Tracker on both clock backends and requires identical numbers.
+// The extra figure adds ablations and an end-to-end throughput sweep
+// (backend × readfrac × do/batch) on the loadgen engine.
 //
 // Examples:
 //
@@ -30,65 +27,30 @@ import (
 	"sort"
 
 	"mixedclock/internal/experiment"
-	"mixedclock/internal/vclock"
 )
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "which figure: 4, 5, 6, 7, extra, or all")
-		format  = flag.String("format", "table", "output format: table, csv, or plot")
-		trials  = flag.Int("trials", 10, "random graphs averaged per point")
-		seed    = flag.Int64("seed", 2019, "base RNG seed")
-		live    = flag.Bool("live", true, "measure online series on a live tracker instead of the offline simulation")
-		backend = flag.String("backend", "flat", "live runs: clock representation (flat, tree or auto)")
+		fig    = flag.String("fig", "all", "which figure: 4, 5, 6, 7, extra, or all")
+		format = flag.String("format", "table", "output format: table, csv, or plot")
+		trials = flag.Int("trials", 10, "random graphs averaged per point")
+		seed   = flag.Int64("seed", 2019, "base RNG seed")
 	)
 	flag.Parse()
 
-	if err := run(os.Stdout, *fig, *format, *trials, *seed, *live, *backend); err != nil {
+	if err := run(os.Stdout, *fig, *format, *trials, *seed); err != nil {
 		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, fig, format string, trials int, seed int64, live bool, backend string) error {
+func run(w io.Writer, fig, format string, trials int, seed int64) error {
 	opt := experiment.Options{Trials: trials, Seed: seed}
-	b, err := vclock.ParseBackend(backend)
-	if err != nil {
-		return err
-	}
 	emitted := false
 	want := func(name string) bool { return fig == "all" || fig == name }
 
-	// The live and offline variants produce identical series (pinned by
-	// internal/experiment's equivalence tests); live exercises the full
-	// tracker pipeline per reveal order.
-	fig4 := func(o experiment.Options) (*experiment.Result, *experiment.Result, error) {
-		if live {
-			return experiment.Fig4Live(o, b)
-		}
-		return experiment.Fig4(o)
-	}
-	fig5 := func(o experiment.Options) (*experiment.Result, *experiment.Result, error) {
-		if live {
-			return experiment.Fig5Live(o, b)
-		}
-		return experiment.Fig5(o)
-	}
-	fig6 := func(o experiment.Options) (*experiment.Result, error) {
-		if live {
-			return experiment.Fig6Live(o, b)
-		}
-		return experiment.Fig6(o)
-	}
-	fig7 := func(o experiment.Options) (*experiment.Result, error) {
-		if live {
-			return experiment.Fig7Live(o, b)
-		}
-		return experiment.Fig7(o)
-	}
-
 	if want("4") {
-		uni, non, err := fig4(opt)
+		uni, non, err := experiment.Fig4(opt)
 		if err != nil {
 			return err
 		}
@@ -98,7 +60,7 @@ func run(w io.Writer, fig, format string, trials int, seed int64, live bool, bac
 		emitted = true
 	}
 	if want("5") {
-		uni, non, err := fig5(opt)
+		uni, non, err := experiment.Fig5(opt)
 		if err != nil {
 			return err
 		}
@@ -108,7 +70,7 @@ func run(w io.Writer, fig, format string, trials int, seed int64, live bool, bac
 		emitted = true
 	}
 	if want("6") {
-		r, err := fig6(opt)
+		r, err := experiment.Fig6(opt)
 		if err != nil {
 			return err
 		}
@@ -118,7 +80,7 @@ func run(w io.Writer, fig, format string, trials int, seed int64, live bool, bac
 		emitted = true
 	}
 	if want("7") {
-		r, err := fig7(opt)
+		r, err := experiment.Fig7(opt)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@ func TestRunSingleFigures(t *testing.T) {
 		fig := fig
 		t.Run("fig"+fig, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := run(&buf, fig, "table", 1, 7, false, "flat"); err != nil {
+			if err := run(&buf, fig, "table", 1, 7); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(buf.String(), "Fig. "+fig) {
@@ -24,7 +24,7 @@ func TestRunSingleFigures(t *testing.T) {
 func TestRunFormats(t *testing.T) {
 	for _, format := range []string{"table", "csv", "plot"} {
 		var buf bytes.Buffer
-		if err := run(&buf, "6", format, 1, 7, false, "flat"); err != nil {
+		if err := run(&buf, "6", format, 1, 7); err != nil {
 			t.Fatalf("format %s: %v", format, err)
 		}
 		if buf.Len() == 0 {
@@ -32,39 +32,21 @@ func TestRunFormats(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := run(&buf, "6", "nope", 1, 7, false, "flat"); err == nil {
+	if err := run(&buf, "6", "nope", 1, 7); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-// TestRunLive smokes the live-pipeline path on one figure per backend; the
-// full live-vs-offline equivalence is pinned in internal/experiment.
-func TestRunLive(t *testing.T) {
-	for _, backend := range []string{"flat", "tree"} {
-		var off, live bytes.Buffer
-		if err := run(&off, "6", "table", 1, 7, false, backend); err != nil {
-			t.Fatal(err)
-		}
-		if err := run(&live, "6", "table", 1, 7, true, backend); err != nil {
-			t.Fatal(err)
-		}
-		if off.String() != live.String() {
-			t.Errorf("backend %s: live output differs from offline:\n--- offline ---\n%s\n--- live ---\n%s",
-				backend, off.String(), live.String())
-		}
 	}
 }
 
 func TestRunUnknownFigure(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "99", "table", 1, 7, false, "flat"); err == nil {
+	if err := run(&buf, "99", "table", 1, 7); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
 }
 
 func TestRunExtra(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "extra", "table", 1, 7, false, "flat"); err != nil {
+	if err := run(&buf, "extra", "table", 1, 7); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -77,7 +59,7 @@ func TestRunExtra(t *testing.T) {
 
 func TestRunAllCSV(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "all", "csv", 1, 7, false, "flat"); err != nil {
+	if err := run(&buf, "all", "csv", 1, 7); err != nil {
 		t.Fatal(err)
 	}
 	// Every CSV block starts with the density or node header.

@@ -40,13 +40,21 @@
 //	                                       load-generate against a live
 //	                                       tracker and report mops/sec,
 //	                                       latency percentiles and final
-//	                                       lifecycle stats (cmd/loadgen's
-//	                                       engine; with -store the run is
-//	                                       durable and mvc detect -live
-//	                                       can watch it from outside)
+//	                                       lifecycle stats (with -store the
+//	                                       run is durable and mvc detect
+//	                                       -live can watch it from outside)
+//	mvc gen       [-workload W] [-threads N] [-objects M] [-events E]
+//	              [-reads F] [-seed S] [-out FILE]
+//	                                       generate a synthetic trace (W is
+//	                                       uniform, hotset, zipf,
+//	                                       producer-consumer, readers-writers,
+//	                                       phased or lock-striped)
 //
-// Traces are JSON Lines as produced by tracegen (one {"i","t","o","op"}
-// object per line); -trace defaults to stdin.
+// Traces are JSON Lines as produced by mvc gen (one {"i","t","o","op"}
+// object per line); -trace defaults to stdin, so generation pipes straight
+// into analysis:
+//
+//	mvc gen -workload hotset -events 2000 | mvc analyze
 //
 // Commands that timestamp events accept -backend {flat|tree|auto} to pick
 // the clock representation: flat (default) is the reference vector, tree is
@@ -89,6 +97,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -103,6 +112,7 @@ import (
 	"mixedclock/internal/event"
 	"mixedclock/internal/loadgen"
 	"mixedclock/internal/tlog"
+	"mixedclock/internal/trace"
 	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
 )
@@ -113,20 +123,14 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	// spam is the load generator: its knob set is loadgen's, not the
-	// trace-analysis flags below, so it parses its own FlagSet (notably
-	// -format means table|csv|json here, not a log encoding).
-	if cmd == "spam" {
-		sfs := flag.NewFlagSet("mvc spam", flag.ExitOnError)
-		lf := loadgen.AddFlags(sfs)
-		if err := sfs.Parse(os.Args[2:]); err != nil {
-			os.Exit(2)
+	// spam and gen produce load and traces rather than analyze them, so
+	// each parses its own FlagSet instead of the trace-analysis flags below.
+	if cmd == "spam" || cmd == "gen" {
+		run := spam
+		if cmd == "gen" {
+			run = gen
 		}
-		rep, err := loadgen.Run(lf.Config())
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.Write(os.Stdout, *lf.Format); err != nil {
+		if err := run(os.Args[2:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
 			fatal(err)
 		}
 		return
@@ -248,8 +252,88 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mvc {analyze|timestamp|order|detect|recover|validate|graph|export|inspect|segments|catalog|compact|spam} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mvc {analyze|timestamp|order|detect|recover|validate|graph|export|inspect|segments|catalog|compact|spam|gen} [flags]")
 	fmt.Fprintln(os.Stderr, "run 'mvc <command> -h' for command flags")
+}
+
+// spam is `mvc spam`, the load generator. Its flags bind straight into a
+// loadgen.Config; -format means table, csv or json here, not a log encoding.
+func spam(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mvc spam", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg loadgen.Config
+	fs.IntVar(&cfg.Threads, "threads", 4, "worker goroutines (tracker threads)")
+	fs.IntVar(&cfg.Objects, "objects", 64, "shared objects")
+	fs.Float64Var(&cfg.ReadFrac, "readfrac", 0.5, "fraction of measured ops that are reads")
+	fs.DurationVar(&cfg.Duration, "duration", 2*time.Second, "measured-phase length (ignored with -ops)")
+	fs.IntVar(&cfg.Warmup, "warmup", 1000, "warmup writes per worker before measuring")
+	fs.IntVar(&cfg.Ops, "ops", 0, "measured ops per worker (deterministic mode; 0 = timed)")
+	fs.IntVar(&cfg.Batch, "batch", 1, "ops per batched commit (1 = per-op Do)")
+	fs.StringVar(&cfg.Dist, "dist", "uniform", "object distribution: uniform or zipf")
+	fs.StringVar(&cfg.Store, "store", "", "spill directory: arms spilling, compaction and retention")
+	fs.BoolVar(&cfg.Monitor, "monitor", false, "attach a live online monitor for the run")
+	fs.StringVar(&cfg.Backend, "backend", "", "clock backend: flat, tree, auto (default: tracker default)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "base RNG seed")
+	format := fs.String("format", "table", "report format: table, csv or json")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	rep, err := loadgen.Run(cfg)
+	if err != nil {
+		return err
+	}
+	return rep.Write(stdout, *format)
+}
+
+// gen is `mvc gen`: it generates a synthetic thread–object computation and
+// writes it as a JSONL trace to -out (stdout by default), with a one-line
+// summary on stderr.
+func gen(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("mvc gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "uniform", "trace family")
+	var cfg trace.Config
+	fs.IntVar(&cfg.Threads, "threads", 50, "number of threads")
+	fs.IntVar(&cfg.Objects, "objects", 50, "number of objects")
+	fs.IntVar(&cfg.Events, "events", 1000, "number of operations")
+	fs.Float64Var(&cfg.ReadFraction, "reads", 0, "fraction of read operations")
+	seed := fs.Int64("seed", 1, "RNG seed")
+	out := fs.String("out", "-", "output file (- for stdout)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	w, err := lookupWorkload(*workload)
+	if err != nil {
+		return err
+	}
+	tr, err := trace.Generate(w, cfg, rand.New(rand.NewSource(*seed)))
+	if err != nil {
+		return err
+	}
+	dst := stdout
+	if *out != "-" {
+		f, err := os.Create(*out)
+		if err != nil {
+			return fmt.Errorf("creating %s: %w", *out, err)
+		}
+		defer f.Close()
+		dst = f
+	}
+	if err := tr.WriteJSONL(dst); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "mvc gen: %v\n", tr.Summarize())
+	return nil
+}
+
+// lookupWorkload resolves a -workload name against the generator families.
+func lookupWorkload(name string) (trace.Workload, error) {
+	for _, w := range trace.Workloads() {
+		if w.String() == name {
+			return w, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown workload %q", name)
 }
 
 func fatal(err error) {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"mixedclock/internal/event"
 	"mixedclock/internal/tlog"
+	"mixedclock/internal/trace"
 	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
 )
@@ -705,5 +707,125 @@ func TestDetectLiveOutput(t *testing.T) {
 	}
 	if err := detectLive(io.Discard, spill, false, 0, "guard,nosuch"); err == nil {
 		t.Error("-order with an unknown object accepted")
+	}
+}
+
+// TestSpamJSON runs a tiny deterministic load and checks the JSON report
+// parses and carries the fields scripts (and the CI smoke step) rely on.
+func TestSpamJSON(t *testing.T) {
+	var out, errb bytes.Buffer
+	args := []string{"-threads", "2", "-objects", "8", "-ops", "500", "-warmup", "50", "-seed", "7", "-format", "json"}
+	if err := spam(args, &out, &errb); err != nil {
+		t.Fatalf("%v, stderr: %s", err, errb.String())
+	}
+	var rep struct {
+		Ops     int64   `json:"ops"`
+		Mops    float64 `json:"mops"`
+		Latency struct {
+			P50 int64 `json:"p50_ns"`
+			P99 int64 `json:"p99_ns"`
+		} `json:"latency"`
+		Tracker struct {
+			Events int `json:"events"`
+			Width  int `json:"width"`
+		} `json:"tracker"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatalf("report not parseable JSON: %v\n%s", err, out.String())
+	}
+	if want := int64(2 * 500); rep.Ops != want {
+		t.Errorf("ops = %d, want %d (deterministic -ops mode)", rep.Ops, want)
+	}
+	if rep.Mops <= 0 || rep.Latency.P99 < rep.Latency.P50 || rep.Tracker.Width < 1 {
+		t.Errorf("implausible report: %+v", rep)
+	}
+	if rep.Tracker.Events != 2*500+2*50 {
+		t.Errorf("tracker events = %d, want warmup+measured = %d", rep.Tracker.Events, 2*500+2*50)
+	}
+}
+
+// TestSpamFormats checks the table and CSV renderings and the format and
+// flag error paths.
+func TestSpamFormats(t *testing.T) {
+	for _, format := range []string{"table", "csv"} {
+		var out bytes.Buffer
+		if err := spam([]string{"-threads", "1", "-ops", "100", "-format", format}, &out, io.Discard); err != nil {
+			t.Fatalf("format %s: %v", format, err)
+		}
+		if format == "table" && !strings.Contains(out.String(), "mops/sec") {
+			t.Errorf("table output missing throughput:\n%s", out.String())
+		}
+		if format == "csv" && !strings.HasPrefix(out.String(), "threads,") {
+			t.Errorf("csv output missing header:\n%s", out.String())
+		}
+	}
+	if err := spam([]string{"-threads", "1", "-ops", "10", "-format", "nope"}, io.Discard, io.Discard); err == nil {
+		t.Error("unknown format accepted")
+	}
+	if err := spam([]string{"-nosuchflag"}, io.Discard, io.Discard); err == nil {
+		t.Error("unknown flag accepted")
+	}
+}
+
+// TestGenLookupWorkload resolves every generator family by its name.
+func TestGenLookupWorkload(t *testing.T) {
+	for _, w := range trace.Workloads() {
+		got, err := lookupWorkload(w.String())
+		if err != nil || got != w {
+			t.Errorf("lookup %q = %v, %v", w.String(), got, err)
+		}
+	}
+	if _, err := lookupWorkload("nonsense"); err == nil {
+		t.Error("unknown workload accepted")
+	}
+}
+
+// TestGenWritesTrace generates one trace to -out and to stdout: both carry
+// the same bytes, which read back as the requested computation.
+func TestGenWritesTrace(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "t.jsonl")
+	args := []string{"-workload", "hotset", "-threads", "10", "-objects", "10", "-events", "50", "-reads", "0.25", "-seed", "3"}
+	var summary bytes.Buffer
+	if err := gen(append(args, "-out", out), io.Discard, &summary); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(summary.String(), "mvc gen: ") {
+		t.Errorf("no summary on stderr: %q", summary.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := gen(args, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), data) {
+		t.Error("stdout trace differs from the -out trace")
+	}
+	tr, err := event.ReadJSONL(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 50 {
+		t.Fatalf("trace has %d events, want 50", tr.Len())
+	}
+	if tr.Summarize().Reads == 0 {
+		t.Error("read fraction ignored")
+	}
+}
+
+// TestGenRejectsBadConfig checks gen's error paths.
+func TestGenRejectsBadConfig(t *testing.T) {
+	dir := t.TempDir()
+	for name, args := range map[string][]string{
+		"negative threads": {"-threads", "-1", "-out", filepath.Join(dir, "a.jsonl")},
+		"unknown workload": {"-workload", "nope", "-out", filepath.Join(dir, "b.jsonl")},
+		"unwritable path":  {"-out", filepath.Join(dir, "missing", "c.jsonl")},
+		"unknown flag":     {"-nosuchflag"},
+	} {
+		if err := gen(args, io.Discard, io.Discard); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }

@@ -282,20 +282,21 @@
 //
 // # Load generation and headline numbers
 //
-// The repo ships its own throughput harness: `mvc spam` (also standalone
-// as cmd/loadgen) runs a warmup phase and then a timed or fixed-op-count
-// mixed read/write phase against a live Tracker — configurable worker
-// count, object count, read fraction, uniform or zipf object choice,
-// per-event Do or batched commits, an optional durable Store and an
-// optional online Monitor riding the run — and reports mops/sec,
-// log-linear-histogram latency percentiles, allocation rates and the
-// tracker's final TrackerStats (clock width, seals, compaction and
-// retention totals). Runs are deterministic under -seed with -ops; the
-// JSON/CSV formats are stable for scripting, and the same engine backs
-// the end-to-end BenchmarkLoadgenMixed in the CI regression gate.
-// cmd/figures regenerates the paper's §V evaluation through the same live
-// tracker pipeline by default (byte-identical to the direct simulator,
-// pinned by test) plus a backend × batch × read-ratio throughput sweep.
+// The repo ships its own throughput harness: `mvc spam` runs a warmup
+// phase and then a timed or fixed-op-count mixed read/write phase against
+// a live Tracker — configurable worker count, object count, read fraction,
+// uniform or zipf object choice, per-event Do or batched commits, an
+// optional durable Store and an optional online Monitor riding the run —
+// and reports mops/sec, log-linear-histogram latency percentiles,
+// allocation rates and the tracker's final TrackerStats (clock width,
+// seals, compaction and retention totals). Runs are deterministic under
+// -seed with -ops; the JSON/CSV formats are stable for scripting, and the
+// same engine backs the end-to-end BenchmarkLoadgenMixed in the CI
+// regression gate. `mvc gen` writes the synthetic JSONL traces the
+// analysis commands read. cmd/figures regenerates the paper's §V
+// evaluation with the cover simulator, which a test holds equal, point for
+// point, to a live Tracker on both clock backends, plus a backend × batch
+// × read-ratio throughput sweep.
 //
 // # Persistence
 //

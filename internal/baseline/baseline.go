@@ -1,10 +1,11 @@
 // Package baseline implements the classical timestamping schemes the paper
 // compares against (§II and §VI): the thread-based vector clock (one
 // component per thread), the object-based vector clock (one component per
-// object), and the Agarwal–Garg chain clock. It also provides the
-// Singhal–Kshemkalyani differential encoding, an orthogonal overhead
-// reduction the related-work section notes can be layered on any of these
-// clocks, including the paper's mixed clock.
+// object), and the Agarwal–Garg chain clock. The Singhal–Kshemkalyani
+// differential encoding, which the related-work section notes can be
+// layered on any of these clocks, lives in internal/tlog: MVCLOG02's
+// per-thread DeltaWriter ships each stamp as the components that changed
+// since the same thread's previous stamp.
 package baseline
 
 import (

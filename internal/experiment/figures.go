@@ -75,10 +75,11 @@ const (
 )
 
 // A sizer measures the final clock size of every online series over one
-// reveal order. onlineSizes is the offline baseline (core.SimulateCover);
-// liveSizes (live.go) drives a real track.Tracker instead. Both consume rng
-// identically — one draw per uncovered new edge of the Random series — so a
-// figure's numbers are reproducible and pipeline-independent.
+// reveal order. The figures use onlineSizes (core.SimulateCover);
+// live_test.go's liveSizes drives a real track.Tracker through the same
+// sweeps and must produce the same numbers. Both consume rng identically —
+// one draw per uncovered new edge of the Random series — so a figure's
+// numbers are reproducible.
 type sizer func(order []bipartite.Edge, nThreads int, rng *rand.Rand) map[string]int
 
 // onlineSizes runs the §IV mechanisms over one reveal order and returns
@@ -185,7 +186,8 @@ func offlineSeries() []string {
 	return []string{seriesNaive, seriesNaiveActive, seriesPopularity, seriesOffline}
 }
 
-// fig4 is the shared body of Fig4 and Fig4Live, parameterized by sizer.
+// fig4 is the body of Fig4, parameterized by sizer so TestLiveEquivalence
+// can run the same sweep on a live tracker.
 func fig4(opt Options, sz sizer) (uniform, nonuniform *Result, err error) {
 	opt = opt.withDefaults()
 	uniform, err = densitySweep(
@@ -210,7 +212,7 @@ func Fig4(opt Options) (uniform, nonuniform *Result, err error) {
 	return fig4(opt, onlineSizes)
 }
 
-// fig5 is the shared body of Fig5 and Fig5Live, parameterized by sizer.
+// fig5 is the body of Fig5, parameterized by sizer as fig4 is.
 func fig5(opt Options, sz sizer) (uniform, nonuniform *Result, err error) {
 	opt = opt.withDefaults()
 	uniform, err = nodeSweep(
@@ -234,7 +236,7 @@ func Fig5(opt Options) (uniform, nonuniform *Result, err error) {
 	return fig5(opt, onlineSizes)
 }
 
-// fig6 is the shared body of Fig6 and Fig6Live, parameterized by sizer.
+// fig6 is the body of Fig6, parameterized by sizer as fig4 is.
 func fig6(opt Options, sz sizer) (*Result, error) {
 	opt = opt.withDefaults()
 	return densitySweep(
@@ -249,7 +251,7 @@ func Fig6(opt Options) (*Result, error) {
 	return fig6(opt, onlineSizes)
 }
 
-// fig7 is the shared body of Fig7 and Fig7Live, parameterized by sizer.
+// fig7 is the body of Fig7, parameterized by sizer as fig4 is.
 func fig7(opt Options, sz sizer) (*Result, error) {
 	opt = opt.withDefaults()
 	return nodeSweep(

@@ -1,9 +1,15 @@
 package experiment
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
+	"mixedclock/internal/bipartite"
+	"mixedclock/internal/core"
+	"mixedclock/internal/event"
+	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
 )
 
@@ -16,6 +22,52 @@ func smallOpt() Options {
 		Density:    0.1,
 		Densities:  []float64{0.1},
 		NodeCounts: []int{10, 20},
+	}
+}
+
+// liveCoverSize replays one reveal order through a live tracker built on
+// the given mechanism and backend, one committed write per edge, and
+// returns the final mixed-clock width.
+func liveCoverSize(t *testing.T, order []bipartite.Edge, m core.Mechanism, b vclock.Backend) int {
+	tr, err := track.Open("", track.WithMechanism(m), track.WithBackend(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxT, maxO := -1, -1
+	for _, e := range order {
+		if e.Thread > maxT {
+			maxT = e.Thread
+		}
+		if e.Object > maxO {
+			maxO = e.Object
+		}
+	}
+	threads := make([]*track.Thread, maxT+1)
+	for i := range threads {
+		threads[i] = tr.NewThread(fmt.Sprintf("t%d", i))
+	}
+	objects := make([]*track.Object, maxO+1)
+	for i := range objects {
+		objects[i] = tr.NewObject(fmt.Sprintf("o%d", i))
+	}
+	for _, e := range order {
+		threads[e.Thread].Do(objects[e.Object], event.OpWrite, nil)
+	}
+	return tr.Size()
+}
+
+// liveSizes is the sizer TestLiveEquivalence runs the figures with: the
+// same series and the same rng consumption order as onlineSizes (one Random
+// draw per uncovered new edge, evaluated naive-active → random →
+// popularity), but each size measured on a real tracker.
+func liveSizes(t *testing.T, backend vclock.Backend) sizer {
+	return func(order []bipartite.Edge, nThreads int, rng *rand.Rand) map[string]int {
+		return map[string]int{
+			seriesNaive:       nThreads,
+			seriesNaiveActive: liveCoverSize(t, order, core.NaiveThreads{}, backend),
+			seriesRandom:      liveCoverSize(t, order, core.Random{Rng: rng}, backend),
+			seriesPopularity:  liveCoverSize(t, order, core.Popularity{}, backend),
+		}
 	}
 }
 
@@ -32,19 +84,21 @@ func requireEqualResults(t *testing.T, name string, offline, live *Result) {
 	}
 }
 
-// TestLiveEquivalence pins the tentpole property: every figure's online
-// series measured on a live Tracker (per backend) equals the offline
-// core.SimulateCover numbers, point for point — the tracker's concurrent
-// cover path realizes the paper's mechanisms exactly, and the shared rng
-// discipline keeps the Random series deterministic across pipelines.
+// TestLiveEquivalence holds the live tracker to the figures: every figure's
+// online series measured on a real Tracker (per backend) equals the
+// core.SimulateCover numbers the figures report, point for point — the
+// tracker's concurrent cover path realizes the paper's mechanisms exactly,
+// and the shared rng discipline keeps the Random series deterministic
+// across both.
 func TestLiveEquivalence(t *testing.T) {
 	opt := smallOpt()
 	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
+		live := liveSizes(t, backend)
 		o4u, o4n, err := Fig4(opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l4u, l4n, err := Fig4Live(opt, backend)
+		l4u, l4n, err := fig4(opt, live)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +109,7 @@ func TestLiveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l5u, l5n, err := Fig5Live(opt, backend)
+		l5u, l5n, err := fig5(opt, live)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +120,7 @@ func TestLiveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l6, err := Fig6Live(opt, backend)
+		l6, err := fig6(opt, live)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +130,7 @@ func TestLiveEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l7, err := Fig7Live(opt, backend)
+		l7, err := fig7(opt, live)
 		if err != nil {
 			t.Fatal(err)
 		}

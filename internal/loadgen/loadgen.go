@@ -1,5 +1,5 @@
-// Package loadgen is the end-to-end load generator behind cmd/loadgen and
-// `mvc spam`: it drives a live track.Tracker with a configurable mixed
+// Package loadgen is the end-to-end load generator behind `mvc spam`: it
+// drives a live track.Tracker with a configurable mixed
 // read/write workload — warmup phase first, then a timed (or fixed-op-count)
 // measured phase, in the warmup-then-mixed style of the classic index
 // benchmarking harnesses — and reports throughput (mops/sec), per-operation
@@ -31,7 +31,7 @@ import (
 // Config parameterizes one load-generation run. The zero value is usable:
 // defaults are filled by Run (4 threads, 64 objects, uniform object choice,
 // 2s measured phase, per-op commits, in-memory tracker). ReadFrac 0 means
-// write-only; the CLI front ends default their -readfrac flag to 0.5.
+// write-only; `mvc spam` defaults its -readfrac flag to 0.5.
 type Config struct {
 	// Threads is the number of worker goroutines, each a registered
 	// tracker Thread; Objects the number of shared objects they operate

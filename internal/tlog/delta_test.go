@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mixedclock/internal/baseline"
 	"mixedclock/internal/clock"
 	"mixedclock/internal/core"
 	"mixedclock/internal/event"
@@ -98,7 +99,9 @@ func TestAppendDeltaStreaming(t *testing.T) {
 
 // TestDeltaSmallerThanFull pins the point of the format: on a bursty
 // workload over a non-trivial clock the delta stream must be significantly
-// smaller than the full one.
+// smaller than the full one. The thread-clock case is the paper's §VI
+// Singhal–Kshemkalyani setting: 12 thread components, of which a thread's
+// consecutive stamps within a burst differ in one.
 func TestDeltaSmallerThanFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := event.NewTrace()
@@ -110,22 +113,32 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 			}
 		}
 	}
-	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
-	var full, delta bytes.Buffer
-	if err := WriteAll(&full, tr, stamps); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		clk  clock.Timestamper
+	}{
+		{"mixed", core.AnalyzeTrace(tr).NewClock()},
+		{"thread", baseline.NewThreadClock(tr.Threads(), tr.Objects())},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stamps := clock.Run(tr, c.clk)
+			var full, delta bytes.Buffer
+			if err := WriteAll(&full, tr, stamps); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteAllDelta(&delta, tr, stamps); err != nil {
+				t.Fatal(err)
+			}
+			if delta.Len()*2 > full.Len() {
+				t.Fatalf("delta log %dB not under half of full log %dB", delta.Len(), full.Len())
+			}
+			gotTr, gotStamps, err := ReadAll(&delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameComputation(t, gotTr, gotStamps, tr, stamps)
+		})
 	}
-	if err := WriteAllDelta(&delta, tr, stamps); err != nil {
-		t.Fatal(err)
-	}
-	if delta.Len()*2 > full.Len() {
-		t.Fatalf("delta log %dB not under half of full log %dB", delta.Len(), full.Len())
-	}
-	gotTr, gotStamps, err := ReadAll(&delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameComputation(t, gotTr, gotStamps, tr, stamps)
 }
 
 // TestDeltaTruncation mirrors the full format's crash-recovery contract.

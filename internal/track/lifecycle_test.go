@@ -475,8 +475,10 @@ func TestStreamTailOverlapsCommits(t *testing.T) {
 // checks every streamed snapshot is a dense consistent prefix whose stamps
 // match the final history. This is the spill-file-retirement race: a
 // compaction pass deletes segment files while streams replay them, and the
-// stream's retry against the merged replacement must be invisible. Run
-// under -race and -count in CI.
+// stream's retry against the merged replacement must be invisible. Lazy
+// sealed stamps race the same retirements: every tenth commit a worker
+// materializes one of its earlier handles, which must equal the final
+// history's stamp. Run under -race and -count in CI.
 func TestStreamRacesSegmentCompact(t *testing.T) {
 	tr := mustOpen(t, t.TempDir(), WithStore(Store{
 		Spill:   SpillPolicy{SealEvery: 24},
@@ -487,14 +489,24 @@ func TestStreamRacesSegmentCompact(t *testing.T) {
 	for i := range objects {
 		objects[i] = tr.NewObject("obj")
 	}
+	type lazyStamp struct {
+		idx int
+		v   vclock.Vector
+	}
+	lazy := make([][]lazyStamp, nWorkers)
 	var wg sync.WaitGroup
 	for w := 0; w < nWorkers; w++ {
 		th := tr.NewThread("worker")
 		wg.Add(1)
 		go func(th *Thread, w int) {
 			defer wg.Done()
+			handles := make([]Stamped, 0, opsPer)
 			for i := 0; i < opsPer; i++ {
-				th.Write(objects[(w+i)%nObjects], nil)
+				handles = append(handles, th.Write(objects[(w+i)%nObjects], nil))
+				if i%10 == 9 {
+					s := handles[i/3]
+					lazy[w] = append(lazy[w], lazyStamp{s.Event.Index, s.Vector()})
+				}
 			}
 		}(th, w)
 	}
@@ -533,6 +545,13 @@ func TestStreamRacesSegmentCompact(t *testing.T) {
 			}
 			if !c.stamps[i].Equal(stamps[i]) {
 				t.Fatalf("stream %d: stamp %d = %v, final history has %v", si, i, c.stamps[i], stamps[i])
+			}
+		}
+	}
+	for w, samples := range lazy {
+		for _, s := range samples {
+			if !s.v.Equal(stamps[s.idx]) || len(s.v) != len(stamps[s.idx]) {
+				t.Fatalf("worker %d: lazy stamp %d = %v, final history has %v", w, s.idx, s.v, stamps[s.idx])
 			}
 		}
 	}

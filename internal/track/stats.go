@@ -11,7 +11,7 @@ import "mixedclock/internal/vclock"
 // Events, Size, Epoch, Segments report, gathered in one call); the counters
 // in the second block are cumulative over the tracker's lifetime — they only
 // grow, across epochs and compaction passes, so two snapshots subtract into
-// rates. cmd/loadgen prints one of these after every run.
+// rates. `mvc spam` prints one of these after every run.
 type TrackerStats struct {
 	// Events is the number of committed operations; SealedEvents of them
 	// live in immutable segments, and events below RetainedEvents were

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"path/filepath"
 	"sort"
 	"time"
@@ -165,29 +164,6 @@ func (sg *segment) streamFrom(sink StampSink, from, to int) (int, error) {
 // either a spill file retired by a concurrent compaction (retriable against
 // a fresh segment list) or one genuinely lost underneath the tracker.
 var errSegmentVanished = errors.New("segment unreadable")
-
-// stampAt replays the segment up to global index idx and returns that
-// record's stamp (freshly reconstructed, owned by the caller).
-func (sg *segment) stampAt(idx int) (vclock.Vector, error) {
-	rc, err := sg.open()
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
-	sr, err := tlog.NewSegmentReader(rc)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		e, v, err := sr.Next()
-		if err != nil {
-			return nil, err
-		}
-		if e.Index == idx {
-			return v, nil
-		}
-	}
-}
 
 // sealJob is one seal in flight: the tail records [from, upTo) of one epoch,
 // as the frozen blocks holding them plus every thread's base at from. The
@@ -484,36 +460,19 @@ func (t *Tracker) autoSeal() error {
 	return nil
 }
 
-// sealedStamp reconstructs the stamp of sealed event idx from its segment,
-// with no barrier: the segment list is a lock-free snapshot, and the read
-// is pinned as an epoch-reclamation reader (as replaySealed is), so a spill
-// file retired after the pin stays on disk until the read is done. A file
-// retired before the pin is retried against the fresh list, whose merged
-// replacement covers the same records.
+// sealedStamp reconstructs the stamp of sealed event idx by replaying its
+// segment into a one-record sink. replaySealed takes no barrier, pins the
+// reclaimer, retries a spill file a concurrent compaction retired, and
+// fails below the retention floor.
 func (t *Tracker) sealedStamp(idx int) (vclock.Vector, error) {
-	rec := t.reclaim.register()
-	rec.pin(&t.reclaim)
-	defer t.reclaim.unregister(rec)
-	defer rec.unpin()
-	const maxRetries = 3
-	for attempt := 0; ; attempt++ {
-		st := t.hist.Load()
-		if idx < st.retained {
-			return nil, fmt.Errorf("event %d was retired by the retention policy (floor %d)", idx, st.retained)
-		}
-		segs := st.segs
-		i := sort.Search(len(segs), func(i int) bool {
-			m := segs[i].meta
-			return m.FirstIndex+m.Count > idx
-		})
-		if i == len(segs) || segs[i].meta.FirstIndex > idx {
-			return nil, fmt.Errorf("no segment holds event %d", idx)
-		}
-		v, err := segs[i].stampAt(idx)
-		if err == nil || attempt >= maxRetries || !errors.Is(err, fs.ErrNotExist) {
-			return v, err
-		}
+	c := collectSink{trace: event.NewTrace()}
+	if _, err := t.replaySealed(&c, idx, idx+1); err != nil {
+		return nil, err
 	}
+	if len(c.stamps) == 0 {
+		return nil, fmt.Errorf("no segment holds event %d", idx)
+	}
+	return c.stamps[0], nil
 }
 
 // SegmentInfo describes one sealed segment for inspection.
@@ -690,7 +649,7 @@ func replayTail(sink StampSink, blocks []*tailBlock, bases []vclock.Vector, from
 // of a concurrent compaction retiring it — the replay re-snapshots and
 // retries, since the merged replacement covers the same records. A segment
 // that stays unreadable across retries (a spill file genuinely lost) is an
-// error.
+// error, and so is a replay point below the retention floor.
 func (t *Tracker) replaySealed(sink StampSink, from, to int) (int, error) {
 	delivered := from
 	// Register as an epoch-reclamation reader for the duration of the
@@ -709,7 +668,15 @@ func (t *Tracker) replaySealed(sink StampSink, from, to int) (int, error) {
 	// snapshots.
 	const maxRetries = 3
 	for retries := 0; ; {
-		segs := t.sealedCovering(delivered)
+		st := t.hist.Load()
+		if delivered < st.retained {
+			return delivered, fmt.Errorf("track: events [%d,%d) retired by retention", delivered, st.retained)
+		}
+		i := sort.Search(len(st.segs), func(i int) bool {
+			m := st.segs[i].meta
+			return m.FirstIndex+m.Count > delivered
+		})
+		segs := st.segs[i:]
 		if len(segs) == 0 {
 			return delivered, nil
 		}
@@ -720,12 +687,10 @@ func (t *Tracker) replaySealed(sink StampSink, from, to int) (int, error) {
 				return delivered, nil
 			}
 			if sg.meta.FirstIndex > delivered {
-				// Sealed history is gapless above the retention floor, so a
-				// segment starting past the replay point means a retention
-				// pass retired events [delivered, FirstIndex) after this
-				// stream began. A gapped delivery would be silently wrong;
-				// fail instead (a fresh Stream starts at the new floor).
-				return delivered, fmt.Errorf("track: events [%d,%d) retired by retention mid-stream",
+				// Sealed history is gapless above the retention floor
+				// checked above, so this is a broken invariant. A gapped
+				// delivery would be silently wrong; fail instead.
+				return delivered, fmt.Errorf("track: sealed history has no events [%d,%d)",
 					delivered, sg.meta.FirstIndex)
 			}
 			n, err := sg.streamFrom(sink, delivered, to)
@@ -751,18 +716,6 @@ func (t *Tracker) replaySealed(sink StampSink, from, to int) (int, error) {
 			return delivered, nil
 		}
 	}
-}
-
-// sealedCovering snapshots the suffix of the sealed-segment list covering
-// global indices at or above from. Lock-free — one snapshot load; the
-// returned slice is immutable.
-func (t *Tracker) sealedCovering(from int) []*segment {
-	segs := t.hist.Load().segs
-	i := sort.Search(len(segs), func(i int) bool {
-		m := segs[i].meta
-		return m.FirstIndex+m.Count > from
-	})
-	return segs[i:len(segs):len(segs)]
 }
 
 // SnapshotTo streams the recorded computation into w as a delta-encoded

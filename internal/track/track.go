@@ -311,8 +311,8 @@
 // internal/loadgen drives a Tracker the way this package intends it to be
 // driven — per-goroutine Threads, Do or Batch commits under contention, an
 // optional Store and Monitor — and is the source of the repo's headline
-// throughput and latency numbers (`mvc spam`, cmd/loadgen, and the
-// end-to-end BenchmarkLoadgenMixed in the CI gate). Tracker.Stats is the
+// throughput and latency numbers (`mvc spam` and the end-to-end
+// BenchmarkLoadgenMixed in the CI gate). Tracker.Stats is the
 // harness-facing summary it reports: cumulative Events/Width/Epoch plus
 // the lifecycle counters (seals, compaction and retention passes and the
 // segments they eliminated) this package bumps on each path's success,

@@ -111,7 +111,7 @@ type (
 	// TrackerStats is a point-in-time lifecycle summary of a tracker:
 	// committed/sealed/retained event counts, clock width and backend,
 	// sealed-history shape, and the cumulative seal/compaction/retention
-	// totals. See Tracker.Stats; cmd/loadgen reports one per run.
+	// totals. See Tracker.Stats; `mvc spam` reports one per run.
 	TrackerStats = track.TrackerStats
 	// Shipper incrementally copies a spill directory's sealed, published
 	// history to a mirror directory, resuming from a durable cursor.
