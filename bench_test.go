@@ -329,6 +329,33 @@ func BenchmarkOnlineReveal(b *testing.B) {
 	})
 }
 
+// BenchmarkSharedReveal measures the live tracker's component discovery
+// under a reveal storm: the complete 32×256 graph (the cold-reveal
+// workload's shape) revealed from an empty core.SharedCover under Hybrid,
+// one Observe per edge, in a fixed shuffled order. Each op is the whole
+// 8 192-edge storm; ns/reveal is the per-edge cost and allocs/op the
+// generations the storm builds. CI's regression gate tracks it.
+func BenchmarkSharedReveal(b *testing.B) {
+	const nThreads, nObjects = 32, 256
+	order := make([]bipartite.Edge, 0, nThreads*nObjects)
+	for t := 0; t < nThreads; t++ {
+		for o := 0; o < nObjects; o++ {
+			order = append(order, bipartite.Edge{Thread: t, Object: o})
+		}
+	}
+	rand.New(rand.NewSource(24)).Shuffle(len(order), func(i, j int) {
+		order[i], order[j] = order[j], order[i]
+	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := core.NewSharedCover(core.NewCoverTracker(core.NewHybrid()))
+		for _, e := range order {
+			s.Observe(mixedclock.ThreadID(e.Thread), mixedclock.ObjectID(e.Object))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(order)), "ns/reveal")
+}
+
 // BenchmarkDeltaEncoding measures the Singhal–Kshemkalyani differential
 // encoding (§VI) as the tracker ships it — MVCLOG02's per-thread change sets,
 // written by tlog.WriteAllDelta — against MVCLOG01's full vectors

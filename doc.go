@@ -89,17 +89,18 @@
 // knob; `mvc export -live -batch N` and the longrunning example expose it
 // from the command line.
 //
-// Internally, the structures those commits read — the component cover, the
-// sealed-segment list — are published copy-on-write behind atomic pointers
-// and reclaimed through per-thread epochs (internal/track's reclaimer):
-// superseded generations and replaced spill files wait on a limbo list
-// until every in-flight commit and sealed replay has passed, so cover
-// growth, segment compaction and retention never stop the world. Only the
-// operations that must observe ALL threads at one instant — Snapshot, Seal,
-// Compact — still barrier, and Seal only twice, briefly: once to merge and
-// freeze the tail, once to publish the segment. Its encode, SHA-256 and
-// spill (write, fsync, rename) run while commits continue, and a lazy stamp
-// of a sealed event reads its segment with no barrier at all.
+// Internally, the structures read without locks — the component cover, the
+// sealed-segment list — are published copy-on-write behind atomic pointers.
+// A cover generation is plain immutable memory, so a commit reads it with
+// no pin at all; superseded segment lists and replaced spill files wait on
+// an epoch-based limbo list (internal/track's reclaimer) until every
+// sealed replay has passed, so cover growth, segment compaction and
+// retention never stop the world. Only the operations that must observe
+// ALL threads at one instant — Snapshot, Seal, Compact — still barrier,
+// and Seal only twice, briefly: once to merge and freeze the tail, once to
+// publish the segment. Its encode, SHA-256 and spill (write, fsync,
+// rename) run while commits continue, and a lazy stamp of a sealed event
+// reads its segment with no barrier at all.
 //
 // # Segments, spilling and streaming
 //

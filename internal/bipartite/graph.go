@@ -198,20 +198,18 @@ type Edge struct {
 }
 
 // EdgeList returns all edges sorted by (thread, object). The order is
-// deterministic regardless of insertion order.
+// deterministic regardless of insertion order. Threads are walked in ID
+// order, so only each thread's own row needs sorting.
 func (g *Graph) EdgeList() []Edge {
 	out := make([]Edge, 0, g.edges)
+	row := []int(nil)
 	for t, objs := range g.adjT {
-		for _, o := range objs {
+		row = append(row[:0], objs...)
+		sort.Ints(row)
+		for _, o := range row {
 			out = append(out, Edge{Thread: t, Object: o})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Thread != out[j].Thread {
-			return out[i].Thread < out[j].Thread
-		}
-		return out[i].Object < out[j].Object
-	})
 	return out
 }
 

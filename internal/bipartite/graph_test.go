@@ -3,6 +3,7 @@ package bipartite
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -135,6 +136,42 @@ func TestEdgeListSorted(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("EdgeList[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestEdgeListMatchesBruteForceSort pins EdgeList's per-row sort to the
+// order a global (thread, object) sort gives, on paper generator graphs
+// whose edges are inserted in a shuffled order.
+func TestEdgeListMatchesBruteForceSort(t *testing.T) {
+	for _, sc := range []Scenario{Uniform, Nonuniform} {
+		for seed := int64(1); seed <= 5; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			src, err := Generate(GenConfig{NThreads: 40, NObjects: 70, Density: 0.15, Scenario: sc}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := New(0, 0)
+			var want []Edge
+			for _, e := range src.RevealOrder(rng) {
+				g.AddEdge(e.Thread, e.Object)
+				want = append(want, e)
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Thread != want[j].Thread {
+					return want[i].Thread < want[j].Thread
+				}
+				return want[i].Object < want[j].Object
+			})
+			got := g.EdgeList()
+			if len(got) != len(want) {
+				t.Fatalf("%v seed %d: EdgeList len = %d, want %d", sc, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v seed %d: EdgeList[%d] = %v, want %v", sc, seed, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -17,45 +17,53 @@ import (
 // Observe is the single entry point for the hot path. It answers everything
 // the §III-C update rule needs for an event: which of the two endpoints are
 // clock components (their indices) and the current clock width. The steady
-// state is served from an immutable generation — a snapshot of the revealed
-// edge set plus the component-index tables — behind one atomic pointer:
-// one load, one map probe, two slice reads, no read-modify-write on any
-// shared cache line. Only a genuinely new edge takes the mutex, runs the
-// mechanism, and publishes a rebuilt generation (revealed edges only ever
-// add components, §IV, so a reader on the previous generation is merely one
-// reveal behind — the same answer it would have gotten a moment earlier).
+// state is served from a generation — the component-index tables plus a
+// revealed-edge bitmap — behind one atomic pointer: one pointer load, one
+// bitmap word load, two slice reads, no read-modify-write on any shared
+// cache line.
 //
-// Superseded generations are immutable and safe to read forever; an
-// optional retire hook (OnRetire) hands each one to the caller so its
-// release can be tracked through epoch-based reclamation instead of
-// vanishing silently into the garbage collector.
+// A genuinely new edge takes the mutex and runs the mechanism. Like the
+// paper's online mechanisms (§IV) it then pays only for what changed: an
+// edge the current components already cover, with endpoints inside the
+// generation's tables, sets its bit in the current generation in O(1).
+// Only a reveal that adds a component or grows the endpoint range builds
+// and publishes the next generation. Components are append-only, so a
+// reader still on a previous generation is merely one reveal behind — the
+// same answer it would have gotten a moment earlier. The invariant readers
+// rely on: a bit is only ever set in a generation whose tables already
+// cover its edge.
+//
+// Superseded generations are plain immutable memory; the garbage collector
+// keeps one alive for as long as a reader holds it.
 type SharedCover struct {
-	// gen is the current immutable generation; never nil after
-	// NewSharedCover.
+	// gen is the current generation; never nil after NewSharedCover.
 	gen atomic.Pointer[coverGen]
 	// mu serializes revealers and the read-only accessors that walk the
 	// underlying CoverTracker directly (Graph, Mechanism, Components).
 	mu sync.Mutex
 	ct *CoverTracker
-	// retire, when set, receives each superseded generation after its
-	// replacement is published.
-	retire func(old any)
 }
 
-// coverGen is one immutable snapshot of the discovery state: the revealed
-// edge set and, per endpoint ID, the component index (-1 when the endpoint
-// is not a component), plus the clock width. Readers hold it only while
-// resolving one Observe; it is never mutated after publication.
+// coverGen is one generation of the discovery state: per endpoint ID, the
+// component index (-1 when the endpoint is not a component), the clock
+// width, and the revealed-edge bitmap, row-major by thread. The object
+// table spans whole bitmap words, so a row is len(objIdx)/64 words. The
+// tables and width never change after publication; bits are only ever
+// set, and only under SharedCover.mu.
 type coverGen struct {
-	edges  map[uint64]struct{}
-	thrIdx []int
-	objIdx []int
-	width  int
+	thrIdx   []int
+	objIdx   []int
+	width    int
+	revealed []atomic.Uint64
 }
 
-// edgeKey packs a (thread, object) edge into one map key.
-func edgeKey(t event.ThreadID, o event.ObjectID) uint64 {
-	return uint64(uint32(t))<<32 | uint64(uint32(o))
+// bit returns the bitmap word holding edge (t, o) and the edge's mask in
+// it, or nil when the edge lies outside the generation's tables.
+func (g *coverGen) bit(t event.ThreadID, o event.ObjectID) (*atomic.Uint64, uint64) {
+	if int(t) >= len(g.thrIdx) || int(o) >= len(g.objIdx) {
+		return nil, 0
+	}
+	return &g.revealed[int(t)*(len(g.objIdx)>>6)+int(o)>>6], 1 << (uint(o) & 63)
 }
 
 // NewSharedCover wraps ct for concurrent use. The SharedCover owns ct
@@ -66,12 +74,6 @@ func NewSharedCover(ct *CoverTracker) *SharedCover {
 	return s
 }
 
-// OnRetire sets the hook that receives each superseded generation (an
-// opaque immutable value) once its replacement is published. Set it before
-// the cover is shared; the hook runs on whichever goroutine revealed the
-// replacing edge, outside the cover's mutex.
-func (s *SharedCover) OnRetire(f func(old any)) { s.retire = f }
-
 // Observe reveals the edge (t, o) if it is new and returns the tick plan for
 // the event: the component indices of thread t and object o (-1 when the
 // endpoint is not a component) and the current clock width. The cover
@@ -79,60 +81,64 @@ func (s *SharedCover) OnRetire(f func(old any)) { s.retire = f }
 // mechanism has processed. The revealed-edge steady state is lock-free.
 func (s *SharedCover) Observe(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
 	g := s.gen.Load()
-	if _, ok := g.edges[edgeKey(t, o)]; ok && int(t) < len(g.thrIdx) && int(o) < len(g.objIdx) {
+	if w, m := g.bit(t, o); w != nil && w.Load()&m != 0 {
 		return g.thrIdx[t], g.objIdx[o], g.width
 	}
 	return s.reveal(t, o)
 }
 
-// reveal is Observe's slow path: run the mechanism on the new edge and
-// publish a rebuilt generation. Duplicate reveals (two goroutines racing
-// the same new edge) are harmless — Reveal coalesces them.
+// reveal is Observe's slow path: run the mechanism on the new edge, then
+// either mark it in the current generation (no component added, endpoints
+// in range) or publish the next one. Duplicate reveals (two goroutines
+// racing the same new edge) are harmless — Reveal coalesces them.
 func (s *SharedCover) reveal(t event.ThreadID, o event.ObjectID) (thrIdx, objIdx, width int) {
 	s.mu.Lock()
-	s.ct.Reveal(t, o)
-	old := s.gen.Load()
-	g := s.rebuildLocked()
-	s.gen.Store(g)
-	s.mu.Unlock()
-	if s.retire != nil {
-		s.retire(old)
+	defer s.mu.Unlock()
+	g := s.gen.Load()
+	_, added := s.ct.Reveal(t, o)
+	if w, m := g.bit(t, o); w != nil && !added {
+		w.Or(m)
+	} else {
+		g = s.rebuildLocked()
+		s.gen.Store(g)
 	}
 	return g.thrIdx[t], g.objIdx[o], g.width
 }
 
-// rebuildLocked snapshots the CoverTracker into a fresh immutable
-// generation. The caller holds s.mu (or is the constructor). Rebuilds are
-// O(edges + endpoints) and happen only when the revealed graph grows — a
-// bounded number of times per epoch, not per event.
+// rebuildLocked builds the next generation from the CoverTracker. The
+// caller holds s.mu (or is the constructor). A rebuild is
+// O(threads·objects/64 + edges + width) and happens only when a reveal adds
+// a component or grows the endpoint range — at most width + range-growth
+// times per epoch, not per edge. Rounding the object table up to the
+// bitmap's word boundary costs nothing and absorbs small range growth.
 func (s *SharedCover) rebuildLocked() *coverGen {
-	edges := s.ct.graph.EdgeList()
+	gr, comps := s.ct.graph, s.ct.comps
+	rowWords := (gr.NObjects() + 63) / 64
 	g := &coverGen{
-		edges: make(map[uint64]struct{}, len(edges)),
-		width: s.ct.comps.Len(),
+		thrIdx:   make([]int, gr.NThreads()),
+		objIdx:   make([]int, rowWords*64),
+		width:    comps.Len(),
+		revealed: make([]atomic.Uint64, gr.NThreads()*rowWords),
 	}
-	maxT, maxO := -1, -1
-	for _, e := range edges {
-		g.edges[edgeKey(event.ThreadID(e.Thread), event.ObjectID(e.Object))] = struct{}{}
-		if e.Thread > maxT {
-			maxT = e.Thread
-		}
-		if e.Object > maxO {
-			maxO = e.Object
-		}
-	}
-	g.thrIdx = make([]int, maxT+1)
-	g.objIdx = make([]int, maxO+1)
 	for i := range g.thrIdx {
 		g.thrIdx[i] = -1
-		if idx, ok := s.ct.comps.IndexOf(ThreadComponent(event.ThreadID(i))); ok {
-			g.thrIdx[i] = idx
-		}
 	}
 	for i := range g.objIdx {
 		g.objIdx[i] = -1
-		if idx, ok := s.ct.comps.IndexOf(ObjectComponent(event.ObjectID(i))); ok {
-			g.objIdx[i] = idx
+	}
+	for i := 0; i < comps.Len(); i++ {
+		c := comps.At(i)
+		switch {
+		case c.Side == bipartite.Threads && c.ID < len(g.thrIdx):
+			g.thrIdx[c.ID] = i
+		case c.Side == bipartite.Objects && c.ID < len(g.objIdx):
+			g.objIdx[c.ID] = i
+		}
+	}
+	for t := range g.thrIdx {
+		row := g.revealed[t*rowWords : (t+1)*rowWords]
+		for _, o := range gr.ThreadNeighbors(t) {
+			row[o>>6].Or(1 << (uint(o) & 63))
 		}
 	}
 	return g

@@ -84,12 +84,7 @@ func (th *Thread) doBatch(o *Object, ops []event.Op, out []Stamped) {
 	defer o.mu.Unlock()
 	t.world.RLock(th.shard)
 	defer t.world.RUnlock(th.shard)
-	// Pin before loading any reclaimer-protected pointer; one pin spans
-	// the whole batch.
-	th.rec.pin(&t.reclaim)
-	defer th.rec.unpin()
-	cover := t.cover.Load()
-	thrIdx, objIdx, width := cover.Observe(th.id, o.id)
+	thrIdx, objIdx, width := t.cover.Load().Observe(th.id, o.id)
 	base := int(t.seq.Add(int64(len(ops)))) - len(ops)
 	for i, op := range ops {
 		out[i] = t.commitOne(th, o, op, base+i, thrIdx, objIdx, width)

@@ -339,9 +339,9 @@ func TestLifecycleDoesNotBarrierCommits(t *testing.T) {
 }
 
 // TestPinHoldsRetirement pins the reclaimer's contract end to end: a pinned
-// reader (an in-flight commit or sealed replay) holds retired spill files in
-// limbo — still on disk, still readable — and the files are deleted only
-// after the pin is released and a reclaim pass runs.
+// reader (a sealed replay) holds retired spill files in limbo — still on
+// disk, still readable — and the files are deleted only after the pin is
+// released and a reclaim pass runs.
 func TestPinHoldsRetirement(t *testing.T) {
 	dir := t.TempDir()
 	tr := buildEpochs(t, dir)

@@ -85,14 +85,10 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("track: compaction: %w", err)
 	}
-	// Swap in the compacted cover and retire the old one through the
-	// reclaimer: lock-free readers (Size, Components inside a Do callback)
-	// may still hold it past the barrier, so its release is deferred until
-	// every registered reader has passed. Deferred, not immediate — we hold
-	// the world write barrier and a free may touch the filesystem.
-	t.cover.Store(t.newCover(seeded))
-	oldCover := cover
-	t.reclaim.retireDeferred(func() { _ = oldCover })
+	// Swap in the compacted cover. Lock-free readers (Size, Components
+	// inside a Do callback) may still hold the old one past the barrier;
+	// they only read it, and the garbage collector keeps it alive.
+	t.cover.Store(core.NewSharedCover(seeded))
 	// An auto backend re-decides here: the compacted width and the revealed
 	// join shape are exactly the statistics the heuristic wants, and every
 	// clock restarts from zero anyway, so the representation can change

@@ -2,42 +2,45 @@
 // segment lifecycle retire shared state without stopping the world.
 //
 // The problem it solves: compaction and retention replace parts of the
-// sealed-history snapshot (the segment list, spill files on disk, cover
-// generations, consumed tail blocks) while commits, streams and monitors
-// read them with no lock held. The old design made every replacement a
-// stop-the-world swap — correct, but it put rare maintenance work on the
-// critical path of every commit. The EBR design publishes replacements
-// atomically (see segState and core.SharedCover's generations) and hands
-// the *old* value to the reclaimer, which frees it only once no reader can
-// still hold it.
+// sealed-history snapshot (the segment list, spill files on disk, consumed
+// tail blocks) while streams, monitors and lazy stamps replay it with no
+// lock held. The old design made every replacement a stop-the-world swap —
+// correct, but it put rare maintenance work on the critical path of every
+// commit. The EBR design publishes replacements atomically (see segState)
+// and hands the *old* value to the reclaimer, which frees it only once no
+// reader can still hold it.
 //
-// The protocol is the classic one (blink-hash-style per-thread epochs):
+// The protocol is the classic one (blink-hash-style per-reader epochs):
 //
 //   - A global epoch counter only ever advances; every retirement advances
 //     it and records the pre-advance value as the entry's epoch.
-//   - Every reader that may hold a reclaimable reference — a Thread during
-//     its commit, a sealed-history replay — owns a cache-line-padded record
-//     and pins it to the current global epoch before loading any shared
-//     pointer, unpinning when done (0 = quiescent). Go's sequentially
-//     consistent atomics give the ordering this needs: if a reader's load
-//     observed the old value, its pin (p) happened before the retirement's
-//     epoch fetch (e), so p <= e and the entry stays in limbo.
+//   - Every reader that may hold a reclaimable reference — a sealed-history
+//     replay — owns a cache-line-padded record and pins it to the current
+//     global epoch before loading any shared pointer, unpinning when done
+//     (0 = quiescent). Go's sequentially consistent atomics give the
+//     ordering this needs: if a reader's load observed the old value, its
+//     pin (p) happened before the retirement's epoch fetch (e), so p <= e
+//     and the entry stays in limbo.
 //   - A limbo entry of epoch e is freed once every record is either
 //     quiescent or pinned at an epoch strictly greater than e — every
-//     registered thread has passed the retirement.
+//     registered reader has passed the retirement.
+//
+// Commits are not readers here. The one shared structure a commit reads
+// without a lock, core.SharedCover's generation, is plain immutable memory
+// the garbage collector keeps alive for whoever holds it, so the commit
+// path registers no record and pins nothing.
 //
 // What "free" means is per resource: for spill files it is the actual
 // Remove/archive of the file (so a pinned replay never has its file deleted
 // underneath it — the retry in replaySealed becomes a fallback, not the
-// mechanism); for in-memory values (superseded cover generations, replaced
-// SharedCovers, consumed tail blocks, old segState snapshots) it is
-// dropping the last tracked reference so the garbage collector can take
-// over. Reclamation is attempted synchronously at each retirement and again
-// after every seal, so in quiescent (single-threaded) runs frees are
-// prompt and deterministic.
+// mechanism); for in-memory values (consumed tail blocks, old segState
+// snapshots) it is dropping the last tracked reference so the garbage
+// collector can take over. Reclamation is attempted synchronously at each
+// retirement and again after every seal, so in quiescent (single-threaded)
+// runs frees are prompt and deterministic.
 //
 // The reclaimer never blocks anyone: pinning is two uncontended atomic
-// stores on the thread's own cache line, and a pinned reader only delays
+// stores on the reader's own cache line, and a pinned reader only delays
 // frees, never commits. The world write barrier remains only where a
 // consistent cut of the *mutable* state is needed — Snapshot, Stream's
 // freeze, Seal and Compact.
@@ -84,8 +87,8 @@ type reclaimer struct {
 
 func (rc *reclaimer) init() { rc.epoch.Store(1) }
 
-// register adds a reader record. Threads register once at NewThread and
-// stay; transient readers (sealed-history replays) unregister when done.
+// register adds a reader record. Readers (sealed-history replays) are
+// transient and unregister when done.
 func (rc *reclaimer) register() *epochRec {
 	r := &epochRec{}
 	rc.mu.Lock()

@@ -23,8 +23,8 @@
 // barrier, so commits never notice a compaction at all. Spill files are
 // removed only after the swapped-in catalog generation stops listing them,
 // and the removal goes through the epoch-based reclaimer (epoch.go): a
-// pinned reader — an in-flight commit or sealed replay — holds the
-// deletion in limbo until it passes. A Stream caught on a file whose
+// pinned reader — a sealed replay — holds the deletion in limbo until it
+// passes. A Stream caught on a file whose
 // retirement predates its pin retries against the fresh list (stream.go).
 package track
 

@@ -269,7 +269,7 @@ func (t *Tracker) recoverDir(o options) error {
 		}
 		seeded = ct
 	}
-	t.cover.Store(t.newCover(seeded))
+	t.cover.Store(core.NewSharedCover(seeded))
 
 	// The requested backend survives the restart unless the caller overrode
 	// it; auto stays a policy, re-resolved against the recovered width.

@@ -191,7 +191,7 @@ func (t *Tracker) captureResumeLocked() {
 		Threads:     threads,
 		Objects:     objects,
 		Components:  make([]tlog.ResumeComponent, len(comps)),
-		Edges:       make([][2]int, 0, len(g.EdgeList())),
+		Edges:       make([][2]int, 0, g.Edges()),
 	}
 	for i, c := range comps {
 		kind := tlog.ResumeObject

@@ -30,9 +30,10 @@
 //     exclusive per object, so the recorded object order is a real order
 //     and cross-thread causality flows race-free through the stripe.
 //   - Read-mostly: component discovery goes through core.SharedCover, whose
-//     fast path (edge already revealed — the steady state) takes only a
-//     read lock. Only a genuinely new (thread, object) edge takes the write
-//     lock and runs the component-choice mechanism.
+//     fast path (edge already revealed — the steady state) is lock-free:
+//     one atomic generation load and one bitmap word load. Only a
+//     genuinely new (thread, object) edge takes the cover's mutex and runs
+//     the component-choice mechanism, in O(1) unless it adds a component.
 //   - Global: a single atomic counter assigns each operation its dense
 //     trace index. The counter is fetched while the object commit exclusion
 //     is held, so index order refines both program order and object order —
@@ -169,22 +170,24 @@
 //
 // # Epoch-based reclamation
 //
-// The structures commits read without locks — the cover generation, the
-// sealed-history snapshot (segment list, retention floor, catalog
-// generation) — are copy-on-write values behind atomic pointers, and their
+// The sealed-history snapshot (segment list, retention floor, catalog
+// generation) is a copy-on-write value behind an atomic pointer, and its
 // superseded versions are freed through a small epoch-based reclaimer
-// (epoch.go) instead of a stop-the-world barrier. Every commit and every
-// sealed replay pins its thread's reclamation record around the loads;
-// retiring a resource stamps it with the current reclamation epoch and
-// parks it on a limbo list, and a limbo entry runs its free function only
-// once no registered record is still pinned at or before that epoch.
+// (epoch.go) instead of a stop-the-world barrier. Every sealed replay pins
+// a reclamation record around its loads; retiring a resource stamps it
+// with the current reclamation epoch and parks it on a limbo list, and a
+// limbo entry runs its free function only once no registered record is
+// still pinned at or before that epoch. Commits pin nothing: the only
+// shared structure they read without a lock is the cover generation, which
+// is plain immutable memory the garbage collector keeps alive for any
+// reader holding it.
 //
-// What goes through limbo: superseded SharedCover generations (cover
-// growth and the Compact swap), superseded segState snapshots (every seal,
-// compaction, retention, recovery and Close swap), and the spill files a
-// compaction or retention pass stops listing — their deletion is the one
-// free that touches the filesystem, and it runs strictly after the catalog
-// generation without them is published. This is why CompactSegments and
+// What goes through limbo: superseded segState snapshots (every seal,
+// compaction, retention, recovery and Close swap), the tail blocks a seal
+// consumes, and the spill files a compaction or retention pass stops
+// listing — their deletion is the one free that touches the filesystem,
+// and it runs strictly after the catalog generation without them is
+// published. This is why CompactSegments and
 // RetainSegments never take the world write lock: readers caught mid-flight
 // are either pinned (the retirement waits for them) or started after the
 // swap (they see the new list); a sealed replay that still loses its file
@@ -565,8 +568,8 @@ type Tracker struct {
 	// runs between its two short barriers, so at most one seal is ever in
 	// flight and the tail it froze cannot be cut underneath it.
 	sealMu sync.Mutex
-	// reclaim is the epoch-based reclamation state: commits and sealed
-	// replays pin it, retired resources wait on its limbo list.
+	// reclaim is the epoch-based reclamation state: sealed replays pin it,
+	// retired resources wait on its limbo list.
 	reclaim reclaimer
 	// resume is the latest resume manifest, captured under the world write
 	// lock at every seal, compaction and Open (each capture builds a fresh
@@ -716,20 +719,8 @@ func newTracker(dir string, o options) *Tracker {
 	t.hist.Store(&segState{})
 	t.lastSealNano.Store(time.Now().UnixNano())
 	t.sealArmed.Store(t.spill.SealEvery > 0 || t.spill.SealInterval > 0)
-	t.cover.Store(t.newCover(core.NewCoverTracker(o.mech)))
+	t.cover.Store(core.NewSharedCover(core.NewCoverTracker(o.mech)))
 	return t
-}
-
-// newCover wraps ct in a SharedCover whose superseded generations are
-// retired through the tracker's reclaimer — a reveal publishes a new
-// generation with no barrier, and the old one joins the limbo list until
-// every in-flight commit has passed it. The retirement is deferred (no
-// reclamation attempt) because reveals happen inside commits, and the
-// commit hot path must never run a free (frees may touch the filesystem).
-func (t *Tracker) newCover(ct *core.CoverTracker) *core.SharedCover {
-	s := core.NewSharedCover(ct)
-	s.OnRetire(func(old any) { t.reclaim.retireDeferred(func() { _ = old }) })
-	return s
 }
 
 // Thread is a registered logical thread. A Thread must be used by one
@@ -744,11 +735,6 @@ type Thread struct {
 	// shard is the thread's slice of the sharded world barrier; commits
 	// from this thread only ever touch that shard's reader count.
 	shard int
-	// rec is the thread's epoch-reclamation record: every commit pins it to
-	// the global reclamation epoch for the duration of the clock update, so
-	// retired shared state (cover generations, segment-list snapshots,
-	// spill files) is freed only after this thread has passed (epoch.go).
-	rec *epochRec
 
 	// clock is the thread's working clock, nil until the first operation
 	// of an epoch. Owned by the driving goroutine (under the world read
@@ -829,7 +815,6 @@ func (t *Tracker) NewThread(name string) *Thread {
 	defer t.reg.Unlock()
 	th := &Thread{t: t, id: event.ThreadID(len(t.threads)), name: name, last: -1}
 	th.shard = t.world.shardFor(int(th.id))
-	th.rec = t.reclaim.register()
 	t.threads = append(t.threads, th)
 	return th
 }
@@ -913,22 +898,15 @@ func (th *Thread) Read(o *Object, fn func()) Stamped { return th.Do(o, event.OpR
 // cross-thread contention left is the object stripe itself and one atomic
 // increment — the cover's steady state is a lock-free generation load.
 func (t *Tracker) commit(th *Thread, o *Object, op event.Op) Stamped {
-	// Pin before loading any reclaimer-protected pointer (the cover
-	// generation), so a concurrent retirement waits this commit out.
-	th.rec.pin(&t.reclaim)
-	cover := t.cover.Load()
-	thrIdx, objIdx, width := cover.Observe(th.id, o.id)
+	thrIdx, objIdx, width := t.cover.Load().Observe(th.id, o.id)
 	idx := int(t.seq.Add(1)) - 1
-	s := t.commitOne(th, o, op, idx, thrIdx, objIdx, width)
-	th.rec.unpin()
-	return s
+	return t.commitOne(th, o, op, idx, thrIdx, objIdx, width)
 }
 
 // commitOne is the per-event core of commit and doBatch: run the update
 // rule for one event whose trace index was already claimed and whose tick
 // plan (component indices and width) was already resolved, and record it.
-// The caller holds the object commit exclusion and the world read lock and
-// has pinned the thread's reclamation record.
+// The caller holds the object commit exclusion and the world read lock.
 func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, objIdx, width int) Stamped {
 	tv := th.clock
 	if tv == nil {
