@@ -11,7 +11,8 @@ import (
 )
 
 // Application-layer helpers built on timestamps: the debugging and
-// failure-recovery use-cases the paper's introduction motivates.
+// failure-recovery use-cases the paper's introduction motivates, each
+// linear in the trace.
 
 type (
 	// Census summarizes the pairwise ordering structure of a computation.
@@ -23,8 +24,9 @@ type (
 	Cut = cut.Cut
 )
 
-// TakeCensus counts ordered vs concurrent pairs from timestamps alone.
-func TakeCensus(stamps []Vector) Census { return detect.TakeCensus(stamps) }
+// TakeCensus counts ordered vs concurrent event pairs of the computation
+// from vector comparisons alone, in O(events × threads).
+func TakeCensus(tr *Trace) Census { return detect.TakeCensus(tr) }
 
 // ScheduleSensitivePairs flags conflicting, adjacent operations on the same
 // object by different threads whose only ordering is the object's own lock:
@@ -47,8 +49,9 @@ func RecoveryLine(tr *Trace, stamps []Vector, bad int) (Cut, error) {
 	return cut.RecoveryLine(tr, stamps, bad)
 }
 
-// Contaminated lists the events causally downstream of event bad (inclusive).
-func Contaminated(stamps []Vector, bad int) []int {
+// Contaminated lists the events causally downstream of event bad
+// (inclusive). It returns an error when bad is not an index into stamps.
+func Contaminated(stamps []Vector, bad int) ([]int, error) {
 	return cut.Contaminated(stamps, bad)
 }
 

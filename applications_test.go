@@ -20,9 +20,7 @@ func auditTrace() *mixedclock.Trace {
 
 func TestFacadeCensusAndPairs(t *testing.T) {
 	tr := auditTrace()
-	stamps := mixedclock.Run(tr, mixedclock.AnalyzeTrace(tr).NewClock())
-
-	census := mixedclock.TakeCensus(stamps)
+	census := mixedclock.TakeCensus(tr)
 	if census.Events != 3 || census.Concurrent != 2 || census.Ordered != 1 {
 		t.Fatalf("census = %+v", census)
 	}
@@ -56,8 +54,13 @@ func TestFacadeCutHelpers(t *testing.T) {
 	if !mixedclock.IsConsistentCut(tr, line) {
 		t.Fatal("recovery line inconsistent")
 	}
-	if got := mixedclock.Contaminated(stamps, 0); len(got) != 2 {
-		t.Fatalf("Contaminated = %v", got)
+	if got, err := mixedclock.Contaminated(stamps, 0); err != nil || len(got) != 2 {
+		t.Fatalf("Contaminated = %v, %v", got, err)
+	}
+	for _, bad := range []int{-1, len(stamps)} {
+		if _, err := mixedclock.Contaminated(stamps, bad); err == nil {
+			t.Fatalf("Contaminated(bad=%d) accepted", bad)
+		}
 	}
 }
 

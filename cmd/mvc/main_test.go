@@ -122,11 +122,34 @@ func TestOrderOutput(t *testing.T) {
 func TestDetectOutput(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	var buf bytes.Buffer
-	if err := detectCmd(&buf, tr, vclock.BackendFlat); err != nil {
+	if err := detectCmd(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "census:") {
 		t.Errorf("detect output: %s", buf.String())
+	}
+}
+
+// TestDetectGolden pins `mvc detect` byte for byte on a 600-event
+// lock-striped trace (`mvc gen -workload lock-striped -threads 8 -objects 8
+// -events 600 -reads 0.3 -seed 5`). detect.golden was written by the
+// quadratic implementation — the all-pairs mixed-stamp census and the
+// happened-before oracle's pair rule — so the linear one must reproduce it.
+func TestDetectGolden(t *testing.T) {
+	tr, err := loadTrace(filepath.Join("testdata", "detect.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "detect.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := detectCmd(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("mvc detect output differs from testdata/detect.golden:\n%s", buf.Bytes())
 	}
 }
 

@@ -45,9 +45,9 @@
 //	th := tracker.NewThread("worker-1") // one per goroutine
 //	stamp := th.Write(account, func() { balance += 10 })
 //
-// Recorded stamps answer happened-before queries, drive the concurrency
-// census and schedule-sensitivity report in internal/detect, and compute
-// recovery lines in internal/cut.
+// Recorded stamps answer happened-before queries and compute recovery lines
+// in internal/cut; a recorded trace drives the concurrency census and
+// schedule-sensitivity report in internal/detect, in linear time.
 //
 // The tracker's hot path is sharded rather than globally locked: each
 // Thread owns its clock and record buffer, each Object's lock protects that

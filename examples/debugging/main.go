@@ -7,7 +7,8 @@
 //
 // This is the post-mortem side of the story: the run finishes, Snapshot
 // materializes the trace and stamps behind one barrier, and the offline
-// analyses answer questions about it. The same questions can be asked
+// analyses answer questions about it in time linear in the trace. The same
+// questions can be asked
 // while the run is still going — see examples/bankledger for the online
 // Monitor, and examples/onlinevsoffline for the trade-off between the two.
 package main
@@ -111,7 +112,7 @@ func main() {
 	}
 
 	// Question 2: overall concurrency structure.
-	fmt.Printf("census: %v\n", mixedclock.TakeCensus(stamps))
+	fmt.Printf("census: %v\n", mixedclock.TakeCensus(tr))
 
 	// Question 3: which pairs were ordered only by a lock (schedule
 	// accidents a stress test should try to flip)?

@@ -104,7 +104,10 @@ func main() {
 
 	// Every event that could have observed the bad write, from timestamp
 	// comparisons alone (Theorem 2: bad → e ⇔ V(bad) < V(e)).
-	contaminated := mixedclock.Contaminated(stamps, bad)
+	contaminated, err := mixedclock.Contaminated(stamps, bad)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("causally contaminated events: %d of %d\n", len(contaminated), trace.Len())
 
 	// The recovery line: the maximal consistent cut excluding the fault.

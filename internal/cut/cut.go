@@ -4,7 +4,8 @@
 // is consistent when no selected event causally depends on an unselected
 // one. RecoveryLine computes the maximal consistent cut that excludes a
 // faulty event, using only vector timestamps (Theorem 2 makes the causal
-// test a vector comparison).
+// test a vector comparison). LineTracker computes it over a live stamp
+// stream, and RecoveryLine drives it over a recorded trace.
 package cut
 
 import (
@@ -66,19 +67,17 @@ func (c Cut) membership(tr *event.Trace) []bool {
 	return in
 }
 
-// IsConsistent checks the cut against the ground-truth oracle: consistent
-// iff every happened-before predecessor of an included event is included.
+// IsConsistent reports whether the cut is closed under happened-before:
+// no included event depends on an excluded one. It suffices that each
+// included event's immediate predecessors are included, and a per-thread
+// prefix always includes the thread predecessor, so this checks object
+// predecessors only, in O(E).
 func IsConsistent(tr *event.Trace, c Cut) bool {
-	oracle := hb.New(tr)
+	adj := hb.NewAdjacency(tr)
 	in := c.membership(tr)
-	for i := 0; i < tr.Len(); i++ {
-		if !in[i] {
-			continue
-		}
-		for _, j := range oracle.DownSet(i) {
-			if !in[j] {
-				return false
-			}
+	for i, ok := range in {
+		if p := adj.ObjectPredecessor(i); ok && p >= 0 && !in[p] {
+			return false
 		}
 	}
 	return true
@@ -89,41 +88,44 @@ func IsConsistent(tr *event.Trace, c Cut) bool {
 // dependence purely from the provided timestamps: event e is excluded iff
 // e == bad or stamps[bad] < stamps[e]. With a valid clock the result is
 // always consistent and is the largest such cut.
+//
+// It drives a LineTracker, armed before the first event so that earlier
+// events too are judged by that comparison.
 func RecoveryLine(tr *event.Trace, stamps []vclock.Vector, bad int) (Cut, error) {
 	if len(stamps) != tr.Len() {
 		return Cut{}, fmt.Errorf("cut: %d stamps for %d events", len(stamps), tr.Len())
 	}
-	if bad < 0 || bad >= tr.Len() {
-		return Cut{}, fmt.Errorf("cut: bad event %d out of range [0, %d)", bad, tr.Len())
+	if err := checkBad(bad, len(stamps)); err != nil {
+		return Cut{}, err
 	}
-	c := Cut{PerThread: make([]int, tr.Threads())}
-	seq := make([]int, tr.Threads())
-	frozen := make([]bool, tr.Threads())
-	for i := 0; i < tr.Len(); i++ {
-		t := tr.At(i).Thread
-		contaminated := i == bad || stamps[bad].Less(stamps[i])
-		if contaminated {
-			frozen[t] = true
-		}
-		if !frozen[t] {
-			// Included events form a per-thread prefix: contamination is
-			// closed under program order, so once a thread sees a
-			// contaminated event the rest of its events are excluded too.
-			c.PerThread[t] = seq[t] + 1
-		}
-		seq[t]++
+	lt := NewLineTracker()
+	lt.Arm(bad, 0, stamps[bad])
+	for i, v := range stamps {
+		lt.Add(tr.At(i), 0, v)
 	}
-	return c, nil
+	return lt.Line(), nil
 }
 
 // Contaminated lists the events excluded by the recovery line for bad: the
 // faulty event and its causal future, straight from timestamp comparisons.
-func Contaminated(stamps []vclock.Vector, bad int) []int {
+// It returns an error when bad is not an index into stamps.
+func Contaminated(stamps []vclock.Vector, bad int) ([]int, error) {
+	if err := checkBad(bad, len(stamps)); err != nil {
+		return nil, err
+	}
 	var out []int
 	for i, v := range stamps {
 		if i == bad || stamps[bad].Less(v) {
 			out = append(out, i)
 		}
 	}
-	return out
+	return out, nil
+}
+
+// checkBad is the range check RecoveryLine and Contaminated share.
+func checkBad(bad, n int) error {
+	if bad < 0 || bad >= n {
+		return fmt.Errorf("cut: bad event %d out of range [0, %d)", bad, n)
+	}
+	return nil
 }

@@ -93,7 +93,10 @@ func TestRecoveryLinePipeline(t *testing.T) {
 		t.Fatal("recovery line inconsistent")
 	}
 
-	contaminated := Contaminated(stamps, 1)
+	contaminated, err := Contaminated(stamps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(contaminated) != 3 || contaminated[0] != 1 || contaminated[2] != 3 {
 		t.Fatalf("Contaminated = %v, want [1 2 3]", contaminated)
 	}
@@ -129,6 +132,18 @@ func TestRecoveryLineErrors(t *testing.T) {
 	}
 }
 
+func TestContaminatedRange(t *testing.T) {
+	stamps := stampsFor(t, pipelineTrace())
+	for _, bad := range []int{-1, len(stamps), 99} {
+		if got, err := Contaminated(stamps, bad); err == nil {
+			t.Errorf("Contaminated(bad=%d) = %v, want a range error", bad, got)
+		}
+	}
+	if _, err := Contaminated(nil, 0); err == nil {
+		t.Error("Contaminated on no stamps accepted bad=0")
+	}
+}
+
 func TestRecoveryLineAlwaysConsistentAndMaximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 10; trial++ {
@@ -146,7 +161,11 @@ func TestRecoveryLineAlwaysConsistentAndMaximal(t *testing.T) {
 				t.Fatalf("trial %d bad %d: inconsistent recovery line", trial, bad)
 			}
 			// Maximality: included events = all events minus contaminated.
-			if got := line.Size() + len(Contaminated(stamps, bad)); got != tr.Len() {
+			contaminated, err := Contaminated(stamps, bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := line.Size() + len(contaminated); got != tr.Len() {
 				t.Fatalf("trial %d bad %d: %d included + contaminated != %d",
 					trial, bad, got, tr.Len())
 			}

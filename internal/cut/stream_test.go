@@ -7,13 +7,35 @@ import (
 	"mixedclock/internal/clock"
 	"mixedclock/internal/core"
 	"mixedclock/internal/cut"
+	"mixedclock/internal/event"
+	"mixedclock/internal/hb"
 	"mixedclock/internal/trace"
 )
 
+// oracleRecoveryLine is the recovery line by definition: per thread, the
+// events before its first one that is bad or in bad's happened-before
+// up-set.
+func oracleRecoveryLine(tr *event.Trace, bad int) cut.Cut {
+	dirty := map[int]bool{bad: true}
+	for _, j := range hb.New(tr).UpSet(bad) {
+		dirty[j] = true
+	}
+	c := cut.Cut{PerThread: make([]int, tr.Threads())}
+	frozen := make([]bool, tr.Threads())
+	for i := 0; i < tr.Len(); i++ {
+		t := tr.At(i).Thread
+		frozen[t] = frozen[t] || dirty[i]
+		if !frozen[t] {
+			c.PerThread[t]++
+		}
+	}
+	return c
+}
+
 // TestLineTrackerMatchesRecoveryLine streams every generator workload's
 // stamps through a LineTracker armed at a random bad event and checks the
-// final line equals the offline RecoveryLine — and that intermediate lines
-// are consistent cuts of the prefix seen so far.
+// final line equals both the oracle's recovery line and RecoveryLine, and
+// is a consistent cut.
 func TestLineTrackerMatchesRecoveryLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, w := range trace.Workloads() {
@@ -30,13 +52,17 @@ func TestLineTrackerMatchesRecoveryLine(t *testing.T) {
 			}
 			lt.Add(tr.At(i), 0, v)
 		}
-		want, err := cut.RecoveryLine(tr, stamps, bad)
+		want := oracleRecoveryLine(tr, bad)
+		got := lt.Line()
+		if got.String() != want.String() {
+			t.Fatalf("%v bad=%d: streaming line %v, oracle %v", w, bad, got, want)
+		}
+		offline, err := cut.RecoveryLine(tr, stamps, bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := lt.Line()
-		if got.String() != want.String() {
-			t.Fatalf("%v bad=%d: streaming line %v, offline %v", w, bad, got, want)
+		if offline.String() != want.String() {
+			t.Fatalf("%v bad=%d: RecoveryLine %v, oracle %v", w, bad, offline, want)
 		}
 		if !cut.IsConsistent(tr, got) {
 			t.Fatalf("%v bad=%d: line %v inconsistent", w, bad, got)

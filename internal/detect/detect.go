@@ -5,13 +5,19 @@
 // ordering is the object's lock itself, so a different scheduling could flip
 // their order. Those pairs are where atomicity bugs and nondeterministic
 // behaviour hide in lock-based programs.
+//
+// Both analyses need only vector stamps (Theorem 2), never graph
+// reachability, and take O(E·T) time for E events and T threads: the census
+// sums thread-clock stamps, and ScheduleSensitivePairs drives the streaming
+// PairScanner that the Monitor runs live.
 package detect
 
 import (
 	"fmt"
+	"sort"
 
+	"mixedclock/internal/baseline"
 	"mixedclock/internal/event"
-	"mixedclock/internal/hb"
 	"mixedclock/internal/vclock"
 )
 
@@ -39,22 +45,31 @@ func (c Census) String() string {
 		c.Events, c.Concurrent, c.Total, 100*c.Parallelism())
 }
 
-// TakeCensus compares all timestamp pairs. With a valid clock this equals
-// the ground-truth concurrency structure — that is exactly Theorem 2 put to
-// work: no graph reachability needed, only vector comparisons.
-func TakeCensus(stamps []vclock.Vector) Census {
-	c := Census{Events: len(stamps)}
-	for i := range stamps {
-		for j := i + 1; j < len(stamps); j++ {
-			c.Total++
-			if stamps[i].Concurrent(stamps[j]) {
-				c.Concurrent++
-			} else {
-				c.Ordered++
-			}
-		}
-	}
+// TakeCensus counts the ordered and concurrent event pairs of tr. Entry t
+// of an event's thread-clock stamp counts thread t's events at or before
+// it, so Sum(TC(e)) − 1 is the number of events that happened before e and
+// the ordered pairs are Σₑ (Sum(TC(e)) − 1): O(E·T), where comparing every
+// pair of stamps would be O(E²·T). TC is the thread clock rather than the
+// mixed clock because the mixed clock can tick two components per event,
+// so its sums overcount.
+func TakeCensus(tr *event.Trace) Census {
+	n := tr.Len()
+	c := Census{Events: n, Total: n * (n - 1) / 2}
+	threadStamps(tr, func(_ event.Event, v vclock.Vector) {
+		c.Ordered += int(v.Sum()) - 1
+	})
+	c.Concurrent = c.Total - c.Ordered
 	return c
+}
+
+// threadStamps feeds every event of tr, in trace order, to fn together with
+// its thread-clock stamp. The stamp is fn's to keep.
+func threadStamps(tr *event.Trace, fn func(event.Event, vclock.Vector)) {
+	tc := baseline.NewThreadClock(tr.Threads(), tr.Objects())
+	for i := 0; i < tr.Len(); i++ {
+		e := tr.At(i)
+		fn(e, tc.Timestamp(e))
+	}
 }
 
 // Pair is a flagged pair of operations, First preceding Second in the
@@ -76,34 +91,17 @@ func (p Pair) String() string {
 // scheduling accident; if the program's correctness depends on it, that is
 // an atomicity bug.
 //
-// The check uses the ground-truth oracle (O(E²/64) construction): for the
-// object-adjacent pair (e, f), any alternative path e → f must leave e
-// through its thread successor, so the pair is lock-only iff that successor
-// is absent, equal to f is impossible (f is on another thread), or does not
-// reach f.
+// It runs a PairScanner over tr's thread-clock stamps and returns the pairs
+// in order of their first event.
 func ScheduleSensitivePairs(tr *event.Trace) []Pair {
-	oracle := hb.New(tr)
+	s := NewPairScanner()
 	var out []Pair
-	for i := 0; i < tr.Len(); i++ {
-		j := oracle.ObjectSuccessor(i)
-		if j < 0 {
-			continue
+	threadStamps(tr, func(e event.Event, v vclock.Vector) {
+		if p, ok := s.Add(e, 0, v); ok {
+			out = append(out, p)
 		}
-		e, f := tr.At(i), tr.At(j)
-		if e.Thread == f.Thread {
-			continue // program order already fixes them
-		}
-		if e.Op == event.OpRead && f.Op == event.OpRead {
-			continue // reads commute; order is irrelevant
-		}
-		// Alternative path from e to f avoiding the direct object edge must
-		// start at e's thread successor.
-		ts := oracle.ThreadSuccessor(i)
-		if ts >= 0 && (ts == j || oracle.HappenedBefore(ts, j)) {
-			continue // independently ordered; the lock is not load-bearing
-		}
-		out = append(out, Pair{First: e, Second: f})
-	}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].First.Index < out[j].First.Index })
 	return out
 }
 

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mixedclock/internal/clock"
-	"mixedclock/internal/core"
 	"mixedclock/internal/event"
 	"mixedclock/internal/hb"
 )
@@ -26,8 +24,7 @@ func TestCensusMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 10; trial++ {
 		tr := randomTrace(rng, 4, 4, 40)
-		stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
-		c := TakeCensus(stamps)
+		c := TakeCensus(tr)
 		oracle := hb.New(tr)
 		if c.Concurrent != oracle.ConcurrentPairs() {
 			t.Fatalf("trial %d: census says %d concurrent, oracle %d",

@@ -5,23 +5,23 @@ import (
 	"mixedclock/internal/vclock"
 )
 
-// This file is the streaming half of the package: the same analyses as
-// TakeCensus and ScheduleSensitivePairs, restated as accumulators that
-// consume one (event, epoch, stamp) record at a time straight off the
-// MVCLOG02 delta stream — no materialized []Stamped, no oracle. They are
-// what track.Monitor and `mvc detect -live` evaluate per sealed segment.
+// This file holds the analyses as accumulators that consume one (event,
+// epoch, stamp) record at a time — no materialized []Stamped, no oracle.
+// track.Monitor and `mvc detect -live` feed them straight off the MVCLOG02
+// delta stream, per sealed segment; ScheduleSensitivePairs feeds the
+// PairScanner a recorded trace's thread-clock stamps.
 
-// CensusAccumulator is the incremental form of TakeCensus. Each Add
-// compares the new stamp against every stamp retained in the window, so
-// with an unbounded window (size 0) the final Census equals TakeCensus on
-// the materialized stamp slice exactly. With a bounded window, pairs whose
+// CensusAccumulator is the windowed, streaming census. Each Add compares
+// the new stamp against every stamp retained in the window, so with an
+// unbounded window (size 0) and a valid clock the final Census equals
+// TakeCensus on the same events exactly. With a bounded window, pairs whose
 // earlier endpoint has been evicted are not compared; Skipped counts them
 // so the totals still account for every pair.
 //
-// Unlike the offline TakeCensus, the accumulator is epoch-aware: events in
-// different epochs are separated by a Compact barrier and counted as
-// ordered, even though their raw clock values (which restart each epoch)
-// are incomparable.
+// Unlike TakeCensus, the accumulator is epoch-aware: events in different
+// epochs are separated by a Compact barrier and counted as ordered, even
+// though their raw clock values (which restart each epoch) are
+// incomparable.
 type CensusAccumulator struct {
 	window  int
 	census  Census
@@ -68,17 +68,17 @@ func (a *CensusAccumulator) Census() Census { return a.census }
 // the earlier event had slid out of the window.
 func (a *CensusAccumulator) Skipped() int { return a.skipped }
 
-// PairScanner is the streaming form of ScheduleSensitivePairs, and unlike
-// the census it needs no window to be exact: O(objects + threads) state
-// suffices. For the object-adjacent pair (e, f) the offline rule flags f
-// iff e's thread successor ts is absent or does not happen before f.
-// Because the trace order linearizes happened-before, at the moment f is
-// committed either ts has already appeared — and ts → f reduces to a stamp
-// comparison (Theorem 2) — or ts has not, in which case ts's trace index
-// exceeds f's and ts → f is impossible, so "no successor yet" and "no
-// successor at all" flag identically. The scanner therefore keeps, per
-// object, the last event and — filled in lazily when that event's thread
-// next commits anywhere — its thread successor's stamp.
+// PairScanner finds schedule-sensitive pairs, live or over a recorded trace
+// (ScheduleSensitivePairs), and unlike the census it needs no window to be
+// exact: O(objects + threads) state suffices. For the object-adjacent pair
+// (e, f) the rule flags f iff e's thread successor ts is absent or does not
+// happen before f. Because the trace order linearizes happened-before, at
+// the moment f is committed either ts has already appeared — and ts → f
+// reduces to a stamp comparison (Theorem 2) — or ts has not, in which case
+// ts's trace index exceeds f's and ts → f is impossible, so "no successor
+// yet" and "no successor at all" flag identically. The scanner therefore
+// keeps, per object, the last event and — filled in lazily when that
+// event's thread next commits anywhere — its thread successor's stamp.
 //
 // A Compact barrier orders everything across epochs, so an epoch change
 // resets the per-object records: cross-epoch adjacent pairs are never
@@ -109,10 +109,9 @@ func NewPairScanner() *PairScanner {
 }
 
 // Add consumes the next event and reports the schedule-sensitive pair it
-// completes, if any. The vector is borrowed and cloned as needed. Over a
-// full single-epoch run the flagged pairs equal ScheduleSensitivePairs on
-// the materialized trace as a set; the scanner emits each pair when its
-// second event commits, the offline pass in order of first events.
+// completes, if any. The vector is borrowed and cloned as needed. The
+// scanner emits each pair when its second event commits;
+// ScheduleSensitivePairs sorts them by first event.
 func (s *PairScanner) Add(e event.Event, epoch int, v vclock.Vector) (Pair, bool) {
 	if epoch != s.epoch {
 		s.epoch = epoch

@@ -9,13 +9,14 @@ import (
 	"mixedclock/internal/clock"
 	"mixedclock/internal/core"
 	"mixedclock/internal/detect"
+	"mixedclock/internal/hb"
 	"mixedclock/internal/trace"
 )
 
 // TestCensusAccumulatorMatchesTakeCensus streams every generator workload's
 // stamps through the accumulator with an unbounded window and checks the
-// result equals the offline TakeCensus exactly — the census half of the
-// online/offline equivalence property.
+// result equals both TakeCensus and the happened-before oracle exactly —
+// the census half of the streaming == oracle property.
 func TestCensusAccumulatorMatchesTakeCensus(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, w := range trace.Workloads() {
@@ -28,8 +29,12 @@ func TestCensusAccumulatorMatchesTakeCensus(t *testing.T) {
 		for _, v := range stamps {
 			acc.Add(0, v)
 		}
-		if got, want := acc.Census(), detect.TakeCensus(stamps); got != want {
-			t.Fatalf("%v: streaming census %+v, offline %+v", w, got, want)
+		want := oracleCensus(hb.New(tr))
+		if got := acc.Census(); got != want {
+			t.Fatalf("%v: streaming census %+v, oracle %+v", w, got, want)
+		}
+		if got := detect.TakeCensus(tr); got != want {
+			t.Fatalf("%v: TakeCensus %+v, oracle %+v", w, got, want)
 		}
 		if acc.Skipped() != 0 {
 			t.Fatalf("%v: unbounded window skipped %d pairs", w, acc.Skipped())
@@ -59,21 +64,16 @@ func TestCensusAccumulatorWindowAccounting(t *testing.T) {
 	}
 }
 
-// sortPairs orders pairs by (first, second) event index so the streaming
-// emission order (by completing event) can be compared against the offline
-// order (by first event).
+// sortPairs orders pairs by first event index so the streaming emission
+// order (by completing event) can be compared against the oracle's order.
+// Each event has one object successor, so first events are unique.
 func sortPairs(ps []detect.Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].First.Index != ps[j].First.Index {
-			return ps[i].First.Index < ps[j].First.Index
-		}
-		return ps[i].Second.Index < ps[j].Second.Index
-	})
+	sort.Slice(ps, func(i, j int) bool { return ps[i].First.Index < ps[j].First.Index })
 }
 
 // TestPairScannerMatchesOffline is the exactness property of the streaming
-// scanner: over every generator workload, the flagged pairs must equal
-// ScheduleSensitivePairs on the materialized trace as a set, with no
+// scanner: over every generator workload, the pairs it flags from the
+// mixed-clock stamps must equal the oracle rule's pairs as a set, with no
 // window at all — the per-object lazy-successor state machine is exact, not
 // an approximation.
 func TestPairScannerMatchesOffline(t *testing.T) {
@@ -91,11 +91,10 @@ func TestPairScannerMatchesOffline(t *testing.T) {
 				got = append(got, p)
 			}
 		}
-		want := detect.ScheduleSensitivePairs(tr)
+		want := oraclePairs(tr)
 		sortPairs(got)
-		sortPairs(want)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: streaming pairs %v, offline %v", w, got, want)
+			t.Fatalf("%v: streaming pairs %v, oracle %v", w, got, want)
 		}
 		if sc.Count() != len(want) {
 			t.Fatalf("%v: count %d, want %d", w, sc.Count(), len(want))

@@ -3,10 +3,13 @@
 // smallest transitive relation where e → f if e immediately precedes f on
 // the same thread or on the same object.
 //
-// The Oracle materializes full reachability with bitsets, so tests can check
-// a clock's validity — s → t ⇔ s.V < t.V — against an independent source of
-// truth for every pair of events. It also exposes poset structure (height,
-// width, chains) used to evaluate the chain-clock baseline.
+// Adjacency holds those immediate edges in O(E), which is all that
+// linearizations, the predicate lattice and cut consistency need. The
+// Oracle adds full O(E²/64) reachability, so tests and clock.Validate can
+// check a clock's validity — s → t ⇔ s.V < t.V — against an independent
+// source of truth for every pair of events, plus the poset width that
+// bounds the chain-clock baseline. Recent answers the same queries over a
+// sliding window of a live stamp stream.
 package hb
 
 import (
@@ -16,47 +19,82 @@ import (
 	"mixedclock/internal/event"
 )
 
-// Oracle answers happened-before queries for a fixed trace.
-type Oracle struct {
+// Adjacency holds each event's immediate predecessor and successor in
+// program order and in object order: the covering edges of happened-before.
+type Adjacency struct {
 	n int
 	// succThread[i] / succObject[i] are the immediate successors of event i
-	// in program order / object order, or -1.
+	// in program order / object order, or -1; pred* likewise.
 	succThread []int
 	succObject []int
 	predThread []int
 	predObject []int
-	// after[i] is the bitset of events j with i → j (transitive, not
-	// reflexive).
-	after []bitset
 }
 
-// New builds the oracle for tr. Construction is O(E²/64) time and space in
-// the number of events; intended for test and analysis workloads, not
-// production paths.
-func New(tr *event.Trace) *Oracle {
+// NewAdjacency builds the covering edges of tr in one pass.
+func NewAdjacency(tr *event.Trace) *Adjacency {
 	n := tr.Len()
-	o := &Oracle{
+	a := &Adjacency{
 		n:          n,
 		succThread: fill(n, -1),
 		succObject: fill(n, -1),
 		predThread: fill(n, -1),
 		predObject: fill(n, -1),
 	}
-	lastOfThread := make(map[event.ThreadID]int)
-	lastOfObject := make(map[event.ObjectID]int)
+	lastOfThread := fill(tr.Threads(), -1)
+	lastOfObject := fill(tr.Objects(), -1)
 	for i := 0; i < n; i++ {
 		e := tr.At(i)
-		if p, ok := lastOfThread[e.Thread]; ok {
-			o.succThread[p] = i
-			o.predThread[i] = p
+		if p := lastOfThread[e.Thread]; p >= 0 {
+			a.succThread[p] = i
+			a.predThread[i] = p
 		}
-		if p, ok := lastOfObject[e.Object]; ok {
-			o.succObject[p] = i
-			o.predObject[i] = p
+		if p := lastOfObject[e.Object]; p >= 0 {
+			a.succObject[p] = i
+			a.predObject[i] = p
 		}
 		lastOfThread[e.Thread] = i
 		lastOfObject[e.Object] = i
 	}
+	return a
+}
+
+// Len returns the number of events.
+func (a *Adjacency) Len() int { return a.n }
+
+// ThreadSuccessor returns the next event by the same thread, or -1.
+func (a *Adjacency) ThreadSuccessor(i int) int { a.check(i); return a.succThread[i] }
+
+// ObjectSuccessor returns the next event on the same object, or -1.
+func (a *Adjacency) ObjectSuccessor(i int) int { a.check(i); return a.succObject[i] }
+
+// ThreadPredecessor returns the previous event by the same thread, or -1.
+func (a *Adjacency) ThreadPredecessor(i int) int { a.check(i); return a.predThread[i] }
+
+// ObjectPredecessor returns the previous event on the same object, or -1.
+func (a *Adjacency) ObjectPredecessor(i int) int { a.check(i); return a.predObject[i] }
+
+func (a *Adjacency) check(i int) {
+	if i < 0 || i >= a.n {
+		panic(fmt.Sprintf("hb: event index %d out of range [0, %d)", i, a.n))
+	}
+}
+
+// Oracle answers happened-before queries for a fixed trace. It embeds the
+// trace's Adjacency for the immediate predecessors and successors.
+type Oracle struct {
+	*Adjacency
+	// after[i] is the bitset of events j with i → j (transitive, not
+	// reflexive).
+	after []bitset
+}
+
+// New builds the oracle for tr. Construction is O(E²/64) time and space in
+// the number of events; it is the reference that tests and clock.Validate
+// check timestamps against, not something to build on a production path.
+func New(tr *event.Trace) *Oracle {
+	o := &Oracle{Adjacency: NewAdjacency(tr)}
+	n := o.n
 
 	// The trace order is a linearization: an event's immediate successors
 	// always have larger indices, so a reverse sweep computes the closure.
@@ -77,9 +115,6 @@ func New(tr *event.Trace) *Oracle {
 	return o
 }
 
-// Len returns the number of events.
-func (o *Oracle) Len() int { return o.n }
-
 // HappenedBefore reports whether event i → event j (strict: an event does
 // not happen before itself).
 func (o *Oracle) HappenedBefore(i, j int) bool {
@@ -98,18 +133,6 @@ func (o *Oracle) Comparable(i, j int) bool {
 func (o *Oracle) Concurrent(i, j int) bool {
 	return i != j && !o.Comparable(i, j)
 }
-
-// ThreadSuccessor returns the next event by the same thread, or -1.
-func (o *Oracle) ThreadSuccessor(i int) int { o.check(i); return o.succThread[i] }
-
-// ObjectSuccessor returns the next event on the same object, or -1.
-func (o *Oracle) ObjectSuccessor(i int) int { o.check(i); return o.succObject[i] }
-
-// ThreadPredecessor returns the previous event by the same thread, or -1.
-func (o *Oracle) ThreadPredecessor(i int) int { o.check(i); return o.predThread[i] }
-
-// ObjectPredecessor returns the previous event on the same object, or -1.
-func (o *Oracle) ObjectPredecessor(i int) int { o.check(i); return o.predObject[i] }
 
 // DownSet returns all events that happened before event i, ascending.
 func (o *Oracle) DownSet(i int) []int {
@@ -138,12 +161,6 @@ func (o *Oracle) ConcurrentPairs() int {
 		ordered += o.after[i].count()
 	}
 	return total - ordered
-}
-
-func (o *Oracle) check(i int) {
-	if i < 0 || i >= o.n {
-		panic(fmt.Sprintf("hb: event index %d out of range [0, %d)", i, o.n))
-	}
 }
 
 func fill(n, v int) []int {

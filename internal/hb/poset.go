@@ -5,31 +5,6 @@ import (
 	"mixedclock/internal/matching"
 )
 
-// Height returns the length (number of events) of the longest chain in the
-// computation — Mirsky's dual of width. An empty trace has height 0.
-func (o *Oracle) Height() int {
-	// The trace order is a linearization, so a forward DP over immediate
-	// successors computes longest-path lengths.
-	if o.n == 0 {
-		return 0
-	}
-	h := make([]int, o.n)
-	best := 1
-	for i := 0; i < o.n; i++ {
-		h[i]++ // count the event itself
-		if h[i] > best {
-			best = h[i]
-		}
-		if s := o.succThread[i]; s >= 0 && h[s] < h[i] {
-			h[s] = h[i]
-		}
-		if s := o.succObject[i]; s >= 0 && h[s] < h[i] {
-			h[s] = h[i]
-		}
-	}
-	return best
-}
-
 // Width returns the maximum antichain size of the computation's poset, via
 // Dilworth's theorem: the minimum number of chains covering the poset equals
 // the width, and the minimum chain cover of a DAG with n events equals
@@ -45,54 +20,16 @@ func (o *Oracle) Width() int {
 	if o.n == 0 {
 		return 0
 	}
-	split := bipartite.New(o.n, o.n)
-	for i := 0; i < o.n; i++ {
-		for _, j := range o.after[i].members() {
-			split.AddEdge(i, j)
-		}
-	}
-	m := matching.HopcroftKarp(split)
-	return o.n - m.Size()
+	return o.n - o.splitMatching().Size()
 }
 
-// ChainCover returns a minimum chain decomposition of the poset: a set of
-// chains (event index sequences, each totally ordered by →) that together
-// contain every event. Its length equals Width().
-func (o *Oracle) ChainCover() [][]int {
-	if o.n == 0 {
-		return nil
-	}
+// splitMatching returns a maximum matching of the comparability split graph.
+func (o *Oracle) splitMatching() *matching.Matching {
 	split := bipartite.New(o.n, o.n)
 	for i := 0; i < o.n; i++ {
 		for _, j := range o.after[i].members() {
 			split.AddEdge(i, j)
 		}
 	}
-	m := matching.HopcroftKarp(split)
-
-	// Each matched edge (i → j) links i to its chain successor j. Chain
-	// heads are events that are no one's successor.
-	isSuccessor := make([]bool, o.n)
-	for i := 0; i < o.n; i++ {
-		if j := m.ThreadMatch[i]; j >= 0 {
-			isSuccessor[j] = true
-		}
-	}
-	var chains [][]int
-	for i := 0; i < o.n; i++ {
-		if isSuccessor[i] {
-			continue
-		}
-		chain := []int{i}
-		for cur := i; ; {
-			next := m.ThreadMatch[cur]
-			if next < 0 {
-				break
-			}
-			chain = append(chain, next)
-			cur = next
-		}
-		chains = append(chains, chain)
-	}
-	return chains
+	return matching.HopcroftKarp(split)
 }

@@ -13,11 +13,13 @@
 package predicate
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"mixedclock/internal/cut"
 	"mixedclock/internal/event"
+	"mixedclock/internal/hb"
 )
 
 // ErrBudget is returned when the lattice exploration exceeds maxStates.
@@ -135,35 +137,17 @@ type detector struct {
 	tr             *event.Trace
 	base           *baseState // nil offline; the evicted prefix when streaming
 	eventsOfThread [][]int
-	// objPred[e] = event index of e's object predecessor, or -1.
-	objPred []int
-	// seqInThread[e] = position of event e within its thread.
-	seqInThread []int
-	threads     int
+	adj            *hb.Adjacency
+	threads        int
 }
 
 func newDetector(tr *event.Trace) *detector {
-	d := &detector{
+	return &detector{
 		tr:             tr,
 		eventsOfThread: tr.ByThread(),
-		objPred:        make([]int, tr.Len()),
-		seqInThread:    make([]int, tr.Len()),
+		adj:            hb.NewAdjacency(tr),
 		threads:        tr.Threads(),
 	}
-	lastObj := make(map[event.ObjectID]int)
-	seq := make([]int, tr.Threads())
-	for i := 0; i < tr.Len(); i++ {
-		e := tr.At(i)
-		if p, ok := lastObj[e.Object]; ok {
-			d.objPred[i] = p
-		} else {
-			d.objPred[i] = -1
-		}
-		lastObj[e.Object] = i
-		d.seqInThread[i] = seq[e.Thread]
-		seq[e.Thread]++
-	}
-	return d
 }
 
 // enabled reports whether thread t can execute its next event in the state
@@ -175,12 +159,15 @@ func (d *detector) enabled(executed []int, t int) bool {
 		return false
 	}
 	idx := d.eventsOfThread[t][c]
-	p := d.objPred[idx]
+	p := d.adj.ObjectPredecessor(idx)
 	if p < 0 {
 		return true
 	}
+	// A thread runs its events in index order, so p is executed iff its
+	// thread's last executed event is p or a later one.
 	pt := d.tr.At(p).Thread
-	return d.seqInThread[p] < executed[pt]
+	k := executed[pt]
+	return k > 0 && d.eventsOfThread[pt][k-1] >= p
 }
 
 // state materializes a State for predicate evaluation.
@@ -209,10 +196,12 @@ func (d *detector) state(executed []int) *State {
 	}
 }
 
+// key encodes a state's executed counts as a map key, one uvarint per
+// thread so no two distinct states collide.
 func key(executed []int) string {
 	b := make([]byte, 0, len(executed)*2)
 	for _, c := range executed {
-		b = append(b, byte(c), byte(c>>8))
+		b = binary.AppendUvarint(b, uint64(c))
 	}
 	return string(b)
 }

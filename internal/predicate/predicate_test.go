@@ -246,3 +246,19 @@ func TestDefinitelyImpliesPossibly(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyDistinguishesLargeCounts pins the state-key encoding: executed
+// counts that agree in their low 16 bits must still give distinct keys, or
+// the lattice search would skip a new state as already seen.
+func TestKeyDistinguishesLargeCounts(t *testing.T) {
+	for _, p := range [][2][]int{
+		{{65536}, {0}},
+		{{65537, 2}, {1, 2}},
+		{{1 << 20, 0}, {0, 1 << 20}},
+		{{3, 1 << 40}, {3, 0}},
+	} {
+		if key(p[0]) == key(p[1]) {
+			t.Errorf("key(%v) == key(%v)", p[0], p[1])
+		}
+	}
+}

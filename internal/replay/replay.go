@@ -4,7 +4,9 @@
 // The utilities here re-order traces (for schedule exploration), verify
 // candidate orders, and enumerate or sample alternative linearizations —
 // the substrate for the schedule-sensitivity findings of package detect and
-// for tests that check clock schemes are interleaving-independent.
+// for tests that check clock schemes are interleaving-independent. Each
+// walks happened-before one covering edge at a time (hb.Adjacency), so
+// checking or sampling an order takes O(E) memory.
 package replay
 
 import (
@@ -22,7 +24,7 @@ func IsLinearization(tr *event.Trace, perm []int) bool {
 	if len(perm) != tr.Len() {
 		return false
 	}
-	oracle := hb.New(tr)
+	adj := hb.NewAdjacency(tr)
 	placed := make([]bool, tr.Len())
 	for _, idx := range perm {
 		if idx < 0 || idx >= tr.Len() || placed[idx] {
@@ -30,10 +32,10 @@ func IsLinearization(tr *event.Trace, perm []int) bool {
 		}
 		// All immediate predecessors must already be placed; transitivity
 		// then gives the full condition.
-		if p := oracle.ThreadPredecessor(idx); p >= 0 && !placed[p] {
+		if p := adj.ThreadPredecessor(idx); p >= 0 && !placed[p] {
 			return false
 		}
-		if p := oracle.ObjectPredecessor(idx); p >= 0 && !placed[p] {
+		if p := adj.ObjectPredecessor(idx); p >= 0 && !placed[p] {
 			return false
 		}
 		placed[idx] = true
@@ -61,18 +63,8 @@ func Reorder(tr *event.Trace, perm []int) (*event.Trace, error) {
 // repeatedly picking a random ready event (all predecessors emitted). The
 // identity order has nonzero probability; use the rng seed to vary.
 func RandomLinearization(tr *event.Trace, rng *rand.Rand) []int {
-	oracle := hb.New(tr)
+	adj, indeg := indegrees(tr)
 	n := tr.Len()
-	// indegree counts unplaced immediate predecessors (0, 1 or 2).
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		if oracle.ThreadPredecessor(i) >= 0 {
-			indeg[i]++
-		}
-		if oracle.ObjectPredecessor(i) >= 0 {
-			indeg[i]++
-		}
-	}
 	ready := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -86,7 +78,7 @@ func RandomLinearization(tr *event.Trace, rng *rand.Rand) []int {
 		ready[k] = ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		out = append(out, idx)
-		for _, succ := range []int{oracle.ThreadSuccessor(idx), oracle.ObjectSuccessor(idx)} {
+		for _, succ := range []int{adj.ThreadSuccessor(idx), adj.ObjectSuccessor(idx)} {
 			if succ < 0 {
 				continue
 			}
@@ -107,17 +99,8 @@ func RandomLinearization(tr *event.Trace, rng *rand.Rand) []int {
 // The count of linearizations is exponential in the computation's width;
 // use on small traces or with a limit.
 func Enumerate(tr *event.Trace, limit int, fn func(perm []int) bool) int {
-	oracle := hb.New(tr)
+	adj, indeg := indegrees(tr)
 	n := tr.Len()
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		if oracle.ThreadPredecessor(i) >= 0 {
-			indeg[i]++
-		}
-		if oracle.ObjectPredecessor(i) >= 0 {
-			indeg[i]++
-		}
-	}
 	perm := make([]int, 0, n)
 	placed := make([]bool, n)
 	visited := 0
@@ -141,7 +124,7 @@ func Enumerate(tr *event.Trace, limit int, fn func(perm []int) bool) int {
 			}
 			placed[i] = true
 			perm = append(perm, i)
-			ts, os := oracle.ThreadSuccessor(i), oracle.ObjectSuccessor(i)
+			ts, os := adj.ThreadSuccessor(i), adj.ObjectSuccessor(i)
 			if ts >= 0 {
 				indeg[ts]--
 			}
@@ -161,6 +144,23 @@ func Enumerate(tr *event.Trace, limit int, fn func(perm []int) bool) int {
 	}
 	rec()
 	return visited
+}
+
+// indegrees returns tr's covering edges and, per event, how many immediate
+// predecessors (0, 1 or 2) it has: the ready-set bookkeeping of a
+// topological sort.
+func indegrees(tr *event.Trace) (*hb.Adjacency, []int) {
+	adj := hb.NewAdjacency(tr)
+	indeg := make([]int, tr.Len())
+	for i := range indeg {
+		if adj.ThreadPredecessor(i) >= 0 {
+			indeg[i]++
+		}
+		if adj.ObjectPredecessor(i) >= 0 {
+			indeg[i]++
+		}
+	}
+	return adj, indeg
 }
 
 // CountLinearizations counts the interleavings of tr, up to limit (0 = no

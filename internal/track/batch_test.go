@@ -281,12 +281,12 @@ func TestBatchOverlapsMonitor(t *testing.T) {
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
 	}
-	full, stamps := tr.Snapshot()
+	full, _ := tr.Snapshot()
 	stats := m.Stats()
 	if stats.Consumed != full.Len() {
 		t.Fatalf("monitor consumed %d of %d events", stats.Consumed, full.Len())
 	}
-	if want := detect.TakeCensus(stamps); stats.Census != want || stats.CensusSkipped != 0 {
+	if want := detect.TakeCensus(full); stats.Census != want || stats.CensusSkipped != 0 {
 		t.Fatalf("census %+v (skipped %d), want %+v", stats.Census, stats.CensusSkipped, want)
 	}
 	if err := tr.Err(); err != nil {

@@ -72,7 +72,7 @@ func TestMonitorMatchesOffline(t *testing.T) {
 				if stats.Consumed != full.Len() {
 					t.Fatalf("consumed %d of %d events", stats.Consumed, full.Len())
 				}
-				if want := detect.TakeCensus(stamps); stats.Census != want || stats.CensusSkipped != 0 {
+				if want := detect.TakeCensus(full); stats.Census != want || stats.CensusSkipped != 0 {
 					t.Fatalf("census %+v (skipped %d), want %+v", stats.Census, stats.CensusSkipped, want)
 				}
 				if stats.CoverLowerBound > stats.ClockWidth {
