@@ -1068,6 +1068,66 @@ func BenchmarkMonitorLive(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorConsume measures a Monitor's per-record cost on its
+// own, off the commit path: each iteration attaches a fresh
+// Monitor{Window: 16} to a tracker holding sealed history at clock width
+// ≈150 (the paper's Nonuniform 256×256 d=0.005 graph, every edge revealed,
+// then random edges at 50% reads) and Syncs it, replaying every segment
+// through the census window, the pair scanner and an order watch.
+// ns/event is the replay-plus-evaluation cost per record. A monitor's
+// set-up allocates a constant amount, so allocs/op tracks the segment
+// count, not the event count: consumption itself allocates nothing per
+// record, and CI's -benchmem gate keeps it that way.
+func BenchmarkMonitorConsume(b *testing.B) {
+	g, err := bipartite.Generate(bipartite.GenConfig{
+		NThreads: 256, NObjects: 256, Density: 0.005, Scenario: bipartite.Nonuniform,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	tracker := openTracker(b, mixedclock.WithStore(mixedclock.Store{
+		Spill: mixedclock.SpillPolicy{SealEvery: 4096},
+	}))
+	threads := make([]*mixedclock.Thread, g.NThreads())
+	for i := range threads {
+		threads[i] = tracker.NewThread(fmt.Sprintf("t%d", i))
+	}
+	objs := make([]*mixedclock.Object, g.NObjects())
+	for i := range objs {
+		objs[i] = tracker.NewObject(fmt.Sprintf("o%d", i))
+	}
+	for _, e := range trace.FromGraph(g, 32_000, rng).Events() {
+		op := mixedclock.OpWrite
+		if rng.Intn(2) == 0 {
+			op = mixedclock.OpRead
+		}
+		threads[e.Thread].Do(objs[e.Object], op, nil)
+	}
+	if err := tracker.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	events := tracker.Events()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := tracker.NewMonitor(mixedclock.MonitorPolicy{Window: 16})
+		m.WatchOrder("o1-after-o0",
+			func(e mixedclock.Event) bool { return e.Object == 0 && e.Op == mixedclock.OpWrite },
+			func(e mixedclock.Event) bool { return e.Object == 1 && e.Op == mixedclock.OpWrite },
+		)
+		if err := m.Sync(); err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
+		if st := m.Stats(); st.Consumed != events || m.Err() != nil {
+			b.Fatalf("monitor consumed %d of %d, err %v", st.Consumed, events, m.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+	b.ReportMetric(float64(tracker.Size()), "components")
+}
+
 // BenchmarkLoadgenMixed is the CI gate's end-to-end harness benchmark: one
 // complete loadgen run per iteration — warmup then a fixed-op mixed phase
 // across 4 workers — per commit style (per-op Do vs batch-16) and clock

@@ -112,6 +112,7 @@ import (
 	"mixedclock/internal/cut"
 	"mixedclock/internal/detect"
 	"mixedclock/internal/event"
+	"mixedclock/internal/hb"
 	"mixedclock/internal/loadgen"
 	"mixedclock/internal/tlog"
 	"mixedclock/internal/trace"
@@ -443,8 +444,9 @@ func detectCmd(w io.Writer, tr *event.Trace) error {
 
 // detectLive attaches the online analyses to a spill directory: a
 // tlog.DirCursor follows the published catalog and replays newly sealed
-// records through the streaming census (windowed by -window), the exact
-// schedule-sensitive pair scanner, and the optional -order watch. The
+// records through the streaming census over an hb.Recent window of the last
+// -window stamps, the exact schedule-sensitive pair scanner, and the
+// optional -order watch — the Monitor's types, driven the same way. The
 // owning tracker is never touched — sealed segments are immutable and the
 // catalog is rewritten by atomic rename — so commits continue while this
 // runs. With -follow it polls until the catalog is marked Closed;
@@ -464,18 +466,27 @@ func detectLive(w io.Writer, dir string, follow bool, window int, orderSpec stri
 		firstName, secondName = parts[0], parts[1]
 	}
 	cur := tlog.NewDirCursor(dir)
-	census := detect.NewCensusAccumulator(window)
+	var census detect.CensusAccumulator
+	recent := hb.NewRecent(window)
 	scanner := detect.NewPairScanner()
 	firstObj, secondObj := event.ObjectID(-1), event.ObjectID(-1)
 	var (
 		haveFirst  bool
 		firstEv    event.Event
 		firstEpoch int
-		firstStamp vclock.Vector
+		firstStamp vclock.Vector // reused buffer
 		detections int
 	)
 	sink := func(e event.Event, epoch int, v vclock.Vector) error {
-		census.Add(epoch, v)
+		if e.Index != recent.Hi() {
+			// The first record, or a gap the cursor skipped below a new
+			// retention floor: restart the window and the latest-record
+			// state, as the Monitor does.
+			recent.Reset()
+			scanner.Reset()
+			haveFirst = false
+		}
+		census.Add(recent, e.Index, epoch, v)
 		if p, ok := scanner.Add(e, epoch, v); ok {
 			detections++
 			fmt.Fprintf(w, "pair: %v <lock-only> %v (epoch %d, index %d)\n", p.First, p.Second, epoch, e.Index)
@@ -493,7 +504,7 @@ func detectLive(w io.Writer, dir string, follow bool, window int, orderSpec stri
 		}
 		if e.Object == firstObj {
 			haveFirst, firstEv, firstEpoch = true, e, epoch
-			firstStamp = v.Clone()
+			firstStamp = append(firstStamp[:0], v...)
 		}
 		return nil
 	}

@@ -153,6 +153,57 @@ func TestDetectGolden(t *testing.T) {
 	}
 }
 
+// TestDetectLiveGolden pins `mvc detect -live` byte for byte on the same
+// 600-event trace, spilled by `mvc export -live -spill DIR -seal 50` (one
+// replaying goroutine, so the sealed records are deterministic): an
+// unbounded window, a 16-event window, and a 16-event window with an -order
+// watch. detect_live.golden holds the three outputs in that order, each
+// under an "== detect -live FLAGS" line. Merging the spill files with
+// `mvc compact` must not change a byte.
+func TestDetectLiveGolden(t *testing.T) {
+	tr, err := loadTrace(filepath.Join("testdata", "detect.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "detect_live.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "full", spill, 50, 0); err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		flags  string
+		window int
+		order  string
+	}{
+		{"-window 0", 0, ""},
+		{"-window 16", 16, ""},
+		{"-window 16 -order O1,O2", 16, "O1,O2"},
+	}
+	detectAll := func() []byte {
+		var buf bytes.Buffer
+		for _, r := range runs {
+			fmt.Fprintf(&buf, "== detect -live %s\n", r.flags)
+			if err := detectLive(&buf, spill, false, r.window, r.order); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	if got := detectAll(); !bytes.Equal(got, want) {
+		t.Fatalf("mvc detect -live output differs from testdata/detect_live.golden:\n%s", got)
+	}
+	if err := compactCmd(io.Discard, []string{spill}, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := detectAll(); !bytes.Equal(got, want) {
+		t.Fatalf("mvc detect -live after compact differs from testdata/detect_live.golden:\n%s", got)
+	}
+}
+
 func TestRecoverOutput(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	var buf bytes.Buffer

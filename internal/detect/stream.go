@@ -2,6 +2,7 @@ package detect
 
 import (
 	"mixedclock/internal/event"
+	"mixedclock/internal/hb"
 	"mixedclock/internal/vclock"
 )
 
@@ -11,53 +12,41 @@ import (
 // delta stream, per sealed segment; ScheduleSensitivePairs feeds the
 // PairScanner a recorded trace's thread-clock stamps.
 
-// CensusAccumulator is the windowed, streaming census. Each Add compares
-// the new stamp against every stamp retained in the window, so with an
-// unbounded window (size 0) and a valid clock the final Census equals
-// TakeCensus on the same events exactly. With a bounded window, pairs whose
-// earlier endpoint has been evicted are not compared; Skipped counts them
-// so the totals still account for every pair.
+// CensusAccumulator is the windowed, streaming census. It keeps no stamps
+// of its own: each Add compares the new stamp against every stamp in the
+// caller's hb.Recent window, then pushes the stamp into it.
+// So with an unbounded window and a valid clock the final Census equals
+// TakeCensus on the same events exactly. With a bounded window, pairs
+// whose earlier endpoint has been evicted are not compared; Skipped counts
+// them so the totals still account for every pair.
 //
 // Unlike TakeCensus, the accumulator is epoch-aware: events in different
 // epochs are separated by a Compact barrier and counted as ordered, even
 // though their raw clock values (which restart each epoch) are
 // incomparable.
 type CensusAccumulator struct {
-	window  int
 	census  Census
 	skipped int
-	epochs  []int
-	ring    []vclock.Vector
 }
 
-// NewCensusAccumulator returns an accumulator retaining the last window
-// stamps; window <= 0 retains everything.
-func NewCensusAccumulator(window int) *CensusAccumulator {
-	return &CensusAccumulator{window: window}
-}
-
-// Add folds the next event's stamp into the census. The vector is borrowed
-// (StampSink convention) and cloned before retention.
-func (a *CensusAccumulator) Add(epoch int, v vclock.Vector) {
-	a.skipped += a.census.Events - len(a.ring)
-	for i, r := range a.ring {
-		a.census.Total++
-		if a.epochs[i] != epoch {
-			a.census.Ordered++
-		} else if r.Concurrent(v) {
+// Add folds event i's stamp into the census: it compares the stamp with
+// the window w, then pushes it there as w.Add(i, epoch, v) would. w must be
+// fed only through this accumulator (Reset aside), so it holds the most
+// recent w.Len() counted events and the rest are the pairs Skipped
+// reports. The vector is borrowed.
+func (a *CensusAccumulator) Add(w *hb.Recent, i, epoch int, v vclock.Vector) {
+	n := w.Len()
+	a.skipped += a.census.Events - n
+	a.census.Total += n
+	for k := 0; k < n; k++ {
+		if e, r := w.Row(k); e == epoch && r.Concurrent(v) {
 			a.census.Concurrent++
 		} else {
 			a.census.Ordered++
 		}
 	}
 	a.census.Events++
-	a.epochs = append(a.epochs, epoch)
-	a.ring = append(a.ring, v.Clone())
-	if a.window > 0 && len(a.ring) > a.window {
-		drop := len(a.ring) - a.window
-		a.epochs = a.epochs[drop:]
-		a.ring = append(a.ring[:0:0], a.ring[drop:]...)
-	}
+	w.Add(i, epoch, v)
 }
 
 // Census returns the counts so far. Total covers only compared pairs; add
@@ -79,71 +68,97 @@ func (a *CensusAccumulator) Skipped() int { return a.skipped }
 // yet" and "no successor at all" flag identically. The scanner therefore
 // keeps, per object, the last event and — filled in lazily when that
 // event's thread next commits anywhere — its thread successor's stamp.
+// The records are dense slices by object and thread ID, and each object's
+// successor stamp is copied into a buffer the record keeps, so
+// steady-state Add allocates nothing.
 //
 // A Compact barrier orders everything across epochs, so an epoch change
-// resets the per-object records: cross-epoch adjacent pairs are never
-// lock-only.
+// resets the records' flags (keeping their buffers): cross-epoch adjacent
+// pairs are never lock-only.
 type PairScanner struct {
 	epoch int
-	objs  map[event.ObjectID]*objRecord
-	last  map[event.ThreadID]lastOfThread
+	objs  []objRecord    // by ObjectID
+	last  []lastOfThread // by ThreadID
 	count int
 }
 
+// objRecord is an object's last event in the current epoch and, once its
+// thread commits again, that successor's stamp, copied into succ's reused
+// buffer.
 type objRecord struct {
-	e    event.Event
-	succ vclock.Vector // clone of e's thread successor's stamp, nil until seen
+	e       event.Event
+	has     bool // e is set
+	hasSucc bool // succ holds e's thread successor's stamp
+	succ    vclock.Vector
 }
 
+// lastOfThread locates a thread's last event in the current epoch.
 type lastOfThread struct {
 	obj   event.ObjectID
 	index int
+	has   bool
 }
 
 // NewPairScanner returns an empty scanner.
 func NewPairScanner() *PairScanner {
-	return &PairScanner{
-		objs: make(map[event.ObjectID]*objRecord),
-		last: make(map[event.ThreadID]lastOfThread),
+	return &PairScanner{}
+}
+
+// Reset forgets every per-object and per-thread record, keeping their
+// buffers, as an epoch change does: the next event on each object completes
+// no pair. Callers also reset at a gap in the stream.
+func (s *PairScanner) Reset() {
+	for i := range s.objs {
+		s.objs[i].has, s.objs[i].hasSucc = false, false
+	}
+	for i := range s.last {
+		s.last[i].has = false
 	}
 }
 
 // Add consumes the next event and reports the schedule-sensitive pair it
-// completes, if any. The vector is borrowed and cloned as needed. The
-// scanner emits each pair when its second event commits;
-// ScheduleSensitivePairs sorts them by first event.
+// completes, if any. The vector is borrowed; a stamp the scanner must keep
+// is copied into a reused buffer. The scanner emits each pair when its
+// second event commits; ScheduleSensitivePairs sorts them by first event.
 func (s *PairScanner) Add(e event.Event, epoch int, v vclock.Vector) (Pair, bool) {
 	if epoch != s.epoch {
 		s.epoch = epoch
-		clear(s.objs)
-		clear(s.last)
+		s.Reset()
+	}
+	for len(s.objs) <= int(e.Object) {
+		s.objs = append(s.objs, objRecord{})
+	}
+	for len(s.last) <= int(e.Thread) {
+		s.last = append(s.last, lastOfThread{})
 	}
 
 	// e is the thread successor of this thread's previous event; if that
 	// previous event is still some object's last event, its record has
 	// been waiting for exactly this stamp.
-	if p, ok := s.last[e.Thread]; ok {
-		if r := s.objs[p.obj]; r != nil && r.e.Index == p.index && r.succ == nil {
-			r.succ = v.Clone()
+	if p := s.last[e.Thread]; p.has {
+		if r := &s.objs[p.obj]; r.has && r.e.Index == p.index && !r.hasSucc {
+			r.succ = append(r.succ[:0], v...)
+			r.hasSucc = true
 		}
 	}
 
 	var out Pair
 	flagged := false
-	if r := s.objs[e.Object]; r != nil && r.e.Thread != e.Thread &&
+	r := &s.objs[e.Object]
+	if r.has && r.e.Thread != e.Thread &&
 		!(r.e.Op == event.OpRead && e.Op == event.OpRead) {
 		// Lock-only iff the predecessor's thread successor is absent
 		// (so far — arriving later puts it causally after e) or its
 		// stamp does not precede e's.
-		if r.succ == nil || !r.succ.Less(v) {
+		if !r.hasSucc || !r.succ.Less(v) {
 			out = Pair{First: r.e, Second: e}
 			flagged = true
 			s.count++
 		}
 	}
 
-	s.objs[e.Object] = &objRecord{e: e}
-	s.last[e.Thread] = lastOfThread{obj: e.Object, index: e.Index}
+	r.e, r.has, r.hasSucc = e, true, false
+	s.last[e.Thread] = lastOfThread{obj: e.Object, index: e.Index, has: true}
 	return out, flagged
 }
 

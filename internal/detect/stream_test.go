@@ -9,8 +9,10 @@ import (
 	"mixedclock/internal/clock"
 	"mixedclock/internal/core"
 	"mixedclock/internal/detect"
+	"mixedclock/internal/event"
 	"mixedclock/internal/hb"
 	"mixedclock/internal/trace"
+	"mixedclock/internal/vclock"
 )
 
 // TestCensusAccumulatorMatchesTakeCensus streams every generator workload's
@@ -25,9 +27,10 @@ func TestCensusAccumulatorMatchesTakeCensus(t *testing.T) {
 			t.Fatal(err)
 		}
 		stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
-		acc := detect.NewCensusAccumulator(0)
-		for _, v := range stamps {
-			acc.Add(0, v)
+		var acc detect.CensusAccumulator
+		w := hb.NewRecent(0)
+		for i, v := range stamps {
+			acc.Add(w, i, 0, v)
 		}
 		want := oracleCensus(hb.New(tr))
 		if got := acc.Census(); got != want {
@@ -51,9 +54,10 @@ func TestCensusAccumulatorWindowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
-	acc := detect.NewCensusAccumulator(10)
-	for _, v := range stamps {
-		acc.Add(0, v)
+	var acc detect.CensusAccumulator
+	w := hb.NewRecent(10)
+	for i, v := range stamps {
+		acc.Add(w, i, 0, v)
 	}
 	c := acc.Census()
 	if all := len(stamps) * (len(stamps) - 1) / 2; c.Total+acc.Skipped() != all {
@@ -121,5 +125,42 @@ func TestPairScannerEpochReset(t *testing.T) {
 		if p, ok := sc.Add(tr.At(i), epoch, v); ok && i == 15 {
 			t.Fatalf("first event of a new epoch flagged a cross-epoch pair %v", p)
 		}
+	}
+}
+
+// steadyStamps returns a stream of n stamps at width 64 that stops widening
+// after its first event, over a few threads and objects.
+func steadyStamps(n int) ([]event.Event, []vclock.Vector) {
+	rng := rand.New(rand.NewSource(43))
+	evs := make([]event.Event, n)
+	stamps := make([]vclock.Vector, n)
+	cur := vclock.New(64)
+	for i := range evs {
+		cur[rng.Intn(len(cur))]++
+		evs[i] = event.Event{Index: i, Thread: event.ThreadID(rng.Intn(4)), Object: event.ObjectID(rng.Intn(4)), Op: event.Op(rng.Intn(2))}
+		stamps[i] = cur.Clone()
+	}
+	return evs, stamps
+}
+
+// TestStreamingSteadyStateAllocs: once the window is full and no new
+// thread, object or clock width appears, the census with its window and the
+// pair scanner allocate nothing per event.
+func TestStreamingSteadyStateAllocs(t *testing.T) {
+	evs, stamps := steadyStamps(4000)
+	var acc detect.CensusAccumulator
+	w := hb.NewRecent(16)
+	sc := detect.NewPairScanner()
+	i := 0
+	feed := func() {
+		acc.Add(w, i, 0, stamps[i])
+		sc.Add(evs[i], 0, stamps[i])
+		i++
+	}
+	for i < 100 {
+		feed()
+	}
+	if allocs := testing.AllocsPerRun(1000, feed); allocs != 0 {
+		t.Fatalf("steady-state census + pair scanner allocate %v per event, want 0", allocs)
 	}
 }

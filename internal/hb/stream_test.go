@@ -8,6 +8,7 @@ import (
 	"mixedclock/internal/core"
 	"mixedclock/internal/hb"
 	"mixedclock/internal/trace"
+	"mixedclock/internal/vclock"
 )
 
 // TestRecentMatchesOracle streams every generator workload's stamps into a
@@ -17,7 +18,7 @@ import (
 func TestRecentMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, w := range trace.Workloads() {
-		for _, window := range []int{0, 16} {
+		for _, window := range []int{0, 1, 3, 16} {
 			tr, err := trace.Generate(w, trace.Config{Threads: 5, Objects: 6, Events: 120, ReadFraction: 0.3}, rng)
 			if err != nil {
 				t.Fatal(err)
@@ -25,8 +26,8 @@ func TestRecentMatchesOracle(t *testing.T) {
 			stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
 			oracle := hb.New(tr)
 			r := hb.NewRecent(window)
-			for _, v := range stamps {
-				r.Add(0, v)
+			for i, v := range stamps {
+				r.Add(i, 0, v)
 			}
 			if window > 0 && r.Len() != window {
 				t.Fatalf("%v: retained %d, want %d", w, r.Len(), window)
@@ -69,7 +70,7 @@ func TestRecentEpochBarrier(t *testing.T) {
 		if i >= 10 {
 			epoch = 1 // pretend a Compact barrier ran at index 10
 		}
-		r.Add(epoch, v)
+		r.Add(i, epoch, v)
 	}
 	for i := 0; i < 10; i++ {
 		for j := 10; j < 20; j++ {
@@ -83,5 +84,59 @@ func TestRecentEpochBarrier(t *testing.T) {
 				t.Fatalf("cross-epoch (%d,%d) must not be concurrent", i, j)
 			}
 		}
+	}
+}
+
+// TestRecentAnchorAndReset checks that the window is anchored at the first
+// index it is fed, that Reset empties it so the next Add re-anchors (a gap
+// in the stream), and that rows read back exactly across a clock widening
+// and the ring's wrap-around.
+func TestRecentAnchorAndReset(t *testing.T) {
+	r := hb.NewRecent(3)
+	stamps := []vclock.Vector{{1}, {1, 1}, {2, 1}, {2, 1, 1}, {3, 1, 1}}
+	for k, v := range stamps {
+		r.Add(40+k, 0, v)
+	}
+	if r.Lo() != 42 || r.Hi() != 45 || r.Len() != 3 {
+		t.Fatalf("window [%d,%d) len %d, want [42,45) len 3", r.Lo(), r.Hi(), r.Len())
+	}
+	for k := 0; k < r.Len(); k++ {
+		if _, v := r.Row(k); !v.Equal(stamps[2+k]) {
+			t.Fatalf("row %d = %v, want %v", k, v, stamps[2+k])
+		}
+	}
+	if hb, ok := r.HappenedBefore(42, 44); !ok || !hb {
+		t.Fatalf("HappenedBefore(42,44) = %v ok=%v", hb, ok)
+	}
+	if _, ok := r.HappenedBefore(41, 44); ok {
+		t.Fatal("evicted event 41 answered")
+	}
+	r.Reset()
+	r.Add(90, 1, vclock.Vector{1})
+	if r.Lo() != 90 || r.Hi() != 91 {
+		t.Fatalf("after Reset: window [%d,%d), want [90,91)", r.Lo(), r.Hi())
+	}
+	if _, ok := r.HappenedBefore(44, 90); ok {
+		t.Fatal("event before the reset answered")
+	}
+}
+
+// TestRecentAddAllocs: once the ring is full and the clock has stopped
+// widening, Add copies into a reused row and allocates nothing.
+func TestRecentAddAllocs(t *testing.T) {
+	r := hb.NewRecent(16)
+	v := vclock.New(153)
+	i := 0
+	for ; i < 32; i++ {
+		v[i%len(v)]++
+		r.Add(i, 0, v)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		v[i%len(v)]++
+		r.Add(i, 0, v)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Add allocates %v per call, want 0", allocs)
 	}
 }

@@ -18,6 +18,7 @@ type Incremental struct {
 	match   *Matching
 	edges   int
 	present map[[2]int]struct{}
+	visited []bool // by object; scratch for try
 }
 
 // NewIncremental returns an empty incremental matcher.
@@ -70,25 +71,32 @@ func (inc *Incremental) AddEdge(t, o int) bool {
 	return false
 }
 
-// try runs one Kuhn augmentation sweep from thread t.
+// try runs one Kuhn augmentation sweep from thread t, reusing the visited
+// buffer across sweeps.
 func (inc *Incremental) try(t int) bool {
-	visited := make([]bool, len(inc.match.ObjectMatch))
-	var dfs func(t int) bool
-	dfs = func(t int) bool {
-		for _, o := range inc.adj[t] {
-			if visited[o] {
-				continue
-			}
-			visited[o] = true
-			if inc.match.ObjectMatch[o] == unmatched || dfs(inc.match.ObjectMatch[o]) {
-				inc.match.ThreadMatch[t] = o
-				inc.match.ObjectMatch[o] = t
-				return true
-			}
-		}
-		return false
+	n := len(inc.match.ObjectMatch)
+	if cap(inc.visited) < n {
+		inc.visited = make([]bool, n)
 	}
-	return dfs(t)
+	inc.visited = inc.visited[:n]
+	clear(inc.visited)
+	return inc.augment(t)
+}
+
+// augment is try's depth-first search for an augmenting path from t.
+func (inc *Incremental) augment(t int) bool {
+	for _, o := range inc.adj[t] {
+		if inc.visited[o] {
+			continue
+		}
+		inc.visited[o] = true
+		if inc.match.ObjectMatch[o] == unmatched || inc.augment(inc.match.ObjectMatch[o]) {
+			inc.match.ThreadMatch[t] = o
+			inc.match.ObjectMatch[o] = t
+			return true
+		}
+	}
+	return false
 }
 
 // Size returns the current maximum-matching size, which by König–Egerváry

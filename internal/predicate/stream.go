@@ -21,9 +21,15 @@ import (
 // Within a windowed evaluation, events returned by State.LastEvent /
 // LastOnObject carry window-relative indices; thread and object IDs and
 // executed counts are global.
+//
+// The window lives in one reused buffer: evicted events fold into the base
+// prefix, and the window is compacted to the buffer's front in place once
+// at least half the buffer is evicted, so steady-state Add allocates
+// nothing.
 type Streamer struct {
 	window int
-	events []event.Event
+	buf    []event.Event // buf[lo:] is the window
+	lo     int
 	base   baseState
 }
 
@@ -34,9 +40,9 @@ func NewStreamer(window int) *Streamer {
 	return &Streamer{window: window}
 }
 
-// evict folds the oldest n window events into the base prefix.
-func (s *Streamer) evict(n int) {
-	for _, e := range s.events[:n] {
+// evict folds evs, the oldest window events, into the base prefix.
+func (s *Streamer) evict(evs []event.Event) {
+	for _, e := range evs {
 		t, o := int(e.Thread), int(e.Object)
 		for len(s.base.executed) <= t {
 			s.base.executed = append(s.base.executed, 0)
@@ -52,15 +58,19 @@ func (s *Streamer) evict(n int) {
 		s.base.lastThread[t], s.base.hasThread[t] = e, true
 		s.base.lastObject[o], s.base.hasObject[o] = e, true
 	}
-	s.events = append(s.events[:0:0], s.events[n:]...)
+	s.lo += len(evs)
 }
 
 // Add consumes the next event of the stream.
 func (s *Streamer) Add(e event.Event) {
-	s.events = append(s.events, e)
-	if s.window > 0 && len(s.events) > s.window {
-		s.evict(len(s.events) - s.window)
+	if s.window > 0 && s.Len() == s.window {
+		s.evict(s.buf[s.lo : s.lo+1])
 	}
+	if len(s.buf) == cap(s.buf) && 2*s.lo >= len(s.buf) && s.lo > 0 {
+		s.buf = s.buf[:copy(s.buf, s.buf[s.lo:])]
+		s.lo = 0
+	}
+	s.buf = append(s.buf, e)
 }
 
 // Barrier evicts the whole window into the base prefix. The monitor calls
@@ -69,14 +79,15 @@ func (s *Streamer) Add(e event.Event) {
 // while executing post-barrier ones are not consistent and must not be
 // explored.
 func (s *Streamer) Barrier() {
-	s.evict(len(s.events))
+	s.evict(s.buf[s.lo:])
+	s.buf, s.lo = s.buf[:0], 0
 }
 
 // Len returns the number of events currently inside the window.
-func (s *Streamer) Len() int { return len(s.events) }
+func (s *Streamer) Len() int { return len(s.buf) - s.lo }
 
 // Total returns the number of events consumed so far, evicted or not.
-func (s *Streamer) Total() int { return s.base.total + len(s.events) }
+func (s *Streamer) Total() int { return s.base.total + s.Len() }
 
 // Possibly reports whether some consistent global state reachable from the
 // retained window satisfies pred, with the same budget semantics as the
@@ -84,7 +95,7 @@ func (s *Streamer) Total() int { return s.base.total + len(s.events) }
 // prefixes (base included).
 func (s *Streamer) Possibly(pred Predicate, maxStates int) (cut.Cut, bool, error) {
 	wt := event.NewTrace()
-	for _, e := range s.events {
+	for _, e := range s.buf[s.lo:] {
 		wt.Append(e.Thread, e.Object, e.Op)
 	}
 	d := newDetector(wt)

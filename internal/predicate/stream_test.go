@@ -127,3 +127,58 @@ func TestStreamerBarrier(t *testing.T) {
 		t.Fatalf("pre-barrier partial state should be unreachable: found=%v err=%v", found, err)
 	}
 }
+
+// TestStreamerWindowMatchesBarrier pins what a bounded window holds after
+// every Add, across its in-place compactions: a window-W streamer must
+// answer exactly as an unbounded one fed everything but the last W events,
+// folded with Barrier, and then those W events.
+func TestStreamerWindowMatchesBarrier(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	tr, err := trace.Generate(trace.Uniform, trace.Config{Threads: 4, Objects: 4, Events: 60}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int{1, 3, 8} {
+		s := predicate.NewStreamer(window)
+		for i := 0; i < tr.Len(); i++ {
+			s.Add(tr.At(i))
+			ref := predicate.NewStreamer(0)
+			split := max(0, i+1-window)
+			for j := 0; j < split; j++ {
+				ref.Add(tr.At(j))
+			}
+			ref.Barrier()
+			for j := split; j <= i; j++ {
+				ref.Add(tr.At(j))
+			}
+			if s.Len() != ref.Len() || s.Total() != ref.Total() {
+				t.Fatalf("window=%d after %d: len %d total %d, want %d %d", window, i, s.Len(), s.Total(), ref.Len(), ref.Total())
+			}
+			for name, pred := range streamerPreds() {
+				gotCut, gotFound, gotErr := s.Possibly(pred, 1<<16)
+				wantCut, wantFound, wantErr := ref.Possibly(pred, 1<<16)
+				if gotFound != wantFound || (gotErr == nil) != (wantErr == nil) || gotCut.String() != wantCut.String() {
+					t.Fatalf("window=%d after %d, %s: got (%v %v %v), want (%v %v %v)",
+						window, i, name, gotCut, gotFound, gotErr, wantCut, wantFound, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamerAddAllocs: once the window is full and no new thread or
+// object appears, Add folds and compacts in place and allocates nothing.
+func TestStreamerAddAllocs(t *testing.T) {
+	s := predicate.NewStreamer(16)
+	i := 0
+	add := func() {
+		s.Add(event.Event{Index: i, Thread: event.ThreadID(i % 3), Object: event.ObjectID(i % 5)})
+		i++
+	}
+	for i < 100 {
+		add()
+	}
+	if allocs := testing.AllocsPerRun(1000, add); allocs != 0 {
+		t.Fatalf("steady-state Add allocates %v per event, want 0", allocs)
+	}
+}

@@ -19,9 +19,10 @@ type MonitorPolicy struct {
 	// lattice state for: the census compares new events against the last
 	// Window stamps, happened-before queries answer within it, and
 	// predicate watches explore the lattice of the window's suffix cuts.
-	// 0 retains everything — exact offline equivalence, unbounded memory.
-	// The schedule-sensitive pair scanner needs no window; it is exact in
-	// O(objects + threads) state regardless.
+	// The stamps live in one slab of Window rows × clock width, reused
+	// row by row. 0 retains everything — exact offline equivalence,
+	// unbounded memory. The schedule-sensitive pair scanner needs no
+	// window; it is exact in O(objects + threads) state regardless.
 	Window int
 	// MaxCuts budgets each predicate-watch evaluation, as maxStates does
 	// for the offline Possibly; 0 means predicate.DefaultMaxStates.
@@ -92,7 +93,7 @@ type orderWatch struct {
 	has           bool
 	e             event.Event
 	epoch         int
-	stamp         vclock.Vector
+	stamp         vclock.Vector // reused buffer, overwritten at each first-match
 }
 
 // possiblyWatch fires once, at the first evaluation that finds a witness.
@@ -112,13 +113,22 @@ type possiblyWatch struct {
 // same short barrier a Snapshot takes) and catches the monitor up to the
 // exact present.
 //
-// Per record the monitor feeds a windowed census accumulator, the exact
-// streaming schedule-sensitive pair scanner, a windowed happened-before
-// index, the registered order watches, and an incremental maximum matching
-// (a live König lower bound on clock width); per batch it evaluates the
-// registered predicate watches over the window's suffix-cut lattice.
-// Detections carry epoch and trace-index provenance and are delivered
-// through OnDetection and Detections.
+// Per record the monitor compares the stamp against its one window of the
+// last Window stamps (an hb.Recent ring, which the census and the
+// happened-before queries both read) before pushing it there, and feeds
+// the exact streaming schedule-sensitive pair scanner, the registered
+// order watches, and an incremental maximum matching (a live König lower
+// bound on clock width); per batch it evaluates the registered predicate
+// watches over the window's suffix-cut lattice. In steady state — window
+// full, no new thread, object or clock width — consuming a record
+// allocates nothing. Detections carry epoch and trace-index provenance and
+// are delivered through OnDetection and Detections.
+//
+// The monitor starts at the retention floor, and if a retention pass
+// overtakes it, it skips to the new floor: the skipped records are counted
+// in MonitorStats.Skipped, and the gap is treated like an epoch barrier —
+// the window, the pair scanner, the order watches' first-matches and the
+// predicate window restart after it.
 type Monitor struct {
 	t      *Tracker
 	policy MonitorPolicy
@@ -128,7 +138,8 @@ type Monitor struct {
 	mu         sync.Mutex
 	next       int // next trace index to consume
 	epoch      int // epoch of the last consumed record
-	census     *detect.CensusAccumulator
+	skipped    int // records retired by retention before consumption
+	census     detect.CensusAccumulator
 	pairs      *detect.PairScanner
 	recent     *hb.Recent
 	pred       *predicate.Streamer
@@ -155,7 +166,6 @@ func (t *Tracker) NewMonitor(p MonitorPolicy) *Monitor {
 	m := &Monitor{
 		t:      t,
 		policy: p,
-		census: detect.NewCensusAccumulator(p.Window),
 		pairs:  detect.NewPairScanner(),
 		recent: hb.NewRecent(p.Window),
 		pred:   predicate.NewStreamer(p.Window),
@@ -223,8 +233,8 @@ func (m *Monitor) WatchPossibly(name string, pred predicate.Predicate) {
 }
 
 // monitorSink adapts the monitor to the StampSink replay paths; vectors
-// are borrowed per the sink contract and cloned by the accumulators that
-// retain them.
+// are borrowed per the sink contract and copied into reused buffers by the
+// state that retains them.
 type monitorSink struct{ m *Monitor }
 
 func (s monitorSink) ConsumeStamp(e event.Event, epoch int, v vclock.Vector) error {
@@ -234,16 +244,28 @@ func (s monitorSink) ConsumeStamp(e event.Event, epoch int, v vclock.Vector) err
 
 // consumeLocked evaluates one record; caller holds m.mu.
 func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
-	if epoch != m.epoch {
+	if e.Index != m.next {
+		// Retention retired [m.next, e.Index) before the monitor read it.
+		// Nothing before the gap may be compared with anything after it,
+		// so restart every windowed state, as an epoch barrier would, and
+		// more: the pair scanner and the order watches lost the records
+		// that would have been their latest.
+		m.skipped += e.Index - m.next
+		m.recent.Reset()
+		m.pairs.Reset()
+		for _, w := range m.orders {
+			w.has = false
+		}
+		m.pred.Barrier()
+	} else if epoch != m.epoch {
 		// A Compact barrier sits between epochs: nothing after it can be
 		// concurrent with anything before, and no consistent state may
 		// unexecute pre-barrier events. Fold the predicate window away;
 		// the other accumulators are epoch-aware record by record.
 		m.pred.Barrier()
-		m.epoch = epoch
 	}
-	m.census.Add(epoch, v)
-	m.recent.Add(epoch, v)
+	m.epoch = epoch
+	m.census.Add(m.recent, e.Index, epoch, v)
 	m.inc.AddEdge(int(e.Thread), int(e.Object))
 	m.pred.Add(e)
 	if p, ok := m.pairs.Add(e, epoch, v); ok {
@@ -267,7 +289,7 @@ func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
 		}
 		if w.first(e) {
 			w.has, w.e, w.epoch = true, e, epoch
-			w.stamp = v.Clone()
+			w.stamp = append(w.stamp[:0], v...)
 		}
 	}
 	m.line.Add(e, epoch, v)
@@ -296,10 +318,12 @@ func (m *Monitor) finishBatchLocked() []Detection {
 			})
 		}
 	}
-	batch := m.pending
-	m.pending = nil
-	m.detections = append(m.detections, batch...)
-	return batch
+	start := len(m.detections)
+	m.detections = append(m.detections, m.pending...)
+	m.pending = m.pending[:0]
+	// Later appends never write below len, so the batch stays valid for
+	// delivery outside the lock.
+	return m.detections[start:len(m.detections):len(m.detections)]
 }
 
 // deliver invokes the detection callback outside the monitor lock.
@@ -312,15 +336,36 @@ func (m *Monitor) deliver(batch []Detection) {
 	}
 }
 
+// catchUpLocked runs replay from the monitor's next index, clamped to the
+// retention floor. A replay that fails after a retention pass moved the
+// floor past both the point it started from and the records it consumed
+// resumes from the new floor; any other failure — a lost or corrupt spill
+// file, an undecodable record — is returned, since retrying would fail the
+// same way.
+func (m *Monitor) catchUpLocked(replay func(from int) error) error {
+	for {
+		from := max(m.next, m.t.RetainedEvents())
+		err := replay(from)
+		if err == nil || m.t.RetainedEvents() <= max(m.next, from) {
+			return err
+		}
+	}
+}
+
 // consumeSealed catches the monitor up with sealed history — the
 // barrier-free path: commits proceed while it evaluates.
 func (m *Monitor) consumeSealed() {
 	m.mu.Lock()
 	upTo := int(m.t.sealed.Load())
-	if upTo > m.next {
-		if _, err := m.t.replaySealed(monitorSink{m}, m.next, upTo); err != nil && m.err == nil {
-			m.err = err
+	err := m.catchUpLocked(func(from int) error {
+		if from >= upTo {
+			return nil
 		}
+		_, err := m.t.replaySealed(monitorSink{m}, from, upTo)
+		return err
+	})
+	if err != nil && m.err == nil {
+		m.err = err
 	}
 	batch := m.finishBatchLocked()
 	m.mu.Unlock()
@@ -334,7 +379,9 @@ func (m *Monitor) consumeSealed() {
 // on the monitor's own goroutine completes by Close, which joins it.
 func (m *Monitor) Sync() error {
 	m.mu.Lock()
-	err := m.t.StreamFrom(m.next, monitorSink{m})
+	err := m.catchUpLocked(func(from int) error {
+		return m.t.StreamFrom(from, monitorSink{m})
+	})
 	if err != nil && m.err == nil {
 		m.err = err
 	}
@@ -408,10 +455,14 @@ func (m *Monitor) RecoveryLine() (c cut.Cut, ok bool) {
 
 // MonitorStats is a live summary of a monitor's evaluation state.
 type MonitorStats struct {
-	// Consumed is how many records have been evaluated; Epoch is the
-	// epoch of the latest one.
+	// Consumed is one past the trace index of the latest evaluated
+	// record; Epoch is its epoch.
 	Consumed int
 	Epoch    int
+	// Skipped counts records a retention pass retired before the monitor
+	// read them: the prefix below the floor it attached at, and any gap
+	// where a later pass overtook it.
+	Skipped int
 	// Census is the streaming concurrency census over compared pairs;
 	// CensusSkipped counts pairs whose earlier event left the window
 	// before comparison.
@@ -428,7 +479,8 @@ type MonitorStats struct {
 	ClockWidth      int
 	CoverLowerBound int
 	// WindowLo is the oldest trace index still answerable by
-	// HappenedBefore/Concurrent.
+	// HappenedBefore/Concurrent: Consumed−Window, or the first record
+	// consumed after a retention gap if that is later.
 	WindowLo int
 }
 
@@ -439,6 +491,7 @@ func (m *Monitor) Stats() MonitorStats {
 	return MonitorStats{
 		Consumed:        m.next,
 		Epoch:           m.epoch,
+		Skipped:         m.skipped,
 		Census:          m.census.Census(),
 		CensusSkipped:   m.census.Skipped(),
 		Pairs:           m.pairs.Count(),

@@ -3,10 +3,12 @@ package track
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"mixedclock/internal/detect"
 	"mixedclock/internal/event"
@@ -246,5 +248,377 @@ func TestMonitorOverlapsCommits(t *testing.T) {
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// streamRecord is one (event, epoch, stamp) record of a finished run, as
+// Stream delivers it.
+type streamRecord struct {
+	e     event.Event
+	epoch int
+	v     vclock.Vector
+}
+
+type recordSink struct{ recs []streamRecord }
+
+func (s *recordSink) ConsumeStamp(e event.Event, epoch int, v vclock.Vector) error {
+	s.recs = append(s.recs, streamRecord{e, epoch, v.Clone()})
+	return nil
+}
+
+// streamRecords replays the tracker's whole history with epochs.
+func streamRecords(t *testing.T, tr *Tracker) []streamRecord {
+	t.Helper()
+	var s recordSink
+	if err := tr.Stream(&s); err != nil {
+		t.Fatal(err)
+	}
+	return s.recs
+}
+
+// windowOrdered is the brute-force verdict on records i < j: a Compact
+// barrier orders epochs, and within an epoch the stamps decide (Theorem 2).
+func windowOrdered(a, b streamRecord) bool {
+	return a.epoch != b.epoch || !a.v.Concurrent(b.v)
+}
+
+// bruteHappenedBefore is happened-before between two records.
+func bruteHappenedBefore(a, b streamRecord) bool {
+	if a.epoch != b.epoch {
+		return a.epoch < b.epoch
+	}
+	return a.v.Less(b.v)
+}
+
+// brutePairs is the schedule-sensitive pair rule straight from the records:
+// f's object predecessor e in the same epoch, on another thread, not both
+// reads, whose thread successor does not happen before f.
+func brutePairs(recs []streamRecord) []detect.Pair {
+	var out []detect.Pair
+	for j, f := range recs {
+		i := j - 1
+		for i >= 0 && recs[i].e.Object != f.e.Object {
+			i--
+		}
+		if i < 0 || recs[i].epoch != f.epoch {
+			continue
+		}
+		e := recs[i]
+		if e.e.Thread == f.e.Thread || (e.e.Op == event.OpRead && f.e.Op == event.OpRead) {
+			continue
+		}
+		ts := i + 1
+		for ts < len(recs) && recs[ts].e.Thread != e.e.Thread {
+			ts++
+		}
+		if ts < j && bruteHappenedBefore(recs[ts], f) {
+			continue
+		}
+		out = append(out, detect.Pair{First: e.e, Second: f.e})
+	}
+	return sortedPairs(out)
+}
+
+// TestMonitorBoundedWindow checks a Monitor with a bounded window against a
+// brute-force computation over the streamed history, on every generator
+// workload and both backends, with an epoch Compact and clock growth while
+// the window is full: the census compares each event with exactly its W
+// predecessors and counts the rest as skipped, HappenedBefore/Concurrent
+// answer exactly inside [Consumed−W, Consumed) and refuse outside it, and
+// the pair set is exact regardless of the window.
+func TestMonitorBoundedWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	grewMidWindow := map[int]bool{}
+	for _, wl := range trace.Workloads() {
+		src, err := trace.Generate(wl, trace.Config{Threads: 8, Objects: 8, Events: 240}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
+			for _, w := range []int{1, 3, 16} {
+				t.Run(fmt.Sprintf("%v/%v/W=%d", wl, backend, w), func(t *testing.T) {
+					tr := mustOpen(t, t.TempDir(),
+						WithBackend(backend),
+						WithStore(Store{Spill: SpillPolicy{SealEvery: 50}}),
+					)
+					m := tr.NewMonitor(MonitorPolicy{Window: w})
+					defer m.Close()
+					replayTrace(t, tr, src, 120)
+					if err := m.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Err(); err != nil {
+						t.Fatal(err)
+					}
+					recs := streamRecords(t, tr)
+					n := len(recs)
+					if recs[n-1].epoch != 1 {
+						t.Fatalf("last record in epoch %d, want 1 (one Compact)", recs[n-1].epoch)
+					}
+					for j := w; j < n; j++ {
+						if recs[j].epoch == recs[j-1].epoch && len(recs[j].v) > len(recs[j-1].v) {
+							grewMidWindow[w] = true
+						}
+					}
+
+					var want detect.Census
+					skipped := 0
+					for j := range recs {
+						want.Events++
+						lo := max(0, j-w)
+						skipped += lo
+						for i := lo; i < j; i++ {
+							want.Total++
+							if windowOrdered(recs[i], recs[j]) {
+								want.Ordered++
+							} else {
+								want.Concurrent++
+							}
+						}
+					}
+					stats := m.Stats()
+					if stats.Consumed != n {
+						t.Fatalf("consumed %d of %d", stats.Consumed, n)
+					}
+					if stats.Census != want || stats.CensusSkipped != skipped {
+						t.Fatalf("census %+v (skipped %d), want %+v (skipped %d)", stats.Census, stats.CensusSkipped, want, skipped)
+					}
+					if lo := max(0, n-w); stats.WindowLo != lo {
+						t.Fatalf("WindowLo %d, want %d", stats.WindowLo, lo)
+					}
+
+					for i := max(0, n-w-2); i < n; i++ {
+						for j := max(0, n-w-2); j < n; j++ {
+							inWindow := i >= n-w && j >= n-w
+							hbGot, ok := m.HappenedBefore(i, j)
+							if ok != inWindow {
+								t.Fatalf("HappenedBefore(%d,%d) ok=%v, in window %v", i, j, ok, inWindow)
+							}
+							concGot, okc := m.Concurrent(i, j)
+							if okc != inWindow {
+								t.Fatalf("Concurrent(%d,%d) ok=%v, in window %v", i, j, okc, inWindow)
+							}
+							if !ok {
+								continue
+							}
+							if want := bruteHappenedBefore(recs[i], recs[j]); hbGot != want {
+								t.Fatalf("HappenedBefore(%d,%d)=%v, want %v", i, j, hbGot, want)
+							}
+							wantConc := i != j && recs[i].epoch == recs[j].epoch && recs[i].v.Concurrent(recs[j].v)
+							if concGot != wantConc {
+								t.Fatalf("Concurrent(%d,%d)=%v, want %v", i, j, concGot, wantConc)
+							}
+						}
+					}
+
+					var online []detect.Pair
+					for _, d := range m.Detections() {
+						if d.Kind == DetectPair {
+							online = append(online, detect.Pair{First: d.Other, Second: d.Event})
+						}
+					}
+					if want := brutePairs(recs); !reflect.DeepEqual(sortedPairs(online), want) {
+						t.Fatalf("pair sets differ: online %d, brute force %d", len(online), len(want))
+					}
+				})
+			}
+		}
+	}
+	for _, w := range []int{1, 3, 16} {
+		if !grewMidWindow[w] {
+			t.Errorf("W=%d: no run widened the clock with the window full", w)
+		}
+	}
+}
+
+// TestMonitorStartsAtRetentionFloor: a Monitor attached to a tracker whose
+// history starts above index 0 consumes from the retention floor, anchors
+// its window there, answers for the right events, and counts the retired
+// prefix as skipped instead of failing.
+func TestMonitorStartsAtRetentionFloor(t *testing.T) {
+	tr := buildEpochs(t, t.TempDir())
+	if _, err := tr.RetainSegments(RetainPolicy{MaxBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	floor := tr.RetainedEvents()
+	if floor != 30 || tr.Events() != 40 {
+		t.Fatalf("setup: floor %d of %d events, want 30 of 40", floor, tr.Events())
+	}
+	m := tr.NewMonitor(MonitorPolicy{Window: 16})
+	defer m.Close()
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatalf("monitor error: %v", err)
+	}
+	st := m.Stats()
+	if st.Consumed != 40 || st.Skipped != floor || st.WindowLo != floor || st.Census.Events != 10 {
+		t.Fatalf("stats %+v, want 40 consumed, %d skipped, window from %d, 10 censused", st, floor, floor)
+	}
+	if _, ok := m.HappenedBefore(0, 1); ok {
+		t.Fatal("HappenedBefore answered for retired events 0,1")
+	}
+	if hb, ok := m.HappenedBefore(floor, floor+1); !ok || !hb {
+		t.Fatalf("HappenedBefore(%d,%d) = %v ok=%v, want true (program order)", floor, floor+1, hb, ok)
+	}
+}
+
+// TestMonitorSkipsRetiredGap: when a retention pass overtakes a lagging
+// monitor, the monitor skips to the new floor, counts the gap, and treats it
+// as a barrier: the window restarts at the floor and nothing before the gap
+// stays answerable.
+func TestMonitorSkipsRetiredGap(t *testing.T) {
+	tr := buildEpochs(t, t.TempDir())
+	m := tr.NewMonitor(MonitorPolicy{Window: 16})
+	defer m.Close()
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	th := tr.NewThread("t1")
+	ob := tr.NewObject("o1")
+	// Hold the monitor's lock so it cannot consume while the next epoch is
+	// sealed, graduated and retired underneath it.
+	m.mu.Lock()
+	for i := 0; i < 10; i++ {
+		th.Write(ob, nil)
+	}
+	if _, _, err := tr.Compact(); err != nil {
+		m.mu.Unlock()
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		th.Write(ob, nil)
+	}
+	if err := tr.Seal(); err != nil {
+		m.mu.Unlock()
+		t.Fatal(err)
+	}
+	_, err := tr.RetainSegments(RetainPolicy{MaxBytes: 1})
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := tr.RetainedEvents()
+	if floor != 50 {
+		t.Fatalf("setup: floor %d, want 50", floor)
+	}
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Err(); err != nil {
+		t.Fatalf("monitor error: %v", err)
+	}
+	st := m.Stats()
+	if st.Consumed != 60 || st.Skipped != 10 || st.WindowLo != floor || st.Census.Events != 50 {
+		t.Fatalf("stats %+v, want 60 consumed, 10 skipped, window from %d, 50 censused", st, floor)
+	}
+	if _, ok := m.HappenedBefore(39, floor); ok {
+		t.Fatal("HappenedBefore answered across the retired gap")
+	}
+	if hb, ok := m.HappenedBefore(floor, floor+1); !ok || !hb {
+		t.Fatalf("HappenedBefore(%d,%d) = %v ok=%v, want true", floor, floor+1, hb, ok)
+	}
+}
+
+// TestMonitorUnreadableHistoryFails: a monitor attached above the floor
+// whose first retained spill file is lost or corrupt fails Sync with an
+// error instead of retrying forever, and Close still returns. Only a floor
+// that moves past the replay is worth a retry; a broken file fails the same
+// way every time.
+func TestMonitorUnreadableHistoryFails(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(path string) error
+	}{
+		{"removed", os.Remove},
+		{"corrupt", func(path string) error { return os.WriteFile(path, []byte("not a segment"), 0o666) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := buildEpochs(t, t.TempDir())
+			if _, err := tr.RetainSegments(RetainPolicy{MaxBytes: 1}); err != nil {
+				t.Fatal(err)
+			}
+			segs := tr.Segments()
+			if len(segs) == 0 || segs[0].FirstIndex != tr.RetainedEvents() || segs[0].Path == "" {
+				t.Fatalf("setup: segments %+v, floor %d", segs, tr.RetainedEvents())
+			}
+			if err := tc.spoil(segs[0].Path); err != nil {
+				t.Fatal(err)
+			}
+			m := tr.NewMonitor(MonitorPolicy{Window: 16})
+			within := func(what string, f func()) {
+				t.Helper()
+				done := make(chan struct{})
+				go func() { f(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s did not return", what)
+				}
+			}
+			var err error
+			within("Sync", func() { err = m.Sync() })
+			if err == nil {
+				t.Fatal("Sync over an unreadable segment returned no error")
+			}
+			within("Close", m.Close)
+			if m.Err() == nil {
+				t.Fatal("unreadable segment did not surface through Err")
+			}
+		})
+	}
+}
+
+// TestMonitorConsumeAllocs: once the window is full and no new thread,
+// object or clock width appears, a Monitor consuming records through its
+// StampSink allocates nothing per record. Detections are output the
+// monitor keeps by design, so each run hands the batch off as
+// finishBatchLocked does, without growing the retained list.
+func TestMonitorConsumeAllocs(t *testing.T) {
+	src, err := trace.Generate(trace.Uniform, trace.Config{Threads: 8, Objects: 8, Events: 4000}, rand.New(rand.NewSource(59)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 500}}))
+	replayTrace(t, from, src, -1)
+	recs := streamRecords(t, from)
+	const prime = 2000
+	if w := len(recs[prime].v); w != len(recs[len(recs)-1].v) || recs[prime].epoch != recs[len(recs)-1].epoch {
+		t.Fatalf("clock still widening after %d events: width %d, final %d", prime, w, len(recs[len(recs)-1].v))
+	}
+
+	tr := mustOpen(t, "")
+	m := tr.NewMonitor(MonitorPolicy{Window: 16})
+	defer m.Close()
+	m.WatchOrder("o1-after-o0",
+		func(e event.Event) bool { return e.Object == 0 && e.Op == event.OpWrite },
+		func(e event.Event) bool { return e.Object == 1 && e.Op == event.OpWrite },
+	)
+	sink := monitorSink{m}
+	next := 0
+	consume := func(n int) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		for ; n > 0; n-- {
+			r := recs[next]
+			if err := sink.ConsumeStamp(r.e, r.epoch, r.v); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	consume(prime)
+	allocs := testing.AllocsPerRun(100, func() {
+		consume(10)
+		m.mu.Lock()
+		m.pending = m.pending[:0]
+		m.mu.Unlock()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state consumption allocates %v per 10 records, want 0", allocs)
+	}
+	if st := m.Stats(); st.Consumed != next || st.Pairs == 0 {
+		t.Fatalf("consumed %d of %d records, %d pairs: the stream should exercise the pair scanner", st.Consumed, next, st.Pairs)
 	}
 }

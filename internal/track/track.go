@@ -288,10 +288,12 @@
 //     monitor up to the exact present, paying the same short freeze
 //     barrier a Snapshot takes, once, for the unsealed suffix only.
 //
-// Evaluation is windowed by MonitorPolicy.Window. The census and
-// happened-before index compare each new event against the last Window
-// stamps and count what slid away as skipped (exact when the window is
-// unbounded); predicate watches explore the lattice of consistent cuts
+// Evaluation is windowed by MonitorPolicy.Window. The monitor keeps one
+// ring of the last Window stamps, in a slab of Window rows × clock width
+// whose rows are overwritten in place; the census compares each new event
+// against it and counts what slid away as skipped (exact when the window
+// is unbounded), and happened-before queries answer from it. In steady
+// state a consumed record allocates nothing. Predicate watches explore the lattice of consistent cuts
 // that extend the window's fold — every witness is a real consistent
 // state of the full run (soundness), but states that needed an evicted
 // event to still be pending are out of reach (bounded completeness). The
@@ -301,7 +303,10 @@
 // threads) state. Epochs need no special handling by callers — a Compact
 // barrier orders everything across it, and the monitor folds its
 // predicate window and resets per-object adjacency at each epoch
-// boundary it consumes.
+// boundary it consumes. A monitor starts at the retention floor; when a
+// retention pass overtakes a lagging one, it skips to the new floor,
+// counts the gap in MonitorStats.Skipped and restarts its windowed state
+// there, as at an epoch boundary.
 //
 // Detections (schedule-sensitive pairs, order-watch violations, predicate
 // witnesses) carry their epoch and global trace index as provenance. The

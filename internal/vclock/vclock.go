@@ -143,25 +143,35 @@ func (v Vector) MergeInPlace(w Vector) Vector {
 // Compare returns the ordering of v relative to w. Missing components are
 // treated as zero, so [2,1] and [2,1,0,0] are Equal, and [2,1] is Before
 // [2,1,4].
+//
+// This is the inner loop of every stamp comparison (the census, the pair
+// scanner, happened-before queries), so it compares the common prefix
+// without per-component bounds checks and then scans whichever tail is
+// longer for a nonzero entry.
 func (v Vector) Compare(w Vector) Ordering {
-	n := len(v)
-	if len(w) > n {
-		n = len(w)
-	}
+	n := min(len(v), len(w))
+	a, b := v[:n], w[:n]
 	var less, greater bool
-	for i := 0; i < n; i++ {
-		a, b := v.At(i), w.At(i)
-		switch {
-		case a < b:
+	for i, x := range a {
+		if y := b[i]; x < y {
+			if greater {
+				return Concurrent
+			}
 			less = true
-		case a > b:
+		} else if x > y {
+			if less {
+				return Concurrent
+			}
 			greater = true
 		}
-		if less && greater {
-			return Concurrent
-		}
 	}
+	// Beyond the common prefix the shorter side is implicitly zero, so a
+	// nonzero entry in the longer side's tail orders that side higher.
+	less = less || nonzero(w[n:])
+	greater = greater || nonzero(v[n:])
 	switch {
+	case less && greater:
+		return Concurrent
 	case less:
 		return Before
 	case greater:
@@ -169,6 +179,16 @@ func (v Vector) Compare(w Vector) Ordering {
 	default:
 		return Equal
 	}
+}
+
+// nonzero reports whether any component of v is nonzero.
+func nonzero(v Vector) bool {
+	for _, x := range v {
+		if x != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Less reports whether v < w: every component of v is ≤ the corresponding
