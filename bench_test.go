@@ -1128,6 +1128,91 @@ func BenchmarkMonitorConsume(b *testing.B) {
 	b.ReportMetric(float64(tracker.Size()), "components")
 }
 
+// BenchmarkSeal measures one Seal of 50 000 freshly committed events on the
+// paper's Nonuniform 256×256 d=0.005 graph at the clock width the load
+// benchmark's steady state runs at — its auto-seal, without the trigger.
+// Each iteration has two goroutines commit the events (each driving its own
+// threads, outside the timer), then times the Seal: the swap barrier, the
+// weave, the encode, the SHA-256 and the publish barrier. ns/sealed-event
+// is that whole cost per record; barrier-ns/seal is the world-lock hold
+// Stats reports — the part of it every committer pays, which does not grow
+// with the record count.
+func BenchmarkSeal(b *testing.B) {
+	g, err := bipartite.Generate(bipartite.GenConfig{
+		NThreads: 256, NObjects: 256, Density: 0.005, Scenario: bipartite.Nonuniform,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	tracker := openTracker(b)
+	threads := make([]*mixedclock.Thread, g.NThreads())
+	for i := range threads {
+		threads[i] = tracker.NewThread(fmt.Sprintf("t%d", i))
+	}
+	objs := make([]*mixedclock.Object, g.NObjects())
+	for i := range objs {
+		objs[i] = tracker.NewObject(fmt.Sprintf("o%d", i))
+	}
+	type op struct {
+		th *mixedclock.Thread
+		o  *mixedclock.Object
+		op mixedclock.Op
+	}
+	var workers [2][]op
+	evs := trace.FromGraph(g, 50_000, rng).Events()
+	events := len(evs)
+	for _, e := range evs {
+		kind := mixedclock.OpWrite
+		if rng.Intn(2) == 0 {
+			kind = mixedclock.OpRead
+		}
+		d := int(e.Thread) % len(workers)
+		workers[d] = append(workers[d], op{threads[e.Thread], objs[e.Object], kind})
+	}
+	commit := func() {
+		var wg sync.WaitGroup
+		for _, ops := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, p := range ops {
+					p.th.Do(p.o, p.op, nil)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// One untimed round reveals the graph, so every timed seal runs at the
+	// settled width.
+	commit()
+	if err := tracker.Seal(); err != nil {
+		b.Fatal(err)
+	}
+	before := tracker.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		commit()
+		b.StartTimer()
+		if err := tracker.Seal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := tracker.Stats()
+	if err := tracker.Err(); err != nil {
+		b.Fatal(err)
+	}
+	if sealed := after.SealedEvents - before.SealedEvents; sealed != b.N*events {
+		b.Fatalf("sealed %d events, want %d", sealed, b.N*events)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/sealed-event")
+	b.ReportMetric(float64(after.SealBarrierNanos-before.SealBarrierNanos)/float64(b.N), "barrier-ns/seal")
+	b.ReportMetric(float64(tracker.Size()), "components")
+}
+
 // BenchmarkLoadgenMixed is the CI gate's end-to-end harness benchmark: one
 // complete loadgen run per iteration — warmup then a fixed-op mixed phase
 // across 4 workers — per commit style (per-op Do vs batch-16) and clock

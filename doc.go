@@ -66,11 +66,13 @@
 //	trace, stamps := tracker.Snapshot() // one barrier, consistent pair
 //
 // Snapshot, Seal and Compact are stop-the-world barriers that quiesce
-// in-flight operations and merge the per-thread delta records into the
-// tail. The merge keeps change sets, not stamps: full vectors are rebuilt
-// only where a reader asks for one, and a lazy stamp still in the tail
-// replays at most 64 change sets from its thread's nearest checkpoint. See
-// the internal/track package documentation for the full concurrency model.
+// in-flight operations and swap the per-thread delta records out into the
+// tail, as they are — the barrier costs O(threads), and the records are put
+// in trace order after it lifts. The tail keeps change sets, not stamps:
+// full vectors are rebuilt only where a reader asks for one, and a lazy
+// stamp still in the tail replays at most 64 change sets from its thread's
+// nearest checkpoint. See the internal/track package documentation for
+// the full concurrency model.
 //
 // High-rate producers can amortize the remaining per-event cost — one
 // object-stripe acquisition, one world read-lock shard, one cover lookup,
@@ -97,10 +99,12 @@
 // sealed replay has passed, so cover growth, segment compaction and
 // retention never stop the world. Only the operations that must observe
 // ALL threads at one instant — Snapshot, Seal, Compact — still barrier,
-// and Seal only twice, briefly: once to merge and freeze the tail, once to
-// publish the segment. Its encode, SHA-256 and spill (write, fsync,
-// rename) run while commits continue, and a lazy stamp of a sealed event
-// reads its segment with no barrier at all.
+// and Seal only twice, for a pause that does not grow with the records it
+// seals: once to swap the per-thread buffers out, once to publish the
+// segment. Its interleave into trace
+// order, encode, SHA-256 and spill (write, fsync, rename) run while
+// commits continue — Stats reports the barriers' hold — and a lazy stamp of
+// a sealed event reads its segment with no barrier at all.
 //
 // # Segments, spilling and streaming
 //

@@ -83,6 +83,7 @@ func (r *Report) WriteTable(w io.Writer) error {
 		{"lifecycle", fmt.Sprintf("%d seals, %d compaction passes (-%d segs), %d retention passes (-%d segs)",
 			r.Tracker.Seals, r.Tracker.CompactionPasses, r.Tracker.CompactedSegments,
 			r.Tracker.RetentionPasses, r.Tracker.RetiredSegments)},
+		{"seal barrier", fmt.Sprintf("%d ns total, %d ns max", r.Tracker.SealBarrierNanos, r.Tracker.SealBarrierMaxNanos)},
 	}
 	if r.Monitor != nil {
 		rows = append(rows, struct {

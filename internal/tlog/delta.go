@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"mixedclock/internal/event"
 	"mixedclock/internal/vclock"
@@ -61,13 +62,20 @@ type DeltaWriter struct {
 	started   bool
 	buf       []byte
 	scratch   []byte
-	pairs     []vclock.Delta
 	syncEvery int
 	// written counts stream bytes flushed so far; the writer keeps every
 	// emitted pair index below deltaBudget(written), mirroring the
 	// reader's anti-amplification check, by falling back to full records.
 	written int64
-	threads map[event.ThreadID]*threadLogState
+	// threads[id] is thread id's running state, grown on first sight of
+	// the id (thread IDs are dense).
+	threads []threadLogState
+	// touched marks, one bit per component, what the record AppendDelta is
+	// encoding assigned, and orig[i] is component i's value before that
+	// record. Both persist across records; touched is all-zero between
+	// calls, and orig is read only where touched is set.
+	touched []uint64
+	orig    []uint64
 }
 
 // threadLogState is the writer's running view of one thread: the thread's
@@ -89,11 +97,40 @@ func NewDeltaWriterSync(w io.Writer, syncEvery int) *DeltaWriter {
 	if syncEvery < 1 {
 		syncEvery = 1
 	}
-	return &DeltaWriter{
-		w:         bufio.NewWriter(w),
-		syncEvery: syncEvery,
-		threads:   make(map[event.ThreadID]*threadLogState),
+	return &DeltaWriter{w: bufio.NewWriter(w), syncEvery: syncEvery}
+}
+
+// state returns thread id's running state, growing the table to reach it.
+// The pointer is valid until the table next grows.
+func (w *DeltaWriter) state(id event.ThreadID) *threadLogState {
+	if n := int(id) + 1; n > len(w.threads) {
+		w.threads = append(w.threads, make([]threadLogState, n-len(w.threads))...)
 	}
+	return &w.threads[id]
+}
+
+// Seed installs v (copied) as thread id's running stamp without writing a
+// record. The thread's next record is still written full, as a thread's
+// first always is, but AppendDelta change sets now apply on top of v — so
+// a caller that knows where a thread stands going in (a segment starting
+// mid-epoch) can write even the thread's first record from its change set.
+func (w *DeltaWriter) Seed(id event.ThreadID, v vclock.Vector) {
+	if id < 0 {
+		return
+	}
+	st := w.state(id)
+	st.prev, st.since = v.Clone(), 0
+}
+
+// Stamp returns thread id's running stamp: the full vector of its last
+// record, or its seed; nil when the writer has seen neither. The vector is
+// borrowed — the next Append, AppendDelta or Seed for the thread may
+// overwrite it — so a caller that outlives the writer may keep it.
+func (w *DeltaWriter) Stamp(id event.ThreadID) vclock.Vector {
+	if id < 0 || int(id) >= len(w.threads) {
+		return nil
+	}
+	return w.threads[id].prev
 }
 
 // begin writes the record prelude shared by both payload kinds and returns
@@ -109,11 +146,7 @@ func (w *DeltaWriter) begin(e event.Event) (st *threadLogState, err error) {
 		w.started = true
 		w.written += int64(len(magicDelta))
 	}
-	st = w.threads[e.Thread]
-	if st == nil {
-		st = &threadLogState{}
-		w.threads[e.Thread] = st
-	}
+	st = w.state(e.Thread)
 	w.buf = w.buf[:0]
 	w.buf = binary.AppendUvarint(w.buf, uint64(e.Thread))
 	w.buf = binary.AppendUvarint(w.buf, uint64(e.Object))
@@ -195,60 +228,69 @@ func (w *DeltaWriter) Append(e event.Event, v vclock.Vector) error {
 // produce), so the caller never materializes a full vector. At sync points
 // the writer falls back to the full vector it maintains internally.
 //
-// The capture is canonicalized before encoding: pairs are sorted by
-// component index, only the last assignment to each index is kept (captures
-// may mention a component twice — join raise, then tick), and assignments
-// that leave the component unchanged are dropped. What remains is exactly
-// the diff against the thread's previous stamp, so AppendDelta(e, ds) and
-// Append(e, prev.Apply(ds)) produce identical bytes — capture order is the
-// one thing that differs between clock backends (flat scans ascending, tree
-// walks its marks), and canonicalizing here makes a computation export to
-// identical bytes whichever backend stamped it and whichever entry point
-// fed the writer. Capture values must be monotone (each at least the
-// component's current value), as the vclock capture API guarantees.
+// The capture is canonicalized before encoding: pairs are written in
+// ascending component order, only the last assignment to each index counts
+// (captures may mention a component twice — join raise, then tick), and
+// assignments that leave the component unchanged are dropped. What remains
+// is exactly the diff against the thread's previous stamp, so
+// AppendDelta(e, ds) and Append(e, prev.Apply(ds)) produce identical bytes
+// — capture order is the one thing that differs between clock backends
+// (flat scans ascending, tree walks its marks), and canonicalizing here
+// makes a computation export to identical bytes whichever backend stamped
+// it and whichever entry point fed the writer.
+//
+// The cost is one pass over the capture plus one scan of the bitmap words
+// it touched: each assignment lands on the running stamp once, and the
+// bitmap both orders and de-duplicates the indices, with no sort.
 func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta) error {
 	st, err := w.begin(e)
 	if err != nil {
 		return err
 	}
-	// Stable insertion sort into a retained buffer: change sets are a
-	// handful of entries, and this keeps the append allocation-free.
-	w.pairs = append(w.pairs[:0], ds...)
-	for i := 1; i < len(w.pairs); i++ {
-		for j := i; j > 0 && w.pairs[j].Index < w.pairs[j-1].Index; j-- {
-			w.pairs[j], w.pairs[j-1] = w.pairs[j-1], w.pairs[j]
+	prev := st.prev
+	lo, hi := len(w.touched), -1
+	for _, d := range ds {
+		i := int(d.Index)
+		word, bit := i>>6, uint64(1)<<(i&63)
+		if word >= len(w.touched) {
+			w.touched = append(w.touched, make([]uint64, word+1-len(w.touched))...)
 		}
+		if w.touched[word]&bit == 0 {
+			w.touched[word] |= bit
+			if i >= len(w.orig) {
+				w.orig = append(w.orig, make([]uint64, i+1-len(w.orig))...)
+			}
+			w.orig[i] = prev.At(i)
+			lo, hi = min(lo, word), max(hi, word)
+		}
+		prev = prev.Grow(i + 1)
+		prev[i] = d.Value
 	}
-	// Compact in place: last-wins per index, no-op assignments dropped.
-	// Writes trail reads (each surviving group writes one slot at or before
-	// the group's first element), so the in-place rewrite is safe.
-	pairs := w.pairs[:0]
-	for i := 0; i < len(w.pairs); {
-		j := i
-		for j+1 < len(w.pairs) && w.pairs[j+1].Index == w.pairs[i].Index {
-			j++
-		}
-		if d := w.pairs[j]; d.Value != st.prev.At(int(d.Index)) {
-			pairs = append(pairs, d)
-		}
-		i = j + 1
-	}
+	st.prev = prev
+	// Emit the net changes in ascending order, clearing the bitmap behind.
+	pairs := 0
 	var maxIdx uint64
-	if len(pairs) > 0 {
-		maxIdx = uint64(pairs[len(pairs)-1].Index)
+	w.scratch = w.scratch[:0]
+	for word := lo; word <= hi; word++ {
+		for m := w.touched[word]; m != 0; m &= m - 1 {
+			i := word<<6 | bits.TrailingZeros64(m)
+			if x := prev[i]; x != w.orig[i] {
+				pairs++
+				maxIdx = uint64(i)
+				w.scratch = binary.AppendUvarint(w.scratch, uint64(i))
+				w.scratch = binary.AppendUvarint(w.scratch, x)
+			}
+		}
+		w.touched[word] = 0
 	}
 	full := w.syncDue(st, maxIdx)
-	st.prev = st.prev.Apply(pairs)
 	if full {
 		w.buf = binary.AppendUvarint(w.buf, tagFull)
-		w.buf = st.prev.AppendBinary(w.buf)
+		w.buf = prev.AppendBinary(w.buf)
 	} else {
 		w.buf = binary.AppendUvarint(w.buf, tagDelta)
-		w.buf = binary.AppendUvarint(w.buf, uint64(len(pairs)))
-		for _, d := range pairs {
-			w.buf = binary.AppendUvarint(w.buf, uint64(d.Index))
-			w.buf = binary.AppendUvarint(w.buf, d.Value)
-		}
+		w.buf = binary.AppendUvarint(w.buf, uint64(pairs))
+		w.buf = append(w.buf, w.scratch...)
 	}
 	return w.flushRecord(st, full)
 }

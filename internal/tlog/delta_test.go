@@ -2,6 +2,7 @@ package tlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -339,4 +340,179 @@ func sliceTracePrefix(tr *event.Trace, n int) *event.Trace {
 		out.Append(e.Thread, e.Object, e.Op)
 	}
 	return out
+}
+
+// appendDeltaReference is AppendDelta as it was written before the bitmap
+// pass: copy the capture, insertion-sort it by index, keep the last
+// assignment per index, drop the no-ops against the thread's previous
+// stamp, then apply what survives. It is the oracle the bitmap writer is
+// held to, byte for byte.
+func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta) error {
+	st, err := w.begin(e)
+	if err != nil {
+		return err
+	}
+	sorted := append([]vclock.Delta(nil), ds...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Index < sorted[j-1].Index; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
+	}
+	pairs := sorted[:0]
+	for i := 0; i < len(sorted); {
+		j := i
+		for j+1 < len(sorted) && sorted[j+1].Index == sorted[i].Index {
+			j++
+		}
+		if d := sorted[j]; d.Value != st.prev.At(int(d.Index)) {
+			pairs = append(pairs, d)
+		}
+		i = j + 1
+	}
+	var maxIdx uint64
+	if len(pairs) > 0 {
+		maxIdx = uint64(pairs[len(pairs)-1].Index)
+	}
+	full := w.syncDue(st, maxIdx)
+	st.prev = st.prev.Apply(pairs)
+	if full {
+		w.buf = binary.AppendUvarint(w.buf, tagFull)
+		w.buf = st.prev.AppendBinary(w.buf)
+	} else {
+		w.buf = binary.AppendUvarint(w.buf, tagDelta)
+		w.buf = binary.AppendUvarint(w.buf, uint64(len(pairs)))
+		for _, d := range pairs {
+			w.buf = binary.AppendUvarint(w.buf, uint64(d.Index))
+			w.buf = binary.AppendUvarint(w.buf, d.Value)
+		}
+	}
+	return w.flushRecord(st, full)
+}
+
+// canonicalWriters feeds one stream of change captures to three writers —
+// AppendDelta, the reference body, and Append of the materialized stamps —
+// and requires the three outputs to be byte-identical.
+type canonicalWriters struct {
+	bitmap, ref, vec bytes.Buffer
+	wb, wr, wv       *DeltaWriter
+	stamps           map[event.ThreadID]vclock.Vector
+}
+
+func newCanonicalWriters(sync int) *canonicalWriters {
+	c := &canonicalWriters{stamps: map[event.ThreadID]vclock.Vector{}}
+	c.wb = NewDeltaWriterSync(&c.bitmap, sync)
+	c.wr = NewDeltaWriterSync(&c.ref, sync)
+	c.wv = NewDeltaWriterSync(&c.vec, sync)
+	return c
+}
+
+func (c *canonicalWriters) append(t testing.TB, e event.Event, ds []vclock.Delta) {
+	t.Helper()
+	c.stamps[e.Thread] = c.stamps[e.Thread].Apply(ds)
+	if err := c.wb.AppendDelta(e, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendDeltaReference(c.wr, e, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.wv.Append(e, c.stamps[e.Thread]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (c *canonicalWriters) check(t testing.TB) {
+	t.Helper()
+	for _, w := range []*DeltaWriter{c.wb, c.wr, c.wv} {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(c.bitmap.Bytes(), c.ref.Bytes()) {
+		t.Fatalf("AppendDelta wrote %d bytes differing from the reference's %d", c.bitmap.Len(), c.ref.Len())
+	}
+	if !bytes.Equal(c.bitmap.Bytes(), c.vec.Bytes()) {
+		t.Fatalf("AppendDelta wrote %d bytes differing from Append's %d", c.bitmap.Len(), c.vec.Len())
+	}
+}
+
+// TestAppendDeltaMatchesReference holds the bitmap AppendDelta to the
+// sort-based body it replaced: on both clock backends' real captures, and
+// on synthetic captures that shuffle their order, repeat indices and
+// assign components their current value, across sync intervals and clock
+// widths that span several bitmap words.
+func TestAppendDeltaMatchesReference(t *testing.T) {
+	tr, _ := sampleComputation(t)
+	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
+		c := newCanonicalWriters(DefaultSyncEvery)
+		mc := core.AnalyzeTrace(tr).NewClockBackend(backend)
+		var scratch []vclock.Delta
+		for i := 0; i < tr.Len(); i++ {
+			scratch, _ = mc.TimestampDelta(tr.At(i), scratch[:0])
+			c.append(t, tr.At(i), scratch)
+		}
+		c.check(t)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, width := range []int{3, 64, 65, 153, 300} {
+		for _, sync := range []int{1, 4, DefaultSyncEvery} {
+			c := newCanonicalWriters(sync)
+			for i := 0; i < 400; i++ {
+				e := event.Event{Index: i, Thread: event.ThreadID(rng.Intn(4)), Object: event.ObjectID(rng.Intn(3))}
+				cur := c.stamps[e.Thread]
+				var ds []vclock.Delta
+				for n := rng.Intn(6); n > 0; n-- {
+					idx := rng.Intn(width)
+					v := cur.At(idx)
+					switch rng.Intn(3) {
+					case 0: // a no-op assignment
+					case 1:
+						v += uint64(rng.Intn(3))
+					default:
+						v += uint64(1 + rng.Intn(200))
+					}
+					ds = append(ds, vclock.Delta{Index: int32(idx), Value: v})
+					if rng.Intn(4) == 0 { // the same index again, later wins
+						ds = append(ds, vclock.Delta{Index: int32(idx), Value: v + uint64(rng.Intn(2))})
+					}
+				}
+				c.append(t, e, ds)
+			}
+			c.check(t)
+		}
+	}
+}
+
+// TestSeedWritesFirstRecordFromChangeSet pins Seed: a thread seeded with
+// its stamp going in writes its first record from a change set exactly as
+// Append writes the full stamp, and Stamp reads the running vector back.
+func TestSeedWritesFirstRecordFromChangeSet(t *testing.T) {
+	base := vclock.Vector{4, 0, 9}
+	ds := []vclock.Delta{{Index: 2, Value: 9}, {Index: 1, Value: 3}, {Index: 4, Value: 1}}
+	want := base.Clone().Apply(ds)
+	e := event.Event{Thread: 2, Object: 1}
+	var seeded, full bytes.Buffer
+	ws, wf := NewDeltaWriter(&seeded), NewDeltaWriter(&full)
+	ws.Seed(e.Thread, base)
+	base[0] = 100 // Seed copies
+	if err := ws.AppendDelta(e, ds); err != nil {
+		t.Fatal(err)
+	}
+	if err := wf.Append(e, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := ws.Stamp(e.Thread); !got.Equal(want) {
+		t.Fatalf("Stamp = %v, want %v", got, want)
+	}
+	if ws.Stamp(7) != nil || ws.Stamp(0) != nil {
+		t.Fatal("Stamp of an unseen thread is not nil")
+	}
+	if err := ws.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wf.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seeded.Bytes(), full.Bytes()) {
+		t.Fatalf("seeded change set wrote %x, Append wrote %x", seeded.Bytes(), full.Bytes())
+	}
 }

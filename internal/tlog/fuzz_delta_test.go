@@ -85,3 +85,48 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendDeltaCanonical derives a stream of raw change captures from the
+// fuzz input — arbitrary assignment order, repeated indices, assignments of
+// a component's current value, indices across several bitmap words — and
+// requires AppendDelta to write exactly the bytes of the reference body it
+// replaced and of Append over the materialized stamps.
+func FuzzAppendDeltaCanonical(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 2, 5, 7, 5, 7, 1, 1, 0, 9, 0, 0})
+	f.Add(bytes.Repeat([]byte{0x81, 0x40, 0x03, 0x41, 0x02}, 30))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sync := 1
+		if len(data) > 0 {
+			sync = int(data[0]%9) - 1
+			data = data[1:]
+		}
+		c := newCanonicalWriters(sync)
+		// Each record: a header byte (thread in the low bits, pair count in
+		// the high ones), then two bytes per pair: an index (up to 199, so
+		// four bitmap words) and a step — 0 assigns the current value, odd
+		// steps raise it, even ones repeat the previous pair's index.
+		for i := 0; len(data) > 0 && i < 200; i++ {
+			h := data[0]
+			data = data[1:]
+			e := event.Event{Index: i, Thread: event.ThreadID(h % 5), Object: event.ObjectID(h % 3)}
+			cur := c.stamps[e.Thread]
+			var ds []vclock.Delta
+			for n := int(h >> 4); n > 0 && len(data) >= 2; n-- {
+				idx, step := int32(data[0]%200), data[1]
+				data = data[2:]
+				if step != 0 && step%2 == 0 && len(ds) > 0 {
+					idx = ds[len(ds)-1].Index
+				}
+				v := cur.At(int(idx))
+				if step%2 == 1 {
+					v += uint64(step)
+				}
+				ds = append(ds, vclock.Delta{Index: idx, Value: v})
+				cur = cur.Apply(ds[len(ds)-1:])
+			}
+			c.append(t, e, ds)
+		}
+		c.check(t)
+	})
+}

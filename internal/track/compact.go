@@ -67,14 +67,10 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 	defer t.sealMu.Unlock()
 	t.world.Lock()
 	defer t.world.Unlock()
-	t.mergeLocked()
+	t.swapLocked()
 	if err := t.sealLocked(t.mergedLenLocked()); err != nil {
 		return 0, 0, err
 	}
-	// The seal consumed every tail record; drop any empty blocks left over
-	// (a Stream freeze on an idle tracker leaves one) so no block carries
-	// its stale epoch across the boundary.
-	t.tail = nil
 
 	cover := t.cover.Load()
 	analysis := core.Analyze(cover.Graph())
@@ -98,6 +94,9 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 	// zero over the compacted components. No Do is in flight (we hold the
 	// write lock), so the per-thread and per-object state is quiescent.
 	// The delta replay state and the re-acquisition cache restart with it.
+	// The seal wove every generation, so no weave is running; mergeMu, the
+	// run vectors' owner, is taken for the reset anyway.
+	t.mergeMu.Lock()
 	t.reg.Lock()
 	for _, th := range t.threads {
 		th.clock = nil
@@ -108,6 +107,7 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 		o.clock = nil
 	}
 	t.reg.Unlock()
+	t.mergeMu.Unlock()
 	t.epoch++
 	t.epochStart = append(t.epochStart, t.mergedLenLocked())
 	// The epoch and component set changed; refresh the resume manifest the

@@ -2,9 +2,9 @@
 // segment lifecycle retire shared state without stopping the world.
 //
 // The problem it solves: compaction and retention replace parts of the
-// sealed-history snapshot (the segment list, spill files on disk, consumed
-// tail blocks) while streams, monitors and lazy stamps replay it with no
-// lock held. The old design made every replacement a stop-the-world swap —
+// sealed-history snapshot (the segment list, spill files on disk) and seals
+// consume tail generations while streams, monitors and lazy stamps replay
+// them with no lock held. The old design made every replacement a stop-the-world swap —
 // correct, but it put rare maintenance work on the critical path of every
 // commit. The EBR design publishes replacements atomically (see segState)
 // and hands the *old* value to the reclaimer, which frees it only once no
@@ -33,9 +33,11 @@
 // What "free" means is per resource: for spill files it is the actual
 // Remove/archive of the file (so a pinned replay never has its file deleted
 // underneath it — the retry in replaySealed becomes a fallback, not the
-// mechanism); for in-memory values (consumed tail blocks, old segState
-// snapshots) it is dropping the last tracked reference so the garbage
-// collector can take over. Reclamation is attempted synchronously at each
+// mechanism); for old segState snapshots it is dropping the last tracked
+// reference so the garbage collector can take over; for a consumed tail
+// generation it is handing its buffers back to their threads for reuse,
+// in a reclamation domain of its own that only a Stream's tail replay
+// pins. Reclamation is attempted synchronously at each
 // retirement and again after every seal, so in quiescent (single-threaded)
 // runs frees are prompt and deterministic.
 //
@@ -83,6 +85,10 @@ type reclaimer struct {
 	mu    sync.Mutex
 	recs  []*epochRec
 	limbo []limboEntry
+	// idle holds unregistered records for reuse, so registering a reader —
+	// once per stream, lazy sealed stamp or monitor replay — allocates only
+	// when more readers overlap than ever did before.
+	idle []*epochRec
 }
 
 func (rc *reclaimer) init() { rc.epoch.Store(1) }
@@ -90,8 +96,14 @@ func (rc *reclaimer) init() { rc.epoch.Store(1) }
 // register adds a reader record. Readers (sealed-history replays) are
 // transient and unregister when done.
 func (rc *reclaimer) register() *epochRec {
-	r := &epochRec{}
 	rc.mu.Lock()
+	var r *epochRec
+	if n := len(rc.idle); n > 0 {
+		r = rc.idle[n-1]
+		rc.idle = rc.idle[:n-1]
+	} else {
+		r = &epochRec{}
+	}
 	rc.recs = append(rc.recs, r)
 	rc.mu.Unlock()
 	return r
@@ -104,6 +116,8 @@ func (rc *reclaimer) unregister(r *epochRec) {
 	for i, x := range rc.recs {
 		if x == r {
 			rc.recs = append(rc.recs[:i], rc.recs[i+1:]...)
+			r.unpin()
+			rc.idle = append(rc.idle, r)
 			break
 		}
 	}

@@ -409,7 +409,7 @@ func TestCatalogHealth(t *testing.T) {
 // continue until that commit lands. Under the old design — the whole tail
 // replayed under the world write barrier — the commit could never take its
 // world read lock and this deadlocked; with the double-buffered tail the
-// commit lands in the fresh active block while the frozen one streams.
+// commit lands in fresh buffers while the frozen generations stream.
 type overlapSink struct {
 	th      *Thread
 	obj     *Object

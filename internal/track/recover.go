@@ -361,6 +361,7 @@ func (t *Tracker) recoverDir(o options) error {
 	}
 	t.tailStart = P
 	t.seq.Store(int64(P))
+	t.woven.Store(int64(P))
 	t.sealed.Store(int64(P))
 	retained := cat.RetainedEvents
 	if retained > P {

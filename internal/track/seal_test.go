@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +116,149 @@ func TestSealDoesNotBarrierCommits(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealMergeOffBarrier is the acceptance proof that a seal's first
+// barrier only swaps the per-thread buffers: with a Seal parked right
+// after that barrier — its records swapped into a generation nobody has
+// woven yet — a commit on another goroutine completes, and a lazy stamp of
+// a swapped record (first round) and a Snapshot (second round), each of
+// which has to weave the generation itself, equal a twin tracker's that
+// never seals.
+func TestSealMergeOffBarrier(t *testing.T) {
+	tr, twin := mustOpen(t, ""), mustOpen(t, "")
+	parked, release := make(chan int), make(chan struct{})
+	tr.sealPark = func(upTo int) {
+		parked <- upTo
+		<-release
+	}
+	var threads, twinThreads []*Thread
+	var objects, twinObjects []*Object
+	for i := 0; i < 3; i++ {
+		threads, twinThreads = append(threads, tr.NewThread("t")), append(twinThreads, twin.NewThread("t"))
+		objects, twinObjects = append(objects, tr.NewObject("o")), append(twinObjects, twin.NewObject("o"))
+	}
+	var stamps []Stamped
+	commit := func(i int) Stamped {
+		th, o, op := i%3, (i*7)%3, event.Op(i%2)
+		twinThreads[th].Do(twinObjects[o], op, nil)
+		return threads[th].Do(objects[o], op, nil)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 150; i++ {
+			stamps = append(stamps, commit(len(stamps)))
+		}
+		release = make(chan struct{})
+		sealed := make(chan error, 1)
+		go func() { sealed <- tr.Seal() }()
+		var upTo int
+		select {
+		case upTo = <-parked:
+		case err := <-sealed:
+			t.Fatalf("round %d: Seal returned (%v) without parking", round, err)
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Seal never reached its park point", round)
+		}
+		if upTo != len(stamps) {
+			close(release)
+			t.Fatalf("round %d: seal cut at %d, want %d", round, upTo, len(stamps))
+		}
+		if woven := int(tr.woven.Load()); woven >= upTo {
+			close(release)
+			t.Fatalf("round %d: records below %d already woven at the park point (woven to %d)", round, upTo, woven)
+		}
+		// A commit is not held up by the parked seal...
+		committed := make(chan Stamped, 1)
+		go func() { committed <- commit(len(stamps)) }()
+		select {
+		case s := <-committed:
+			stamps = append(stamps, s)
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatalf("round %d: a commit blocked while a seal was parked after its swap", round)
+		}
+		// ...and readers weave the swapped generation themselves.
+		_, want := twin.Snapshot()
+		if round == 0 {
+			i := upTo - 40
+			if got := stamps[i].Vector(); !got.Equal(want[i]) || len(got) != len(want[i]) {
+				close(release)
+				t.Fatalf("lazy stamp %d of a swapped record = %v, twin has %v", i, got, want[i])
+			}
+		} else {
+			full, got := tr.Snapshot()
+			if full.Len() != len(want) {
+				close(release)
+				t.Fatalf("parked snapshot has %d events, want %d", full.Len(), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) || len(got[i]) != len(want[i]) {
+					close(release)
+					t.Fatalf("parked snapshot stamp %d = %v, twin has %v", i, got[i], want[i])
+				}
+			}
+		}
+		close(release)
+		if err := <-sealed; err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Stats().SealedEvents; got != upTo {
+			t.Fatalf("round %d: sealed %d events, want %d", round, got, upTo)
+		}
+	}
+	full, got := tr.Snapshot()
+	_, want := twin.Snapshot()
+	for i := range want {
+		if !got[i].Equal(want[i]) || len(got[i]) != len(want[i]) {
+			t.Fatalf("final stamp %d = %v, twin has %v", i, got[i], want[i])
+		}
+	}
+	if err := clock.Validate(full, got, "seal-merge-off-barrier"); err != nil {
+		t.Fatal(err)
+	}
+	st := tr.Stats()
+	if st.Seals != 2 || st.SealBarrierNanos <= 0 || st.SealBarrierMaxNanos <= 0 || st.SealBarrierMaxNanos > st.SealBarrierNanos {
+		t.Fatalf("seal barrier stats after two seals: %+v", st)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSealCutKeepsCheckpoints seals through the middle of a generation
+// that carries full-stamp checkpoints on both sides of the cut: one
+// batch commits 150 records of one thread in a single generation, and
+// the aligned auto-seal cuts it at 100, so the tail keeps a copied
+// remainder whose checkpoints must be exactly those above the cut. Every
+// lazy stamp, tail and sealed, must equal a twin's that never seals.
+func TestSealCutKeepsCheckpoints(t *testing.T) {
+	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 100}}))
+	twin := mustOpen(t, "")
+	ops := make([]event.Op, 150)
+	for i := range ops {
+		ops[i] = event.Op(i % 2)
+	}
+	a, o := tr.NewThread("a"), tr.NewObject("o")
+	ta, to := twin.NewThread("a"), twin.NewObject("o")
+	got := a.DoBatch(o, ops)
+	ta.DoBatch(to, ops)
+	if st := tr.Stats(); st.SealedEvents != 100 {
+		t.Fatalf("sealed %d events, want the aligned 100", st.SealedEvents)
+	}
+	// More records on top of the remainder, so the tail chains across it.
+	for i := 0; i < 20; i++ {
+		got = append(got, a.Write(o, nil))
+		ta.Write(to, nil)
+	}
+	_, want := twin.Snapshot()
+	for i := len(got) - 1; i >= 0; i-- {
+		if v := got[i].Vector(); !v.Equal(want[i]) || len(v) != len(want[i]) {
+			t.Fatalf("lazy stamp %d = %v, twin has %v", i, v, want[i])
+		}
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
@@ -297,9 +441,12 @@ func TestSealedBytesMatchAppendEncode(t *testing.T) {
 // TestLazyStampsRaceSeal materializes lazy stamps from worker goroutines
 // while they commit, auto-seal to disk, and race the main goroutine's
 // explicit Seals and Streams: a stamp may be read from the tail, from a
-// block a seal has frozen but not yet published, or from a spilled
-// segment. Every materialized stamp must equal the final history's. Run
-// under -race.
+// generation a seal has swapped out but nobody has woven yet, from one it
+// has woven but not yet published, or from a spilled segment. Every seal
+// also materializes the last record it swapped right at its park point,
+// before its own weave, and lingers there so the workers' stamps land in
+// that window too. Every materialized stamp must equal the final
+// history's. Run under -race.
 func TestLazyStampsRaceSeal(t *testing.T) {
 	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 53}}))
 	const nWorkers, nObjects, opsPer = 6, 4, 400
@@ -310,6 +457,20 @@ func TestLazyStampsRaceSeal(t *testing.T) {
 	type seen struct {
 		idx int
 		v   vclock.Vector
+	}
+	var parkMu sync.Mutex
+	var atPark []seen
+	unwoven := 0
+	tr.sealPark = func(upTo int) {
+		pending := int(tr.woven.Load()) < upTo
+		v := tr.stampAt(upTo - 1)
+		runtime.Gosched() // let the workers' stamps land in the window too
+		parkMu.Lock()
+		atPark = append(atPark, seen{upTo - 1, v})
+		if pending {
+			unwoven++
+		}
+		parkMu.Unlock()
 	}
 	got := make([][]seen, nWorkers)
 	var wg sync.WaitGroup
@@ -352,6 +513,14 @@ func TestLazyStampsRaceSeal(t *testing.T) {
 			if !s.v.Equal(stamps[s.idx]) || len(s.v) != len(stamps[s.idx]) {
 				t.Fatalf("worker %d: lazy stamp %d = %v, final history has %v", w, s.idx, s.v, stamps[s.idx])
 			}
+		}
+	}
+	if unwoven == 0 {
+		t.Fatalf("none of %d seals parked with its generation still unwoven", len(atPark))
+	}
+	for _, s := range atPark {
+		if !s.v.Equal(stamps[s.idx]) || len(s.v) != len(stamps[s.idx]) {
+			t.Fatalf("stamp %d read at a seal's park point = %v, final history has %v", s.idx, s.v, stamps[s.idx])
 		}
 	}
 	validateEpochs(t, tr)

@@ -40,6 +40,16 @@ type TrackerStats struct {
 	CompactedSegments int64 `json:"compacted_segments"`
 	RetentionPasses   int64 `json:"retention_passes"`
 	RetiredSegments   int64 `json:"retired_segments"`
+	// SealBarrierNanos is the total time seals held the world write lock —
+	// the stop-the-world pause every committer pays — and
+	// SealBarrierMaxNanos the longest single hold. Each automatic or
+	// explicit Seal holds it twice: to swap the per-thread buffers out,
+	// O(threads), and to publish the segment, O(threads) plus the resume
+	// manifest's rebuild, O(revealed edges). Neither depends on how many
+	// records the seal holds. Compact and Close, which seal under their own
+	// barrier, are not counted.
+	SealBarrierNanos    int64 `json:"seal_barrier_ns"`
+	SealBarrierMaxNanos int64 `json:"seal_barrier_max_ns"`
 }
 
 // Stats gathers the tracker's current lifecycle summary. The snapshot is
@@ -57,19 +67,21 @@ func (t *Tracker) Stats() TrackerStats {
 		}
 	}
 	return TrackerStats{
-		Events:            t.Events(),
-		SealedEvents:      int(t.sealed.Load()),
-		RetainedEvents:    st.retained,
-		Width:             t.Size(),
-		Backend:           t.Backend(),
-		Epoch:             t.Epoch(),
-		Segments:          len(st.segs),
-		SpilledBytes:      spilled,
-		CatalogGen:        st.gen,
-		Seals:             t.sealPasses.Load(),
-		CompactionPasses:  t.compactPasses.Load(),
-		CompactedSegments: t.compactedSegs.Load(),
-		RetentionPasses:   t.retainPasses.Load(),
-		RetiredSegments:   t.retiredSegs.Load(),
+		Events:              t.Events(),
+		SealedEvents:        int(t.sealed.Load()),
+		RetainedEvents:      st.retained,
+		Width:               t.Size(),
+		Backend:             t.Backend(),
+		Epoch:               t.Epoch(),
+		Segments:            len(st.segs),
+		SpilledBytes:        spilled,
+		CatalogGen:          st.gen,
+		Seals:               t.sealPasses.Load(),
+		CompactionPasses:    t.compactPasses.Load(),
+		CompactedSegments:   t.compactedSegs.Load(),
+		RetentionPasses:     t.retainPasses.Load(),
+		RetiredSegments:     t.retiredSegs.Load(),
+		SealBarrierNanos:    t.sealBarrierNanos.Load(),
+		SealBarrierMaxNanos: t.sealBarrierMax.Load(),
 	}
 }

@@ -143,7 +143,7 @@ func (t *Tracker) Close() error {
 	}
 	t.sealMu.Lock()
 	t.world.Lock()
-	t.mergeLocked()
+	t.swapLocked()
 	err := t.sealLocked(t.mergedLenLocked())
 	// The Closed marker changes the published document even when the tail
 	// was empty; give it its own generation.
@@ -153,6 +153,7 @@ func (t *Tracker) Close() error {
 	t.world.Unlock()
 	t.sealMu.Unlock()
 	t.reclaim.reclaim()
+	t.tailReclaim.reclaim()
 	t.publishCatalog()
 	if t.dir != "" {
 		if serr := syncDir(t.fs, t.dir); serr != nil && err == nil {

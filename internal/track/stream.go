@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,12 +36,14 @@ type SpillPolicy struct {
 	// per-thread buffers plus the merged tail), and segment edges land at
 	// predictable indices — retention jobs and snapshot consumers can
 	// reason in whole intervals. An automatic seal stops commits only for
-	// its two short barriers — merging the per-thread buffers and freezing
-	// the tail, then publishing the written segment; the encode, hash and
-	// spill run with commits flowing. The pause each barrier costs is
-	// O(records merged × changed components), not O(SealEvery × clock
-	// width), and it never includes disk I/O. Zero seals only at Compact,
-	// an explicit Seal, or SealInterval.
+	// its two short barriers — swapping the per-thread buffers out, then
+	// publishing the written segment; the interleave into trace order, the
+	// encode, the hash and the spill run with commits flowing. Neither
+	// barrier costs O(SealEvery): no record is touched under them — the
+	// swap is O(threads), the publish O(threads) plus the resume manifest's
+	// O(revealed edges) — and neither includes disk I/O (Stats reports the
+	// holds). Zero seals only at Compact, an explicit Seal, or
+	// SealInterval.
 	//
 	// If an automatic seal fails (spill I/O), the error surfaces through
 	// Err and the catalog health field, the history stays in memory, and
@@ -166,9 +169,10 @@ func (sg *segment) streamFrom(sink StampSink, from, to int) (int, error) {
 var errSegmentVanished = errors.New("segment unreadable")
 
 // sealJob is one seal in flight: the tail records [from, upTo) of one epoch,
-// as the frozen blocks holding them plus every thread's base at from. The
-// freeze barrier captures it; from then on nothing it references is ever
-// mutated, so the encode and spill run with no lock held.
+// as the generations holding them plus every thread's base at from. The
+// first barrier captures it; from then on nothing it references is
+// mutated except by the weave, which finishes before the encode reads it,
+// so the weave, encode and spill all run with no world lock held.
 type sealJob struct {
 	from, upTo, epoch int
 	blocks            []*tailBlock
@@ -176,10 +180,9 @@ type sealJob struct {
 }
 
 // freezeSealLocked captures the seal of the tail below upTo (clamped to
-// what is merged): it freezes every block holding such records — later
-// merges start a fresh block — and snapshots the threads' bases. nil means
-// there is nothing to seal. The caller holds the world write lock and has
-// merged.
+// what is merged): the generations holding such records and a snapshot of
+// the threads' bases. nil means there is nothing to seal. The caller holds
+// the world write lock and has swapped.
 func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 	upTo = min(upTo, t.mergedLenLocked())
 	if upTo <= t.tailStart {
@@ -190,60 +193,67 @@ func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 		if b.start >= upTo {
 			break
 		}
-		b.frozen = true
 		j.blocks = append(j.blocks, b)
 	}
 	return j
 }
 
-// writeSeal encodes a frozen seal job as one MVCSEG01 container, hashes it,
-// and spills it when the tracker has a directory; it returns the segment and
-// every thread's base as of j.upTo. It takes no lock: the job's blocks and
-// bases are immutable. A thread's first record in the segment is encoded
-// from its full stamp (base plus change set), every later one straight from
-// its change set — byte-identical to encoding each full stamp, by
-// AppendDelta's contract.
-func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, error) {
+// writeSeal finishes the weave of a seal job's generations (the one step a
+// reader may wait on), then encodes their records below j.upTo as one
+// MVCSEG01 container straight from the swapped buffers, hashes it, and
+// spills it when the tracker has a directory. It returns the segment, every
+// thread's base as of j.upTo, and the remainder of a generation the cut
+// goes through (nil when it falls between two). It takes no lock beyond
+// the weave's: the generations are immutable once woven and the bases
+// always are.
+//
+// The writer's per-thread running stamp is the only vector the encode
+// keeps: each thread is seeded with its base, so its first record in the
+// segment is written full and every later one straight from its change
+// set — byte-identical to encoding each full stamp, by AppendDelta's
+// contract — and the running stamps the segment ends with are the threads'
+// new bases.
+func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, error) {
+	t.weaveTo(j.upTo)
 	var payload bytes.Buffer
+	// Size the payload once, at the last segment's bytes per record plus
+	// some headroom: growing it by doubling would clear and copy it over
+	// and over.
+	if segs := t.hist.Load().segs; len(segs) > 0 {
+		if last := segs[len(segs)-1]; last.meta.Count > 0 {
+			payload.Grow(int(last.size/int64(last.meta.Count)+8) * (j.upTo - j.from))
+		}
+	}
 	w := tlog.NewDeltaWriter(&payload)
 	widths := make([]int, 0, j.upTo-j.from)
-	// cur[th] is thread th's running stamp once the segment has reached it;
-	// each is fresh storage, and the last value becomes the thread's base.
-	cur := make([]vclock.Vector, len(j.bases))
 	started := make([]bool, len(j.bases))
 	for _, b := range j.blocks {
-		n := min(j.upTo-b.start, len(b.ev))
-		for i := 0; i < n; i++ {
-			e, r := b.ev[i], b.recs[i]
-			ds := b.deltas[r.start:r.end]
-			var err error
-			if started[e.Thread] {
-				cur[e.Thread] = cur[e.Thread].Apply(ds).Grow(int(r.width))
-				err = w.AppendDelta(e, ds)
-			} else {
-				started[e.Thread] = true
-				cur[e.Thread] = j.bases[e.Thread].Clone().Apply(ds).Grow(int(r.width))
-				err = w.Append(e, cur[e.Thread])
+		for i := range b.order[:min(j.upTo, b.end)-b.start] {
+			sl := &b.order[i]
+			gt := &b.thr[sl.thr]
+			if !started[gt.id] {
+				started[gt.id] = true
+				w.Seed(gt.id, j.bases[gt.id])
 			}
-			if err != nil {
-				return nil, nil, fmt.Errorf("track: sealing: %w", err)
+			if err := w.AppendDelta(sl.event(b, i), gt.deltas[sl.start:sl.end]); err != nil {
+				return nil, nil, nil, fmt.Errorf("track: sealing: %w", err)
 			}
-			widths = append(widths, len(cur[e.Thread]))
+			widths = append(widths, int(sl.width))
 		}
 	}
 	if err := w.Flush(); err != nil {
-		return nil, nil, fmt.Errorf("track: sealing: %w", err)
+		return nil, nil, nil, fmt.Errorf("track: sealing: %w", err)
 	}
 	meta := tlog.SegmentMeta{Epoch: j.epoch, FirstIndex: j.from, Count: j.upTo - j.from}
 	data, err := tlog.AppendSegment(nil, meta, widths, payload.Bytes())
 	if err != nil {
-		return nil, nil, fmt.Errorf("track: sealing: %w", err)
+		return nil, nil, nil, fmt.Errorf("track: sealing: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	sg := &segment{meta: meta, size: int64(len(data)), sha: hex.EncodeToString(sum[:]), sealedAt: time.Now()}
 	if t.dir != "" {
 		if err := t.fs.MkdirAll(t.dir); err != nil {
-			return nil, nil, fmt.Errorf("track: spilling: %w", err)
+			return nil, nil, nil, fmt.Errorf("track: spilling: %w", err)
 		}
 		sg.dir, sg.file, sg.fs = t.dir, tlog.SegmentFileName(meta), t.fs
 		// Write-then-rename with an fsync in between: after the rename
@@ -251,25 +261,34 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, error) {
 		// leaves at most a stray temp file (ignored and cleaned by Open),
 		// never a torn .mvcseg.
 		if err := writeFileSync(t.fs, sg.dir, sg.file, data); err != nil {
-			return nil, nil, fmt.Errorf("track: spilling: %w", err)
+			return nil, nil, nil, fmt.Errorf("track: spilling: %w", err)
 		}
 	} else {
 		sg.data = data
 	}
+	// The writer is done with its running stamps: they become the bases.
+	bases := make([]vclock.Vector, len(j.bases))
 	for th, ok := range started {
-		if !ok {
-			cur[th] = j.bases[th]
+		if ok {
+			bases[th] = w.Stamp(event.ThreadID(th))
+		} else {
+			bases[th] = j.bases[th]
 		}
 	}
-	return sg, cur, nil
+	var rest *tailBlock
+	if last := j.blocks[len(j.blocks)-1]; last.end > j.upTo {
+		rest = last.suffix(j.upTo)
+	}
+	return sg, bases, rest, nil
 }
 
 // publishSealLocked makes a written seal visible: it appends the segment to
-// the sealed history, installs the threads' new bases, cuts the consumed
-// records off the tail and moves tailStart. The caller holds the world
-// write lock, and holds sealMu across the freeze, the write and this
-// publish, so the tail below j.upTo is exactly the job's frozen blocks.
-func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vector) {
+// the sealed history, installs the threads' new bases, replaces the
+// consumed generations at the head of the tail with rest (the cut one's
+// remainder, if any) and moves tailStart. The caller holds the world write
+// lock, and holds sealMu across the freeze, the write and this publish, so
+// the tail below j.upTo is exactly the job's generations.
+func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vector, rest *tailBlock) {
 	t.swapHist(func(old *segState) *segState {
 		segs := make([]*segment, len(old.segs)+1)
 		copy(segs, old.segs)
@@ -284,31 +303,23 @@ func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vect
 	}
 	t.reg.Unlock()
 	t.captureResumeLocked()
-	// Drop consumed blocks outright (rather than truncating) so a spilling
-	// tracker's footprint really is bounded by the seal interval; a block
-	// the boundary cuts through is replaced by a copied remainder, never
-	// re-sliced — frozen blocks a Stream still replays must stay intact.
-	// The consumed blocks — the sealed arena storage — go onto the
-	// reclaimer's limbo list rather than being dropped here: a Stream's own
-	// references keep the blocks it replays alive regardless, and the limbo
-	// entry tracks the release of the seal's reference until every
-	// in-flight reader has passed the retirement.
-	upTo := j.upTo
-	var rest []*tailBlock
-	for _, b := range t.tail {
-		if b.start+len(b.ev) > upTo {
-			if b.start >= upTo {
-				rest = append(rest, b)
-				continue
-			}
-			rest = append(rest, b.suffix(upTo-b.start))
-		}
-		consumed := b
-		t.reclaim.retireDeferred(func() { _ = consumed })
+	// Drop the consumed generations outright (rather than truncating) so a
+	// spilling tracker's footprint really is bounded by the seal interval;
+	// one the boundary cuts through is replaced by its copied remainder,
+	// never re-sliced — a Stream may still be replaying it. The consumed
+	// generations go onto the reclaimer's limbo list, and their buffers
+	// back to their threads as spares, only once every reader that could
+	// hold them — a Stream is pinned across its tail replay — has passed.
+	for _, b := range j.blocks {
+		t.tailReclaim.retireDeferred(func() { t.recycle(b) })
 	}
-	t.tail = rest
-	t.tailStart = upTo
-	t.sealed.Store(int64(upTo))
+	tail := t.tail[len(j.blocks):]
+	if rest != nil {
+		tail = append([]*tailBlock{rest}, tail...)
+	}
+	t.tail = tail
+	t.tailStart = j.upTo
+	t.sealed.Store(int64(j.upTo))
 	// A successful seal re-arms auto-sealing after an earlier spill failure
 	// (the storage evidently works again), exits degraded mode, and
 	// restarts the wall clock.
@@ -326,9 +337,10 @@ func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vect
 // successful Seal publishes the catalog and re-arms auto-sealing after a
 // spill failure.
 //
-// Commits stop only twice, briefly: once to merge and freeze the tail, and
-// once to publish the written segment. The encode, the SHA-256 and the
-// spill's write, fsync and rename run between the two with commits flowing.
+// Commits stop only twice, whatever the number of records: once to swap
+// the per-thread buffers out, and once to publish the written segment. The
+// interleave into trace order, the encode, the SHA-256 and the spill's
+// write, fsync and rename run between the two with commits flowing.
 func (t *Tracker) Seal() error {
 	if t.closed.Load() {
 		return fmt.Errorf("track: Seal on a closed Tracker")
@@ -341,10 +353,10 @@ func (t *Tracker) Seal() error {
 }
 
 // sealLocked seals the tail below upTo entirely under the caller's world
-// write barrier — the freeze, encode, spill and publish of a seal in one
-// critical section. Compact and Close use it: they need history sealed at
-// the very instant they act. The caller holds sealMu and the world write
-// lock and has merged. On error (segment encoding, spill I/O) the tail
+// write barrier — the freeze, weave, encode, spill and publish of a seal in
+// one critical section. Compact and Close use it: they need history sealed
+// at the very instant they act. The caller holds sealMu and the world write
+// lock and has swapped. On error (segment encoding, spill I/O) the tail
 // keeps its records, so no history is lost — the tracker just keeps it in
 // memory.
 func (t *Tracker) sealLocked(upTo int) error {
@@ -352,37 +364,55 @@ func (t *Tracker) sealLocked(upTo int) error {
 	if j == nil {
 		return nil
 	}
-	sg, bases, err := t.writeSeal(j)
+	sg, bases, rest, err := t.writeSeal(j)
 	if err != nil {
 		return err
 	}
-	t.publishSealLocked(j, sg, bases)
+	t.publishSealLocked(j, sg, bases, rest)
 	return nil
 }
 
 // sealSplit seals the tail up to the boundary cut picks, outside the world
-// barrier: one barrier merges and freezes (cut runs under it), the segment
-// is written with no lock held, and a second barrier publishes it. sealMu
-// keeps any other seal, Compact or Close out for the whole span. On error
-// the frozen records stay in the tail.
+// barrier. The first barrier only swaps the per-thread buffers into a new
+// generation and freezes the job (cut runs under it) — O(threads), no
+// record touched. The weave, the encode and the spill then run with no
+// world lock held, and a second barrier publishes. sealMu keeps any other
+// seal, Compact or Close out for the whole span. On error the swapped
+// records stay in the tail.
 func (t *Tracker) sealSplit(cut func() int) error {
 	t.sealMu.Lock()
 	defer t.sealMu.Unlock()
 	t.world.Lock()
-	t.mergeLocked()
+	held := time.Now()
+	t.swapLocked()
 	j := t.freezeSealLocked(cut())
+	t.noteSealBarrier(held)
 	t.world.Unlock()
 	if j == nil {
 		return nil
 	}
-	sg, bases, err := t.writeSeal(j)
+	if t.sealPark != nil {
+		t.sealPark(j.upTo)
+	}
+	sg, bases, rest, err := t.writeSeal(j)
 	if err != nil {
 		return err
 	}
 	t.world.Lock()
-	t.publishSealLocked(j, sg, bases)
+	held = time.Now()
+	t.publishSealLocked(j, sg, bases, rest)
+	t.noteSealBarrier(held)
 	t.world.Unlock()
 	return nil
+}
+
+// noteSealBarrier adds the world-lock hold that began at held to the seal
+// barrier statistics. The caller still holds the lock.
+func (t *Tracker) noteSealBarrier(held time.Time) {
+	d := int64(time.Since(held))
+	t.sealBarrierNanos.Add(d)
+	for m := t.sealBarrierMax.Load(); d > m && !t.sealBarrierMax.CompareAndSwap(m, d); m = t.sealBarrierMax.Load() {
+	}
 }
 
 // afterSeal is the post-barrier lifecycle work every successful seal path
@@ -399,9 +429,10 @@ func (t *Tracker) afterSeal() {
 		t.publishCatalog()
 	}
 	// The barrier has lifted: drain whatever the seal retired under it
-	// (consumed tail blocks, the superseded history snapshot) from the
-	// reclaimer's limbo list, now that frees may safely run.
+	// (consumed tail generations, the superseded history snapshot) from the
+	// limbo lists, now that frees may safely run.
 	t.reclaim.reclaim()
+	t.tailReclaim.reclaim()
 	// Newly sealed records are now replayable without a barrier; wake the
 	// registered monitors (non-blocking — a busy monitor picks the new
 	// segments up on its next pass anyway).
@@ -533,10 +564,10 @@ type StampSink interface {
 //     the replay retries against the fresh segment list, whose merged
 //     segment carries the identical records.)
 //   - The merged tail is double-buffered: Stream takes the barrier only
-//     long enough to merge the per-thread buffers and freeze the tail —
-//     commits then continue into a fresh active block while the frozen
-//     blocks are replayed outside the barrier. The pause commits observe is
-//     the O(unsealed suffix) merge, never the sink's I/O.
+//     long enough to swap the per-thread buffers out and freeze the tail —
+//     commits then continue into fresh buffers while the frozen records are
+//     put in trace order and replayed outside the barrier. The pause
+//     commits observe is the O(threads) swap, never the sink's I/O.
 //
 // The result is a consistent snapshot of the tracker as of the freeze: all
 // events below the freeze point, none after, each with the epoch it was
@@ -547,8 +578,8 @@ func (t *Tracker) Stream(sink StampSink) error {
 
 // StreamFrom is Stream starting at global trace index from: records below
 // from are skipped, records from it on are delivered with the same
-// barrier discipline (sealed history and frozen blocks replay without the
-// barrier; only the freeze itself stops the world). A from below the
+// barrier discipline (sealed history and the frozen tail replay without
+// the barrier; only the freeze itself stops the world). A from below the
 // retention floor is clamped to it. Monitors use StreamFrom to consume the
 // unsealed tail on demand without re-reading history they have already
 // evaluated.
@@ -559,12 +590,23 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 	// auto-sealing a streamer on slow storage could otherwise chase freshly
 	// sealed segments forever; whatever remains after the last round is
 	// picked up by the freeze, which guarantees termination.
+	//
+	// One sealed-history reclamation record serves the whole stream: it is
+	// pinned for phase 1, then afresh before the freeze for phase 3's
+	// catch-up. A tail record, pinned before the freeze too, holds the
+	// frozen generations: a seal that consumes them after the freeze
+	// retires them into limbo, and their buffers are handed back to the
+	// threads for reuse only once this replay has unpinned.
+	rec := t.reclaim.register()
+	defer t.reclaim.unregister(rec)
+	defer rec.unpin()
+	rec.pin(&t.reclaim)
 	delivered := from
 	if r := t.RetainedEvents(); delivered < r {
 		delivered = r
 	}
 	for round := 0; round < 4; round++ {
-		n, err := t.replaySealed(sink, delivered, -1)
+		n, err := t.replayPinned(sink, delivered, -1)
 		if err != nil {
 			return err
 		}
@@ -573,26 +615,30 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 		}
 		delivered = n
 	}
-	// Phase 2: the freeze — the stream's only barrier. Merge the per-thread
-	// buffers, note how far sealed history reaches, snapshot the threads'
-	// bases there, and freeze every tail block; commits restart into a
-	// fresh active block the moment the barrier lifts.
+	// Phase 2: the freeze — the stream's only barrier. Swap the per-thread
+	// buffers into a new generation, note how far sealed history reaches,
+	// snapshot the threads' bases there and the tail's generations; commits
+	// restart into fresh buffers the moment the barrier lifts. The weave
+	// of whatever is still pending runs after it, barrier-free.
+	tailRec := t.tailReclaim.register()
+	defer t.tailReclaim.unregister(tailRec)
+	defer tailRec.unpin()
+	tailRec.pin(&t.tailReclaim)
+	rec.pin(&t.reclaim)
 	t.world.Lock()
-	t.mergeLocked()
+	t.swapLocked()
 	sealedEnd := t.tailStart
 	bases := t.basesLocked()
-	blocks := make([]*tailBlock, len(t.tail))
-	copy(blocks, t.tail)
-	for _, b := range blocks {
-		b.frozen = true
-	}
+	blocks := slices.Clone(t.tail)
+	end := t.mergedLenLocked()
 	t.world.Unlock()
+	t.weaveTo(end)
 	// Phase 3: no barrier. Catch up on segments sealed during phase 1, then
-	// replay the frozen blocks. Concurrent seals may consume the frozen
-	// blocks (our references keep them alive) and concurrent compaction may
+	// replay the frozen generations. Concurrent seals may consume them (the
+	// pin keeps their buffers from reuse) and concurrent compaction may
 	// rewrite the very segments being caught up on — both invisible here.
 	if delivered < sealedEnd {
-		n, err := t.replaySealed(sink, delivered, sealedEnd)
+		n, err := t.replayPinned(sink, delivered, sealedEnd)
 		if err != nil {
 			return err
 		}
@@ -605,14 +651,14 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 	return replayTail(sink, blocks, bases, delivered)
 }
 
-// replayTail delivers the frozen tail blocks' records with global index at
-// or above from into sink, rebuilding each stamp by applying its change set
-// to its thread's running vector. The running vectors start from bases (the
-// threads' stamps where the blocks begin) and are carved out of one slab
-// sized by the widest record, so the replay allocates a constant amount
-// whatever the tail's length. Records below from are applied but not
-// delivered. The delivered vector is the running vector itself — borrowed,
-// as StampSink allows.
+// replayTail delivers the frozen tail generations' records with global
+// index at or above from into sink, in trace order, rebuilding each stamp
+// by applying its change set to its thread's running vector. The running
+// vectors start from bases (the threads' stamps where the generations
+// begin) and are carved out of one slab sized by the widest record, so the
+// replay allocates a constant amount whatever the tail's length. Records
+// below from are applied but not delivered. The delivered vector is the
+// running vector itself — borrowed, as StampSink allows.
 func replayTail(sink StampSink, blocks []*tailBlock, bases []vclock.Vector, from int) error {
 	width := 0
 	for _, v := range bases {
@@ -627,14 +673,15 @@ func replayTail(sink StampSink, blocks []*tailBlock, bases []vclock.Vector, from
 		cur[i] = append(slab[i*width:i*width:(i+1)*width], v...)
 	}
 	for _, b := range blocks {
-		for i, e := range b.ev {
-			r := b.recs[i]
-			v := cur[e.Thread].Apply(b.deltas[r.start:r.end]).Grow(int(r.width))
-			cur[e.Thread] = v
-			if e.Index < from {
+		for i := range b.order {
+			sl := &b.order[i]
+			gt := &b.thr[sl.thr]
+			v := cur[gt.id].Apply(gt.deltas[sl.start:sl.end]).Grow(int(sl.width))
+			cur[gt.id] = v
+			if b.start+i < from {
 				continue // below from: already consumed by the caller
 			}
-			if err := sink.ConsumeStamp(e, b.epoch, v); err != nil {
+			if err := sink.ConsumeStamp(sl.event(b, i), b.epoch, v); err != nil {
 				return err
 			}
 		}
@@ -644,23 +691,28 @@ func replayTail(sink StampSink, blocks []*tailBlock, bases []vclock.Vector, from
 
 // replaySealed streams sealed records with global index in [from, to) into
 // sink (to < 0: as far as sealed history currently reaches) and returns the
-// next undelivered index. The segment list is snapshotted without the write
+// next undelivered index, registered as an epoch-reclamation reader for the
+// duration: spill files retired by a compaction or retention pass that
+// starts after the pin sit in limbo — not deleted — until the replay
+// finishes, so replayPinned's vanished-file retry is a fallback (for
+// retirements that began before the pin), not the mechanism.
+func (t *Tracker) replaySealed(sink StampSink, from, to int) (int, error) {
+	rec := t.reclaim.register()
+	rec.pin(&t.reclaim)
+	defer t.reclaim.unregister(rec)
+	defer rec.unpin()
+	return t.replayPinned(sink, from, to)
+}
+
+// replayPinned is replaySealed for a caller that holds its own pinned
+// reclamation record. The segment list is snapshotted without the write
 // barrier; when a spill file vanishes before it is opened — the signature
 // of a concurrent compaction retiring it — the replay re-snapshots and
 // retries, since the merged replacement covers the same records. A segment
 // that stays unreadable across retries (a spill file genuinely lost) is an
 // error, and so is a replay point below the retention floor.
-func (t *Tracker) replaySealed(sink StampSink, from, to int) (int, error) {
+func (t *Tracker) replayPinned(sink StampSink, from, to int) (int, error) {
 	delivered := from
-	// Register as an epoch-reclamation reader for the duration of the
-	// replay: spill files retired by a compaction or retention pass that
-	// starts after this pin sit in limbo — not deleted — until the replay
-	// finishes, so the vanished-file retry below is a fallback (for
-	// retirements that began before the pin), not the mechanism.
-	rec := t.reclaim.register()
-	rec.pin(&t.reclaim)
-	defer t.reclaim.unregister(rec)
-	defer rec.unpin()
 	// The retry budget is per stall, not per stream: progress since the
 	// last snapshot proves the list is live and resets it, so a long replay
 	// under sustained compaction retries each retirement it trips over,

@@ -430,3 +430,70 @@ func TestStreamWhileSealing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// reuseSink is a StampSink that, on the first tail record it receives,
+// seals the very generation the stream is replaying, commits, and seals
+// again — the second seal's barrier hands the thread whatever spare
+// buffers the first one recycled — then commits into those. It keeps a
+// copy of every stamp it is given.
+type reuseSink struct {
+	tr      *Tracker
+	th      *Thread
+	o       *Object
+	stamps  []vclock.Vector
+	reentry bool
+}
+
+func (s *reuseSink) ConsumeStamp(_ event.Event, _ int, v vclock.Vector) error {
+	s.stamps = append(s.stamps, v.Clone())
+	if s.reentry {
+		return nil
+	}
+	s.reentry = true
+	for round := 0; round < 2; round++ {
+		if err := s.tr.Seal(); err != nil {
+			return err
+		}
+		for i := 0; i < 300; i++ {
+			s.th.Write(s.o, nil)
+		}
+	}
+	return nil
+}
+
+// TestStreamHoldsRecycledBuffers pins the contract that lets a seal hand
+// consumed buffers back to their threads: a Stream pins the reclaimer
+// across its tail replay, so a generation it is replaying keeps its
+// buffers even when a seal consumes it mid-replay and the thread commits
+// on through a later swap. Without the pin the thread would write its next
+// records into the buffer being replayed.
+func TestStreamHoldsRecycledBuffers(t *testing.T) {
+	tr := mustOpen(t, "")
+	th, o := tr.NewThread("w"), tr.NewObject("o")
+	for i := 0; i < 200; i++ {
+		th.Write(o, nil)
+	}
+	_, want := tr.Snapshot()
+	sink := &reuseSink{tr: tr, th: th, o: o}
+	if err := tr.Stream(sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.stamps) != 200 {
+		t.Fatalf("streamed %d records, want 200", len(sink.stamps))
+	}
+	for i, v := range sink.stamps {
+		if !v.Equal(want[i]) {
+			t.Fatalf("streamed stamp %d = %v, want %v", i, v, want[i])
+		}
+	}
+	full, stamps := tr.Snapshot()
+	if full.Len() != 800 {
+		t.Fatalf("final snapshot has %d events, want 800", full.Len())
+	}
+	if err := clock.Validate(full, stamps, "stream-holds-recycled-buffers"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -64,23 +64,28 @@
 // thread's clock already equals the object's, and the commit degenerates to
 // ticking the covered components — O(1) at any clock width.
 //
-// The change sets stay the representation after the merge, too. A barrier
-// copies each buffered change set into its dense index slot of the tail
-// (indices are dense, so there is no sort) and materializes no stamp; the
-// only O(k) work left per event is one checkpoint clone of the thread's
-// full stamp every stampCheckpointEvery (64, MVCLOG02's sync interval)
-// records of that thread. Full vectors are rebuilt only where a reader
-// asks for them, from each thread's base — its immutable stamp as of the
-// seal point — plus the thread's change sets:
+// The change sets stay the representation after the merge, too, and in
+// place: the records and arenas a thread filled become part of the tail as
+// they are. Merging is split in two. A barrier swaps every thread's buffer
+// and arena out into a new tail generation — O(threads), no record touched
+// — and the weave then builds, outside the barrier, the generation's trace
+// order (indices are dense, so each record goes straight to its slot, no
+// sort) and materializes no stamp; the only O(k) work left per event is
+// one checkpoint copy of the thread's full stamp every stampCheckpointEvery
+// (64, MVCLOG02's sync interval) records of that thread. Full vectors are
+// rebuilt only where a reader asks for them, from each thread's base — its
+// immutable stamp as of the seal point — plus the thread's change sets:
 //
-//   - Seal encodes a thread's first record of the segment from its full
-//     stamp and every later one straight from its change set, which
-//     MVCLOG02's AppendDelta writes byte-identically to the full stamp;
+//   - Seal seeds the log writer with each thread's base and encodes every
+//     record straight from its change set: the thread's first record of the
+//     segment comes out full, every later one as the delta MVCLOG02's
+//     AppendDelta writes byte-identically to the full stamp, and the
+//     writer's running stamps become the new bases;
 //   - Stream and Snapshot replay the tail through per-thread running
 //     vectors seeded from the bases;
 //   - a lazy tail stamp (Stamped.Vector, the comparison helpers) walks its
-//     thread's record chain back to the nearest checkpoint and replays at
-//     most 64 change sets, under the barrier, whatever the tail's length;
+//     thread's records back to the nearest checkpoint and replays at most
+//     64 change sets, under the barrier, whatever the tail's length;
 //   - a lazy sealed stamp replays its segment with no barrier at all.
 //
 // A Stamped returned by Do carries a handle, not a vector; the first
@@ -88,17 +93,33 @@
 //
 // Trace recording is deferred: operations accumulate in per-thread buffers
 // and are merged into trace order only when a snapshot is taken —
-// Snapshot, Stream, a lazy tail stamp — or at sealing/compaction. Those
-// merge points are stop-the-world barriers: they take the write side of the world
-// lock whose read side every commit holds (sharded per thread, see
-// world.go), quiescing all in-flight clock updates. This is what preserves
-// the epoch semantics of Compact (every event of epoch k commits before
-// every event of epoch k+1) without a lock on the per-event path. The read
-// lock covers only the commit, not the user's callback, so a callback may
-// freely block, nest Do calls (on different objects, with the usual mutex
-// lock-ordering discipline), or call any Tracker method — including
-// Stamped.Vector on an earlier stamp. An operation whose callback straddles
-// a compaction simply commits into the new epoch.
+// Snapshot, Stream, a lazy tail stamp — or at sealing/compaction. The swap
+// half of a merge is a stop-the-world barrier: it takes the write side of
+// the world lock whose read side every commit holds (sharded per thread,
+// see world.go), quiescing all in-flight clock updates. This is what
+// preserves the epoch semantics of Compact (every event of epoch k commits
+// before every event of epoch k+1) without a lock on the per-event path.
+// The read lock covers only the commit, not the user's callback, so a
+// callback may freely block, nest Do calls (on different objects, with the
+// usual mutex lock-ordering discipline), or call any Tracker method —
+// including Stamped.Vector on an earlier stamp. An operation whose callback
+// straddles a compaction simply commits into the new epoch.
+//
+// # Locking
+//
+// From the outside in, and in the order they nest:
+//
+//   - sealMu serializes whole seals (Seal, auto-seal, Compact, Close).
+//   - The world lock: commits hold one shard's read side; the barriers —
+//     a merge's swap, a seal's publish, Compact, Close — hold every shard's
+//     write side, and lazy tail stamps read the tail under it.
+//   - mergeMu serializes the weave, which whoever needs a generation first
+//     runs — its seal, a Stream, a lazy stamp — with the world lock
+//     released (Compact and Close excepted, which weave under their own
+//     barrier). A reader may wait on mergeMu; a commit never does.
+//   - reg guards registration and the threads' spare buffers; pendMu the
+//     queue of swapped generations awaiting their weave; errMu, segMu and
+//     the reclaimer's own mutex are leaves.
 //
 // # Segment lifecycle: merge, seal, spill
 //
@@ -107,10 +128,11 @@
 //
 //   - Live: committed records sit in per-thread buffers as delta ranges
 //     (above). Nothing is ordered or materialized yet.
-//   - Tail: a barrier merges the buffers into the tail — events in trace
-//     order with their change sets and periodic full-stamp checkpoints.
-//     The tail is the mutable suffix of history; Stamped.Vector of a tail
-//     event replays at most 64 change sets.
+//   - Tail: a barrier swaps the buffers into the tail as a new generation,
+//     and the weave orders it — events in trace order with their change
+//     sets and periodic full-stamp checkpoints. The tail is the mutable
+//     suffix of history; Stamped.Vector of a tail event replays at most 64
+//     change sets.
 //   - Sealed: Seal (called by Compact, by the spill policy, or directly)
 //     encodes the tail as one immutable delta-encoded segment — the
 //     MVCLOG02 wire format inside a tlog "MVCSEG01" container that also
@@ -133,18 +155,25 @@
 // boundary), and SealInterval caps by wall time how stale sealed history
 // can go under light traffic.
 //
-// A seal stops commits only twice, briefly. The first barrier merges the
-// buffers and freezes the tail blocks below the seal point, with a
-// snapshot of every thread's base. The encode, the SHA-256 and the
-// spill's write, fsync and rename then run with no lock held while commits
-// merge into a fresh block. The second barrier publishes: the segment
-// joins the sealed history (swapHist), the threads get their new bases,
-// the consumed blocks are cut from the tail and retired through the
-// reclaimer, and the resume manifest is captured. sealMu serializes seals
-// with each other and with Compact and Close; those two keep their whole
-// seal under their own barrier, since they must seal at the instant they
-// act. Nothing is visible before the second barrier, so the catalog still
-// lists a segment only after its file is durable.
+// A seal stops commits only twice, for pauses independent of the number of
+// records it seals. The first barrier swaps the per-thread buffers into a
+// new generation and captures the generations below the seal point, with a
+// snapshot of every thread's base. The weave, the encode straight from the
+// swapped buffers, the SHA-256 and the spill's write, fsync and rename
+// then run with no world lock held while commits fill fresh buffers; a
+// reader that needs the swapped records meanwhile waits for the weave
+// only, never for the encode or the I/O. The second barrier publishes: the
+// segment joins the sealed history (swapHist), the threads get their new
+// bases, the consumed generations are cut from the tail (one the seal
+// point cuts through leaves a copied remainder) and retired through the
+// reclaimer, which hands their buffers back to the threads as spares once
+// no reader holds them, and the resume manifest is captured — O(revealed
+// edges), the one cost of either barrier beyond O(threads). Stats reports
+// the barriers' cumulative and longest hold. sealMu serializes seals with
+// each other and with Compact and Close; those two keep their whole seal
+// under their own barrier, since they must seal at the instant they act.
+// Nothing is visible before the second barrier, so the catalog still lists
+// a segment only after its file is durable.
 //
 // # Segment lifecycle: compaction tiers and the catalog
 //
@@ -183,9 +212,12 @@
 // reader holding it.
 //
 // What goes through limbo: superseded segState snapshots (every seal,
-// compaction, retention, recovery and Close swap), the tail blocks a seal
-// consumes, and the spill files a compaction or retention pass stops
-// listing — their deletion is the one free that touches the filesystem,
+// compaction, retention, recovery and Close swap), the tail generations a
+// seal consumes — whose free hands their buffers back to the threads for
+// reuse, in a second reclamation domain that a Stream pins across its tail
+// replay and sealed replays never touch — and the spill files a compaction
+// or retention pass stops listing — their deletion is the one free that
+// touches the filesystem,
 // and it runs strictly after the catalog generation without them is
 // published. This is why CompactSegments and
 // RetainSegments never take the world write lock: readers caught mid-flight
@@ -196,10 +228,11 @@
 // when the tracker is quiescent, and after every seal barrier.
 //
 // Snapshot, Seal and Compact still stop the world, but for a different
-// reason: they must observe every thread's unmerged records at one instant
-// to merge them in trace order. That barrier is about the per-thread
-// buffers, not about reclamation — nothing else requires it anymore, and a
-// Seal holds it only for the merge and for the publish, not for its I/O.
+// reason: they must take every thread's unmerged records at one instant to
+// merge them in trace order. That barrier is about the per-thread buffers,
+// not about reclamation — nothing else requires it anymore, and a Seal
+// holds it only for the swap and for the publish, not for the weave, the
+// encode or its I/O.
 //
 // # Streaming and barriers
 //
@@ -207,18 +240,19 @@
 // StampSink without ever running the sink under the world barrier. Sealed
 // segments are immutable, so they are read WITHOUT the world lock — the
 // tracker keeps committing, sealing and compacting underneath. The merged
-// tail is double-buffered: Stream takes the barrier only to merge the
-// per-thread buffers and freeze the tail blocks, then replays the frozen
-// blocks outside the barrier while commits continue into a fresh active
-// block, rebuilding each stamp from the threads' bases snapshotted at the
-// freeze. The memory model is freeze-and-share: a frozen block is never
-// mutated again (sealing replaces a partially sealed block with a copied
-// remainder rather than re-slicing it), and bases are immutable, so the
-// replay needs no lock; the streamer's references keep consumed blocks
-// alive past any seal. The stream is a consistent snapshot as of its
-// freeze point, and the stall commits observe is the O(unsealed suffix)
-// merge — never the sink's I/O. Sinks may block and may call back into the
-// Tracker.
+// tail is double-buffered: Stream takes the barrier only to swap the
+// per-thread buffers into a new generation and snapshot the tail's
+// generations, weaves what is pending, and replays the generations outside
+// the barrier while commits continue into fresh buffers, rebuilding each
+// stamp from the threads' bases snapshotted at the freeze. The memory
+// model is freeze-and-share: a woven generation is never mutated again
+// (sealing replaces a partially sealed one with a copied remainder rather
+// than re-slicing it), and bases are immutable, so the replay needs no
+// lock; the streamer's reclaimer pin keeps the buffers of generations a
+// seal consumes from being reused underneath it. The stream is a
+// consistent snapshot as of its freeze point, and the stall commits
+// observe is the O(threads) swap — never the weave or the sink's I/O.
+// Sinks may block and may call back into the Tracker.
 //
 // # Durability and recovery
 //
@@ -330,7 +364,6 @@ package track
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -423,42 +456,64 @@ func (c *stampCell) vector() vclock.Vector {
 // are handed out from the chunk so the per-event allocation amortizes away.
 const cellChunkSize = 128
 
-// tailBlock is one chunk of the merged-but-unsealed tail: events in trace
-// order with their change sets, ev[i] and recs[i] at global index start+i,
-// all belonging to one epoch. The block owns the delta arena its records'
-// change sets live in and the full-stamp checkpoints some of them carry. The
-// last block of the chain is active — the barrier merges new records into
-// it; earlier blocks were frozen by a Stream or a seal, which may be reading
-// them with no lock held, so a frozen block is never mutated. Sealing
-// consumes blocks (a reader's own references keep them alive) and a partial
-// seal replaces the straddled block with a copied remainder rather than
-// re-slicing it, so frozen storage is never aliased by storage that still
-// grows.
+// tailBlock is one generation of the merged-but-unsealed tail: every record
+// one barrier swapped out of the per-thread buffers, covering the dense
+// global indices [start, end), all of one epoch. The barrier moves each
+// committing thread's record buffer and delta arena into thr as they stand
+// — no record is copied — and the weave (weaveTo) then builds, outside the
+// barrier, the trace order over them and the full-stamp checkpoints some of
+// them carry. A woven generation is never mutated again, so a Stream or a
+// seal may read it with no lock held; a seal that cuts through one leaves a
+// copied remainder (suffix) in the tail rather than re-slicing it, so
+// storage a reader holds is never aliased by storage that is reused.
 type tailBlock struct {
-	start  int
-	epoch  int
-	frozen bool
-	// width is the widest record in the block, which sizes a replay's
+	start, end int
+	epoch      int
+	// thr is one entry per thread that committed since the previous
+	// generation, in thread-ID order.
+	thr []genThread
+	// Written by the weave and read only after it: order[i] is record
+	// start+i, and width is the widest record, which sizes a replay's
 	// per-thread running vectors up front.
-	width  int
-	ev     []event.Event
-	recs   []tailRec
+	order []genSlot
+	width int
+}
+
+// genThread is one thread's share of a generation: its records in program
+// order and the delta arena their change sets live in (both swapped out of
+// the thread), plus the checkpoints the weave copied out. prev is the global
+// index of the thread's last record before the generation (-1 when none
+// this epoch), the link a lazy stamp walks back along; before counts the
+// thread's records of the epoch merged ahead of this generation, which
+// fixes where its checkpoints fall: record p carries one when
+// (before+p+1) is a multiple of stampCheckpointEvery, and ckpts holds them
+// in record order.
+type genThread struct {
+	th     *Thread
+	id     event.ThreadID
+	recs   []record
 	deltas []vclock.Delta
+	prev   int
+	before int
 	ckpts  []vclock.Vector
 }
 
-// tailRec is one merged record's change set: deltas[start:end] of its block
-// is what the event changed relative to its thread's previous stamp, and
-// width is the clock width at commit (the stamp is padded to it). prev is
-// the global index of the same thread's previous merged record of the epoch
-// (-1 when none), the chain a lazy stamp walks back along; ck indexes the
-// block's ckpts when the record carries a full-stamp checkpoint, -1 when
-// not.
-type tailRec struct {
-	start, end int
-	prev       int
+// genSlot is one record of a generation in trace order: the thread entry
+// and position it sits at, plus a copy of what an in-order pass reads — the
+// record's change set in the entry's delta arena, its width, object and
+// op — so a replay or an encode walks the slots front to back and never
+// gathers the records themselves from the threads' buffers.
+type genSlot struct {
+	thr, pos   int32
+	start, end int32
 	width      int32
-	ck         int32
+	object     int32
+	op         int32
+}
+
+// event returns the slot's event, record start+i of its generation g.
+func (sl *genSlot) event(g *tailBlock, i int) event.Event {
+	return event.Event{Index: g.start + i, Thread: g.thr[sl.thr].id, Object: event.ObjectID(sl.object), Op: event.Op(sl.op)}
 }
 
 // stampCheckpointEvery is the per-thread cadence of full-stamp checkpoints
@@ -468,27 +523,83 @@ type tailRec struct {
 // per interval against bounded replay.
 const stampCheckpointEvery = tlog.DefaultSyncEvery
 
-// suffix returns a fresh block holding b's records from position k on, with
-// copies of exactly their change sets — what a seal that cuts through b
-// leaves in the tail. Checkpoint vectors are immutable, so they are shared.
-func (b *tailBlock) suffix(k int) *tailBlock {
-	nb := &tailBlock{
-		start: b.start + k,
-		epoch: b.epoch,
-		ev:    append([]event.Event(nil), b.ev[k:]...),
-		recs:  make([]tailRec, 0, len(b.recs)-k),
+// ckptsBelow counts the checkpoints records [0, q) carry.
+func (gt *genThread) ckptsBelow(q int) int {
+	first := stampCheckpointEvery - 1 - gt.before%stampCheckpointEvery
+	if q <= first {
+		return 0
 	}
-	for _, r := range b.recs[k:] {
-		ds := b.deltas[r.start:r.end]
-		r.start = len(nb.deltas)
-		nb.deltas = append(nb.deltas, ds...)
-		r.end = len(nb.deltas)
-		if r.ck >= 0 {
-			nb.ckpts = append(nb.ckpts, b.ckpts[r.ck])
-			r.ck = int32(len(nb.ckpts) - 1)
+	return (q-first-1)/stampCheckpointEvery + 1
+}
+
+// checkpoint returns the checkpoint nearest at or before record p: its
+// position and stamp, or -1 and nil when no record up to p carries one.
+func (gt *genThread) checkpoint(p int) (int, vclock.Vector) {
+	n := gt.ckptsBelow(p + 1)
+	if n == 0 {
+		return -1, nil
+	}
+	first := stampCheckpointEvery - 1 - gt.before%stampCheckpointEvery
+	return first + (n-1)*stampCheckpointEvery, gt.ckpts[n-1]
+}
+
+// suffix returns a fresh generation holding g's records from global index
+// from on — what a seal that cuts through g leaves in the tail — with
+// copies of exactly those records and their change sets, in one arena
+// each. Checkpoint vectors are immutable, so they are shared. g must be
+// woven; so is the result.
+func (g *tailBlock) suffix(from int) *tailBlock {
+	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch}
+	// cut[k] is how many of thread entry k's records fall below from, to[k]
+	// its entry in nb, and off[k] where its remaining change sets began.
+	cut := make([]int32, len(g.thr))
+	to := make([]int32, len(g.thr))
+	off := make([]int32, len(g.thr))
+	nrecs, ndeltas, nthr := 0, 0, 0
+	for k := range g.thr {
+		gt := &g.thr[k]
+		q := sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= from })
+		cut[k] = int32(q)
+		if q < len(gt.recs) {
+			nthr++
+			nrecs += len(gt.recs) - q
+			ndeltas += gt.recs[len(gt.recs)-1].end - gt.recs[q].start
 		}
-		nb.width = max(nb.width, int(r.width))
-		nb.recs = append(nb.recs, r)
+	}
+	nb.thr = make([]genThread, 0, nthr)
+	recs := make([]record, 0, nrecs)
+	deltas := make([]vclock.Delta, 0, ndeltas)
+	for k := range g.thr {
+		gt, q := &g.thr[k], int(cut[k])
+		to[k] = int32(len(nb.thr))
+		if q == len(gt.recs) {
+			continue
+		}
+		ngt := genThread{th: gt.th, id: gt.id, prev: gt.prev, before: gt.before + q, ckpts: gt.ckpts[gt.ckptsBelow(q):]}
+		if q > 0 {
+			ngt.prev = gt.recs[q-1].ev.Index
+		}
+		r0, d0 := len(recs), len(deltas)
+		o := gt.recs[q].start
+		off[k] = int32(o)
+		deltas = append(deltas, gt.deltas[o:gt.recs[len(gt.recs)-1].end]...)
+		for _, r := range gt.recs[q:] {
+			r.start, r.end = r.start-o, r.end-o
+			recs = append(recs, r)
+			nb.width = max(nb.width, r.width)
+		}
+		// Capped, so a thread handed these back as spares reallocates
+		// rather than growing into its neighbour's share.
+		ngt.recs = recs[r0:len(recs):len(recs)]
+		ngt.deltas = deltas[d0:len(deltas):len(deltas)]
+		nb.thr = append(nb.thr, ngt)
+	}
+	nb.order = make([]genSlot, g.end-from)
+	for i, sl := range g.order[from-g.start:] {
+		k := sl.thr
+		sl.thr, sl.pos = to[k], sl.pos-cut[k]
+		sl.start, sl.end = sl.start-off[k], sl.end-off[k]
+		nb.order[i] = sl
 	}
 	return nb
 }
@@ -540,9 +651,8 @@ type Tracker struct {
 	// Merged history, written only under the world write lock. Records
 	// below tailStart live in segs (sealed, immutable, possibly spilled to
 	// disk); tail holds the merged-but-unsealed suffix as a chain of
-	// contiguous blocks — the last one active (the barrier merges new
-	// records into it), earlier ones frozen by a Stream or a seal and
-	// therefore immutable (a replay or encode may be reading them with no
+	// contiguous generations, one per barrier that found new records, each
+	// immutable once woven (a replay or encode may be reading it with no
 	// lock held).
 	spill   SpillPolicy
 	compact CompactPolicy
@@ -556,6 +666,15 @@ type Tracker struct {
 	fs        vfs.FS
 	tailStart int
 	tail      []*tailBlock
+	// mergeMu serializes the weave, the half of a merge that runs outside
+	// the barrier (weaveTo), and owns every thread's run vector. pendMu
+	// guards pending, the generations swapped but not yet woven, oldest
+	// first. woven is where the last woven generation ends: a reader whose
+	// records all lie below it has nothing to wait for.
+	mergeMu sync.Mutex
+	pendMu  sync.Mutex
+	pending []*tailBlock
+	woven   atomic.Int64
 	// hist is the current sealed-history snapshot (segment list, retention
 	// floor, catalog generation) as one immutable value behind an atomic
 	// pointer. Readers — Catalog, Segments, streams, lazy stamps — load it
@@ -574,8 +693,12 @@ type Tracker struct {
 	// flight and the tail it froze cannot be cut underneath it.
 	sealMu sync.Mutex
 	// reclaim is the epoch-based reclamation state: sealed replays pin it,
-	// retired resources wait on its limbo list.
-	reclaim reclaimer
+	// retired resources wait on its limbo list. tailReclaim is a second
+	// domain for the tail generations seals consume, pinned only by a
+	// Stream's tail replay, so a lagging sealed replay (a monitor catching
+	// up) never holds a thread's spare buffers back.
+	reclaim     reclaimer
+	tailReclaim reclaimer
 	// resume is the latest resume manifest, captured under the world write
 	// lock at every seal, compaction and Open (each capture builds a fresh
 	// immutable value), and embedded in the published catalog so a
@@ -624,6 +747,15 @@ type Tracker struct {
 	compactedSegs atomic.Int64
 	retainPasses  atomic.Int64
 	retiredSegs   atomic.Int64
+	// sealBarrierNanos and sealBarrierMax are the cumulative and the
+	// longest world-lock hold of a split seal's two barriers.
+	sealBarrierNanos atomic.Int64
+	sealBarrierMax   atomic.Int64
+	// sealPark, when set (tests only), runs on a split seal's goroutine
+	// right after its first barrier, before the weave, with the seal's cut:
+	// it holds a seal between the swap and the interleave for as long as a
+	// test needs.
+	sealPark func(upTo int)
 
 	// Epoch bookkeeping, written only under the world write lock. epoch is
 	// additionally read by commits under the read lock; epochStart[i] is
@@ -721,6 +853,7 @@ func newTracker(dir string, o options) *Tracker {
 		t.fs = vfs.OS
 	}
 	t.reclaim.init()
+	t.tailReclaim.init()
 	t.hist.Store(&segState{})
 	t.lastSealNano.Store(time.Now().UnixNano())
 	t.sealArmed.Store(t.spill.SealEvery > 0 || t.spill.SealInterval > 0)
@@ -746,19 +879,26 @@ type Thread struct {
 	// lock); reset by Compact (under the world write lock).
 	clock vclock.Clock
 	// buf holds committed records not yet merged into the tracker's trace;
-	// deltas is the arena their change sets live in.
-	buf    []record
-	deltas []vclock.Delta
+	// deltas is the arena their change sets live in. A merge barrier moves
+	// both into a tail generation and installs the spares in their place:
+	// the buffers of a generation a seal consumed, handed back through the
+	// reclaimer once no reader holds them (recycle). The spares are
+	// guarded by the tracker's reg mutex.
+	buf         []record
+	deltas      []vclock.Delta
+	spareBuf    []record
+	spareDeltas []vclock.Delta
 	// base is the thread's stamp as of tailStart — the stamp of its last
 	// sealed record of the epoch, nil when it has none. Immutable: a seal
 	// replaces it with a fresh vector, Compact resets it, recovery restores
 	// it, so a Stream or seal may read a snapshot of it with no lock held.
 	base vclock.Vector
-	// run is the stamp of the thread's last merged record, advanced in
-	// place by each merge and cloned into a tail checkpoint every
-	// stampCheckpointEvery records; last is that record's global index (-1
-	// when none this epoch) and merged counts the thread's merged records.
-	// All three are owned by the barrier.
+	// run is the stamp of the thread's last woven record, advanced in
+	// place by the weave and cloned into a tail checkpoint every
+	// stampCheckpointEvery records; it is owned by the tracker's mergeMu.
+	// last is the global index of the thread's last merged record (-1 when
+	// none this epoch) and merged counts the thread's merged records of the
+	// epoch; both are owned by the barrier.
 	run    vclock.Vector
 	last   int
 	merged int
@@ -970,81 +1110,145 @@ func (t *Tracker) noteErr(err error) {
 	t.errMu.Unlock()
 }
 
-// mergeLocked drains every thread's append buffer into the active tail
-// block. Indices are dense, so each record goes straight to its slot — no
-// sort — and its change set is copied into the block's arena — no stamp is
-// materialized. Per record that is O(changed components), plus one O(k)
-// checkpoint clone every stampCheckpointEvery records of a thread. The
-// caller holds the world write lock, so no commit is in flight and the
-// indices below seq are all present exactly once.
-func (t *Tracker) mergeLocked() {
+// swapLocked is the barrier half of a merge: it moves every thread's
+// record buffer and delta arena, as they stand, into a new tail generation
+// for [merged length, seq) and hands each thread its spares in their place.
+// No record is touched, so the pause is O(threads) however much was
+// committed; the trace order and checkpoints are built by the weave
+// (weaveTo), outside the barrier. The caller holds the world write lock, so
+// no commit is in flight and the indices below seq are all present exactly
+// once.
+func (t *Tracker) swapLocked() {
 	first, end := t.mergedLenLocked(), int(t.seq.Load())
 	if end <= first {
 		return
 	}
-	b := t.activeBlockLocked()
-	lo := len(b.ev)
-	b.ev = slices.Grow(b.ev, end-first)[:lo+end-first]
-	b.recs = slices.Grow(b.recs, end-first)[:lo+end-first]
-	filled := 0
+	g := &tailBlock{start: first, end: end, epoch: t.epoch}
 	t.reg.Lock()
-	// Size the arena once: growing it by doubling would copy it repeatedly
-	// inside the barrier.
-	changed := 0
+	n := 0
 	for _, th := range t.threads {
-		changed += len(th.deltas)
-	}
-	b.deltas = slices.Grow(b.deltas, changed)
-	for _, th := range t.threads {
-		for _, r := range th.buf {
-			slot := r.ev.Index - b.start
-			if slot < lo || slot >= len(b.ev) {
-				t.noteErr(fmt.Errorf("track: merge misaligned: event %v outside the merge window [%d,%d)",
-					r.ev, first, end))
-				continue
-			}
-			ds := th.deltas[r.start:r.end]
-			rec := tailRec{start: len(b.deltas), prev: th.last, width: int32(r.width), ck: -1}
-			b.deltas = append(b.deltas, ds...)
-			rec.end = len(b.deltas)
-			th.run = th.run.Apply(ds).Grow(r.width)
-			if th.merged++; th.merged%stampCheckpointEvery == 0 {
-				rec.ck = int32(len(b.ckpts))
-				b.ckpts = append(b.ckpts, th.run.Clone())
-			}
-			b.ev[slot], b.recs[slot] = r.ev, rec
-			b.width = max(b.width, r.width)
-			th.last = r.ev.Index
-			filled++
+		if len(th.buf) > 0 {
+			n++
 		}
-		th.buf = th.buf[:0]
-		th.deltas = th.deltas[:0]
+	}
+	g.thr = make([]genThread, 0, n)
+	for _, th := range t.threads {
+		if len(th.buf) == 0 {
+			continue
+		}
+		g.thr = append(g.thr, genThread{th: th, id: th.id, recs: th.buf, deltas: th.deltas, prev: th.last, before: th.merged})
+		th.last = th.buf[len(th.buf)-1].ev.Index
+		th.merged += len(th.buf)
+		th.buf, th.deltas = th.spareBuf, th.spareDeltas
+		th.spareBuf, th.spareDeltas = nil, nil
 	}
 	t.reg.Unlock()
-	if filled != end-first {
-		// Indices are dense by construction; a hole means lost records.
-		t.noteErr(fmt.Errorf("track: merge misaligned: %d records for trace indices [%d,%d)", filled, first, end))
+	t.tail = append(t.tail, g)
+	t.pendMu.Lock()
+	t.pending = append(t.pending, g)
+	t.pendMu.Unlock()
+}
+
+// weaveTo finishes the merge of every record below end: it weaves the
+// pending generations, oldest first, until one reaches end. Whoever needs a
+// generation first — its seal, a Stream, a lazy stamp — weaves it, and the
+// rest wait on mergeMu; commits never do, since no lock of theirs is held.
+// When weaveTo returns, the generations below end are immutable and
+// visible to the caller. The caller must have swapped past end.
+func (t *Tracker) weaveTo(end int) {
+	if int(t.woven.Load()) >= end {
+		return
+	}
+	t.mergeMu.Lock()
+	defer t.mergeMu.Unlock()
+	for int(t.woven.Load()) < end {
+		t.pendMu.Lock()
+		if len(t.pending) == 0 {
+			t.pendMu.Unlock()
+			return
+		}
+		g := t.pending[0]
+		t.pending[0] = nil
+		t.pending = t.pending[1:]
+		t.pendMu.Unlock()
+		t.weave(g)
+		t.woven.Store(int64(g.end))
 	}
 }
 
-// activeBlockLocked returns the tail block new records merge into, starting
-// a fresh one when the chain is empty or its last block was frozen by a
-// Stream. The caller holds the world write lock.
-func (t *Tracker) activeBlockLocked() *tailBlock {
-	if n := len(t.tail); n > 0 && !t.tail[n-1].frozen {
-		return t.tail[n-1]
+// weave builds generation g's trace order — indices are dense, so each
+// record goes straight to its slot, no sort — and its checkpoints, by
+// advancing each thread's run vector over the thread's change sets and
+// copying it out every stampCheckpointEvery records. Per record that is
+// O(changed components), plus one O(k) copy per checkpoint; the
+// checkpoints are carved out of one slab sized up front. The caller holds
+// mergeMu.
+func (t *Tracker) weave(g *tailBlock) {
+	g.order = make([]genSlot, g.end-g.start)
+	nck, words := 0, 0
+	for k := range g.thr {
+		gt := &g.thr[k]
+		n := gt.ckptsBelow(len(gt.recs))
+		nck += n
+		// A thread's widths only grow within an epoch, so its run vector is
+		// never wider than this across the generation.
+		words += n * max(len(gt.th.run), gt.recs[len(gt.recs)-1].width)
 	}
-	b := &tailBlock{start: t.mergedLenLocked(), epoch: t.epoch}
-	t.tail = append(t.tail, b)
-	return b
+	ckpts := make([]vclock.Vector, 0, nck)
+	slab := make([]uint64, 0, words)
+	filled := 0
+	for k := range g.thr {
+		gt := &g.thr[k]
+		th := gt.th
+		first := len(ckpts)
+		for p, r := range gt.recs {
+			if slot := r.ev.Index - g.start; slot >= 0 && slot < len(g.order) {
+				g.order[slot] = genSlot{
+					thr: int32(k), pos: int32(p),
+					start: int32(r.start), end: int32(r.end), width: int32(r.width),
+					object: int32(r.ev.Object), op: int32(r.ev.Op),
+				}
+				filled++
+			} else {
+				t.noteErr(fmt.Errorf("track: merge misaligned: event %v outside the merge window [%d,%d)",
+					r.ev, g.start, g.end))
+			}
+			th.run = th.run.Apply(gt.deltas[r.start:r.end]).Grow(r.width)
+			if (gt.before+p+1)%stampCheckpointEvery == 0 {
+				lo := len(slab)
+				slab = append(slab, th.run...)
+				ckpts = append(ckpts, slab[lo:len(slab):len(slab)])
+			}
+			g.width = max(g.width, r.width)
+		}
+		gt.ckpts = ckpts[first:len(ckpts):len(ckpts)]
+	}
+	if filled != len(g.order) {
+		// Indices are dense by construction; a hole means lost records.
+		t.noteErr(fmt.Errorf("track: merge misaligned: %d records for trace indices [%d,%d)", filled, g.start, g.end))
+	}
+}
+
+// recycle hands the buffers of a generation no reader holds any more back
+// to their threads as spares, keeping the larger when a thread is
+// offered two. It runs as the reclaimer's free of a generation a seal
+// consumed, with no tracker lock held; reg orders it against swapLocked.
+func (t *Tracker) recycle(g *tailBlock) {
+	t.reg.Lock()
+	for i := range g.thr {
+		gt := &g.thr[i]
+		if th := gt.th; cap(gt.recs) > cap(th.spareBuf) {
+			th.spareBuf, th.spareDeltas = gt.recs[:0], gt.deltas[:0]
+		}
+	}
+	t.reg.Unlock()
 }
 
 // mergedLenLocked is the number of records in ordered history (sealed +
 // tail); under the write lock after a merge it equals the event count.
 func (t *Tracker) mergedLenLocked() int {
 	if n := len(t.tail); n > 0 {
-		last := t.tail[n-1]
-		return last.start + len(last.ev)
+		return t.tail[n-1].end
 	}
 	return t.tailStart
 }
@@ -1063,15 +1267,16 @@ func (t *Tracker) basesLocked() []vclock.Vector {
 	return bases
 }
 
-// tailAtLocked locates merged tail record idx: its block and position. The
-// caller holds the world write lock and has checked idx against the tail's
-// range.
-func (t *Tracker) tailAtLocked(idx int) (*tailBlock, int) {
+// tailAtLocked locates merged tail record idx: its generation and, once
+// woven, its slot there. The caller holds the world write lock and has
+// checked idx against the tail's range.
+func (t *Tracker) tailAtLocked(idx int) (*tailBlock, genSlot) {
 	i := sort.Search(len(t.tail), func(i int) bool { return t.tail[i].start > idx }) - 1
-	if i < 0 || idx-t.tail[i].start >= len(t.tail[i].ev) {
-		return nil, 0
+	if i < 0 || idx >= t.tail[i].end {
+		return nil, genSlot{}
 	}
-	return t.tail[i], idx - t.tail[i].start
+	g := t.tail[i]
+	return g, g.order[idx-g.start]
 }
 
 // stampAt returns the (internal) stamp of event idx — the lazy
@@ -1094,12 +1299,21 @@ func (t *Tracker) stampAt(idx int) vclock.Vector {
 	return v
 }
 
-// tailStamp quiesces the tracker and rebuilds tail stamp idx; ok is false
-// when idx turned out to be sealed already.
+// tailStamp quiesces the tracker, merges, and rebuilds tail stamp idx; ok
+// is false when idx turned out to be sealed already. A record whose
+// generation is swapped but not woven yet — a seal between its barriers
+// may be about to weave it — is woven here, with the barrier lifted, and
+// the stamp read under a second one.
 func (t *Tracker) tailStamp(idx int) (v vclock.Vector, ok bool) {
 	t.world.Lock()
+	t.swapLocked()
+	if idx >= int(t.woven.Load()) {
+		end := t.mergedLenLocked()
+		t.world.Unlock()
+		t.weaveTo(end)
+		t.world.Lock()
+	}
 	defer t.world.Unlock()
-	t.mergeLocked()
 	if idx < t.tailStart {
 		return nil, false
 	}
@@ -1107,45 +1321,49 @@ func (t *Tracker) tailStamp(idx int) (v vclock.Vector, ok bool) {
 }
 
 // tailStampLocked rebuilds merged tail stamp idx: it walks back along the
-// thread's record chain to the nearest full-stamp checkpoint — or, past the
-// chain's start, to the thread's base at tailStart — and replays the change
-// sets forward from there. The walk stops within stampCheckpointEvery
-// records, so the cost is bounded whatever the tail's length. The caller
-// holds the world write lock and has merged.
+// thread's records — within a generation by position, across generations
+// by each thread entry's prev link — to the nearest full-stamp checkpoint,
+// or, past the tail's start, to the thread's base at tailStart, and replays
+// the change sets forward from there. The walk stops within
+// stampCheckpointEvery records, so the cost is bounded whatever the tail's
+// length. The caller holds the world write lock, and idx is woven.
 func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
-	b, i := t.tailAtLocked(idx)
-	if b == nil {
+	g, sl := t.tailAtLocked(idx)
+	if g == nil {
 		// Unreachable for cells minted by commit; guard against decay.
 		return nil
 	}
-	type pos struct {
-		b *tailBlock
-		i int
+	// spans[i] is records lo..hi of one thread entry, newest span first.
+	type span struct {
+		gt     *genThread
+		lo, hi int
 	}
-	var chain [stampCheckpointEvery]pos
+	var spans [stampCheckpointEvery]span
 	n := 0
+	gt, p := &g.thr[sl.thr], int(sl.pos)
 	var from vclock.Vector
 	for {
-		r := b.recs[i]
-		if r.ck >= 0 {
-			from = b.ckpts[r.ck]
+		if c, v := gt.checkpoint(p); v != nil {
+			from = v
+			spans[n] = span{gt, c + 1, p}
+			n++
 			break
 		}
-		chain[n] = pos{b, i}
+		spans[n] = span{gt, 0, p}
 		n++
-		if r.prev < t.tailStart {
-			t.reg.Lock()
-			from = t.threads[b.ev[i].Thread].base
-			t.reg.Unlock()
+		if gt.prev < t.tailStart {
+			from = gt.th.base
 			break
 		}
-		b, i = t.tailAtLocked(r.prev)
+		g, sl = t.tailAtLocked(gt.prev)
+		gt, p = &g.thr[sl.thr], int(sl.pos)
 	}
 	v := from.Clone()
 	for n--; n >= 0; n-- {
-		p := chain[n]
-		r := p.b.recs[p.i]
-		v = v.Apply(p.b.deltas[r.start:r.end]).Grow(int(r.width))
+		sp := spans[n]
+		for _, r := range sp.gt.recs[sp.lo : sp.hi+1] {
+			v = v.Apply(sp.gt.deltas[r.start:r.end]).Grow(r.width)
+		}
 	}
 	return v
 }
