@@ -101,10 +101,19 @@
 // ALL threads at one instant — Snapshot, Seal, Compact — still barrier,
 // and Seal only twice, for a pause that does not grow with the records it
 // seals: once to swap the per-thread buffers out, once to publish the
-// segment. Its interleave into trace
-// order, encode, SHA-256 and spill (write, fsync, rename) run while
-// commits continue — Stats reports the barriers' hold — and a lazy stamp of
-// a sealed event reads its segment with no barrier at all.
+// segment. Its interleave into trace order, encode, SHA-256 and spill
+// (write, fsync, rename) run while commits continue — Stats reports the
+// barriers' hold — and a lazy stamp of a sealed event reads its segment
+// with no barrier at all.
+//
+// Automatic seals, and the compaction and retention passes that follow
+// them, do not run on the committing goroutine at all. The commit that
+// crosses a SpillPolicy.SealEvery boundary only starts a lifecycle worker
+// goroutine, which seals and publishes while every thread keeps
+// committing; it exits once nothing is due, so an idle tracker holds no
+// goroutine. A commit waits only when four SealEvery intervals or more are
+// unsealed — backpressure that bounds memory — and never while sealing is
+// disarmed by a spill failure. Seal, Compact and Close stay synchronous.
 //
 // # Segments, spilling and streaming
 //
@@ -146,16 +155,20 @@
 // into larger ones with replay bytes unchanged — arm it through
 // Store.Compact, run a pass explicitly with Tracker.CompactSegments, or
 // compact a retired spill directory offline with `mvc compact`. Seal
-// boundaries are aligned to multiples of SpillPolicy.SealEvery and can be
-// wall-time capped (SpillPolicy.SealInterval), so segment edges line up
-// with retention wants.
+// boundaries are aligned to multiples of SpillPolicy.SealEvery, one
+// interval per segment, and can be wall-time capped
+// (SpillPolicy.SealInterval), so segment edges line up with retention
+// wants. Automatic compaction and retention passes run on their own
+// worker, one per seal and in seal order, each planned over the sealed
+// history as of its seal, so their outcome does not depend on how far
+// they lag behind the seals.
 //
 // External log shippers poll the Catalog — epoch, index range, size, spill
 // file and SHA-256 per segment, plus tracker health — via Tracker.Catalog
 // or, with a spill directory, the catalog.json the tracker rewrites
 // atomically after every seal and compaction (readable with ReadCatalog or
 // `mvc catalog`). Spill failures surface there too: auto-sealing disarms
-// after one failed barrier, Err and the catalog carry the cause, and a
+// after one failed seal, Err and the catalog carry the cause, and a
 // successful explicit Seal or Compact re-arms it.
 //
 // # Durability and recovery
@@ -219,17 +232,18 @@
 //   - Persistent failures (ENOSPC, permissions, a vanished directory)
 //     escalate immediately: the tracker enters degraded mode. Commits,
 //     snapshots, streams, monitors and detection all keep working, fully in
-//     memory; auto-sealing disarms (one failed barrier, not one per
-//     commit), nothing new reaches disk, and the unsealed suffix grows
-//     without bound — the price of staying live. Tracker.Health reports the
+//     memory; auto-sealing disarms (one failed seal, not one per commit),
+//     backpressure is off, nothing new reaches disk, and the unsealed
+//     suffix grows without bound — the price of staying live. Tracker.Health reports the
 //     state (and since when); the published catalog carries the same facts
 //     for external observers.
 //   - Recovery: while degraded, the tracker probes the spill directory with
 //     a throwaway durable write at most once per SpillPolicy.Probe
-//     (default one second), from the commit path, so an idle tracker does
-//     not spin. A successful probe re-arms sealing; the next seal flushes
-//     the accumulated tail, clears degraded mode, and publishes a healthy
-//     catalog generation.
+//     (default one second). Commits only check whether a probe is due and
+//     start the lifecycle worker, which runs it, so an idle tracker does
+//     not spin. A successful probe re-arms sealing; the worker's next seals
+//     flush the accumulated tail, clear degraded mode, and publish a
+//     healthy catalog generation.
 //
 // What degraded mode never does: lose committed history silently (it is all
 // in memory and seals as soon as the disk returns), block or fail commits,

@@ -84,6 +84,8 @@ func (r *Report) WriteTable(w io.Writer) error {
 			r.Tracker.Seals, r.Tracker.CompactionPasses, r.Tracker.CompactedSegments,
 			r.Tracker.RetentionPasses, r.Tracker.RetiredSegments)},
 		{"seal barrier", fmt.Sprintf("%d ns total, %d ns max", r.Tracker.SealBarrierNanos, r.Tracker.SealBarrierMaxNanos)},
+		{"backpressure", fmt.Sprintf("%d waits, %d ns total; unsealed max %d",
+			r.Tracker.BackpressureWaits, r.Tracker.BackpressureNanos, r.Tracker.UnsealedMax)},
 	}
 	if r.Monitor != nil {
 		rows = append(rows, struct {

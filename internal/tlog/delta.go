@@ -125,12 +125,14 @@ func (w *DeltaWriter) Seed(id event.ThreadID, v vclock.Vector) {
 // Stamp returns thread id's running stamp: the full vector of its last
 // record, or its seed; nil when the writer has seen neither. The vector is
 // borrowed — the next Append, AppendDelta or Seed for the thread may
-// overwrite it — so a caller that outlives the writer may keep it.
+// overwrite it — so a caller that outlives the writer may keep it. Its
+// capacity is capped at its length, so a holder that grows it copies.
 func (w *DeltaWriter) Stamp(id event.ThreadID) vclock.Vector {
 	if id < 0 || int(id) >= len(w.threads) {
 		return nil
 	}
-	return w.threads[id].prev
+	p := w.threads[id].prev
+	return p[:len(p):len(p)]
 }
 
 // begin writes the record prelude shared by both payload kinds and returns
@@ -213,7 +215,7 @@ func (w *DeltaWriter) Append(e event.Event, v vclock.Vector) error {
 		w.buf = append(w.buf, w.scratch...)
 	}
 	// Absorb v into the retained per-thread state, reusing its storage.
-	p = p.Grow(len(v))
+	p = growState(p, len(v))
 	copy(p, v)
 	for i := len(v); i < len(p); i++ {
 		p[i] = 0
@@ -263,7 +265,9 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta) error {
 			w.orig[i] = prev.At(i)
 			lo, hi = min(lo, word), max(hi, word)
 		}
-		prev = prev.Grow(i + 1)
+		if i >= len(prev) {
+			prev = growState(prev, i+1)
+		}
 		prev[i] = d.Value
 	}
 	st.prev = prev

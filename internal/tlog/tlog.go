@@ -296,7 +296,7 @@ func (r *Reader) deltaPayload(t event.ThreadID, shared bool) (vclock.Vector, err
 		// Absorb the sync vector into the retained per-thread state in
 		// place (zeroing any components beyond the canonical encoding's
 		// trimmed tail) and hand the caller the state itself.
-		p := r.prev[t].Grow(len(v))
+		p := growState(r.prev[t], len(v))
 		copy(p, v)
 		for i := len(v); i < len(p); i++ {
 			p[i] = 0
@@ -344,7 +344,10 @@ func (r *Reader) deltaPayload(t event.ThreadID, shared bool) (vclock.Vector, err
 			if err != nil {
 				return nil, err
 			}
-			v = v.Set(int(idx), x)
+			if int(idx) >= len(v) {
+				v = growState(v, int(idx)+1)
+			}
+			v[idx] = x
 		}
 		r.prev[t] = v
 		if shared {
@@ -354,6 +357,20 @@ func (r *Reader) deltaPayload(t event.ThreadID, shared bool) (vclock.Vector, err
 	default:
 		return nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
 	}
+}
+
+// growState returns the running per-thread state v with at least n
+// components. The state is private to its reader or writer, so when it
+// must reallocate it leaves room to double: a thread whose width creeps up
+// one component at a time then reallocates O(log width) times, not once
+// per component.
+func growState(v vclock.Vector, n int) vclock.Vector {
+	if n <= cap(v) {
+		return v.Grow(n)
+	}
+	g := make(vclock.Vector, n, max(n, 2*cap(v)))
+	copy(g, v)
+	return g
 }
 
 func (r *Reader) field(name string) (uint64, error) {

@@ -64,7 +64,7 @@ func (th *Thread) DoBatch(o *Object, ops []event.Op) []Stamped {
 	out := make([]Stamped, len(ops))
 	th.doBatch(o, ops, out)
 	if th.t.sealArmed.Load() {
-		th.t.maybeAutoSeal()
+		th.t.signalLifecycle()
 	}
 	return out
 }
@@ -146,7 +146,7 @@ func (b *Batch) Commit() []Stamped {
 	b.objs = b.objs[:0]
 	b.ops = b.ops[:0]
 	if b.th.t.sealArmed.Load() {
-		b.th.t.maybeAutoSeal()
+		b.th.t.signalLifecycle()
 	}
 	return out
 }

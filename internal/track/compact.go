@@ -46,40 +46,47 @@ func (s Stamped) Order(t Stamped) vclock.Ordering {
 // and starts a new epoch over the optimal component set for the computation
 // revealed so far. It returns the new epoch number and the compacted clock
 // size. Operations blocked on the barrier commit into the new epoch with
-// fresh zero clocks. A seal failure (spill I/O) aborts the compaction with
-// the tracker unchanged and the tail still in memory; a successful Compact
-// publishes the catalog, runs the segment-compaction policy, and re-arms
-// auto-sealing after a spill failure.
+// fresh zero clocks. Like Seal, Compact first seals the SealEvery intervals
+// the lifecycle worker has not sealed yet, one segment each. A seal failure
+// (spill I/O) aborts the compaction with the epoch unchanged and the
+// unsealed tail still in memory; a successful Compact publishes the
+// catalog, re-arms auto-sealing after a spill failure, and returns once
+// the segment-compaction and retention passes have run.
 func (t *Tracker) Compact() (epoch, size int, err error) {
 	if t.closed.Load() {
 		return 0, 0, fmt.Errorf("track: Compact on a closed Tracker")
 	}
-	epoch, size, err = t.compactEpoch()
+	if err := t.catchUp(); err != nil {
+		return 0, 0, err
+	}
+	epoch, size, ticket, err := t.compactEpoch()
 	if err == nil {
 		t.afterSeal()
+		t.waitPasses(ticket)
 	}
 	return epoch, size, err
 }
 
-// compactEpoch is Compact's barrier section.
-func (t *Tracker) compactEpoch() (epoch, size int, err error) {
+// compactEpoch is Compact's barrier section. It queues the compaction and
+// retention pass of the new epoch and returns its ticket.
+func (t *Tracker) compactEpoch() (epoch, size int, ticket int64, err error) {
 	t.sealMu.Lock()
 	defer t.sealMu.Unlock()
 	t.world.Lock()
 	defer t.world.Unlock()
 	t.swapLocked()
 	if err := t.sealLocked(t.mergedLenLocked()); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 
 	cover := t.cover.Load()
 	analysis := core.Analyze(cover.Graph())
 	if verr := analysis.Verify(); verr != nil {
-		return 0, 0, fmt.Errorf("track: compaction analysis: %w", verr)
+		return 0, 0, 0, fmt.Errorf("track: compaction analysis: %w", verr)
 	}
 	seeded, err := core.NewSeededCoverTracker(cover.Mechanism(), analysis.Graph, analysis.Components)
 	if err != nil {
-		return 0, 0, fmt.Errorf("track: compaction: %w", err)
+		return 0, 0, 0, fmt.Errorf("track: compaction: %w", err)
 	}
 	// Swap in the compacted cover. Lock-free readers (Size, Components
 	// inside a Do callback) may still hold the old one past the barrier;
@@ -114,7 +121,7 @@ func (t *Tracker) compactEpoch() (epoch, size int, err error) {
 	// published catalog carries (sealLocked already captured one, but that
 	// was for the closing epoch).
 	t.captureResumeLocked()
-	return t.epoch, seeded.Size(), nil
+	return t.epoch, seeded.Size(), t.queuePass(t.tailStart, t.epoch), nil
 }
 
 // Epoch returns the current epoch number (0 before any compaction).

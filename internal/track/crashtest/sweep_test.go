@@ -1,8 +1,8 @@
 // Package crashtest is the exhaustive crash-point sweep for the durable
 // store: it runs a deterministic workload (spilling, epoch compaction,
-// tiered segment merging, retention, shipping) over vfs.Faulty once to count
+// tiered segment merging, retention, shipping) over vfs.Faulty to record
 // the workload's durable filesystem operations, then re-runs it once per
-// operation index k with the filesystem frozen at exactly op k — every
+// operation with the filesystem frozen at exactly that operation — every
 // possible power-cut point — and recovers each frozen directory with the
 // real filesystem, demanding the full crash-consistency contract every time:
 //
@@ -18,17 +18,28 @@
 //   - committing resumes at the recovered index, and a Close/reopen round
 //     trip is clean with no new quarantines.
 //
-// The sweep is exhaustive by construction: determinism of both the workload
-// (single goroutine, count-based policies only) and the injector (op
-// indices independent of prior fates) means crash point k reproduces the
-// same frozen directory every run. CRASHTEST_FULL=1 widens the matrix for
+// Crash points are operations, named by vfs.OpID — class, path and
+// ordinal — not by their global index. The tracker seals on one lifecycle
+// worker and compacts and retains on another, and the two interleave their
+// operations differently from run to run, so the operation at a given index
+// changes between runs; which operations run does not. Compact and Close
+// first seal what the seal worker has not, and every pass plans over the
+// history as of the seal that queued it, so the workload (single
+// goroutine, count-based policies only) performs the same set of durable
+// operations every run. The sweep records that set twice and demands it
+// be identical, then crashes at every operation in it exactly once; each
+// crash run must reach its operation. What lands before the crash depends
+// on the interleaving the run took, which a failing crash point logs as
+// the run's operation history. CRASHTEST_FULL=1 widens the matrix for
 // nightly CI.
 package crashtest
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,20 +144,24 @@ func referenceRecords(t *testing.T, c sweepConfig) []record {
 	return ref
 }
 
-// countDurableOps runs the workload fault-free through an injector and
-// returns how many durable operations it performs — the size of the crash
-// sweep's index space.
-func countDurableOps(t *testing.T, c sweepConfig) int64 {
+// durableOps runs the workload fault-free in dir, which must not exist,
+// through an injector and returns the durable operations it performs — the
+// crash sweep's crash points — sorted by identity.
+func durableOps(t *testing.T, c sweepConfig, dir string) []vfs.OpID {
 	t.Helper()
 	fi := vfs.NewFaulty(vfs.OS)
-	tr, err := openAndRun(t.TempDir(), c.store(fi), c)
+	tr, err := openAndRun(dir, c.store(fi), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return fi.Ops()
+	ops := fi.History()
+	slices.SortFunc(ops, func(a, b vfs.OpID) int {
+		return cmp.Or(cmp.Compare(a.Path, b.Path), cmp.Compare(a.Op, b.Op), cmp.Compare(a.Nth, b.Nth))
+	})
+	return ops
 }
 
 // frozenExpectation reads the crash-frozen directory's catalog the way
@@ -193,26 +208,27 @@ func readFrozenCatalog(t *testing.T, dir string) *tlog.Catalog {
 
 // verifyCrashPoint opens one crash-frozen directory with the real
 // filesystem and checks the whole recovery contract against the reference.
-func verifyCrashPoint(t *testing.T, dir string, k int64, ref []record) {
+// k names the crash point in failures.
+func verifyCrashPoint(t *testing.T, dir string, k fmt.Stringer, ref []record) {
 	t.Helper()
 	wantSealed, wantEpoch, wantFloor, listed := frozenExpectation(t, dir)
 
 	re, err := track.Open(dir)
 	if err != nil {
-		t.Fatalf("k=%d: Open after crash: %v", k, err)
+		t.Fatalf("k=%v: Open after crash: %v", k, err)
 	}
 	ri := re.Recovery()
 	if ri == nil {
-		t.Fatalf("k=%d: no RecoveryInfo", k)
+		t.Fatalf("k=%v: no RecoveryInfo", k)
 	}
 	if ri.Events != wantSealed {
-		t.Fatalf("k=%d: recovered %d sealed events, catalog promised %d", k, ri.Events, wantSealed)
+		t.Fatalf("k=%v: recovered %d sealed events, catalog promised %d", k, ri.Events, wantSealed)
 	}
 	if ri.Epoch != wantEpoch {
-		t.Fatalf("k=%d: resumed epoch %d, catalog promised %d (quarantined %v)", k, ri.Epoch, wantEpoch, ri.Quarantined)
+		t.Fatalf("k=%v: resumed epoch %d, catalog promised %d (quarantined %v)", k, ri.Epoch, wantEpoch, ri.Quarantined)
 	}
 	if ri.RetainedFloor != wantFloor {
-		t.Fatalf("k=%d: retention floor %d, catalog promised %d", k, ri.RetainedFloor, wantFloor)
+		t.Fatalf("k=%v: retention floor %d, catalog promised %d", k, ri.RetainedFloor, wantFloor)
 	}
 	// Quarantine soundness: only orphans and temps may be set aside. A
 	// listed segment is synced and renamed before its listing lands, so a
@@ -220,7 +236,7 @@ func verifyCrashPoint(t *testing.T, dir string, k int64, ref []record) {
 	for _, q := range ri.Quarantined {
 		orig := strings.TrimSuffix(filepath.Base(q), tlog.QuarantineSuffix)
 		if listed[orig] {
-			t.Fatalf("k=%d: catalog-listed segment %s was quarantined", k, orig)
+			t.Fatalf("k=%v: catalog-listed segment %s was quarantined", k, orig)
 		}
 	}
 
@@ -229,15 +245,15 @@ func verifyCrashPoint(t *testing.T, dir string, k int64, ref []record) {
 	// epoch, equal stamp.
 	var got recordSink
 	if err := re.Stream(&got); err != nil {
-		t.Fatalf("k=%d: Stream after recovery: %v", k, err)
+		t.Fatalf("k=%v: Stream after recovery: %v", k, err)
 	}
 	if len(got) != wantSealed-wantFloor {
-		t.Fatalf("k=%d: recovered %d records over [%d,%d)", k, len(got), wantFloor, wantSealed)
+		t.Fatalf("k=%v: recovered %d records over [%d,%d)", k, len(got), wantFloor, wantSealed)
 	}
 	for i, r := range got {
 		want := ref[wantFloor+i]
 		if r.e != want.e || r.epoch != want.epoch || !r.v.Equal(want.v) {
-			t.Fatalf("k=%d: record %d diverges from reference:\n got (%v, epoch %d, %v)\nwant (%v, epoch %d, %v)",
+			t.Fatalf("k=%v: record %d diverges from reference:\n got (%v, epoch %d, %v)\nwant (%v, epoch %d, %v)",
 				k, wantFloor+i, r.e, r.epoch, r.v, want.e, want.epoch, want.v)
 		}
 	}
@@ -246,55 +262,76 @@ func verifyCrashPoint(t *testing.T, dir string, k int64, ref []record) {
 	th := re.NewThread("resume-t")
 	ob := re.NewObject("resume-o")
 	if s := th.Write(ob, nil); s.Event.Index != wantSealed {
-		t.Fatalf("k=%d: resumed commit at index %d, want %d", k, s.Event.Index, wantSealed)
+		t.Fatalf("k=%v: resumed commit at index %d, want %d", k, s.Event.Index, wantSealed)
 	}
 	if err := re.Close(); err != nil {
-		t.Fatalf("k=%d: Close after recovery: %v", k, err)
+		t.Fatalf("k=%v: Close after recovery: %v", k, err)
 	}
 
 	// The repaired directory reopens cleanly: Close marker present, no new
 	// quarantines, every event accounted for.
 	re2, err := track.Open(dir)
 	if err != nil {
-		t.Fatalf("k=%d: second Open: %v", k, err)
+		t.Fatalf("k=%v: second Open: %v", k, err)
 	}
 	ri2 := re2.Recovery()
 	if !ri2.CleanClose {
-		t.Fatalf("k=%d: Close marker lost across reopen", k)
+		t.Fatalf("k=%v: Close marker lost across reopen", k)
 	}
 	if len(ri2.Quarantined) != 0 {
-		t.Fatalf("k=%d: repaired directory quarantined again: %v", k, ri2.Quarantined)
+		t.Fatalf("k=%v: repaired directory quarantined again: %v", k, ri2.Quarantined)
 	}
 	if got, want := re2.Events(), wantSealed+1; got != want {
-		t.Fatalf("k=%d: reopened at %d events, want %d", k, got, want)
+		t.Fatalf("k=%v: reopened at %d events, want %d", k, got, want)
 	}
 	if err := re2.Close(); err != nil {
-		t.Fatalf("k=%d: second Close: %v", k, err)
+		t.Fatalf("k=%v: second Close: %v", k, err)
 	}
 }
 
-// sweep is one full crash-point sweep for one config.
+// sweep is one full crash-point sweep for one config. Every run uses the
+// same directory path, so the operations' paths — and so their identities
+// — agree across runs. The operation set is recorded twice: seals,
+// compaction and retention run on the tracker's lifecycle workers, and the
+// sweep is exhaustive only if which operations run is a function of the
+// commit sequence however those workers interleave.
 func sweep(t *testing.T, c sweepConfig) {
 	ref := referenceRecords(t, c)
-	n := countDurableOps(t, c)
-	if n == 0 {
+	dir := filepath.Join(t.TempDir(), "run")
+	ops := durableOps(t, c, dir)
+	if len(ops) == 0 {
 		t.Fatalf("workload %q performs no durable operations; nothing to sweep", c.name)
 	}
-	base := t.TempDir()
-	for k := int64(0); k < n; k++ {
-		dir := filepath.Join(base, fmt.Sprintf("k%d", k))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if again := durableOps(t, c, dir); !slices.Equal(again, ops) {
+		t.Fatalf("workload %q performed different durable operations in two runs:\n%v\n%v", c.name, ops, again)
+	}
+	for _, k := range ops {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
 		fi := vfs.NewFaulty(vfs.OS)
-		fi.CrashAt(k)
+		fi.CrashAtOp(k)
 		tr, err := openAndRun(dir, c.store(fi), c)
 		if tr != nil {
 			_ = tr.Close() // fails on the frozen filesystem; that IS the crash
 		} else if err == nil {
-			t.Fatalf("k=%d: Open returned neither tracker nor error", k)
+			t.Fatalf("k=%v: Open returned neither tracker nor error", k)
 		}
-		if !fi.Crashed() {
-			t.Fatalf("k=%d: crash point inside [0,%d) never reached", k, n)
+		hist := fi.History()
+		if !fi.Crashed() || hist[len(hist)-1] != k {
+			t.Fatalf("k=%v: crash point never reached; the run performed %v", k, hist)
 		}
-		verifyCrashPoint(t, dir, k, ref)
+		func() {
+			defer func() {
+				if t.Failed() {
+					t.Logf("k=%v: the crashed run's durable operations, in order: %v", k, hist)
+				}
+			}()
+			verifyCrashPoint(t, dir, k, ref)
+		}()
 	}
 }
 
@@ -338,7 +375,7 @@ func sweepConfigs() []sweepConfig {
 	}
 }
 
-// TestCrashSweep is the exhaustive sweep: every durable-op index of every
+// TestCrashSweep is the exhaustive sweep: every durable operation of every
 // matrix config is a crash point, and every crash point must recover.
 func TestCrashSweep(t *testing.T) {
 	for _, c := range sweepConfigs() {

@@ -140,6 +140,7 @@ func TestDegradedSinceSticky(t *testing.T) {
 	fi.Script(vfs.Rule{Ops: vfs.MutatingOps, Err: syscall.ENOSPC})
 
 	th.Write(ob, nil)
+	tr.waitIdle()
 	first := tr.Health().Since
 	if first.IsZero() {
 		t.Fatal("no degraded-since after a failed seal")
@@ -147,6 +148,7 @@ func TestDegradedSinceSticky(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	th.Write(ob, nil)
 	th.Write(ob, nil)
+	tr.waitIdle()
 	if again := tr.Health().Since; !again.Equal(first) {
 		t.Errorf("degraded-since moved from %v to %v across repeated failures", first, again)
 	}

@@ -93,8 +93,11 @@ type Health struct {
 	// (set on entry to degraded mode; cleared by the periodic disk probe,
 	// or by an explicit Seal or Compact that succeeds).
 	SealDisarmed bool
-	// UnsealedEvents is how many committed events sit only in memory. In
-	// degraded mode this grows without bound — the price of staying live.
+	// UnsealedEvents is how many committed events sit only in memory.
+	// While sealing is armed, a commit that would leave four SealEvery
+	// intervals or more unsealed waits for the lifecycle worker, so it stays
+	// below that bound; in degraded mode nothing waits and it grows without
+	// bound — the price of staying live.
 	UnsealedEvents int
 	// Err is the tracker's first recorded error (Tracker.Err).
 	Err error
@@ -128,27 +131,40 @@ func (t *Tracker) enterDegraded() {
 // directory when SpillPolicy.Probe is zero.
 const defaultProbeInterval = time.Second
 
-// maybeProbe runs on the commit path only while auto-sealing is disarmed:
+// probeInterval is the degraded-mode probe period (SpillPolicy.Probe).
+func (t *Tracker) probeInterval() int64 {
+	if t.spill.Probe > 0 {
+		return int64(t.spill.Probe)
+	}
+	return int64(defaultProbeInterval)
+}
+
+// probeDue is the commit path's only check while auto-sealing is disarmed:
+// whether a disk probe is due, which starts the lifecycle worker.
+func (t *Tracker) probeDue() bool {
+	return t.dir != "" && time.Now().UnixNano()-t.lastProbeNano.Load() >= t.probeInterval()
+}
+
+// maybeProbe runs on the lifecycle worker while auto-sealing is disarmed:
 // at most once per probe interval, one caller wins the CAS and performs a
 // cheap disk probe (create, write, fsync, remove a throwaway file). Success
-// re-arms auto-sealing, so the next commit seals the accumulated tail and —
-// via sealLocked — clears degraded mode and publishes a healthy catalog.
-func (t *Tracker) maybeProbe() {
+// re-arms auto-sealing and reports true, so the worker goes on to seal the
+// accumulated tail and — via publishSealLocked — clear degraded mode and
+// publish a healthy catalog.
+func (t *Tracker) maybeProbe() bool {
 	if t.dir == "" {
-		return
-	}
-	interval := t.spill.Probe
-	if interval <= 0 {
-		interval = defaultProbeInterval
+		return false
 	}
 	now := time.Now().UnixNano()
 	last := t.lastProbeNano.Load()
-	if now-last < int64(interval) || !t.lastProbeNano.CompareAndSwap(last, now) {
-		return
+	if now-last < t.probeInterval() || !t.lastProbeNano.CompareAndSwap(last, now) {
+		return false
 	}
-	if probeSpillDir(t.fs, t.dir) == nil {
-		t.sealBroken.Store(false)
+	if probeSpillDir(t.fs, t.dir) != nil {
+		return false
 	}
+	t.sealBroken.Store(false)
+	return true
 }
 
 // probeSpillDir checks that dir accepts a durable write: a throwaway temp

@@ -34,7 +34,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"mixedclock/internal/tlog"
@@ -61,25 +63,6 @@ type CompactPolicy struct {
 	TargetBytes int64
 }
 
-// maybeCompactSegments runs the armed compaction policy if the sealed
-// segment count has outgrown it, reporting whether a pass ran (and thus
-// already published the catalog).
-func (t *Tracker) maybeCompactSegments() bool {
-	p := t.compact
-	if p.MaxSegments <= 0 {
-		return false
-	}
-	if len(t.hist.Load().segs) <= p.MaxSegments {
-		return false
-	}
-	eliminated, err := t.CompactSegments(p)
-	if err != nil {
-		t.noteErr(fmt.Errorf("track: auto compaction: %w", err))
-		return false
-	}
-	return eliminated > 0
-}
-
 // CompactSegments runs one tiered-compaction pass over the sealed history
 // under the given policy and reports how many segments the pass eliminated
 // (zero when nothing qualified, or when another pass already holds the
@@ -93,12 +76,17 @@ func (t *Tracker) CompactSegments(p CompactPolicy) (eliminated int, err error) {
 	if t.closed.Load() {
 		return 0, fmt.Errorf("track: CompactSegments on a closed Tracker")
 	}
-	if !t.compactGate.CompareAndSwap(false, true) {
+	if !t.compactGate.TryLock() {
 		return 0, nil
 	}
-	defer t.compactGate.Store(false)
+	defer t.compactGate.Unlock()
+	return t.compactSegmentsLocked(p, math.MaxInt)
+}
 
-	snap := t.hist.Load().segs
+// compactSegmentsLocked is one compaction pass over the sealed segments
+// that end at or below upTo. The caller holds compactGate.
+func (t *Tracker) compactSegmentsLocked(p CompactPolicy, upTo int) (eliminated int, err error) {
+	snap := sealedPrefix(t.hist.Load().segs, upTo)
 	stats := make([]tlog.SegmentStat, len(snap))
 	for i, sg := range snap {
 		stats[i] = tlog.SegmentStat{Meta: sg.meta, Bytes: sg.size}
@@ -157,6 +145,15 @@ func (t *Tracker) CompactSegments(p CompactPolicy) (eliminated int, err error) {
 	t.compactPasses.Add(1)
 	t.compactedSegs.Add(int64(eliminated - len(plan)))
 	return eliminated - len(plan), nil
+}
+
+// sealedPrefix returns the leading segments of segs that end at or below
+// upTo: the sealed history as of the seal that ended there.
+func sealedPrefix(segs []*segment, upTo int) []*segment {
+	n := sort.Search(len(segs), func(i int) bool {
+		return segs[i].meta.FirstIndex+segs[i].meta.Count > upTo
+	})
+	return segs[:n]
 }
 
 // mergeRun rewrites one gapless single-epoch run of segments as a single

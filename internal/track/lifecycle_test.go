@@ -188,6 +188,7 @@ func TestSealAligned(t *testing.T) {
 	for i := 0; i < 130; i++ {
 		th.Write(o, nil)
 	}
+	tr.waitIdle()
 	segs := tr.Segments()
 	if len(segs) == 0 {
 		t.Fatal("aligned sealing sealed nothing")
@@ -220,9 +221,10 @@ func TestSealAligned(t *testing.T) {
 }
 
 // TestSealEveryBoundsUnsealed pins the memory bound SealEvery gives a single
-// committing goroutine: after every commit, fewer than SealEvery events sit
-// unsealed — including after an epoch Compact leaves the seal point off the
-// interval grid.
+// committing goroutine: after every commit, fewer than backpressureIntervals
+// × SealEvery events sit unsealed however far the lifecycle worker lags,
+// and once the worker is idle fewer than SealEvery — including after an
+// epoch Compact leaves the seal point off the interval grid.
 func TestSealEveryBoundsUnsealed(t *testing.T) {
 	const every, total, compactAt = 16, 300, 137
 	tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: every}}))
@@ -238,10 +240,19 @@ func TestSealEveryBoundsUnsealed(t *testing.T) {
 			}
 		}
 		ths[i%2].Do(objs[(i*7)%3], event.Op(i%2), nil)
+		if h := tr.Health(); h.UnsealedEvents >= backpressureIntervals*every {
+			t.Fatalf("after commit %d: %d events unsealed, want < %d", i, h.UnsealedEvents, backpressureIntervals*every)
+		}
+		// Let the worker lag between the idle checks.
+		if i%5 != 0 {
+			continue
+		}
+		tr.waitIdle()
 		if h := tr.Health(); h.UnsealedEvents >= every {
-			t.Fatalf("after commit %d: %d events unsealed, want < %d", i, h.UnsealedEvents, every)
+			t.Fatalf("after commit %d, worker idle: %d events unsealed, want < %d", i, h.UnsealedEvents, every)
 		}
 	}
+	tr.waitIdle()
 	if got, want := tr.Catalog().SealedEvents, total/every*every; got != want {
 		t.Fatalf("sealed through %d, want the last boundary %d", got, want)
 	}
@@ -283,6 +294,7 @@ func TestCatalog(t *testing.T) {
 	for i := 0; i < 55; i++ {
 		th.Write(o, nil)
 	}
+	tr.waitIdle()
 	c := tr.Catalog()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
@@ -369,6 +381,7 @@ func TestCatalogHealth(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		th.Write(o, nil)
 	}
+	tr.waitIdle()
 	c := tr.Catalog()
 	if !c.AutoSealDisarmed {
 		t.Fatal("failing auto-seal not reported as disarmed in the catalog")

@@ -133,10 +133,12 @@ func (t *Tracker) recoverDir(o options) error {
 	// rebuild needs: every revealed (thread, object) edge, the largest IDs
 	// seen, and — for segments of the resume epoch — the last stamp per
 	// thread and per object, which ARE their clocks as of the sealed prefix.
-	threadLast := map[int]vclock.Vector{}
-	objectLast := map[int]vclock.Vector{}
+	// All three are dense and reused: a record copies its stamp into its
+	// thread's and object's buffers and tests one bit of its thread's edge
+	// row, so the scan allocates only as the ID ranges and widths grow.
+	var threadLast, objectLast []vclock.Vector
 	maxThread, maxObject := -1, -1
-	edgeSeen := map[[2]int]bool{}
+	var edgeSeen [][]uint64
 	var edges [][2]int
 
 	goodN := len(cat.Segments)
@@ -151,14 +153,18 @@ func (t *Tracker) recoverDir(o options) error {
 			if oi > maxObject {
 				maxObject = oi
 			}
-			k := [2]int{ti, oi}
-			if !edgeSeen[k] {
-				edgeSeen[k] = true
-				edges = append(edges, k)
+			edgeSeen = growTo(edgeSeen, ti)
+			row := growTo(edgeSeen[ti], oi>>6)
+			edgeSeen[ti] = row
+			if bit := uint64(1) << (oi & 63); row[oi>>6]&bit == 0 {
+				row[oi>>6] |= bit
+				edges = append(edges, [2]int{ti, oi})
 			}
 			if entry.Epoch == resumeEpoch {
-				threadLast[ti] = v.Clone()
-				objectLast[oi] = v.Clone()
+				threadLast = growTo(threadLast, ti)
+				threadLast[ti] = append(threadLast[ti][:0], v...)
+				objectLast = growTo(objectLast, oi)
+				objectLast[oi] = append(objectLast[oi][:0], v...)
 			}
 		})
 		if err != nil {
@@ -331,14 +337,14 @@ func (t *Tracker) recoverDir(o options) error {
 	// state Compact's reset leaves.
 	for _, name := range threadNames {
 		th := t.NewThread(name)
-		if v, ok := threadLast[int(th.id)]; ok && resumeUsable {
-			th.base, th.run = v, v.Clone()
+		if v := at(threadLast, int(th.id)); v != nil && resumeUsable {
+			th.base, th.run = v[:len(v):len(v)], v.Clone()
 			th.clock = clockFromVector(t.backend, v)
 		}
 	}
 	for _, name := range objectNames {
 		ob := t.NewObject(name)
-		if v, ok := objectLast[int(ob.id)]; ok && resumeUsable {
+		if v := at(objectLast, int(ob.id)); v != nil && resumeUsable {
 			ob.clock = clockFromVector(t.backend, v)
 		}
 	}
@@ -494,4 +500,20 @@ func clockFromVector(b vclock.Backend, v vclock.Vector) vclock.Clock {
 	c.Apply(ds)
 	c.Grow(len(v))
 	return c
+}
+
+// growTo extends s with zero values, if needed, so that index i is valid.
+func growTo[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
+}
+
+// at returns s[i], or nil past the end of s.
+func at(s []vclock.Vector, i int) vclock.Vector {
+	if i < len(s) {
+		return s[i]
+	}
+	return nil
 }

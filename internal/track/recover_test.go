@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -559,5 +560,58 @@ func TestRecoverResumeRaces(t *testing.T) {
 	}
 	if err := re2.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeManifestReuse pins when a seal's publish barrier rebuilds the
+// resume manifest: a seal that changed nothing the manifest records keeps
+// the previous one, and a registration, a reveal or a Compact between two
+// seals each yield a new one — equal, every time, to a freshly rebuilt
+// manifest.
+func TestResumeManifestReuse(t *testing.T) {
+	tr := mustOpen(t, "")
+	a, x := tr.NewThread("a"), tr.NewObject("x")
+	seal := func() *tlog.CatalogResume {
+		t.Helper()
+		a.Write(x, nil)
+		if err := tr.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		tr.world.Lock()
+		defer tr.world.Unlock()
+		got := tr.resume
+		tr.resume = nil
+		tr.captureResumeLocked()
+		if fresh := tr.resume; !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("kept manifest %+v differs from a rebuilt one %+v", got, fresh)
+		}
+		tr.resume = got
+		return got
+	}
+	prev := seal()
+	if seal() != prev {
+		t.Fatal("a seal that changed nothing rebuilt the manifest")
+	}
+	for _, step := range []struct {
+		name   string
+		change func()
+	}{
+		{"registration", func() { tr.NewThread("b") }},
+		{"reveal", func() { tr.Threads()[1].Write(x, nil) }},
+		{"Compact", func() {
+			if _, _, err := tr.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		step.change()
+		if next := seal(); next == prev {
+			t.Fatalf("a %s between two seals kept the old manifest", step.name)
+		} else {
+			prev = next
+		}
+	}
+	if prev.Epoch != 1 || len(prev.Threads) != 2 || len(prev.Edges) != 2 {
+		t.Fatalf("final manifest %+v: want epoch 1, 2 threads, 2 edges", prev)
 	}
 }

@@ -17,6 +17,7 @@ package track
 import (
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"time"
 
@@ -45,21 +46,6 @@ type RetainPolicy struct {
 // enabled reports whether the policy can ever retire anything.
 func (p RetainPolicy) enabled() bool { return p.MaxAge > 0 || p.MaxBytes > 0 }
 
-// maybeRetainSegments runs the armed retention policy, reporting whether a
-// pass retired anything (and thus already published the catalog).
-func (t *Tracker) maybeRetainSegments() bool {
-	p := t.retain
-	if !p.enabled() {
-		return false
-	}
-	n, err := t.RetainSegments(p)
-	if err != nil {
-		t.noteErr(fmt.Errorf("track: auto retention: %w", err))
-		return false
-	}
-	return n > 0
-}
-
 // RetainSegments runs one retention pass under the given policy and reports
 // how many segments it retired (zero when nothing qualified, or when a
 // compaction or retention pass already holds the gate). Only graduated
@@ -82,17 +68,18 @@ func (t *Tracker) RetainSegments(p RetainPolicy) (retired int, err error) {
 	// Retention shares the compaction gate: both rewrite the sealed-segment
 	// prefix, and the gate is what guarantees the snapshot below can only
 	// have grown — never been reshuffled — by swap time.
-	if !t.compactGate.CompareAndSwap(false, true) {
+	if !t.compactGate.TryLock() {
 		return 0, nil
 	}
-	defer t.compactGate.Store(false)
+	defer t.compactGate.Unlock()
+	return t.retainSegmentsLocked(p, math.MaxInt, t.Epoch())
+}
 
-	// The epoch needs a shard read lock (it is written under the world
-	// barrier); the segment list is a lock-free snapshot.
-	t.world.RLock(0)
-	epoch := t.epoch
-	t.world.RUnlock(0)
-	snap := t.hist.Load().segs
+// retainSegmentsLocked is one retention pass over the sealed segments that
+// end at or below upTo, with the segments of epochs below epoch graduated.
+// The caller holds compactGate.
+func (t *Tracker) retainSegmentsLocked(p RetainPolicy, upTo, epoch int) (retired int, err error) {
+	snap := sealedPrefix(t.hist.Load().segs, upTo)
 
 	var total int64
 	for _, sg := range snap {

@@ -229,39 +229,46 @@ func TestSealMergeOffBarrier(t *testing.T) {
 	}
 }
 
-// TestSealCutKeepsCheckpoints seals through the middle of a generation
-// that carries full-stamp checkpoints on both sides of the cut: one
-// batch commits 150 records of one thread in a single generation, and
-// the aligned auto-seal cuts it at 100, so the tail keeps a copied
-// remainder whose checkpoints must be exactly those above the cut. Every
-// lazy stamp, tail and sealed, must equal a twin's that never seals.
+// TestSealCutKeepsCheckpoints seals through the middle of a generation:
+// one batch commits all the records of one thread in a single generation,
+// and the aligned auto-seal cuts it, so the tail keeps a remainder that
+// shares the generation's buffers. With 150 records cut at 100 the
+// remainder's records have full-stamp checkpoints on both sides of the
+// cut; with 50 cut at 40 they have none and replay from the thread's base.
+// Every lazy stamp, tail and sealed, must equal a twin's that never seals.
 func TestSealCutKeepsCheckpoints(t *testing.T) {
-	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 100}}))
-	twin := mustOpen(t, "")
-	ops := make([]event.Op, 150)
-	for i := range ops {
-		ops[i] = event.Op(i % 2)
-	}
-	a, o := tr.NewThread("a"), tr.NewObject("o")
-	ta, to := twin.NewThread("a"), twin.NewObject("o")
-	got := a.DoBatch(o, ops)
-	ta.DoBatch(to, ops)
-	if st := tr.Stats(); st.SealedEvents != 100 {
-		t.Fatalf("sealed %d events, want the aligned 100", st.SealedEvents)
-	}
-	// More records on top of the remainder, so the tail chains across it.
-	for i := 0; i < 20; i++ {
-		got = append(got, a.Write(o, nil))
-		ta.Write(to, nil)
-	}
-	_, want := twin.Snapshot()
-	for i := len(got) - 1; i >= 0; i-- {
-		if v := got[i].Vector(); !v.Equal(want[i]) || len(v) != len(want[i]) {
-			t.Fatalf("lazy stamp %d = %v, twin has %v", i, v, want[i])
-		}
-	}
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ batch, every int }{{150, 100}, {50, 40}} {
+		t.Run(fmt.Sprintf("batch=%d/every=%d", c.batch, c.every), func(t *testing.T) {
+			tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: c.every}}))
+			twin := mustOpen(t, "")
+			ops := make([]event.Op, c.batch)
+			for i := range ops {
+				ops[i] = event.Op(i % 2)
+			}
+			a, o := tr.NewThread("a"), tr.NewObject("o")
+			ta, to := twin.NewThread("a"), twin.NewObject("o")
+			got := a.DoBatch(o, ops)
+			ta.DoBatch(to, ops)
+			tr.waitIdle()
+			if st := tr.Stats(); st.SealedEvents != c.every {
+				t.Fatalf("sealed %d events, want the aligned %d", st.SealedEvents, c.every)
+			}
+			// More records on top of the remainder, so the tail chains
+			// across it.
+			for i := 0; i < 20; i++ {
+				got = append(got, a.Write(o, nil))
+				ta.Write(to, nil)
+			}
+			_, want := twin.Snapshot()
+			for i := len(got) - 1; i >= 0; i-- {
+				if v := got[i].Vector(); !v.Equal(want[i]) || len(v) != len(want[i]) {
+					t.Fatalf("lazy stamp %d = %v, twin has %v", i, v, want[i])
+				}
+			}
+			if err := tr.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -385,6 +392,7 @@ func TestSealedBytesMatchAppendEncode(t *testing.T) {
 						early[i-1] = got[i-1].Vector()
 					}
 				})
+				tr.waitIdle()
 				full, stamps := tr.Snapshot()
 				if full.Len() != src.Len() {
 					t.Fatalf("snapshot has %d events, want %d", full.Len(), src.Len())

@@ -43,13 +43,22 @@ type TrackerStats struct {
 	// SealBarrierNanos is the total time seals held the world write lock —
 	// the stop-the-world pause every committer pays — and
 	// SealBarrierMaxNanos the longest single hold. Each automatic or
-	// explicit Seal holds it twice: to swap the per-thread buffers out,
-	// O(threads), and to publish the segment, O(threads) plus the resume
-	// manifest's rebuild, O(revealed edges). Neither depends on how many
-	// records the seal holds. Compact and Close, which seal under their own
-	// barrier, are not counted.
+	// explicit seal holds it twice: to swap the per-thread buffers out, and
+	// to publish the segment. Both are O(threads): the publish reuses the
+	// previous resume manifest unless a reveal, a registration or an epoch
+	// changed it, and only then rebuilds it, O(revealed edges). Neither
+	// depends on how many records the seal holds. Compact and Close, which
+	// seal under their own barrier, are not counted.
 	SealBarrierNanos    int64 `json:"seal_barrier_ns"`
 	SealBarrierMaxNanos int64 `json:"seal_barrier_max_ns"`
+	// BackpressureWaits counts the commits that waited for the lifecycle
+	// worker because the unsealed backlog had reached its bound (four
+	// SealEvery intervals), and BackpressureNanos their total wait.
+	// UnsealedMax is the largest unsealed backlog, in events, a commit saw
+	// when a seal was due: how far the worker lagged at worst.
+	BackpressureWaits int64 `json:"backpressure_waits"`
+	BackpressureNanos int64 `json:"backpressure_ns"`
+	UnsealedMax       int64 `json:"unsealed_max"`
 }
 
 // Stats gathers the tracker's current lifecycle summary. The snapshot is
@@ -83,5 +92,8 @@ func (t *Tracker) Stats() TrackerStats {
 		RetiredSegments:     t.retiredSegs.Load(),
 		SealBarrierNanos:    t.sealBarrierNanos.Load(),
 		SealBarrierMaxNanos: t.sealBarrierMax.Load(),
+		BackpressureWaits:   t.bpWaits.Load(),
+		BackpressureNanos:   t.bpNanos.Load(),
+		UnsealedMax:         t.unsealedMax.Load(),
 	}
 }

@@ -135,16 +135,25 @@ func Open(dir string, opts ...Option) (*Tracker, error) {
 // panics and the mutating lifecycle methods (Seal, Compact,
 // CompactSegments, RetainSegments) return errors; the read side (Stream,
 // Snapshot, Catalog, lazy stamps) keeps working for post-mortem use.
-// Closing twice is a no-op. A seal failure is returned, with the tracker
-// closed regardless and the unsealed tail still in memory.
+// Closing twice is a no-op. Close first waits out the lifecycle workers:
+// the SealEvery intervals the seal worker has not sealed yet are sealed,
+// one segment each, and every queued compaction and retention pass runs,
+// before the final seal, and both workers have stopped when Close returns.
+// A seal failure is returned, with the tracker closed regardless and the
+// unsealed tail still in memory.
 func (t *Tracker) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	t.holdSealGate()
+	err := t.catchUp()
+	t.stopPasses()
 	t.sealMu.Lock()
 	t.world.Lock()
 	t.swapLocked()
-	err := t.sealLocked(t.mergedLenLocked())
+	if serr := t.sealLocked(t.mergedLenLocked()); err == nil {
+		err = serr
+	}
 	// The Closed marker changes the published document even when the tail
 	// was empty; give it its own generation.
 	t.swapHist(func(old *segState) *segState {
@@ -161,19 +170,33 @@ func (t *Tracker) Close() error {
 		}
 	}
 	// The final seal made the whole run replayable without a barrier; wake
-	// monitors so they evaluate the last records. Sealed-history reads keep
-	// working on a closed tracker, so monitors drain normally.
+	// monitors so they evaluate the last records, and release commits that
+	// raced Close into backpressure. Sealed-history reads keep working on a
+	// closed tracker, so monitors drain normally.
 	t.notifyMonitors()
+	t.lc.broadcast()
 	return err
 }
 
-// captureResumeLocked rebuilds the resume manifest from the tracker's
-// current registration, cover and epoch state. The caller holds the world
-// write lock, so every revealer is quiescent and the shared graph and
-// component set can be walked directly.
+// captureResumeLocked brings the resume manifest up to date with the
+// tracker's current registration, cover and epoch state. Within an epoch
+// all of these only grow — threads and objects register, edges are
+// revealed, components are added — so a manifest whose epoch and counts
+// still match is still exact and is kept: the steady-state seal publish
+// pays O(threads) here, and only a seal after a reveal, a registration or
+// an epoch change rebuilds it, in O(revealed edges). The caller holds the
+// world write lock, so every revealer is quiescent and the shared graph
+// and component set can be walked directly.
 func (t *Tracker) captureResumeLocked() {
 	cover := t.cover.Load()
 	g := cover.Graph()
+	t.reg.Lock()
+	nThreads, nObjects := len(t.threads), len(t.objects)
+	t.reg.Unlock()
+	if r := t.resume; r != nil && r.Epoch == t.epoch && len(r.Threads) == nThreads && len(r.Objects) == nObjects &&
+		len(r.Components) == cover.Size() && len(r.Edges) == g.Edges() {
+		return
+	}
 	comps := cover.Components()
 	t.reg.Lock()
 	threads := make([]string, len(t.threads))

@@ -29,40 +29,45 @@ import (
 // own.
 type SpillPolicy struct {
 	// SealEvery, when positive, seals automatically at every multiple of
-	// SealEvery events: the tail is sealed up to the largest such boundary,
-	// and any overshoot (commits keep flowing while the seal is pending)
-	// stays in the tail for the next one. A single committing goroutine
-	// therefore never leaves SealEvery or more events unsealed (live
-	// per-thread buffers plus the merged tail), and segment edges land at
-	// predictable indices — retention jobs and snapshot consumers can
-	// reason in whole intervals. An automatic seal stops commits only for
-	// its two short barriers — swapping the per-thread buffers out, then
-	// publishing the written segment; the interleave into trace order, the
-	// encode, the hash and the spill run with commits flowing. Neither
-	// barrier costs O(SealEvery): no record is touched under them — the
-	// swap is O(threads), the publish O(threads) plus the resume manifest's
-	// O(revealed edges) — and neither includes disk I/O (Stats reports the
-	// holds). Zero seals only at Compact, an explicit Seal, or
-	// SealInterval.
+	// SealEvery events, each interval as its own segment, so segment edges
+	// land at predictable indices — retention jobs and snapshot consumers
+	// can reason in whole intervals. The seal does not run on the
+	// committing goroutine: the commit that crosses a boundary only starts
+	// the tracker's lifecycle worker, which seals every due interval, then
+	// publishes the catalog and queues the compaction and retention passes
+	// (run by a second worker, so a seal never waits for them). Commits
+	// stop only for each seal's two short barriers — swapping the
+	// per-thread buffers out, then publishing the written segment — and
+	// both are O(threads), with no disk I/O (Stats reports the holds).
+	//
+	// Backpressure bounds memory: a commit that finds four SealEvery
+	// intervals or more unsealed (live per-thread buffers plus the merged
+	// tail) waits for the worker's next publish, so after any commit of a
+	// single goroutine fewer than 4 × SealEvery events are unsealed, and
+	// fewer than SealEvery once the worker is idle. Zero seals only at
+	// Compact, an explicit Seal, Close, or SealInterval.
 	//
 	// If an automatic seal fails (spill I/O), the error surfaces through
 	// Err and the catalog health field, the history stays in memory, and
 	// auto-sealing disarms until an explicit Seal or Compact succeeds (or a
-	// Probe re-arms it) — one failed barrier, not one per commit.
+	// Probe re-arms it) — one failed seal, not one per commit. While it is
+	// disarmed no commit waits: the backlog grows in memory instead.
 	SealEvery int
 	// SealInterval, when positive, also triggers a seal once this much wall
 	// time has passed since the last one, bounding how stale the sealed
 	// history (and the catalog shippers poll) can go under light traffic.
-	// The clock is checked on the commit path, so an entirely idle tracker
-	// does not seal on its own. When SealEvery is also set and a full
-	// interval is pending, the boundary stays aligned; otherwise the whole
-	// tail is flushed.
+	// The clock is checked on the commit path, which then only starts the
+	// lifecycle worker, so an entirely idle tracker does not seal on its
+	// own. When SealEvery is also set and a full interval is pending, the
+	// worker seals the aligned intervals; otherwise it flushes the whole
+	// tail. The wall-time trigger adds no backpressure of its own.
 	SealInterval time.Duration
 	// Probe is how often a tracker in degraded mode (auto-sealing disarmed
 	// by a persistent spill failure) probes the spill directory with a
-	// throwaway durable write; a successful probe re-arms sealing. Zero
-	// means a one-second default. The probe runs on the commit path but
-	// only while degraded, at most once per interval, behind one CAS.
+	// throwaway durable write; a successful probe re-arms sealing, and the
+	// worker goes on to seal the backlog. Zero means a one-second default.
+	// The probe runs on the lifecycle worker; a commit only checks, while
+	// degraded, whether one is due, and never waits for it.
 	Probe time.Duration
 }
 
@@ -305,12 +310,17 @@ func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vect
 	t.captureResumeLocked()
 	// Drop the consumed generations outright (rather than truncating) so a
 	// spilling tracker's footprint really is bounded by the seal interval;
-	// one the boundary cuts through is replaced by its copied remainder,
-	// never re-sliced — a Stream may still be replaying it. The consumed
+	// one the boundary cuts through is replaced by its remainder, never
+	// re-sliced — a Stream may still be replaying it. The consumed
 	// generations go onto the reclaimer's limbo list, and their buffers
 	// back to their threads as spares, only once every reader that could
 	// hold them — a Stream is pinned across its tail replay — has passed.
+	// A cut generation's buffers live on in its remainder, which hands them
+	// back when it is consumed in turn.
 	for _, b := range j.blocks {
+		if rest != nil && b == j.blocks[len(j.blocks)-1] {
+			break
+		}
 		t.tailReclaim.retireDeferred(func() { t.recycle(b) })
 	}
 	tail := t.tail[len(j.blocks):]
@@ -332,23 +342,39 @@ func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vect
 // Seal quiesces the tracker, merges all per-thread buffers, and seals the
 // tail into an immutable delta-encoded segment (spilled to disk when the
 // tracker was opened on a directory). Compact seals implicitly; the spill
-// policy seals automatically. Sealing never changes what any reader
-// observes — only where (and how compactly) the history is held. A
-// successful Seal publishes the catalog and re-arms auto-sealing after a
-// spill failure.
+// policy seals automatically, on the lifecycle worker. Sealing never
+// changes what any reader observes — only where (and how compactly) the
+// history is held. Seal first seals, one segment each, the SealEvery
+// intervals the worker has not sealed yet, so the segments do not depend
+// on how far it lagged. A successful Seal publishes the catalog, re-arms
+// auto-sealing after a spill failure, and returns once the compaction and
+// retention passes its seals queued have run.
 //
-// Commits stop only twice, whatever the number of records: once to swap
-// the per-thread buffers out, and once to publish the written segment. The
-// interleave into trace order, the encode, the SHA-256 and the spill's
-// write, fsync and rename run between the two with commits flowing.
+// Commits stop only twice per segment, whatever the number of records:
+// once to swap the per-thread buffers out, and once to publish the written
+// segment. The interleave into trace order, the encode, the SHA-256 and the
+// spill's write, fsync and rename run between the two with commits flowing.
 func (t *Tracker) Seal() error {
 	if t.closed.Load() {
 		return fmt.Errorf("track: Seal on a closed Tracker")
 	}
-	if err := t.sealSplit(t.mergedLenLocked); err != nil {
+	if err := t.catchUp(); err != nil {
 		return err
 	}
+	sealed, err := t.sealSplit(t.committedLocked)
+	if err != nil {
+		return err
+	}
+	ticket := t.lastTicket()
+	if !sealed {
+		// Nothing new to seal; the policies still get their pass (a
+		// retention age may have lapsed), over the history as it stands.
+		t.sealMu.Lock()
+		ticket = t.queuePass(int(t.sealed.Load()), t.Epoch())
+		t.sealMu.Unlock()
+	}
 	t.afterSeal()
+	t.waitPasses(ticket)
 	return nil
 }
 
@@ -373,37 +399,46 @@ func (t *Tracker) sealLocked(upTo int) error {
 }
 
 // sealSplit seals the tail up to the boundary cut picks, outside the world
-// barrier. The first barrier only swaps the per-thread buffers into a new
-// generation and freezes the job (cut runs under it) — O(threads), no
-// record touched. The weave, the encode and the spill then run with no
-// world lock held, and a second barrier publishes. sealMu keeps any other
-// seal, Compact or Close out for the whole span. On error the swapped
-// records stay in the tail.
-func (t *Tracker) sealSplit(cut func() int) error {
+// barrier, and reports whether it sealed anything. The first barrier only
+// swaps the per-thread buffers into a new generation and freezes the job
+// (cut runs under it) — O(threads), no record touched. The weave, the
+// encode and the spill then run with no world lock held, and a second
+// barrier publishes. sealMu keeps any other seal, Compact or Close out for
+// the whole span, and the seal's compaction/retention pass is queued under
+// it, so passes run in seal order. On error the swapped records stay in
+// the tail.
+func (t *Tracker) sealSplit(cut func() int) (bool, error) {
 	t.sealMu.Lock()
 	defer t.sealMu.Unlock()
 	t.world.Lock()
 	held := time.Now()
-	t.swapLocked()
-	j := t.freezeSealLocked(cut())
+	// Swap only when the cut reaches into the per-thread buffers: a worker
+	// catching up seals intervals the tail already holds, and a swap that
+	// no seal consumes would only take the threads' spare buffers away.
+	upTo := cut()
+	if upTo > t.mergedLenLocked() {
+		t.swapLocked()
+	}
+	j := t.freezeSealLocked(upTo)
 	t.noteSealBarrier(held)
 	t.world.Unlock()
 	if j == nil {
-		return nil
+		return false, nil
 	}
 	if t.sealPark != nil {
 		t.sealPark(j.upTo)
 	}
 	sg, bases, rest, err := t.writeSeal(j)
 	if err != nil {
-		return err
+		return false, err
 	}
 	t.world.Lock()
 	held = time.Now()
 	t.publishSealLocked(j, sg, bases, rest)
 	t.noteSealBarrier(held)
 	t.world.Unlock()
-	return nil
+	t.queuePass(j.upTo, j.epoch)
+	return true, nil
 }
 
 // noteSealBarrier adds the world-lock hold that began at held to the seal
@@ -411,84 +446,7 @@ func (t *Tracker) sealSplit(cut func() int) error {
 func (t *Tracker) noteSealBarrier(held time.Time) {
 	d := int64(time.Since(held))
 	t.sealBarrierNanos.Add(d)
-	for m := t.sealBarrierMax.Load(); d > m && !t.sealBarrierMax.CompareAndSwap(m, d); m = t.sealBarrierMax.Load() {
-	}
-}
-
-// afterSeal is the post-barrier lifecycle work every successful seal path
-// shares: run the auto-compaction pass if the policy asks for one, then the
-// auto-retention pass, then publish the catalog shippers poll (unless one
-// of the passes ran — each publishes itself, as part of its
-// publish-before-delete ordering).
-func (t *Tracker) afterSeal() {
-	published := t.maybeCompactSegments()
-	if t.maybeRetainSegments() {
-		published = true
-	}
-	if !published {
-		t.publishCatalog()
-	}
-	// The barrier has lifted: drain whatever the seal retired under it
-	// (consumed tail generations, the superseded history snapshot) from the
-	// limbo lists, now that frees may safely run.
-	t.reclaim.reclaim()
-	t.tailReclaim.reclaim()
-	// Newly sealed records are now replayable without a barrier; wake the
-	// registered monitors (non-blocking — a busy monitor picks the new
-	// segments up on its next pass anyway).
-	t.notifyMonitors()
-}
-
-// maybeAutoSeal runs after a commit has released every lock: when the
-// unsealed suffix has outgrown the policy (by count, by aligned interval,
-// or by wall time), one caller wins the gate and seals. A failure (spill
-// I/O that survived the retry discipline) surfaces through Err and the
-// catalog health field, leaves the history in memory, and flips the
-// tracker into degraded mode: auto-sealing DISARMS — otherwise every later
-// commit would retry a stop-the-world barrier plus failing I/O against
-// broken storage, collapsing the hot path — and commits continue fully in
-// memory. While degraded, a cheap periodic probe (faults.go) re-arms
-// sealing once the disk recovers; an explicit Seal or Compact that
-// succeeds re-arms it too.
-func (t *Tracker) maybeAutoSeal() {
-	if t.sealBroken.Load() {
-		t.maybeProbe()
-		return
-	}
-	if !t.spill.autoSealDue(t.seq.Load(), t.sealed.Load(), t.lastSealNano.Load()) {
-		return
-	}
-	if !t.sealGate.CompareAndSwap(false, true) {
-		return // someone else is already sealing
-	}
-	defer t.sealGate.Store(false)
-	if err := t.autoSeal(); err != nil {
-		t.enterDegraded()
-		t.noteErr(err)
-		// Broken storage is exactly what a shipper wants to learn promptly;
-		// publishing may fail on the same storage, which noteErr keeps.
-		t.publishCatalog()
-	}
-}
-
-// autoSeal seals up to the policy's boundary: the largest SealEvery
-// multiple when alignment is on and a full interval is pending, the whole
-// tail otherwise.
-func (t *Tracker) autoSeal() error {
-	err := t.sealSplit(func() int {
-		upTo := t.mergedLenLocked()
-		if n := t.spill.SealEvery; n > 0 {
-			if aligned := upTo / n * n; aligned > t.tailStart {
-				upTo = aligned
-			}
-		}
-		return upTo
-	})
-	if err != nil {
-		return err
-	}
-	t.afterSeal()
-	return nil
+	storeMax(&t.sealBarrierMax, d)
 }
 
 // sealedStamp reconstructs the stamp of sealed event idx by replaying its

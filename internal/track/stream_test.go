@@ -69,6 +69,7 @@ func TestSnapshotToMatchesWriteAllDelta(t *testing.T) {
 					}
 					tr := mustOpen(t, dir, opts...)
 					replayTrace(t, tr, src, compactAt)
+					tr.waitIdle()
 
 					full, stamps := tr.Snapshot()
 					if full.Len() != src.Len() {
@@ -173,6 +174,7 @@ func TestSpillBoundsAndRestores(t *testing.T) {
 			b.Write(y, nil)
 		}
 	}
+	tr.waitIdle()
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +245,7 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		th.Write(o, nil)
 	}
+	tr.waitIdle()
 	if err := tr.Err(); err == nil {
 		t.Fatal("failing spill did not surface through Err")
 	}
@@ -273,6 +276,7 @@ func TestAutoSealFailureDisarms(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		th.Write(o, nil)
 	}
+	tr.waitIdle()
 	if segs := tr.Segments(); len(segs) < 2 {
 		t.Fatalf("auto-sealing did not resume after repair: %+v", segs)
 	}

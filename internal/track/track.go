@@ -109,7 +109,8 @@
 //
 // From the outside in, and in the order they nest:
 //
-//   - sealMu serializes whole seals (Seal, auto-seal, Compact, Close).
+//   - sealMu serializes whole seals (Seal, the lifecycle worker's seals,
+//     Compact, Close).
 //   - The world lock: commits hold one shard's read side; the barriers —
 //     a merge's swap, a seal's publish, Compact, Close — hold every shard's
 //     write side, and lazy tail stamps read the tail under it.
@@ -118,8 +119,9 @@
 //     released (Compact and Close excepted, which weave under their own
 //     barrier). A reader may wait on mergeMu; a commit never does.
 //   - reg guards registration and the threads' spare buffers; pendMu the
-//     queue of swapped generations awaiting their weave; errMu, segMu and
-//     the reclaimer's own mutex are leaves.
+//     queue of swapped generations awaiting their weave; the lifecycle
+//     state's mutex the queue of compaction and retention passes; errMu,
+//     segMu and the reclaimer's own mutex are leaves.
 //
 // # Segment lifecycle: merge, seal, spill
 //
@@ -140,8 +142,8 @@
 //     each record. A sealed segment never changes; a tracker opened on a
 //     directory writes it to its own file there and drops it from memory
 //     entirely, which is what bounds a long-running tracker's footprint:
-//     live + tail are bounded by SpillPolicy.SealEvery, and the sealed
-//     prefix lives on disk.
+//     live + tail are bounded by a small multiple of SpillPolicy.SealEvery
+//     (backpressure, below), and the sealed prefix lives on disk.
 //
 // A segment never spans a compaction (Compact seals first, then starts the
 // new epoch), so each segment belongs to exactly one epoch; an epoch may
@@ -151,9 +153,29 @@
 // unless the caller asked for exactly that.
 //
 // Seal boundaries follow the spill policy: SealEvery seals at every
-// multiple of the interval (the overshoot waits in the tail for the next
-// boundary), and SealInterval caps by wall time how stale sealed history
-// can go under light traffic.
+// multiple of the interval, each interval as its own segment (the overshoot
+// waits in the tail for the next boundary), and SealInterval caps by wall
+// time how stale sealed history can go under light traffic.
+//
+// # Lifecycle workers
+//
+// Automatic seals do not run on the committing goroutine (worker.go). A
+// commit only checks whether a seal is due — a few atomic loads — and, if
+// so, starts the seal worker through a single-flight gate. The worker seals
+// each due interval, then wakes waiting commits, publishes the catalog,
+// reclaims and wakes monitors; while degraded it runs the disk probe
+// instead. Compaction and retention passes run on a second worker, one per
+// seal in seal order, each planned over the sealed history as of its seal,
+// so a seal never queues behind them and their outcome does not depend on
+// how far they lag. Both workers start on demand and exit when nothing is
+// due: an idle tracker holds no goroutine. Backpressure bounds the
+// backlog: a commit that finds four SealEvery intervals or more unsealed
+// waits, on a condition variable every seal publish broadcasts, until it
+// is below that bound again — never while sealing is disarmed. Seal, Compact and Close
+// stay synchronous: each first seals the intervals the worker has not,
+// one segment each, so what is sealed does not depend on the worker's lag;
+// Seal and Compact return once their passes have run, and Close waits out
+// both workers.
 //
 // A seal stops commits only twice, for pauses independent of the number of
 // records it seals. The first barrier swaps the per-thread buffers into a
@@ -165,13 +187,18 @@
 // only, never for the encode or the I/O. The second barrier publishes: the
 // segment joins the sealed history (swapHist), the threads get their new
 // bases, the consumed generations are cut from the tail (one the seal
-// point cuts through leaves a copied remainder) and retired through the
-// reclaimer, which hands their buffers back to the threads as spares once
-// no reader holds them, and the resume manifest is captured — O(revealed
-// edges), the one cost of either barrier beyond O(threads). Stats reports
-// the barriers' cumulative and longest hold. sealMu serializes seals with
-// each other and with Compact and Close; those two keep their whole seal
-// under their own barrier, since they must seal at the instant they act.
+// point cuts through leaves a remainder sharing its buffers) and retired
+// through the reclaimer, which hands their buffers back to the threads as
+// spares once no reader holds them, and the resume manifest is brought up
+// to date — it is kept as it is unless a reveal, a registration or an
+// epoch changed it, so only a seal after such a change pays O(revealed
+// edges) to rebuild it.
+// A swap happens only when the seal point reaches into the per-thread
+// buffers; a worker catching up seals intervals already in the tail. Stats
+// reports the barriers' cumulative and longest hold. sealMu serializes
+// seals with each other and with Compact and Close; those two keep their
+// whole seal under their own barrier, since they must seal at the instant
+// they act.
 // Nothing is visible before the second barrier, so the catalog still lists
 // a segment only after its file is durable.
 //
@@ -246,11 +273,11 @@
 // the barrier while commits continue into fresh buffers, rebuilding each
 // stamp from the threads' bases snapshotted at the freeze. The memory
 // model is freeze-and-share: a woven generation is never mutated again
-// (sealing replaces a partially sealed one with a copied remainder rather
-// than re-slicing it), and bases are immutable, so the replay needs no
-// lock; the streamer's reclaimer pin keeps the buffers of generations a
-// seal consumes from being reused underneath it. The stream is a
-// consistent snapshot as of its freeze point, and the stall commits
+// (sealing replaces a partially sealed one with a remainder that shares its
+// storage rather than re-slicing it), and bases are immutable, so the
+// replay needs no lock; the streamer's reclaimer pin keeps the buffers of
+// generations a seal consumes from being reused underneath it. The stream
+// is a consistent snapshot as of its freeze point, and the stall commits
 // observe is the O(threads) swap — never the weave or the sink's I/O.
 // Sinks may block and may call back into the Tracker.
 //
@@ -286,8 +313,8 @@
 // Every durable path runs through the vfs.FS interface (Store.FS, vfs.OS
 // by default), which makes the whole failure surface deterministically
 // injectable: vfs.Faulty scripts per-operation errors, torn writes, and a
-// crash freeze at any durable-op index, and the crashtest package sweeps
-// every such index exhaustively. The commit hot path never touches the
+// crash freeze at any durable operation, and the crashtest package sweeps
+// every such operation exhaustively. The commit hot path never touches the
 // filesystem.
 //
 // Fault handling is tiered (faults.go). Transient errors retry the whole
@@ -299,11 +326,13 @@
 // degraded mode — auto-sealing disarms, commits and every reader continue
 // fully in memory, the unsealed suffix grows unboundedly, and both
 // Tracker.Health and the published catalog (AutoSealDisarmed,
-// DegradedSinceUnix) report the state. While degraded, the commit path
-// probes the spill directory with a throwaway durable write at most once
-// per SpillPolicy.Probe (one-second default); a successful probe re-arms
-// sealing, and the next seal flushes the backlog, clears degraded mode,
-// and publishes a healthy generation.
+// DegradedSinceUnix) report the state. While degraded, a commit only
+// checks whether a probe is due, and the lifecycle worker probes the spill
+// directory with a throwaway durable write at most once per
+// SpillPolicy.Probe (one-second default); a successful probe re-arms
+// sealing, and the worker's next seals flush the backlog, clear degraded
+// mode, and publish a healthy generation. Nothing waits on backpressure
+// while degraded.
 //
 // # Online detection
 //
@@ -357,9 +386,11 @@
 // BenchmarkLoadgenMixed in the CI gate). Tracker.Stats is the
 // harness-facing summary it reports: cumulative Events/Width/Epoch plus
 // the lifecycle counters (seals, compaction and retention passes and the
-// segments they eliminated) this package bumps on each path's success,
-// never on the commit hot path. Stats takes the same world read lock a
-// commit takes, so it must not be called from inside a Do callback.
+// segments they eliminated, seal barrier holds, backpressure waits and the
+// largest unsealed backlog) this package bumps on each path's success or,
+// for the backpressure counters, only when a seal is due. Stats takes the
+// same world read lock a commit takes, so it must not be called from inside
+// a Do callback.
 package track
 
 import (
@@ -463,9 +494,10 @@ const cellChunkSize = 128
 // — no record is copied — and the weave (weaveTo) then builds, outside the
 // barrier, the trace order over them and the full-stamp checkpoints some of
 // them carry. A woven generation is never mutated again, so a Stream or a
-// seal may read it with no lock held; a seal that cuts through one leaves a
-// copied remainder (suffix) in the tail rather than re-slicing it, so
-// storage a reader holds is never aliased by storage that is reused.
+// seal may read it with no lock held; a seal that cuts through one leaves
+// in the tail a remainder (suffix) that shares its storage rather than
+// re-slicing or copying it, and the storage goes back to the threads only
+// once the last generation sharing it is consumed and no reader holds it.
 type tailBlock struct {
 	start, end int
 	epoch      int
@@ -482,12 +514,15 @@ type tailBlock struct {
 // genThread is one thread's share of a generation: its records in program
 // order and the delta arena their change sets live in (both swapped out of
 // the thread), plus the checkpoints the weave copied out. prev is the global
-// index of the thread's last record before the generation (-1 when none
-// this epoch), the link a lazy stamp walks back along; before counts the
-// thread's records of the epoch merged ahead of this generation, which
-// fixes where its checkpoints fall: record p carries one when
-// (before+p+1) is a multiple of stampCheckpointEvery, and ckpts holds them
-// in record order.
+// index of the thread's last record before the swap (-1 when none this
+// epoch), the link a lazy stamp walks back along; before counts the
+// thread's records of the epoch merged ahead of the swap, which fixes
+// where its checkpoints fall: record p carries one when (before+p+1) is a
+// multiple of stampCheckpointEvery, and ckpts holds them in record order.
+// off is how many of recs lie below the generation's start: nonzero only
+// in the remainder of a generation a seal cut through, which shares the
+// records, arena and checkpoints of the whole swap and whose records
+// recs[:off] are sealed.
 type genThread struct {
 	th     *Thread
 	id     event.ThreadID
@@ -495,6 +530,7 @@ type genThread struct {
 	deltas []vclock.Delta
 	prev   int
 	before int
+	off    int
 	ckpts  []vclock.Vector
 }
 
@@ -543,63 +579,19 @@ func (gt *genThread) checkpoint(p int) (int, vclock.Vector) {
 	return first + (n-1)*stampCheckpointEvery, gt.ckpts[n-1]
 }
 
-// suffix returns a fresh generation holding g's records from global index
-// from on — what a seal that cuts through g leaves in the tail — with
-// copies of exactly those records and their change sets, in one arena
-// each. Checkpoint vectors are immutable, so they are shared. g must be
-// woven; so is the result.
+// suffix returns the remainder of g from global index from on — what a
+// seal that cuts through g leaves in the tail — as a generation that shares
+// g's records, arenas, checkpoints and trace order. Only the thread
+// entries are copied, each noting in off how many of its records fall
+// below from, so the cost is O(threads), whatever the records. g must be
+// woven; so is the result. The shared buffers go back to the threads
+// when the remainder, not g, is consumed.
 func (g *tailBlock) suffix(from int) *tailBlock {
-	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch}
-	// cut[k] is how many of thread entry k's records fall below from, to[k]
-	// its entry in nb, and off[k] where its remaining change sets began.
-	cut := make([]int32, len(g.thr))
-	to := make([]int32, len(g.thr))
-	off := make([]int32, len(g.thr))
-	nrecs, ndeltas, nthr := 0, 0, 0
-	for k := range g.thr {
-		gt := &g.thr[k]
-		q := sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= from })
-		cut[k] = int32(q)
-		if q < len(gt.recs) {
-			nthr++
-			nrecs += len(gt.recs) - q
-			ndeltas += gt.recs[len(gt.recs)-1].end - gt.recs[q].start
-		}
-	}
-	nb.thr = make([]genThread, 0, nthr)
-	recs := make([]record, 0, nrecs)
-	deltas := make([]vclock.Delta, 0, ndeltas)
-	for k := range g.thr {
-		gt, q := &g.thr[k], int(cut[k])
-		to[k] = int32(len(nb.thr))
-		if q == len(gt.recs) {
-			continue
-		}
-		ngt := genThread{th: gt.th, id: gt.id, prev: gt.prev, before: gt.before + q, ckpts: gt.ckpts[gt.ckptsBelow(q):]}
-		if q > 0 {
-			ngt.prev = gt.recs[q-1].ev.Index
-		}
-		r0, d0 := len(recs), len(deltas)
-		o := gt.recs[q].start
-		off[k] = int32(o)
-		deltas = append(deltas, gt.deltas[o:gt.recs[len(gt.recs)-1].end]...)
-		for _, r := range gt.recs[q:] {
-			r.start, r.end = r.start-o, r.end-o
-			recs = append(recs, r)
-			nb.width = max(nb.width, r.width)
-		}
-		// Capped, so a thread handed these back as spares reallocates
-		// rather than growing into its neighbour's share.
-		ngt.recs = recs[r0:len(recs):len(recs)]
-		ngt.deltas = deltas[d0:len(deltas):len(deltas)]
-		nb.thr = append(nb.thr, ngt)
-	}
-	nb.order = make([]genSlot, g.end-from)
-	for i, sl := range g.order[from-g.start:] {
-		k := sl.thr
-		sl.thr, sl.pos = to[k], sl.pos-cut[k]
-		sl.start, sl.end = sl.start-off[k], sl.end-off[k]
-		nb.order[i] = sl
+	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch, order: g.order[from-g.start:], width: g.width}
+	nb.thr = make([]genThread, len(g.thr))
+	for k, gt := range g.thr {
+		gt.off = sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= from })
+		nb.thr[k] = gt
 	}
 	return nb
 }
@@ -687,10 +679,11 @@ type Tracker struct {
 	// segMu serializes hist writers only (seal, compaction, retention,
 	// Close, recovery); it is never taken by readers or commits.
 	segMu sync.Mutex
-	// sealMu serializes whole seals — Seal, auto-seal, Compact, Close —
-	// against each other. A Seal holds it across the encode and spill it
-	// runs between its two short barriers, so at most one seal is ever in
-	// flight and the tail it froze cannot be cut underneath it.
+	// sealMu serializes whole seals — Seal, the lifecycle worker's seals,
+	// Compact, Close — against each other. A seal holds it across the
+	// encode and spill it runs between its two short barriers, so at most
+	// one seal is ever in flight and the tail it froze cannot be cut
+	// underneath it.
 	sealMu sync.Mutex
 	// reclaim is the epoch-based reclamation state: sealed replays pin it,
 	// retired resources wait on its limbo list. tailReclaim is a second
@@ -711,13 +704,14 @@ type Tracker struct {
 	// reads keep working (post-mortem inspection).
 	closed atomic.Bool
 	// sealed mirrors tailStart for the lock-free auto-seal check in Do;
-	// sealGate admits one auto-seal attempt at a time; sealBroken disarms
-	// auto-sealing after a spill failure (one failed barrier, not one per
-	// commit) until an explicit Seal or Compact succeeds. lastSealNano is
-	// when the last successful seal (or the tracker's creation) happened —
-	// the reference point of the wall-time sealing trigger. sealArmed is
-	// set once at construction when the spill policy has any automatic
-	// trigger: when clear, the post-commit maybeAutoSeal call is skipped
+	// sealGate is held by the running seal worker (worker.go), so at most
+	// one runs, and by Close for good; sealBroken disarms auto-sealing
+	// after a spill failure (one failed seal, not one per commit) until a
+	// probe, an explicit Seal or a Compact succeeds. lastSealNano is when
+	// the last successful seal (or the tracker's creation) happened — the
+	// reference point of the wall-time sealing trigger. sealArmed is set
+	// once at construction when the spill policy has any automatic
+	// trigger: when clear, the post-commit signalLifecycle call is skipped
 	// entirely, so an unspilled tracker's hot path pays nothing for it.
 	sealed       atomic.Int64
 	sealGate     atomic.Bool
@@ -732,10 +726,16 @@ type Tracker struct {
 	degradedSince atomic.Int64
 	lastProbeNano atomic.Int64
 	// compactGate admits one segment-compaction or retention pass at a
-	// time; catMu serializes catalog.json publications. The catalog
-	// generation itself lives in hist (bumped by every snapshot swap).
-	compactGate atomic.Bool
+	// time: the pass worker waits for it, an explicit CompactSegments or
+	// RetainSegments that finds it held does nothing. catMu serializes
+	// catalog.json publications. The catalog generation itself lives in
+	// hist (bumped by every snapshot swap).
+	compactGate sync.Mutex
 	catMu       sync.Mutex
+	// lc is the lifecycle workers' shared state: the queue of compaction
+	// and retention passes, and the condition variable pass waiters, Close
+	// and backpressured commits wait on.
+	lc lifecycle
 
 	// Cumulative lifecycle counters surfaced through Stats: successful
 	// seal passes, segment-compaction passes and the segments they
@@ -748,14 +748,22 @@ type Tracker struct {
 	retainPasses  atomic.Int64
 	retiredSegs   atomic.Int64
 	// sealBarrierNanos and sealBarrierMax are the cumulative and the
-	// longest world-lock hold of a split seal's two barriers.
+	// longest world-lock hold of a split seal's two barriers. bpWaits and
+	// bpNanos count the commits that waited at the backpressure bound and
+	// their total wait; unsealedMax is the largest unsealed backlog a
+	// commit saw when a seal was due.
 	sealBarrierNanos atomic.Int64
 	sealBarrierMax   atomic.Int64
+	bpWaits          atomic.Int64
+	bpNanos          atomic.Int64
+	unsealedMax      atomic.Int64
 	// sealPark, when set (tests only), runs on a split seal's goroutine
 	// right after its first barrier, before the weave, with the seal's cut:
 	// it holds a seal between the swap and the interleave for as long as a
-	// test needs.
-	sealPark func(upTo int)
+	// test needs. workerPark, when set (tests only), runs at the top of
+	// every seal-worker iteration, before it seals anything.
+	sealPark   func(upTo int)
+	workerPark func()
 
 	// Epoch bookkeeping, written only under the world write lock. epoch is
 	// additionally read by commits under the read lock; epochStart[i] is
@@ -854,6 +862,7 @@ func newTracker(dir string, o options) *Tracker {
 	}
 	t.reclaim.init()
 	t.tailReclaim.init()
+	t.lc.init()
 	t.hist.Store(&segState{})
 	t.lastSealNano.Store(time.Now().UnixNano())
 	t.sealArmed.Store(t.spill.SealEvery > 0 || t.spill.SealInterval > 0)
@@ -989,12 +998,13 @@ func (t *Tracker) NewObject(name string) *Object {
 // fn, so callbacks cannot deadlock against a concurrent Snapshot or Compact.
 func (th *Thread) Do(o *Object, op event.Op, fn func()) Stamped {
 	s := th.do(o, op, fn)
-	// With every lock released, honour the spill policy: sealing is its own
-	// (rare) barrier, never nested inside a commit. The armed check is one
-	// atomic load, so a tracker with no automatic seal trigger skips the
-	// whole policy evaluation on every event.
+	// With every lock released, honour the spill policy: the commit only
+	// signals the lifecycle worker (worker.go), which seals on its own
+	// goroutine. The armed check is one atomic load, so a tracker with no
+	// automatic seal trigger skips the whole policy evaluation on every
+	// event.
 	if th.t.sealArmed.Load() {
-		th.t.maybeAutoSeal()
+		th.t.signalLifecycle()
 	}
 	return s
 }
@@ -1253,6 +1263,12 @@ func (t *Tracker) mergedLenLocked() int {
 	return t.tailStart
 }
 
+// committedLocked is the number of committed records: the merged length
+// once the per-thread buffers are swapped into the tail. The caller holds
+// the world write lock, so no commit is in flight and every index below it
+// is recorded.
+func (t *Tracker) committedLocked() int { return int(t.seq.Load()) }
+
 // basesLocked snapshots every registered thread's base — the per-thread
 // stamps as of tailStart that a replay of the tail starts from. The vectors
 // are immutable, so the snapshot shares them. The caller holds the world
@@ -1324,7 +1340,9 @@ func (t *Tracker) tailStamp(idx int) (v vclock.Vector, ok bool) {
 // thread's records — within a generation by position, across generations
 // by each thread entry's prev link — to the nearest full-stamp checkpoint,
 // or, past the tail's start, to the thread's base at tailStart, and replays
-// the change sets forward from there. The walk stops within
+// the change sets forward from there. A checkpoint on a sealed record of a
+// cut generation's remainder still starts a valid replay: the records
+// between it and idx are all still in the shared buffers. The walk stops within
 // stampCheckpointEvery records, so the cost is bounded whatever the tail's
 // length. The caller holds the world write lock, and idx is woven.
 func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
@@ -1349,9 +1367,11 @@ func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
 			n++
 			break
 		}
-		spans[n] = span{gt, 0, p}
+		spans[n] = span{gt, gt.off, p}
 		n++
-		if gt.prev < t.tailStart {
+		// A remainder's sealed records end right below tailStart, so the
+		// thread's base is their successor's starting point.
+		if gt.off > 0 || gt.prev < t.tailStart {
 			from = gt.th.base
 			break
 		}

@@ -10,13 +10,17 @@ import (
 )
 
 // mustOpen is Open for tests: dir "" is an in-memory tracker, and an error
-// fails the test.
+// fails the test. The test's cleanup waits for the tracker's lifecycle
+// workers to go idle, so none still writes into a temporary directory
+// being removed (cleanups run last-registered first, after the directory's
+// own was registered).
 func mustOpen(tb testing.TB, dir string, opts ...Option) *Tracker {
 	tb.Helper()
 	tr, err := Open(dir, opts...)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(tr.waitIdle)
 	return tr
 }
 

@@ -103,6 +103,30 @@ type Rule struct {
 	matched int64
 }
 
+// OpID names one durable operation by what it did rather than by when it
+// ran: its class, the path it acted on, and how many earlier durable
+// operations of that class acted on the same path. A file opened by
+// CreateTemp is named by its directory and pattern plus the ordinal of that
+// call among the CreateTemp calls with the same directory and pattern
+// ("dir/.seg-*.tmp#2"), never by its random name. Goroutines that share the
+// filesystem can interleave their operations differently from run to run,
+// which moves every global op index; a run that performs the same
+// operations names them with the same OpIDs.
+type OpID struct {
+	Op   Op
+	Path string
+	Nth  int64
+}
+
+// String renders the identity as "class path #nth".
+func (id OpID) String() string { return fmt.Sprintf("%s %s #%d", id.Op, id.Path, id.Nth) }
+
+// opKey is an OpID without its ordinal.
+type opKey struct {
+	op   Op
+	path string
+}
+
 // fate is the decided outcome of one intercepted operation.
 type fate struct {
 	err  error
@@ -122,12 +146,19 @@ type Faulty struct {
 	ops     int64 // durable (mutating) operations seen so far
 	crashAt int64 // durable-op index the crash freezes at; -1 never
 	crashed bool
+	// history is every durable operation seen, in order; seen counts them
+	// per class and path, the next OpID.Nth. With byID, the crash freezes
+	// at the operation named crashID instead of at index crashAt.
+	history []OpID
+	seen    map[opKey]int64
+	byID    bool
+	crashID OpID
 }
 
 // NewFaulty wraps base with an injector that (until scripted) injects
 // nothing.
 func NewFaulty(base FS) *Faulty {
-	return &Faulty{base: base, crashAt: -1}
+	return &Faulty{base: base, crashAt: -1, seen: map[opKey]int64{}}
 }
 
 // Script replaces the fault schedule. Rules are evaluated in order; the
@@ -157,7 +188,19 @@ func (f *Faulty) Heal() {
 func (f *Faulty) CrashAt(k int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.crashAt = k
+	f.crashAt, f.byID = k, false
+	f.crashed = false
+}
+
+// CrashAtOp freezes the filesystem at the durable operation named id, as
+// CrashAt does at an index: that operation and everything after it fail
+// with ErrCrashed and change nothing. Where goroutines interleave their
+// operations differently from run to run, the operation at a given index
+// changes, but the one named id does not.
+func (f *Faulty) CrashAtOp(id OpID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.crashAt, f.byID, f.crashID = -1, true, id
 	f.crashed = false
 }
 
@@ -177,21 +220,35 @@ func (f *Faulty) Ops() int64 {
 	return f.ops
 }
 
-// decide advances the counters and picks the operation's fate. mutating
-// marks ops that change durable state (for OpClose the caller knows whether
-// the file was writable).
-func (f *Faulty) decide(op Op, path string, mutating bool) fate {
+// History returns the durable operations seen so far, in the order they
+// ran — once crashed, the last is the one the crash froze at.
+func (f *Faulty) History() []OpID {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]OpID(nil), f.history...)
+}
+
+// decide advances the counters and picks the operation's fate, and names a
+// durable operation by its OpID, whose path is name. mutating marks ops
+// that change durable state (for OpClose the caller knows whether the file
+// was writable).
+func (f *Faulty) decide(op Op, path, name string, mutating bool) (fate, OpID) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.crashed {
-		return fate{err: fmt.Errorf("vfs: %s %s: %w", op, path, ErrCrashed)}
+		return fate{err: fmt.Errorf("vfs: %s %s: %w", op, path, ErrCrashed)}, OpID{}
 	}
+	var id OpID
 	if mutating {
 		n := f.ops
 		f.ops++
-		if f.crashAt >= 0 && n >= f.crashAt {
+		k := opKey{op, name}
+		id = OpID{Op: op, Path: name, Nth: f.seen[k]}
+		f.seen[k]++
+		f.history = append(f.history, id)
+		if (f.crashAt >= 0 && n >= f.crashAt) || (f.byID && id == f.crashID) {
 			f.crashed = true
-			return fate{err: fmt.Errorf("vfs: %s %s: %w", op, path, ErrCrashed)}
+			return fate{err: fmt.Errorf("vfs: %s %s: %w", op, path, ErrCrashed)}, id
 		}
 	}
 	for _, r := range f.rules {
@@ -214,9 +271,9 @@ func (f *Faulty) decide(op Op, path string, mutating bool) fate {
 			err:  fmt.Errorf("vfs: injected fault on %s %s: %w", op, path, err),
 			torn: r.TornFrac,
 			tear: op == OpWrite,
-		}
+		}, id
 	}
-	return fate{}
+	return fate{}, id
 }
 
 // contains is strings.Contains without the import.
@@ -231,43 +288,45 @@ func contains(s, sub string) bool {
 
 // Create implements FS.
 func (f *Faulty) Create(name string) (File, error) {
-	if ft := f.decide(OpCreate, name, true); ft.err != nil {
+	if ft, _ := f.decide(OpCreate, name, name, true); ft.err != nil {
 		return nil, ft.err
 	}
 	file, err := f.base.Create(name)
 	if err != nil {
 		return nil, err
 	}
-	return &faultyFile{f: f, base: file, path: name, writable: true}, nil
+	return &faultyFile{f: f, base: file, path: name, name: name, writable: true}, nil
 }
 
 // CreateTemp implements FS.
 func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
-	if ft := f.decide(OpCreateTemp, dir+"/"+pattern, true); ft.err != nil {
+	name := dir + "/" + pattern
+	ft, id := f.decide(OpCreateTemp, name, name, true)
+	if ft.err != nil {
 		return nil, ft.err
 	}
 	file, err := f.base.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
 	}
-	return &faultyFile{f: f, base: file, path: file.Name(), writable: true}, nil
+	return &faultyFile{f: f, base: file, path: file.Name(), name: fmt.Sprintf("%s#%d", name, id.Nth), writable: true}, nil
 }
 
 // Open implements FS.
 func (f *Faulty) Open(name string) (File, error) {
-	if ft := f.decide(OpOpen, name, false); ft.err != nil {
+	if ft, _ := f.decide(OpOpen, name, name, false); ft.err != nil {
 		return nil, ft.err
 	}
 	file, err := f.base.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &faultyFile{f: f, base: file, path: name}, nil
+	return &faultyFile{f: f, base: file, path: name, name: name}, nil
 }
 
 // Rename implements FS.
 func (f *Faulty) Rename(oldpath, newpath string) error {
-	if ft := f.decide(OpRename, newpath, true); ft.err != nil {
+	if ft, _ := f.decide(OpRename, newpath, newpath, true); ft.err != nil {
 		return ft.err
 	}
 	return f.base.Rename(oldpath, newpath)
@@ -275,7 +334,7 @@ func (f *Faulty) Rename(oldpath, newpath string) error {
 
 // Remove implements FS.
 func (f *Faulty) Remove(name string) error {
-	if ft := f.decide(OpRemove, name, true); ft.err != nil {
+	if ft, _ := f.decide(OpRemove, name, name, true); ft.err != nil {
 		return ft.err
 	}
 	return f.base.Remove(name)
@@ -283,7 +342,7 @@ func (f *Faulty) Remove(name string) error {
 
 // ReadDir implements FS.
 func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
-	if ft := f.decide(OpReadDir, name, false); ft.err != nil {
+	if ft, _ := f.decide(OpReadDir, name, name, false); ft.err != nil {
 		return nil, ft.err
 	}
 	return f.base.ReadDir(name)
@@ -291,7 +350,7 @@ func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
 
 // MkdirAll implements FS.
 func (f *Faulty) MkdirAll(name string) error {
-	if ft := f.decide(OpMkdir, name, true); ft.err != nil {
+	if ft, _ := f.decide(OpMkdir, name, name, true); ft.err != nil {
 		return ft.err
 	}
 	return f.base.MkdirAll(name)
@@ -299,7 +358,7 @@ func (f *Faulty) MkdirAll(name string) error {
 
 // SyncDir implements FS.
 func (f *Faulty) SyncDir(name string) error {
-	if ft := f.decide(OpSyncDir, name, true); ft.err != nil {
+	if ft, _ := f.decide(OpSyncDir, name, name, true); ft.err != nil {
 		return ft.err
 	}
 	return f.base.SyncDir(name)
@@ -307,31 +366,32 @@ func (f *Faulty) SyncDir(name string) error {
 
 // Stat implements FS.
 func (f *Faulty) Stat(name string) (fs.FileInfo, error) {
-	if ft := f.decide(OpStat, name, false); ft.err != nil {
+	if ft, _ := f.decide(OpStat, name, name, false); ft.err != nil {
 		return nil, ft.err
 	}
 	return f.base.Stat(name)
 }
 
-// faultyFile threads per-file operations back through the injector.
+// faultyFile threads per-file operations back through the injector. path
+// is the file's name; name is its name in OpIDs.
 type faultyFile struct {
-	f        *Faulty
-	base     File
-	path     string
-	writable bool
+	f          *Faulty
+	base       File
+	path, name string
+	writable   bool
 }
 
 func (ff *faultyFile) Name() string { return ff.base.Name() }
 
 func (ff *faultyFile) Read(p []byte) (int, error) {
-	if ft := ff.f.decide(OpRead, ff.path, false); ft.err != nil {
+	if ft, _ := ff.f.decide(OpRead, ff.path, ff.name, false); ft.err != nil {
 		return 0, ft.err
 	}
 	return ff.base.Read(p)
 }
 
 func (ff *faultyFile) Write(p []byte) (int, error) {
-	ft := ff.f.decide(OpWrite, ff.path, true)
+	ft, _ := ff.f.decide(OpWrite, ff.path, ff.name, true)
 	if ft.err == nil {
 		return ff.base.Write(p)
 	}
@@ -353,14 +413,14 @@ func (ff *faultyFile) Write(p []byte) (int, error) {
 }
 
 func (ff *faultyFile) Sync() error {
-	if ft := ff.f.decide(OpFileSync, ff.path, true); ft.err != nil {
+	if ft, _ := ff.f.decide(OpFileSync, ff.path, ff.name, true); ft.err != nil {
 		return ft.err
 	}
 	return ff.base.Sync()
 }
 
 func (ff *faultyFile) Close() error {
-	if ft := ff.f.decide(OpClose, ff.path, ff.writable); ft.err != nil {
+	if ft, _ := ff.f.decide(OpClose, ff.path, ff.name, ff.writable); ft.err != nil {
 		ff.base.Close() // release the descriptor regardless
 		return ft.err
 	}

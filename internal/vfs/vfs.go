@@ -13,9 +13,9 @@
 //   - Faulty (faulty.go) wraps another FS with a deterministic fault
 //     injector: fail the Nth matching operation with a chosen error
 //     (ENOSPC, EIO, a failed fsync), tear a write partway through, or
-//     "crash" — freeze the directory at an arbitrary durable-op index so a
-//     test can reopen the exact state a power cut at that moment would
-//     have left.
+//     "crash" — freeze the directory at an arbitrary durable operation,
+//     named by its index or by its identity (OpID), so a test can reopen
+//     the exact state a power cut at that moment would have left.
 //
 // The interface is deliberately small: just the calls the store actually
 // makes. Callers that need directory listings use ReadDir plus the Glob

@@ -242,3 +242,70 @@ func TestFaultyReadOpsNotCounted(t *testing.T) {
 		t.Fatalf("read-side ops advanced the durable counter: %d", f.Ops())
 	}
 }
+
+// TestFaultyCrashAtOp: operation identities do not depend on the order the
+// operations ran in — a temp file is named by its pattern and ordinal, not
+// its random name — and CrashAtOp freezes at the named operation whichever
+// order the run takes, letting every operation before it land.
+func TestFaultyCrashAtOp(t *testing.T) {
+	dir := t.TempDir()
+	// run writes a temp file and two named files into dir, the named ones
+	// in either order, and returns the ops' fates.
+	run := func(f *Faulty, dir string, swap bool) map[string]error {
+		fates := map[string]error{}
+		tmp, err := f.CreateTemp(dir, ".t-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fates["tmp"] = tmp.Write([]byte("t"))
+		tmp.Close()
+		os.Remove(tmp.Name())
+		names := []string{"a", "b"}
+		if swap {
+			names[0], names[1] = names[1], names[0]
+		}
+		for _, n := range names {
+			fates[n] = WriteFile(f, filepath.Join(dir, n), []byte(n))
+		}
+		return fates
+	}
+	fwd, rev := NewFaulty(OS), NewFaulty(OS)
+	run(fwd, dir, false)
+	run(rev, dir, true)
+	h1, h2 := fwd.History(), rev.History()
+	if len(h1) == 0 || len(h1) != len(h2) {
+		t.Fatalf("histories of %d and %d ops", len(h1), len(h2))
+	}
+	set := map[OpID]bool{}
+	for _, id := range h1 {
+		set[id] = true
+	}
+	for _, id := range h2 {
+		if !set[id] {
+			t.Fatalf("%v ran in one order but not the other", id)
+		}
+	}
+	if want := (OpID{Op: OpWrite, Path: dir + "/.t-*#0"}); h1[1] != want {
+		t.Fatalf("temp-file write named %v, want %v", h1[1], want)
+	}
+
+	// Freeze at the write of a while b is written first: b lands, a is
+	// created but never written, and everything after fails.
+	writeA := OpID{Op: OpWrite, Path: filepath.Join(dir, "a")}
+	os.Remove(filepath.Join(dir, "a"))
+	os.Remove(filepath.Join(dir, "b"))
+	f := NewFaulty(OS)
+	f.CrashAtOp(writeA)
+	fates := run(f, dir, true)
+	if !f.Crashed() || fates["tmp"] != nil || fates["b"] != nil || !errors.Is(fates["a"], ErrCrashed) {
+		t.Fatalf("crash at %v: crashed=%v fates %v", writeA, f.Crashed(), fates)
+	}
+	if h := f.History(); h[len(h)-1] != writeA {
+		t.Fatalf("crash froze at %v, want %v", h[len(h)-1], writeA)
+	}
+	for name, want := range map[string]string{"a": "", "b": "b"} {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || string(got) != want {
+			t.Fatalf("%s after the crash: %q, %v; want %q", name, got, err, want)
+		}
+	}
+}
