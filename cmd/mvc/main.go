@@ -27,13 +27,15 @@
 //	                                       merge them into one log
 //	mvc catalog   [-verify] DIR|FILE       print a spill directory's segment
 //	                                       catalog (catalog.json); -verify
-//	                                       also checks file sizes, hashes,
-//	                                       the shipper cursor and the
-//	                                       retention floor
+//	                                       also runs recovery's segment
+//	                                       check (size, hash, header, full
+//	                                       decode) and checks the shipper
+//	                                       cursor and the retention floor
 //	mvc compact   [-max N] [-target BYTES] DIR
-//	                                       tier-compact a spill directory:
-//	                                       merge runs of adjacent small
-//	                                       segments, rewrite the catalog
+//	                                       tier-compact a spill directory
+//	                                       with a catalog through the
+//	                                       tracker's crash-safe pass (Open,
+//	                                       CompactSegments, Close)
 //	mvc spam      [-threads N] [-duration D | -ops N] [-readfrac F]
 //	              [-batch N] [-dist uniform|zipf] [-store DIR] [-monitor]
 //	              [-backend B] [-seed S] [-format table|csv|json]
@@ -92,9 +94,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -118,6 +117,7 @@ import (
 	"mixedclock/internal/trace"
 	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
+	"mixedclock/internal/vfs"
 )
 
 func main() {
@@ -156,9 +156,9 @@ func main() {
 	spillDir := fs.String("spill", "", "export -live: spill sealed segments to this directory (must not hold a run already)")
 	seal := fs.Int("seal", 0, "export -live: seal at every multiple of N events (0: only at the end)")
 	batch := fs.Int("batch", 0, "export -live: commit runs of up to N same-thread events as one batch (0: per-event)")
-	verify := fs.Bool("verify", false, "catalog: verify segment file sizes and content hashes")
-	maxSegs := fs.Int("max", 0, "compact: tolerated segment count (0: compact unconditionally)")
-	target := fs.Int64("target", 0, "compact: merged-tier size ceiling in bytes (0: one segment per epoch)")
+	verify := fs.Bool("verify", false, "catalog: check every listed segment as recovery does (size, hash, header, full decode)")
+	maxSegs := fs.Int("max", 0, "compact: CompactPolicy.MaxSegments, the tolerated segment count (0: compact unconditionally)")
+	target := fs.Int64("target", 0, "compact: CompactPolicy.TargetBytes, the merged-tier size ceiling in bytes (0: one segment per epoch)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
@@ -511,7 +511,7 @@ func detectLive(w io.Writer, dir string, follow bool, window int, orderSpec stri
 	total := 0
 	for {
 		if orderSpec != "" && firstObj < 0 {
-			if cat, err := loadDirCatalog(dir); err == nil && cat.Resume != nil {
+			if cat, err := readDirCatalog(w, dir); err == nil && cat.Resume != nil {
 				fo := objectByName(cat.Resume.Objects, firstName)
 				so := objectByName(cat.Resume.Objects, secondName)
 				if fo >= 0 && so >= 0 {
@@ -553,14 +553,15 @@ func detectLive(w io.Writer, dir string, follow bool, window int, orderSpec stri
 	return nil
 }
 
-// loadDirCatalog reads a spill directory's current catalog.json.
-func loadDirCatalog(dir string) (*tlog.Catalog, error) {
-	f, err := os.Open(filepath.Join(dir, tlog.CatalogFileName))
-	if err != nil {
-		return nil, err
+// readDirCatalog reads a spill directory's catalog through the reader
+// recovery uses, noting on w when catalog.json was torn and the previous
+// generation was read from catalog.json.prev instead.
+func readDirCatalog(w io.Writer, dir string) (*tlog.Catalog, error) {
+	c, usedPrev, err := tlog.ReadCatalog(vfs.OS, dir)
+	if usedPrev {
+		fmt.Fprintf(w, "%s is torn; read the previous generation from %s\n", tlog.CatalogFileName, tlog.CatalogPrevFileName)
 	}
-	defer f.Close()
-	return tlog.DecodeCatalog(f)
+	return c, err
 }
 
 // objectByName resolves an object name through the resume manifest's dense
@@ -855,7 +856,7 @@ func (s fullVectorSink) ConsumeStamp(e event.Event, _ int, v vclock.Vector) erro
 	return s.w.Append(e, v)
 }
 
-// expandSegmentArgs resolves segments/compact arguments: a directory stands
+// expandSegmentArgs resolves segments arguments: a directory stands
 // for its *.mvcseg files (sorted by name, i.e. by first index under the
 // spill naming scheme), anything else is taken as a segment file. The
 // catalog and other non-segment files a spill directory carries are skipped
@@ -1051,26 +1052,20 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 }
 
 // catalogCmd prints a spill directory's segment catalog — the document
-// external log shippers poll — and, with -verify, re-reads every listed
-// segment file to check its size and SHA-256 against the catalog. The
-// argument is the spill directory or a direct path to a catalog.json.
+// external log shippers poll — and, with -verify, runs recovery's check on
+// every listed segment file (size, SHA-256, header against the entry, full
+// decode), so -verify passes exactly when Open would adopt every listed
+// segment. The argument is the spill directory or its catalog.json; a torn
+// catalog.json is read from its .prev copy, as recovery reads it.
 func catalogCmd(w io.Writer, args []string, verify bool) error {
 	if len(args) != 1 {
 		return fmt.Errorf("catalog needs one spill directory or catalog.json path")
 	}
-	path, dir := args[0], filepath.Dir(args[0])
-	if fi, err := os.Stat(path); err != nil {
-		return err
-	} else if fi.IsDir() {
-		dir = path
-		path = filepath.Join(path, tlog.CatalogFileName)
+	dir := args[0]
+	if filepath.Base(dir) == tlog.CatalogFileName {
+		dir = filepath.Dir(dir)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	c, err := tlog.DecodeCatalog(f)
+	c, err := readDirCatalog(w, dir)
 	if err != nil {
 		return err
 	}
@@ -1104,16 +1099,8 @@ func catalogCmd(w io.Writer, args []string, verify bool) error {
 			continue
 		}
 		checked++
-		data, err := os.ReadFile(filepath.Join(dir, sg.Path))
-		switch {
-		case err != nil:
-			fmt.Fprintf(w, "     MISSING: %v\n", err)
-			bad++
-		case int64(len(data)) != sg.Bytes:
-			fmt.Fprintf(w, "     SIZE MISMATCH: file is %d bytes, catalog says %d\n", len(data), sg.Bytes)
-			bad++
-		case sg.SHA256 != "" && hashHex(data) != sg.SHA256:
-			fmt.Fprintf(w, "     HASH MISMATCH: file is %s\n", hashHex(data))
+		if _, err := tlog.VerifySegment(vfs.OS, dir, sg, nil); err != nil {
+			fmt.Fprintf(w, "     BAD: %v\n", err)
 			bad++
 		}
 	}
@@ -1167,226 +1154,45 @@ func catalogCmd(w io.Writer, args []string, verify bool) error {
 	return nil
 }
 
-func hashHex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// compactCmd tier-compacts a spill directory offline: runs of adjacent
-// small single-epoch segments are merged into larger files (byte-equivalent
-// replay, same planning rules as the tracker's own pass), the sources are
-// removed, and catalog.json — if present — is rewritten to the new layout.
-// Only for directories no live tracker is spilling into; a running
-// tracker's own CompactSegments does this safely online.
+// compactCmd tier-compacts a spill directory offline by running the
+// tracker's own pass over it: Open recovers the run, CompactSegments merges
+// runs of adjacent small single-epoch segments under the given policy (the
+// planner and merge a live tracker uses, so the merged files are
+// byte-identical to its own), and Close publishes the final catalog
+// generation. Every write is the store's crash-safe one: a merged file is
+// synced and renamed before the catalog that lists it is published, and its
+// sources are removed only after. Only for directories no live tracker is
+// spilling into. A directory without a readable catalog is refused: Open
+// would quarantine every segment file in it.
 func compactCmd(w io.Writer, args []string, maxSegs int, target int64) error {
 	if len(args) != 1 {
 		return fmt.Errorf("compact needs one spill directory")
 	}
 	dir := args[0]
-	if fi, err := os.Stat(dir); err != nil {
-		return err
-	} else if !fi.IsDir() {
-		return fmt.Errorf("compact needs a spill directory, got file %s", dir)
+	if _, err := readDirCatalog(w, dir); err != nil {
+		return fmt.Errorf("compact needs a spill directory with a catalog: %w (merge bare segment files with mvc segments -out)", err)
 	}
-	files, err := expandSegmentArgs(args)
+	t, err := track.Open(dir)
 	if err != nil {
 		return err
 	}
-	if len(files) == 0 {
-		return fmt.Errorf("no .mvcseg files in %s", dir)
+	for _, q := range t.Recovery().Quarantined {
+		fmt.Fprintf(w, "quarantined: %s\n", q)
 	}
-	// Scan: spill layouts hold one segment per file; decode each fully so
-	// corruption surfaces before anything is rewritten.
-	type fileSeg struct {
-		path string
-		stat tlog.SegmentStat
+	before := len(t.Catalog().Segments)
+	eliminated, err := t.CompactSegments(track.CompactPolicy{MaxSegments: maxSegs, TargetBytes: target})
+	if cerr := t.Close(); err == nil {
+		err = cerr
 	}
-	segs := make([]fileSeg, 0, len(files))
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		br := bufio.NewReader(f)
-		sr, err := tlog.NewSegmentReader(br)
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		for {
-			if _, _, err := sr.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				f.Close()
-				return fmt.Errorf("%s: %w", path, err)
-			}
-		}
-		if _, err := tlog.NewSegmentReader(br); err != io.EOF {
-			f.Close()
-			return fmt.Errorf("%s holds more than one segment; compact only handles one-per-file spill layouts", path)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return err
-		}
-		f.Close()
-		segs = append(segs, fileSeg{path: path, stat: tlog.SegmentStat{Meta: sr.Meta(), Bytes: fi.Size()}})
+	if err != nil {
+		return err
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].stat.Meta.FirstIndex < segs[j].stat.Meta.FirstIndex })
-	// Overlapping ranges are the signature of an interrupted compact (the
-	// merged file landed, its sources were not all removed) — refuse with a
-	// pointer at the duplicates rather than plan nonsense around them.
-	for i := 1; i < len(segs); i++ {
-		prev, cur := segs[i-1], segs[i]
-		if cur.stat.Meta.FirstIndex < prev.stat.Meta.FirstIndex+prev.stat.Meta.Count {
-			return fmt.Errorf("%s overlaps %s: if an interrupted compact left both a merged segment and its sources, delete the smaller contained files and re-run",
-				cur.path, prev.path)
-		}
-	}
-	stats := make([]tlog.SegmentStat, len(segs))
-	for i, s := range segs {
-		stats[i] = s.stat
-	}
-	plan := tlog.PlanSegmentCompaction(stats, maxSegs, target)
-	if len(plan) == 0 {
-		fmt.Fprintf(w, "nothing to compact: %d segments already within policy\n", len(segs))
+	if eliminated == 0 {
+		fmt.Fprintf(w, "nothing to compact: %d segments already within policy\n", before)
 		return nil
 	}
-	mergedFiles := 0
-	for _, g := range plan {
-		run := segs[g[0]:g[1]]
-		readers := make([]io.Reader, len(run))
-		closers := make([]*os.File, len(run))
-		for i, s := range run {
-			f, err := os.Open(s.path)
-			if err != nil {
-				return err
-			}
-			readers[i] = f
-			closers[i] = f
-		}
-		tmp, err := os.CreateTemp(dir, ".seg-*.tmp")
-		if err != nil {
-			return err
-		}
-		meta, err := tlog.MergeSegments(tmp, readers...)
-		for _, f := range closers {
-			f.Close()
-		}
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		if err := os.Rename(tmp.Name(), filepath.Join(dir, tlog.SegmentFileName(meta))); err != nil {
-			os.Remove(tmp.Name())
-			return err
-		}
-		for _, s := range run {
-			if err := os.Remove(s.path); err != nil {
-				return err
-			}
-		}
-		// Rewrite the catalog after every completed group, not once at the
-		// end: a failure in a later group then leaves the catalog matching
-		// what is actually on disk (each group's replacement is atomic and
-		// coverage stays gapless between groups).
-		if err := rewriteCatalog(dir); err != nil {
-			return err
-		}
-		mergedFiles += len(run)
-	}
-	fmt.Fprintf(w, "compacted %d segments into %d (%d untouched)\n",
-		mergedFiles, len(plan), len(segs)-mergedFiles)
+	fmt.Fprintf(w, "compacted %d segments into %d\n", before, before-eliminated)
 	return nil
-}
-
-// rewriteCatalog regenerates catalog.json from the directory's current
-// segment files, preserving the old document's health and advancing its
-// generation. A directory without a catalog (hand-assembled spill sets)
-// stays without one; a partial set whose segments do not cover history from
-// index zero cannot carry a valid catalog and is reported instead.
-func rewriteCatalog(dir string) error {
-	catPath := filepath.Join(dir, tlog.CatalogFileName)
-	old := &tlog.Catalog{FormatVersion: tlog.CatalogFormatVersion}
-	if f, err := os.Open(catPath); err == nil {
-		c, derr := tlog.DecodeCatalog(f)
-		f.Close()
-		if derr != nil {
-			return fmt.Errorf("existing %s: %w", catPath, derr)
-		}
-		old = c
-	} else if !os.IsNotExist(err) {
-		return err
-	} else {
-		return nil // no catalog to maintain
-	}
-	files, err := expandSegmentArgs([]string{dir})
-	if err != nil {
-		return err
-	}
-	c := &tlog.Catalog{
-		FormatVersion:    tlog.CatalogFormatVersion,
-		Generation:       old.Generation + 1,
-		Health:           old.Health,
-		AutoSealDisarmed: old.AutoSealDisarmed,
-		RetainedEvents:   old.RetainedEvents,
-		Closed:           old.Closed,
-		Resume:           old.Resume,
-	}
-	for _, path := range files {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		sr, err := tlog.NewSegmentReader(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		m := sr.Meta()
-		// A merged segment inherits the newest seal time of the old entries
-		// it covers, the same rule the tracker's own compaction applies.
-		var sealedUnix int64
-		for _, osg := range old.Segments {
-			if osg.FirstIndex >= m.FirstIndex &&
-				osg.FirstIndex+osg.Events <= m.FirstIndex+m.Count &&
-				osg.SealedUnix > sealedUnix {
-				sealedUnix = osg.SealedUnix
-			}
-		}
-		c.Segments = append(c.Segments, tlog.CatalogSegment{
-			Epoch:      m.Epoch,
-			FirstIndex: m.FirstIndex,
-			Events:     m.Count,
-			Bytes:      int64(len(data)),
-			Path:       filepath.Base(path),
-			SHA256:     hashHex(data),
-			SealedUnix: sealedUnix,
-		})
-	}
-	sort.Slice(c.Segments, func(i, j int) bool { return c.Segments[i].FirstIndex < c.Segments[j].FirstIndex })
-	for _, sg := range c.Segments {
-		c.SealedEvents = sg.FirstIndex + sg.Events
-	}
-	tmp, err := os.CreateTemp(dir, ".catalog-*.tmp")
-	if err != nil {
-		return err
-	}
-	if err := tlog.EncodeCatalog(tmp, c); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rebuilt catalog for %s does not validate (partial spill set?): %w", dir, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), catPath)
 }
 
 // inspect reads a binary log, printing records and tolerating truncation.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,6 +17,7 @@ import (
 	"mixedclock/internal/trace"
 	"mixedclock/internal/track"
 	"mixedclock/internal/vclock"
+	"mixedclock/internal/vfs"
 )
 
 func writeTempTrace(t *testing.T) (string, *event.Trace) {
@@ -606,13 +609,147 @@ func TestCatalogAndCompact(t *testing.T) {
 		}
 	}
 
-	// A second pass finds nothing to do.
+	// A second pass finds nothing to do, and reports the orphan spill file
+	// its Open set aside.
+	if err := os.WriteFile(filepath.Join(spill, "zzz-orphan.mvcseg"), []byte("garbage"), 0o666); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
 	if err := compactCmd(&buf, []string{spill}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "nothing to compact") {
 		t.Errorf("idempotent compact output: %s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "quarantined: zzz-orphan.mvcseg"+tlog.QuarantineSuffix) {
+		t.Errorf("compact output does not report the quarantined orphan: %s", buf.String())
+	}
+}
+
+// dirListing returns the names in dir, sorted.
+func dirListing(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestCompactNeedsCatalog: mvc compact runs the tracker's own pass, which
+// needs the directory's catalog; a bare pile of segment files is refused
+// with a pointer at mvc segments -out, and nothing in it is touched (Open
+// would have quarantined every file).
+func TestCompactNeedsCatalog(t *testing.T) {
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{tlog.CatalogFileName, tlog.CatalogPrevFileName} {
+		if err := os.Remove(filepath.Join(spill, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirListing(t, spill)
+	err := compactCmd(io.Discard, []string{spill}, 0, 0)
+	if err == nil || !strings.Contains(err.Error(), "mvc segments -out") {
+		t.Fatalf("compact without a catalog: err=%v, want a refusal pointing at mvc segments -out", err)
+	}
+	if after := dirListing(t, spill); strings.Join(after, " ") != strings.Join(before, " ") {
+		t.Fatalf("refused compact touched the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestCatalogTornFallsBack: a torn catalog.json is read from its .prev copy
+// by mvc catalog and by mvc detect -live's name resolution, as recovery and
+// the directory cursor read it, and both say so.
+func TestCatalogTornFallsBack(t *testing.T) {
+	tr, err := loadTrace(filepath.Join("testdata", "detect.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "full", spill, 50, 0); err != nil {
+		t.Fatal(err)
+	}
+	cur := filepath.Join(spill, tlog.CatalogFileName)
+	raw, err := os.ReadFile(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cur, raw[:len(raw)/2], 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := catalogCmd(&buf, []string{spill}, true); err != nil {
+		t.Fatalf("catalog -verify on a torn catalog.json: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "torn") || !strings.Contains(buf.String(), "verified") {
+		t.Errorf("catalog output does not report the fallback:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := detectLive(&buf, spill, false, 16, "O1,O2"); err != nil {
+		t.Fatalf("detect -live -order on a torn catalog.json: %v\n%s", err, buf.String())
+	}
+	if !strings.Contains(buf.String(), "torn") || !strings.Contains(buf.String(), "consumed") {
+		t.Errorf("detect -live output does not report the fallback:\n%s", buf.String())
+	}
+}
+
+// TestCatalogVerifyMatchesRecovery: catalog -verify runs recovery's segment
+// check, so a listed file whose size and hash match its entry but whose
+// header names other events fails -verify exactly as Open quarantines it.
+func TestCatalogVerifyMatchesRecovery(t *testing.T) {
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	cat, _, err := tlog.ReadCatalog(vfs.OS, spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Segment 0's bytes under segment 1's name, with entry 1's size and
+	// hash rewritten to match them.
+	data, err := os.ReadFile(filepath.Join(spill, cat.Segments[0].Path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := cat.Segments[1].Path
+	if err := os.WriteFile(filepath.Join(spill, victim), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	cat.Segments[1].Bytes, cat.Segments[1].SHA256 = int64(len(data)), hex.EncodeToString(sum[:])
+	var doc bytes.Buffer
+	if err := tlog.EncodeCatalog(&doc, cat); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(spill, tlog.CatalogFileName), doc.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := catalogCmd(&buf, []string{spill}, true); err == nil {
+		t.Fatalf("catalog -verify accepted a segment whose header disagrees with its entry:\n%s", buf.String())
+	}
+	if !strings.Contains(buf.String(), "header says") {
+		t.Errorf("catalog -verify does not name the header mismatch:\n%s", buf.String())
+	}
+	re, err := track.Open(spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if q := re.Recovery().Quarantined; len(q) == 0 || q[0] != victim+tlog.QuarantineSuffix {
+		t.Errorf("recovery quarantined %v, want %s first", q, victim)
 	}
 }
 

@@ -154,7 +154,9 @@
 // (never across an epoch boundary, never past CompactPolicy.TargetBytes)
 // into larger ones with replay bytes unchanged — arm it through
 // Store.Compact, run a pass explicitly with Tracker.CompactSegments, or
-// compact a retired spill directory offline with `mvc compact`. Seal
+// compact a retired spill directory offline with `mvc compact`, which is
+// that same pass run between Open and Close, so its writes are the store's
+// crash-safe ones and it needs the directory's catalog. Seal
 // boundaries are aligned to multiples of SpillPolicy.SealEvery, one
 // interval per segment, and can be wall-time capped
 // (SpillPolicy.SealInterval), so segment edges line up with retention

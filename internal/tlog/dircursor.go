@@ -99,7 +99,7 @@ func (c *DirCursor) Skipped() int { return c.skipped }
 func (c *DirCursor) Poll(fn func(e event.Event, epoch int, v vclock.Vector) error) (*Catalog, int, error) {
 	delivered := 0
 	for attempt := 0; ; attempt++ {
-		cat, err := c.readCatalog()
+		cat, _, err := ReadCatalog(c.fsys(), c.dir)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				c.notePoll(delivered, c.gen)
@@ -135,28 +135,6 @@ func (c *DirCursor) notePoll(delivered int, gen int64) {
 	} else if c.idle < 31 {
 		c.idle++
 	}
-}
-
-// readCatalog decodes catalog.json, falling back to the .prev backup when
-// the primary is torn mid-publication.
-func (c *DirCursor) readCatalog() (*Catalog, error) {
-	cat, err := c.readCatalogFile(CatalogFileName)
-	if err == nil || errors.Is(err, fs.ErrNotExist) {
-		return cat, err
-	}
-	if prev, perr := c.readCatalogFile(CatalogPrevFileName); perr == nil {
-		return prev, nil
-	}
-	return nil, err
-}
-
-func (c *DirCursor) readCatalogFile(name string) (*Catalog, error) {
-	f, err := c.fsys().Open(filepath.Join(c.dir, name))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeCatalog(f)
 }
 
 // replay walks cat's segments covering [c.next, SealedEvents) and streams

@@ -1,10 +1,11 @@
 // Package crashtest is the exhaustive crash-point sweep for the durable
 // store: it runs a deterministic workload (spilling, epoch compaction,
-// tiered segment merging, retention, shipping) over vfs.Faulty to record
-// the workload's durable filesystem operations, then re-runs it once per
-// operation with the filesystem frozen at exactly that operation — every
-// possible power-cut point — and recovers each frozen directory with the
-// real filesystem, demanding the full crash-consistency contract every time:
+// tiered segment merging, retention, shipping, the offline compactor) over
+// vfs.Faulty to record the workload's durable filesystem operations, then
+// re-runs it once per operation with the filesystem frozen at exactly that
+// operation — every possible power-cut point — and recovers each frozen
+// directory with the real filesystem, demanding the full crash-consistency
+// contract every time:
 //
 //   - track.Open never panics and never errors on damage;
 //   - the recovered sealed extent, epoch, and retention floor are exactly
@@ -77,6 +78,11 @@ type sweepConfig struct {
 	retain    track.RetainPolicy
 	rounds    int         // commit rounds; each round commits len(threads) events
 	compactAt map[int]int // rounds after which an explicit Compact() closes the epoch
+	// offline, when set, sweeps `mvc compact` instead of the live run: the
+	// schedule above runs fault-free to a closed directory, and the swept
+	// run is the offline compactor's sequence on it — Open with no store
+	// policy, CompactSegments under this policy, Close.
+	offline *track.CompactPolicy
 }
 
 // store assembles the config's Store around the given filesystem.
@@ -112,11 +118,34 @@ func drive(tr *track.Tracker, c sweepConfig) {
 // tracker comes back not yet Closed; an Open error (possible only when the
 // filesystem is already frozen) comes back as nil tracker.
 func openAndRun(dir string, st track.Store, c sweepConfig) (*track.Tracker, error) {
+	if c.offline != nil {
+		return compactOffline(dir, st.FS, c)
+	}
 	tr, err := track.Open(dir, track.WithStore(st))
 	if err != nil {
 		return nil, err
 	}
 	drive(tr, c)
+	return tr, nil
+}
+
+// compactOffline runs c's schedule on the real filesystem to a closed
+// directory, then reopens it on fsys and runs `mvc compact`'s pass over it.
+// The reopened tracker comes back not yet Closed.
+func compactOffline(dir string, fsys vfs.FS, c sweepConfig) (*track.Tracker, error) {
+	live := c
+	live.offline = nil
+	tr, err := openAndRun(dir, live.store(nil), live)
+	if err != nil {
+		return nil, err
+	}
+	if err := tr.Close(); err != nil {
+		return nil, err
+	}
+	if tr, err = track.Open(dir, track.WithStore(track.Store{FS: fsys})); err != nil {
+		return nil, err
+	}
+	_, _ = tr.CompactSegments(*c.offline) // fails on a crash-frozen filesystem
 	return tr, nil
 }
 
@@ -337,8 +366,9 @@ func sweep(t *testing.T, c sweepConfig) {
 
 // sweepConfigs is the matrix: the default run covers one config exercising
 // every subsystem at once (spilling, epoch compaction, tiered merging,
-// retention); CRASHTEST_FULL=1 — the nightly job — adds per-subsystem
-// configs so each lifecycle path is also swept in isolation.
+// retention) and the offline compactor `mvc compact`; CRASHTEST_FULL=1 —
+// the nightly job — adds per-subsystem configs so each lifecycle path is
+// also swept in isolation.
 func sweepConfigs() []sweepConfig {
 	full := sweepConfig{
 		name:      "full",
@@ -348,11 +378,21 @@ func sweepConfigs() []sweepConfig {
 		rounds:    8,
 		compactAt: map[int]int{2: 1, 5: 1},
 	}
+	// A closed two-epoch run of twelve segments, compacted offline into one
+	// segment per epoch.
+	offline := sweepConfig{
+		name:      "offline-compact",
+		spill:     track.SpillPolicy{SealEvery: 2},
+		rounds:    8,
+		compactAt: map[int]int{3: 1},
+		offline:   &track.CompactPolicy{},
+	}
 	if os.Getenv("CRASHTEST_FULL") == "" {
-		return []sweepConfig{full}
+		return []sweepConfig{full, offline}
 	}
 	return []sweepConfig{
 		full,
+		offline,
 		{
 			name:   "spill-only",
 			spill:  track.SpillPolicy{SealEvery: 3},

@@ -261,7 +261,12 @@ func (t *Tracker) publishCatalog() {
 	t.catMu.Lock()
 	defer t.catMu.Unlock()
 	c := t.Catalog()
-	if err := writeCatalogFile(t.fs, t.dir, &c); err != nil {
+	t.catBuf.Reset()
+	err := tlog.EncodeCatalog(&t.catBuf, &c)
+	if err == nil {
+		err = writeCatalogFile(t.fs, t.dir, t.catBuf.Bytes())
+	}
+	if err != nil {
 		t.noteErr(fmt.Errorf("track: publishing catalog: %w", err))
 	}
 }
@@ -269,43 +274,22 @@ func (t *Tracker) publishCatalog() {
 // CatalogFileName is the catalog's file name inside a spill directory.
 const CatalogFileName = tlog.CatalogFileName
 
-// writeCatalogFile publishes one catalog generation (temp file, fsync,
-// rename), retrying transient failures as one whole cycle like every other
-// durable write.
-func writeCatalogFile(fsys vfs.FS, dir string, c *tlog.Catalog) error {
-	return retryTransient(func() error { return writeCatalogFileOnce(fsys, dir, c) })
-}
-
-func writeCatalogFileOnce(fsys vfs.FS, dir string, c *tlog.Catalog) error {
-	if err := fsys.MkdirAll(dir); err != nil {
-		return err
-	}
-	tmp, err := fsys.CreateTemp(dir, ".catalog-*.tmp")
-	if err != nil {
-		return err
-	}
-	if err := tlog.EncodeCatalog(tmp, c); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		fsys.Remove(tmp.Name())
-		return err
-	}
-	// Keep the outgoing generation as catalog.json.prev before the rename
-	// replaces it: the rename is atomic against our own crashes, but a
-	// power cut can still tear it at the filesystem level, and recovery
-	// then falls back to the prev copy. Best effort — a missing or stale
-	// prev only degrades the fallback, never the catalog itself.
-	cur := filepath.Join(dir, CatalogFileName)
-	if data, rerr := vfs.ReadFile(fsys, cur); rerr == nil {
-		_ = vfs.WriteFile(fsys, filepath.Join(dir, tlog.CatalogPrevFileName), data)
-	}
-	return fsys.Rename(tmp.Name(), cur)
+// writeCatalogFile publishes one encoded catalog generation through the
+// store's one durable write (writeFileSyncOnce: temp file, fsync, rename),
+// retrying transient failures as one whole cycle like every other durable
+// write. The outgoing generation is first kept as catalog.json.prev: the
+// rename is atomic against our own crashes, but a power cut can still tear
+// it at the filesystem level, and readers then fall back to the prev copy
+// (tlog.ReadCatalog). Best effort — a missing or stale prev only degrades
+// the fallback, never the catalog itself.
+func writeCatalogFile(fsys vfs.FS, dir string, data []byte) error {
+	return retryTransient(func() error {
+		if err := fsys.MkdirAll(dir); err != nil {
+			return err
+		}
+		if prev, err := vfs.ReadFile(fsys, filepath.Join(dir, CatalogFileName)); err == nil {
+			_ = vfs.WriteFile(fsys, filepath.Join(dir, tlog.CatalogPrevFileName), prev)
+		}
+		return writeFileSyncOnce(fsys, dir, CatalogFileName, data)
+	})
 }

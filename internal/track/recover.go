@@ -33,11 +33,9 @@
 package track
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"time"
@@ -87,8 +85,9 @@ func (t *Tracker) recoverDir(o options) error {
 	info := &RecoveryInfo{}
 	t.recovery = info
 
-	// A crash mid-write leaves at most stray temp files (spill, catalog, or
-	// degraded-mode probe); sweep them first so they never accumulate.
+	// A crash mid-write leaves at most stray temp files (every durable write,
+	// or a degraded-mode probe; ".catalog-*.tmp" is what catalog publishes
+	// of earlier versions left); sweep them first so they never accumulate.
 	for _, pat := range []string{".seg-*.tmp", ".catalog-*.tmp", ".probe-*.tmp"} {
 		if ms, err := vfs.Glob(t.fs, dir, pat); err == nil {
 			for _, m := range ms {
@@ -97,7 +96,15 @@ func (t *Tracker) recoverDir(o options) error {
 		}
 	}
 
-	cat, usedPrev, quarantined := loadCatalogForRecovery(t.fs, dir)
+	// A catalog.json that exists but does not decode is torn: set it aside,
+	// whether or not the .prev copy stands in for it.
+	cat, usedPrev, err := tlog.ReadCatalog(t.fs, dir)
+	var quarantined []string
+	if usedPrev || err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if q := quarantineFile(t.fs, filepath.Join(dir, tlog.CatalogFileName)); q != "" {
+			quarantined = append(quarantined, q)
+		}
+	}
 	info.UsedPrevCatalog = usedPrev
 	if cat == nil {
 		// No usable catalog. Any segment file present is history we cannot
@@ -145,7 +152,7 @@ func (t *Tracker) recoverDir(o options) error {
 	damaged := false
 	for i := range cat.Segments {
 		entry := cat.Segments[i]
-		err := verifySegment(t.fs, dir, entry, func(e event.Event, v vclock.Vector) {
+		_, err := tlog.VerifySegment(t.fs, dir, entry, func(e event.Event, v vclock.Vector) {
 			ti, oi := int(e.Thread), int(e.Object)
 			if ti > maxThread {
 				maxThread = ti
@@ -168,7 +175,7 @@ func (t *Tracker) recoverDir(o options) error {
 			}
 		})
 		if err != nil {
-			t.noteErr(fmt.Errorf("track: recovering %s: segment %s: %w", dir, entry.Path, err))
+			t.noteErr(fmt.Errorf("track: recovering %s: %w", dir, err))
 			goodN, damaged = i, true
 			break
 		}
@@ -401,37 +408,6 @@ func (t *Tracker) recoverDir(o options) error {
 	return nil
 }
 
-// loadCatalogForRecovery reads dir's catalog, quarantining a torn
-// catalog.json and falling back to the catalog.json.prev copy. A nil catalog
-// means no usable one exists (fresh directory, or both copies torn).
-func loadCatalogForRecovery(fsys vfs.FS, dir string) (c *tlog.Catalog, usedPrev bool, quarantined []string) {
-	tryRead := func(name string) (*tlog.Catalog, bool) {
-		f, err := fsys.Open(filepath.Join(dir, name))
-		if err != nil {
-			return nil, false
-		}
-		defer f.Close()
-		c, err := tlog.DecodeCatalog(f)
-		if err != nil {
-			return nil, true
-		}
-		return c, true
-	}
-	c, exists := tryRead(tlog.CatalogFileName)
-	if c != nil {
-		return c, false, nil
-	}
-	if exists {
-		if q := quarantineFile(fsys, filepath.Join(dir, tlog.CatalogFileName)); q != "" {
-			quarantined = append(quarantined, q)
-		}
-	}
-	if c, _ := tryRead(tlog.CatalogPrevFileName); c != nil {
-		return c, true, quarantined
-	}
-	return nil, false, quarantined
-}
-
 // quarantineFile renames path aside with tlog.QuarantineSuffix, returning
 // the resulting base name ("" when the rename failed — the file then stays
 // where it is, still ignored by glob-based readers only if a later pass
@@ -442,48 +418,6 @@ func quarantineFile(fsys vfs.FS, path string) string {
 		return ""
 	}
 	return filepath.Base(q)
-}
-
-// verifySegment checks one listed segment byte for byte — file size against
-// the catalog, content hash, header against the catalog entry, and a full
-// decode — calling visit for every record. Any disagreement is an error; the
-// caller quarantines.
-func verifySegment(fsys vfs.FS, dir string, entry tlog.CatalogSegment, visit func(event.Event, vclock.Vector)) error {
-	if entry.Path == "" {
-		return fmt.Errorf("no spill file recorded")
-	}
-	data, err := vfs.ReadFile(fsys, filepath.Join(dir, entry.Path))
-	if err != nil {
-		return err
-	}
-	if int64(len(data)) != entry.Bytes {
-		return fmt.Errorf("file holds %d bytes, catalog says %d", len(data), entry.Bytes)
-	}
-	if entry.SHA256 != "" {
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != entry.SHA256 {
-			return fmt.Errorf("content hash mismatch")
-		}
-	}
-	sr, err := tlog.NewSegmentReader(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	m := sr.Meta()
-	if m.Epoch != entry.Epoch || m.FirstIndex != entry.FirstIndex || m.Count != entry.Events {
-		return fmt.Errorf("header says %v, catalog says epoch %d events [%d,%d)",
-			m, entry.Epoch, entry.FirstIndex, entry.FirstIndex+entry.Events)
-	}
-	for {
-		e, v, err := sr.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		visit(e, v)
-	}
 }
 
 // clockFromVector rebuilds a backend clock equal to v. Deltas are absolute

@@ -16,7 +16,6 @@ package track
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"path/filepath"
 	"time"
@@ -139,32 +138,26 @@ func (t *Tracker) retainSegmentsLocked(p RetainPolicy, upTo, epoch int) (retired
 	return k, nil
 }
 
-// archiveFile moves src into dir/name, falling back to copy-then-remove
-// when the rename crosses filesystems.
+// archiveFile moves src into dir/name, falling back to a copy when the
+// rename crosses filesystems. The copy goes through the store's durable
+// write, and the archive directory is synced, before src is removed, so a
+// power cut at any point leaves the segment in at least one of the two
+// places; on any failure src stays where it is.
 func archiveFile(fsys vfs.FS, src, dir, name string) error {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return err
 	}
-	dst := filepath.Join(dir, name)
-	if err := fsys.Rename(src, dst); err == nil {
+	if err := fsys.Rename(src, filepath.Join(dir, name)); err == nil {
 		return nil
 	}
-	in, err := fsys.Open(src)
+	data, err := vfs.ReadFile(fsys, src)
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-	out, err := fsys.Create(dst)
-	if err != nil {
+	if err := writeFileSync(fsys, dir, name, data); err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		fsys.Remove(dst)
-		return err
-	}
-	if err := out.Close(); err != nil {
-		fsys.Remove(dst)
+	if err := syncDir(fsys, dir); err != nil {
 		return err
 	}
 	return fsys.Remove(src)

@@ -4,17 +4,20 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"mixedclock/internal/tlog"
+	"mixedclock/internal/vfs"
 )
 
 // buildEpochs drives a spilling tracker through two epochs with several
 // segments each and returns it (epoch 1 current, epoch 0 graduated).
-func buildEpochs(t *testing.T, dir string) *Tracker {
+func buildEpochs(t *testing.T, dir string, opts ...Option) *Tracker {
 	t.Helper()
-	tr, err := Open(dir)
+	tr, err := Open(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +194,87 @@ func TestRetainArchive(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("archived segment %s still in spill dir", name)
 		}
+	}
+}
+
+// TestRetainArchiveCopy: when moving a retired file into the archive fails
+// (as a rename across filesystems does), retention copies it through the
+// store's durable write, so the archived bytes match the catalog's SHA-256
+// and the source is removed only after them; when the copy fails too, the
+// source stays in the spill directory and the failure surfaces through Err.
+func TestRetainArchiveCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		rules []vfs.Rule
+		moved bool
+	}{
+		// The retired file meets its move, then — after the move fails —
+		// its copy's rename: fail only the move.
+		{"copied", []vfs.Rule{
+			{Ops: vfs.Ops(vfs.OpRename), PathContains: "cold", Count: 1},
+		}, true},
+		{"copy fails", []vfs.Rule{
+			{Ops: vfs.Ops(vfs.OpRename, vfs.OpWrite), PathContains: "cold", Err: syscall.ENOSPC},
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			archive := filepath.Join(t.TempDir(), "cold")
+			fi := vfs.NewFaulty(vfs.OS)
+			tr := buildEpochs(t, dir, WithStore(Store{FS: fi}))
+			defer tr.Close()
+			// A byte budget that retires exactly the oldest segment.
+			segs := tr.Catalog().Segments
+			var total int64
+			for _, sg := range segs {
+				total += sg.Bytes
+			}
+			retired := segs[:1]
+			fi.Script(tc.rules...)
+			if n, err := tr.RetainSegments(RetainPolicy{MaxBytes: total - segs[0].Bytes, Archive: archive}); err != nil || n != 1 {
+				t.Fatalf("retired %d (err %v), want 1", n, err)
+			}
+			fi.Heal()
+			for _, sg := range retired {
+				_, srcErr := os.Stat(filepath.Join(dir, sg.Path))
+				if !tc.moved {
+					if srcErr != nil {
+						t.Errorf("%s left the spill directory after a failed archive copy: %v", sg.Path, srcErr)
+					}
+					if _, err := os.Stat(filepath.Join(archive, sg.Path)); !os.IsNotExist(err) {
+						t.Errorf("%s: failed copy left an archived file (stat: %v)", sg.Path, err)
+					}
+					continue
+				}
+				if !os.IsNotExist(srcErr) {
+					t.Errorf("%s still in the spill directory after archiving", sg.Path)
+				}
+				if _, err := tlog.VerifySegment(vfs.OS, archive, sg, nil); err != nil {
+					t.Errorf("archived copy: %v", err)
+				}
+			}
+			if !tc.moved {
+				if tr.Err() == nil {
+					t.Error("failed archive copy not surfaced through Err")
+				}
+				return
+			}
+			// Every source removal follows its own copy's fsync.
+			synced, removed := 0, 0
+			for _, op := range fi.History() {
+				switch {
+				case op.Op == vfs.OpFileSync && strings.Contains(op.Path, "cold"):
+					synced++
+				case op.Op == vfs.OpRemove && strings.HasSuffix(op.Path, ".mvcseg"):
+					if removed++; synced < removed {
+						t.Errorf("%s removed before its archive copy was synced", op.Path)
+					}
+				}
+			}
+			if removed != len(retired) {
+				t.Errorf("%d sources removed, want %d", removed, len(retired))
+			}
+		})
 	}
 }
 

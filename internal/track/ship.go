@@ -10,8 +10,6 @@ package track
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -69,24 +67,21 @@ type ShipReport struct {
 
 // ConsumeUpTo ships everything the source catalog lists, provided the
 // catalog has reached at least the given generation (pass 0 to take
-// whatever is current). Each listed segment file missing from Dst — or
-// covering events past the cursor — is copied through a temp file, verified
-// against the catalog's size and SHA-256, and renamed into place; the
-// catalog document itself is mirrored last, so Dst always lists only files
-// it already holds. Finally the cursor file in Src is atomically updated to
-// the consumed generation. Returns ErrCatalogBehind (wrapped) when the
-// catalog is still older than requested.
+// whatever is current; a torn catalog.json is read from its .prev copy, as
+// recovery reads it). Each listed segment file missing from Dst — or
+// covering events past the cursor — is verified as recovery verifies it
+// (size, SHA-256, header, full decode), then copied through a temp file and
+// renamed into place; the catalog document itself is mirrored last, so Dst
+// always lists only files it already holds. Finally the cursor file in Src
+// is atomically updated to the consumed generation. Returns
+// ErrCatalogBehind (wrapped) when the catalog is still older than
+// requested.
 func (s *Shipper) ConsumeUpTo(generation int64) (*ShipReport, error) {
 	if s.Src == "" || s.Dst == "" {
 		return nil, fmt.Errorf("track: shipper needs both Src and Dst")
 	}
 	fsys := s.fsys()
-	f, err := fsys.Open(filepath.Join(s.Src, tlog.CatalogFileName))
-	if err != nil {
-		return nil, fmt.Errorf("track: shipping: %w", err)
-	}
-	c, err := tlog.DecodeCatalog(f)
-	f.Close()
+	c, _, err := tlog.ReadCatalog(fsys, s.Src)
 	if err != nil {
 		return nil, fmt.Errorf("track: shipping: %w", err)
 	}
@@ -111,31 +106,16 @@ func (s *Shipper) ConsumeUpTo(generation int64) (*ShipReport, error) {
 		ShippedEvents: cursor.ShippedEvents,
 	}
 	for _, entry := range c.Segments {
-		if entry.Path == "" {
-			return nil, fmt.Errorf("track: shipping: segment %d..%d has no spill file",
-				entry.FirstIndex, entry.FirstIndex+entry.Events)
-		}
-		dst := filepath.Join(s.Dst, entry.Path)
 		// Below the cursor and already mirrored: compaction may have merged
 		// the covering files since, so only the name check is meaningful.
-		if entry.FirstIndex+entry.Events <= cursor.ShippedEvents {
-			if _, err := fsys.Stat(dst); err == nil {
+		if entry.Path != "" && entry.FirstIndex+entry.Events <= cursor.ShippedEvents {
+			if _, err := fsys.Stat(filepath.Join(s.Dst, entry.Path)); err == nil {
 				continue
 			}
 		}
-		data, err := vfs.ReadFile(fsys, filepath.Join(s.Src, entry.Path))
+		data, err := tlog.VerifySegment(fsys, s.Src, entry, nil)
 		if err != nil {
-			return nil, fmt.Errorf("track: shipping %s: %w", entry.Path, err)
-		}
-		if int64(len(data)) != entry.Bytes {
-			return nil, fmt.Errorf("track: shipping %s: file holds %d bytes, catalog says %d",
-				entry.Path, len(data), entry.Bytes)
-		}
-		if entry.SHA256 != "" {
-			sum := sha256.Sum256(data)
-			if hex.EncodeToString(sum[:]) != entry.SHA256 {
-				return nil, fmt.Errorf("track: shipping %s: content hash mismatch", entry.Path)
-			}
+			return nil, fmt.Errorf("track: shipping: %w", err)
 		}
 		if err := writeFileSync(fsys, s.Dst, entry.Path, data); err != nil {
 			return nil, fmt.Errorf("track: shipping %s: %w", entry.Path, err)

@@ -394,6 +394,7 @@
 package track
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -728,10 +729,12 @@ type Tracker struct {
 	// compactGate admits one segment-compaction or retention pass at a
 	// time: the pass worker waits for it, an explicit CompactSegments or
 	// RetainSegments that finds it held does nothing. catMu serializes
-	// catalog.json publications. The catalog generation itself lives in
-	// hist (bumped by every snapshot swap).
+	// catalog.json publications and guards catBuf, the buffer each one is
+	// encoded into. The catalog generation itself lives in hist (bumped by
+	// every snapshot swap).
 	compactGate sync.Mutex
 	catMu       sync.Mutex
+	catBuf      bytes.Buffer
 	// lc is the lifecycle workers' shared state: the queue of compaction
 	// and retention passes, and the condition variable pass waiters, Close
 	// and backpressured commits wait on.
