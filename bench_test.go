@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -1128,16 +1129,12 @@ func BenchmarkMonitorConsume(b *testing.B) {
 	b.ReportMetric(float64(tracker.Size()), "components")
 }
 
-// BenchmarkSeal measures one Seal of 50 000 freshly committed events on the
-// paper's Nonuniform 256×256 d=0.005 graph at the clock width the load
-// benchmark's steady state runs at — its auto-seal, without the trigger.
-// Each iteration has two goroutines commit the events (each driving its own
-// threads, outside the timer), then times the Seal: the swap barrier, the
-// weave, the encode, the SHA-256 and the publish barrier. ns/sealed-event
-// is that whole cost per record; barrier-ns/seal is the world-lock hold
-// Stats reports — the part of it every committer pays, which does not grow
-// with the record count.
-func BenchmarkSeal(b *testing.B) {
+// sealWorkload registers the threads and objects of the paper's
+// Nonuniform 256×256 d=0.005 graph on tracker and returns a function that
+// commits 50 000 events over it from two goroutines, each driving its own
+// threads, half of them reads — the load benchmark's steady state — plus
+// the event count.
+func sealWorkload(b *testing.B, tracker *mixedclock.Tracker) (commit func(), events int) {
 	g, err := bipartite.Generate(bipartite.GenConfig{
 		NThreads: 256, NObjects: 256, Density: 0.005, Scenario: bipartite.Nonuniform,
 	}, rand.New(rand.NewSource(1)))
@@ -1145,7 +1142,6 @@ func BenchmarkSeal(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	tracker := openTracker(b)
 	threads := make([]*mixedclock.Thread, g.NThreads())
 	for i := range threads {
 		threads[i] = tracker.NewThread(fmt.Sprintf("t%d", i))
@@ -1161,7 +1157,6 @@ func BenchmarkSeal(b *testing.B) {
 	}
 	var workers [2][]op
 	evs := trace.FromGraph(g, 50_000, rng).Events()
-	events := len(evs)
 	for _, e := range evs {
 		kind := mixedclock.OpWrite
 		if rng.Intn(2) == 0 {
@@ -1170,7 +1165,7 @@ func BenchmarkSeal(b *testing.B) {
 		d := int(e.Thread) % len(workers)
 		workers[d] = append(workers[d], op{threads[e.Thread], objs[e.Object], kind})
 	}
-	commit := func() {
+	commit = func() {
 		var wg sync.WaitGroup
 		for _, ops := range workers {
 			wg.Add(1)
@@ -1183,6 +1178,22 @@ func BenchmarkSeal(b *testing.B) {
 		}
 		wg.Wait()
 	}
+	return commit, len(evs)
+}
+
+// BenchmarkSeal measures one Seal of 50 000 freshly committed events on the
+// paper's Nonuniform 256×256 d=0.005 graph at the clock width the load
+// benchmark's steady state runs at — its auto-seal, without the trigger.
+// Each iteration has two goroutines commit the events (each driving its own
+// threads, outside the timer), then times the Seal: the swap barrier, the
+// weave, the encode, the SHA-256 and the publish barrier. ns/sealed-event
+// is that whole cost per record; barrier-ns/seal is the world-lock hold
+// Stats reports — the part of it every committer pays, which does not grow
+// with the record count; bytes/event is the sealed segments' size per
+// record.
+func BenchmarkSeal(b *testing.B) {
+	tracker := openTracker(b)
+	commit, events := sealWorkload(b, tracker)
 	// One untimed round reveals the graph, so every timed seal runs at the
 	// settled width.
 	commit()
@@ -1190,6 +1201,7 @@ func BenchmarkSeal(b *testing.B) {
 		b.Fatal(err)
 	}
 	before := tracker.Stats()
+	settled := len(tracker.Segments())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1208,9 +1220,63 @@ func BenchmarkSeal(b *testing.B) {
 	if sealed := after.SealedEvents - before.SealedEvents; sealed != b.N*events {
 		b.Fatalf("sealed %d events, want %d", sealed, b.N*events)
 	}
+	var sealedBytes int64
+	for _, sg := range tracker.Segments()[settled:] {
+		sealedBytes += sg.Bytes
+	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/sealed-event")
 	b.ReportMetric(float64(after.SealBarrierNanos-before.SealBarrierNanos)/float64(b.N), "barrier-ns/seal")
+	b.ReportMetric(float64(sealedBytes)/float64(b.N*events), "bytes/event")
 	b.ReportMetric(float64(tracker.Size()), "components")
+}
+
+// BenchmarkSegmentDecode decodes one sealed 50 000-event segment of
+// BenchmarkSeal's workload, sealed at the settled width, through
+// tlog.SegmentReader — the one decoder behind Stream, recovery, compaction,
+// the Monitor and mvc. ns/event is the per-record cost, which includes the
+// join a derived record is rebuilt with; steady-state decoding should
+// allocate nothing per record.
+func BenchmarkSegmentDecode(b *testing.B) {
+	tracker, err := mixedclock.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	commit, events := sealWorkload(b, tracker)
+	for range 2 {
+		commit()
+		if err := tracker.Seal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	segs := tracker.Segments()
+	last := segs[len(segs)-1]
+	if last.Events != events {
+		b.Fatalf("last segment holds %d events, want %d", last.Events, events)
+	}
+	data, err := os.ReadFile(last.Path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tracker.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sr, err := tlog.NewSegmentReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, _, err := sr.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+	b.ReportMetric(float64(len(data))/float64(events), "bytes/event")
 }
 
 // BenchmarkLoadgenMixed is the CI gate's end-to-end harness benchmark: one

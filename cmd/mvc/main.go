@@ -713,8 +713,10 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 		lw := tlog.NewDeltaWriter(f)
 		var scratch []vclock.Delta
 		for i := 0; i < tr.Len(); i++ {
-			scratch, _ = mc.TimestampDelta(tr.At(i), scratch[:0])
-			if err := lw.AppendDelta(tr.At(i), scratch); err != nil {
+			e := tr.At(i)
+			var ticks int
+			scratch, ticks = mc.TimestampDelta(e, scratch[:0])
+			if err := lw.AppendDelta(e, scratch, ticks); err != nil {
 				return err
 			}
 		}
@@ -885,11 +887,14 @@ func expandSegmentArgs(args []string) ([]string, error) {
 // segRef addresses one segment inside a (possibly multi-segment) spill
 // file without holding its records: the byte offset recorded by the scan
 // pass lets later passes seek straight to it instead of re-decoding the
-// segments before it.
+// segments before it. size is the container's byte count and kinds its
+// records by payload kind, both from the scan pass.
 type segRef struct {
 	path   string
 	offset int64
+	size   int64
 	meta   tlog.SegmentMeta
+	kinds  tlog.RecordKinds
 }
 
 // countReader counts bytes handed to the bufio layer, so the scan pass can
@@ -966,7 +971,8 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 					return fmt.Errorf("%s: record %d: %w", path, i, err)
 				}
 			}
-			refs = append(refs, segRef{path: path, offset: offset, meta: sr.Meta()})
+			refs = append(refs, segRef{path: path, offset: offset, size: cr.n - int64(br.Buffered()) - offset,
+				meta: sr.Meta(), kinds: sr.RecordKinds()})
 		}
 		f.Close()
 	}
@@ -989,7 +995,10 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 
 	if out == "" {
 		for _, ref := range refs {
-			fmt.Fprintf(w, "%s: %v, %d events\n", ref.path, ref.meta, ref.meta.Count)
+			k := ref.kinds
+			fmt.Fprintf(w, "%s: %v, %d events, %.1f B/event (%d full, %d delta, %d derived)\n",
+				ref.path, ref.meta, ref.meta.Count, float64(ref.size)/float64(max(ref.meta.Count, 1)),
+				k.Full, k.Delta, k.Derived)
 			limit := ref.meta.Count
 			if n > 0 && n < limit {
 				limit = n

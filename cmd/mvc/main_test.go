@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -204,6 +206,92 @@ func TestDetectLiveGolden(t *testing.T) {
 	}
 	if got := detectAll(); !bytes.Equal(got, want) {
 		t.Fatalf("mvc detect -live after compact differs from testdata/detect_live.golden:\n%s", got)
+	}
+}
+
+// TestDetectLiveLegacyDirectory runs `mvc detect -live -dir` over
+// testdata/legacy-spill: the same 600-event spill as TestDetectLiveGolden,
+// but written before the derived record tag existed, so its segments hold
+// only full and delta records. The output must still equal
+// detect_live.golden byte for byte.
+func TestDetectLiveLegacyDirectory(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "detect_live.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("testdata", "legacy-spill")
+	var buf bytes.Buffer
+	for _, r := range []struct {
+		flags  string
+		window int
+		order  string
+	}{
+		{"-window 0", 0, ""},
+		{"-window 16", 16, ""},
+		{"-window 16 -order O1,O2", 16, "O1,O2"},
+	} {
+		fmt.Fprintf(&buf, "== detect -live %s\n", r.flags)
+		if err := detectLive(&buf, dir, false, r.window, r.order); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("mvc detect -live on the legacy directory differs from testdata/detect_live.golden:\n%s", buf.Bytes())
+	}
+}
+
+// TestSegmentsTagMix pins `mvc segments`' per-segment header — B/event and
+// the counts of full, delta and derived records — on a tracker-produced
+// spill: every record is derived except where its thread or its object
+// first appears in the segment.
+func TestSegmentsTagMix(t *testing.T) {
+	tr, err := loadTrace(filepath.Join("testdata", "detect.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "full", spill, 100, 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := segmentsCmd(&buf, []string{spill}, "", 1); err != nil {
+		t.Fatal(err)
+	}
+	header := regexp.MustCompile(`events \[(\d+),(\d+)\], (\d+) events, ([\d.]+) B/event \((\d+) full, (\d+) delta, (\d+) derived\)`)
+	segs, derived := 0, 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		m := header.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var n [8]int
+		for i, g := range m {
+			if i != 0 && i != 4 { // 4 is B/event
+				n[i], _ = strconv.Atoi(g)
+			}
+		}
+		if bpe, err := strconv.ParseFloat(m[4], 64); err != nil || bpe <= 0 {
+			t.Fatalf("%q: B/event %q", line, m[4])
+		}
+		first, last, count := n[1], n[2], n[3]
+		thr, obj := map[event.ThreadID]bool{}, map[event.ObjectID]bool{}
+		firsts := 0
+		for i := first; i <= last; i++ {
+			e := tr.At(i)
+			if !thr[e.Thread] || !obj[e.Object] {
+				firsts++
+			}
+			thr[e.Thread], obj[e.Object] = true, true
+		}
+		if n[5]+n[6] != firsts || n[7] != count-firsts {
+			t.Fatalf("%q: want %d first appearances, the other %d records derived", line, firsts, count-firsts)
+		}
+		segs++
+		derived += n[7]
+	}
+	if segs != 6 || derived == 0 {
+		t.Fatalf("listed %d segments with %d derived records, want 6 and some:\n%s", segs, derived, buf.String())
 	}
 }
 

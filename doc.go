@@ -322,9 +322,11 @@
 // # Persistence
 //
 // WriteLog stores a timestamped computation with one full vector per event;
-// WriteLogDelta stores, per event, only the components that changed against
-// the same thread's previous stamp (with periodic full-vector sync points),
-// which shrinks logs by roughly clock-width ÷ changes-per-event on wide
-// clocks. Both formats tolerate truncation, and ReadLog auto-detects which
-// one a stream carries.
+// WriteLogDelta stores, per event whose thread and object have both
+// appeared, only the components its tick raised — the stamp is derived as
+// tick(join) of the thread's and the object's previous stamps — and for the
+// rest the components that changed against the same thread's previous
+// stamp (with periodic full-vector sync points), so a log costs a few bytes
+// per event whatever the clock width. Both formats tolerate truncation, and
+// ReadLog auto-detects which one a stream carries.
 package mixedclock

@@ -27,9 +27,12 @@ func TestTimestampDeltaMatchesTimestamp(t *testing.T) {
 			for i := 0; i < tr.Len(); i++ {
 				e := tr.At(i)
 				want := full.Timestamp(e)
-				var width int
-				scratch, width = delta.TimestampDelta(e, scratch[:0])
-				got := prev[int(e.Thread)].Apply(scratch).Grow(width)
+				var ticks int
+				scratch, ticks = delta.TimestampDelta(e, scratch[:0])
+				if ticks < 1 || ticks > 2 || len(scratch) < ticks {
+					t.Fatalf("event %d: tick count %d for a capture of %d", i, ticks, len(scratch))
+				}
+				got := prev[int(e.Thread)].Apply(scratch).Grow(delta.Components())
 				prev[int(e.Thread)] = got
 				if len(got) != len(want) {
 					t.Fatalf("event %d: replay width %d, stamp width %d", i, len(got), len(want))
@@ -77,10 +80,14 @@ func TestUpdateRuleDeltaAgreesWithUpdateRule(t *testing.T) {
 			objIdx = rng.Intn(width)
 		}
 		ta := UpdateRule(tvA, ovA, thrIdx, objIdx, width)
-		var tb bool
+		var tb int
 		ds, tb = UpdateRuleDelta(tvB, ovB, thrIdx, objIdx, width, ds[:0])
-		if ta != tb {
-			t.Fatalf("step %d: ticked %v vs %v", s, ta, tb)
+		want := 1 // the thread is always a component here
+		if objIdx >= 0 {
+			want++
+		}
+		if !ta || tb != want {
+			t.Fatalf("step %d: ticked %v, tick count %d, want %d", s, ta, tb, want)
 		}
 		if !tvA.Flatten().Equal(tvB.Flatten()) || !ovA.Flatten().Equal(ovB.Flatten()) {
 			t.Fatalf("step %d: clocks diverged", s)

@@ -103,32 +103,35 @@ func UpdateRule(tv, ov vclock.Clock, thrIdx, objIdx, width int) bool {
 // appended to dst as an (index, value) assignment, so that the thread's
 // previous stamp Apply'd with the capture is exactly the event's stamp. The
 // caller owns dst (pass a retained scratch slice to keep the hot path
-// allocation-free); the extended slice and the covered flag are returned.
-func UpdateRuleDelta(tv, ov vclock.Clock, thrIdx, objIdx, width int, dst []vclock.Delta) ([]vclock.Delta, bool) {
+// allocation-free); the extended slice and TickCovered's tick count are
+// returned.
+func UpdateRuleDelta(tv, ov vclock.Clock, thrIdx, objIdx, width int, dst []vclock.Delta) ([]vclock.Delta, int) {
 	dst = tv.JoinDelta(ov, dst)
-	dst, ticked := TickCovered(tv, thrIdx, objIdx, dst)
+	dst, ticks := TickCovered(tv, thrIdx, objIdx, dst)
 	tv.Grow(width)
 	ov.Join(tv)
-	return dst, ticked
+	return dst, ticks
 }
 
 // TickCovered is the tick half of the §III-C rule with change capture: it
 // ticks the covered endpoints of an event — object first, then thread, the
 // order every path must agree on — appending the changes to dst. It returns
-// the extended buffer and whether any endpoint was covered. Shared by
-// UpdateRuleDelta and the live tracker's re-acquisition fast path (which
-// skips the join but must capture ticks identically).
-func TickCovered(tv vclock.Clock, thrIdx, objIdx int, dst []vclock.Delta) ([]vclock.Delta, bool) {
-	ticked := false
+// the extended buffer and the tick count, one per covered endpoint (0–2):
+// the capture's last that many entries are the ticks, and 0 means the
+// clock cannot order the event. Shared by UpdateRuleDelta and the live
+// tracker's re-acquisition fast path (which skips the join but must
+// capture ticks identically).
+func TickCovered(tv vclock.Clock, thrIdx, objIdx int, dst []vclock.Delta) ([]vclock.Delta, int) {
+	ticks := 0
 	if objIdx >= 0 {
 		dst = tv.TickDelta(objIdx, dst)
-		ticked = true
+		ticks++
 	}
 	if thrIdx >= 0 {
 		dst = tv.TickDelta(thrIdx, dst)
-		ticked = true
+		ticks++
 	}
-	return dst, ticked
+	return dst, ticks
 }
 
 // clocksFor resolves the per-thread and per-object clock state and the
@@ -178,20 +181,20 @@ func (c *MixedClock) Timestamp(e event.Event) vclock.Vector {
 // TimestampDelta is Timestamp without the O(k) materialization: instead of
 // flattening the thread's clock it appends the event's change set — against
 // the thread's previous stamp — to dst and returns the extended buffer plus
-// the clock width at this event (the stamp's nominal length; components
-// beyond the last assignment are zero). Mixing TimestampDelta and Timestamp
-// on one clock is fine; both advance the same state. This is the offline
-// half of the delta stamping pipeline: tlog's delta writer consumes the
-// capture directly, so exporting a trace never builds full vectors except at
-// sync points.
+// the event's tick count (see TickCovered). The stamp's nominal length is
+// Components(); components beyond the last assignment are zero. Mixing
+// TimestampDelta and Timestamp on one clock is fine; both advance the same
+// state. This is the offline half of the delta stamping pipeline: tlog's
+// delta writer consumes the capture and tick count directly, so exporting a
+// trace never builds full vectors except at sync points.
 func (c *MixedClock) TimestampDelta(e event.Event, dst []vclock.Delta) ([]vclock.Delta, int) {
 	tv, ov, thrIdx, objIdx := c.clocksFor(e)
-	dst, ticked := UpdateRuleDelta(tv, ov, thrIdx, objIdx, c.comps.Len(), dst)
-	if !ticked {
+	dst, ticks := UpdateRuleDelta(tv, ov, thrIdx, objIdx, c.comps.Len(), dst)
+	if ticks == 0 {
 		c.noteUncovered(e)
 	}
 	c.events++
-	return dst, c.comps.Len()
+	return dst, ticks
 }
 
 // Components implements clock.Timestamper.

@@ -14,23 +14,50 @@ import (
 // Delta-encoded log format (version 02). Within one thread, consecutive
 // stamps differ in only the components the event changed — on wide clocks a
 // handful out of k — so shipping the full vector per record wastes both
-// bytes and writer time. The delta format stores, per record, the
-// (index, value) pairs that changed relative to the same thread's previous
-// record, falling back to a full vector every SyncEvery records per thread
-// (and for a thread's first record) so a partially corrupt log loses at
-// most one sync interval per thread and readers need only bounded state.
+// bytes and writer time. And most records need not carry even that: by the
+// §III-C update rule an event's stamp is
+//
+//	V(e) = tick(join(V(thread's previous event), V(object's previous event)))
+//
+// with both clocks then set to V(e), so once the thread and the object have
+// each appeared in the stream, the record only has to say which components
+// the tick raised.
 //
 // Format: the 8-byte magic "MVCLOG02", then one record per event:
 //
 //	uvarint thread | uvarint object | uvarint op | uvarint tag | payload
 //
-// where tag 0 (full) is followed by a canonical vector (uvarint count +
-// uvarint components, trailing zeros trimmed) and tag 1 (delta) by a
-// uvarint pair count and that many (uvarint index, uvarint value) pairs.
-// Pairs apply in order, later entries overriding earlier ones, so a raw
-// change capture (which may mention a component twice: join raise, then
-// tick) is a valid payload as-is. Records are self-delimiting; truncation
-// semantics match the full format.
+// with three payload kinds:
+//
+//   - tag 0 (full): a canonical vector (uvarint count + uvarint components,
+//     trailing zeros trimmed).
+//   - tag 1 (delta): a uvarint pair count and that many (uvarint index,
+//     uvarint value) pairs, applied to the same thread's previous stamp in
+//     order, later entries overriding earlier ones, so a raw change capture
+//     (which may mention a component twice: join raise, then tick) is a
+//     valid payload as-is.
+//   - tag 2 (derived): a uvarint tick count, 1 or 2, and that many strictly
+//     ascending uvarint tick indices. The stamp is the componentwise
+//     maximum of the thread's and the object's previous stamps in the
+//     stream, as wide as the wider of the two (and as the highest tick
+//     index + 1), plus 1 at each tick index. A derived record whose thread
+//     or object has no earlier record in the stream is corrupt.
+//
+// Every record, whatever its tag, becomes both its thread's and its
+// object's previous stamp. A thread's first record is full; a record whose
+// thread and object have both appeared is derived whenever its stamp is
+// exactly tick(join) with one or two ticks (the tracker's always are, and
+// Append checks it from the stamps); the rest — an object's first record,
+// or a stamp the rule does not explain — are deltas, or full at the
+// per-thread sync points every SyncEvery records. A derivable record takes
+// precedence over a due sync point: a derived record depends on the
+// object's stamp as much as the thread's, so a full vector on the thread
+// would not make the stream seekable from there anyway, and a segment is
+// always replayed from its start — the syncs would only add bytes (the
+// next non-derived record of the thread takes the sync instead). Tick
+// indices pass the same width budget as delta pairs; a tick beyond it
+// falls back to a full record, which pays for its width in stream bytes.
+// Records are self-delimiting; truncation semantics match the full format.
 //
 // Readers auto-detect the version from the magic, so ReadAll and Reader
 // accept either format transparently.
@@ -40,9 +67,14 @@ var magicDelta = [8]byte{'M', 'V', 'C', 'L', 'O', 'G', '0', '2'}
 
 // Record payload tags of the delta format.
 const (
-	tagFull  = 0
-	tagDelta = 1
+	tagFull    = 0
+	tagDelta   = 1
+	tagDerived = 2
 )
+
+// maxTicks is the most ticks a derived record carries: an event raises its
+// thread's component, its object's, or both.
+const maxTicks = 2
 
 // DefaultSyncEvery is how often (per thread) the delta writer emits a full
 // vector when no explicit interval is configured. Small enough to bound
@@ -53,10 +85,10 @@ const DefaultSyncEvery = 64
 // DeltaWriter appends timestamped events to a stream in the delta format.
 // Call Flush before closing the underlying writer.
 //
-// The writer keeps one vector of state per thread and reuses its encode
-// buffer, so steady-state appends do not allocate — the other half of the
-// "stop paying O(k) per event" contract the live tracker's delta records
-// start.
+// The writer keeps one vector of state per thread (and, for Append, per
+// object) and reuses its encode buffer, so steady-state appends do not
+// allocate — the other half of the "stop paying O(k) per event" contract
+// the live tracker's delta records start.
 type DeltaWriter struct {
 	w         *bufio.Writer
 	started   bool
@@ -64,12 +96,13 @@ type DeltaWriter struct {
 	scratch   []byte
 	syncEvery int
 	// written counts stream bytes flushed so far; the writer keeps every
-	// emitted pair index below deltaBudget(written), mirroring the
+	// emitted pair and tick index below deltaBudget(written), mirroring the
 	// reader's anti-amplification check, by falling back to full records.
 	written int64
-	// threads[id] is thread id's running state, grown on first sight of
-	// the id (thread IDs are dense).
+	// threads[id] and objects[id] are thread and object id's running
+	// state, grown on first sight of the id (IDs are dense).
 	threads []threadLogState
+	objects []objectLogState
 	// touched marks, one bit per component, what the record AppendDelta is
 	// encoding assigned, and orig[i] is component i's value before that
 	// record. Both persist across records; touched is all-zero between
@@ -86,13 +119,25 @@ type threadLogState struct {
 	since int
 }
 
+// objectLogState is the writer's running view of one object. seen reports
+// that the object has a record in the stream, which a derived record needs
+// (the reader takes its object input from there). last is that record's
+// stamp when Append wrote it — what Append checks derivability against —
+// and valid only while known: AppendDelta takes its caller's word on
+// derivability and keeps no object vector.
+type objectLogState struct {
+	seen, known bool
+	last        vclock.Vector
+}
+
 // NewDeltaWriter returns a delta-format Writer on w with the default sync
 // interval.
 func NewDeltaWriter(w io.Writer) *DeltaWriter { return NewDeltaWriterSync(w, DefaultSyncEvery) }
 
 // NewDeltaWriterSync is NewDeltaWriter with an explicit per-thread full-
-// vector interval. syncEvery < 1 means every record is written full (the
-// v2 framing with v1 economics — still readable by the same Reader).
+// vector interval. syncEvery < 1 means every record that is not derived is
+// written full (the v2 framing with v1 economics — still readable by the
+// same Reader).
 func NewDeltaWriterSync(w io.Writer, syncEvery int) *DeltaWriter {
 	if syncEvery < 1 {
 		syncEvery = 1
@@ -107,6 +152,15 @@ func (w *DeltaWriter) state(id event.ThreadID) *threadLogState {
 		w.threads = append(w.threads, make([]threadLogState, n-len(w.threads))...)
 	}
 	return &w.threads[id]
+}
+
+// object returns object id's running state, growing the table to reach
+// it. The pointer is valid until the table next grows.
+func (w *DeltaWriter) object(id event.ObjectID) *objectLogState {
+	if n := int(id) + 1; n > len(w.objects) {
+		w.objects = append(w.objects, make([]objectLogState, n-len(w.objects))...)
+	}
+	return &w.objects[id]
 }
 
 // Seed installs v (copied) as thread id's running stamp without writing a
@@ -135,25 +189,25 @@ func (w *DeltaWriter) Stamp(id event.ThreadID) vclock.Vector {
 	return p[:len(p):len(p)]
 }
 
-// begin writes the record prelude shared by both payload kinds and returns
-// the thread's state.
-func (w *DeltaWriter) begin(e event.Event) (st *threadLogState, err error) {
+// begin writes the record prelude shared by every payload kind and returns
+// the thread's and the object's state.
+func (w *DeltaWriter) begin(e event.Event) (st *threadLogState, ob *objectLogState, err error) {
 	if e.Thread < 0 || e.Object < 0 || e.Op < 0 {
-		return nil, fmt.Errorf("tlog: negative field in event %v", e)
+		return nil, nil, fmt.Errorf("tlog: negative field in event %v", e)
 	}
 	if !w.started {
 		if _, err := w.w.Write(magicDelta[:]); err != nil {
-			return nil, fmt.Errorf("tlog: writing header: %w", err)
+			return nil, nil, fmt.Errorf("tlog: writing header: %w", err)
 		}
 		w.started = true
 		w.written += int64(len(magicDelta))
 	}
-	st = w.state(e.Thread)
+	st, ob = w.state(e.Thread), w.object(e.Object)
 	w.buf = w.buf[:0]
 	w.buf = binary.AppendUvarint(w.buf, uint64(e.Thread))
 	w.buf = binary.AppendUvarint(w.buf, uint64(e.Object))
 	w.buf = binary.AppendUvarint(w.buf, uint64(e.Op))
-	return st, nil
+	return st, ob, nil
 }
 
 // syncDue reports whether the thread's next record must carry a full
@@ -166,14 +220,48 @@ func (w *DeltaWriter) syncDue(st *threadLogState, maxIdx uint64) bool {
 	return st.since == 0 || st.since >= w.syncEvery || maxIdx >= deltaBudget(w.written)
 }
 
+// derivable reports whether a record of a thread in state st on an object
+// in state ob may be written derived with nt ticks (ascending indices
+// in ticks): the thread has a record in the stream (a seed is not one —
+// the reader never saw it), so has the object, and every tick index is
+// within the reader's width budget.
+func (w *DeltaWriter) derivable(st *threadLogState, ob *objectLogState, ticks *[maxTicks]uint64, nt int) bool {
+	return nt > 0 && st.since > 0 && ob.seen && ticks[nt-1] < deltaBudget(w.written)
+}
+
+// payload appends the record's payload to the prelude: derived when
+// derived, otherwise the thread's running stamp in full when a sync is due
+// (maxIdx is the highest pair index), otherwise the pairs in w.scratch. It
+// returns the tag written.
+func (w *DeltaWriter) payload(st *threadLogState, derived bool, ticks *[maxTicks]uint64, nt, pairs int, maxIdx uint64) uint64 {
+	switch {
+	case derived:
+		w.buf = binary.AppendUvarint(w.buf, tagDerived)
+		w.buf = binary.AppendUvarint(w.buf, uint64(nt))
+		for _, i := range ticks[:nt] {
+			w.buf = binary.AppendUvarint(w.buf, i)
+		}
+		return tagDerived
+	case w.syncDue(st, maxIdx):
+		w.buf = binary.AppendUvarint(w.buf, tagFull)
+		w.buf = st.prev.AppendBinary(w.buf)
+		return tagFull
+	default:
+		w.buf = binary.AppendUvarint(w.buf, tagDelta)
+		w.buf = binary.AppendUvarint(w.buf, uint64(pairs))
+		w.buf = append(w.buf, w.scratch...)
+		return tagDelta
+	}
+}
+
 // flushRecord writes the assembled record buffer and settles the thread's
-// sync counter.
-func (w *DeltaWriter) flushRecord(st *threadLogState, full bool) error {
+// sync counter: a full record restarts it, any other advances it.
+func (w *DeltaWriter) flushRecord(st *threadLogState, tag uint64) error {
 	if _, err := w.w.Write(w.buf); err != nil {
 		return fmt.Errorf("tlog: writing record: %w", err)
 	}
 	w.written += int64(len(w.buf))
-	if full {
+	if tag == tagFull {
 		st.since = 1
 	} else {
 		st.since++
@@ -181,47 +269,73 @@ func (w *DeltaWriter) flushRecord(st *threadLogState, full bool) error {
 	return nil
 }
 
-// Append writes one record, diffing v against the thread's previous stamp.
+// Append writes one record, derived when v is tick(join) of the thread's
+// and the object's previous stamps, otherwise diffed against the thread's
+// previous stamp.
 func (w *DeltaWriter) Append(e event.Event, v vclock.Vector) error {
-	st, err := w.begin(e)
+	st, ob, err := w.begin(e)
 	if err != nil {
 		return err
 	}
 	p := st.prev
-	// One diff pass emitting pairs into the scratch buffer, so the
-	// pair-count prefix can go first without a second scan.
-	n := len(p)
-	if len(v) > n {
-		n = len(v)
+	var ticks [maxTicks]uint64
+	nt := 0
+	if ob.known {
+		// Both stamps are the writer's own, and v replaces both below, so
+		// growing them to a common width costs nothing but zeros.
+		n := max(len(p), len(ob.last), len(v))
+		p, ob.last = growState(p, n), growState(ob.last, n)
+		nt = ruleTicks(p, ob.last, v, &ticks)
 	}
+	derived := w.derivable(st, ob, &ticks, nt)
 	pairs := 0
 	var maxIdx uint64
-	w.scratch = w.scratch[:0]
-	for i := 0; i < n; i++ {
-		if x := v.At(i); x != p.At(i) {
-			pairs++
-			maxIdx = uint64(i)
-			w.scratch = binary.AppendUvarint(w.scratch, uint64(i))
-			w.scratch = binary.AppendUvarint(w.scratch, x)
+	if !derived {
+		// One diff pass emitting pairs into the scratch buffer, so the
+		// pair-count prefix can go first without a second scan.
+		w.scratch = w.scratch[:0]
+		for i := range max(len(p), len(v)) {
+			if x := v.At(i); x != p.At(i) {
+				pairs++
+				maxIdx = uint64(i)
+				w.scratch = binary.AppendUvarint(w.scratch, uint64(i))
+				w.scratch = binary.AppendUvarint(w.scratch, x)
+			}
 		}
-	}
-	full := w.syncDue(st, maxIdx)
-	if full {
-		w.buf = binary.AppendUvarint(w.buf, tagFull)
-		w.buf = v.AppendBinary(w.buf)
-	} else {
-		w.buf = binary.AppendUvarint(w.buf, tagDelta)
-		w.buf = binary.AppendUvarint(w.buf, uint64(pairs))
-		w.buf = append(w.buf, w.scratch...)
 	}
 	// Absorb v into the retained per-thread state, reusing its storage.
 	p = growState(p, len(v))
 	copy(p, v)
-	for i := len(v); i < len(p); i++ {
-		p[i] = 0
-	}
+	clear(p[len(v):])
 	st.prev = p
-	return w.flushRecord(st, full)
+	tag := w.payload(st, derived, &ticks, nt, pairs, maxIdx)
+	ob.last = append(ob.last[:0], v...)
+	ob.seen, ob.known = true, true
+	return w.flushRecord(st, tag)
+}
+
+// ruleTicks returns how many ticks v adds to the componentwise maximum of
+// p and o — their indices go to ticks in ascending order — when v is that
+// maximum plus 1 at one or two components, and 0 when it is not. p and o
+// have one length, at least len(v).
+func ruleTicks(p, o, v vclock.Vector, ticks *[maxTicks]uint64) int {
+	for i := len(v); i < len(p); i++ {
+		if p[i]|o[i] != 0 {
+			return 0
+		}
+	}
+	p, o = p[:len(v)], o[:len(v)]
+	nt := 0
+	for i, x := range v {
+		if j := max(p[i], o[i]); x != j {
+			if x-j != 1 || nt == maxTicks {
+				return 0
+			}
+			ticks[nt] = uint64(i)
+			nt++
+		}
+	}
+	return nt
 }
 
 // AppendDelta writes one record straight from a change capture (the
@@ -230,25 +344,45 @@ func (w *DeltaWriter) Append(e event.Event, v vclock.Vector) error {
 // produce), so the caller never materializes a full vector. At sync points
 // the writer falls back to the full vector it maintains internally.
 //
+// ticks is how many of the capture's last entries are the event's ticks
+// (0–2). A positive count is the caller's word that the capture is the
+// §III-C rule run on the thread's and the object's previous stamps in this
+// stream — a join, then those ticks — so the record is written derived
+// whenever the stream allows it, with no O(width) check; the tracker's
+// commits capture exactly that. With ticks 0 the record is never derived.
+//
 // The capture is canonicalized before encoding: pairs are written in
 // ascending component order, only the last assignment to each index counts
 // (captures may mention a component twice — join raise, then tick), and
 // assignments that leave the component unchanged are dropped. What remains
 // is exactly the diff against the thread's previous stamp, so
-// AppendDelta(e, ds) and Append(e, prev.Apply(ds)) produce identical bytes
-// — capture order is the one thing that differs between clock backends
-// (flat scans ascending, tree walks its marks), and canonicalizing here
-// makes a computation export to identical bytes whichever backend stamped
-// it and whichever entry point fed the writer.
+// AppendDelta(e, ds, ticks) and Append(e, prev.Apply(ds)) produce
+// identical bytes when the tick count is truthful — capture order is the
+// one thing that differs between clock backends (flat scans ascending, tree
+// walks its marks), and canonicalizing here makes a computation export to
+// identical bytes whichever backend stamped it and whichever entry point
+// fed the writer.
 //
 // The cost is one pass over the capture plus one scan of the bitmap words
 // it touched: each assignment lands on the running stamp once, and the
 // bitmap both orders and de-duplicates the indices, with no sort.
-func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta) error {
-	st, err := w.begin(e)
+func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) error {
+	if ticks < 0 || ticks > maxTicks || ticks > len(ds) {
+		return fmt.Errorf("tlog: %d ticks for a %d-entry change set", ticks, len(ds))
+	}
+	st, ob, err := w.begin(e)
 	if err != nil {
 		return err
 	}
+	var tk [maxTicks]uint64
+	for k, d := range ds[len(ds)-ticks:] {
+		tk[k] = uint64(d.Index)
+	}
+	if ticks == maxTicks && tk[0] > tk[1] {
+		tk[0], tk[1] = tk[1], tk[0]
+	}
+	// Two ticks of one component would be a raise by 2, not a tick.
+	derived := !(ticks == maxTicks && tk[0] == tk[1]) && w.derivable(st, ob, &tk, ticks)
 	prev := st.prev
 	lo, hi := len(w.touched), -1
 	for _, d := range ds {
@@ -271,12 +405,13 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta) error {
 		prev[i] = d.Value
 	}
 	st.prev = prev
-	// Emit the net changes in ascending order, clearing the bitmap behind.
+	// Emit the net changes in ascending order, clearing the bitmap behind;
+	// a derived record needs only the clearing.
 	pairs := 0
 	var maxIdx uint64
 	w.scratch = w.scratch[:0]
 	for word := lo; word <= hi; word++ {
-		for m := w.touched[word]; m != 0; m &= m - 1 {
+		for m := w.touched[word]; m != 0 && !derived; m &= m - 1 {
 			i := word<<6 | bits.TrailingZeros64(m)
 			if x := prev[i]; x != w.orig[i] {
 				pairs++
@@ -287,16 +422,9 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta) error {
 		}
 		w.touched[word] = 0
 	}
-	full := w.syncDue(st, maxIdx)
-	if full {
-		w.buf = binary.AppendUvarint(w.buf, tagFull)
-		w.buf = prev.AppendBinary(w.buf)
-	} else {
-		w.buf = binary.AppendUvarint(w.buf, tagDelta)
-		w.buf = binary.AppendUvarint(w.buf, uint64(pairs))
-		w.buf = append(w.buf, w.scratch...)
-	}
-	return w.flushRecord(st, full)
+	tag := w.payload(st, derived, &tk, ticks, pairs, maxIdx)
+	ob.seen, ob.known = true, false
+	return w.flushRecord(st, tag)
 }
 
 // Flush pushes buffered records to the underlying writer.

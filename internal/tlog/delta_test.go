@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -77,8 +78,9 @@ func TestAppendDeltaStreaming(t *testing.T) {
 	w := NewDeltaWriterSync(&buf, 8)
 	var scratch []vclock.Delta
 	for i := 0; i < tr.Len(); i++ {
-		scratch, _ = mc.TimestampDelta(tr.At(i), scratch[:0])
-		if err := w.AppendDelta(tr.At(i), scratch); err != nil {
+		var ticks int
+		scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
+		if err := w.AppendDelta(tr.At(i), scratch, ticks); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -273,7 +275,7 @@ func TestDeltaHighIndexEarlyRoundTrips(t *testing.T) {
 			}
 		}
 		prev = stamps[i]
-		if err := w.AppendDelta(tr.At(i), ds); err != nil {
+		if err := w.AppendDelta(tr.At(i), ds, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,11 +349,19 @@ func sliceTracePrefix(tr *event.Trace, n int) *event.Trace {
 // assignment per index, drop the no-ops against the thread's previous
 // stamp, then apply what survives. It is the oracle the bitmap writer is
 // held to, byte for byte.
-func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta) error {
-	st, err := w.begin(e)
+func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta, ticks int) error {
+	st, ob, err := w.begin(e)
 	if err != nil {
 		return err
 	}
+	var tk [maxTicks]uint64
+	for k, d := range ds[len(ds)-ticks:] {
+		tk[k] = uint64(d.Index)
+	}
+	if ticks == 2 && tk[0] > tk[1] {
+		tk[0], tk[1] = tk[1], tk[0]
+	}
+	derived := !(ticks == 2 && tk[0] == tk[1]) && w.derivable(st, ob, &tk, ticks)
 	sorted := append([]vclock.Delta(nil), ds...)
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j].Index < sorted[j-1].Index; j-- {
@@ -373,12 +383,22 @@ func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta) erro
 	if len(pairs) > 0 {
 		maxIdx = uint64(pairs[len(pairs)-1].Index)
 	}
-	full := w.syncDue(st, maxIdx)
 	st.prev = st.prev.Apply(pairs)
-	if full {
+	var tag uint64
+	switch {
+	case derived:
+		tag = tagDerived
+		w.buf = binary.AppendUvarint(w.buf, tagDerived)
+		w.buf = binary.AppendUvarint(w.buf, uint64(ticks))
+		for _, i := range tk[:ticks] {
+			w.buf = binary.AppendUvarint(w.buf, i)
+		}
+	case w.syncDue(st, maxIdx):
+		tag = tagFull
 		w.buf = binary.AppendUvarint(w.buf, tagFull)
 		w.buf = st.prev.AppendBinary(w.buf)
-	} else {
+	default:
+		tag = tagDelta
 		w.buf = binary.AppendUvarint(w.buf, tagDelta)
 		w.buf = binary.AppendUvarint(w.buf, uint64(len(pairs)))
 		for _, d := range pairs {
@@ -386,12 +406,16 @@ func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta) erro
 			w.buf = binary.AppendUvarint(w.buf, d.Value)
 		}
 	}
-	return w.flushRecord(st, full)
+	ob.seen, ob.known = true, false
+	return w.flushRecord(st, tag)
 }
 
 // canonicalWriters feeds one stream of change captures to three writers —
 // AppendDelta, the reference body, and Append of the materialized stamps —
-// and requires the three outputs to be byte-identical.
+// and requires the three outputs to be byte-identical. Byte identity with
+// Append needs a truthful tick count: the captures of a real clock carry
+// one, and synthetic captures, which follow no update rule, use a fresh
+// object per record and tick count 0, so no record is derivable.
 type canonicalWriters struct {
 	bitmap, ref, vec bytes.Buffer
 	wb, wr, wv       *DeltaWriter
@@ -406,13 +430,13 @@ func newCanonicalWriters(sync int) *canonicalWriters {
 	return c
 }
 
-func (c *canonicalWriters) append(t testing.TB, e event.Event, ds []vclock.Delta) {
+func (c *canonicalWriters) append(t testing.TB, e event.Event, ds []vclock.Delta, ticks int) {
 	t.Helper()
 	c.stamps[e.Thread] = c.stamps[e.Thread].Apply(ds)
-	if err := c.wb.AppendDelta(e, ds); err != nil {
+	if err := c.wb.AppendDelta(e, ds, ticks); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendDeltaReference(c.wr, e, ds); err != nil {
+	if err := appendDeltaReference(c.wr, e, ds, ticks); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.wv.Append(e, c.stamps[e.Thread]); err != nil {
@@ -447,8 +471,9 @@ func TestAppendDeltaMatchesReference(t *testing.T) {
 		mc := core.AnalyzeTrace(tr).NewClockBackend(backend)
 		var scratch []vclock.Delta
 		for i := 0; i < tr.Len(); i++ {
-			scratch, _ = mc.TimestampDelta(tr.At(i), scratch[:0])
-			c.append(t, tr.At(i), scratch)
+			var ticks int
+			scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
+			c.append(t, tr.At(i), scratch, ticks)
 		}
 		c.check(t)
 	}
@@ -457,7 +482,7 @@ func TestAppendDeltaMatchesReference(t *testing.T) {
 		for _, sync := range []int{1, 4, DefaultSyncEvery} {
 			c := newCanonicalWriters(sync)
 			for i := 0; i < 400; i++ {
-				e := event.Event{Index: i, Thread: event.ThreadID(rng.Intn(4)), Object: event.ObjectID(rng.Intn(3))}
+				e := event.Event{Index: i, Thread: event.ThreadID(rng.Intn(4)), Object: event.ObjectID(i)}
 				cur := c.stamps[e.Thread]
 				var ds []vclock.Delta
 				for n := rng.Intn(6); n > 0; n-- {
@@ -475,7 +500,7 @@ func TestAppendDeltaMatchesReference(t *testing.T) {
 						ds = append(ds, vclock.Delta{Index: int32(idx), Value: v + uint64(rng.Intn(2))})
 					}
 				}
-				c.append(t, e, ds)
+				c.append(t, e, ds, 0)
 			}
 			c.check(t)
 		}
@@ -494,7 +519,7 @@ func TestSeedWritesFirstRecordFromChangeSet(t *testing.T) {
 	ws, wf := NewDeltaWriter(&seeded), NewDeltaWriter(&full)
 	ws.Seed(e.Thread, base)
 	base[0] = 100 // Seed copies
-	if err := ws.AppendDelta(e, ds); err != nil {
+	if err := ws.AppendDelta(e, ds, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := wf.Append(e, want); err != nil {
@@ -514,5 +539,72 @@ func TestSeedWritesFirstRecordFromChangeSet(t *testing.T) {
 	}
 	if !bytes.Equal(seeded.Bytes(), full.Bytes()) {
 		t.Fatalf("seeded change set wrote %x, Append wrote %x", seeded.Bytes(), full.Bytes())
+	}
+}
+
+// TestDeltaHighIDKeepsItsRow pins the reader's row lookup across budget
+// steps. A thread or object ID at or above the stream's budget when first
+// read is kept off the dense rows; once the budget has grown and a slightly
+// higher ID has stretched the dense rows past it, the ID's next record must
+// still find its stamp there — as a derived record, whose inputs are both
+// stamps. Decoding must succeed with a fresh state and with a pooled state
+// whose rows already reach past both IDs.
+func TestDeltaHighIDKeepsItsRow(t *testing.T) {
+	const hi = 40_000 // above the budget after the reader's first 4 KiB read
+	var events []event.Event
+	var stamps []vclock.Vector
+	add := func(th event.ThreadID, ob event.ObjectID, v vclock.Vector) {
+		events = append(events, event.Event{Index: len(events), Thread: th, Object: ob, Op: event.OpWrite})
+		stamps = append(stamps, v)
+	}
+	add(hi, hi, vclock.Vector{1})
+	// Filler past the reader's second read: budget 4096 + 8·8192 > hi+1.
+	for k := uint64(1); k <= 2000; k++ {
+		add(1, 1, vclock.Vector{0, k})
+	}
+	add(hi+1, hi+1, vclock.Vector{0, 0, 1})
+	add(hi, hi, vclock.Vector{2})
+	var buf bytes.Buffer
+	w := NewDeltaWriter(&buf)
+	for i, e := range events {
+		if err := w.Append(e, stamps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 8192 {
+		t.Fatalf("stream is %d bytes; the filler must outlast two reads", buf.Len())
+	}
+	pooled := new(stampRows)
+	pooled.thr.row(hi+8, hi+9)
+	pooled.obj.row(hi+8, hi+9)
+	for _, rows := range []*stampRows{nil, pooled} {
+		lr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != nil {
+			rows.thr.reset()
+			rows.obj.reset()
+			lr.rows = rows
+		}
+		for i := range events {
+			e, v, err := lr.Next()
+			if err != nil {
+				t.Fatalf("pooled=%v record %d: %v", rows != nil, i, err)
+			}
+			if e != events[i] || !v.Equal(stamps[i]) {
+				t.Fatalf("pooled=%v record %d: %+v %v, want %+v %v", rows != nil, i, e, v, events[i], stamps[i])
+			}
+		}
+		if _, _, err := lr.Next(); err != io.EOF {
+			t.Fatalf("pooled=%v: after last record: %v", rows != nil, err)
+		}
+		if lr.tags[tagDerived] < len(events)-3 {
+			t.Fatalf("pooled=%v: %d derived records, want all but the three first appearances", rows != nil, lr.tags[tagDerived])
+		}
+		lr.release()
 	}
 }

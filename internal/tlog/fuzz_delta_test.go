@@ -109,7 +109,7 @@ func FuzzAppendDeltaCanonical(f *testing.F) {
 		for i := 0; len(data) > 0 && i < 200; i++ {
 			h := data[0]
 			data = data[1:]
-			e := event.Event{Index: i, Thread: event.ThreadID(h % 5), Object: event.ObjectID(h % 3)}
+			e := event.Event{Index: i, Thread: event.ThreadID(h % 5), Object: event.ObjectID(i)}
 			cur := c.stamps[e.Thread]
 			var ds []vclock.Delta
 			for n := int(h >> 4); n > 0 && len(data) >= 2; n-- {
@@ -125,7 +125,7 @@ func FuzzAppendDeltaCanonical(f *testing.F) {
 				ds = append(ds, vclock.Delta{Index: idx, Value: v})
 				cur = cur.Apply(ds[len(ds)-1:])
 			}
-			c.append(t, e, ds)
+			c.append(t, e, ds, 0)
 		}
 		c.check(t)
 	})

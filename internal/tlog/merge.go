@@ -10,17 +10,19 @@ import (
 // segment with a merged width table and a contiguous index range. This is
 // the storage half of the tracker's tiered compaction — frequent seals
 // produce swarms of tiny MVCSEG01 containers, and merging them keeps the
-// sealed history cheap to re-read (one header, one delta stream, one
-// per-thread sync point instead of N) without changing a single record:
-// replaying the merged segment yields exactly the records that replaying the
-// sources in order would have yielded, event for event, stamp for stamp,
-// width for width.
+// sealed history cheap to re-read (one header, one delta stream, one first
+// appearance per thread and per object instead of N) without changing a
+// single record: replaying the merged segment yields exactly the records
+// that replaying the sources in order would have yielded, event for event,
+// stamp for stamp, width for width.
 //
 // The merged payload is NOT the source payloads concatenated: each source
-// segment opens every thread with a full sync vector (segments must decode
-// without outside state), and re-encoding through one DeltaWriter turns all
-// but the first of those back into deltas. That is where the byte savings
-// beyond the headers come from.
+// segment opens every thread with a full vector and every object with a
+// record that is not derived (segments must decode without outside state),
+// and re-encoding through one DeltaWriter — whose Append checks each
+// record against the update rule — turns all but the first of those first
+// appearances into derived records of a few bytes. That is where the byte
+// savings beyond the headers come from.
 
 // MergeSegments reads one segment from each src, in order, verifies they
 // form a gapless single-epoch run, and writes one merged segment holding

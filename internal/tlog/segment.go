@@ -14,9 +14,11 @@ import (
 // of a timestamped computation — the unit the live tracker seals its
 // per-thread arenas into at epoch barriers, holds in memory, and spills to
 // disk under a track.SpillPolicy. The payload is a complete MVCLOG02 delta
-// stream (each thread's first record in a segment is a full vector, so every
-// segment decodes without outside state), wrapped in a header that restores
-// what the delta wire format deliberately drops:
+// stream (each thread's first record in a segment is a full vector, and a
+// record is derived only from thread and object stamps earlier in the same
+// segment, so every segment decodes without outside state and a reader
+// keeps one running stamp per thread and per object it holds), wrapped in a
+// header that restores what the delta wire format deliberately drops:
 //
 //   - the global trace position (FirstIndex) and epoch of the records, so
 //     stitched segments keep their place in the full computation;
@@ -34,7 +36,9 @@ import (
 // and a file truncated by a crash is readable up to the last complete
 // record: a cut inside the payload surfaces as ErrTruncated from the record
 // iterator with every earlier record intact, matching the log formats'
-// recovery contract.
+// recovery contract. The width table is also what a derived record's stamp
+// is grown to: the payload rebuilds it as wide as its inputs, and the
+// iterator pads it to the recorded width.
 
 // magicSegment identifies the segment container format.
 var magicSegment = [8]byte{'M', 'V', 'C', 'S', 'E', 'G', '0', '1'}
@@ -233,6 +237,18 @@ func NewSegmentReader(r io.Reader) (*SegmentReader, error) {
 // Meta returns the segment's header.
 func (sr *SegmentReader) Meta() SegmentMeta { return sr.meta }
 
+// RecordKinds counts a segment's records by payload kind.
+type RecordKinds struct {
+	Full, Delta, Derived int
+}
+
+// RecordKinds reports how many of the records returned so far were full,
+// delta and derived records — after the last, the segment's tag mix.
+func (sr *SegmentReader) RecordKinds() RecordKinds {
+	t := &sr.r.tags
+	return RecordKinds{Full: t[tagFull], Delta: t[tagDelta], Derived: t[tagDerived]}
+}
+
 // Next returns the next record: the event (with its global trace index
 // restored) and its stamp grown to the record's clock width. The vector
 // aliases the reader's internal state and is valid only until the next call;
@@ -250,6 +266,9 @@ func (sr *SegmentReader) Next() (event.Event, vclock.Vector, error) {
 		} else if err != io.EOF {
 			return event.Event{}, nil, fmt.Errorf("%w: trailing segment payload bytes: %v", ErrCorrupt, err)
 		}
+		// The segment is complete, so its running stamps go back to the
+		// pool for the next segment decoded.
+		sr.r.release()
 		return event.Event{}, nil, io.EOF
 	}
 	e, v, err := sr.r.NextShared()

@@ -361,8 +361,9 @@ func TestAppendDeltaByteIdenticalToAppend(t *testing.T) {
 			w := NewDeltaWriter(&fromCaptures)
 			var scratch []vclock.Delta
 			for i := 0; i < tr.Len(); i++ {
-				scratch, _ = mc.TimestampDelta(tr.At(i), scratch[:0])
-				if err := w.AppendDelta(tr.At(i), scratch); err != nil {
+				var ticks int
+				scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
+				if err := w.AppendDelta(tr.At(i), scratch, ticks); err != nil {
 					t.Fatal(err)
 				}
 			}

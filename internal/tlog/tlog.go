@@ -9,11 +9,14 @@
 //     uvarint thread | object | op | canonical vector, where the vector is
 //     a uvarint component count followed by uvarint components (trailing
 //     zeros trimmed, as in vclock's codec).
-//   - Delta (magic "MVCLOG02", DeltaWriter/WriteAllDelta): records carry
-//     only the (index, value) pairs that changed against the same thread's
-//     previous record, with full-vector sync points every SyncEvery records
-//     per thread; see delta.go. On wide clocks with causal locality the
-//     stream shrinks by roughly width ÷ changes-per-event.
+//   - Delta (magic "MVCLOG02", DeltaWriter/WriteAllDelta): a record whose
+//     thread and object have both appeared carries only its tick indices —
+//     the §III-C rule derives the stamp as tick(join) of the thread's and
+//     the object's previous stamps — and the rest carry the (index, value)
+//     pairs that changed against the same thread's previous record, with
+//     full-vector sync points every SyncEvery records per thread; see
+//     delta.go. A derived record costs a few bytes whatever the width, so
+//     a live tracker's stream holds about 7 B per event.
 //
 // Records are self-delimiting in both formats, so a log truncated by a
 // crash is readable up to the last complete record; ReadAll returns the
@@ -28,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"mixedclock/internal/event"
 	"mixedclock/internal/vclock"
@@ -122,22 +126,26 @@ func (w *Writer) Flush() error {
 }
 
 // Reader iterates a tlog stream in either format: the magic header decides
-// whether records carry full vectors (version 01) or per-thread deltas with
-// sync-point fallbacks (version 02), and Next reconstructs full vectors
-// transparently either way.
+// whether records carry full vectors (version 01) or deltas and derived
+// records against running per-thread and per-object stamps (version 02),
+// and Next reconstructs full vectors transparently either way.
 type Reader struct {
 	r     *bufio.Reader
 	index int
-	// delta is set for version-02 streams; prev then holds the running
-	// per-thread reconstruction state, and count meters the raw input so
-	// reconstruction width stays proportional to bytes actually read (the
-	// delta-format analogue of fullVector's incremental growth guard).
+	// delta is set for version-02 streams; rows then holds the running
+	// per-thread and per-object reconstruction state (taken from a pool on
+	// the first record, so it is reused stream after stream), and count
+	// meters the raw input so reconstruction width stays proportional to
+	// bytes actually read (the delta-format analogue of fullVector's
+	// incremental growth guard).
 	delta bool
-	prev  map[event.ThreadID]vclock.Vector
+	rows  *stampRows
 	count *countingReader
 	// scratch is the retained decode buffer NextShared reconstructs full
 	// vectors into, so steady-state shared reads allocate nothing.
 	scratch vclock.Vector
+	// tags counts the version-02 records decoded so far by payload tag.
+	tags [tagDerived + 1]int
 }
 
 // countingReader meters bytes pulled from the underlying stream (bufio
@@ -172,7 +180,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 	case bytes.Equal(head, magic[:]):
 	case bytes.Equal(head, magicDelta[:]):
 		lr.delta = true
-		lr.prev = make(map[event.ThreadID]vclock.Vector)
 	default:
 		return nil, ErrBadMagic
 	}
@@ -226,7 +233,7 @@ func (r *Reader) next(shared bool) (event.Event, vclock.Vector, error) {
 	}
 	var v vclock.Vector
 	if r.delta {
-		v, err = r.deltaPayload(event.ThreadID(t), shared)
+		v, err = r.deltaPayload(t, o, shared)
 	} else {
 		v, err = r.fullVector(shared)
 	}
@@ -275,41 +282,42 @@ func (r *Reader) fullVector(shared bool) (vclock.Vector, error) {
 	return v, nil
 }
 
-// deltaPayload decodes a format-02 payload for thread t, reconstructing the
-// full vector from the thread's running state. In shared mode the result
-// aliases that state instead of being cloned out of it.
-func (r *Reader) deltaPayload(t event.ThreadID, shared bool) (vclock.Vector, error) {
+// deltaPayload decodes a format-02 payload of thread t on object o,
+// reconstructing the full vector in the thread's running stamp, which the
+// object then takes too. In shared mode the result aliases the thread's
+// stamp instead of being cloned out of it.
+func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 	tag, err := r.field("tag")
 	if err != nil {
 		return nil, err
 	}
+	if r.rows == nil {
+		r.rows = getStampRows()
+	}
+	rows := r.rows
+	// Rows are dense by ID up to the width budget (a few-byte record must
+	// not make the reader allocate for a 2³¹ ID); rarer IDs go sparse.
+	limit := deltaBudget(r.count.n)
+	tr := rows.thr.row(t, limit)
+	or := rows.obj.row(o, limit)
 	switch tag {
 	case tagFull:
-		v, err := r.fullVector(shared)
+		v, err := r.fullVector(true)
 		if err != nil {
 			return nil, err
 		}
-		if !shared {
-			r.prev[t] = v.Clone()
-			return v, nil
-		}
-		// Absorb the sync vector into the retained per-thread state in
-		// place (zeroing any components beyond the canonical encoding's
-		// trimmed tail) and hand the caller the state itself.
-		p := growState(r.prev[t], len(v))
+		// Absorb the sync vector into the thread's stamp in place, zeroing
+		// any components beyond the canonical encoding's trimmed tail.
+		p := growState(rows.thr.live(tr), len(v))
 		copy(p, v)
-		for i := len(v); i < len(p); i++ {
-			p[i] = 0
-		}
-		r.prev[t] = p
-		return p, nil
+		clear(p[len(v):])
+		tr.v, tr.gen = p, rows.thr.gen
 	case tagDelta:
 		// The writer emits a full vector as every thread's first record,
 		// so a delta with no base to apply to is proof of corruption (or a
 		// spliced stream) — reconstructing from zero would fabricate
 		// timestamps without any error.
-		v, seeded := r.prev[t]
-		if !seeded {
+		if tr.gen != rows.thr.gen {
 			return nil, fmt.Errorf("%w: delta record for thread %d before any full record", ErrCorrupt, t)
 		}
 		n, err := r.field("pair count")
@@ -319,26 +327,11 @@ func (r *Reader) deltaPayload(t event.ThreadID, shared bool) (vclock.Vector, err
 		if n > maxComponents {
 			return nil, fmt.Errorf("%w: pair count %d", ErrCorrupt, n)
 		}
-		// Apply in place on the running state (nothing else aliases it;
-		// full records store a private clone) and hand the caller a copy.
+		v := tr.v
 		for i := uint64(0); i < n; i++ {
-			idx, err := r.field("pair index")
+			idx, err := r.componentIndex("pair index")
 			if err != nil {
 				return nil, err
-			}
-			// Full records cap the width at maxComponents, so the largest
-			// legal index is maxComponents-1 — keep the formats' limits
-			// consistent.
-			if idx >= maxComponents {
-				return nil, fmt.Errorf("%w: component index %d", ErrCorrupt, idx)
-			}
-			// Reconstruction memory must stay proportional to input size;
-			// DeltaWriter maintains the same inequality against bytes
-			// written (falling back to full records when needed), so
-			// anything it produced passes, while a hostile few-byte
-			// record asking for a 2²⁴-wide vector is refused.
-			if idx >= deltaBudget(r.count.n) {
-				return nil, fmt.Errorf("%w: component index %d exceeds stream budget", ErrCorrupt, idx)
 			}
 			x, err := r.field("pair value")
 			if err != nil {
@@ -349,28 +342,194 @@ func (r *Reader) deltaPayload(t event.ThreadID, shared bool) (vclock.Vector, err
 			}
 			v[idx] = x
 		}
-		r.prev[t] = v
-		if shared {
-			return v, nil
+		tr.v = v
+	case tagDerived:
+		if tr.gen != rows.thr.gen {
+			return nil, fmt.Errorf("%w: derived record for thread %d before any full record", ErrCorrupt, t)
 		}
-		return v.Clone(), nil
+		if or.gen != rows.obj.gen {
+			return nil, fmt.Errorf("%w: derived record for object %d before any record of it", ErrCorrupt, o)
+		}
+		n, err := r.field("tick count")
+		if err != nil {
+			return nil, err
+		}
+		if n < 1 || n > maxTicks {
+			return nil, fmt.Errorf("%w: tick count %d", ErrCorrupt, n)
+		}
+		var ticks [maxTicks]uint64
+		for k := range ticks[:n] {
+			if ticks[k], err = r.componentIndex("tick index"); err != nil {
+				return nil, err
+			}
+			if k > 0 && ticks[k] <= ticks[k-1] {
+				return nil, fmt.Errorf("%w: tick indices %d, %d not ascending", ErrCorrupt, ticks[k-1], ticks[k])
+			}
+		}
+		tr.v = joinTick(tr.v, or.v, ticks[:n])
 	default:
 		return nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
 	}
+	// The record's stamp is the object's previous stamp from here on.
+	or.v = append(rows.obj.live(or)[:0], tr.v...)
+	or.gen = rows.obj.gen
+	r.tags[tag]++
+	if shared {
+		return tr.v, nil
+	}
+	return tr.v.Clone(), nil
 }
 
-// growState returns the running per-thread state v with at least n
-// components. The state is private to its reader or writer, so when it
-// must reallocate it leaves room to double: a thread whose width creeps up
+// componentIndex reads a delta pair's or a tick's component index and
+// bounds it: below maxComponents, as full records cap the width at
+// maxComponents, and below the stream's width budget, so reconstruction
+// memory stays proportional to input size — DeltaWriter maintains the same
+// inequality against bytes written (falling back to full records when
+// needed), so anything it produced passes, while a hostile few-byte record
+// asking for a 2²⁴-wide vector is refused.
+func (r *Reader) componentIndex(name string) (uint64, error) {
+	idx, err := r.field(name)
+	if err != nil {
+		return 0, err
+	}
+	if idx >= maxComponents {
+		return 0, fmt.Errorf("%w: component index %d", ErrCorrupt, idx)
+	}
+	if idx >= deltaBudget(r.count.n) {
+		return 0, fmt.Errorf("%w: component index %d exceeds stream budget", ErrCorrupt, idx)
+	}
+	return idx, nil
+}
+
+// joinTick applies a derived record to the thread's stamp t: it becomes
+// the componentwise maximum of t and the object's stamp o, as wide as the
+// wider of the two and the highest tick, plus 1 at each tick index. t keeps
+// its storage when it is large enough.
+func joinTick(t, o vclock.Vector, ticks []uint64) vclock.Vector {
+	t = growState(t, max(len(o), int(ticks[len(ticks)-1])+1))
+	// Branch-free: which side is larger is as good as random per component.
+	head := t[:len(o)]
+	for i, x := range o {
+		head[i] = max(head[i], x)
+	}
+	for _, k := range ticks {
+		t[k]++
+	}
+	return t
+}
+
+// growState returns the running stamp v with at least n components, the
+// new ones zero. Stamps are private to their reader or writer, so when one
+// must reallocate it leaves room to double: a stamp whose width creeps up
 // one component at a time then reallocates O(log width) times, not once
 // per component.
 func growState(v vclock.Vector, n int) vclock.Vector {
+	if n <= len(v) {
+		return v
+	}
 	if n <= cap(v) {
-		return v.Grow(n)
+		g := v[:n]
+		clear(g[len(v):])
+		return g
 	}
 	g := make(vclock.Vector, n, max(n, 2*cap(v)))
 	copy(g, v)
 	return g
+}
+
+// stampRows is a version-02 reader's running state: the last stamp of
+// every thread and every object seen in the stream. Readers take one from
+// stampRowsPool on their first record and a SegmentReader gives it back at
+// the end of its segment, so decoding segment after segment reuses the
+// rows' vectors instead of allocating one per thread and per object each
+// time.
+type stampRows struct {
+	thr, obj rowTable
+}
+
+var stampRowsPool = sync.Pool{New: func() any { return new(stampRows) }}
+
+// getStampRows takes a state from the pool, emptied.
+func getStampRows() *stampRows {
+	rows := stampRowsPool.Get().(*stampRows)
+	rows.thr.reset()
+	rows.obj.reset()
+	return rows
+}
+
+// rowTable maps IDs to running stamps. Rows are dense by ID below the
+// reader's budget and sparse above it; an ID first seen sparse stays sparse
+// for the rest of the stream, even once the dense rows grow past it. A row
+// holds a stamp of this stream only when its gen matches the table's, so
+// emptying the table for the next stream is O(1) and keeps every row's
+// storage.
+type rowTable struct {
+	gen    uint32
+	dense  []stampRow
+	sparse map[uint64]*stampRow
+}
+
+// stampRow is one thread's or object's running stamp; see rowTable.
+type stampRow struct {
+	gen uint32
+	v   vclock.Vector
+}
+
+// reset empties the table for a new stream.
+func (t *rowTable) reset() {
+	t.gen++
+	if t.gen == 0 {
+		for i := range t.dense {
+			t.dense[i].gen = 0
+		}
+		t.gen = 1
+	}
+	clear(t.sparse)
+}
+
+// row returns id's row, growing the dense table to reach it when id is
+// below limit.
+func (t *rowTable) row(id, limit uint64) *stampRow {
+	if len(t.sparse) > 0 {
+		if r := t.sparse[id]; r != nil {
+			return r
+		}
+	}
+	if id < uint64(len(t.dense)) {
+		return &t.dense[id]
+	}
+	if id < limit {
+		t.dense = append(t.dense, make([]stampRow, int(id)+1-len(t.dense))...)
+		return &t.dense[id]
+	}
+	r := t.sparse[id]
+	if r == nil {
+		if t.sparse == nil {
+			t.sparse = make(map[uint64]*stampRow)
+		}
+		r = new(stampRow)
+		t.sparse[id] = r
+	}
+	return r
+}
+
+// live returns the row's stamp when it belongs to this stream, and
+// otherwise its storage emptied for reuse.
+func (t *rowTable) live(r *stampRow) vclock.Vector {
+	if r.gen == t.gen {
+		return r.v
+	}
+	return r.v[:0]
+}
+
+// release hands the running state back to the pool; the reader takes a
+// fresh one if it is asked for another record. Vectors NextShared returned
+// are invalid from here on.
+func (r *Reader) release() {
+	if r.rows != nil {
+		stampRowsPool.Put(r.rows)
+		r.rows = nil
+	}
 }
 
 func (r *Reader) field(name string) (uint64, error) {
@@ -403,6 +562,7 @@ func ReadAll(r io.Reader) (*event.Trace, []vclock.Vector, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	defer lr.release()
 	tr := event.NewTrace()
 	var stamps []vclock.Vector
 	for {

@@ -6,7 +6,8 @@
 //     larger ones (tlog.MergeSegments), so a tracker that seals frequently
 //     — aligned intervals, wall-time flushes — does not drown its spill
 //     directory in tiny files, and re-reading sealed history stays one
-//     header and one sync point per thread instead of hundreds. Compaction
+//     header and one first appearance per thread and per object instead
+//     of hundreds. Compaction
 //     moves records between containers without changing a single one:
 //     replay, Snapshot, SnapshotTo bytes and lazy stamps are all invariant
 //     under it.

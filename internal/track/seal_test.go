@@ -3,7 +3,9 @@ package track
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -534,5 +536,122 @@ func TestLazyStampsRaceSeal(t *testing.T) {
 	validateEpochs(t, tr)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSealedStampsMatchReturned is the stamp-identity guard of the segment
+// encoding: every stamp decoded from a segment equals the stamp the tracker
+// returned for the event. Two goroutines commit, each on its own threads,
+// through Do, DoBatch and Batch; every returned stamp is materialized from
+// the tail before anything seals it. The run seals round by round, crosses
+// a Compact epoch, merges its segments with CompactSegments, closes,
+// reopens and commits again, and a last reopen's Stream must replay exactly
+// the returned stamps — through derived records, which the spill files must
+// hold.
+func TestSealedStampsMatchReturned(t *testing.T) {
+	dir := t.TempDir()
+	type stamp struct {
+		epoch int
+		v     vclock.Vector
+	}
+	want := map[int]stamp{}
+	round := func(tr *Tracker, seed int64) {
+		threads, objs := tr.Threads(), tr.Objects()
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for d := 0; d < 2; d++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed*2 + int64(d)))
+				var got []Stamped
+				for k := 0; k < 120; k++ {
+					th := threads[2*rng.Intn(len(threads)/2)+d]
+					o := objs[rng.Intn(len(objs))]
+					switch rng.Intn(3) {
+					case 0:
+						got = append(got, th.Do(o, event.Op(rng.Intn(2)), nil))
+					case 1:
+						got = append(got, th.DoBatch(o, []event.Op{event.OpRead, event.OpWrite, event.OpRead})...)
+					default:
+						got = append(got, th.NewBatch().Write(o).Read(objs[rng.Intn(len(objs))]).Write(o).Commit()...)
+					}
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				for _, s := range got {
+					want[s.Event.Index] = stamp{s.Epoch, s.Vector()}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := tr.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	tr := mustOpen(t, dir)
+	for i := 0; i < 6; i++ {
+		tr.NewThread(fmt.Sprintf("t%d", i))
+	}
+	for i := 0; i < 5; i++ {
+		tr.NewObject(fmt.Sprintf("o%d", i))
+	}
+	round(tr, 1)
+	round(tr, 2)
+	if _, _, err := tr.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	round(tr, 3)
+	round(tr, 4)
+	if n, err := tr.CompactSegments(CompactPolicy{}); err != nil || n == 0 {
+		t.Fatalf("CompactSegments eliminated %d segments, err %v", n, err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := mustOpen(t, dir)
+	round(re, 5)
+	round(re, 6)
+	if err := re.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	final := mustOpen(t, dir)
+	defer final.Close()
+	var c streamCollector
+	if err := final.Stream(&c); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.events) != len(want) {
+		t.Fatalf("Stream replayed %d records, %d were committed", len(c.events), len(want))
+	}
+	for i, e := range c.events {
+		w, ok := want[e.Index]
+		if !ok || c.epochs[i] != w.epoch || !c.stamps[i].Equal(w.v) || len(c.stamps[i]) != len(w.v) {
+			t.Fatalf("record %v: sealed epoch %d stamp %v, returned epoch %d stamp %v", e, c.epochs[i], c.stamps[i], w.epoch, w.v)
+		}
+	}
+	var kinds tlog.RecordKinds
+	for _, sg := range final.Segments() {
+		data, err := os.ReadFile(sg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := tlog.NewSegmentReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for err == nil {
+			_, _, err = sr.Next()
+		}
+		if err != io.EOF {
+			t.Fatal(err)
+		}
+		k := sr.RecordKinds()
+		kinds.Full, kinds.Delta, kinds.Derived = kinds.Full+k.Full, kinds.Delta+k.Delta, kinds.Derived+k.Derived
+	}
+	if kinds.Derived <= kinds.Full+kinds.Delta {
+		t.Fatalf("segments hold %+v: derived records should dominate", kinds)
 	}
 }

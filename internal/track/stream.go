@@ -214,10 +214,11 @@ func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 //
 // The writer's per-thread running stamp is the only vector the encode
 // keeps: each thread is seeded with its base, so its first record in the
-// segment is written full and every later one straight from its change
-// set — byte-identical to encoding each full stamp, by AppendDelta's
-// contract — and the running stamps the segment ends with are the threads'
-// new bases.
+// segment is written full and every later one straight from its change set
+// and tick count — derived once the record's object has appeared in the
+// segment too, a delta before that; byte-identical to encoding each full
+// stamp, by AppendDelta's contract — and the running stamps the segment
+// ends with are the threads' new bases.
 func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, error) {
 	t.weaveTo(j.upTo)
 	var payload bytes.Buffer
@@ -240,7 +241,7 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, 
 				started[gt.id] = true
 				w.Seed(gt.id, j.bases[gt.id])
 			}
-			if err := w.AppendDelta(sl.event(b, i), gt.deltas[sl.start:sl.end]); err != nil {
+			if err := w.AppendDelta(sl.event(b, i), gt.deltas[sl.start:sl.end], sl.ticks()); err != nil {
 				return nil, nil, nil, fmt.Errorf("track: sealing: %w", err)
 			}
 			widths = append(widths, int(sl.width))

@@ -62,7 +62,8 @@
 // buffer growth. Re-reading the same object the thread just left (the
 // read-heavy steady state) is cheaper still: a version check proves the
 // thread's clock already equals the object's, and the commit degenerates to
-// ticking the covered components — O(1) at any clock width.
+// ticking the covered components — O(1) at any clock width. Either way the
+// capture ends with the ticks, and the record notes how many (0–2).
 //
 // The change sets stay the representation after the merge, too, and in
 // place: the records and arenas a thread filled become part of the tail as
@@ -77,9 +78,12 @@
 // immutable stamp as of the seal point — plus the thread's change sets:
 //
 //   - Seal seeds the log writer with each thread's base and encodes every
-//     record straight from its change set: the thread's first record of the
-//     segment comes out full, every later one as the delta MVCLOG02's
-//     AppendDelta writes byte-identically to the full stamp, and the
+//     record straight from its change set and tick count: the thread's
+//     first record of the segment comes out full, a record whose object has
+//     appeared in the segment too as a derived record (its tick indices
+//     only: the reader rebuilds the stamp as tick(join) of the thread's and
+//     the object's previous stamps), any other as a delta — exactly the
+//     bytes the writer's Append would write from the full stamp — and the
 //     writer's running stamps become the new bases;
 //   - Stream and Snapshot replay the tail through per-thread running
 //     vectors seeded from the bases;
@@ -537,21 +541,27 @@ type genThread struct {
 
 // genSlot is one record of a generation in trace order: the thread entry
 // and position it sits at, plus a copy of what an in-order pass reads — the
-// record's change set in the entry's delta arena, its width, object and
-// op — so a replay or an encode walks the slots front to back and never
-// gathers the records themselves from the threads' buffers.
+// record's change set in the entry's delta arena, its width, object, op and
+// tick count — so a replay or an encode walks the slots front to back and
+// never gathers the records themselves from the threads' buffers. opTicks
+// packs the op above the tick count's two bits, keeping the slot at seven
+// words of 32 bits.
 type genSlot struct {
 	thr, pos   int32
 	start, end int32
 	width      int32
 	object     int32
-	op         int32
+	opTicks    int32
 }
 
 // event returns the slot's event, record start+i of its generation g.
 func (sl *genSlot) event(g *tailBlock, i int) event.Event {
-	return event.Event{Index: g.start + i, Thread: g.thr[sl.thr].id, Object: event.ObjectID(sl.object), Op: event.Op(sl.op)}
+	return event.Event{Index: g.start + i, Thread: g.thr[sl.thr].id, Object: event.ObjectID(sl.object), Op: event.Op(sl.opTicks >> 2)}
 }
+
+// ticks returns how many of the record's change set's last entries are its
+// ticks (see record).
+func (sl *genSlot) ticks() int { return int(sl.opTicks & 3) }
 
 // stampCheckpointEvery is the per-thread cadence of full-stamp checkpoints
 // in the tail: every such record of a thread keeps its materialized stamp,
@@ -599,13 +609,16 @@ func (g *tailBlock) suffix(from int) *tailBlock {
 
 // record is one committed operation waiting in a thread's append buffer:
 // the event plus the arena range of the components it changed relative to
-// the thread's previous record, and the clock width at commit time (stamps
-// are padded to it at materialization, matching what Flatten used to
-// return).
+// the thread's previous record, the clock width at commit time (stamps are
+// padded to it at materialization, matching what Flatten used to return),
+// and how many of the range's last entries are the event's ticks (0–2) —
+// what lets a seal write the record derived (tlog.DeltaWriter.AppendDelta).
+// width and ticks share one word.
 type record struct {
 	ev         event.Event
 	start, end int
-	width      int
+	width      int32
+	ticks      uint8
 }
 
 // Tracker coordinates causality tracking across goroutines. Create one per
@@ -1072,7 +1085,8 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		th.clock = tv
 	}
 	start := len(th.deltas)
-	var ticked bool
+	// The ticks are the capture's last entries: core.TickCovered runs last.
+	var ticks int
 	if th.lastObj == o && th.lastVer == o.ver {
 		// Re-acquisition fast path: the thread's last commit anywhere was
 		// on o (it set lastObj and lastVer) and o's version is unchanged,
@@ -1081,7 +1095,7 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		// can adopt the event clock by replaying just the tick deltas:
 		// O(1) at any clock width, the read-heavy steady state. Every op
 		// of a batch after the first lands here by construction.
-		th.deltas, ticked = core.TickCovered(tv, thrIdx, objIdx, th.deltas)
+		th.deltas, ticks = core.TickCovered(tv, thrIdx, objIdx, th.deltas)
 		o.clock.Apply(th.deltas[start:])
 	} else {
 		if o.clock == nil {
@@ -1091,19 +1105,19 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		// covered endpoints, and the object re-absorbs the result — the
 		// same core.UpdateRule the offline clock runs, with the changes
 		// captured into the thread's arena instead of flattened.
-		th.deltas, ticked = core.UpdateRuleDelta(tv, o.clock, thrIdx, objIdx, width, th.deltas)
+		th.deltas, ticks = core.UpdateRuleDelta(tv, o.clock, thrIdx, objIdx, width, th.deltas)
 	}
 	o.ver++
 	th.lastObj, th.lastVer = o, o.ver
 
 	e := event.Event{Index: idx, Thread: th.id, Object: o.id, Op: op}
-	if !ticked {
+	if ticks == 0 {
 		// The event's edge is not covered, which would indicate a tracker
 		// bug. Record the misuse for Err instead of panicking.
 		t.noteErr(fmt.Errorf("track: event %d %v not covered by components %v",
 			idx, e, t.cover.Load().ComponentsString()))
 	}
-	th.buf = append(th.buf, record{ev: e, start: start, end: len(th.deltas), width: width})
+	th.buf = append(th.buf, record{ev: e, start: start, end: len(th.deltas), width: int32(width), ticks: uint8(ticks)})
 	if th.cellsUsed == len(th.cells) {
 		th.cells = make([]stampCell, cellChunkSize)
 		th.cellsUsed = 0
@@ -1205,7 +1219,7 @@ func (t *Tracker) weave(g *tailBlock) {
 		nck += n
 		// A thread's widths only grow within an epoch, so its run vector is
 		// never wider than this across the generation.
-		words += n * max(len(gt.th.run), gt.recs[len(gt.recs)-1].width)
+		words += n * max(len(gt.th.run), int(gt.recs[len(gt.recs)-1].width))
 	}
 	ckpts := make([]vclock.Vector, 0, nck)
 	slab := make([]uint64, 0, words)
@@ -1218,21 +1232,21 @@ func (t *Tracker) weave(g *tailBlock) {
 			if slot := r.ev.Index - g.start; slot >= 0 && slot < len(g.order) {
 				g.order[slot] = genSlot{
 					thr: int32(k), pos: int32(p),
-					start: int32(r.start), end: int32(r.end), width: int32(r.width),
-					object: int32(r.ev.Object), op: int32(r.ev.Op),
+					start: int32(r.start), end: int32(r.end), width: r.width,
+					object: int32(r.ev.Object), opTicks: int32(r.ev.Op)<<2 | int32(r.ticks),
 				}
 				filled++
 			} else {
 				t.noteErr(fmt.Errorf("track: merge misaligned: event %v outside the merge window [%d,%d)",
 					r.ev, g.start, g.end))
 			}
-			th.run = th.run.Apply(gt.deltas[r.start:r.end]).Grow(r.width)
+			th.run = th.run.Apply(gt.deltas[r.start:r.end]).Grow(int(r.width))
 			if (gt.before+p+1)%stampCheckpointEvery == 0 {
 				lo := len(slab)
 				slab = append(slab, th.run...)
 				ckpts = append(ckpts, slab[lo:len(slab):len(slab)])
 			}
-			g.width = max(g.width, r.width)
+			g.width = max(g.width, int(r.width))
 		}
 		gt.ckpts = ckpts[first:len(ckpts):len(ckpts)]
 	}
@@ -1385,7 +1399,7 @@ func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
 	for n--; n >= 0; n-- {
 		sp := spans[n]
 		for _, r := range sp.gt.recs[sp.lo : sp.hi+1] {
-			v = v.Apply(sp.gt.deltas[r.start:r.end]).Grow(r.width)
+			v = v.Apply(sp.gt.deltas[r.start:r.end]).Grow(int(r.width))
 		}
 	}
 	return v

@@ -250,10 +250,12 @@ func WriteLog(w io.Writer, tr *Trace, stamps []Vector) error {
 }
 
 // WriteLogDelta persists a timestamped computation in the delta-encoded log
-// format: records carry only the components that changed against the same
-// thread's previous stamp, with periodic full-vector sync points. Same
-// truncation semantics as WriteLog, typically a fraction of the size on
-// wide clocks; ReadLog reads either format transparently.
+// format: a record whose stamp the update rule derives from its thread's
+// and its object's previous stamps carries only its ticked components, and
+// the others carry the components that changed against the same thread's
+// previous stamp, with periodic full-vector sync points. Same truncation
+// semantics as WriteLog, typically a fraction of the size on wide clocks;
+// ReadLog reads either format transparently.
 func WriteLogDelta(w io.Writer, tr *Trace, stamps []Vector) error {
 	return tlog.WriteAllDelta(w, tr, stamps)
 }
