@@ -14,6 +14,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"mixedclock"
 	"mixedclock/internal/baseline"
@@ -889,44 +890,71 @@ func BenchmarkStreamTail(b *testing.B) {
 }
 
 // BenchmarkLazyTailStamp measures the first Stamped.Vector of a stamp still
-// in the unsealed tail: one thread, no seal policy, so the whole run is one
-// thread chain in the tail. Each op materializes a different stamp, which
-// replays at most 64 change sets from the thread's nearest full-stamp
-// checkpoint, so ns/op stays flat from 5k to 50k events — without the
-// checkpoints it would grow with the stamp's distance from the tail's start.
+// in the unsealed tail, for one thread. With no seal policy the whole run
+// is one thread chain in the tail. Each op materializes a different stamp,
+// which replays at most 64 change sets from the thread's nearest
+// full-stamp checkpoint, so ns/op stays flat from 5k to 50k events —
+// without the checkpoints it would grow with the stamp's distance from the
+// tail's start. The sealed cases seal the first three fifths of the run on
+// the lifecycle worker (SealEvery), whose seal weaves the generation it
+// cuts through: the ops cover the last two fifths, the unsealed tail, whose
+// checkpoints the run vectors rebuilt starting from the stamps the seal's
+// log writer ended with — and stay as flat, however much is sealed.
 func BenchmarkLazyTailStamp(b *testing.B) {
-	for _, events := range []int{5_000, 50_000} {
-		b.Run(fmt.Sprintf("events=%d", events), func(b *testing.B) {
-			var stamps []mixedclock.Stamped
-			build := func() {
-				tracker := openTracker(b)
-				th := tracker.NewThread("w")
-				objs := make([]*mixedclock.Object, 8)
-				for i := range objs {
-					objs[i] = tracker.NewObject("o")
-				}
-				stamps = stamps[:0]
-				for i := 0; i < events; i++ {
-					stamps = append(stamps, th.Write(objs[(i*3)%len(objs)], nil))
-				}
-				// Merge once outside the timer, as any earlier reader would.
-				stamps[0].Vector()
+	for _, sealed := range []bool{false, true} {
+		for _, events := range []int{5_000, 50_000} {
+			name := fmt.Sprintf("events=%d", events)
+			var opts []mixedclock.TrackerOption
+			sealEvery := 0
+			if sealed {
+				name, sealEvery = "sealed/"+name, events*3/5
+				opts = append(opts, mixedclock.WithStore(mixedclock.Store{Spill: mixedclock.SpillPolicy{SealEvery: sealEvery}}))
 			}
-			build()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := 1 + i%(events-1)
-				if j == 1 && i > 0 {
-					b.StopTimer()
-					build()
-					b.StartTimer()
+			b.Run(name, func(b *testing.B) {
+				var stamps []mixedclock.Stamped
+				// first is the tail's first index once the worker has
+				// sealed every whole interval.
+				first := 0
+				if sealEvery > 0 {
+					first = events / sealEvery * sealEvery
 				}
-				if stamps[j].Vector() == nil {
-					b.Fatal("tail stamp did not materialize")
+				build := func() {
+					tracker := openTracker(b, opts...)
+					th := tracker.NewThread("w")
+					objs := make([]*mixedclock.Object, 8)
+					for i := range objs {
+						objs[i] = tracker.NewObject("o")
+					}
+					stamps = stamps[:0]
+					for i := 0; i < events; i++ {
+						stamps = append(stamps, th.Write(objs[(i*3)%len(objs)], nil))
+					}
+					for deadline := time.Now().Add(time.Minute); tracker.Stats().SealedEvents < first; time.Sleep(time.Millisecond) {
+						if time.Now().After(deadline) {
+							b.Fatalf("sealed %d events, want %d", tracker.Stats().SealedEvents, first)
+						}
+					}
+					// Merge once outside the timer, as any earlier reader
+					// would: the newest stamp weaves every pending
+					// generation.
+					stamps[events-1].Vector()
 				}
-			}
-		})
+				build()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j := first + i%(events-first-1)
+					if j == first && i > 0 {
+						b.StopTimer()
+						build()
+						b.StartTimer()
+					}
+					if stamps[j].Vector() == nil {
+						b.Fatal("tail stamp did not materialize")
+					}
+				}
+			})
+		}
 	}
 }
 

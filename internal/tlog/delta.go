@@ -104,9 +104,10 @@ type DeltaWriter struct {
 	threads []threadLogState
 	objects []objectLogState
 	// touched marks, one bit per component, what the record AppendDelta is
-	// encoding assigned, and orig[i] is component i's value before that
-	// record. Both persist across records; touched is all-zero between
-	// calls, and orig is read only where touched is set.
+	// encoding assigned, unless it is written derived, and orig[i] is
+	// component i's value before that record. Both persist across records;
+	// touched is all-zero between calls, and orig is read only where
+	// touched is set.
 	touched []uint64
 	orig    []uint64
 }
@@ -363,9 +364,14 @@ func ruleTicks(p, o, v vclock.Vector, ticks *[maxTicks]uint64) int {
 // identical bytes whichever backend stamped it and whichever entry point
 // fed the writer.
 //
-// The cost is one pass over the capture plus one scan of the bitmap words
-// it touched: each assignment lands on the running stamp once, and the
-// bitmap both orders and de-duplicates the indices, with no sort.
+// A record written derived costs one in-order pass over the capture, each
+// assignment landing on the running stamp once — later entries override
+// earlier ones, so the stamp comes out right without de-duplicating — and
+// nothing else: its payload is the tick indices. Any other record costs
+// that pass plus one scan of a bitmap of the components the capture
+// touched, which both orders and de-duplicates the indices (no sort) and
+// keeps each one's value from before the record, so the scan emits exactly
+// the net changes.
 func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) error {
 	if ticks < 0 || ticks > maxTicks || ticks > len(ds) {
 		return fmt.Errorf("tlog: %d ticks for a %d-entry change set", ticks, len(ds))
@@ -384,6 +390,18 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) e
 	// Two ticks of one component would be a raise by 2, not a tick.
 	derived := !(ticks == maxTicks && tk[0] == tk[1]) && w.derivable(st, ob, &tk, ticks)
 	prev := st.prev
+	if derived {
+		for _, d := range ds {
+			if i := int(d.Index); i >= len(prev) {
+				prev = growState(prev, i+1)
+			}
+			prev[d.Index] = d.Value
+		}
+		st.prev = prev
+		tag := w.payload(st, true, &tk, ticks, 0, 0)
+		ob.seen, ob.known = true, false
+		return w.flushRecord(st, tag)
+	}
 	lo, hi := len(w.touched), -1
 	for _, d := range ds {
 		i := int(d.Index)
@@ -405,13 +423,12 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) e
 		prev[i] = d.Value
 	}
 	st.prev = prev
-	// Emit the net changes in ascending order, clearing the bitmap behind;
-	// a derived record needs only the clearing.
+	// Emit the net changes in ascending order, clearing the bitmap behind.
 	pairs := 0
 	var maxIdx uint64
 	w.scratch = w.scratch[:0]
 	for word := lo; word <= hi; word++ {
-		for m := w.touched[word]; m != 0 && !derived; m &= m - 1 {
+		for m := w.touched[word]; m != 0; m &= m - 1 {
 			i := word<<6 | bits.TrailingZeros64(m)
 			if x := prev[i]; x != w.orig[i] {
 				pairs++
@@ -422,7 +439,7 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) e
 		}
 		w.touched[word] = 0
 	}
-	tag := w.payload(st, derived, &tk, ticks, pairs, maxIdx)
+	tag := w.payload(st, false, &tk, ticks, pairs, maxIdx)
 	ob.seen, ob.known = true, false
 	return w.flushRecord(st, tag)
 }

@@ -608,3 +608,110 @@ func TestDeltaHighIDKeepsItsRow(t *testing.T) {
 		lr.release()
 	}
 }
+
+// ruleCapture runs the §III-C rule on thread stamp thr and object stamp obj
+// the way the tracker captures it: the join's raises in ascending order,
+// then one entry per tick, object first — so a component the join raised
+// and the event then ticks appears in the capture twice. It returns the
+// stamp and the capture.
+func ruleCapture(thr, obj vclock.Vector, ticks ...int) (vclock.Vector, []vclock.Delta) {
+	v := thr.Clone()
+	var ds []vclock.Delta
+	for i, x := range obj {
+		if x > v.At(i) {
+			v = v.Set(i, x)
+			ds = append(ds, vclock.Delta{Index: int32(i), Value: x})
+		}
+	}
+	for _, i := range ticks {
+		v = v.Tick(i)
+		ds = append(ds, vclock.Delta{Index: int32(i), Value: v[i]})
+	}
+	return v, ds
+}
+
+// lastRecordTag returns the payload tag of the record w assembled last.
+func lastRecordTag(t *testing.T, w *DeltaWriter) uint64 {
+	t.Helper()
+	b := w.buf
+	for range 3 { // thread, object, op
+		_, n := binary.Uvarint(b)
+		if n <= 0 {
+			t.Fatalf("malformed record %x", w.buf)
+		}
+		b = b[n:]
+	}
+	tag, n := binary.Uvarint(b)
+	if n <= 0 {
+		t.Fatalf("malformed record %x", w.buf)
+	}
+	return tag
+}
+
+// TestAppendDeltaDerivedRunningStamp pins AppendDelta's derived fast path,
+// which applies the capture to the thread's running stamp in order and
+// keeps no diff: a capture naming a component twice (a join raise, then a
+// tick of it), a tick beyond the running stamp's width, and one thread
+// going derived → delta (a new object) → full (a sync due). After every
+// record the running stamp must be the materialized stamp and the record
+// Append's, byte for byte, and the stream must decode to the stamps.
+func TestAppendDeltaDerivedRunningStamp(t *testing.T) {
+	const syncEvery = 4
+	var gotBuf, wantBuf bytes.Buffer
+	wd, wa := NewDeltaWriterSync(&gotBuf, syncEvery), NewDeltaWriterSync(&wantBuf, syncEvery)
+	thr := map[event.ThreadID]vclock.Vector{}
+	obj := map[event.ObjectID]vclock.Vector{}
+	var stamps []vclock.Vector
+	steps := []struct {
+		th    event.ThreadID
+		ob    event.ObjectID
+		ticks []int
+		tag   uint64
+	}{
+		{0, 0, []int{0}, tagFull},       // the thread's first record
+		{1, 0, []int{1}, tagFull},       // the other thread's first, joining o0
+		{0, 0, []int{1}, tagDerived},    // the join raises component 1, the tick raises it again
+		{0, 0, []int{5}, tagDerived},    // a tick past the running stamp's width
+		{0, 1, []int{0}, tagDelta},      // a new object: no derivation
+		{0, 2, []int{0}, tagFull},       // a new object with the sync due
+		{1, 2, []int{6, 1}, tagDerived}, // two ticks, one beyond the width, one of a raised component
+	}
+	for i, s := range steps {
+		e := event.Event{Index: i, Thread: s.th, Object: s.ob}
+		v, ds := ruleCapture(thr[s.th], obj[s.ob], s.ticks...)
+		thr[s.th], obj[s.ob] = v, v
+		stamps = append(stamps, v)
+		if err := wd.AppendDelta(e, ds, len(s.ticks)); err != nil {
+			t.Fatal(err)
+		}
+		if err := wa.Append(e, v); err != nil {
+			t.Fatal(err)
+		}
+		if got := lastRecordTag(t, wd); got != s.tag {
+			t.Fatalf("record %d written with tag %d, want %d", i, got, s.tag)
+		}
+		if got := wd.Stamp(s.th); !got.Equal(v) {
+			t.Fatalf("record %d: running stamp %v, want %v", i, got, v)
+		}
+		if !bytes.Equal(wd.buf, wa.buf) {
+			t.Fatalf("record %d: AppendDelta wrote %x, Append %x", i, wd.buf, wa.buf)
+		}
+	}
+	for _, w := range []*DeltaWriter{wd, wa} {
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+		t.Fatalf("AppendDelta stream %x, Append stream %x", gotBuf.Bytes(), wantBuf.Bytes())
+	}
+	_, got, err := ReadAll(&gotBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range stamps {
+		if !got[i].Equal(v) {
+			t.Fatalf("decoded stamp %d = %v, want %v", i, got[i], v)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package track
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -268,6 +270,117 @@ func TestSealCutKeepsCheckpoints(t *testing.T) {
 				}
 			}
 			if err := tr.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSealFailureKeepsCheckpoints pins that a seal which weaves the
+// generations it consumes leaves every one of them with its full set of
+// checkpoints when its spill then fails: the checkpoints below its cut come
+// from its log writer, the ones above from the run vectors it restarts at
+// the writer's final stamps, and a failed seal leaves all of them in the
+// tail. Every segment spill fails (degraded mode, the disk probe re-arming
+// sealing each round) while each of a few threads commits several times
+// stampCheckpointEvery records per failed seal, on objects drawn at
+// random, after a thread that then falls silent, so the others' stamps
+// carry a component none of their later change sets touches; "interval" seals the whole tail, so each failed seal weaves a
+// fresh generation, and "every" cuts through the one generation its seal
+// weaves. Every lazy stamp, all of them in the tail, must equal the stamp
+// of a twin tracker that never seals — and, once the disk heals and the
+// tail seals, so must every streamed one.
+func TestSealFailureKeepsCheckpoints(t *testing.T) {
+	const rounds, threads, objects = 4, 3, 5
+	const perRound = threads * (3*stampCheckpointEvery + 17)
+	for _, c := range []struct {
+		name  string
+		spill SpillPolicy
+	}{
+		{"interval", SpillPolicy{SealInterval: time.Nanosecond, Probe: time.Hour}},
+		{"every", SpillPolicy{SealEvery: 200, Probe: time.Hour}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fi := vfs.NewFaulty(vfs.OS)
+			fi.Script(vfs.Rule{Ops: vfs.Ops(vfs.OpCreateTemp), PathContains: ".seg-", Err: syscall.ENOSPC})
+			tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: c.spill, FS: fi}))
+			twin := mustOpen(t, "")
+			// The first seal waits for the whole first round, so it swaps
+			// and weaves all of it.
+			_, release := parkWorker(tr)
+			var ths, tths [threads]*Thread
+			for i := range ths {
+				ths[i], tths[i] = tr.NewThread("t"), twin.NewThread("t")
+			}
+			var objs, tobjs [objects]*Object
+			for i := range objs {
+				objs[i], tobjs[i] = tr.NewObject("o"), twin.NewObject("o")
+			}
+			rng := rand.New(rand.NewSource(5))
+			var got []Stamped
+			write := func(th, tth *Thread) {
+				k := rng.Intn(objects)
+				got = append(got, th.Write(objs[k], nil))
+				tth.Write(tobjs[k], nil)
+			}
+			commit := func(n int) {
+				for range n {
+					i := len(got) % threads
+					write(ths[i], tths[i])
+				}
+			}
+			quiet, tquiet := tr.NewThread("quiet"), twin.NewThread("quiet")
+			for range 2 * objects {
+				write(quiet, tquiet)
+			}
+			commit(perRound)
+			release()
+			tr.waitIdle()
+			for r := 1; r < rounds; r++ {
+				commit(perRound)
+				// The disk probe falls due: the next commit starts the
+				// worker, whose probe succeeds (it writes no segment temp
+				// file) and whose seal fails again.
+				tr.lastProbeNano.Store(0)
+				commit(1)
+				tr.waitIdle()
+			}
+			failed := 0
+			for _, id := range fi.History() {
+				if id.Op == vfs.OpCreateTemp && strings.Contains(id.Path, ".seg-") {
+					failed++
+				}
+			}
+			if h := tr.Health(); failed < rounds || !h.Degraded || h.UnsealedEvents != len(got) {
+				t.Fatalf("%d failed seals, Health %+v; want %d or more, degraded, %d unsealed", failed, h, rounds, len(got))
+			}
+			_, want := twin.Snapshot()
+			for i := len(got) - 1; i >= 0; i-- {
+				if v := got[i].Vector(); !v.Equal(want[i]) || len(v) != len(want[i]) {
+					t.Fatalf("lazy tail stamp %d = %v, twin has %v", i, v, want[i])
+				}
+			}
+			fi.Heal()
+			tr.lastProbeNano.Store(0)
+			commit(1)
+			tr.waitIdle()
+			if h := tr.Health(); h.Degraded {
+				t.Fatalf("still degraded after the disk healed: %+v", h)
+			}
+			_, streamed := tr.Snapshot()
+			_, want = twin.Snapshot()
+			if len(streamed) != len(want) {
+				t.Fatalf("streamed %d stamps, twin has %d", len(streamed), len(want))
+			}
+			for i := range want {
+				if !streamed[i].Equal(want[i]) || len(streamed[i]) != len(want[i]) {
+					t.Fatalf("streamed stamp %d = %v, twin has %v", i, streamed[i], want[i])
+				}
+			}
+			if err := tr.Err(); !errors.Is(err, syscall.ENOSPC) {
+				t.Fatalf("Err = %v, want the spill failure", err)
+			}
+			if err := tr.Close(); err != nil {
 				t.Fatal(err)
 			}
 		})

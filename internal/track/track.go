@@ -84,7 +84,10 @@
 //     only: the reader rebuilds the stamp as tick(join) of the thread's and
 //     the object's previous stamps), any other as a delta — exactly the
 //     bytes the writer's Append would write from the full stamp — and the
-//     writer's running stamps become the new bases;
+//     writer's running stamps become the new bases. A generation no reader
+//     has woven yet is woven by its seal, which builds only the trace order
+//     and takes the checkpoints below its cut from the writer's running
+//     stamps as it encodes, so a seal applies each change set once;
 //   - Stream and Snapshot replay the tail through per-thread running
 //     vectors seeded from the bases;
 //   - a lazy tail stamp (Stamped.Vector, the comparison helpers) walks its
@@ -121,7 +124,10 @@
 //   - mergeMu serializes the weave, which whoever needs a generation first
 //     runs — its seal, a Stream, a lazy stamp — with the world lock
 //     released (Compact and Close excepted, which weave under their own
-//     barrier). A reader may wait on mergeMu; a commit never does.
+//     barrier). A seal that weaves holds it across its in-memory encode,
+//     which fills the checkpoints, but releases it before the SHA-256 and
+//     the spill. A reader may wait on mergeMu for a weave or that encode,
+//     never for disk I/O; a commit never waits on it.
 //   - reg guards registration and the threads' spare buffers; pendMu the
 //     queue of swapped generations awaiting their weave; the lifecycle
 //     state's mutex the queue of compaction and retention passes; errMu,
@@ -186,17 +192,20 @@
 // new generation and captures the generations below the seal point, with a
 // snapshot of every thread's base. The weave, the encode straight from the
 // swapped buffers, the SHA-256 and the spill's write, fsync and rename
-// then run with no world lock held while commits fill fresh buffers; a
-// reader that needs the swapped records meanwhile waits for the weave
-// only, never for the encode or the I/O. The second barrier publishes: the
-// segment joins the sealed history (swapHist), the threads get their new
-// bases, the consumed generations are cut from the tail (one the seal
-// point cuts through leaves a remainder sharing its buffers) and retired
-// through the reclaimer, which hands their buffers back to the threads as
-// spares once no reader holds them, and the resume manifest is brought up
-// to date — it is kept as it is unless a reveal, a registration or an
-// epoch changed it, so only a seal after such a change pays O(revealed
-// edges) to rebuild it.
+// then run with no world lock held while commits fill fresh buffers; the
+// seal weaves a generation no reader has woven yet as part of its encode,
+// so a reader that needs the swapped records meanwhile waits for that
+// in-memory encode at most, never for the hash or the I/O. The weave's
+// buffers, the record widths and the payload are reused from seal to seal,
+// so a seal allocates O(threads) besides the segment itself. The second
+// barrier publishes: the segment joins the sealed history (swapHist), the
+// threads get their new bases, the consumed generations are cut from the
+// tail (one the seal point cuts through leaves a remainder sharing its
+// buffers) and retired through the reclaimer, which hands their buffers
+// back to the threads as spares once no reader holds them, and the resume
+// manifest is brought up to date — it is kept as it is unless a reveal, a
+// registration or an epoch changed it, so only a seal after such a change
+// pays O(revealed edges) to rebuild it.
 // A swap happens only when the seal point reaches into the per-thread
 // buffers; a worker catching up seals intervals already in the tail. Stats
 // reports the barriers' cumulative and longest hold. sealMu serializes
@@ -496,13 +505,15 @@ const cellChunkSize = 128
 // one barrier swapped out of the per-thread buffers, covering the dense
 // global indices [start, end), all of one epoch. The barrier moves each
 // committing thread's record buffer and delta arena into thr as they stand
-// — no record is copied — and the weave (weaveTo) then builds, outside the
-// barrier, the trace order over them and the full-stamp checkpoints some of
-// them carry. A woven generation is never mutated again, so a Stream or a
-// seal may read it with no lock held; a seal that cuts through one leaves
-// in the tail a remainder (suffix) that shares its storage rather than
-// re-slicing or copying it, and the storage goes back to the threads only
-// once the last generation sharing it is consumed and no reader holds it.
+// — no record is copied — and the weave (weaveTo, or the seal that consumes
+// the generation, encodeSeal) then builds, outside the barrier, the trace
+// order over them and the full-stamp checkpoints some of them carry. A
+// woven generation is never mutated again, so a Stream or a seal may read
+// it with no lock held; a seal that cuts through one leaves in the tail a
+// remainder (suffix) that shares its storage rather than re-slicing or
+// copying it, and the storage goes back to the threads, and the weave's
+// buffers to the next weave, only once the last generation sharing it is
+// consumed and no reader holds it.
 type tailBlock struct {
 	start, end int
 	epoch      int
@@ -511,14 +522,28 @@ type tailBlock struct {
 	thr []genThread
 	// Written by the weave and read only after it: order[i] is record
 	// start+i, and width is the widest record, which sizes a replay's
-	// per-thread running vectors up front.
+	// per-thread running vectors up front. order and the checkpoints are
+	// carved out of bufs, which a remainder shares whole.
 	order []genSlot
 	width int
+	bufs  weaveBufs
+}
+
+// weaveBufs is the storage a weave carves one generation's trace order and
+// checkpoints out of: order holds a slot per record, ckpts the checkpoint
+// headers and slab their components. A consumed generation hands it back
+// (recycle), so a steady run of seals allocates none of it.
+type weaveBufs struct {
+	order []genSlot
+	ckpts []vclock.Vector
+	slab  []uint64
 }
 
 // genThread is one thread's share of a generation: its records in program
 // order and the delta arena their change sets live in (both swapped out of
-// the thread), plus the checkpoints the weave copied out. prev is the global
+// the thread), plus the checkpoints the weave copied out — from the
+// thread's run vector, or, below a seal's cut, from the seal's log writer,
+// whose running stamp is the same vector. prev is the global
 // index of the thread's last record before the swap (-1 when none this
 // epoch), the link a lazy stamp walks back along; before counts the
 // thread's records of the epoch merged ahead of the swap, which fixes
@@ -570,6 +595,16 @@ func (sl *genSlot) ticks() int { return int(sl.opTicks & 3) }
 // per interval against bounded replay.
 const stampCheckpointEvery = tlog.DefaultSyncEvery
 
+// isCheckpoint reports whether record p carries a checkpoint.
+func (gt *genThread) isCheckpoint(p int) bool {
+	return (gt.before+p+1)%stampCheckpointEvery == 0
+}
+
+// below counts the records with global index below idx.
+func (gt *genThread) below(idx int) int {
+	return sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= idx })
+}
+
 // ckptsBelow counts the checkpoints records [0, q) carry.
 func (gt *genThread) ckptsBelow(q int) int {
 	first := stampCheckpointEvery - 1 - gt.before%stampCheckpointEvery
@@ -598,13 +633,26 @@ func (gt *genThread) checkpoint(p int) (int, vclock.Vector) {
 // woven; so is the result. The shared buffers go back to the threads
 // when the remainder, not g, is consumed.
 func (g *tailBlock) suffix(from int) *tailBlock {
-	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch, order: g.order[from-g.start:], width: g.width}
+	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch, order: g.order[from-g.start:], width: g.width, bufs: g.bufs}
 	nb.thr = make([]genThread, len(g.thr))
 	for k, gt := range g.thr {
-		gt.off = sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= from })
+		gt.off = gt.below(from)
 		nb.thr[k] = gt
 	}
 	return nb
+}
+
+// addCheckpoint copies v, padded with zeros to width, out of g's slab as
+// gt's next checkpoint.
+func (g *tailBlock) addCheckpoint(gt *genThread, v vclock.Vector, width int) {
+	slab := g.bufs.slab
+	lo := len(slab)
+	slab = append(slab, v...)
+	if n := width - len(v); n > 0 {
+		slab = append(slab, make([]uint64, n)...)
+	}
+	gt.ckpts = append(gt.ckpts, slab[lo:len(slab):len(slab)])
+	g.bufs.slab = slab
 }
 
 // record is one committed operation waiting in a thread's append buffer:
@@ -673,14 +721,17 @@ type Tracker struct {
 	tailStart int
 	tail      []*tailBlock
 	// mergeMu serializes the weave, the half of a merge that runs outside
-	// the barrier (weaveTo), and owns every thread's run vector. pendMu
-	// guards pending, the generations swapped but not yet woven, oldest
-	// first. woven is where the last woven generation ends: a reader whose
-	// records all lie below it has nothing to wait for.
-	mergeMu sync.Mutex
-	pendMu  sync.Mutex
-	pending []*tailBlock
-	woven   atomic.Int64
+	// the barrier (weaveTo, and a seal's own weave in encodeSeal), and owns
+	// every thread's run vector. pendMu guards pending, the generations
+	// swapped but not yet woven, oldest first. woven is where the last
+	// woven generation ends: a reader whose records all lie below it has
+	// nothing to wait for. spareWeave is the weave buffers a consumed
+	// generation handed back (recycle), guarded by reg.
+	mergeMu    sync.Mutex
+	pendMu     sync.Mutex
+	pending    []*tailBlock
+	woven      atomic.Int64
+	spareWeave weaveBufs
 	// hist is the current sealed-history snapshot (segment list, retention
 	// floor, catalog generation) as one immutable value behind an atomic
 	// pointer. Readers — Catalog, Segments, streams, lazy stamps — load it
@@ -697,8 +748,11 @@ type Tracker struct {
 	// Compact, Close — against each other. A seal holds it across the
 	// encode and spill it runs between its two short barriers, so at most
 	// one seal is ever in flight and the tail it froze cannot be cut
-	// underneath it.
-	sealMu sync.Mutex
+	// underneath it. It also guards sealWidths and sealPayload, the
+	// scratch each seal encodes into (writeSeal).
+	sealMu      sync.Mutex
+	sealWidths  []int
+	sealPayload bytes.Buffer
 	// reclaim is the epoch-based reclamation state: sealed replays pin it,
 	// retired resources wait on its limbo list. tailReclaim is a second
 	// domain for the tail generations seals consume, pinned only by a
@@ -919,8 +973,12 @@ type Thread struct {
 	// it, so a Stream or seal may read a snapshot of it with no lock held.
 	base vclock.Vector
 	// run is the stamp of the thread's last woven record, advanced in
-	// place by the weave and cloned into a tail checkpoint every
+	// place by the weave and copied into a tail checkpoint every
 	// stampCheckpointEvery records; it is owned by the tracker's mergeMu.
+	// A seal that weaves the generations it consumes leaves run alone
+	// while it encodes, then overwrites it, in place, with its writer's
+	// running stamp (the thread's new base) and advances it over the
+	// records above its cut.
 	// last is the global index of the thread's last merged record (-1 when
 	// none this epoch) and merged counts the thread's merged records of the
 	// epoch; both are owned by the barrier.
@@ -1203,15 +1261,25 @@ func (t *Tracker) weaveTo(end int) {
 	}
 }
 
-// weave builds generation g's trace order — indices are dense, so each
-// record goes straight to its slot, no sort — and its checkpoints, by
+// weave builds generation g's trace order and its checkpoints, by
 // advancing each thread's run vector over the thread's change sets and
 // copying it out every stampCheckpointEvery records. Per record that is
-// O(changed components), plus one O(k) copy per checkpoint; the
-// checkpoints are carved out of one slab sized up front. The caller holds
-// mergeMu.
+// O(changed components), plus one O(k) copy per checkpoint. The caller
+// holds mergeMu. A seal weaves the generations it consumes itself
+// (encodeSeal), filling the checkpoints from its log writer instead.
 func (t *Tracker) weave(g *tailBlock) {
-	g.order = make([]genSlot, g.end-g.start)
+	t.weaveOrder(g)
+	g.weaveStamps(g.start)
+}
+
+// weaveOrder builds generation g's trace order — indices are dense, so each
+// record goes straight to its slot, no sort — and readies its checkpoint
+// storage: each thread entry's ckpts is an empty window of a header slice
+// sized up front, filled in record order by weaveStamps or by a seal's
+// writer, and the slab the vectors are copied into is sized for all of
+// them. Both come from the buffers a consumed generation handed back when
+// those are large enough. No stamp is touched. The caller holds mergeMu.
+func (t *Tracker) weaveOrder(g *tailBlock) {
 	nck, words := 0, 0
 	for k := range g.thr {
 		gt := &g.thr[k]
@@ -1221,13 +1289,35 @@ func (t *Tracker) weave(g *tailBlock) {
 		// never wider than this across the generation.
 		words += n * max(len(gt.th.run), int(gt.recs[len(gt.recs)-1].width))
 	}
-	ckpts := make([]vclock.Vector, 0, nck)
-	slab := make([]uint64, 0, words)
-	filled := 0
+	t.reg.Lock()
+	b := t.spareWeave
+	t.spareWeave = weaveBufs{}
+	t.reg.Unlock()
+	// A fresh buffer gets an eighth of headroom: generations a run of
+	// seals consumes differ a little in size, and each would otherwise
+	// outgrow the one before.
+	if n := g.end - g.start; cap(b.order) >= n {
+		b.order = b.order[:n]
+	} else {
+		b.order = make([]genSlot, n, n+n/8)
+	}
+	if cap(b.ckpts) < nck {
+		b.ckpts = make([]vclock.Vector, nck+nck/8)
+	}
+	if cap(b.slab) < words {
+		b.slab = make([]uint64, 0, words+words/8)
+	}
+	// Clear the recycled headers: one left pointing into an outgrown slab
+	// would keep it alive.
+	b.ckpts, b.slab = b.ckpts[:cap(b.ckpts)], b.slab[:0]
+	clear(b.ckpts)
+	g.bufs, g.order = b, b.order
+	filled, first := 0, 0
 	for k := range g.thr {
 		gt := &g.thr[k]
-		th := gt.th
-		first := len(ckpts)
+		n := gt.ckptsBelow(len(gt.recs))
+		gt.ckpts = b.ckpts[first : first : first+n]
+		first += n
 		for p, r := range gt.recs {
 			if slot := r.ev.Index - g.start; slot >= 0 && slot < len(g.order) {
 				g.order[slot] = genSlot{
@@ -1240,15 +1330,8 @@ func (t *Tracker) weave(g *tailBlock) {
 				t.noteErr(fmt.Errorf("track: merge misaligned: event %v outside the merge window [%d,%d)",
 					r.ev, g.start, g.end))
 			}
-			th.run = th.run.Apply(gt.deltas[r.start:r.end]).Grow(int(r.width))
-			if (gt.before+p+1)%stampCheckpointEvery == 0 {
-				lo := len(slab)
-				slab = append(slab, th.run...)
-				ckpts = append(ckpts, slab[lo:len(slab):len(slab)])
-			}
 			g.width = max(g.width, int(r.width))
 		}
-		gt.ckpts = ckpts[first:len(ckpts):len(ckpts)]
 	}
 	if filled != len(g.order) {
 		// Indices are dense by construction; a hole means lost records.
@@ -1256,10 +1339,29 @@ func (t *Tracker) weave(g *tailBlock) {
 	}
 }
 
+// weaveStamps advances each of g's threads' run vector over its records
+// with global index from on, in place, and copies it out at every
+// checkpoint among them. The checkpoints of the records below from must be
+// in place already. The caller holds mergeMu.
+func (g *tailBlock) weaveStamps(from int) {
+	for k := range g.thr {
+		gt := &g.thr[k]
+		th := gt.th
+		for p := gt.below(from); p < len(gt.recs); p++ {
+			r := &gt.recs[p]
+			th.run = th.run.Apply(gt.deltas[r.start:r.end]).Grow(int(r.width))
+			if gt.isCheckpoint(p) {
+				g.addCheckpoint(gt, th.run, int(r.width))
+			}
+		}
+	}
+}
+
 // recycle hands the buffers of a generation no reader holds any more back
 // to their threads as spares, keeping the larger when a thread is
-// offered two. It runs as the reclaimer's free of a generation a seal
-// consumed, with no tracker lock held; reg orders it against swapLocked.
+// offered two, and its weave buffers to the next weave likewise. It runs
+// as the reclaimer's free of a generation a seal consumed, with no tracker
+// lock held; reg orders it against swapLocked and weaveOrder.
 func (t *Tracker) recycle(g *tailBlock) {
 	t.reg.Lock()
 	for i := range g.thr {
@@ -1267,6 +1369,9 @@ func (t *Tracker) recycle(g *tailBlock) {
 		if th := gt.th; cap(gt.recs) > cap(th.spareBuf) {
 			th.spareBuf, th.spareDeltas = gt.recs[:0], gt.deltas[:0]
 		}
+	}
+	if cap(g.bufs.order) > cap(t.spareWeave.order) {
+		t.spareWeave = g.bufs
 	}
 	t.reg.Unlock()
 }
