@@ -586,7 +586,8 @@ func BenchmarkTrackerParallelContended(b *testing.B) {
 // show the amortization curve — the per-batch synchronization and the one
 // []Stamped allocation spread across the batch, with the per-op clock work
 // unchanged. CI's -benchmem gate locks in that B/op shrinks, never grows,
-// as the batch widens.
+// as the batch widens. mixed/size=16 times whole commits through a reused
+// Batch, whose Commit allocates nothing.
 func BenchmarkBatch(b *testing.B) {
 	for _, size := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -612,6 +613,38 @@ func BenchmarkBatch(b *testing.B) {
 			}
 		})
 	}
+	// mixed drives Batch.Commit over 16 operations alternating between
+	// two objects — two-operation same-object runs — with one Batch reused
+	// throughout. b.N counts commits here, so allocs/op is allocations per
+	// Commit and the gate's 0 → nonzero allocs rule guards the Batch's
+	// own buffers on top of the commit path.
+	b.Run("mixed/size=16", func(b *testing.B) {
+		const size = 16
+		var batch *mixedclock.Batch
+		var objs [2]*mixedclock.Object
+		build := func() {
+			tracker := openTracker(b)
+			th := tracker.NewThread("w")
+			objs = [2]*mixedclock.Object{tracker.NewObject("o0"), tracker.NewObject("o1")}
+			th.Write(objs[0], nil) // reveal both edges outside the timer
+			th.Write(objs[1], nil)
+			batch = th.NewBatch()
+		}
+		build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%(1<<14) == 0 {
+				b.StopTimer()
+				build()
+				b.StartTimer()
+			}
+			for k := range size {
+				batch.Write(objs[k/2%2])
+			}
+			batch.Commit()
+		}
+	})
 }
 
 // BenchmarkStamp measures the Thread.Do hot path in isolation — ns/op and,
@@ -981,11 +1014,23 @@ func BenchmarkGreedyVsOptimalCover(b *testing.B) {
 
 // BenchmarkRecover measures track.Open rebuilding a live tracker from a
 // spill directory left by a crash: every listed segment verified (size,
-// SHA-256, full decode), per-thread and per-object clocks and the component
-// cover reconstructed from the resume manifest plus a current-epoch replay,
-// and a fresh catalog generation published. The run is built once per
-// configuration; every iteration is a full crash recovery. -benchmem locks
-// in the reconstruction allocation profile for cmd/benchdiff.
+// SHA-256, header, a scan of every record), per-thread and per-object
+// clocks rebuilt from the segments holding their last records, the
+// component cover reconstructed from the resume manifest, and a fresh
+// catalog generation published. Every iteration is a full crash recovery
+// of a run built once per configuration:
+//
+//   - segs=N/events=M: 4 threads on 8 objects, N small segments;
+//   - nonuniform: the paper's Nonuniform 256×256 d=0.005 graph
+//     (sealWorkload), 250 000 events in 50 000-event segments, all in the
+//     epoch the reopen resumes;
+//   - nonuniform-compact: the same 250 000 events, then an epoch Compact
+//     and one more 50 000-event segment — the shape of the load
+//     benchmark's durable-monitor directory, where the resumed epoch is a
+//     small part of what Open verifies.
+//
+// ns/event is the recovery cost per listed event. -benchmem locks in the
+// reconstruction allocation profile for cmd/benchdiff.
 func BenchmarkRecover(b *testing.B) {
 	for _, cfg := range []struct{ segments, perSegment int }{
 		{8, 512},
@@ -1014,25 +1059,61 @@ func BenchmarkRecover(b *testing.B) {
 			if err := tracker.Seal(); err != nil {
 				b.Fatal(err)
 			}
-			if err := tracker.Err(); err != nil {
-				b.Fatal(err)
-			}
-			// Abandoned without Close: each iteration below recovers a
-			// crashed run, not a cleanly closed one.
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				re, err := mixedclock.Open(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ri := re.Recovery()
-				if ri == nil || ri.Events != cfg.segments*cfg.perSegment || re.Err() != nil {
-					b.Fatalf("unhealthy recovery: %+v, err %v", ri, re.Err())
-				}
-			}
+			benchRecover(b, dir, tracker, cfg.segments*cfg.perSegment)
 		})
 	}
+	for _, compact := range []bool{false, true} {
+		name := "nonuniform"
+		if compact {
+			name += "-compact"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			tracker, err := mixedclock.Open(dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			commit, perSegment := sealWorkload(b, tracker)
+			rounds := 5
+			if compact {
+				rounds++
+			}
+			for r := range rounds {
+				if compact && r == rounds-1 {
+					if _, _, err := tracker.Compact(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				commit()
+				if err := tracker.Seal(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			benchRecover(b, dir, tracker, rounds*perSegment)
+		})
+	}
+}
+
+// benchRecover times Open on dir, where tracker has sealed events events
+// and is abandoned without Close: each iteration recovers a crashed run,
+// not a cleanly closed one.
+func benchRecover(b *testing.B, dir string, tracker *mixedclock.Tracker, events int) {
+	if err := tracker.Err(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := mixedclock.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ri := re.Recovery()
+		if ri == nil || ri.Events != events || re.Err() != nil {
+			b.Fatalf("unhealthy recovery: %+v, err %v", ri, re.Err())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
 }
 
 // BenchmarkMonitorLive measures commit throughput with an online Monitor
@@ -1261,9 +1342,11 @@ func BenchmarkSeal(b *testing.B) {
 // BenchmarkSegmentDecode decodes one sealed 50 000-event segment of
 // BenchmarkSeal's workload, sealed at the settled width, through
 // tlog.SegmentReader — the one decoder behind Stream, recovery, compaction,
-// the Monitor and mvc. ns/event is the per-record cost, which includes the
-// join a derived record is rebuilt with; steady-state decoding should
-// allocate nothing per record.
+// the Monitor and mvc. full rebuilds every stamp, including the join a
+// derived record is rebuilt with; scan (SkipStamps) runs the same checks
+// and rebuilds none, as verification and recovery's pass over every
+// segment do. ns/event is the per-record cost; steady-state decoding
+// should allocate nothing per record.
 func BenchmarkSegmentDecode(b *testing.B) {
 	tracker, err := mixedclock.Open(b.TempDir())
 	if err != nil {
@@ -1288,23 +1371,33 @@ func BenchmarkSegmentDecode(b *testing.B) {
 	if err := tracker.Close(); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sr, err := tlog.NewSegmentReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
+	for _, scan := range []bool{false, true} {
+		name := "full"
+		if scan {
+			name = "scan"
 		}
-		for {
-			if _, _, err := sr.Next(); err == io.EOF {
-				break
-			} else if err != nil {
-				b.Fatal(err)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sr, err := tlog.NewSegmentReaderBytes(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if scan {
+					sr.SkipStamps()
+				}
+				for {
+					if _, _, err := sr.Next(); err == io.EOF {
+						break
+					} else if err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+			b.ReportMetric(float64(len(data))/float64(events), "bytes/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
-	b.ReportMetric(float64(len(data))/float64(events), "bytes/event")
 }
 
 // BenchmarkLoadgenMixed is the CI gate's end-to-end harness benchmark: one

@@ -930,10 +930,11 @@ func withSegment(ref segRef, fn func(*tlog.SegmentReader) error) error {
 
 // segmentsCmd inspects .mvcseg spill files (as left behind by a
 // track.SpillPolicy or export -live -spill) and, with -out, merges them
-// back into a single delta log readable by mvc inspect. Records stream
-// through one at a time in both modes — the whole point of the spill files
-// is that history needn't fit in memory, and inspecting them must not undo
-// that.
+// back into a single delta log readable by mvc inspect. Files are read one
+// length-framed segment at a time into one reused buffer, and records
+// stream through one at a time in both modes — the whole point of the
+// spill files is that history needn't fit in memory, and inspecting them
+// must not undo that: memory stays bounded by the largest segment.
 func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 	files, err := expandSegmentArgs(args)
 	if err != nil {
@@ -942,10 +943,12 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 	if len(files) == 0 {
 		return fmt.Errorf("segments needs at least one .mvcseg file or a spill directory (spill files are seg-*.mvcseg)")
 	}
-	// Scan pass: collect segment metas and offsets, fully decoding (but not
-	// retaining) every record so corruption surfaces before any output is
-	// produced.
+	// Scan pass: collect segment metas and offsets, checking every record
+	// as a full decode would (without rebuilding stamps) so corruption
+	// surfaces before any output is produced.
 	var refs []segRef
+	sr := new(tlog.SegmentReader)
+	sr.SkipStamps()
 	for _, path := range files {
 		f, err := os.Open(path)
 		if err != nil {
@@ -955,7 +958,7 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 		br := bufio.NewReader(cr)
 		for {
 			offset := cr.n - int64(br.Buffered())
-			sr, err := tlog.NewSegmentReader(br)
+			err := sr.Reset(br)
 			if err == io.EOF {
 				break
 			}

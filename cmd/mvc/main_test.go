@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -838,6 +839,94 @@ func TestCatalogVerifyMatchesRecovery(t *testing.T) {
 	defer re.Close()
 	if q := re.Recovery().Quarantined; len(q) == 0 || q[0] != victim+tlog.QuarantineSuffix {
 		t.Errorf("recovery quarantined %v, want %s first", q, victim)
+	}
+}
+
+// TestCatalogVerifyScansRecords: a listed segment whose size, hash and
+// header all match its entry, but whose last record is a derived record
+// for an object with no record before it, prints BAD under catalog -verify
+// — the record scan catches what the hash cannot — and Open quarantines
+// it.
+func TestCatalogVerifyScansRecords(t *testing.T) {
+	dir := t.TempDir()
+	spill := filepath.Join(dir, "spill")
+	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+		t.Fatal(err)
+	}
+	cat, _, err := tlog.ReadCatalog(vfs.OS, spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := &cat.Segments[1]
+	data, err := os.ReadFile(filepath.Join(spill, victim.Path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-encode every record but the last, then forge the last.
+	sr, err := tlog.NewSegmentReaderBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	w := tlog.NewDeltaWriter(&payload)
+	var widths []int
+	seen := map[event.ObjectID]bool{}
+	var last event.Event
+	for len(widths) < sr.Meta().Count {
+		e, v, err := sr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		widths = append(widths, len(v))
+		if len(widths) < sr.Meta().Count {
+			seen[e.Object] = true
+			if err := w.Append(e, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last = e
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := event.ObjectID(0)
+	for seen[fresh] {
+		fresh++
+	}
+	rec := payload.Bytes()
+	for _, x := range []uint64{uint64(last.Thread), uint64(fresh), uint64(last.Op), 2, 1, 0} { // tag 2: derived
+		rec = binary.AppendUvarint(rec, x)
+	}
+	if data, err = tlog.AppendSegment(nil, sr.Meta(), widths, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(spill, victim.Path), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	victim.Bytes, victim.SHA256 = int64(len(data)), hex.EncodeToString(sum[:])
+	var doc bytes.Buffer
+	if err := tlog.EncodeCatalog(&doc, cat); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(spill, tlog.CatalogFileName), doc.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := catalogCmd(&buf, []string{spill}, true); err == nil {
+		t.Fatalf("catalog -verify accepted a structurally corrupt segment:\n%s", buf.String())
+	}
+	if want := "BAD: tlog: " + victim.Path; !strings.Contains(buf.String(), want) || !strings.Contains(buf.String(), "before any record") {
+		t.Errorf("catalog -verify does not report %q for the forged record:\n%s", want, buf.String())
+	}
+	re, err := track.Open(spill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if q := re.Recovery().Quarantined; len(q) == 0 || q[0] != victim.Path+tlog.QuarantineSuffix {
+		t.Errorf("recovery quarantined %v, want %s first", q, victim.Path)
 	}
 }
 

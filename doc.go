@@ -83,6 +83,10 @@
 //	b.Write(account).Read(ledger).Write(account)
 //	stamps = b.Commit() // mixed objects, one round-trip per same-object run
 //
+// Commit returns the batch's own buffer, valid until the batch's next
+// Commit, so a producer reusing one batch allocates nothing per commit;
+// copy the stamps to keep them longer.
+//
 // A batch claims its whole contiguous trace-index range while holding the
 // object's commit exclusion, so index order remains a linearization of
 // happened-before, every operation of a batch lands in one epoch, and the

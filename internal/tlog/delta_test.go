@@ -581,7 +581,7 @@ func TestDeltaHighIDKeepsItsRow(t *testing.T) {
 	pooled.thr.row(hi+8, hi+9)
 	pooled.obj.row(hi+8, hi+9)
 	for _, rows := range []*stampRows{nil, pooled} {
-		lr, err := NewReader(bytes.NewReader(buf.Bytes()))
+		lr, err := NewReader(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -165,12 +165,11 @@ func (c *DirCursor) replay(cat *Catalog, fn func(e event.Event, epoch int, v vcl
 // replaySegment opens one spill file and delivers its records from c.next
 // on, advancing the cursor per record.
 func (c *DirCursor) replaySegment(seg CatalogSegment, fn func(e event.Event, epoch int, v vclock.Vector) error) (int, error) {
-	f, err := c.fsys().Open(filepath.Join(c.dir, filepath.FromSlash(seg.Path)))
+	data, err := vfs.ReadFile(c.fsys(), filepath.Join(c.dir, filepath.FromSlash(seg.Path)))
 	if err != nil {
 		return 0, err
 	}
-	defer f.Close()
-	sr, err := NewSegmentReader(f)
+	sr, err := NewSegmentReaderBytes(data)
 	if err != nil {
 		return 0, fmt.Errorf("tlog: %s: %w", seg.Path, err)
 	}

@@ -27,8 +27,9 @@ import (
 // MergeSegments reads one segment from each src, in order, verifies they
 // form a gapless single-epoch run, and writes one merged segment holding
 // exactly their records to w. It returns the merged segment's meta. Sources
-// are streamed record by record, so memory is bounded by the merged
-// container, not by the source count.
+// are read one at a time into one reused buffer and streamed record by
+// record, so memory is bounded by the merged container and the largest
+// source, not by the source count.
 func MergeSegments(w io.Writer, srcs ...io.Reader) (SegmentMeta, error) {
 	if len(srcs) == 0 {
 		return SegmentMeta{}, fmt.Errorf("tlog: merging zero segments")
@@ -39,9 +40,9 @@ func MergeSegments(w io.Writer, srcs ...io.Reader) (SegmentMeta, error) {
 		payload bytes.Buffer
 	)
 	dw := NewDeltaWriter(&payload)
+	sr := new(SegmentReader)
 	for i, src := range srcs {
-		sr, err := NewSegmentReader(src)
-		if err != nil {
+		if err := sr.Reset(src); err != nil {
 			return SegmentMeta{}, fmt.Errorf("tlog: merge source %d: %w", i, err)
 		}
 		m := sr.Meta()

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"mixedclock/internal/event"
 	"mixedclock/internal/vclock"
@@ -117,122 +119,221 @@ type widthRun struct {
 	width int
 }
 
-// SegmentReader iterates one segment's records. Open it with
-// NewSegmentReader; to read a multi-segment spill file, hand the same
-// *bufio.Reader to NewSegmentReader repeatedly until it reports io.EOF.
+// SegmentReader iterates one segment's records. It decodes from a byte
+// slice: NewSegmentReaderBytes hands it a container in memory with no copy,
+// while NewSegmentReader and Reset read one length-framed segment from an
+// io.Reader into a buffer the reader keeps, so a stream of segments decodes
+// in memory bounded by its largest segment. SkipStamps turns it into a
+// scan that runs every check of a full decode and rebuilds no stamp.
 type SegmentReader struct {
 	meta SegmentMeta
-	r    *Reader
-	lr   *io.LimitedReader
+	r    Reader
 	runs []widthRun
 	// run/runPos locate the next record in the width table; read counts
 	// records already returned.
 	run, runPos, read int
+	// frame is the payload length the header declares; the payload in r
+	// is shorter when its source ended early, and the reader then reports
+	// ErrTruncated where the bytes run out.
+	frame uint64
 	// pad is the retained buffer records narrower than their clock width
 	// are padded in, so steady-state iteration allocates nothing.
 	pad vclock.Vector
+	// buf holds the payload read from an io.Reader, reused by Reset.
+	buf []byte
 }
 
-// NewSegmentReader reads a segment header from r and returns an iterator
-// over its records. io.EOF means r held no further segment (a clean end);
-// ErrTruncated means the header itself was cut short. If r is not already a
-// *bufio.Reader it is wrapped in one, which reads ahead — callers iterating
-// multi-segment streams must therefore pass the same *bufio.Reader for
-// every call.
+// NewSegmentReaderBytes returns an iterator over the segment container at
+// the head of data. The reader borrows data, which must not change while
+// it is read. io.EOF means data is empty; ErrTruncated means the header is
+// cut short.
+func NewSegmentReaderBytes(data []byte) (*SegmentReader, error) {
+	if len(data) == 0 {
+		return nil, io.EOF
+	}
+	if len(data) < len(magicSegment) {
+		return nil, fmt.Errorf("%w: segment header", ErrTruncated)
+	}
+	if [8]byte(data) != magicSegment {
+		return nil, ErrBadMagic
+	}
+	sr := new(SegmentReader)
+	off := len(magicSegment)
+	frame, err := sr.header(func() (uint64, error) {
+		x, n := binary.Uvarint(data[off:])
+		if n == 0 {
+			return 0, io.ErrUnexpectedEOF
+		}
+		if n < 0 {
+			return 0, errOverflow
+		}
+		off += n
+		return x, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	payload := data[off:]
+	if uint64(len(payload)) > frame {
+		payload = payload[:frame]
+	}
+	if err := sr.start(payload, frame); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// NewSegmentReader reads one segment from r and returns an iterator over
+// its records; see Reset.
 func NewSegmentReader(r io.Reader) (*SegmentReader, error) {
-	br, ok := r.(*bufio.Reader)
+	sr := new(SegmentReader)
+	if err := sr.Reset(r); err != nil {
+		return nil, err
+	}
+	return sr, nil
+}
+
+// Reset reads the next segment from r — its header, then its payload into
+// the reader's retained buffer — and positions the reader at the segment's
+// first record, keeping the reader's mode and buffers. io.EOF means r held
+// no further segment (a clean end); ErrTruncated means the header itself
+// was cut short. A payload cut short is read up to the cut. Reset reads
+// exactly one container's bytes from an io.ByteReader; any other r is
+// wrapped in a *bufio.Reader, which reads ahead — callers iterating
+// multi-segment streams must therefore pass the same *bufio.Reader for
+// every call. After an error the reader is unusable until the next
+// successful Reset.
+func (sr *SegmentReader) Reset(r io.Reader) error {
+	br, ok := r.(interface {
+		io.Reader
+		io.ByteReader
+	})
 	if !ok {
 		br = bufio.NewReader(r)
 	}
-	head, err := br.Peek(len(magicSegment))
-	if err == io.EOF && len(head) == 0 {
-		return nil, io.EOF
+	var head [8]byte
+	switch n, err := io.ReadFull(br, head[:]); {
+	case n == 0 && err == io.EOF:
+		return io.EOF
+	case err == io.ErrUnexpectedEOF:
+		return fmt.Errorf("%w: segment header", ErrTruncated)
+	case err != nil:
+		return fmt.Errorf("tlog: reading segment header: %w", err)
 	}
-	if err == io.EOF {
-		return nil, fmt.Errorf("%w: segment header", ErrTruncated)
+	if head != magicSegment {
+		return ErrBadMagic
 	}
+	frame, err := sr.header(func() (uint64, error) { return binary.ReadUvarint(br) })
 	if err != nil {
-		return nil, fmt.Errorf("tlog: reading segment header: %w", err)
+		return err
 	}
-	if [8]byte(head) != magicSegment {
-		return nil, ErrBadMagic
+	// The payload is framed by its length, so reading it never consumes
+	// the next segment of a shared stream. The buffer grows with the bytes
+	// that arrive, not with the frame, so a hostile length costs at most
+	// the input's size.
+	buf := sr.buf[:0]
+	for uint64(len(buf)) < frame {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, int(min(frame-uint64(len(buf)), 64<<10+uint64(len(buf)))))
+		}
+		n, err := br.Read(buf[len(buf):min(uint64(cap(buf)), frame)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("tlog: reading segment payload: %w", err)
+		}
 	}
-	if _, err := br.Discard(len(magicSegment)); err != nil {
-		return nil, fmt.Errorf("tlog: discarding segment header: %w", err)
-	}
-	field := func(name string) (uint64, error) {
-		x, err := binary.ReadUvarint(br)
+	sr.buf = buf
+	return sr.start(buf, frame)
+}
+
+// header parses the container header after the magic, taking each uvarint
+// from next, into the reader's meta and width runs, and returns the
+// payload length the header declares.
+func (sr *SegmentReader) header(next func() (uint64, error)) (uint64, error) {
+	field := func(name string, max uint64) (uint64, error) {
+		x, err := next()
 		if err != nil {
 			return 0, fmt.Errorf("%w: segment %s field: %v", ErrTruncated, name, err)
-		}
-		return x, nil
-	}
-	bounded := func(name string, max uint64) (uint64, error) {
-		x, err := field(name)
-		if err != nil {
-			return 0, err
 		}
 		if x > max {
 			return 0, fmt.Errorf("%w: segment %s %d", ErrCorrupt, name, x)
 		}
 		return x, nil
 	}
-	epoch, err := bounded("epoch", maxID)
+	epoch, err := field("epoch", maxID)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	first, err := bounded("first index", maxID)
+	first, err := field("first index", maxID)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	count, err := bounded("record count", maxID)
+	count, err := field("record count", maxID)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	runCount, err := bounded("width run count", count)
+	runCount, err := field("width run count", count)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	sr := &SegmentReader{meta: SegmentMeta{Epoch: int(epoch), FirstIndex: int(first), Count: int(count)}}
+	sr.meta = SegmentMeta{Epoch: int(epoch), FirstIndex: int(first), Count: int(count)}
 	// Each run consumes at least two input bytes, so growing the run table
 	// incrementally keeps allocation proportional to bytes actually read.
+	sr.runs = sr.runs[:0]
 	var total uint64
 	for i := uint64(0); i < runCount; i++ {
-		n, err := field("width run length")
+		n, err := field("width run length", math.MaxUint64)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		w, err := bounded("width", maxComponents)
+		w, err := field("width", maxComponents)
 		if err != nil {
-			return nil, err
+			return 0, err
+		}
+		if n == 0 || n > count-total {
+			return 0, fmt.Errorf("%w: segment width runs cover %d of %d records", ErrCorrupt, total+n, count)
 		}
 		total += n
-		if n == 0 || total > count {
-			return nil, fmt.Errorf("%w: segment width runs cover %d of %d records", ErrCorrupt, total, count)
-		}
 		sr.runs = append(sr.runs, widthRun{n: int(n), width: int(w)})
 	}
 	if total != count {
-		return nil, fmt.Errorf("%w: segment width runs cover %d of %d records", ErrCorrupt, total, count)
+		return 0, fmt.Errorf("%w: segment width runs cover %d of %d records", ErrCorrupt, total, count)
 	}
-	payloadLen, err := bounded("payload length", 1<<62)
-	if err != nil {
-		return nil, err
-	}
-	// The payload is framed by its length, so the record iterator can never
-	// read past the segment, and a trailing segment in the same stream stays
-	// reachable after this one is drained.
-	sr.lr = &io.LimitedReader{R: br, N: int64(payloadLen)}
-	inner, err := NewReader(sr.lr)
-	if err != nil {
-		return nil, fmt.Errorf("tlog: segment payload: %w", err)
-	}
-	if count > 0 && !inner.delta {
-		return nil, fmt.Errorf("%w: segment payload is not a delta stream", ErrCorrupt)
-	}
-	sr.r = inner
-	return sr, nil
+	return field("payload length", 1<<62)
 }
+
+// start points the record iterator at payload, the first bytes of a frame
+// of the given length.
+func (sr *SegmentReader) start(payload []byte, frame uint64) error {
+	sr.run, sr.runPos, sr.read, sr.frame = 0, 0, 0, frame
+	if uint64(len(payload)) < frame && len(payload) < len(magicDelta) {
+		return sr.cut()
+	}
+	if err := sr.r.reset(payload); err != nil {
+		return fmt.Errorf("tlog: segment payload: %w", err)
+	}
+	if sr.meta.Count > 0 && !sr.r.delta {
+		return fmt.Errorf("%w: segment payload is not a delta stream", ErrCorrupt)
+	}
+	return nil
+}
+
+// cut reports a payload that ends before its frame does.
+func (sr *SegmentReader) cut() error {
+	return fmt.Errorf("%w: segment payload cut at %d of %d bytes", ErrTruncated, len(sr.r.data), sr.frame)
+}
+
+// SkipStamps makes Next check every record as a full decode does — the
+// delta bases, both inputs of every derived record, tick count and order,
+// the width budget, the record count against the payload — without
+// rebuilding any stamp: Next then returns nil vectors. A scan accepts and
+// rejects exactly the inputs a full decode does, at the same record and
+// with the same error class. The mode holds across Reset; set it before
+// the first Next.
+func (sr *SegmentReader) SkipStamps() { sr.r.scan = true }
 
 // Meta returns the segment's header.
 func (sr *SegmentReader) Meta() SegmentMeta { return sr.meta }
@@ -250,28 +351,29 @@ func (sr *SegmentReader) RecordKinds() RecordKinds {
 }
 
 // Next returns the next record: the event (with its global trace index
-// restored) and its stamp grown to the record's clock width. The vector
-// aliases the reader's internal state and is valid only until the next call;
-// clone it to retain it. Next reports io.EOF after the segment's last
-// record, ErrTruncated when the payload stops mid-segment, and ErrCorrupt
-// when the payload disagrees with the header.
+// restored) and its stamp grown to the record's clock width, or nil after
+// SkipStamps. The vector aliases the reader's internal state and is valid
+// only until the next call; clone it to retain it. Next reports io.EOF
+// after the segment's last record, ErrTruncated when the payload stops
+// mid-segment, and ErrCorrupt when the payload disagrees with the header.
 func (sr *SegmentReader) Next() (event.Event, vclock.Vector, error) {
 	if sr.read == sr.meta.Count {
 		// All records delivered; the payload must be exactly used up, or
-		// the header lied about the count. Probing the inner reader (rather
-		// than checking the length frame) also drains the frame, leaving a
-		// shared *bufio.Reader positioned at the next segment.
-		if _, _, err := sr.r.NextShared(); err == nil {
+		// the header lied about the count.
+		if _, _, err := sr.r.next(true); err == nil {
 			return event.Event{}, nil, fmt.Errorf("%w: segment payload holds more than %d records", ErrCorrupt, sr.meta.Count)
 		} else if err != io.EOF {
 			return event.Event{}, nil, fmt.Errorf("%w: trailing segment payload bytes: %v", ErrCorrupt, err)
+		}
+		if uint64(len(sr.r.data)) < sr.frame {
+			return event.Event{}, nil, sr.cut()
 		}
 		// The segment is complete, so its running stamps go back to the
 		// pool for the next segment decoded.
 		sr.r.release()
 		return event.Event{}, nil, io.EOF
 	}
-	e, v, err := sr.r.NextShared()
+	e, v, err := sr.r.next(true)
 	if err == io.EOF {
 		// The payload ran out before the promised record count.
 		return event.Event{}, nil, fmt.Errorf("%w: segment payload ends after %d of %d records", ErrTruncated, sr.read, sr.meta.Count)
@@ -286,7 +388,7 @@ func (sr *SegmentReader) Next() (event.Event, vclock.Vector, error) {
 		sr.run, sr.runPos = sr.run+1, 0
 	}
 	sr.read++
-	if len(v) < width {
+	if len(v) < width && !sr.r.scan {
 		// Pad to the recorded clock width in the retained buffer (the
 		// reconstruction state's own storage grows exactly, so growing it
 		// per record would allocate per record).

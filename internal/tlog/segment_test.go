@@ -316,11 +316,11 @@ func TestNextSharedMatchesNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			data := buf.Bytes()
-			a, err := NewReader(bytes.NewReader(data))
+			a, err := NewReader(data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := NewReader(bytes.NewReader(data))
+			b, err := NewReader(data)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package tlog
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"path/filepath"
 
 	"mixedclock/internal/event"
-	"mixedclock/internal/vclock"
 	"mixedclock/internal/vfs"
 )
 
@@ -44,10 +42,11 @@ func readCatalogFile(fsys vfs.FS, path string) (*Catalog, error) {
 // VerifySegment reads the spill file entry lists in dir and checks it the
 // way recovery does before adopting it: the file size and SHA-256 against
 // the entry, the segment header against the entry's epoch and index range,
-// and a full decode of every record. visit, when non-nil, sees each record
-// (the vector is borrowed for the call). It returns the file's bytes; any
-// disagreement is an error naming the file.
-func VerifySegment(fsys vfs.FS, dir string, entry CatalogSegment, visit func(event.Event, vclock.Vector)) ([]byte, error) {
+// and a scan of every record (SegmentReader.SkipStamps) — each check a full
+// decode runs, without rebuilding stamps. visit, when non-nil, sees each
+// record's event. It returns the file's bytes; any disagreement is an error
+// naming the file.
+func VerifySegment(fsys vfs.FS, dir string, entry CatalogSegment, visit func(event.Event)) ([]byte, error) {
 	if entry.Path == "" {
 		return nil, fmt.Errorf("tlog: segment [%d,%d): no spill file recorded",
 			entry.FirstIndex, entry.FirstIndex+entry.Events)
@@ -64,7 +63,7 @@ func VerifySegment(fsys vfs.FS, dir string, entry CatalogSegment, visit func(eve
 			return nil, fmt.Errorf("tlog: %s: content hash mismatch", entry.Path)
 		}
 	}
-	sr, err := NewSegmentReader(bytes.NewReader(data))
+	sr, err := NewSegmentReaderBytes(data)
 	if err != nil {
 		return nil, fmt.Errorf("tlog: %s: %w", entry.Path, err)
 	}
@@ -72,8 +71,9 @@ func VerifySegment(fsys vfs.FS, dir string, entry CatalogSegment, visit func(eve
 		return nil, fmt.Errorf("tlog: %s: header says %v, catalog says epoch %d events [%d,%d)",
 			entry.Path, m, entry.Epoch, entry.FirstIndex, entry.FirstIndex+entry.Events)
 	}
+	sr.SkipStamps()
 	for {
-		e, v, err := sr.Next()
+		e, _, err := sr.Next()
 		if err == io.EOF {
 			return data, nil
 		}
@@ -81,7 +81,7 @@ func VerifySegment(fsys vfs.FS, dir string, entry CatalogSegment, visit func(eve
 			return nil, fmt.Errorf("tlog: %s: %w", entry.Path, err)
 		}
 		if visit != nil {
-			visit(e, v)
+			visit(e)
 		}
 	}
 }

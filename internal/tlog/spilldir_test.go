@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"mixedclock/internal/event"
-	"mixedclock/internal/vclock"
 	"mixedclock/internal/vfs"
 )
 
@@ -82,7 +81,7 @@ func TestVerifySegment(t *testing.T) {
 	entry.SHA256 = hex.EncodeToString(sum[:])
 
 	var seen []event.Event
-	got, err := VerifySegment(vfs.OS, dir, entry, func(e event.Event, _ vclock.Vector) { seen = append(seen, e) })
+	got, err := VerifySegment(vfs.OS, dir, entry, func(e event.Event) { seen = append(seen, e) })
 	if err != nil || string(got) != string(data) {
 		t.Fatalf("intact segment: err=%v, %d of %d bytes returned", err, len(got), len(data))
 	}

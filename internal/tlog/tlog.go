@@ -22,11 +22,19 @@
 // crash is readable up to the last complete record; ReadAll returns the
 // readable prefix together with ErrTruncated, which is exactly what failure
 // recovery wants.
+//
+// One decoder reads every stream: Reader parses records straight from a
+// byte slice with binary.Uvarint, and SegmentReader hands it a segment's
+// payload — a container already in memory with no copy, one read from an
+// io.Reader through a buffer it reuses segment after segment. Every bound
+// the decoder enforces is counted in bytes consumed, the delta format's
+// width budget included. A scan mode (SegmentReader.SkipStamps) runs every
+// check of a full decode and rebuilds no stamp, so verifying a segment
+// costs a parse of its records, not O(width) per record.
 package tlog
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,11 +73,13 @@ const (
 // Delta-format width budget: a delta pair names an absolute component
 // index, so unlike the full format a few-byte record could demand a huge
 // reconstruction up front. The reader only accepts indices below
-// deltaBudgetBase + deltaBudgetFactor × (bytes read so far), which keeps
-// reconstruction memory proportional to input size; the writer checks the
-// same inequality against bytes written and falls back to a full record —
-// which pays for its width in stream bytes, replenishing the budget — when
-// a pair would exceed it.
+// deltaBudgetBase + deltaBudgetFactor × (stream bytes consumed so far,
+// magic included), which keeps reconstruction memory proportional to input
+// size; the writer checks the same inequality against the bytes it wrote
+// before the record and falls back to a full record — which pays for its
+// width in stream bytes, replenishing the budget — when a pair would
+// exceed it. A reader has consumed at least those bytes when it meets the
+// index, so every stream a writer produced passes.
 const (
 	deltaBudgetBase   = 1 << 12
 	deltaBudgetFactor = 8
@@ -129,18 +139,24 @@ func (w *Writer) Flush() error {
 // whether records carry full vectors (version 01) or deltas and derived
 // records against running per-thread and per-object stamps (version 02),
 // and Next reconstructs full vectors transparently either way.
+//
+// A Reader parses a stream held whole in memory, with binary.Uvarint over
+// the byte slice, and copies nothing out of it; its width budget is
+// deltaBudget of the stream offset reached.
 type Reader struct {
-	r     *bufio.Reader
+	data []byte
+	off  int
+	// index is the next record's position in the stream.
 	index int
 	// delta is set for version-02 streams; rows then holds the running
-	// per-thread and per-object reconstruction state (taken from a pool on
-	// the first record, so it is reused stream after stream), and count
-	// meters the raw input so reconstruction width stays proportional to
-	// bytes actually read (the delta-format analogue of fullVector's
-	// incremental growth guard).
+	// per-thread and per-object reconstruction state, taken from a pool on
+	// the first record, so it is reused stream after stream.
 	delta bool
 	rows  *stampRows
-	count *countingReader
+	// scan makes a version-02 reader run every check on every record
+	// without rebuilding stamps: Next then returns nil vectors, and the
+	// rows track only which threads and objects have appeared.
+	scan bool
 	// scratch is the retained decode buffer NextShared reconstructs full
 	// vectors into, so steady-state shared reads allocate nothing.
 	scratch vclock.Vector
@@ -148,45 +164,40 @@ type Reader struct {
 	tags [tagDerived + 1]int
 }
 
-// countingReader meters bytes pulled from the underlying stream (bufio
-// read-ahead included, which only ever makes the budget more generous by a
-// bounded constant).
-type countingReader struct {
-	r io.Reader
-	n int64
+// NewReader validates the magic header of the stream data and returns a
+// Reader over it. Empty data (no header at all) yields a Reader that
+// immediately reports io.EOF, matching the lazy-header Writers. The Reader
+// borrows data; the caller must not modify it while reading.
+func NewReader(data []byte) (*Reader, error) {
+	r := new(Reader)
+	if err := r.reset(data); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// NewReader validates the magic header and returns a Reader. An empty
-// stream (no header at all) yields a Reader that immediately reports
-// io.EOF, matching the lazy-header Writers.
-func NewReader(r io.Reader) (*Reader, error) {
-	cr := &countingReader{r: r}
-	br := bufio.NewReader(cr)
-	head, err := br.Peek(len(magic))
-	if err == io.EOF && len(head) == 0 {
-		return &Reader{r: br, count: cr}, nil
+// reset points the reader at a new stream, keeping its mode and buffers.
+func (r *Reader) reset(data []byte) error {
+	r.data, r.off, r.index, r.delta, r.tags = data, 0, 0, false, [tagDerived + 1]int{}
+	if r.rows != nil {
+		r.rows.thr.reset()
+		r.rows.obj.reset()
 	}
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("tlog: reading header: %w", err)
+	if len(data) == 0 {
+		return nil
 	}
-	lr := &Reader{r: br, count: cr}
-	switch {
-	case bytes.Equal(head, magic[:]):
-	case bytes.Equal(head, magicDelta[:]):
-		lr.delta = true
+	if len(data) < len(magic) {
+		return ErrBadMagic
+	}
+	switch [8]byte(data) {
+	case magic:
+	case magicDelta:
+		r.delta = true
 	default:
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
-	if _, err := br.Discard(len(magic)); err != nil {
-		return nil, fmt.Errorf("tlog: discarding header: %w", err)
-	}
-	return lr, nil
+	r.off = len(magic)
+	return nil
 }
 
 // Next returns the next record. It reports io.EOF at a clean end of stream
@@ -207,12 +218,12 @@ func (r *Reader) NextShared() (event.Event, vclock.Vector, error) {
 }
 
 func (r *Reader) next(shared bool) (event.Event, vclock.Vector, error) {
-	t, err := binary.ReadUvarint(r.r)
-	if err == io.EOF {
+	if r.off == len(r.data) {
 		return event.Event{}, nil, io.EOF // clean boundary
 	}
+	t, err := r.field("thread")
 	if err != nil {
-		return event.Event{}, nil, fmt.Errorf("%w: thread field: %v", ErrTruncated, err)
+		return event.Event{}, nil, err
 	}
 	if t > maxID {
 		return event.Event{}, nil, fmt.Errorf("%w: thread ID %d", ErrCorrupt, t)
@@ -252,7 +263,7 @@ func (r *Reader) next(shared bool) (event.Event, vclock.Vector, error) {
 
 // fullVector decodes a canonical vector payload (format 01, and format 02
 // sync records). In shared mode the result lives in the reader's retained
-// scratch buffer.
+// scratch buffer; in scan mode the components are only parsed.
 func (r *Reader) fullVector(shared bool) (vclock.Vector, error) {
 	n, err := r.field("component count")
 	if err != nil {
@@ -260,6 +271,14 @@ func (r *Reader) fullVector(shared bool) (vclock.Vector, error) {
 	}
 	if n > maxComponents {
 		return nil, fmt.Errorf("%w: component count %d", ErrCorrupt, n)
+	}
+	if r.scan {
+		for i := uint64(0); i < n; i++ {
+			if _, err := r.field("component"); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
 	}
 	// Grow incrementally: each component consumes at least one input byte,
 	// so a lying count cannot force a large allocation up front.
@@ -285,7 +304,9 @@ func (r *Reader) fullVector(shared bool) (vclock.Vector, error) {
 // deltaPayload decodes a format-02 payload of thread t on object o,
 // reconstructing the full vector in the thread's running stamp, which the
 // object then takes too. In shared mode the result aliases the thread's
-// stamp instead of being cloned out of it.
+// stamp instead of being cloned out of it. In scan mode it runs the same
+// checks — a base for every delta, both inputs of every derived record,
+// tick count and order, the width budget — and rebuilds nothing.
 func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 	tag, err := r.field("tag")
 	if err != nil {
@@ -297,7 +318,7 @@ func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 	rows := r.rows
 	// Rows are dense by ID up to the width budget (a few-byte record must
 	// not make the reader allocate for a 2³¹ ID); rarer IDs go sparse.
-	limit := deltaBudget(r.count.n)
+	limit := deltaBudget(int64(r.off))
 	tr := rows.thr.row(t, limit)
 	or := rows.obj.row(o, limit)
 	switch tag {
@@ -306,12 +327,16 @@ func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Absorb the sync vector into the thread's stamp in place, zeroing
-		// any components beyond the canonical encoding's trimmed tail.
-		p := growState(rows.thr.live(tr), len(v))
-		copy(p, v)
-		clear(p[len(v):])
-		tr.v, tr.gen = p, rows.thr.gen
+		if !r.scan {
+			// Absorb the sync vector into the thread's stamp in place,
+			// zeroing any components beyond the canonical encoding's
+			// trimmed tail.
+			p := growState(rows.thr.live(tr), len(v))
+			copy(p, v)
+			clear(p[len(v):])
+			tr.v = p
+		}
+		tr.gen = rows.thr.gen
 	case tagDelta:
 		// The writer emits a full vector as every thread's first record,
 		// so a delta with no base to apply to is proof of corruption (or a
@@ -336,6 +361,9 @@ func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 			x, err := r.field("pair value")
 			if err != nil {
 				return nil, err
+			}
+			if r.scan {
+				continue
 			}
 			if int(idx) >= len(v) {
 				v = growState(v, int(idx)+1)
@@ -366,14 +394,21 @@ func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 				return nil, fmt.Errorf("%w: tick indices %d, %d not ascending", ErrCorrupt, ticks[k-1], ticks[k])
 			}
 		}
-		tr.v = joinTick(tr.v, or.v, ticks[:n])
+		if !r.scan {
+			tr.v = joinTick(tr.v, or.v, ticks[:n])
+		}
 	default:
 		return nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
 	}
 	// The record's stamp is the object's previous stamp from here on.
-	or.v = append(rows.obj.live(or)[:0], tr.v...)
+	if !r.scan {
+		or.v = append(rows.obj.live(or)[:0], tr.v...)
+	}
 	or.gen = rows.obj.gen
 	r.tags[tag]++
+	if r.scan {
+		return nil, nil
+	}
 	if shared {
 		return tr.v, nil
 	}
@@ -395,7 +430,7 @@ func (r *Reader) componentIndex(name string) (uint64, error) {
 	if idx >= maxComponents {
 		return 0, fmt.Errorf("%w: component index %d", ErrCorrupt, idx)
 	}
-	if idx >= deltaBudget(r.count.n) {
+	if idx >= deltaBudget(int64(r.off)) {
 		return 0, fmt.Errorf("%w: component index %d exceeds stream budget", ErrCorrupt, idx)
 	}
 	return idx, nil
@@ -532,13 +567,51 @@ func (r *Reader) release() {
 	}
 }
 
+// field parses one uvarint. A stream that ends inside it is truncated; so,
+// as with every field since the first format, is a varint running past 64
+// bits. Varints of one and two bytes — nearly every field of a segment,
+// whose IDs and tick indices mostly lie either side of 128 — are decoded
+// without a branch on which they are, which the CPU could not predict.
 func (r *Reader) field(name string) (uint64, error) {
-	x, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s field: %v", ErrTruncated, name, err)
+	if x, n := shortUvarint(r.data[r.off:]); n > 0 {
+		r.off += n
+		return x, nil
 	}
+	return r.longField(name)
+}
+
+// shortUvarint decodes a varint of one or two bytes at the head of d
+// without branching on which it is; n is 0 when d does not start with one
+// followed by at least one more byte.
+func shortUvarint(d []byte) (x uint64, n int) {
+	if len(d) < 2 {
+		return 0, 0
+	}
+	b0, b1 := uint64(d[0]), uint64(d[1])
+	more := b0 >> 7 // 1 when the varint goes on past its first byte
+	if b1&(more<<7) != 0 {
+		return 0, 0
+	}
+	return b0&0x7f | b1*more<<7, int(1 + more)
+}
+
+// longField is field's path for a varint of several bytes, or none.
+func (r *Reader) longField(name string) (uint64, error) {
+	x, n := binary.Uvarint(r.data[r.off:])
+	if n <= 0 {
+		cause := io.ErrUnexpectedEOF
+		if n < 0 {
+			cause = errOverflow
+		}
+		return 0, fmt.Errorf("%w: %s field: %v", ErrTruncated, name, cause)
+	}
+	r.off += n
 	return x, nil
 }
+
+// errOverflow is the cause a field reports when its varint does not fit in
+// 64 bits.
+var errOverflow = errors.New("varint overflows a 64-bit integer")
 
 // WriteAll writes a whole timestamped computation.
 func WriteAll(w io.Writer, tr *event.Trace, stamps []vclock.Vector) error {
@@ -554,11 +627,15 @@ func WriteAll(w io.Writer, tr *event.Trace, stamps []vclock.Vector) error {
 	return lw.Flush()
 }
 
-// ReadAll reads every complete record. On truncation it returns the
-// readable prefix together with an error wrapping ErrTruncated, so crash
-// recovery can proceed with what survived.
+// ReadAll reads r whole, then every complete record. On truncation it
+// returns the readable prefix together with an error wrapping
+// ErrTruncated, so crash recovery can proceed with what survived.
 func ReadAll(r io.Reader) (*event.Trace, []vclock.Vector, error) {
-	lr, err := NewReader(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("tlog: reading: %w", err)
+	}
+	lr, err := NewReader(data)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -129,7 +129,7 @@ func TestReaderNextSequencing(t *testing.T) {
 	if err := WriteAll(&buf, tr, stamps); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,7 @@ package track
 
 import (
 	"fmt"
+	"slices"
 
 	"mixedclock/internal/event"
 )
@@ -102,6 +103,8 @@ type Batch struct {
 	th   *Thread
 	objs []*Object
 	ops  []event.Op
+	// out is the stamps buffer Commit returns, reused commit after commit.
+	out []Stamped
 }
 
 // NewBatch returns an empty batch for the thread.
@@ -130,11 +133,16 @@ func (b *Batch) Len() int { return len(b.ops) }
 // and one trace-index fetch; operations of one sub-run are contiguous in
 // the trace, and sub-runs commit in program order (later sub-runs get
 // higher indices). An empty batch returns nil.
+//
+// The returned slice is the batch's own buffer, valid until its next
+// Commit, so a steady stream of commits allocates nothing; copy the
+// stamps (or append them elsewhere) to keep them longer.
 func (b *Batch) Commit() []Stamped {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	out := make([]Stamped, len(b.ops))
+	out := slices.Grow(b.out[:0], len(b.ops))[:len(b.ops)]
+	b.out = out
 	for i := 0; i < len(b.ops); {
 		j := i + 1
 		for j < len(b.ops) && b.objs[j] == b.objs[i] {

@@ -20,7 +20,8 @@ import (
 // MVCLOG01 full-vector log: the stamps the tracker returned. Open must
 // adopt every listed segment, quarantine nothing, and Stream must yield
 // exactly those stamps, width for width; appending to the reopened run
-// must still seal.
+// must still seal. The clocks Open restores from the newest segments must
+// equal a replay of the whole resumed epoch.
 func TestOpenLegacyDelta02Directory(t *testing.T) {
 	f, err := os.Open(filepath.Join("testdata", "legacy-stamps.mvclog"))
 	if err != nil {
@@ -54,10 +55,12 @@ func TestOpenLegacyDelta02Directory(t *testing.T) {
 		}
 	}
 
+	wantThreads, wantObjects := epochClocks(t, dir)
 	tr := mustOpen(t, dir)
 	if q := tr.Recovery().Quarantined; len(q) != 0 {
 		t.Fatalf("Open quarantined %v", q)
 	}
+	checkRecoveredClocks(t, tr, wantThreads, wantObjects)
 	if got := len(tr.Segments()); got != 40 {
 		t.Fatalf("Open adopted %d segments, want 40", got)
 	}

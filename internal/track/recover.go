@@ -5,9 +5,11 @@
 // buffers, the merged tail, seals whose catalog publication never landed —
 // is the unsealed suffix a crash loses. recoverDir turns that contract into
 // a Tracker: it loads the catalog (falling back to catalog.json.prev when
-// the current one is torn), verifies every listed segment byte for byte,
-// quarantines — never deletes, never panics on — whatever disagrees, and
-// reconstructs the in-memory state the next commit needs.
+// the current one is torn), verifies every listed segment — file size and
+// SHA-256 against the catalog, the header against the listing, and a scan
+// of every record that runs each check a full decode runs without
+// rebuilding stamps — quarantines (never deletes, never panics on) whatever
+// disagrees, and reconstructs the in-memory state the next commit needs.
 //
 // Two recovery modes, chosen by how much survived:
 //
@@ -15,10 +17,14 @@
 //     listed segment verified. The run continues in the same epoch: the
 //     component cover is re-seeded from the manifest, threads and objects
 //     re-register under their recorded names, and their clocks are rebuilt
-//     by replaying the current epoch's segments — a record's stamp IS the
-//     thread's clock (and the object's clock) immediately after that event,
-//     so the last stamp seen per thread and per object is exactly the state
-//     a crashed tracker held for its sealed prefix.
+//     from their last records in the current epoch — a record's stamp IS
+//     the thread's clock (and the object's clock) immediately after that
+//     event, so the last stamp per thread and per object is exactly the
+//     state a crashed tracker held for its sealed prefix. The scan tells
+//     which segment holds each last record, and only those segments are
+//     decoded in full, usually just the newest: a segment decodes without
+//     outside state, so Open costs a parse of every record plus one
+//     segment's stamps at O(width) each, whether or not the run compacted.
 //   - New epoch (mode B): a listed segment was damaged (the verified prefix
 //     is kept, the rest quarantined) or the manifest is missing or
 //     unusable. Replaying clocks across the cut would invent causality, so
@@ -35,6 +41,7 @@ package track
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -138,21 +145,22 @@ func (t *Tracker) recoverDir(o options) error {
 
 	// Verify the listed segments in order, collecting along the way what the
 	// rebuild needs: every revealed (thread, object) edge, the largest IDs
-	// seen, and — for segments of the resume epoch — the last stamp per
-	// thread and per object, which ARE their clocks as of the sealed prefix.
-	// All three are dense and reused: a record copies its stamp into its
-	// thread's and object's buffers and tests one bit of its thread's edge
-	// row, so the scan allocates only as the ID ranges and widths grow.
-	var threadLast, objectLast []vclock.Vector
+	// seen, and — for segments of the resume epoch — which segment holds
+	// each thread's and each object's last record. The scan checks every
+	// record but rebuilds no stamp; the clocks are materialized afterwards
+	// from those last segments alone. The edge rows are dense and reused,
+	// so the scan allocates only as the ID ranges grow.
 	maxThread, maxObject := -1, -1
 	var edgeSeen [][]uint64
 	var edges [][2]int
+	var lastRecs lastRecords
 
 	goodN := len(cat.Segments)
 	damaged := false
 	for i := range cat.Segments {
 		entry := cat.Segments[i]
-		_, err := tlog.VerifySegment(t.fs, dir, entry, func(e event.Event, v vclock.Vector) {
+		inEpoch := entry.Epoch == resumeEpoch
+		data, err := tlog.VerifySegment(t.fs, dir, entry, func(e event.Event) {
 			ti, oi := int(e.Thread), int(e.Object)
 			if ti > maxThread {
 				maxThread = ti
@@ -167,17 +175,17 @@ func (t *Tracker) recoverDir(o options) error {
 				row[oi>>6] |= bit
 				edges = append(edges, [2]int{ti, oi})
 			}
-			if entry.Epoch == resumeEpoch {
-				threadLast = growTo(threadLast, ti)
-				threadLast[ti] = append(threadLast[ti][:0], v...)
-				objectLast = growTo(objectLast, oi)
-				objectLast[oi] = append(objectLast[oi][:0], v...)
+			if inEpoch {
+				lastRecs.note(e, i)
 			}
 		})
 		if err != nil {
 			t.noteErr(fmt.Errorf("track: recovering %s: %w", dir, err))
 			goodN, damaged = i, true
 			break
+		}
+		if inEpoch {
+			lastRecs.keep(i, data)
 		}
 	}
 	if damaged {
@@ -224,6 +232,18 @@ func (t *Tracker) recoverDir(o options) error {
 	resumeUsable := resume != nil && !damaged
 	if resumeUsable && (maxThread >= len(resume.Threads) || maxObject >= len(resume.Objects)) {
 		resumeUsable = false
+	}
+
+	// In mode A, rebuild each thread's and object's last stamp from the
+	// segments that hold one. They were scanned moments ago, so a decode
+	// failure here is not damage on disk; it still must not resume clocks
+	// it could not rebuild, so the run starts the next epoch instead.
+	var threadLast, objectLast []vclock.Vector
+	if resumeUsable {
+		if threadLast, objectLast, err = lastRecs.materialize(); err != nil {
+			t.noteErr(fmt.Errorf("track: recovering %s: rebuilding clocks: %w", dir, err))
+			resumeUsable = false
+		}
 	}
 
 	// Registration tables: the manifest's names, extended (mode B without a
@@ -339,7 +359,7 @@ func (t *Tracker) recoverDir(o options) error {
 
 	// Re-register threads and objects under their recorded names (dense IDs
 	// are positions, so registration order restores them) and, in mode A,
-	// restore their clocks from the replayed stamps. A thread or object with
+	// restore their clocks from the rebuilt stamps. A thread or object with
 	// no event in the resumed epoch's sealed prefix stays nil — exactly the
 	// state Compact's reset leaves.
 	for _, name := range threadNames {
@@ -408,6 +428,92 @@ func (t *Tracker) recoverDir(o options) error {
 	return nil
 }
 
+// lastRecords tracks, while recovery scans the resume epoch, where each
+// thread's and each object's last record lies, and keeps the bytes of just
+// the segments that still hold one. A segment decodes without outside
+// state — each thread's first record in it is full — so those segments
+// alone rebuild every clock: usually only the newest, whatever the epoch's
+// length.
+type lastRecords struct {
+	thread, object []recordAt
+	// data[i] is segment i's container while refs[i], the number of
+	// threads and objects whose last record it holds, is positive.
+	data [][]byte
+	refs []int
+}
+
+// recordAt locates one record: its segment's position in the catalog plus
+// one (zero for no record) and its trace index.
+type recordAt struct {
+	seg, index int
+}
+
+// note records e, read from segment seg, as its thread's and its object's
+// last record so far.
+func (l *lastRecords) note(e event.Event, seg int) {
+	l.refs = growTo(l.refs, seg)
+	l.thread = l.move(l.thread, int(e.Thread), seg, e.Index)
+	l.object = l.move(l.object, int(e.Object), seg, e.Index)
+}
+
+// move makes the record at index in segment seg the last of id in at,
+// moving its reference from the segment that held id's last record before.
+func (l *lastRecords) move(at []recordAt, id, seg, index int) []recordAt {
+	at = growTo(at, id)
+	if old := at[id].seg - 1; old != seg {
+		if old >= 0 {
+			l.refs[old]--
+		}
+		l.refs[seg]++
+	}
+	at[id] = recordAt{seg: seg + 1, index: index}
+	return at
+}
+
+// keep retains segment seg's container if it holds a last record, and
+// drops the earlier ones that no longer do.
+func (l *lastRecords) keep(seg int, data []byte) {
+	l.data = growTo(l.data, seg)
+	l.data[seg] = data
+	for i := range l.data {
+		if i < len(l.refs) && l.refs[i] == 0 {
+			l.data[i] = nil
+		}
+	}
+}
+
+// materialize decodes the kept segments and returns every thread's and
+// object's stamp at its last record, nil for one with no record.
+func (l *lastRecords) materialize() (threads, objects []vclock.Vector, err error) {
+	threads = make([]vclock.Vector, len(l.thread))
+	objects = make([]vclock.Vector, len(l.object))
+	for i, data := range l.data {
+		if data == nil {
+			continue
+		}
+		sr, err := tlog.NewSegmentReaderBytes(data)
+		if err != nil {
+			return nil, nil, err
+		}
+		for {
+			e, v, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, nil, err
+			}
+			if ti := int(e.Thread); l.thread[ti] == (recordAt{seg: i + 1, index: e.Index}) {
+				threads[ti] = v.Clone()
+			}
+			if oi := int(e.Object); l.object[oi] == (recordAt{seg: i + 1, index: e.Index}) {
+				objects[oi] = v.Clone()
+			}
+		}
+	}
+	return threads, objects, nil
+}
+
 // quarantineFile renames path aside with tlog.QuarantineSuffix, returning
 // the resulting base name ("" when the rename failed — the file then stays
 // where it is, still ignored by glob-based readers only if a later pass
@@ -422,9 +528,12 @@ func quarantineFile(fsys vfs.FS, path string) string {
 
 // clockFromVector rebuilds a backend clock equal to v. Deltas are absolute
 // assignments and v is monotone from the zero clock, so one Apply restores
-// any backend's invariants; the Grow pads trailing zeros back to v's width.
+// any backend's invariants. The clock is grown to v's width first, so its
+// trailing zeros survive and the ascending deltas never regrow it one
+// component at a time.
 func clockFromVector(b vclock.Backend, v vclock.Vector) vclock.Clock {
 	c := core.NewBackendClock(b)
+	c.Grow(len(v))
 	ds := make([]vclock.Delta, 0, len(v))
 	for i, x := range v {
 		if x != 0 {
@@ -432,7 +541,6 @@ func clockFromVector(b vclock.Backend, v vclock.Vector) vclock.Clock {
 		}
 	}
 	c.Apply(ds)
-	c.Grow(len(v))
 	return c
 }
 

@@ -70,10 +70,11 @@ type ShipReport struct {
 // whatever is current; a torn catalog.json is read from its .prev copy, as
 // recovery reads it). Each listed segment file missing from Dst — or
 // covering events past the cursor — is verified as recovery verifies it
-// (size, SHA-256, header, full decode), then copied through a temp file and
-// renamed into place; the catalog document itself is mirrored last, so Dst
-// always lists only files it already holds. Finally the cursor file in Src
-// is atomically updated to the consumed generation. Returns
+// (size, SHA-256, header, a scan of every record), then copied through a
+// temp file and renamed into place; the catalog document itself is
+// mirrored last, so Dst always lists only files it already holds. Finally
+// the cursor file in Src is atomically updated to the consumed generation.
+// Returns
 // ErrCatalogBehind (wrapped) when the catalog is still older than
 // requested.
 func (s *Shipper) ConsumeUpTo(generation int64) (*ShipReport, error) {

@@ -116,33 +116,47 @@ func (sg *segment) path() string {
 	return filepath.Join(sg.dir, sg.file)
 }
 
+// bytes returns the segment's container: the in-memory bytes themselves,
+// or the spill file read whole.
+func (sg *segment) bytes() ([]byte, error) {
+	if sg.file == "" {
+		return sg.data, nil
+	}
+	return vfs.ReadFile(sg.fsys(), sg.path())
+}
+
+// fsys returns the filesystem the spill file is read through.
+func (sg *segment) fsys() vfs.FS {
+	if sg.fs == nil {
+		return vfs.OS
+	}
+	return sg.fs
+}
+
 // open returns the segment's container bytes as a stream.
 func (sg *segment) open() (io.ReadCloser, error) {
 	if sg.file == "" {
 		return io.NopCloser(bytes.NewReader(sg.data)), nil
 	}
-	fsys := sg.fs
-	if fsys == nil {
-		fsys = vfs.OS
-	}
-	return fsys.Open(sg.path())
+	return sg.fsys().Open(sg.path())
 }
 
 // streamFrom replays the segment's records with global index in [from, to)
 // into sink (to < 0 means no upper bound) and returns how many records it
 // delivered. Records below from are decoded but not delivered — the delta
-// payload only decodes front to back. The borrowed vectors are handed
-// straight through, so a replay allocates only the reader state,
-// independent of the record count. An error opening the container is
-// returned as errSegmentVanished-wrapped so Stream can distinguish a spill
-// file retired by a concurrent compaction from a sink failure.
+// payload only decodes front to back. An in-memory container is decoded in
+// place and a spill file read whole first; the borrowed vectors are handed
+// straight through, so a replay allocates only the reader state and the
+// file's bytes, independent of the record count. An error opening the
+// container is returned as errSegmentVanished-wrapped so Stream can
+// distinguish a spill file retired by a concurrent compaction from a sink
+// failure.
 func (sg *segment) streamFrom(sink StampSink, from, to int) (int, error) {
-	rc, err := sg.open()
+	data, err := sg.bytes()
 	if err != nil {
 		return 0, fmt.Errorf("track: opening segment %v: %w (%w)", sg.meta, err, errSegmentVanished)
 	}
-	defer rc.Close()
-	sr, err := tlog.NewSegmentReader(rc)
+	sr, err := tlog.NewSegmentReaderBytes(data)
 	if err != nil {
 		return 0, fmt.Errorf("track: segment %v: %w", sg.meta, err)
 	}

@@ -23,6 +23,7 @@
 package vfs
 
 import (
+	"bytes"
 	"io"
 	"io/fs"
 	"os"
@@ -89,14 +90,23 @@ func (osFS) SyncDir(name string) error {
 	return d.Sync()
 }
 
-// ReadFile reads the named file whole through fsys.
+// ReadFile reads the named file whole through fsys. A file that reports
+// its size (an *os.File does) is read into one buffer of that size, as
+// os.ReadFile reads it, instead of one io.ReadAll regrows and recopies.
 func ReadFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	var buf bytes.Buffer
+	if st, ok := f.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil && fi.Size() > 0 && fi.Size() < 1<<40 {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	_, err = buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 // WriteFile writes data to the named file through fsys, creating or
