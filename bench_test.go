@@ -359,8 +359,8 @@ func BenchmarkSharedReveal(b *testing.B) {
 }
 
 // BenchmarkDeltaEncoding measures the Singhal–Kshemkalyani differential
-// encoding (§VI) as the tracker ships it — MVCLOG02's per-thread change sets,
-// written by tlog.WriteAllDelta — against MVCLOG01's full vectors
+// encoding (§VI) as the tracker ships it — the delta log's per-thread change
+// sets, written by tlog.WriteAllDelta — against MVCLOG01's full vectors
 // (tlog.WriteAll), in bytes per event. The stamps are the thread clock's on
 // a bursty workload (each thread performs runs of operations on one
 // object), where a thread's consecutive stamps differ in few components.

@@ -999,9 +999,9 @@ func segmentsCmd(w io.Writer, args []string, out string, n int) error {
 	if out == "" {
 		for _, ref := range refs {
 			k := ref.kinds
-			fmt.Fprintf(w, "%s: %v, %d events, %.1f B/event (%d full, %d delta, %d derived)\n",
+			fmt.Fprintf(w, "%s: %v, %d events, %.1f B/event (%d full, %d delta, %d derived-explicit, %d derived-implied)\n",
 				ref.path, ref.meta, ref.meta.Count, float64(ref.size)/float64(max(ref.meta.Count, 1)),
-				k.Full, k.Delta, k.Derived)
+				k.Full, k.Delta, k.Derived-k.Implied, k.Implied)
 			limit := ref.meta.Count
 			if n > 0 && n < limit {
 				limit = n

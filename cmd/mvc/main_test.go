@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -242,9 +243,10 @@ func TestDetectLiveLegacyDirectory(t *testing.T) {
 }
 
 // TestSegmentsTagMix pins `mvc segments`' per-segment header — B/event and
-// the counts of full, delta and derived records — on a tracker-produced
-// spill: every record is derived except where its thread or its object
-// first appears in the segment.
+// the counts of full, delta, derived-explicit and derived-implied records —
+// on a tracker-produced spill: every record is derived except where its
+// thread or its object first appears in the segment, and most derived
+// records are implied.
 func TestSegmentsTagMix(t *testing.T) {
 	tr, err := loadTrace(filepath.Join("testdata", "detect.jsonl"))
 	if err != nil {
@@ -259,14 +261,14 @@ func TestSegmentsTagMix(t *testing.T) {
 	if err := segmentsCmd(&buf, []string{spill}, "", 1); err != nil {
 		t.Fatal(err)
 	}
-	header := regexp.MustCompile(`events \[(\d+),(\d+)\], (\d+) events, ([\d.]+) B/event \((\d+) full, (\d+) delta, (\d+) derived\)`)
-	segs, derived := 0, 0
+	header := regexp.MustCompile(`events \[(\d+),(\d+)\], (\d+) events, ([\d.]+) B/event \((\d+) full, (\d+) delta, (\d+) derived-explicit, (\d+) derived-implied\)`)
+	segs, derived, implied := 0, 0, 0
 	for _, line := range strings.Split(buf.String(), "\n") {
 		m := header.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		var n [8]int
+		var n [9]int
 		for i, g := range m {
 			if i != 0 && i != 4 { // 4 is B/event
 				n[i], _ = strconv.Atoi(g)
@@ -285,14 +287,15 @@ func TestSegmentsTagMix(t *testing.T) {
 			}
 			thr[e.Thread], obj[e.Object] = true, true
 		}
-		if n[5]+n[6] != firsts || n[7] != count-firsts {
+		if n[5]+n[6] != firsts || n[7]+n[8] != count-firsts {
 			t.Fatalf("%q: want %d first appearances, the other %d records derived", line, firsts, count-firsts)
 		}
 		segs++
-		derived += n[7]
+		derived += n[7] + n[8]
+		implied += n[8]
 	}
-	if segs != 6 || derived == 0 {
-		t.Fatalf("listed %d segments with %d derived records, want 6 and some:\n%s", segs, derived, buf.String())
+	if segs != 6 || derived == 0 || 2*implied <= derived {
+		t.Fatalf("listed %d segments with %d derived records, %d implied; want 6, some, mostly implied:\n%s", segs, derived, implied, buf.String())
 	}
 }
 
@@ -615,6 +618,22 @@ func TestInspectTruncatedLog(t *testing.T) {
 	}
 }
 
+// TestInspectOverflowIsCorrupt: a log whose first field is a varint past
+// 64 bits (eleven 0xff bytes and a 0x01) is corrupt, and inspect fails on
+// it instead of reporting a truncated log.
+func TestInspectOverflowIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "over.mvclog")
+	data := append([]byte("MVCLOG01"), bytes.Repeat([]byte{0xff}, 11)...)
+	if err := os.WriteFile(path, append(data, 0x01), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := inspect(&buf, path, 0)
+	if !errors.Is(err, tlog.ErrCorrupt) || strings.Contains(buf.String(), "log truncated") {
+		t.Fatalf("inspect: err %v, output %q; want ErrCorrupt and no truncation report", err, buf.String())
+	}
+}
+
 // TestCatalogAndCompact drives the lifecycle tooling end to end: a live
 // export with aggressive sealing leaves a swarm of tiny spill files plus a
 // catalog; mvc catalog prints and verifies it; mvc compact collapses the
@@ -894,7 +913,10 @@ func TestCatalogVerifyScansRecords(t *testing.T) {
 		fresh++
 	}
 	rec := payload.Bytes()
-	for _, x := range []uint64{uint64(last.Thread), uint64(fresh), uint64(last.Op), 2, 1, 0} { // tag 2: derived
+	// MVCLOG03 header: op in bits 6–5, kind 2 (derived-explicit); then
+	// thread, object, 1 tick, index 0.
+	rec = append(rec, byte(last.Op)<<5|2)
+	for _, x := range []uint64{uint64(last.Thread), uint64(fresh), 1, 0} {
 		rec = binary.AppendUvarint(rec, x)
 	}
 	if data, err = tlog.AppendSegment(nil, sr.Meta(), widths, rec); err != nil {

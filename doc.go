@@ -83,9 +83,10 @@
 //	b.Write(account).Read(ledger).Write(account)
 //	stamps = b.Commit() // mixed objects, one round-trip per same-object run
 //
-// Commit returns the batch's own buffer, valid until the batch's next
-// Commit, so a producer reusing one batch allocates nothing per commit;
-// copy the stamps to keep them longer.
+// DoBatch returns the thread's own buffer, valid until the thread's next
+// DoBatch, and Commit the batch's own, valid until the batch's next Commit,
+// so a producer reusing either allocates nothing per commit; copy the
+// stamps to keep them longer.
 //
 // A batch claims its whole contiguous trace-index range while holding the
 // object's commit exclusion, so index order remains a linearization of
@@ -326,11 +327,14 @@
 // # Persistence
 //
 // WriteLog stores a timestamped computation with one full vector per event;
-// WriteLogDelta stores, per event whose thread and object have both
-// appeared, only the components its tick raised — the stamp is derived as
-// tick(join) of the thread's and the object's previous stamps — and for the
-// rest the components that changed against the same thread's previous
-// stamp (with periodic full-vector sync points), so a log costs a few bytes
-// per event whatever the clock width. Both formats tolerate truncation, and
-// ReadLog auto-detects which one a stream carries.
+// WriteLogDelta (format MVCLOG03) stores, per event whose thread and object
+// have both appeared, only which components its tick raised — the stamp is
+// derived as tick(join) of the thread's and the object's previous stamps,
+// and a tick the thread's or the object's previous record also made costs
+// a bit in the record's header byte, as does an object that is the
+// thread's previous one — and for the rest the components that changed
+// against the same thread's previous stamp (with periodic full-vector sync
+// points), so a log costs about four bytes per event whatever the clock
+// width. Every format tolerates truncation, and ReadLog auto-detects which
+// one a stream carries, the older MVCLOG02 delta logs included.
 package mixedclock

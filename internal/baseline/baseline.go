@@ -3,7 +3,7 @@
 // component per thread), the object-based vector clock (one component per
 // object), and the Agarwal–Garg chain clock. The Singhal–Kshemkalyani
 // differential encoding, which the related-work section notes can be
-// layered on any of these clocks, lives in internal/tlog: MVCLOG02's
+// layered on any of these clocks, lives in internal/tlog: the delta log's
 // per-thread DeltaWriter ships each stamp as the components that changed
 // since the same thread's previous stamp.
 package baseline

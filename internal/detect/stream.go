@@ -8,7 +8,7 @@ import (
 
 // This file holds the analyses as accumulators that consume one (event,
 // epoch, stamp) record at a time — no materialized []Stamped, no oracle.
-// track.Monitor and `mvc detect -live` feed them straight off the MVCLOG02
+// track.Monitor and `mvc detect -live` feed them straight off the sealed
 // delta stream, per sealed segment; ScheduleSensitivePairs feeds the
 // PairScanner a recorded trace's thread-clock stamps.
 
@@ -24,13 +24,35 @@ import (
 // epochs are separated by a Compact barrier and counted as ordered, even
 // though their raw clock values (which restart each epoch) are
 // incomparable.
+//
+// A pair costs O(1), not a stamp comparison. By the §III-C rule every
+// event ticks a component, and the value it ticks it to first appears
+// there — so by Theorem 2 an earlier event r happened before a later v of
+// its epoch exactly when v[c] ≥ r[c], for any component c that r ticked.
+// The window holds each row's ticked component and value beside its stamp
+// (hb.Tick). The accumulator finds them in one pass over the stamp against
+// the running maximum of every component over the epoch: v ticked c
+// exactly when v[c] exceeds that maximum. The maximum is known only once the
+// accumulator has seen its epoch from the start — from trace index 0, or
+// from an epoch change with no gap before it — so rows added after a gap
+// or a mid-epoch anchor fall back to a stamp comparison, as does a stamp
+// that raises no component past the maximum (one no mixed clock gives),
+// until the next epoch.
 type CensusAccumulator struct {
 	census  Census
 	skipped int
+	// hi is the running maximum of every component over the stamps of
+	// epoch; exact reports that it covers the epoch from its start. next
+	// is the trace index the next Add continues without a gap.
+	hi      []uint64
+	exact   bool
+	started bool
+	epoch   int
+	next    int
 }
 
 // Add folds event i's stamp into the census: it compares the stamp with
-// the window w, then pushes it there as w.Add(i, epoch, v) would. w must be
+// the window w, then pushes it there with the component it ticked. w must be
 // fed only through this accumulator (Reset aside), so it holds the most
 // recent w.Len() counted events and the rest are the pairs Skipped
 // reports. The vector is borrowed.
@@ -38,15 +60,57 @@ func (a *CensusAccumulator) Add(w *hb.Recent, i, epoch int, v vclock.Vector) {
 	n := w.Len()
 	a.skipped += a.census.Events - n
 	a.census.Total += n
-	for k := 0; k < n; k++ {
-		if e, r := w.Row(k); e == epoch && r.Concurrent(v) {
-			a.census.Concurrent++
-		} else {
-			a.census.Ordered++
+	concurrent := 0
+	for k := range n {
+		e, t := w.RowTick(k)
+		switch {
+		case e != epoch:
+		case t.Val > 0:
+			if t.C >= len(v) || v[t.C] < t.Val {
+				concurrent++
+			}
+		default:
+			if _, s := w.Row(k); s.Concurrent(v) {
+				concurrent++
+			}
 		}
 	}
+	a.census.Concurrent += concurrent
+	a.census.Ordered += n - concurrent
 	a.census.Events++
-	w.Add(i, epoch, v)
+	w.AddTick(i, epoch, v, a.tick(i, epoch, v))
+}
+
+// tick advances the epoch's running maximum over v and returns v's tick:
+// the first component v raises past the maximum, which v ticked, or
+// the zero hb.Tick when the maximum is not known or v raises none.
+func (a *CensusAccumulator) tick(i, epoch int, v vclock.Vector) hb.Tick {
+	switch {
+	case !a.started || i != a.next: // an anchor or a gap
+		a.exact = i == 0
+		clear(a.hi)
+	case epoch != a.epoch:
+		a.exact = true
+		clear(a.hi)
+	}
+	a.started, a.epoch, a.next = true, epoch, i+1
+	var t hb.Tick
+	if !a.exact {
+		return t
+	}
+	if len(v) > len(a.hi) {
+		a.hi = append(a.hi, make([]uint64, len(v)-len(a.hi))...)
+	}
+	hi := a.hi[:len(v)]
+	for c, x := range v {
+		if x > hi[c] {
+			if t.Val == 0 {
+				t = hb.Tick{C: c, Val: x}
+			}
+			hi[c] = x
+		}
+	}
+	return t
 }
 
 // Census returns the counts so far. Total covers only compared pairs; add

@@ -68,6 +68,111 @@ func TestCensusAccumulatorWindowAccounting(t *testing.T) {
 	}
 }
 
+// TestCensusPairsMatchCompare holds the census's O(1) pair test — the
+// earlier event's ticked component against the later stamp — to a stamp
+// comparison of every compared pair. Every generator workload is stamped
+// by the online mixed clock, whose width grows as edges are revealed, in
+// three epochs (a fresh clock each, as a Compact restarts the values), and
+// fed with windows of 1, 16 and unbounded; the window is reset mid-epoch
+// once with no gap, which keeps the running maximum, and once at a gap of
+// ten unfed records, after which rows fall back to stamp comparisons
+// until the next epoch starts.
+func TestCensusPairsMatchCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const (
+		epochLen = 100
+		reset    = 50  // window reset, no gap
+		gap      = 150 // window reset, records [gap, gap+10) unfed
+	)
+	for _, wl := range trace.Workloads() {
+		tr, err := trace.Generate(wl, trace.Config{Threads: 6, Objects: 7, Events: 4 * epochLen, ReadFraction: 0.4}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() < 3*epochLen {
+			t.Fatalf("%v: %d events", wl, tr.Len())
+		}
+		var stamps []vclock.Vector
+		for lo := 0; lo < 3*epochLen; lo += epochLen {
+			sub := event.NewTrace()
+			for i := lo; i < lo+epochLen; i++ {
+				e := tr.At(i)
+				sub.Append(e.Thread, e.Object, e.Op)
+			}
+			stamps = append(stamps, clock.Run(sub, core.NewOnlineMixedClock(core.NewHybrid()))...)
+		}
+		if len(stamps[0]) >= len(stamps[epochLen-1]) {
+			t.Fatalf("%v: the clock did not grow within the first epoch", wl)
+		}
+		for _, window := range []int{1, 16, 0} {
+			var acc detect.CensusAccumulator
+			w := hb.NewRecent(window)
+			type row struct {
+				epoch int
+				v     vclock.Vector
+			}
+			var ref []row
+			var want detect.Census
+			skipped := 0
+			for i, v := range stamps {
+				if i >= gap && i < gap+10 {
+					continue
+				}
+				if i == reset || i == gap+10 {
+					w.Reset()
+					ref = ref[:0]
+				}
+				epoch := i / epochLen
+				if window > 0 && len(ref) > window {
+					ref = ref[len(ref)-window:]
+				}
+				skipped += want.Events - len(ref)
+				for _, r := range ref {
+					want.Total++
+					if r.epoch == epoch && r.v.Concurrent(v) {
+						want.Concurrent++
+					} else {
+						want.Ordered++
+					}
+				}
+				want.Events++
+				ref = append(ref, row{epoch, v})
+				acc.Add(w, i, epoch, v)
+				if got := acc.Census(); got != want || acc.Skipped() != skipped {
+					t.Fatalf("%v W=%d after record %d: census %+v skipped %d, want %+v skipped %d",
+						wl, window, i, got, acc.Skipped(), want, skipped)
+				}
+				// Rows after the gap and before the next epoch, and only
+				// those, compare by stamp.
+				wantFallbacks := 0
+				switch {
+				case i < gap:
+				case i < 2*epochLen:
+					wantFallbacks = w.Len()
+				default:
+					wantFallbacks = max(0, w.Len()-(i-2*epochLen+1))
+				}
+				if got := fallbackRows(w); got != wantFallbacks {
+					t.Fatalf("%v W=%d after record %d: %d of %d rows compared by stamp, want %d",
+						wl, window, i, got, w.Len(), wantFallbacks)
+				}
+			}
+		}
+	}
+}
+
+// fallbackRows counts the rows of w the census compares by stamp, not by
+// the component their event ticked.
+func fallbackRows(w *hb.Recent) int {
+	n := 0
+	for k := range w.Len() {
+		if _, t := w.RowTick(k); t.Val == 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // sortPairs orders pairs by first event index so the streaming emission
 // order (by completing event) can be compared against the oracle's order.
 // Each event has one object successor, so first events are unique.

@@ -20,6 +20,10 @@ import (
 // nothing. Rows are zero-padded to the slab's width, which Compare treats
 // as the same stamp. Queries on events that have slid out of the window
 // report ok=false rather than guessing.
+//
+// Beside each stamp a row can hold the Tick its event made, which lets a
+// caller that knows it (detect's census) order the row against a later
+// stamp of its epoch in O(1); the window's own queries do not use it.
 type Recent struct {
 	window int // row limit; <= 0 is unbounded
 	first  int // global index of the oldest retained row
@@ -27,7 +31,23 @@ type Recent struct {
 	head   int // slot of the oldest row
 	width  int // components per slot
 	slab   []uint64
-	epochs []int // per slot; len(epochs) is the slot count
+	meta   []rowMeta // per slot; len(meta) is the slot count
+}
+
+// rowMeta is a row's epoch and tick.
+type rowMeta struct {
+	epoch int
+	tick  Tick
+}
+
+// Tick is a component an event ticked and the value it ticked it to: by
+// the §III-C rule that value first appears there with the event, so by
+// Theorem 2 the event happened before a later event f of its epoch exactly
+// when stamp(f)[C] ≥ Val. A tick raises its component to 1 or more, so
+// the zero Tick (Val 0) stands for a tick that is not known.
+type Tick struct {
+	C   int
+	Val uint64
 }
 
 // NewRecent returns an empty window retaining the last window stamps;
@@ -39,20 +59,24 @@ func NewRecent(window int) *Recent {
 // Add appends the stamp of global trace index i. The first Add after
 // NewRecent or Reset anchors the window at i; after that indices must be
 // gapless (i == Hi()). The vector is borrowed: it is copied into the ring.
-func (r *Recent) Add(i, epoch int, v vclock.Vector) {
+// The row's tick is not known.
+func (r *Recent) Add(i, epoch int, v vclock.Vector) { r.AddTick(i, epoch, v, Tick{}) }
+
+// AddTick is Add for an event known to have made tick t.
+func (r *Recent) AddTick(i, epoch int, v vclock.Vector, t Tick) {
 	if r.n == 0 {
 		r.first, r.head = i, 0
 	} else if i != r.Hi() {
 		panic(fmt.Sprintf("hb: Recent.Add(%d): want index %d (indices must be gapless)", i, r.Hi()))
 	}
-	slots := len(r.epochs)
+	slots := len(r.meta)
 	if r.n == slots && (r.window <= 0 || r.n < r.window) {
 		slots = max(2*slots, 16)
 		if r.window > 0 {
 			slots = min(slots, r.window)
 		}
 	}
-	if slots != len(r.epochs) || len(v) > r.width {
+	if slots != len(r.meta) || len(v) > r.width {
 		r.relay(slots, max(r.width, len(v)))
 	}
 	s := r.slot(r.n)
@@ -65,27 +89,27 @@ func (r *Recent) Add(i, epoch int, v vclock.Vector) {
 	}
 	row := r.slab[s*r.width : (s+1)*r.width]
 	clear(row[copy(row, v):])
-	r.epochs[s] = epoch
+	r.meta[s] = rowMeta{epoch, t}
 }
 
 // relay moves the retained rows into a fresh slab of slots rows × width
 // components, oldest first.
 func (r *Recent) relay(slots, width int) {
 	slab := make([]uint64, slots*width)
-	epochs := make([]int, slots)
+	meta := make([]rowMeta, slots)
 	for k := 0; k < r.n; k++ {
 		s := r.slot(k)
 		copy(slab[k*width:], r.slab[s*r.width:(s+1)*r.width])
-		epochs[k] = r.epochs[s]
+		meta[k] = r.meta[s]
 	}
-	r.slab, r.epochs, r.width, r.head = slab, epochs, width, 0
+	r.slab, r.meta, r.width, r.head = slab, meta, width, 0
 }
 
 // slot maps the k-th oldest row to its slot.
 func (r *Recent) slot(k int) int {
 	s := r.head + k
-	if s >= len(r.epochs) {
-		s -= len(r.epochs)
+	if s >= len(r.meta) {
+		s -= len(r.meta)
 	}
 	return s
 }
@@ -104,7 +128,14 @@ func (r *Recent) Len() int { return r.n }
 func (r *Recent) Row(k int) (epoch int, v vclock.Vector) {
 	s := r.slot(k)
 	lo, hi := s*r.width, (s+1)*r.width
-	return r.epochs[s], r.slab[lo:hi:hi]
+	return r.meta[s].epoch, r.slab[lo:hi:hi]
+}
+
+// RowTick returns the k-th oldest retained record's epoch and tick,
+// 0 ≤ k < Len().
+func (r *Recent) RowTick(k int) (epoch int, t Tick) {
+	m := &r.meta[r.slot(k)]
+	return m.epoch, m.tick
 }
 
 // Lo returns the smallest retained global index; events below it have been

@@ -5,76 +5,191 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 
 	"mixedclock/internal/event"
 	"mixedclock/internal/vclock"
 )
 
-// Delta-encoded log format (version 02). Within one thread, consecutive
-// stamps differ in only the components the event changed — on wide clocks a
-// handful out of k — so shipping the full vector per record wastes both
-// bytes and writer time. And most records need not carry even that: by the
-// §III-C update rule an event's stamp is
+// Delta-encoded log formats (versions 02 and 03). Within one thread,
+// consecutive stamps differ in only the components the event changed — on
+// wide clocks a handful out of k — so shipping the full vector per record
+// wastes both bytes and writer time. And most records need not carry even
+// that: by the §III-C update rule an event's stamp is
 //
 //	V(e) = tick(join(V(thread's previous event), V(object's previous event)))
 //
 // with both clocks then set to V(e), so once the thread and the object have
 // each appeared in the stream, the record only has to say which components
-// the tick raised.
+// the tick raised — and those are nearly always components the thread's or
+// the object's previous record ticked too, which the reader already has.
 //
-// Format: the 8-byte magic "MVCLOG02", then one record per event:
+// A record carries one of four payload kinds:
+//
+//   - full: a canonical vector (uvarint count + uvarint components,
+//     trailing zeros trimmed).
+//   - delta: a uvarint pair count and that many (uvarint index, uvarint
+//     value) pairs, applied to the same thread's previous stamp in order,
+//     later entries overriding earlier ones, so a raw change capture (which
+//     may mention a component twice: join raise, then tick) is a valid
+//     payload as-is.
+//   - derived-explicit: a uvarint tick count, 1 or 2, and that many
+//     strictly ascending uvarint tick indices. The stamp is the
+//     componentwise maximum of the thread's and the object's previous
+//     stamps in the stream, as wide as the wider of the two (and as the
+//     highest tick index + 1), plus 1 at each tick index. A derived record
+//     whose thread or object has no earlier record in the stream is
+//     corrupt.
+//   - derived-implied (version 03 only): a derived record with no payload;
+//     its ticks are picked from the candidates by a mask in the header. The
+//     candidates are the ascending distinct tick indices of the thread's
+//     previous record and of the object's previous record in the stream,
+//     each counted only when that record is derived — so at most four. A
+//     mask bit at or beyond the candidate count, an empty mask, or a mask
+//     of more than two bits is corrupt.
+//
+// Version 02 ("MVCLOG02", still read, no longer written) frames a record as
 //
 //	uvarint thread | uvarint object | uvarint op | uvarint tag | payload
 //
-// with three payload kinds:
+// with tag 0 full, 1 delta and 2 derived-explicit. Version 03 ("MVCLOG03",
+// what DeltaWriter writes) frames it as
 //
-//   - tag 0 (full): a canonical vector (uvarint count + uvarint components,
-//     trailing zeros trimmed).
-//   - tag 1 (delta): a uvarint pair count and that many (uvarint index,
-//     uvarint value) pairs, applied to the same thread's previous stamp in
-//     order, later entries overriding earlier ones, so a raw change capture
-//     (which may mention a component twice: join raise, then tick) is a
-//     valid payload as-is.
-//   - tag 2 (derived): a uvarint tick count, 1 or 2, and that many strictly
-//     ascending uvarint tick indices. The stamp is the componentwise
-//     maximum of the thread's and the object's previous stamps in the
-//     stream, as wide as the wider of the two (and as the highest tick
-//     index + 1), plus 1 at each tick index. A derived record whose thread
-//     or object has no earlier record in the stream is corrupt.
+//	header byte | uvarint thread | [uvarint object] | [uvarint op] | payload
 //
-// Every record, whatever its tag, becomes both its thread's and its
-// object's previous stamp. A thread's first record is full; a record whose
+// where the header byte is, from the high bit down:
+//
+//	bit 7     implied: the record is derived-implied
+//	bits 6–5  op: 0 write, 1 read, 2 escape (a uvarint op follows the
+//	          object), 3 corrupt
+//	bit 4     same object: the record's object is its thread's previous
+//	          record's object in the stream, and the object field is
+//	          omitted (corrupt on a thread's first record)
+//	bits 3–0  the tick mask when implied; otherwise the kind — 0 full,
+//	          1 delta, 2 derived-explicit, 3 and up corrupt
+//
+// So a derived record costs a header byte and its thread ID, plus its
+// object ID about half the time, plus its tick indices in the rare case
+// they are not among the candidates.
+//
+// Every record, whatever its kind, becomes both its thread's and its
+// object's previous record. A thread's first record is full; a record whose
 // thread and object have both appeared is derived whenever its stamp is
 // exactly tick(join) with one or two ticks (the tracker's always are, and
-// Append checks it from the stamps); the rest — an object's first record,
-// or a stamp the rule does not explain — are deltas, or full at the
+// Append checks it from the stamps) — implied when its ticks are among the
+// candidates, explicit otherwise; the rest — an object's first record, or
+// a stamp the rule does not explain — are deltas, or full at the
 // per-thread sync points every SyncEvery records. A derivable record takes
 // precedence over a due sync point: a derived record depends on the
 // object's stamp as much as the thread's, so a full vector on the thread
 // would not make the stream seekable from there anyway, and a segment is
 // always replayed from its start — the syncs would only add bytes (the
-// next non-derived record of the thread takes the sync instead). Tick
-// indices pass the same width budget as delta pairs; a tick beyond it
+// next non-derived record of the thread takes the sync instead). Explicit
+// tick indices pass the same width budget as delta pairs; a tick beyond it
 // falls back to a full record, which pays for its width in stream bytes.
-// Records are self-delimiting; truncation semantics match the full format.
+// Implied ticks were explicit in some earlier record, so the budget
+// already passed them. Records are self-delimiting; truncation semantics
+// match the full format.
 //
 // Readers auto-detect the version from the magic, so ReadAll and Reader
-// accept either format transparently.
+// accept every format transparently.
 
-// magicDelta identifies the delta-encoded format.
-var magicDelta = [8]byte{'M', 'V', 'C', 'L', 'O', 'G', '0', '2'}
+// magicDelta identifies version 02 of the delta format, which readers
+// still accept; magicCompact identifies version 03, which DeltaWriter
+// writes.
+var (
+	magicDelta   = [8]byte{'M', 'V', 'C', 'L', 'O', 'G', '0', '2'}
+	magicCompact = [8]byte{'M', 'V', 'C', 'L', 'O', 'G', '0', '3'}
+)
 
-// Record payload tags of the delta format.
+// Record kinds of the delta formats: versions 02 and 03 share the first
+// three (as 02's tags and 03's header kinds); kindImplied is 03's header
+// implied bit.
 const (
-	tagFull    = 0
-	tagDelta   = 1
-	tagDerived = 2
+	tagFull     = 0
+	tagDelta    = 1
+	tagDerived  = 2
+	kindImplied = 3
+)
+
+// Version-03 header bits; see the format description.
+const (
+	hdrImplied    = 0x80
+	hdrOpShift    = 5
+	hdrOpMask     = 3
+	hdrSameObject = 0x10
+	hdrLow        = 0x0f
+	// hdrOpEscape is the op field's escape; below it, the field holds
+	// event.OpWrite (0) or event.OpRead (1) as it is.
+	hdrOpEscape = 2
 )
 
 // maxTicks is the most ticks a derived record carries: an event raises its
 // thread's component, its object's, or both.
 const maxTicks = 2
+
+// noTick pads a tickSet's unused slots; it sorts after every tick index.
+const noTick = math.MaxUint64
+
+// tickSet is the tick indices of a derived record, ascending, padded with
+// noTick; noTicks, a record of any other kind's, has none.
+type tickSet [maxTicks]uint64
+
+var noTicks = tickSet{noTick, noTick}
+
+// len returns how many ticks s holds.
+func (s *tickSet) len() int {
+	switch {
+	case s[0] == noTick:
+		return 0
+	case s[1] == noTick:
+		return 1
+	}
+	return 2
+}
+
+// candidates writes the implied-tick candidates of a record whose
+// thread's previous record ticked a and whose object's previous record
+// ticked b — their ascending distinct indices — to c and returns how many
+// there are. The slots of c past them hold no candidate but may hold
+// anything.
+//
+// How many candidates there are, and which slots repeat, varies record to
+// record, so nothing here branches on it: the two ascending pairs merge in
+// three compare-exchanges (the padding sorts last), each merged slot goes
+// to c[n] whether or not it then counts, and the two tests on whether it
+// counts are joined with &, since && compiles to a branch. A loop that
+// appended the distinct slots made BenchmarkSegmentDecode/scan 14% slower
+// (76.0 → 86.9 ns/event, medians of five alternating runs, 2-vCPU x86
+// VM), and && in place of & 19% slower (61.0 → 72.8, six runs).
+func candidates(a, b *tickSet, c *[2 * maxTicks]uint64) int {
+	s0, s3 := min(a[0], b[0]), max(a[1], b[1])
+	s1, s2 := max(a[0], b[0]), min(a[1], b[1])
+	s1, s2 = min(s1, s2), max(s1, s2)
+	c[0] = s0
+	n := bit(s0 != noTick)
+	c[n&3] = s1
+	n += bit(s1 != s0) & bit(s1 != noTick)
+	c[n&3] = s2
+	n += bit(s2 != s1) & bit(s2 != noTick)
+	c[n&3] = s3
+	return n + bit(s3 != s2)&bit(s3 != noTick)
+}
+
+// slotsOf returns the mask of the slots of c that hold x, comparing all
+// four without a branch.
+func slotsOf(c *[2 * maxTicks]uint64, x uint64) byte {
+	return byte(bit(c[0] == x)) | byte(bit(c[1] == x))<<1 | byte(bit(c[2] == x))<<2 | byte(bit(c[3] == x))<<3
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // DefaultSyncEvery is how often (per thread) the delta writer emits a full
 // vector when no explicit interval is configured. Small enough to bound
@@ -82,8 +197,8 @@ const maxTicks = 2
 // noise on wide clocks.
 const DefaultSyncEvery = 64
 
-// DeltaWriter appends timestamped events to a stream in the delta format.
-// Call Flush before closing the underlying writer.
+// DeltaWriter appends timestamped events to a stream in the delta format,
+// version 03. Call Flush before closing the underlying writer.
 //
 // The writer keeps one vector of state per thread (and, for Append, per
 // object) and reuses its encode buffer, so steady-state appends do not
@@ -114,20 +229,25 @@ type DeltaWriter struct {
 
 // threadLogState is the writer's running view of one thread: the thread's
 // previous stamp and how many records since its last full vector (zero
-// meaning no record yet — the first is always full).
+// meaning no record yet — the first is always full), and, once it has a
+// record, that record's object and ticks.
 type threadLogState struct {
 	prev  vclock.Vector
 	since int
+	obj   event.ObjectID
+	ticks tickSet
 }
 
 // objectLogState is the writer's running view of one object. seen reports
 // that the object has a record in the stream, which a derived record needs
-// (the reader takes its object input from there). last is that record's
-// stamp when Append wrote it — what Append checks derivability against —
-// and valid only while known: AppendDelta takes its caller's word on
-// derivability and keeps no object vector.
+// (the reader takes its object input from there), and ticks are that
+// record's ticks. last is that record's stamp when Append wrote it — what
+// Append checks derivability against — and valid only while known:
+// AppendDelta takes its caller's word on derivability and keeps no object
+// vector.
 type objectLogState struct {
 	seen, known bool
+	ticks       tickSet
 	last        vclock.Vector
 }
 
@@ -137,8 +257,8 @@ func NewDeltaWriter(w io.Writer) *DeltaWriter { return NewDeltaWriterSync(w, Def
 
 // NewDeltaWriterSync is NewDeltaWriter with an explicit per-thread full-
 // vector interval. syncEvery < 1 means every record that is not derived is
-// written full (the v2 framing with v1 economics — still readable by the
-// same Reader).
+// written full (the delta framing with v1 economics — still readable by
+// the same Reader).
 func NewDeltaWriterSync(w io.Writer, syncEvery int) *DeltaWriter {
 	if syncEvery < 1 {
 		syncEvery = 1
@@ -190,24 +310,37 @@ func (w *DeltaWriter) Stamp(id event.ThreadID) vclock.Vector {
 	return p[:len(p):len(p)]
 }
 
-// begin writes the record prelude shared by every payload kind and returns
-// the thread's and the object's state.
+// begin writes the record prelude shared by every payload kind — the
+// header byte with its op and same-object bits (payload adds the kind),
+// the thread, the object unless the header implies it, an escaped op —
+// and returns the thread's and the object's state.
 func (w *DeltaWriter) begin(e event.Event) (st *threadLogState, ob *objectLogState, err error) {
 	if e.Thread < 0 || e.Object < 0 || e.Op < 0 {
 		return nil, nil, fmt.Errorf("tlog: negative field in event %v", e)
 	}
 	if !w.started {
-		if _, err := w.w.Write(magicDelta[:]); err != nil {
+		if _, err := w.w.Write(magicCompact[:]); err != nil {
 			return nil, nil, fmt.Errorf("tlog: writing header: %w", err)
 		}
 		w.started = true
-		w.written += int64(len(magicDelta))
+		w.written += int64(len(magicCompact))
 	}
 	st, ob = w.state(e.Thread), w.object(e.Object)
-	w.buf = w.buf[:0]
+	// The op field holds event.OpWrite and event.OpRead as they are.
+	op := byte(hdrOpEscape)
+	if e.Op <= event.OpRead {
+		op = byte(e.Op)
+	}
+	w.buf = append(w.buf[:0], op<<hdrOpShift)
 	w.buf = binary.AppendUvarint(w.buf, uint64(e.Thread))
-	w.buf = binary.AppendUvarint(w.buf, uint64(e.Object))
-	w.buf = binary.AppendUvarint(w.buf, uint64(e.Op))
+	if st.since > 0 && st.obj == e.Object {
+		w.buf[0] |= hdrSameObject
+	} else {
+		w.buf = binary.AppendUvarint(w.buf, uint64(e.Object))
+	}
+	if op == hdrOpEscape {
+		w.buf = binary.AppendUvarint(w.buf, uint64(e.Op))
+	}
 	return st, ob, nil
 }
 
@@ -222,51 +355,73 @@ func (w *DeltaWriter) syncDue(st *threadLogState, maxIdx uint64) bool {
 }
 
 // derivable reports whether a record of a thread in state st on an object
-// in state ob may be written derived with nt ticks (ascending indices
-// in ticks): the thread has a record in the stream (a seed is not one —
-// the reader never saw it), so has the object, and every tick index is
-// within the reader's width budget.
-func (w *DeltaWriter) derivable(st *threadLogState, ob *objectLogState, ticks *[maxTicks]uint64, nt int) bool {
-	return nt > 0 && st.since > 0 && ob.seen && ticks[nt-1] < deltaBudget(w.written)
+// in state ob may be written derived with the given ticks: the thread has
+// a record in the stream (a seed is not one — the reader never saw it), so
+// has the object, and every tick index is within the reader's width
+// budget.
+func (w *DeltaWriter) derivable(st *threadLogState, ob *objectLogState, ticks *tickSet) bool {
+	n := ticks.len()
+	return n > 0 && st.since > 0 && ob.seen && ticks[n-1] < deltaBudget(w.written)
 }
 
-// payload appends the record's payload to the prelude: derived when
-// derived, otherwise the thread's running stamp in full when a sync is due
-// (maxIdx is the highest pair index), otherwise the pairs in w.scratch. It
-// returns the tag written.
-func (w *DeltaWriter) payload(st *threadLogState, derived bool, ticks *[maxTicks]uint64, nt, pairs int, maxIdx uint64) uint64 {
+// payload sets the record's kind in its header and appends its payload:
+// derived when derived — implied when the ticks are among the candidates,
+// explicit otherwise — otherwise the thread's running stamp in full when a
+// sync is due (maxIdx is the highest pair index), otherwise the pairs in
+// w.scratch. It returns the kind written.
+func (w *DeltaWriter) payload(st *threadLogState, ob *objectLogState, derived bool, ticks *tickSet, pairs int, maxIdx uint64) int {
 	switch {
 	case derived:
-		w.buf = binary.AppendUvarint(w.buf, tagDerived)
-		w.buf = binary.AppendUvarint(w.buf, uint64(nt))
-		for _, i := range ticks[:nt] {
+		// A tick's mask bit is its slot among the candidates. Looking both
+		// ticks up in every slot, with no branch on which slots count or
+		// whether there is a second tick, keeps BenchmarkSeal level with
+		// the MVCLOG02 writer; a slices.Index per tick made it 13% slower.
+		var c [2 * maxTicks]uint64
+		counted := byte(1)<<candidates(&st.ticks, &ob.ticks, &c) - 1
+		m0, m1 := slotsOf(&c, ticks[0])&counted, slotsOf(&c, ticks[1])&counted
+		if m0 != 0 && (m1 != 0 || ticks[1] == noTick) {
+			w.buf[0] |= hdrImplied | m0 | m1
+			return kindImplied
+		}
+		w.buf[0] |= tagDerived
+		n := ticks.len()
+		w.buf = binary.AppendUvarint(w.buf, uint64(n))
+		for _, i := range ticks[:n] {
 			w.buf = binary.AppendUvarint(w.buf, i)
 		}
 		return tagDerived
 	case w.syncDue(st, maxIdx):
-		w.buf = binary.AppendUvarint(w.buf, tagFull)
+		w.buf[0] |= tagFull
 		w.buf = st.prev.AppendBinary(w.buf)
 		return tagFull
 	default:
-		w.buf = binary.AppendUvarint(w.buf, tagDelta)
+		w.buf[0] |= tagDelta
 		w.buf = binary.AppendUvarint(w.buf, uint64(pairs))
 		w.buf = append(w.buf, w.scratch...)
 		return tagDelta
 	}
 }
 
-// flushRecord writes the assembled record buffer and settles the thread's
-// sync counter: a full record restarts it, any other advances it.
-func (w *DeltaWriter) flushRecord(st *threadLogState, tag uint64) error {
+// flushRecord writes the assembled record buffer of event e and settles
+// the thread's sync counter — a full record restarts it, any other
+// advances it — and the record's object and ticks as its thread's and its
+// object's previous record's.
+func (w *DeltaWriter) flushRecord(st *threadLogState, ob *objectLogState, e event.Event, kind int, ticks *tickSet) error {
 	if _, err := w.w.Write(w.buf); err != nil {
 		return fmt.Errorf("tlog: writing record: %w", err)
 	}
 	w.written += int64(len(w.buf))
-	if tag == tagFull {
+	if kind == tagFull {
 		st.since = 1
 	} else {
 		st.since++
 	}
+	st.obj = e.Object
+	if kind != tagDerived && kind != kindImplied {
+		ticks = &noTicks
+	}
+	st.ticks, ob.ticks = *ticks, *ticks
+	ob.seen = true
 	return nil
 }
 
@@ -279,16 +434,15 @@ func (w *DeltaWriter) Append(e event.Event, v vclock.Vector) error {
 		return err
 	}
 	p := st.prev
-	var ticks [maxTicks]uint64
-	nt := 0
+	ticks := noTicks
 	if ob.known {
 		// Both stamps are the writer's own, and v replaces both below, so
 		// growing them to a common width costs nothing but zeros.
 		n := max(len(p), len(ob.last), len(v))
 		p, ob.last = growState(p, n), growState(ob.last, n)
-		nt = ruleTicks(p, ob.last, v, &ticks)
+		ruleTicks(p, ob.last, v, &ticks)
 	}
-	derived := w.derivable(st, ob, &ticks, nt)
+	derived := w.derivable(st, ob, &ticks)
 	pairs := 0
 	var maxIdx uint64
 	if !derived {
@@ -309,34 +463,36 @@ func (w *DeltaWriter) Append(e event.Event, v vclock.Vector) error {
 	copy(p, v)
 	clear(p[len(v):])
 	st.prev = p
-	tag := w.payload(st, derived, &ticks, nt, pairs, maxIdx)
+	kind := w.payload(st, ob, derived, &ticks, pairs, maxIdx)
 	ob.last = append(ob.last[:0], v...)
-	ob.seen, ob.known = true, true
-	return w.flushRecord(st, tag)
+	ob.known = true
+	return w.flushRecord(st, ob, e, kind, &ticks)
 }
 
-// ruleTicks returns how many ticks v adds to the componentwise maximum of
-// p and o — their indices go to ticks in ascending order — when v is that
-// maximum plus 1 at one or two components, and 0 when it is not. p and o
-// have one length, at least len(v).
-func ruleTicks(p, o, v vclock.Vector, ticks *[maxTicks]uint64) int {
+// ruleTicks sets ticks to what v adds to the componentwise maximum of p
+// and o, in ascending order, when v is that maximum plus 1 at one or two
+// components, and to noTicks when it is not. p and o have one length, at
+// least len(v).
+func ruleTicks(p, o, v vclock.Vector, ticks *tickSet) {
+	*ticks = noTicks
 	for i := len(v); i < len(p); i++ {
 		if p[i]|o[i] != 0 {
-			return 0
+			return
 		}
 	}
 	p, o = p[:len(v)], o[:len(v)]
+	found := noTicks
 	nt := 0
 	for i, x := range v {
 		if j := max(p[i], o[i]); x != j {
 			if x-j != 1 || nt == maxTicks {
-				return 0
+				return
 			}
-			ticks[nt] = uint64(i)
+			found[nt] = uint64(i)
 			nt++
 		}
 	}
-	return nt
+	*ticks = found
 }
 
 // AppendDelta writes one record straight from a change capture (the
@@ -367,8 +523,8 @@ func ruleTicks(p, o, v vclock.Vector, ticks *[maxTicks]uint64) int {
 // A record written derived costs one in-order pass over the capture, each
 // assignment landing on the running stamp once — later entries override
 // earlier ones, so the stamp comes out right without de-duplicating — and
-// nothing else: its payload is the tick indices. Any other record costs
-// that pass plus one scan of a bitmap of the components the capture
+// nothing else: its payload is at most the tick indices. Any other record
+// costs that pass plus one scan of a bitmap of the components the capture
 // touched, which both orders and de-duplicates the indices (no sort) and
 // keeps each one's value from before the record, so the scan emits exactly
 // the net changes.
@@ -380,15 +536,15 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) e
 	if err != nil {
 		return err
 	}
-	var tk [maxTicks]uint64
+	tk := noTicks
 	for k, d := range ds[len(ds)-ticks:] {
 		tk[k] = uint64(d.Index)
 	}
-	if ticks == maxTicks && tk[0] > tk[1] {
+	if tk[0] > tk[1] {
 		tk[0], tk[1] = tk[1], tk[0]
 	}
 	// Two ticks of one component would be a raise by 2, not a tick.
-	derived := !(ticks == maxTicks && tk[0] == tk[1]) && w.derivable(st, ob, &tk, ticks)
+	derived := tk[0] != tk[1] && w.derivable(st, ob, &tk)
 	prev := st.prev
 	if derived {
 		for _, d := range ds {
@@ -398,9 +554,9 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) e
 			prev[d.Index] = d.Value
 		}
 		st.prev = prev
-		tag := w.payload(st, true, &tk, ticks, 0, 0)
-		ob.seen, ob.known = true, false
-		return w.flushRecord(st, tag)
+		kind := w.payload(st, ob, true, &tk, 0, 0)
+		ob.known = false
+		return w.flushRecord(st, ob, e, kind, &tk)
 	}
 	lo, hi := len(w.touched), -1
 	for _, d := range ds {
@@ -439,9 +595,9 @@ func (w *DeltaWriter) AppendDelta(e event.Event, ds []vclock.Delta, ticks int) e
 		}
 		w.touched[word] = 0
 	}
-	tag := w.payload(st, false, &tk, ticks, pairs, maxIdx)
-	ob.seen, ob.known = true, false
-	return w.flushRecord(st, tag)
+	kind := w.payload(st, ob, false, &tk, pairs, maxIdx)
+	ob.known = false
+	return w.flushRecord(st, ob, e, kind, &tk)
 }
 
 // Flush pushes buffered records to the underlying writer.

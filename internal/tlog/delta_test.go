@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mixedclock/internal/baseline"
@@ -145,6 +146,8 @@ func TestDeltaSmallerThanFull(t *testing.T) {
 }
 
 // TestDeltaTruncation mirrors the full format's crash-recovery contract.
+// Every record holds at least a header byte and a thread ID, so cutting the
+// stream's last byte cuts its last record.
 func TestDeltaTruncation(t *testing.T) {
 	tr, stamps := sampleComputation(t)
 	var buf bytes.Buffer
@@ -152,7 +155,7 @@ func TestDeltaTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	gotTr, gotStamps, err := ReadAll(bytes.NewReader(data[:len(data)-3]))
+	gotTr, gotStamps, err := ReadAll(bytes.NewReader(data[:len(data)-1]))
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("want ErrTruncated, got %v", err)
 	}
@@ -354,14 +357,14 @@ func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta, tick
 	if err != nil {
 		return err
 	}
-	var tk [maxTicks]uint64
+	tk := noTicks
 	for k, d := range ds[len(ds)-ticks:] {
 		tk[k] = uint64(d.Index)
 	}
 	if ticks == 2 && tk[0] > tk[1] {
 		tk[0], tk[1] = tk[1], tk[0]
 	}
-	derived := !(ticks == 2 && tk[0] == tk[1]) && w.derivable(st, ob, &tk, ticks)
+	derived := !(ticks == 2 && tk[0] == tk[1]) && w.derivable(st, ob, &tk)
 	sorted := append([]vclock.Delta(nil), ds...)
 	for i := 1; i < len(sorted); i++ {
 		for j := i; j > 0 && sorted[j].Index < sorted[j-1].Index; j-- {
@@ -384,30 +387,14 @@ func appendDeltaReference(w *DeltaWriter, e event.Event, ds []vclock.Delta, tick
 		maxIdx = uint64(pairs[len(pairs)-1].Index)
 	}
 	st.prev = st.prev.Apply(pairs)
-	var tag uint64
-	switch {
-	case derived:
-		tag = tagDerived
-		w.buf = binary.AppendUvarint(w.buf, tagDerived)
-		w.buf = binary.AppendUvarint(w.buf, uint64(ticks))
-		for _, i := range tk[:ticks] {
-			w.buf = binary.AppendUvarint(w.buf, i)
-		}
-	case w.syncDue(st, maxIdx):
-		tag = tagFull
-		w.buf = binary.AppendUvarint(w.buf, tagFull)
-		w.buf = st.prev.AppendBinary(w.buf)
-	default:
-		tag = tagDelta
-		w.buf = binary.AppendUvarint(w.buf, tagDelta)
-		w.buf = binary.AppendUvarint(w.buf, uint64(len(pairs)))
-		for _, d := range pairs {
-			w.buf = binary.AppendUvarint(w.buf, uint64(d.Index))
-			w.buf = binary.AppendUvarint(w.buf, d.Value)
-		}
+	w.scratch = w.scratch[:0]
+	for _, d := range pairs {
+		w.scratch = binary.AppendUvarint(w.scratch, uint64(d.Index))
+		w.scratch = binary.AppendUvarint(w.scratch, d.Value)
 	}
-	ob.seen, ob.known = true, false
-	return w.flushRecord(st, tag)
+	kind := w.payload(st, ob, derived, &tk, len(pairs), maxIdx)
+	ob.known = false
+	return w.flushRecord(st, ob, e, kind, &tk)
 }
 
 // canonicalWriters feeds one stream of change captures to three writers —
@@ -559,7 +546,9 @@ func TestDeltaHighIDKeepsItsRow(t *testing.T) {
 	}
 	add(hi, hi, vclock.Vector{1})
 	// Filler past the reader's second read: budget 4096 + 8·8192 > hi+1.
-	for k := uint64(1); k <= 2000; k++ {
+	// The filler records are derived with their ticks and object implied,
+	// two bytes each.
+	for k := uint64(1); k <= 5000; k++ {
 		add(1, 1, vclock.Vector{0, k})
 	}
 	add(hi+1, hi+1, vclock.Vector{0, 0, 1})
@@ -602,8 +591,8 @@ func TestDeltaHighIDKeepsItsRow(t *testing.T) {
 		if _, _, err := lr.Next(); err != io.EOF {
 			t.Fatalf("pooled=%v: after last record: %v", rows != nil, err)
 		}
-		if lr.tags[tagDerived] < len(events)-3 {
-			t.Fatalf("pooled=%v: %d derived records, want all but the three first appearances", rows != nil, lr.tags[tagDerived])
+		if lr.kinds[tagDerived]+lr.kinds[kindImplied] < len(events)-3 {
+			t.Fatalf("pooled=%v: %d derived records, want all but the three first appearances", rows != nil, lr.kinds[tagDerived]+lr.kinds[kindImplied])
 		}
 		lr.release()
 	}
@@ -630,29 +619,25 @@ func ruleCapture(thr, obj vclock.Vector, ticks ...int) (vclock.Vector, []vclock.
 	return v, ds
 }
 
-// lastRecordTag returns the payload tag of the record w assembled last.
+// lastRecordTag returns the kind of the record w assembled last.
 func lastRecordTag(t *testing.T, w *DeltaWriter) uint64 {
 	t.Helper()
-	b := w.buf
-	for range 3 { // thread, object, op
-		_, n := binary.Uvarint(b)
-		if n <= 0 {
-			t.Fatalf("malformed record %x", w.buf)
-		}
-		b = b[n:]
+	if len(w.buf) == 0 {
+		t.Fatalf("no record assembled")
 	}
-	tag, n := binary.Uvarint(b)
-	if n <= 0 {
-		t.Fatalf("malformed record %x", w.buf)
+	if h := w.buf[0]; h&hdrImplied == 0 {
+		return uint64(h & hdrLow)
 	}
-	return tag
+	return kindImplied
 }
 
 // TestAppendDeltaDerivedRunningStamp pins AppendDelta's derived fast path,
 // which applies the capture to the thread's running stamp in order and
 // keeps no diff: a capture naming a component twice (a join raise, then a
 // tick of it), a tick beyond the running stamp's width, and one thread
-// going derived → delta (a new object) → full (a sync due). After every
+// going derived → delta (a new object) → full (a sync due), and derived
+// records whose ticks are implied by the thread's or the object's previous
+// record, or by both, or by neither. After every
 // record the running stamp must be the materialized stamp and the record
 // Append's, byte for byte, and the stream must decode to the stamps.
 func TestAppendDeltaDerivedRunningStamp(t *testing.T) {
@@ -668,13 +653,17 @@ func TestAppendDeltaDerivedRunningStamp(t *testing.T) {
 		ticks []int
 		tag   uint64
 	}{
-		{0, 0, []int{0}, tagFull},       // the thread's first record
-		{1, 0, []int{1}, tagFull},       // the other thread's first, joining o0
-		{0, 0, []int{1}, tagDerived},    // the join raises component 1, the tick raises it again
-		{0, 0, []int{5}, tagDerived},    // a tick past the running stamp's width
-		{0, 1, []int{0}, tagDelta},      // a new object: no derivation
-		{0, 2, []int{0}, tagFull},       // a new object with the sync due
-		{1, 2, []int{6, 1}, tagDerived}, // two ticks, one beyond the width, one of a raised component
+		{0, 0, []int{0}, tagFull},        // the thread's first record
+		{1, 0, []int{1}, tagFull},        // the other thread's first, joining o0
+		{0, 0, []int{1}, tagDerived},     // the join raises component 1, the tick raises it again
+		{0, 0, []int{5}, tagDerived},     // a tick past the running stamp's width
+		{0, 1, []int{0}, tagDelta},       // a new object: no derivation
+		{0, 2, []int{0}, tagFull},        // a new object with the sync due
+		{1, 2, []int{6, 1}, tagDerived},  // two ticks, one beyond the width, one of a raised component
+		{1, 2, []int{1}, kindImplied},    // a tick among the thread's previous ticks, same object
+		{0, 2, []int{1}, kindImplied},    // a tick among the object's previous ticks
+		{1, 0, []int{5, 1}, kindImplied}, // one tick from each side's previous record
+		{1, 0, []int{0}, tagDerived},     // a tick neither previous record made
 	}
 	for i, s := range steps {
 		e := event.Event{Index: i, Thread: s.th, Object: s.ob}
@@ -712,6 +701,32 @@ func TestAppendDeltaDerivedRunningStamp(t *testing.T) {
 	for i, v := range stamps {
 		if !got[i].Equal(v) {
 			t.Fatalf("decoded stamp %d = %v, want %v", i, got[i], v)
+		}
+	}
+}
+
+// TestCandidatesAreSortedUnion checks the implied-tick candidates against
+// their definition — the ascending distinct union of both previous
+// records' ticks — exhaustively over tick sets of up to two indices below
+// 5.
+func TestCandidatesAreSortedUnion(t *testing.T) {
+	sets := []tickSet{noTicks}
+	for i := uint64(0); i < 5; i++ {
+		sets = append(sets, tickSet{i, noTick})
+		for j := i + 1; j < 5; j++ {
+			sets = append(sets, tickSet{i, j})
+		}
+	}
+	for _, a := range sets {
+		for _, b := range sets {
+			var c [2 * maxTicks]uint64
+			nc := candidates(&a, &b, &c)
+			union := slices.Concat(a[:a.len()], b[:b.len()])
+			slices.Sort(union)
+			union = slices.Compact(union)
+			if !slices.Equal(c[:nc], union) {
+				t.Fatalf("candidates of %v, %v: %v, want %v", a, b, c[:nc], union)
+			}
 		}
 	}
 }

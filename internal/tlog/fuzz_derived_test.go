@@ -96,7 +96,8 @@ func deriveMixedComputation(data []byte) mixedComputation {
 // derived record before its thread or its object has a record, a tick
 // count outside 1–2, a duplicate tick index, or a tick index beyond the
 // width budget — and the reader must return every real record and then
-// ErrCorrupt.
+// ErrCorrupt. The forged records are derived-explicit; FuzzImpliedTicks
+// covers the implied kind.
 func FuzzDerivedRecord(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{0x10, 0x10, 0x01, 0x11, 0x11, 0x00, 0x10, 0x01, 0x02, 0x12}, uint8(128), uint8(1))
@@ -175,7 +176,7 @@ func FuzzDerivedRecord(f *testing.F) {
 
 		// A thread and an object that have records in the stream.
 		e := c.events[0]
-		forged := []uint64{uint64(e.Thread), uint64(e.Object), 0, tagDerived}
+		forged := []uint64{uint64(e.Thread), uint64(e.Object)}
 		switch corrupt % 6 {
 		case 1: // thread with no record yet
 			forged[0] = 8 + uint64(corrupt)
@@ -191,10 +192,7 @@ func FuzzDerivedRecord(f *testing.F) {
 		case 5: // a tick index past the width budget
 			forged = append(forged, 1, uint64(deltaBudget(int64(len(firstPayload)+64))))
 		}
-		stream := append([]byte(nil), firstPayload...)
-		for _, x := range forged {
-			stream = binary.AppendUvarint(stream, x)
-		}
+		stream := appendRecord(append([]byte(nil), firstPayload...), tagDerived, forged...)
 		gotTr, _, err := ReadAll(bytes.NewReader(stream))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("forged record %v: err %v, want ErrCorrupt", forged, err)
@@ -203,4 +201,14 @@ func FuzzDerivedRecord(f *testing.F) {
 			t.Fatalf("forged record %v: %d records before it, want %d", forged, gotTr.Len(), cut)
 		}
 	})
+}
+
+// appendRecord appends an MVCLOG03 record to a stream: header byte h, then
+// each field as a uvarint.
+func appendRecord(stream []byte, h byte, fields ...uint64) []byte {
+	stream = append(stream, h)
+	for _, x := range fields {
+		stream = binary.AppendUvarint(stream, x)
+	}
+	return stream
 }

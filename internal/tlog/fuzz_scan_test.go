@@ -2,9 +2,10 @@ package tlog
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -16,7 +17,8 @@ import (
 // returns a vector. The scan also runs over an io.Reader (NewSegmentReader)
 // as well as the slice, and the two sources must agree the same way: they
 // parse the header through different byte sources, and everything after it
-// through one decoder.
+// through one decoder. The seeds are MVCLOG03 segments as DeltaWriter
+// writes them, and the legacy fixtures' MVCLOG02 segments.
 func FuzzSegmentScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("MVCSEG01"))
@@ -42,18 +44,31 @@ func FuzzSegmentScan(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(seg)
-		// The same segment plus a forged last record: derived, for an
-		// object with no record before it.
-		forged := payload.Bytes()
-		for _, x := range []uint64{uint64(c.events[0].Thread), 100, 0, tagDerived, 1, 0} {
-			forged = binary.AppendUvarint(forged, x)
-		}
+		// The same segment plus a forged last record: derived-explicit, for
+		// an object with no record before it; and, as a seed of its own,
+		// plus an implied record of the first event's thread on its object
+		// whose mask names every candidate.
+		forged := appendRecord(bytes.Clone(payload.Bytes()), tagDerived, uint64(c.events[0].Thread), 100, 1, 0)
+		implied := appendRecord(bytes.Clone(payload.Bytes()), hdrImplied|hdrLow, uint64(c.events[0].Thread), uint64(c.events[0].Object))
 		widths := append(c.widths, c.widths[len(c.widths)-1])
-		seg, err = AppendSegment(nil, SegmentMeta{Epoch: 1, FirstIndex: 7, Count: len(widths)}, widths, forged)
+		for _, p := range [][]byte{forged, implied} {
+			seg, err = AppendSegment(nil, SegmentMeta{Epoch: 1, FirstIndex: 7, Count: len(widths)}, widths, p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(seg)
+		}
+	}
+	for _, dir := range []string{"legacy-mvclog02", "legacy-mvclog02-derived"} {
+		segs, err := filepath.Glob(filepath.Join("..", "track", "testdata", dir, "*.mvcseg"))
+		if err != nil || len(segs) == 0 {
+			f.Fatalf("legacy fixture %s: %v", dir, err)
+		}
+		data, err := os.ReadFile(segs[0])
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seg)
+		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		full, errFull := NewSegmentReaderBytes(data)

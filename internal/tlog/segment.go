@@ -15,12 +15,13 @@ import (
 // Segment container (magic "MVCSEG01"): an immutable, self-contained slice
 // of a timestamped computation — the unit the live tracker seals its
 // per-thread arenas into at epoch barriers, holds in memory, and spills to
-// disk under a track.SpillPolicy. The payload is a complete MVCLOG02 delta
-// stream (each thread's first record in a segment is a full vector, and a
-// record is derived only from thread and object stamps earlier in the same
-// segment, so every segment decodes without outside state and a reader
-// keeps one running stamp per thread and per object it holds), wrapped in a
-// header that restores what the delta wire format deliberately drops:
+// disk under a track.SpillPolicy. The payload is a complete delta stream —
+// MVCLOG03 as written, MVCLOG02 in older directories — in which each
+// thread's first record is a full vector, and a record is derived, and its
+// ticks or object implied, only from records earlier in the same segment,
+// so every segment decodes without outside state and a reader keeps one
+// running stamp per thread and per object it holds. A header restores
+// what the delta wire format deliberately drops:
 //
 //   - the global trace position (FirstIndex) and epoch of the records, so
 //     stitched segments keep their place in the full computation;
@@ -71,7 +72,7 @@ func (m SegmentMeta) String() string {
 
 // AppendSegment encodes one segment container to dst and returns the
 // extended slice. widths holds the clock width at each record (len must
-// equal meta.Count); payload must be a complete MVCLOG02 stream holding
+// equal meta.Count); payload must be a complete delta stream holding
 // exactly meta.Count records (as produced by a DeltaWriter fed the segment's
 // records in order — the caller owns that invariant; readers verify it).
 func AppendSegment(dst []byte, meta SegmentMeta, widths []int, payload []byte) ([]byte, error) {
@@ -223,7 +224,7 @@ func (sr *SegmentReader) Reset(r io.Reader) error {
 	if head != magicSegment {
 		return ErrBadMagic
 	}
-	frame, err := sr.header(func() (uint64, error) { return binary.ReadUvarint(br) })
+	frame, err := sr.header(func() (uint64, error) { return readUvarint(br) })
 	if err != nil {
 		return err
 	}
@@ -249,14 +250,43 @@ func (sr *SegmentReader) Reset(r io.Reader) error {
 	return sr.start(buf, frame)
 }
 
+// readUvarint is binary.ReadUvarint with errOverflow as the error of a
+// varint that does not fit in 64 bits, so the header can class it apart
+// from the input ending.
+func readUvarint(br io.ByteReader) (uint64, error) {
+	var x uint64
+	for i := range binary.MaxVarintLen64 {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				return 0, errOverflow
+			}
+			return x | uint64(b)<<(7*i), nil
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, errOverflow
+}
+
 // header parses the container header after the magic, taking each uvarint
 // from next, into the reader's meta and width runs, and returns the
-// payload length the header declares.
+// payload length the header declares. A field whose varint overflows 64
+// bits is corrupt; one next cannot finish otherwise is truncated.
 func (sr *SegmentReader) header(next func() (uint64, error)) (uint64, error) {
 	field := func(name string, max uint64) (uint64, error) {
 		x, err := next()
 		if err != nil {
-			return 0, fmt.Errorf("%w: segment %s field: %v", ErrTruncated, name, err)
+			class := ErrTruncated
+			if err == errOverflow {
+				class = ErrCorrupt
+			}
+			return 0, fmt.Errorf("%w: segment %s field: %v", class, name, err)
 		}
 		if x > max {
 			return 0, fmt.Errorf("%w: segment %s %d", ErrCorrupt, name, x)
@@ -315,7 +345,7 @@ func (sr *SegmentReader) start(payload []byte, frame uint64) error {
 	if err := sr.r.reset(payload); err != nil {
 		return fmt.Errorf("tlog: segment payload: %w", err)
 	}
-	if sr.meta.Count > 0 && !sr.r.delta {
+	if sr.meta.Count > 0 && sr.r.version < 2 {
 		return fmt.Errorf("%w: segment payload is not a delta stream", ErrCorrupt)
 	}
 	return nil
@@ -338,16 +368,19 @@ func (sr *SegmentReader) SkipStamps() { sr.r.scan = true }
 // Meta returns the segment's header.
 func (sr *SegmentReader) Meta() SegmentMeta { return sr.meta }
 
-// RecordKinds counts a segment's records by payload kind.
+// RecordKinds counts a segment's records by payload kind. Derived counts
+// every derived record; Implied counts those of them whose ticks the
+// header picks from the candidates (MVCLOG03), the rest carrying their
+// tick indices explicitly.
 type RecordKinds struct {
-	Full, Delta, Derived int
+	Full, Delta, Derived, Implied int
 }
 
-// RecordKinds reports how many of the records returned so far were full,
-// delta and derived records — after the last, the segment's tag mix.
+// RecordKinds reports how many of the records returned so far were of
+// each kind — after the last, the segment's kind mix.
 func (sr *SegmentReader) RecordKinds() RecordKinds {
-	t := &sr.r.tags
-	return RecordKinds{Full: t[tagFull], Delta: t[tagDelta], Derived: t[tagDerived]}
+	k := &sr.r.kinds
+	return RecordKinds{Full: k[tagFull], Delta: k[tagDelta], Derived: k[tagDerived] + k[kindImplied], Implied: k[kindImplied]}
 }
 
 // Next returns the next record: the event (with its global trace index

@@ -2,26 +2,35 @@
 // persistence format for computations whose timestamps should survive the
 // process (post-mortem debugging, recovery lines after a crash).
 //
-// Two wire formats share the record framing and truncation semantics, and
-// Reader auto-detects which one a stream carries:
+// The wire formats share the truncation semantics, and Reader
+// auto-detects which one a stream carries:
 //
 //   - Full (magic "MVCLOG01", Writer/WriteAll): one record per event,
 //     uvarint thread | object | op | canonical vector, where the vector is
 //     a uvarint component count followed by uvarint components (trailing
 //     zeros trimmed, as in vclock's codec).
-//   - Delta (magic "MVCLOG02", DeltaWriter/WriteAllDelta): a record whose
-//     thread and object have both appeared carries only its tick indices —
-//     the §III-C rule derives the stamp as tick(join) of the thread's and
-//     the object's previous stamps — and the rest carry the (index, value)
-//     pairs that changed against the same thread's previous record, with
-//     full-vector sync points every SyncEvery records per thread; see
-//     delta.go. A derived record costs a few bytes whatever the width, so
-//     a live tracker's stream holds about 7 B per event.
+//   - Delta (magic "MVCLOG03", DeltaWriter/WriteAllDelta): a record whose
+//     thread and object have both appeared is derived — the §III-C rule
+//     derives the stamp as tick(join) of the thread's and the object's
+//     previous stamps, so the record carries only which components the
+//     event ticked — and the rest carry the (index, value) pairs that
+//     changed against the same thread's previous record, with full-vector
+//     sync points every SyncEvery records per thread; see delta.go. A
+//     record opens with a header byte holding its kind, its op and
+//     whether its object is its thread's previous one; a derived record
+//     whose ticks its thread's or its object's previous record also made
+//     names them with a mask in that byte. A derived record is a header
+//     byte, a thread ID and, about half the time, an object ID, so a live
+//     tracker's stream holds about 4 B per event whatever the width.
+//   - MVCLOG02, the delta format before the header byte (uvarint thread |
+//     object | op | tag | payload, derived records listing their ticks),
+//     is still read, so older logs and spill directories open.
 //
-// Records are self-delimiting in both formats, so a log truncated by a
+// Records are self-delimiting in every format, so a log truncated by a
 // crash is readable up to the last complete record; ReadAll returns the
 // readable prefix together with ErrTruncated, which is exactly what failure
-// recovery wants.
+// recovery wants. A field no stream could hold — an out-of-range ID, a
+// varint past 64 bits — is ErrCorrupt instead.
 //
 // One decoder reads every stream: Reader parses records straight from a
 // byte slice with binary.Uvarint, and SegmentReader hands it a segment's
@@ -39,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 
 	"mixedclock/internal/event"
@@ -135,10 +145,10 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Reader iterates a tlog stream in either format: the magic header decides
+// Reader iterates a tlog stream in any format: the magic header decides
 // whether records carry full vectors (version 01) or deltas and derived
-// records against running per-thread and per-object stamps (version 02),
-// and Next reconstructs full vectors transparently either way.
+// records against running per-thread and per-object stamps (versions 02
+// and 03), and Next reconstructs full vectors transparently either way.
 //
 // A Reader parses a stream held whole in memory, with binary.Uvarint over
 // the byte slice, and copies nothing out of it; its width budget is
@@ -148,20 +158,22 @@ type Reader struct {
 	off  int
 	// index is the next record's position in the stream.
 	index int
-	// delta is set for version-02 streams; rows then holds the running
-	// per-thread and per-object reconstruction state, taken from a pool on
-	// the first record, so it is reused stream after stream.
-	delta bool
-	rows  *stampRows
-	// scan makes a version-02 reader run every check on every record
-	// without rebuilding stamps: Next then returns nil vectors, and the
-	// rows track only which threads and objects have appeared.
+	// version is the stream's format version, 1–3 (0 before a header).
+	// From version 2 on, rows holds the running per-thread and per-object
+	// reconstruction state, taken from a pool on the first record, so it
+	// is reused stream after stream.
+	version int
+	rows    *stampRows
+	// scan makes a delta reader run every check on every record without
+	// rebuilding stamps: Next then returns nil vectors, and the rows track
+	// only which threads and objects have appeared, with their previous
+	// records' objects and ticks.
 	scan bool
 	// scratch is the retained decode buffer NextShared reconstructs full
 	// vectors into, so steady-state shared reads allocate nothing.
 	scratch vclock.Vector
-	// tags counts the version-02 records decoded so far by payload tag.
-	tags [tagDerived + 1]int
+	// kinds counts the delta records decoded so far by kind.
+	kinds [kindImplied + 1]int
 }
 
 // NewReader validates the magic header of the stream data and returns a
@@ -178,7 +190,7 @@ func NewReader(data []byte) (*Reader, error) {
 
 // reset points the reader at a new stream, keeping its mode and buffers.
 func (r *Reader) reset(data []byte) error {
-	r.data, r.off, r.index, r.delta, r.tags = data, 0, 0, false, [tagDerived + 1]int{}
+	r.data, r.off, r.index, r.version, r.kinds = data, 0, 0, 0, [kindImplied + 1]int{}
 	if r.rows != nil {
 		r.rows.thr.reset()
 		r.rows.obj.reset()
@@ -191,8 +203,11 @@ func (r *Reader) reset(data []byte) error {
 	}
 	switch [8]byte(data) {
 	case magic:
+		r.version = 1
 	case magicDelta:
-		r.delta = true
+		r.version = 2
+	case magicCompact:
+		r.version = 3
 	default:
 		return ErrBadMagic
 	}
@@ -221,49 +236,144 @@ func (r *Reader) next(shared bool) (event.Event, vclock.Vector, error) {
 	if r.off == len(r.data) {
 		return event.Event{}, nil, io.EOF // clean boundary
 	}
-	t, err := r.field("thread")
-	if err != nil {
-		return event.Event{}, nil, err
-	}
-	if t > maxID {
-		return event.Event{}, nil, fmt.Errorf("%w: thread ID %d", ErrCorrupt, t)
-	}
-	o, err := r.field("object")
-	if err != nil {
-		return event.Event{}, nil, err
-	}
-	if o > maxID {
-		return event.Event{}, nil, fmt.Errorf("%w: object ID %d", ErrCorrupt, o)
-	}
-	op, err := r.field("op")
-	if err != nil {
-		return event.Event{}, nil, err
-	}
-	if op > maxOp {
-		return event.Event{}, nil, fmt.Errorf("%w: op %d", ErrCorrupt, op)
-	}
-	var v vclock.Vector
-	if r.delta {
-		v, err = r.deltaPayload(t, o, shared)
+	var (
+		e   event.Event
+		v   vclock.Vector
+		err error
+	)
+	if r.version == 3 {
+		e, v, err = r.compactRecord(shared)
 	} else {
-		v, err = r.fullVector(shared)
+		e, v, err = r.taggedRecord(shared)
 	}
 	if err != nil {
 		return event.Event{}, nil, err
 	}
-	e := event.Event{
-		Index:  r.index,
-		Thread: event.ThreadID(t),
-		Object: event.ObjectID(o),
-		Op:     event.Op(op),
-	}
+	e.Index = r.index
 	r.index++
 	return e, v, nil
 }
 
-// fullVector decodes a canonical vector payload (format 01, and format 02
-// sync records). In shared mode the result lives in the reader's retained
-// scratch buffer; in scan mode the components are only parsed.
+// taggedRecord decodes a version-01 or -02 record: thread, object and op
+// fields, then a full vector (01) or a tag and its payload (02).
+func (r *Reader) taggedRecord(shared bool) (event.Event, vclock.Vector, error) {
+	t, err := r.id("thread")
+	if err != nil {
+		return event.Event{}, nil, err
+	}
+	o, err := r.id("object")
+	if err != nil {
+		return event.Event{}, nil, err
+	}
+	op, err := r.op()
+	if err != nil {
+		return event.Event{}, nil, err
+	}
+	var v vclock.Vector
+	if r.version == 1 {
+		v, err = r.fullVector(shared)
+	} else {
+		var tag uint64
+		if tag, err = r.field("tag"); err != nil {
+			return event.Event{}, nil, err
+		}
+		if tag > tagDerived {
+			return event.Event{}, nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
+		}
+		rows := r.stampRows()
+		// Rows are dense by ID up to the width budget (a few-byte record
+		// must not make the reader allocate for a 2³¹ ID); rarer IDs go
+		// sparse.
+		limit := deltaBudget(int64(r.off))
+		v, err = r.deltaPayload(rows.thr.row(t, limit), rows.obj.row(o, limit), t, o, int(tag), 0, shared)
+	}
+	if err != nil {
+		return event.Event{}, nil, err
+	}
+	return event.Event{Thread: event.ThreadID(t), Object: event.ObjectID(o), Op: event.Op(op)}, v, nil
+}
+
+// compactRecord decodes a version-03 record: the header byte, the thread,
+// the object unless the header takes it from the thread's previous record,
+// an escaped op, then the payload of the header's kind.
+func (r *Reader) compactRecord(shared bool) (event.Event, vclock.Vector, error) {
+	h := r.data[r.off]
+	r.off++
+	t, err := r.id("thread")
+	if err != nil {
+		return event.Event{}, nil, err
+	}
+	rows := r.stampRows()
+	tr := rows.thr.row(t, deltaBudget(int64(r.off)))
+	var o uint64
+	if h&hdrSameObject != 0 {
+		if tr.gen != rows.thr.gen {
+			return event.Event{}, nil, fmt.Errorf("%w: same-object record for thread %d before any record of it", ErrCorrupt, t)
+		}
+		o = tr.obj
+	} else if o, err = r.id("object"); err != nil {
+		return event.Event{}, nil, err
+	}
+	// Below the escape, the op field is event.OpWrite or event.OpRead.
+	op := uint64(h >> hdrOpShift & hdrOpMask)
+	if op >= hdrOpEscape {
+		if op > hdrOpEscape {
+			return event.Event{}, nil, fmt.Errorf("%w: header %#02x op field", ErrCorrupt, h)
+		}
+		if op, err = r.op(); err != nil {
+			return event.Event{}, nil, err
+		}
+	}
+	kind := int(h & hdrLow)
+	if h&hdrImplied != 0 {
+		kind = kindImplied
+	} else if kind > tagDerived {
+		return event.Event{}, nil, fmt.Errorf("%w: header %#02x record kind %d", ErrCorrupt, h, kind)
+	}
+	or := rows.obj.row(o, deltaBudget(int64(r.off)))
+	v, err := r.deltaPayload(tr, or, t, o, kind, h&hdrLow, shared)
+	if err != nil {
+		return event.Event{}, nil, err
+	}
+	return event.Event{Thread: event.ThreadID(t), Object: event.ObjectID(o), Op: event.Op(op)}, v, nil
+}
+
+// id reads a thread or object ID and bounds it.
+func (r *Reader) id(name string) (uint64, error) {
+	x, err := r.field(name)
+	if err != nil {
+		return 0, err
+	}
+	if x > maxID {
+		return 0, fmt.Errorf("%w: %s ID %d", ErrCorrupt, name, x)
+	}
+	return x, nil
+}
+
+// op reads an op field and bounds it.
+func (r *Reader) op() (uint64, error) {
+	op, err := r.field("op")
+	if err != nil {
+		return 0, err
+	}
+	if op > maxOp {
+		return 0, fmt.Errorf("%w: op %d", ErrCorrupt, op)
+	}
+	return op, nil
+}
+
+// stampRows returns the reader's running state, taking it from the pool
+// on a delta stream's first record.
+func (r *Reader) stampRows() *stampRows {
+	if r.rows == nil {
+		r.rows = getStampRows()
+	}
+	return r.rows
+}
+
+// fullVector decodes a canonical vector payload (format 01, and the delta
+// formats' full records). In shared mode the result lives in the reader's
+// retained scratch buffer; in scan mode the components are only parsed.
 func (r *Reader) fullVector(shared bool) (vclock.Vector, error) {
 	n, err := r.field("component count")
 	if err != nil {
@@ -301,27 +411,18 @@ func (r *Reader) fullVector(shared bool) (vclock.Vector, error) {
 	return v, nil
 }
 
-// deltaPayload decodes a format-02 payload of thread t on object o,
-// reconstructing the full vector in the thread's running stamp, which the
-// object then takes too. In shared mode the result aliases the thread's
-// stamp instead of being cloned out of it. In scan mode it runs the same
-// checks — a base for every delta, both inputs of every derived record,
-// tick count and order, the width budget — and rebuilds nothing.
-func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
-	tag, err := r.field("tag")
-	if err != nil {
-		return nil, err
-	}
-	if r.rows == nil {
-		r.rows = getStampRows()
-	}
+// deltaPayload decodes the payload of a delta-format record of the given
+// kind — thread t, row tr, on object o, row or — reconstructing the full
+// vector in the thread's running stamp, which the object then takes too;
+// mask is an implied record's tick mask. In shared mode the result aliases
+// the thread's stamp instead of being cloned out of it. In scan mode it
+// runs the same checks — a base for every delta, both inputs of every
+// derived record, tick count, order and mask, the width budget — and
+// rebuilds nothing.
+func (r *Reader) deltaPayload(tr, or *stampRow, t, o uint64, kind int, mask byte, shared bool) (vclock.Vector, error) {
 	rows := r.rows
-	// Rows are dense by ID up to the width budget (a few-byte record must
-	// not make the reader allocate for a 2³¹ ID); rarer IDs go sparse.
-	limit := deltaBudget(int64(r.off))
-	tr := rows.thr.row(t, limit)
-	or := rows.obj.row(o, limit)
-	switch tag {
+	ticks, nt := noTicks, 0
+	switch kind {
 	case tagFull:
 		v, err := r.fullVector(true)
 		if err != nil {
@@ -371,41 +472,35 @@ func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 			v[idx] = x
 		}
 		tr.v = v
-	case tagDerived:
+	default: // derived, explicit or implied
 		if tr.gen != rows.thr.gen {
 			return nil, fmt.Errorf("%w: derived record for thread %d before any full record", ErrCorrupt, t)
 		}
 		if or.gen != rows.obj.gen {
 			return nil, fmt.Errorf("%w: derived record for object %d before any record of it", ErrCorrupt, o)
 		}
-		n, err := r.field("tick count")
+		var err error
+		if kind == kindImplied {
+			nt, err = impliedTicks(tr, or, mask, &ticks)
+		} else {
+			nt, err = r.explicitTicks(&ticks)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if n < 1 || n > maxTicks {
-			return nil, fmt.Errorf("%w: tick count %d", ErrCorrupt, n)
-		}
-		var ticks [maxTicks]uint64
-		for k := range ticks[:n] {
-			if ticks[k], err = r.componentIndex("tick index"); err != nil {
-				return nil, err
-			}
-			if k > 0 && ticks[k] <= ticks[k-1] {
-				return nil, fmt.Errorf("%w: tick indices %d, %d not ascending", ErrCorrupt, ticks[k-1], ticks[k])
-			}
-		}
 		if !r.scan {
-			tr.v = joinTick(tr.v, or.v, ticks[:n])
+			tr.v = joinTick(tr.v, or.v, ticks[:nt])
 		}
-	default:
-		return nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
 	}
-	// The record's stamp is the object's previous stamp from here on.
+	// The record is the object's previous record from here on, and the
+	// thread's; its stamp is both's previous stamp.
 	if !r.scan {
 		or.v = append(rows.obj.live(or)[:0], tr.v...)
 	}
 	or.gen = rows.obj.gen
-	r.tags[tag]++
+	tr.obj = o
+	tr.ticks, or.ticks = ticks, ticks
+	r.kinds[kind]++
 	if r.scan {
 		return nil, nil
 	}
@@ -413,6 +508,49 @@ func (r *Reader) deltaPayload(t, o uint64, shared bool) (vclock.Vector, error) {
 		return tr.v, nil
 	}
 	return tr.v.Clone(), nil
+}
+
+// explicitTicks reads a derived-explicit payload — a tick count of 1–2
+// and that many strictly ascending tick indices within the width budget —
+// into ticks, and returns the count.
+func (r *Reader) explicitTicks(ticks *tickSet) (int, error) {
+	n, err := r.field("tick count")
+	if err != nil {
+		return 0, err
+	}
+	if n < 1 || n > maxTicks {
+		return 0, fmt.Errorf("%w: tick count %d", ErrCorrupt, n)
+	}
+	for k := range int(n) {
+		x, err := r.componentIndex("tick index")
+		if err != nil {
+			return 0, err
+		}
+		if k > 0 && x <= ticks[k-1] {
+			return 0, fmt.Errorf("%w: tick indices %d, %d not ascending", ErrCorrupt, ticks[k-1], x)
+		}
+		ticks[k] = x
+	}
+	return int(n), nil
+}
+
+// impliedTicks picks a derived-implied record's ticks into ticks — the
+// candidates of its thread's row tr and its object's row or that mask
+// selects — and returns how many. A mask that is empty, names more than
+// two candidates, or names one beyond the candidate count is corrupt.
+func impliedTicks(tr, or *stampRow, mask byte, ticks *tickSet) (int, error) {
+	var c [2 * maxTicks]uint64
+	nc := candidates(&tr.ticks, &or.ticks, &c)
+	if mask == 0 || mask>>nc != 0 || bits.OnesCount8(mask) > maxTicks {
+		return 0, fmt.Errorf("%w: tick mask %04b with %d candidates", ErrCorrupt, mask, nc)
+	}
+	// One tick or two varies record to record, so the second is picked
+	// without a branch (from an empty rest, TrailingZeros8 gives 8); a
+	// loop over the mask bits made BenchmarkSegmentDecode/scan 7% slower.
+	rest := mask & (mask - 1)
+	ticks[0] = c[bits.TrailingZeros8(mask)]
+	ticks[1] = c[bits.TrailingZeros8(rest)&3] | -uint64(bit(rest == 0))
+	return 1 + bit(rest != 0), nil
 }
 
 // componentIndex reads a delta pair's or a tick's component index and
@@ -472,7 +610,7 @@ func growState(v vclock.Vector, n int) vclock.Vector {
 	return g
 }
 
-// stampRows is a version-02 reader's running state: the last stamp of
+// stampRows is a delta reader's running state: the last stamp of
 // every thread and every object seen in the stream. Readers take one from
 // stampRowsPool on their first record and a SegmentReader gives it back at
 // the end of its segment, so decoding segment after segment reuses the
@@ -504,10 +642,14 @@ type rowTable struct {
 	sparse map[uint64]*stampRow
 }
 
-// stampRow is one thread's or object's running stamp; see rowTable.
+// stampRow is one thread's or object's running state — its previous
+// record's stamp and ticks, and a thread's previous record's object; see
+// rowTable.
 type stampRow struct {
-	gen uint32
-	v   vclock.Vector
+	gen   uint32
+	obj   uint64
+	ticks tickSet
+	v     vclock.Vector
 }
 
 // reset empties the table for a new stream.
@@ -567,11 +709,11 @@ func (r *Reader) release() {
 	}
 }
 
-// field parses one uvarint. A stream that ends inside it is truncated; so,
-// as with every field since the first format, is a varint running past 64
-// bits. Varints of one and two bytes — nearly every field of a segment,
-// whose IDs and tick indices mostly lie either side of 128 — are decoded
-// without a branch on which they are, which the CPU could not predict.
+// field parses one uvarint. A stream that ends inside it is truncated; a
+// varint running past 64 bits is corrupt, whatever follows it. Varints of
+// one and two bytes — nearly every field of a segment, whose IDs and tick
+// indices mostly lie either side of 128 — are decoded without a branch on
+// which they are, which the CPU could not predict.
 func (r *Reader) field(name string) (uint64, error) {
 	if x, n := shortUvarint(r.data[r.off:]); n > 0 {
 		r.off += n
@@ -598,12 +740,11 @@ func shortUvarint(d []byte) (x uint64, n int) {
 // longField is field's path for a varint of several bytes, or none.
 func (r *Reader) longField(name string) (uint64, error) {
 	x, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		cause := io.ErrUnexpectedEOF
-		if n < 0 {
-			cause = errOverflow
-		}
-		return 0, fmt.Errorf("%w: %s field: %v", ErrTruncated, name, cause)
+	switch {
+	case n < 0:
+		return 0, fmt.Errorf("%w: %s field: %v", ErrCorrupt, name, errOverflow)
+	case n == 0:
+		return 0, fmt.Errorf("%w: %s field: %v", ErrTruncated, name, io.ErrUnexpectedEOF)
 	}
 	r.off += n
 	return x, nil

@@ -202,6 +202,50 @@ func TestCorruptFieldsRejected(t *testing.T) {
 	}
 }
 
+// TestVarintOverflowIsCorrupt: a varint running past 64 bits is corrupt,
+// not a stream cut short — eleven 0xff bytes and a 0x01 are a complete,
+// impossible field. Every format's first field, and a segment header's,
+// must read as ErrCorrupt in the full decode and in the SkipStamps scan.
+func TestVarintOverflowIsCorrupt(t *testing.T) {
+	over := append(bytes.Repeat([]byte{0xff}, 11), 0x01)
+	for _, stream := range [][]byte{
+		append(magic[:], over...),
+		append(magicDelta[:], over...),
+		append(append(magicCompact[:], 0), over...), // header byte, then the thread
+	} {
+		name := string(stream[:8])
+		if _, _, err := ReadAll(bytes.NewReader(stream)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadAll: %v, want ErrCorrupt", name, err)
+		}
+		if name == string(magic[:]) {
+			continue // not a segment payload
+		}
+		seg, err := AppendSegment(nil, SegmentMeta{Count: 1}, []int{1}, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, skip := range []bool{false, true} {
+			sr, err := NewSegmentReaderBytes(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if skip {
+				sr.SkipStamps()
+			}
+			if _, _, err := sr.Next(); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s segment, scan=%v: %v, want ErrCorrupt", name, skip, err)
+			}
+		}
+	}
+	head := append(magicSegment[:], over...)
+	if _, err := NewSegmentReaderBytes(head); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("segment header from bytes: %v, want ErrCorrupt", err)
+	}
+	if _, err := NewSegmentReader(bytes.NewReader(head)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("segment header from a reader: %v, want ErrCorrupt", err)
+	}
+}
+
 // putUvarint is binary.PutUvarint, aliased locally for the test table.
 func putUvarint(buf []byte, x uint64) int {
 	i := 0

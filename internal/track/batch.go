@@ -58,11 +58,17 @@ import (
 // even for reads: a batch is pure commit work, so there is no callback to
 // overlap and the exclusive hold is briefer than n shared acquisitions.
 // A nil or empty ops returns nil without committing anything.
+//
+// The returned slice is the thread's own buffer, valid until the thread's
+// next DoBatch, so a steady stream of batches allocates nothing (as with
+// Batch.Commit); copy the stamps (or append them elsewhere) to keep them
+// longer.
 func (th *Thread) DoBatch(o *Object, ops []event.Op) []Stamped {
 	if len(ops) == 0 {
 		return nil
 	}
-	out := make([]Stamped, len(ops))
+	out := slices.Grow(th.batchOut[:0], len(ops))[:len(ops)]
+	th.batchOut = out
 	th.doBatch(o, ops, out)
 	if th.t.sealArmed.Load() {
 		th.t.signalLifecycle()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -194,7 +195,9 @@ func TestBatchRacesSeal(t *testing.T) {
 							ops[k] = event.OpRead
 						}
 					}
-					out = th.DoBatch(objects[(w+i)%nObjects], ops)
+					// DoBatch's result is the thread's buffer, reused by
+					// its next DoBatch: keep a copy.
+					out = slices.Clone(th.DoBatch(objects[(w+i)%nObjects], ops))
 				} else {
 					b := th.NewBatch()
 					for k := 0; k < batchLen; k++ {
@@ -409,5 +412,27 @@ func TestReclaimerQuiescent(t *testing.T) {
 	rc.reclaim()
 	if freed != 2 || rc.pending() != 0 {
 		t.Fatalf("reclaim pass: freed=%d pending=%d, want 2 and 0", freed, rc.pending())
+	}
+}
+
+// TestDoBatchReusesItsBuffer: DoBatch returns the thread's own buffer, so
+// after the first call a steady stream of one-object batches allocates
+// nothing per call (the thread's lazy stamp cells come one chunk per
+// cellChunkSize commits), and the buffer holds the latest batch's stamps.
+func TestDoBatchReusesItsBuffer(t *testing.T) {
+	tr := mustOpen(t, "")
+	defer tr.Close()
+	th, o := tr.NewThread("w"), tr.NewObject("o")
+	ops := []event.Op{event.OpWrite}
+	first := th.DoBatch(o, ops)
+	if allocs := testing.AllocsPerRun(100, func() { th.DoBatch(o, ops) }); allocs != 0 {
+		t.Fatalf("DoBatch allocated %v times per call", allocs)
+	}
+	out := th.DoBatch(o, ops)
+	if &out[0] != &first[0] {
+		t.Fatalf("DoBatch returned a fresh buffer")
+	}
+	if got := out[0].Event.Index; got != 102 {
+		t.Fatalf("last batch's stamp is event %d, want 102", got)
 	}
 }

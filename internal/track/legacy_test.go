@@ -1,11 +1,14 @@
 package track
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mixedclock/internal/event"
 	"mixedclock/internal/tlog"
+	"mixedclock/internal/vclock"
 )
 
 // TestOpenLegacyDelta02Directory pins backward compatibility of the segment
@@ -23,24 +26,59 @@ import (
 // must still seal. The clocks Open restores from the newest segments must
 // equal a replay of the whole resumed epoch.
 func TestOpenLegacyDelta02Directory(t *testing.T) {
-	f, err := os.Open(filepath.Join("testdata", "legacy-stamps.mvclog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTr, want, err := tlog.ReadAll(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantTr.Len() != 2000 {
-		t.Fatalf("fixture log holds %d events, want 2000", wantTr.Len())
-	}
+	dir := copyLegacyFixture(t, "legacy-mvclog02")
+	wantTr, want := legacyStamps(t, "legacy-stamps.mvclog")
+	tr := openLegacy(t, dir, wantTr, want, 40)
+	resumeLegacy(t, tr, dir, len(want))
+}
 
+// TestOpenLegacyDerived02Directory is the same check on
+// testdata/legacy-mvclog02-derived, whose segments are mostly MVCLOG02
+// derived records (tag 2, explicit tick indices), written before the
+// MVCLOG03 format by
+//
+//	mvc gen -events 2000 -seed 3 -threads 16 -objects 16 -reads 0.5 |
+//	    mvc export -live -out legacy-derived-stamps.mvclog \
+//	        -spill legacy-mvclog02-derived -seal 250
+//
+// (catalog.json.prev dropped). CompactSegments must then rewrite the 02
+// segments into one MVCLOG03 segment that streams the same stamps, and the
+// run must resume and reopen after that too.
+func TestOpenLegacyDerived02Directory(t *testing.T) {
+	dir := copyLegacyFixture(t, "legacy-mvclog02-derived")
+	wantTr, want := legacyStamps(t, "legacy-derived-stamps.mvclog")
+	tr := openLegacy(t, dir, wantTr, want, 8)
+	for _, sg := range tr.Segments() {
+		if v := payloadVersion(t, sg.Path); v != "MVCLOG02" {
+			t.Fatalf("fixture segment %s holds %s", sg.Path, v)
+		}
+	}
+	if n, err := tr.CompactSegments(CompactPolicy{}); err != nil || n != 7 {
+		t.Fatalf("CompactSegments eliminated %d segments (err %v), want 7", n, err)
+	}
+	segs := tr.Segments()
+	if len(segs) != 1 {
+		t.Fatalf("%d segments after compaction, want 1", len(segs))
+	}
+	if v := payloadVersion(t, segs[0].Path); v != "MVCLOG03" {
+		t.Fatalf("compacted segment holds %s, want MVCLOG03", v)
+	}
+	checkLegacyStream(t, tr, wantTr, want, len(want))
+	resumeLegacy(t, tr, dir, len(want))
+	tr2 := mustOpen(t, dir)
+	defer tr2.Close()
+	checkLegacyStream(t, tr2, wantTr, want, len(want)+1) // and the resumed event
+}
+
+// copyLegacyFixture copies testdata/name into a fresh directory, which it
+// returns.
+func copyLegacyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := filepath.Join(t.TempDir(), "run")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	src := filepath.Join("testdata", "legacy-mvclog02")
+	src := filepath.Join("testdata", name)
 	files, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
@@ -54,35 +92,72 @@ func TestOpenLegacyDelta02Directory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
 
+// legacyStamps reads a fixture's expected stamps: testdata/name, an
+// MVCLOG01 log of 2000 events.
+func legacyStamps(t *testing.T, name string) (*event.Trace, []vclock.Vector) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTr, want, err := tlog.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantTr.Len() != 2000 {
+		t.Fatalf("fixture log holds %d events, want 2000", wantTr.Len())
+	}
+	return wantTr, want
+}
+
+// openLegacy opens the legacy run in dir and checks that it adopts all
+// segs segments, quarantines nothing, restores the clocks a replay of the
+// resumed epoch gives, and streams exactly the expected stamps.
+func openLegacy(t *testing.T, dir string, wantTr *event.Trace, want []vclock.Vector, segs int) *Tracker {
+	t.Helper()
 	wantThreads, wantObjects := epochClocks(t, dir)
 	tr := mustOpen(t, dir)
 	if q := tr.Recovery().Quarantined; len(q) != 0 {
 		t.Fatalf("Open quarantined %v", q)
 	}
 	checkRecoveredClocks(t, tr, wantThreads, wantObjects)
-	if got := len(tr.Segments()); got != 40 {
-		t.Fatalf("Open adopted %d segments, want 40", got)
+	if got := len(tr.Segments()); got != segs {
+		t.Fatalf("Open adopted %d segments, want %d", got, segs)
 	}
+	checkLegacyStream(t, tr, wantTr, want, len(want))
+	return tr
+}
+
+// checkLegacyStream checks that tr streams exactly records records, the
+// first of them the expected records and stamps, width for width.
+func checkLegacyStream(t *testing.T, tr *Tracker, wantTr *event.Trace, want []vclock.Vector, records int) {
+	t.Helper()
 	var c streamCollector
 	if err := tr.Stream(&c); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.events) != len(want) {
-		t.Fatalf("Stream yielded %d records, want %d", len(c.events), len(want))
+	if len(c.events) != records {
+		t.Fatalf("Stream yielded %d records, want %d", len(c.events), records)
 	}
-	for i, e := range c.events {
-		w := wantTr.At(i)
-		if e.Index != i || e.Thread != w.Thread || e.Object != w.Object || e.Op != w.Op {
-			t.Fatalf("record %d is %v, want %v", i, e, w)
+	for i, w := range want {
+		e, we := c.events[i], wantTr.At(i)
+		if e.Index != i || e.Thread != we.Thread || e.Object != we.Object || e.Op != we.Op {
+			t.Fatalf("record %d is %v, want %v", i, e, we)
 		}
-		if !c.stamps[i].Equal(want[i]) || len(c.stamps[i]) < len(want[i]) {
-			t.Fatalf("record %d stamp %v, want %v", i, c.stamps[i], want[i])
+		if !c.stamps[i].Equal(w) || len(c.stamps[i]) < len(w) {
+			t.Fatalf("record %d stamp %v, want %v", i, c.stamps[i], w)
 		}
 	}
+}
 
-	// The reopened run keeps going: one more event, sealed on Close next
-	// to the legacy segments, and everything reopens again.
+// resumeLegacy keeps the reopened run going: one more event, sealed on
+// Close next to the legacy segments, and everything reopens again.
+func resumeLegacy(t *testing.T, tr *Tracker, dir string, events int) {
+	t.Helper()
 	th, o := tr.NewThread("t-after"), tr.NewObject("o-after")
 	th.Write(o, nil)
 	if err := tr.Close(); err != nil {
@@ -93,11 +168,28 @@ func TestOpenLegacyDelta02Directory(t *testing.T) {
 	if q := tr2.Recovery().Quarantined; len(q) != 0 {
 		t.Fatalf("second Open quarantined %v", q)
 	}
-	c = streamCollector{}
+	var c streamCollector
 	if err := tr2.Stream(&c); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.events) != len(want)+1 {
-		t.Fatalf("after resume, Stream yielded %d records, want %d", len(c.events), len(want)+1)
+	if len(c.events) != events+1 {
+		t.Fatalf("after resume, Stream yielded %d records, want %d", len(c.events), events+1)
 	}
+}
+
+// payloadVersion returns the delta-format magic of the segment file at
+// path's payload.
+func payloadVersion(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []string{"MVCLOG02", "MVCLOG03"} {
+		if bytes.Contains(data, []byte(m)) {
+			return m
+		}
+	}
+	t.Fatalf("segment %s holds no delta stream", path)
+	return ""
 }

@@ -96,11 +96,55 @@ type orderWatch struct {
 	stamp         vclock.Vector // reused buffer, overwritten at each first-match
 }
 
-// possiblyWatch fires once, at the first evaluation that finds a witness.
+// possiblyWatch fires once, at the first evaluation that finds a witness,
+// and keeps that witness.
 type possiblyWatch struct {
-	name  string
-	pred  predicate.Predicate
-	fired bool
+	name    string
+	pred    predicate.Predicate
+	fired   bool
+	witness cut.Cut
+}
+
+// finding is a Detection as the monitor keeps it: without the watch's
+// name, its kind or a witness, which kind and watch give, and with one
+// epoch, since a pair's or an order violation's two events share theirs —
+// 80 bytes to a Detection's 144. The monitor keeps every detection for its
+// whole life, and nearly every record of a contended run completes a
+// schedule-sensitive pair, so these are most of a long-running monitor's
+// memory.
+type finding struct {
+	e, other event.Event
+	epoch    int
+	kind     findingKind
+	watch    int32 // the order or possibly watch's index
+}
+
+// findingKind is a finding's kind: a pair, an order violation or a
+// possibly witness.
+type findingKind uint8
+
+const (
+	findingPair findingKind = iota
+	findingOrder
+	findingPossibly
+)
+
+// detection expands f. A possibly finding's index is in f.e.Index, its
+// event zero.
+func (m *Monitor) detection(f *finding) Detection {
+	d := Detection{Epoch: f.epoch, Index: f.e.Index}
+	switch f.kind {
+	case findingPair:
+		d.Watch, d.Kind = "schedule-sensitive", DetectPair
+		d.Event, d.Other, d.OtherEpoch = f.e, f.other, f.epoch
+	case findingOrder:
+		d.Watch, d.Kind = m.orders[f.watch].name, DetectOrder
+		d.Event, d.Other, d.OtherEpoch = f.e, f.other, f.epoch
+	default:
+		w := m.possiblys[f.watch]
+		d.Watch, d.Kind, d.Witness = w.name, DetectPossibly, w.witness
+	}
+	return d
 }
 
 // Monitor evaluates detections online, over the live stream of a tracker
@@ -135,21 +179,23 @@ type Monitor struct {
 
 	// mu serializes consumption (goroutine wake vs Sync) and guards all
 	// evaluation state below. Never held while calling OnDetection.
-	mu         sync.Mutex
-	next       int // next trace index to consume
-	epoch      int // epoch of the last consumed record
-	skipped    int // records retired by retention before consumption
-	census     detect.CensusAccumulator
-	pairs      *detect.PairScanner
-	recent     *hb.Recent
-	pred       *predicate.Streamer
-	line       *cut.LineTracker
-	inc        *matching.Incremental
-	orders     []*orderWatch
-	possiblys  []*possiblyWatch
-	detections []Detection
-	pending    []Detection // detections of the batch in progress
-	err        error
+	mu        sync.Mutex
+	next      int // next trace index to consume
+	epoch     int // epoch of the last consumed record
+	skipped   int // records retired by retention before consumption
+	census    detect.CensusAccumulator
+	pairs     *detect.PairScanner
+	recent    *hb.Recent
+	pred      *predicate.Streamer
+	line      *cut.LineTracker
+	inc       *matching.Incremental
+	orders    []*orderWatch
+	possiblys []*possiblyWatch
+	// findings holds every detection so far; those from delivered on
+	// belong to the batch in progress, which finishBatchLocked hands out.
+	findings  []finding
+	delivered int
+	err       error
 
 	wake chan struct{}
 	done chan struct{}
@@ -269,20 +315,14 @@ func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
 	m.inc.AddEdge(int(e.Thread), int(e.Object))
 	m.pred.Add(e)
 	if p, ok := m.pairs.Add(e, epoch, v); ok {
-		m.pending = append(m.pending, Detection{
-			Watch: "schedule-sensitive", Kind: DetectPair,
-			Epoch: epoch, Index: e.Index, Event: e, Other: p.First, OtherEpoch: epoch,
-		})
+		m.findings = append(m.findings, finding{e: e, other: p.First, epoch: epoch, kind: findingPair})
 	}
-	for _, w := range m.orders {
+	for k, w := range m.orders {
 		// Check the second selector against the previous first-match
 		// before updating it, so an event matching both selectors is
 		// compared against its predecessor, not itself.
 		if w.second(e) && w.has && w.epoch == epoch && w.stamp.Concurrent(v) {
-			m.pending = append(m.pending, Detection{
-				Watch: w.name, Kind: DetectOrder,
-				Epoch: epoch, Index: e.Index, Event: e, Other: w.e, OtherEpoch: w.epoch,
-			})
+			m.findings = append(m.findings, finding{e: e, other: w.e, epoch: epoch, kind: findingOrder, watch: int32(k)})
 			if !m.line.Armed() {
 				m.line.Arm(e.Index, epoch, v)
 			}
@@ -299,7 +339,7 @@ func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
 // finishBatchLocked runs the per-batch evaluations (predicate watches) and
 // hands back the batch's detections for delivery outside the lock.
 func (m *Monitor) finishBatchLocked() []Detection {
-	for _, w := range m.possiblys {
+	for k, w := range m.possiblys {
 		if w.fired {
 			continue
 		}
@@ -311,19 +351,22 @@ func (m *Monitor) finishBatchLocked() []Detection {
 			continue
 		}
 		if found {
-			w.fired = true
-			m.pending = append(m.pending, Detection{
-				Watch: w.name, Kind: DetectPossibly,
-				Epoch: m.epoch, Index: m.next - 1, Witness: witness,
+			w.fired, w.witness = true, witness
+			m.findings = append(m.findings, finding{
+				e: event.Event{Index: m.next - 1}, epoch: m.epoch, kind: findingPossibly, watch: int32(k),
 			})
 		}
 	}
-	start := len(m.detections)
-	m.detections = append(m.detections, m.pending...)
-	m.pending = m.pending[:0]
-	// Later appends never write below len, so the batch stays valid for
-	// delivery outside the lock.
-	return m.detections[start:len(m.detections):len(m.detections)]
+	start := m.delivered
+	m.delivered = len(m.findings)
+	if m.policy.OnDetection == nil || start == m.delivered {
+		return nil
+	}
+	batch := make([]Detection, 0, m.delivered-start)
+	for i := range m.findings[start:] {
+		batch = append(batch, m.detection(&m.findings[start+i]))
+	}
+	return batch
 }
 
 // deliver invokes the detection callback outside the monitor lock.
@@ -413,7 +456,11 @@ func (m *Monitor) Close() {
 func (m *Monitor) Detections() []Detection {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]Detection(nil), m.detections...)
+	ds := make([]Detection, len(m.findings))
+	for i := range m.findings {
+		ds[i] = m.detection(&m.findings[i])
+	}
+	return ds
 }
 
 // Err returns the first error the monitor hit (replay I/O or a predicate
@@ -495,7 +542,7 @@ func (m *Monitor) Stats() MonitorStats {
 		Census:          m.census.Census(),
 		CensusSkipped:   m.census.Skipped(),
 		Pairs:           m.pairs.Count(),
-		Detections:      len(m.detections),
+		Detections:      len(m.findings),
 		ClockWidth:      m.t.Size(),
 		CoverLowerBound: m.inc.Size(),
 		WindowLo:        m.recent.Lo(),

@@ -196,12 +196,14 @@ func TestRecoverClocksFromNewestSegments(t *testing.T) {
 	}
 }
 
-// forgeLastRecord returns the segment container data with its last record
-// replaced by a derived record (payload tag 2) of the same thread on an
-// object with no record before it in the segment: every field is in range
-// and the header is unchanged, but the record cannot be decoded, as there
-// is no object stamp to derive it from.
-func forgeLastRecord(t *testing.T, data []byte) []byte {
+// forgeLastRecord returns the segment container data with its payload
+// re-encoded in delta format version 2 or 3 and its last record replaced by
+// a derived-explicit record of the same thread on an object with no record
+// before it in the segment: every field is in range and the header is
+// unchanged, but the record cannot be decoded, as there is no object stamp
+// to derive it from. Version 3 is what DeltaWriter writes; version 2, which
+// nothing writes any more, holds the other records as full vectors.
+func forgeLastRecord(t *testing.T, data []byte, version int) []byte {
 	t.Helper()
 	sr, err := tlog.NewSegmentReaderBytes(data)
 	if err != nil {
@@ -213,6 +215,9 @@ func forgeLastRecord(t *testing.T, data []byte) []byte {
 	}
 	var payload bytes.Buffer
 	w := tlog.NewDeltaWriter(&payload)
+	if version == 2 {
+		payload.WriteString("MVCLOG02")
+	}
 	widths := make([]int, 0, meta.Count)
 	seen := map[event.ObjectID]bool{}
 	for {
@@ -230,8 +235,18 @@ func forgeLastRecord(t *testing.T, data []byte) []byte {
 				t.Fatal(err)
 			}
 			rec := payload.Bytes()
-			for _, x := range []uint64{uint64(e.Thread), uint64(fresh), uint64(e.Op), 2, 1, 0} {
-				rec = binary.AppendUvarint(rec, x)
+			if version == 2 {
+				// thread | object | op | tag 2 | 1 tick | index 0
+				for _, x := range []uint64{uint64(e.Thread), uint64(fresh), uint64(e.Op), 2, 1, 0} {
+					rec = binary.AppendUvarint(rec, x)
+				}
+			} else {
+				// header (op in bits 6–5, kind 2: derived-explicit) |
+				// thread | object | 1 tick | index 0
+				rec = append(rec, byte(e.Op)<<5|2)
+				for _, x := range []uint64{uint64(e.Thread), uint64(fresh), 1, 0} {
+					rec = binary.AppendUvarint(rec, x)
+				}
 			}
 			out, err := tlog.AppendSegment(nil, meta, widths, rec)
 			if err != nil {
@@ -240,19 +255,34 @@ func forgeLastRecord(t *testing.T, data []byte) []byte {
 			return out
 		}
 		seen[e.Object] = true
-		if err := w.Append(e, v); err != nil {
+		if version == 2 {
+			for _, x := range []uint64{uint64(e.Thread), uint64(e.Object), uint64(e.Op), 0} { // tag 0: full
+				payload.Write(binary.AppendUvarint(nil, x))
+			}
+			payload.Write(v.AppendBinary(nil))
+		} else if err := w.Append(e, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
 // TestRecoverScanCatchesHashMatchingCorruption corrupts one record of a
-// listed segment structurally and rewrites its catalog entry's size and
-// hash to match, so only the record scan can tell. The shipper must refuse
-// the segment, and Open must quarantine it and every segment after it,
-// whether the segment lies in the epoch the run resumes or in an older
-// one.
+// listed segment, re-encoded in the MVCLOG02 format older directories hold,
+// structurally and rewrites its catalog entry's size and hash to match, so
+// only the record scan can tell. The shipper must refuse the segment, and
+// Open must quarantine it and every segment after it, whether the segment
+// lies in the epoch the run resumes or in an older one.
 func TestRecoverScanCatchesHashMatchingCorruption(t *testing.T) {
+	checkHashMatchingCorruption(t, 2)
+}
+
+// TestRecoverScanCatchesHashMatchingCorruption03 is the same check on a
+// segment in the MVCLOG03 format the tracker writes.
+func TestRecoverScanCatchesHashMatchingCorruption03(t *testing.T) {
+	checkHashMatchingCorruption(t, 3)
+}
+
+func checkHashMatchingCorruption(t *testing.T, version int) {
 	for _, tc := range []struct {
 		name   string
 		victim int // listed segment to corrupt
@@ -298,7 +328,7 @@ func TestRecoverScanCatchesHashMatchingCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data = forgeLastRecord(t, data)
+			data = forgeLastRecord(t, data, version)
 			if err := os.WriteFile(filepath.Join(dir, entry.Path), data, 0o666); err != nil {
 				t.Fatal(err)
 			}

@@ -271,7 +271,7 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, 
 }
 
 // encodeSeal writes the records of j below j.upTo to payload in the
-// MVCLOG02 delta format, their widths to t.sealWidths, and returns every
+// MVCLOG03 delta format, their widths to t.sealWidths, and returns every
 // thread's base as of j.upTo. The writer's per-thread running stamp is the
 // only vector it keeps: each thread is seeded with its base, so its first
 // record in the segment is written full and every later one straight from
@@ -814,7 +814,7 @@ func (t *Tracker) replayPinned(sink StampSink, from, to int) (int, error) {
 }
 
 // SnapshotTo streams the recorded computation into w as a delta-encoded
-// MVCLOG02 log (the WriteLogDelta wire format, readable by tlog.ReadAll and
+// MVCLOG03 log (the WriteLogDelta wire format, readable by tlog.ReadAll and
 // mvc inspect), without ever materializing a vector table: sealed segments
 // decode straight back into the writer and the tail's stamps are encoded in
 // place. Output bytes are identical to materializing Snapshot() and writing

@@ -73,7 +73,7 @@
 // order (indices are dense, so each record goes straight to its slot, no
 // sort) and materializes no stamp; the only O(k) work left per event is
 // one checkpoint copy of the thread's full stamp every stampCheckpointEvery
-// (64, MVCLOG02's sync interval) records of that thread. Full vectors are
+// (64, the delta log's sync interval) records of that thread. Full vectors are
 // rebuilt only where a reader asks for them, from each thread's base — its
 // immutable stamp as of the seal point — plus the thread's change sets:
 //
@@ -147,7 +147,7 @@
 //     change sets.
 //   - Sealed: Seal (called by Compact, by the spill policy, or directly)
 //     encodes the tail as one immutable delta-encoded segment — the
-//     MVCLOG02 wire format inside a tlog "MVCSEG01" container that also
+//     MVCLOG03 wire format inside a tlog "MVCSEG01" container that also
 //     records the epoch, the global index range, and the clock width at
 //     each record. A sealed segment never changes; a tracker opened on a
 //     directory writes it to its own file there and drops it from memory
@@ -591,7 +591,7 @@ func (sl *genSlot) ticks() int { return int(sl.opTicks & 3) }
 // stampCheckpointEvery is the per-thread cadence of full-stamp checkpoints
 // in the tail: every such record of a thread keeps its materialized stamp,
 // so a lazy tail stamp replays at most this many change sets. It matches
-// the MVCLOG02 writer's sync interval — the same trade of one full vector
+// the delta log writer's sync interval — the same trade of one full vector
 // per interval against bounded replay.
 const stampCheckpointEvery = tlog.DefaultSyncEvery
 
@@ -996,6 +996,11 @@ type Thread struct {
 	// skip the join entirely. Reset by Compact.
 	lastObj *Object
 	lastVer uint64
+
+	// batchOut is the stamps buffer DoBatch returns, reused batch after
+	// batch; owned by the driving goroutine. It comes last, so the fields
+	// every commit touches keep their offsets.
+	batchOut []Stamped
 }
 
 // ID returns the thread's dense identifier.
