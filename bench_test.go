@@ -419,8 +419,8 @@ func BenchmarkTracker(b *testing.B) {
 }
 
 // BenchmarkTrackerParallel measures tracker throughput across a goroutine ×
-// object grid on both clock backends — the scaling benchmark for the sharded
-// hot path. Each goroutine drives its own Thread (as the API requires) over
+// object grid — the scaling benchmark for the sharded hot path. The "flat"
+// level names the tracker's clock representation. Each goroutine drives its own Thread (as the API requires) over
 // a slice of shared objects; with the global tracker lock gone, the only
 // cross-goroutine contention left is the object stripes, the sharded world
 // barrier's per-thread reader counts (track/world.go), and the padded trace
@@ -429,52 +429,50 @@ func BenchmarkTracker(b *testing.B) {
 // this (and BenchmarkBackends) against the PR base via benchstat +
 // cmd/benchdiff.
 func BenchmarkTrackerParallel(b *testing.B) {
-	for _, backend := range []mixedclock.Backend{mixedclock.Flat, mixedclock.Tree} {
-		for _, goroutines := range []int{1, 2, 4, 8, 32} {
-			for _, objects := range []int{8, 64} {
-				name := fmt.Sprintf("%v/goroutines=%d/objects=%d", backend, goroutines, objects)
-				b.Run(name, func(b *testing.B) {
-					tracker := openTracker(b, mixedclock.WithBackend(backend))
-					objs := make([]*mixedclock.Object, objects)
-					for i := range objs {
-						objs[i] = tracker.NewObject("o")
-					}
-					threads := make([]*mixedclock.Thread, goroutines)
-					for i := range threads {
-						threads[i] = tracker.NewThread("w")
-					}
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					for g := 0; g < goroutines; g++ {
-						wg.Add(1)
-						go func(th *mixedclock.Thread, g int) {
-							defer wg.Done()
-							// Mostly-private slice of objects with periodic
-							// crossings, so causality actually flows between
-							// goroutines without serializing every op. The
-							// crossing index advances with i/16 (decoupled
-							// from the %16 phase) so crossings sweep the
-							// whole object set from every goroutine.
-							n := b.N / goroutines
-							for i := 0; i < n; i++ {
-								var o *mixedclock.Object
-								if i%16 == 0 {
-									o = objs[(i/16+g)%len(objs)]
-								} else {
-									o = objs[(g*7+i*goroutines)%len(objs)]
-								}
-								th.Write(o, nil)
+	for _, goroutines := range []int{1, 2, 4, 8, 32} {
+		for _, objects := range []int{8, 64} {
+			name := fmt.Sprintf("flat/goroutines=%d/objects=%d", goroutines, objects)
+			b.Run(name, func(b *testing.B) {
+				tracker := openTracker(b)
+				objs := make([]*mixedclock.Object, objects)
+				for i := range objs {
+					objs[i] = tracker.NewObject("o")
+				}
+				threads := make([]*mixedclock.Thread, goroutines)
+				for i := range threads {
+					threads[i] = tracker.NewThread("w")
+				}
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(th *mixedclock.Thread, g int) {
+						defer wg.Done()
+						// Mostly-private slice of objects with periodic
+						// crossings, so causality actually flows between
+						// goroutines without serializing every op. The
+						// crossing index advances with i/16 (decoupled
+						// from the %16 phase) so crossings sweep the
+						// whole object set from every goroutine.
+						n := b.N / goroutines
+						for i := 0; i < n; i++ {
+							var o *mixedclock.Object
+							if i%16 == 0 {
+								o = objs[(i/16+g)%len(objs)]
+							} else {
+								o = objs[(g*7+i*goroutines)%len(objs)]
 							}
-						}(threads[g], g)
-					}
-					wg.Wait()
-					b.StopTimer()
-					if err := tracker.Err(); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(tracker.Events())/b.Elapsed().Seconds(), "ops/s")
-				})
-			}
+							th.Write(o, nil)
+						}
+					}(threads[g], g)
+				}
+				wg.Wait()
+				b.StopTimer()
+				if err := tracker.Err(); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(tracker.Events())/b.Elapsed().Seconds(), "ops/s")
+			})
 		}
 	}
 }
@@ -648,16 +646,16 @@ func BenchmarkBatch(b *testing.B) {
 }
 
 // BenchmarkStamp measures the Thread.Do hot path in isolation — ns/op and,
-// with -benchmem, allocs/op and B/op — across clock widths and both
-// backends. The delta stamping pipeline's contract is that both memory
-// figures stay flat as k grows (allocs/op ≲ 1 amortized at every width; no
-// O(k) flatten per event). Two shapes bracket the commit paths:
+// with -benchmem, allocs/op and B/op — across clock widths. The delta
+// stamping pipeline's contract is that both memory figures stay flat as k
+// grows (allocs/op ≲ 1 amortized at every width; no O(k) flatten per
+// event). Two shapes bracket the commit paths:
 //
 //   - same-object: a thread re-acquiring one object — the version-cache
 //     fast path, O(1) at any width;
 //   - alternate: a thread bouncing between two objects — the full
-//     update-rule path, where flat pays an O(k) scan (but no allocation)
-//     and tree pays only for what changed.
+//     update-rule path, an O(k) scan of the flat vector (but no
+//     allocation).
 //
 // CI's benchmark-regression gate runs this with -benchmem, so the
 // allocation wins are locked in alongside the time.
@@ -665,48 +663,46 @@ func BenchmarkStamp(b *testing.B) {
 	shapes := []string{"same-object", "alternate"}
 	for _, shape := range shapes {
 		for _, k := range []int{16, 256, 1024} {
-			for _, backend := range []mixedclock.Backend{mixedclock.Flat, mixedclock.Tree} {
-				name := fmt.Sprintf("%s/%v/k=%d", shape, backend, k)
-				b.Run(name, func(b *testing.B) {
-					var th *mixedclock.Thread
-					var objs []*mixedclock.Object
-					// build widens the cover to ~k components (one per
-					// private thread-object edge), then registers the hot
-					// thread and its objects.
-					build := func() {
-						tracker := openTracker(b, mixedclock.WithBackend(backend))
-						for i := 0; i < k; i++ {
-							tracker.NewThread("w").Write(tracker.NewObject("p"), nil)
-						}
-						th = tracker.NewThread("hot")
-						objs = objs[:0]
-						for i := 0; i < 2; i++ {
-							o := tracker.NewObject("hot")
-							th.Write(o, nil) // reveal the edge outside the timer
-							objs = append(objs, o)
-						}
+			name := fmt.Sprintf("%s/flat/k=%d", shape, k)
+			b.Run(name, func(b *testing.B) {
+				var th *mixedclock.Thread
+				var objs []*mixedclock.Object
+				// build widens the cover to ~k components (one per
+				// private thread-object edge), then registers the hot
+				// thread and its objects.
+				build := func() {
+					tracker := openTracker(b)
+					for i := 0; i < k; i++ {
+						tracker.NewThread("w").Write(tracker.NewObject("p"), nil)
 					}
-					build()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						// Rebuild periodically (outside the timer) so the
-						// record buffers don't grow without bound at large
-						// b.N; the measured ops always run against a warm
-						// tracker.
-						if i > 0 && i%(1<<18) == 0 {
-							b.StopTimer()
-							build()
-							b.StartTimer()
-						}
-						o := objs[0]
-						if shape == "alternate" {
-							o = objs[i%2]
-						}
-						th.Write(o, nil)
+					th = tracker.NewThread("hot")
+					objs = objs[:0]
+					for i := 0; i < 2; i++ {
+						o := tracker.NewObject("hot")
+						th.Write(o, nil) // reveal the edge outside the timer
+						objs = append(objs, o)
 					}
-				})
-			}
+				}
+				build()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Rebuild periodically (outside the timer) so the
+					// record buffers don't grow without bound at large
+					// b.N; the measured ops always run against a warm
+					// tracker.
+					if i > 0 && i%(1<<18) == 0 {
+						b.StopTimer()
+						build()
+						b.StartTimer()
+					}
+					o := objs[0]
+					if shape == "alternate" {
+						o = objs[i%2]
+					}
+					th.Write(o, nil)
+				}
+			})
 		}
 	}
 }
@@ -1402,34 +1398,31 @@ func BenchmarkSegmentDecode(b *testing.B) {
 
 // BenchmarkLoadgenMixed is the CI gate's end-to-end harness benchmark: one
 // complete loadgen run per iteration — warmup then a fixed-op mixed phase
-// across 4 workers — per commit style (per-op Do vs batch-16) and clock
-// backend. It locks in what `mvc spam` reports: whole-pipeline throughput,
-// with the latency histogram and stats collection riding along.
+// across 4 workers — per commit style (per-op Do vs batch-16). It locks in
+// what `mvc spam` reports: whole-pipeline throughput, with the latency
+// histogram and stats collection riding along.
 func BenchmarkLoadgenMixed(b *testing.B) {
-	for _, backend := range []string{"flat", "tree"} {
-		for _, batch := range []int{1, 16} {
-			b.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				var ops int64
-				for i := 0; i < b.N; i++ {
-					rep, err := loadgen.Run(loadgen.Config{
-						Threads:  4,
-						Objects:  64,
-						ReadFrac: 0.5,
-						Ops:      5_000,
-						Warmup:   500,
-						Batch:    batch,
-						Dist:     "uniform",
-						Backend:  backend,
-						Seed:     int64(i + 1),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					ops += rep.Ops
+	for _, batch := range []int{1, 16} {
+		b.Run(fmt.Sprintf("flat/batch%d", batch), func(b *testing.B) {
+			b.ReportAllocs()
+			var ops int64
+			for i := 0; i < b.N; i++ {
+				rep, err := loadgen.Run(loadgen.Config{
+					Threads:  4,
+					Objects:  64,
+					ReadFrac: 0.5,
+					Ops:      5_000,
+					Warmup:   500,
+					Batch:    batch,
+					Dist:     "uniform",
+					Seed:     int64(i + 1),
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(ops)/b.Elapsed().Seconds()/1e6, "mops/s")
-			})
-		}
+				ops += rep.Ops
+			}
+			b.ReportMetric(float64(ops)/b.Elapsed().Seconds()/1e6, "mops/s")
+		})
 	}
 }

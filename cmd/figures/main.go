@@ -8,9 +8,9 @@
 // Figs. 4–7 replay each random graph's reveal order through the §IV online
 // mechanisms (core.SimulateCover) and set them against the offline optimum.
 // internal/experiment's TestLiveEquivalence runs the same sweeps through a
-// real track.Tracker on both clock backends and requires identical numbers.
-// The extra figure adds ablations and an end-to-end throughput sweep
-// (backend × readfrac × do/batch) on the loadgen engine.
+// real track.Tracker and requires identical numbers. The extra figure adds
+// ablations and an end-to-end throughput sweep (readfrac × do/batch) on the
+// loadgen engine.
 //
 // Examples:
 //
@@ -155,7 +155,7 @@ func runExtra(w io.Writer, format string, trials int, seed int64) error {
 	}
 	fmt.Fprintln(w)
 
-	bw, err := experiment.BackendWidthSweep(experiment.Options{Trials: trials, Seed: seed})
+	bw, err := experiment.ThroughputSweep(experiment.Options{Trials: trials, Seed: seed})
 	if err != nil {
 		return err
 	}

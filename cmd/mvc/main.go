@@ -38,7 +38,7 @@
 //	                                       CompactSegments, Close)
 //	mvc spam      [-threads N] [-duration D | -ops N] [-readfrac F]
 //	              [-batch N] [-dist uniform|zipf] [-store DIR] [-monitor]
-//	              [-backend B] [-seed S] [-format table|csv|json]
+//	              [-seed S] [-format table|csv|json]
 //	                                       load-generate against a live
 //	                                       tracker and report mops/sec,
 //	                                       latency percentiles and final
@@ -58,11 +58,13 @@
 //
 //	mvc gen -workload hotset -events 2000 | mvc analyze
 //
-// Commands that timestamp events accept -backend {flat|tree|auto} to pick
-// the clock representation: flat (default) is the reference vector, tree is
-// the Mathur et al. tree clock whose joins skip already-dominated subtrees,
-// and auto picks one from the analyzed computation's width and join shape.
+// The offline commands that timestamp events (timestamp, order, recover
+// -trace, validate, export) accept -backend {flat|tree|auto} to pick the
+// clock representation: flat (default) is the reference vector, tree is the
+// Mathur et al. tree clock whose joins skip already-dominated subtrees, and
+// auto picks one from the analyzed computation's width and join shape.
 // Timestamps are identical in every case; only the cost profile changes.
+// export -live rejects tree and auto: the live tracker keeps flat vectors.
 // detect ignores -backend: it needs no mixed-clock stamps, and it runs in
 // time linear in the trace, so million-event traces take seconds.
 //
@@ -166,6 +168,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if cmd == "export" && *live {
+		if err := liveBackend(*backendName); err != nil {
+			fmt.Fprintf(os.Stderr, "mvc: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	// inspect and segments read binary artifacts, not a JSONL trace.
 	if cmd == "inspect" {
@@ -241,7 +249,7 @@ func main() {
 		err = graph(os.Stdout, tr)
 	case "export":
 		if *live {
-			err = exportLive(os.Stdout, tr, *out, backend, *format, *spillDir, *seal, *batch)
+			err = exportLive(os.Stdout, tr, *out, *format, *spillDir, *seal, *batch)
 		} else {
 			err = export(os.Stdout, tr, *out, backend, *format)
 		}
@@ -275,7 +283,6 @@ func spam(args []string, stdout, stderr io.Writer) error {
 	fs.StringVar(&cfg.Dist, "dist", "uniform", "object distribution: uniform or zipf")
 	fs.StringVar(&cfg.Store, "store", "", "spill directory: arms spilling, compaction and retention")
 	fs.BoolVar(&cfg.Monitor, "monitor", false, "attach a live online monitor for the run")
-	fs.StringVar(&cfg.Backend, "backend", "", "clock backend: flat, tree, auto (default: tracker default)")
 	fs.Int64Var(&cfg.Seed, "seed", 1, "base RNG seed")
 	format := fs.String("format", "table", "report format: table, csv or json")
 	if err := fs.Parse(args); err != nil {
@@ -738,6 +745,16 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 	return nil
 }
 
+// liveBackend rejects a -backend that export -live cannot honour: the live
+// tracker keeps flat vectors, so only flat (the default) passes.
+func liveBackend(name string) error {
+	if name == "flat" {
+		return nil
+	}
+	return fmt.Errorf("export -live: -backend %s is not supported: the live tracker keeps flat vectors; "+
+		"-backend applies to timestamp, order, recover -trace, validate and export without -live", name)
+}
+
 // exportLive replays the trace through the live tracker's epoch-segment
 // pipeline and streams the log out of it: the tracker's online mechanism
 // discovers the components, sealed segments (and the tail) feed the log
@@ -745,7 +762,7 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 // the run's sealed history also lands as .mvcseg files for mvc segments.
 // With -batch N, runs of consecutive same-thread events commit as one
 // batch of up to N operations (identical stamps, amortized synchronization).
-func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format, spillDir string, seal, batch int) error {
+func exportLive(w io.Writer, tr *event.Trace, out string, format, spillDir string, seal, batch int) error {
 	if out == "" {
 		return fmt.Errorf("export needs -out")
 	}
@@ -760,8 +777,7 @@ func exportLive(w io.Writer, tr *event.Trace, out string, b vclock.Backend, form
 				spillDir, track.CatalogFileName)
 		}
 	}
-	tracker, err := track.Open(spillDir, track.WithBackend(b),
-		track.WithStore(track.Store{Spill: track.SpillPolicy{SealEvery: seal}}))
+	tracker, err := track.Open(spillDir, track.WithStore(track.Store{Spill: track.SpillPolicy{SealEvery: seal}}))
 	if err != nil {
 		return err
 	}

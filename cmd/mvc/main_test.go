@@ -178,7 +178,7 @@ func TestDetectLiveGolden(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
-	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "full", spill, 50, 0); err != nil {
+	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), "full", spill, 50, 0); err != nil {
 		t.Fatal(err)
 	}
 	runs := []struct {
@@ -254,7 +254,7 @@ func TestSegmentsTagMix(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
-	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "full", spill, 100, 0); err != nil {
+	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), "full", spill, 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -416,7 +416,7 @@ func TestExportLiveAndSegments(t *testing.T) {
 	spill := filepath.Join(dir, "spill")
 	logPath := filepath.Join(dir, "live.mvclog")
 	var buf bytes.Buffer
-	if err := exportLive(&buf, tr, logPath, vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+	if err := exportLive(&buf, tr, logPath, "delta", spill, 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -512,10 +512,10 @@ func TestExportLiveSpillDir(t *testing.T) {
 	spill := filepath.Join(dir, "spill")
 	spilled := filepath.Join(dir, "spilled.mvclog")
 	plain := filepath.Join(dir, "plain.mvclog")
-	if err := exportLive(io.Discard, tr, spilled, vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+	if err := exportLive(io.Discard, tr, spilled, "delta", spill, 20, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := exportLive(io.Discard, tr, plain, vclock.BackendFlat, "delta", "", 20, 0); err != nil {
+	if err := exportLive(io.Discard, tr, plain, "delta", "", 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(plain)
@@ -531,7 +531,7 @@ func TestExportLiveSpillDir(t *testing.T) {
 	}
 
 	again := filepath.Join(dir, "again.mvclog")
-	err = exportLive(io.Discard, tr, again, vclock.BackendFlat, "delta", spill, 20, 0)
+	err = exportLive(io.Discard, tr, again, "delta", spill, 20, 0)
 	if err == nil || !strings.Contains(err.Error(), spill) {
 		t.Fatalf("second export into %s: err = %v, want a refusal naming the directory", spill, err)
 	}
@@ -545,7 +545,7 @@ func TestExportLiveFullFormat(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "live-full.mvclog")
 	var buf bytes.Buffer
-	if err := exportLive(&buf, tr, logPath, vclock.BackendTree, "full", "", 25, 0); err != nil {
+	if err := exportLive(&buf, tr, logPath, "full", "", 25, 0); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
@@ -555,11 +555,32 @@ func TestExportLiveFullFormat(t *testing.T) {
 	if !strings.Contains(buf.String(), "validated 120 events") {
 		t.Errorf("inspect of full live log: %s", buf.String())
 	}
-	if err := exportLive(&buf, tr, "", vclock.BackendFlat, "delta", "", 0, 0); err == nil {
+	if err := exportLive(&buf, tr, "", "delta", "", 0, 0); err == nil {
 		t.Error("export -live without -out accepted")
 	}
-	if err := exportLive(&buf, tr, logPath, vclock.BackendFlat, "cbor", "", 0, 0); err == nil {
+	if err := exportLive(&buf, tr, logPath, "cbor", "", 0, 0); err == nil {
 		t.Error("export -live with unknown format accepted")
+	}
+}
+
+// TestExportLiveRejectsBackend: the live tracker keeps flat vectors, so
+// export -live refuses -backend tree and auto rather than ignore them, and
+// names the offline commands that do take the flag.
+func TestExportLiveRejectsBackend(t *testing.T) {
+	if err := liveBackend("flat"); err != nil {
+		t.Errorf("-backend flat rejected: %v", err)
+	}
+	for _, b := range []string{"tree", "auto"} {
+		err := liveBackend(b)
+		if err == nil {
+			t.Errorf("-backend %s accepted", b)
+			continue
+		}
+		for _, want := range []string{b, "timestamp", "validate", "export without -live"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("-backend %s error %q does not name %q", b, err, want)
+			}
+		}
 	}
 }
 
@@ -571,12 +592,12 @@ func TestExportLiveBatched(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer
 	perEvent := filepath.Join(dir, "per-event.mvclog")
-	if err := exportLive(&buf, tr, perEvent, vclock.BackendFlat, "delta", "", 20, 0); err != nil {
+	if err := exportLive(&buf, tr, perEvent, "delta", "", 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, batch := range []int{1, 7, 64} {
 		batched := filepath.Join(dir, fmt.Sprintf("batched-%d.mvclog", batch))
-		if err := exportLive(&buf, tr, batched, vclock.BackendFlat, "delta", "", 20, batch); err != nil {
+		if err := exportLive(&buf, tr, batched, "delta", "", 20, batch); err != nil {
 			t.Fatal(err)
 		}
 		want, err := os.ReadFile(perEvent)
@@ -645,7 +666,7 @@ func TestCatalogAndCompact(t *testing.T) {
 	spill := filepath.Join(dir, "spill")
 	logPath := filepath.Join(dir, "live.mvclog")
 	var buf bytes.Buffer
-	if err := exportLive(&buf, tr, logPath, vclock.BackendFlat, "delta", spill, 4, 0); err != nil {
+	if err := exportLive(&buf, tr, logPath, "delta", spill, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 	segFiles, err := expandSegmentArgs([]string{spill})
@@ -755,7 +776,7 @@ func dirListing(t *testing.T, dir string) []string {
 func TestCompactNeedsCatalog(t *testing.T) {
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
-	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), "delta", spill, 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{tlog.CatalogFileName, tlog.CatalogPrevFileName} {
@@ -783,7 +804,7 @@ func TestCatalogTornFallsBack(t *testing.T) {
 	}
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
-	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "full", spill, 50, 0); err != nil {
+	if err := exportLive(io.Discard, tr, filepath.Join(dir, "live.mvclog"), "full", spill, 50, 0); err != nil {
 		t.Fatal(err)
 	}
 	cur := filepath.Join(spill, tlog.CatalogFileName)
@@ -811,13 +832,59 @@ func TestCatalogTornFallsBack(t *testing.T) {
 	}
 }
 
+// TestCatalogVerifyLegacyBackend: catalog -verify accepts a copy of
+// testdata/legacy-spill whatever clock representation its resume manifest
+// names — tree, auto or none, as trackers that offered a choice wrote it —
+// and still rejects a name no version accepted.
+func TestCatalogVerifyLegacyBackend(t *testing.T) {
+	src := filepath.Join("testdata", "legacy-spill")
+	files, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"tree", "auto", "", "bogus"} {
+		dir := t.TempDir()
+		for _, fi := range files {
+			data, err := os.ReadFile(filepath.Join(src, fi.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Name() == tlog.CatalogFileName {
+				line := []byte("\n    \"backend\": \"flat\",")
+				repl := []byte{}
+				if backend != "" {
+					repl = []byte("\n    \"backend\": \"" + backend + "\",")
+				}
+				if !bytes.Contains(data, line) {
+					t.Fatal("testdata/legacy-spill's catalog names no flat backend")
+				}
+				data = bytes.Replace(data, line, repl, 1)
+			}
+			if err := os.WriteFile(filepath.Join(dir, fi.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		err := catalogCmd(&buf, []string{dir}, true)
+		if backend == "bogus" {
+			if err == nil {
+				t.Errorf("catalog -verify accepted backend %q:\n%s", backend, buf.String())
+			}
+			continue
+		}
+		if err != nil || !strings.Contains(buf.String(), "verified") {
+			t.Errorf("catalog -verify with backend %q: %v\n%s", backend, err, buf.String())
+		}
+	}
+}
+
 // TestCatalogVerifyMatchesRecovery: catalog -verify runs recovery's segment
 // check, so a listed file whose size and hash match its entry but whose
 // header names other events fails -verify exactly as Open quarantines it.
 func TestCatalogVerifyMatchesRecovery(t *testing.T) {
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
-	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), "delta", spill, 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	cat, _, err := tlog.ReadCatalog(vfs.OS, spill)
@@ -869,7 +936,7 @@ func TestCatalogVerifyMatchesRecovery(t *testing.T) {
 func TestCatalogVerifyScansRecords(t *testing.T) {
 	dir := t.TempDir()
 	spill := filepath.Join(dir, "spill")
-	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), vclock.BackendFlat, "delta", spill, 20, 0); err != nil {
+	if err := exportLive(io.Discard, liveTrace(t), filepath.Join(dir, "live.mvclog"), "delta", spill, 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	cat, _, err := tlog.ReadCatalog(vfs.OS, spill)
@@ -1172,8 +1239,10 @@ func TestSpamFormats(t *testing.T) {
 	if err := spam([]string{"-threads", "1", "-ops", "10", "-format", "nope"}, io.Discard, io.Discard); err == nil {
 		t.Error("unknown format accepted")
 	}
-	if err := spam([]string{"-nosuchflag"}, io.Discard, io.Discard); err == nil {
-		t.Error("unknown flag accepted")
+	for _, flag := range []string{"-nosuchflag", "-backend"} {
+		if err := spam([]string{flag, "tree"}, io.Discard, io.Discard); err == nil {
+			t.Errorf("unknown flag %s accepted", flag)
+		}
 	}
 }
 

@@ -261,11 +261,10 @@
 //
 // The mixed clock minimizes how many components a timestamp carries; the
 // clock backend decides how much work each operation does over them. Two
-// representations are available, selected per clock or per tracker:
+// representations are available to the offline clocks, selected per clock:
 //
 //	clk := analysis.NewClockBackend(mixedclock.Tree)
 //	online := mixedclock.NewOnlineClockBackend(mixedclock.NewHybrid(), mixedclock.Tree)
-//	tracker, err := mixedclock.Open("", mixedclock.WithBackend(mixedclock.Tree))
 //
 // Flat (the default) stores a []uint64 and pays O(k) per join, with minimal
 // constants — the right choice for narrow clocks and for workloads whose
@@ -278,9 +277,12 @@
 // identical timestamps (a property the test suite asserts exhaustively), and
 // both serialize to the same flat wire form, so logs and comparisons are
 // backend-agnostic. See BenchmarkBackends for head-to-head numbers per
-// workload shape. Auto picks a backend from the observed computation —
-// offline clocks resolve it against the analyzed width and join shape, a
-// Tracker re-decides at every Compact.
+// workload shape. Auto picks a backend from the analyzed width and join
+// shape.
+//
+// A Tracker always keeps flat vectors: its delta capture and same-object
+// fast path already skip the redundant join work a tree clock saves, and
+// the tree clock measured slower on every benchmark workload.
 //
 // # Online detection
 //
@@ -321,8 +323,7 @@
 // regression gate. `mvc gen` writes the synthetic JSONL traces the
 // analysis commands read. cmd/figures regenerates the paper's §V
 // evaluation with the cover simulator, which a test holds equal, point for
-// point, to a live Tracker on both clock backends, plus a backend × batch
-// × read-ratio throughput sweep.
+// point, to a live Tracker, plus a batch × read-ratio throughput sweep.
 //
 // # Persistence
 //

@@ -17,9 +17,9 @@ import (
 //     ~1.3×, read-heavy ~1.6× at 256 components), because its cost scales
 //     with the components a join actually changes.
 //
-// ChooseBackend encodes those crossovers so callers can say
-// WithBackend(Auto) / -backend=auto and get the right representation for the
-// observed computation.
+// ChooseBackend encodes those crossovers so offline callers can say
+// NewClockBackend(Auto) / -backend=auto and get the right representation for
+// the observed computation.
 
 const (
 	// AutoTreeWidth is the component-set width at which the tree backend

@@ -101,9 +101,7 @@ func NewOnlineMixedClock(mech Mechanism) *OnlineMixedClock {
 
 // NewOnlineMixedClockBackend is NewOnlineMixedClock with an explicit clock
 // representation. BackendAuto resolves at construction, when nothing has
-// been revealed yet, so it comes out flat; the live tracker (package track)
-// is the surface that re-resolves auto as the computation grows, at each
-// compaction.
+// been revealed yet, so it comes out flat.
 func NewOnlineMixedClockBackend(mech Mechanism, backend vclock.Backend) *OnlineMixedClock {
 	backend = ResolveBackend(backend, 0, 0)
 	tracker := NewCoverTracker(mech)

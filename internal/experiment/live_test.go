@@ -10,7 +10,6 @@ import (
 	"mixedclock/internal/core"
 	"mixedclock/internal/event"
 	"mixedclock/internal/track"
-	"mixedclock/internal/vclock"
 )
 
 // smallOpt keeps the equivalence sweeps to one cheap point per axis.
@@ -26,10 +25,10 @@ func smallOpt() Options {
 }
 
 // liveCoverSize replays one reveal order through a live tracker built on
-// the given mechanism and backend, one committed write per edge, and
-// returns the final mixed-clock width.
-func liveCoverSize(t *testing.T, order []bipartite.Edge, m core.Mechanism, b vclock.Backend) int {
-	tr, err := track.Open("", track.WithMechanism(m), track.WithBackend(b))
+// the given mechanism, one committed write per edge, and returns the final
+// mixed-clock width.
+func liveCoverSize(t *testing.T, order []bipartite.Edge, m core.Mechanism) int {
+	tr, err := track.Open("", track.WithMechanism(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +59,13 @@ func liveCoverSize(t *testing.T, order []bipartite.Edge, m core.Mechanism, b vcl
 // same series and the same rng consumption order as onlineSizes (one Random
 // draw per uncovered new edge, evaluated naive-active → random →
 // popularity), but each size measured on a real tracker.
-func liveSizes(t *testing.T, backend vclock.Backend) sizer {
+func liveSizes(t *testing.T) sizer {
 	return func(order []bipartite.Edge, nThreads int, rng *rand.Rand) map[string]int {
 		return map[string]int{
 			seriesNaive:       nThreads,
-			seriesNaiveActive: liveCoverSize(t, order, core.NaiveThreads{}, backend),
-			seriesRandom:      liveCoverSize(t, order, core.Random{Rng: rng}, backend),
-			seriesPopularity:  liveCoverSize(t, order, core.Popularity{}, backend),
+			seriesNaiveActive: liveCoverSize(t, order, core.NaiveThreads{}),
+			seriesRandom:      liveCoverSize(t, order, core.Random{Rng: rng}),
+			seriesPopularity:  liveCoverSize(t, order, core.Popularity{}),
 		}
 	}
 }
@@ -85,72 +84,70 @@ func requireEqualResults(t *testing.T, name string, offline, live *Result) {
 }
 
 // TestLiveEquivalence holds the live tracker to the figures: every figure's
-// online series measured on a real Tracker (per backend) equals the
-// core.SimulateCover numbers the figures report, point for point — the
+// online series measured on a real Tracker equals the core.SimulateCover
+// numbers the figures report, point for point — the
 // tracker's concurrent cover path realizes the paper's mechanisms exactly,
 // and the shared rng discipline keeps the Random series deterministic
 // across both.
 func TestLiveEquivalence(t *testing.T) {
 	opt := smallOpt()
-	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-		live := liveSizes(t, backend)
-		o4u, o4n, err := Fig4(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l4u, l4n, err := fig4(opt, live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireEqualResults(t, "fig4 uniform", o4u, l4u)
-		requireEqualResults(t, "fig4 nonuniform", o4n, l4n)
-
-		o5u, o5n, err := Fig5(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l5u, l5n, err := fig5(opt, live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireEqualResults(t, "fig5 uniform", o5u, l5u)
-		requireEqualResults(t, "fig5 nonuniform", o5n, l5n)
-
-		o6, err := Fig6(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l6, err := fig6(opt, live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireEqualResults(t, "fig6", o6, l6)
-
-		o7, err := Fig7(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l7, err := fig7(opt, live)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireEqualResults(t, "fig7", o7, l7)
-	}
-}
-
-// TestBackendWidthSweepShape runs the throughput sweep at minimum scale and
-// checks its structure: every series present, one value per worker count,
-// all positive.
-func TestBackendWidthSweepShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("throughput sweep under -short")
-	}
-	r, err := BackendWidthSweep(Options{Trials: 1, Seed: 3})
+	live := liveSizes(t)
+	o4u, o4n, err := Fig4(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 8 {
-		t.Fatalf("expected 8 series (2 backends × 2 styles × 2 ratios), got %d", len(r.Series))
+	l4u, l4n, err := fig4(opt, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, "fig4 uniform", o4u, l4u)
+	requireEqualResults(t, "fig4 nonuniform", o4n, l4n)
+
+	o5u, o5n, err := Fig5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l5u, l5n, err := fig5(opt, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, "fig5 uniform", o5u, l5u)
+	requireEqualResults(t, "fig5 nonuniform", o5n, l5n)
+
+	o6, err := Fig6(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l6, err := fig6(opt, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, "fig6", o6, l6)
+
+	o7, err := Fig7(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l7, err := fig7(opt, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireEqualResults(t, "fig7", o7, l7)
+}
+
+// TestThroughputSweepShape runs the throughput sweep at minimum scale and
+// checks its structure: every series present, one value per worker count,
+// all positive.
+func TestThroughputSweepShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("throughput sweep under -short")
+	}
+	r, err := ThroughputSweep(Options{Trials: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Series) != 4 {
+		t.Fatalf("expected 4 series (2 styles × 2 ratios), got %d", len(r.Series))
 	}
 	if len(r.X) != len(sweepThreads) {
 		t.Fatalf("x-axis has %d points, want %d", len(r.X), len(sweepThreads))

@@ -25,7 +25,6 @@ import (
 
 	"mixedclock/internal/event"
 	"mixedclock/internal/track"
-	"mixedclock/internal/vclock"
 )
 
 // Config parameterizes one load-generation run. The zero value is usable:
@@ -66,9 +65,6 @@ type Config struct {
 	// a Store the tracker still seals in memory so the monitor has a
 	// stream to ride.
 	Monitor bool `json:"monitor,omitempty"`
-	// Backend selects the clock representation: "flat", "tree", "auto",
-	// or "" for the tracker default.
-	Backend string `json:"backend,omitempty"`
 	// Seed is the base RNG seed; worker i derives its private RNG from
 	// Seed+i, so runs are reproducible (exactly so in Ops mode).
 	Seed int64 `json:"seed"`
@@ -119,11 +115,6 @@ func (c Config) validate() error {
 	if c.Batch < 1 {
 		return fmt.Errorf("loadgen: batch %d < 1", c.Batch)
 	}
-	if c.Backend != "" {
-		if _, err := vclock.ParseBackend(c.Backend); err != nil {
-			return fmt.Errorf("loadgen: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -160,13 +151,6 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	var opts []track.Option
-	if cfg.Backend != "" {
-		b, err := vclock.ParseBackend(cfg.Backend)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: %w", err)
-		}
-		opts = append(opts, track.WithBackend(b))
-	}
 	// Without a store, a monitored run still seals (in memory) so the
 	// monitor has a stream.
 	if cfg.Store != "" || cfg.Monitor {
@@ -284,7 +268,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	rep.Tracker = tr.Stats()
-	rep.Backend = rep.Tracker.Backend.String()
 	if err := tr.Err(); err != nil {
 		return nil, fmt.Errorf("loadgen: tracker error: %w", err)
 	}

@@ -48,16 +48,14 @@ func TestBatchMode(t *testing.T) {
 	}
 }
 
-// TestZipfAndBackends smokes the distribution and backend knobs.
-func TestZipfAndBackends(t *testing.T) {
-	for _, backend := range []string{"flat", "tree", "auto"} {
-		rep, err := Run(Config{Threads: 2, Objects: 32, ReadFrac: 0.5, Ops: 200, Warmup: 10, Dist: "zipf", Backend: backend, Seed: 2})
-		if err != nil {
-			t.Fatalf("backend %s: %v", backend, err)
-		}
-		if rep.Backend == "" || rep.Tracker.Width < 1 {
-			t.Errorf("backend %s: implausible report %+v", backend, rep)
-		}
+// TestZipf smokes the zipf object distribution.
+func TestZipf(t *testing.T) {
+	rep, err := Run(Config{Threads: 2, Objects: 32, ReadFrac: 0.5, Ops: 200, Warmup: 10, Dist: "zipf", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tracker.Width < 1 {
+		t.Errorf("implausible report %+v", rep)
 	}
 }
 
@@ -117,7 +115,6 @@ func TestValidate(t *testing.T) {
 	bad := []Config{
 		{Threads: 1, Objects: 1, ReadFrac: 1.5, Ops: 1},
 		{Threads: 1, Objects: 1, Dist: "pareto", Ops: 1},
-		{Threads: 1, Objects: 1, Backend: "cube", Ops: 1},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

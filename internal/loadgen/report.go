@@ -46,7 +46,6 @@ type Report struct {
 	Latency        Latency            `json:"latency"`
 	AllocsPerOp    float64            `json:"allocs_per_op"`
 	BytesPerOp     float64            `json:"bytes_per_op"`
-	Backend        string             `json:"backend"`
 	Tracker        track.TrackerStats `json:"tracker"`
 	Monitor        *MonitorSummary    `json:"monitor,omitempty"`
 }
@@ -69,7 +68,6 @@ func (r *Report) WriteTable(w io.Writer) error {
 		{"objects", fmt.Sprintf("%d (%s)", c.Objects, c.Dist)},
 		{"readfrac", fmt.Sprintf("%.2f", c.ReadFrac)},
 		{"batch", fmt.Sprintf("%d", c.Batch)},
-		{"backend", r.Backend},
 		{"warmup ops", fmt.Sprintf("%d", r.WarmupOps)},
 		{"measured ops", fmt.Sprintf("%d (%d reads, %d writes)", r.Ops, r.Reads, r.Writes)},
 		{"elapsed", fmt.Sprintf("%.3fs", r.ElapsedSeconds)},
@@ -106,11 +104,11 @@ func (r *Report) WriteTable(w io.Writer) error {
 // across invocations into a single sheet.
 func (r *Report) WriteCSV(w io.Writer) error {
 	c := r.Config
-	if _, err := fmt.Fprintln(w, "threads,objects,readfrac,batch,dist,backend,ops,reads,writes,elapsed_sec,mops,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,allocs_per_op,bytes_per_op,width,epoch,segments,spilled_bytes,seals"); err != nil {
+	if _, err := fmt.Fprintln(w, "threads,objects,readfrac,batch,dist,ops,reads,writes,elapsed_sec,mops,p50_ns,p90_ns,p99_ns,p999_ns,max_ns,allocs_per_op,bytes_per_op,width,epoch,segments,spilled_bytes,seals"); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%d,%d,%g,%d,%s,%s,%d,%d,%d,%.3f,%.4f,%d,%d,%d,%d,%d,%.2f,%.1f,%d,%d,%d,%d,%d\n",
-		c.Threads, c.Objects, c.ReadFrac, c.Batch, c.Dist, r.Backend,
+	_, err := fmt.Fprintf(w, "%d,%d,%g,%d,%s,%d,%d,%d,%.3f,%.4f,%d,%d,%d,%d,%d,%.2f,%.1f,%d,%d,%d,%d,%d\n",
+		c.Threads, c.Objects, c.ReadFrac, c.Batch, c.Dist,
 		r.Ops, r.Reads, r.Writes, r.ElapsedSeconds, r.Mops,
 		r.Latency.P50, r.Latency.P90, r.Latency.P99, r.Latency.P999, r.Latency.Max,
 		r.AllocsPerOp, r.BytesPerOp,

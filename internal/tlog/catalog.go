@@ -95,8 +95,10 @@ type CatalogResume struct {
 	// EpochStarts[i] is the trace index where epoch i+1 began; exactly
 	// Epoch entries.
 	EpochStarts []int `json:"epoch_starts,omitempty"`
-	// Backend is the *requested* clock representation ("flat", "tree" or
-	// "auto" — auto stays a policy across restarts, never a pinned choice).
+	// Backend is the clock representation ("flat", "tree" or "auto") that
+	// trackers which offered a choice recorded. It is still parsed and
+	// validated so their directories open, but recovery ignores it (the
+	// tracker keeps flat vectors) and no writer emits it any more.
 	Backend string `json:"backend,omitempty"`
 	// Threads and Objects are the registered names; index is the dense ID.
 	Threads []string `json:"threads,omitempty"`

@@ -12,7 +12,6 @@ import (
 	"mixedclock/internal/detect"
 	"mixedclock/internal/event"
 	"mixedclock/internal/trace"
-	"mixedclock/internal/vclock"
 )
 
 // chunkSchedule splits a generated trace into maximal same-thread runs,
@@ -112,8 +111,8 @@ func replayBatched(t *testing.T, tr *Tracker, src *event.Trace, chunks []chunkRu
 }
 
 // TestBatchMatchesDo is the batching equivalence property: for every
-// generator workload, on both backends, with and without sealing/spilling
-// and a mid-trace compaction, committing a schedule through DoBatch/Batch
+// generator workload, with and without sealing/spilling and a mid-trace
+// compaction, committing a schedule through DoBatch/Batch
 // must produce (event, epoch, stamp)-identical results to the equivalent
 // loop of Do calls. Identical events AND identical vectors: batching is an
 // amortization of synchronization cost, never a semantic knob.
@@ -133,34 +132,31 @@ func TestBatchMatchesDo(t *testing.T) {
 				break
 			}
 		}
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			for _, mode := range []string{"plain", "sealed"} {
-				t.Run(fmt.Sprintf("%v/%v/%s", wl, backend, mode), func(t *testing.T) {
-					open := func() *Tracker {
-						if mode == "sealed" {
-							return mustOpen(t, t.TempDir(), WithBackend(backend),
-								WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
-						}
-						return mustOpen(t, "", WithBackend(backend))
+		for _, mode := range []string{"plain", "sealed"} {
+			t.Run(fmt.Sprintf("%v/flat/%s", wl, mode), func(t *testing.T) {
+				open := func() *Tracker {
+					if mode == "sealed" {
+						return mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
 					}
-					want := replayDo(t, open(), src, compactAt)
-					got := replayBatched(t, open(), src, chunks, compactAt)
-					if len(got) != len(want) {
-						t.Fatalf("batched replay produced %d stamps, want %d", len(got), len(want))
+					return mustOpen(t, "")
+				}
+				want := replayDo(t, open(), src, compactAt)
+				got := replayBatched(t, open(), src, chunks, compactAt)
+				if len(got) != len(want) {
+					t.Fatalf("batched replay produced %d stamps, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Event != want[i].Event {
+						t.Fatalf("event %d: batched %+v, Do %+v", i, got[i].Event, want[i].Event)
 					}
-					for i := range want {
-						if got[i].Event != want[i].Event {
-							t.Fatalf("event %d: batched %+v, Do %+v", i, got[i].Event, want[i].Event)
-						}
-						if got[i].Epoch != want[i].Epoch {
-							t.Fatalf("event %d: batched epoch %d, Do epoch %d", i, got[i].Epoch, want[i].Epoch)
-						}
-						if gv, wv := got[i].Vector(), want[i].Vector(); !gv.Equal(wv) {
-							t.Fatalf("event %d: batched stamp %v, Do stamp %v", i, gv, wv)
-						}
+					if got[i].Epoch != want[i].Epoch {
+						t.Fatalf("event %d: batched epoch %d, Do epoch %d", i, got[i].Epoch, want[i].Epoch)
 					}
-				})
-			}
+					if gv, wv := got[i].Vector(), want[i].Vector(); !gv.Equal(wv) {
+						t.Fatalf("event %d: batched stamp %v, Do stamp %v", i, gv, wv)
+					}
+				}
+			})
 		}
 	}
 }

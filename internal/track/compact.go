@@ -92,11 +92,6 @@ func (t *Tracker) compactEpoch() (epoch, size int, ticket int64, err error) {
 	// inside a Do callback) may still hold the old one past the barrier;
 	// they only read it, and the garbage collector keeps it alive.
 	t.cover.Store(core.NewSharedCover(seeded))
-	// An auto backend re-decides here: the compacted width and the revealed
-	// join shape are exactly the statistics the heuristic wants, and every
-	// clock restarts from zero anyway, so the representation can change
-	// without mixing.
-	t.backend = core.ResolveBackend(t.requested, seeded.Size(), core.MaxFanIn(analysis.Graph))
 	// Reset every thread- and object-local clock: the new epoch starts from
 	// zero over the compacted components. No Do is in flight (we hold the
 	// write lock), so the per-thread and per-object state is quiescent.

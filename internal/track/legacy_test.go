@@ -9,6 +9,7 @@ import (
 	"mixedclock/internal/event"
 	"mixedclock/internal/tlog"
 	"mixedclock/internal/vclock"
+	"mixedclock/internal/vfs"
 )
 
 // TestOpenLegacyDelta02Directory pins backward compatibility of the segment
@@ -70,6 +71,52 @@ func TestOpenLegacyDerived02Directory(t *testing.T) {
 	checkLegacyStream(t, tr2, wantTr, want, len(want)+1) // and the resumed event
 }
 
+// TestOpenLegacyResumeBackend pins that the resume manifest's backend field
+// no longer matters. Trackers that offered a choice of clock representation
+// recorded it there; this tracker keeps flat vectors whatever it names.
+// With the field set to tree, auto or absent, testdata/legacy-mvclog02 must
+// open as TestOpenLegacyDelta02Directory opens it, resume and reopen, and
+// the republished catalog must no longer carry the field. A name no
+// version accepted is still a corrupt catalog: Open sets it and the
+// segments it lists aside.
+func TestOpenLegacyResumeBackend(t *testing.T) {
+	wantTr, want := legacyStamps(t, "legacy-stamps.mvclog")
+	for _, c := range []struct{ name, backend string }{
+		{"backend=tree", "tree"},
+		{"backend=auto", "auto"},
+		{"no-backend", ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := copyLegacyFixture(t, "legacy-mvclog02")
+			setResumeBackend(t, dir, c.backend)
+			tr := openLegacy(t, dir, wantTr, want, 40)
+			resumeLegacy(t, tr, dir, len(want))
+			cat, _, err := tlog.ReadCatalog(vfs.OS, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cat.Resume == nil || cat.Resume.Backend != "" {
+				t.Fatalf("republished resume manifest %+v, want one without a backend", cat.Resume)
+			}
+		})
+	}
+	t.Run("backend=bogus", func(t *testing.T) {
+		dir := copyLegacyFixture(t, "legacy-mvclog02")
+		setResumeBackend(t, dir, "bogus")
+		if _, _, err := tlog.ReadCatalog(vfs.OS, dir); err == nil {
+			t.Fatal("catalog with backend \"bogus\" accepted")
+		}
+		tr := mustOpen(t, dir)
+		defer tr.Close()
+		if n := len(tr.Segments()); n != 0 {
+			t.Fatalf("Open adopted %d segments under a rejected catalog", n)
+		}
+		if q := tr.Recovery().Quarantined; len(q) != 41 {
+			t.Fatalf("Open quarantined %d files, want the catalog and its 40 segments", len(q))
+		}
+	})
+}
+
 // copyLegacyFixture copies testdata/name into a fresh directory, which it
 // returns.
 func copyLegacyFixture(t *testing.T, name string) string {
@@ -93,6 +140,28 @@ func copyLegacyFixture(t *testing.T, name string) string {
 		}
 	}
 	return dir
+}
+
+// setResumeBackend rewrites the resume manifest's backend field in dir's
+// catalog (a fixture's reads "flat") to name, or drops it when name is "".
+func setResumeBackend(t *testing.T, dir, name string) {
+	t.Helper()
+	path := filepath.Join(dir, tlog.CatalogFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := "\n    \"backend\": \"flat\","
+	repl := ""
+	if name != "" {
+		repl = "\n    \"backend\": \"" + name + "\","
+	}
+	if !bytes.Contains(data, []byte(line)) {
+		t.Fatalf("%s names no flat backend", path)
+	}
+	if err := os.WriteFile(path, bytes.Replace(data, []byte(line), []byte(repl), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // legacyStamps reads a fixture's expected stamps: testdata/name, an

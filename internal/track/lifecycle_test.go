@@ -107,8 +107,8 @@ func TestCompactSegmentsReducesFiles(t *testing.T) {
 }
 
 // TestCompactSegmentsPreservesReplay is the lifecycle property test: for
-// every generator workload, on both backends, compacting the sealed history
-// and replaying must be stamp-for-stamp — and, via SnapshotTo, byte-for-
+// every generator workload, compacting the sealed history and replaying
+// must be stamp-for-stamp — and, via SnapshotTo, byte-for-
 // byte — identical to replaying the original segments.
 func TestCompactSegmentsPreservesReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -117,63 +117,60 @@ func TestCompactSegmentsPreservesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
-				tr := mustOpen(t, t.TempDir(), WithBackend(backend),
-					WithStore(Store{Spill: SpillPolicy{SealEvery: 30}}))
-				replayTrace(t, tr, src, src.Len()/2)
-				if err := tr.Seal(); err != nil {
-					t.Fatal(err)
-				}
-				nBefore := len(tr.Segments())
-				if nBefore < 4 {
-					t.Fatalf("setup sealed only %d segments", nBefore)
-				}
-				var want bytes.Buffer
-				if err := tr.SnapshotTo(&want); err != nil {
-					t.Fatal(err)
-				}
-				refTrace, refStamps := tr.Snapshot()
+		t.Run(fmt.Sprintf("%v/flat", wl), func(t *testing.T) {
+			tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 30}}))
+			replayTrace(t, tr, src, src.Len()/2)
+			if err := tr.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			nBefore := len(tr.Segments())
+			if nBefore < 4 {
+				t.Fatalf("setup sealed only %d segments", nBefore)
+			}
+			var want bytes.Buffer
+			if err := tr.SnapshotTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			refTrace, refStamps := tr.Snapshot()
 
-				// Zero policy: unconditional, one segment per epoch run.
-				eliminated, err := tr.CompactSegments(CompactPolicy{})
-				if err != nil {
-					t.Fatal(err)
+			// Zero policy: unconditional, one segment per epoch run.
+			eliminated, err := tr.CompactSegments(CompactPolicy{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eliminated != nBefore-len(tr.Segments()) {
+				t.Fatalf("eliminated %d but segment count went %d -> %d",
+					eliminated, nBefore, len(tr.Segments()))
+			}
+			if eliminated == 0 {
+				t.Fatalf("compaction merged nothing out of %d segments", nBefore)
+			}
+			var got bytes.Buffer
+			if err := tr.SnapshotTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("SnapshotTo bytes changed across compaction: %d vs %d",
+					want.Len(), got.Len())
+			}
+			gotTrace, gotStamps := tr.Snapshot()
+			if gotTrace.Len() != refTrace.Len() {
+				t.Fatalf("replay has %d events, want %d", gotTrace.Len(), refTrace.Len())
+			}
+			for i := 0; i < refTrace.Len(); i++ {
+				if gotTrace.At(i) != refTrace.At(i) {
+					t.Fatalf("event %d: %+v, want %+v", i, gotTrace.At(i), refTrace.At(i))
 				}
-				if eliminated != nBefore-len(tr.Segments()) {
-					t.Fatalf("eliminated %d but segment count went %d -> %d",
-						eliminated, nBefore, len(tr.Segments()))
+				if !gotStamps[i].Equal(refStamps[i]) || len(gotStamps[i]) != len(refStamps[i]) {
+					t.Fatalf("stamp %d: %v (width %d), want %v (width %d)", i,
+						gotStamps[i], len(gotStamps[i]), refStamps[i], len(refStamps[i]))
 				}
-				if eliminated == 0 {
-					t.Fatalf("compaction merged nothing out of %d segments", nBefore)
-				}
-				var got bytes.Buffer
-				if err := tr.SnapshotTo(&got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want.Bytes(), got.Bytes()) {
-					t.Fatalf("SnapshotTo bytes changed across compaction: %d vs %d",
-						want.Len(), got.Len())
-				}
-				gotTrace, gotStamps := tr.Snapshot()
-				if gotTrace.Len() != refTrace.Len() {
-					t.Fatalf("replay has %d events, want %d", gotTrace.Len(), refTrace.Len())
-				}
-				for i := 0; i < refTrace.Len(); i++ {
-					if gotTrace.At(i) != refTrace.At(i) {
-						t.Fatalf("event %d: %+v, want %+v", i, gotTrace.At(i), refTrace.At(i))
-					}
-					if !gotStamps[i].Equal(refStamps[i]) || len(gotStamps[i]) != len(refStamps[i]) {
-						t.Fatalf("stamp %d: %v (width %d), want %v (width %d)", i,
-							gotStamps[i], len(gotStamps[i]), refStamps[i], len(refStamps[i]))
-					}
-				}
-				if err := tr.Err(); err != nil {
-					t.Fatal(err)
-				}
-				validateEpochs(t, tr)
-			})
-		}
+			}
+			if err := tr.Err(); err != nil {
+				t.Fatal(err)
+			}
+			validateEpochs(t, tr)
+		})
 	}
 }
 

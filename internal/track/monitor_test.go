@@ -39,8 +39,7 @@ func sortedPairs(ps []detect.Pair) []detect.Pair {
 }
 
 // TestMonitorMatchesOffline is the online-detection equivalence property:
-// for every generator workload, on both backends, a Monitor with an
-// unbounded window fed through real seals must agree exactly with the
+// for every generator workload, a Monitor with an unbounded window fed through real seals must agree exactly with the
 // offline analyses over the final snapshot — census, schedule-sensitive
 // pair set, predicate-watch verdict and witness, and happened-before
 // answers.
@@ -51,73 +50,68 @@ func TestMonitorMatchesOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
-				tr := mustOpen(t, t.TempDir(),
-					WithBackend(backend),
-					WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}),
-				)
-				m := tr.NewMonitor(MonitorPolicy{})
-				m.WatchPossibly("both-odd", oddPred)
-				defer m.Close()
+		t.Run(fmt.Sprintf("%v/flat", wl), func(t *testing.T) {
+			tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
+			m := tr.NewMonitor(MonitorPolicy{})
+			m.WatchPossibly("both-odd", oddPred)
+			defer m.Close()
 
-				replayTrace(t, tr, src, -1)
-				if err := m.Sync(); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Err(); err != nil {
-					t.Fatal(err)
-				}
+			replayTrace(t, tr, src, -1)
+			if err := m.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
+			}
 
-				full, stamps := tr.Snapshot()
-				stats := m.Stats()
-				if stats.Consumed != full.Len() {
-					t.Fatalf("consumed %d of %d events", stats.Consumed, full.Len())
-				}
-				if want := detect.TakeCensus(full); stats.Census != want || stats.CensusSkipped != 0 {
-					t.Fatalf("census %+v (skipped %d), want %+v", stats.Census, stats.CensusSkipped, want)
-				}
-				if stats.CoverLowerBound > stats.ClockWidth {
-					t.Fatalf("König lower bound %d exceeds live clock width %d", stats.CoverLowerBound, stats.ClockWidth)
-				}
+			full, stamps := tr.Snapshot()
+			stats := m.Stats()
+			if stats.Consumed != full.Len() {
+				t.Fatalf("consumed %d of %d events", stats.Consumed, full.Len())
+			}
+			if want := detect.TakeCensus(full); stats.Census != want || stats.CensusSkipped != 0 {
+				t.Fatalf("census %+v (skipped %d), want %+v", stats.Census, stats.CensusSkipped, want)
+			}
+			if stats.CoverLowerBound > stats.ClockWidth {
+				t.Fatalf("König lower bound %d exceeds live clock width %d", stats.CoverLowerBound, stats.ClockWidth)
+			}
 
-				var online []detect.Pair
-				var possibly []Detection
-				for _, d := range m.Detections() {
-					switch d.Kind {
-					case DetectPair:
-						online = append(online, detect.Pair{First: d.Other, Second: d.Event})
-					case DetectPossibly:
-						possibly = append(possibly, d)
-					}
+			var online []detect.Pair
+			var possibly []Detection
+			for _, d := range m.Detections() {
+				switch d.Kind {
+				case DetectPair:
+					online = append(online, detect.Pair{First: d.Other, Second: d.Event})
+				case DetectPossibly:
+					possibly = append(possibly, d)
 				}
-				if want := ScheduleSensitivePairsOffline(full); !reflect.DeepEqual(sortedPairs(online), want) {
-					t.Fatalf("pair sets differ: online %d, offline %d", len(online), len(want))
-				}
+			}
+			if want := ScheduleSensitivePairsOffline(full); !reflect.DeepEqual(sortedPairs(online), want) {
+				t.Fatalf("pair sets differ: online %d, offline %d", len(online), len(want))
+			}
 
-				witness, found, err := predicate.Possibly(full, oddPred, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if found != (len(possibly) == 1) {
-					t.Fatalf("possibly: online fired=%v, offline found=%v", len(possibly) == 1, found)
-				}
-				if found && possibly[0].Witness.String() != witness.String() {
-					t.Fatalf("witness %v, want %v", possibly[0].Witness, witness)
-				}
+			witness, found, err := predicate.Possibly(full, oddPred, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if found != (len(possibly) == 1) {
+				t.Fatalf("possibly: online fired=%v, offline found=%v", len(possibly) == 1, found)
+			}
+			if found && possibly[0].Witness.String() != witness.String() {
+				t.Fatalf("witness %v, want %v", possibly[0].Witness, witness)
+			}
 
-				for trial := 0; trial < 200; trial++ {
-					i, j := rng.Intn(full.Len()), rng.Intn(full.Len())
-					got, ok := m.HappenedBefore(i, j)
-					if !ok {
-						t.Fatalf("unbounded window refused query (%d,%d)", i, j)
-					}
-					if want := stamps[i].Less(stamps[j]); got != want {
-						t.Fatalf("hb(%d,%d)=%v, want %v", i, j, got, want)
-					}
+			for trial := 0; trial < 200; trial++ {
+				i, j := rng.Intn(full.Len()), rng.Intn(full.Len())
+				got, ok := m.HappenedBefore(i, j)
+				if !ok {
+					t.Fatalf("unbounded window refused query (%d,%d)", i, j)
 				}
-			})
-		}
+				if want := stamps[i].Less(stamps[j]); got != want {
+					t.Fatalf("hb(%d,%d)=%v, want %v", i, j, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -321,7 +315,7 @@ func brutePairs(recs []streamRecord) []detect.Pair {
 
 // TestMonitorBoundedWindow checks a Monitor with a bounded window against a
 // brute-force computation over the streamed history, on every generator
-// workload and both backends, with an epoch Compact and clock growth while
+// workload, with an epoch Compact and clock growth while
 // the window is full: the census compares each event with exactly its W
 // predecessors and counts the rest as skipped, HappenedBefore/Concurrent
 // answer exactly inside [Consumed−W, Consumed) and refuse outside it, and
@@ -334,94 +328,89 @@ func TestMonitorBoundedWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			for _, w := range []int{1, 3, 16} {
-				t.Run(fmt.Sprintf("%v/%v/W=%d", wl, backend, w), func(t *testing.T) {
-					tr := mustOpen(t, t.TempDir(),
-						WithBackend(backend),
-						WithStore(Store{Spill: SpillPolicy{SealEvery: 50}}),
-					)
-					m := tr.NewMonitor(MonitorPolicy{Window: w})
-					defer m.Close()
-					replayTrace(t, tr, src, 120)
-					if err := m.Sync(); err != nil {
-						t.Fatal(err)
+		for _, w := range []int{1, 3, 16} {
+			t.Run(fmt.Sprintf("%v/flat/W=%d", wl, w), func(t *testing.T) {
+				tr := mustOpen(t, t.TempDir(), WithStore(Store{Spill: SpillPolicy{SealEvery: 50}}))
+				m := tr.NewMonitor(MonitorPolicy{Window: w})
+				defer m.Close()
+				replayTrace(t, tr, src, 120)
+				if err := m.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Err(); err != nil {
+					t.Fatal(err)
+				}
+				recs := streamRecords(t, tr)
+				n := len(recs)
+				if recs[n-1].epoch != 1 {
+					t.Fatalf("last record in epoch %d, want 1 (one Compact)", recs[n-1].epoch)
+				}
+				for j := w; j < n; j++ {
+					if recs[j].epoch == recs[j-1].epoch && len(recs[j].v) > len(recs[j-1].v) {
+						grewMidWindow[w] = true
 					}
-					if err := m.Err(); err != nil {
-						t.Fatal(err)
-					}
-					recs := streamRecords(t, tr)
-					n := len(recs)
-					if recs[n-1].epoch != 1 {
-						t.Fatalf("last record in epoch %d, want 1 (one Compact)", recs[n-1].epoch)
-					}
-					for j := w; j < n; j++ {
-						if recs[j].epoch == recs[j-1].epoch && len(recs[j].v) > len(recs[j-1].v) {
-							grewMidWindow[w] = true
-						}
-					}
+				}
 
-					var want detect.Census
-					skipped := 0
-					for j := range recs {
-						want.Events++
-						lo := max(0, j-w)
-						skipped += lo
-						for i := lo; i < j; i++ {
-							want.Total++
-							if windowOrdered(recs[i], recs[j]) {
-								want.Ordered++
-							} else {
-								want.Concurrent++
-							}
+				var want detect.Census
+				skipped := 0
+				for j := range recs {
+					want.Events++
+					lo := max(0, j-w)
+					skipped += lo
+					for i := lo; i < j; i++ {
+						want.Total++
+						if windowOrdered(recs[i], recs[j]) {
+							want.Ordered++
+						} else {
+							want.Concurrent++
 						}
 					}
-					stats := m.Stats()
-					if stats.Consumed != n {
-						t.Fatalf("consumed %d of %d", stats.Consumed, n)
-					}
-					if stats.Census != want || stats.CensusSkipped != skipped {
-						t.Fatalf("census %+v (skipped %d), want %+v (skipped %d)", stats.Census, stats.CensusSkipped, want, skipped)
-					}
-					if lo := max(0, n-w); stats.WindowLo != lo {
-						t.Fatalf("WindowLo %d, want %d", stats.WindowLo, lo)
-					}
+				}
+				stats := m.Stats()
+				if stats.Consumed != n {
+					t.Fatalf("consumed %d of %d", stats.Consumed, n)
+				}
+				if stats.Census != want || stats.CensusSkipped != skipped {
+					t.Fatalf("census %+v (skipped %d), want %+v (skipped %d)", stats.Census, stats.CensusSkipped, want, skipped)
+				}
+				if lo := max(0, n-w); stats.WindowLo != lo {
+					t.Fatalf("WindowLo %d, want %d", stats.WindowLo, lo)
+				}
 
-					for i := max(0, n-w-2); i < n; i++ {
-						for j := max(0, n-w-2); j < n; j++ {
-							inWindow := i >= n-w && j >= n-w
-							hbGot, ok := m.HappenedBefore(i, j)
-							if ok != inWindow {
-								t.Fatalf("HappenedBefore(%d,%d) ok=%v, in window %v", i, j, ok, inWindow)
-							}
-							concGot, okc := m.Concurrent(i, j)
-							if okc != inWindow {
-								t.Fatalf("Concurrent(%d,%d) ok=%v, in window %v", i, j, okc, inWindow)
-							}
-							if !ok {
-								continue
-							}
-							if want := bruteHappenedBefore(recs[i], recs[j]); hbGot != want {
-								t.Fatalf("HappenedBefore(%d,%d)=%v, want %v", i, j, hbGot, want)
-							}
-							wantConc := i != j && recs[i].epoch == recs[j].epoch && recs[i].v.Concurrent(recs[j].v)
-							if concGot != wantConc {
-								t.Fatalf("Concurrent(%d,%d)=%v, want %v", i, j, concGot, wantConc)
-							}
+				for i := max(0, n-w-2); i < n; i++ {
+					for j := max(0, n-w-2); j < n; j++ {
+						inWindow := i >= n-w && j >= n-w
+						hbGot, ok := m.HappenedBefore(i, j)
+						if ok != inWindow {
+							t.Fatalf("HappenedBefore(%d,%d) ok=%v, in window %v", i, j, ok, inWindow)
+						}
+						concGot, okc := m.Concurrent(i, j)
+						if okc != inWindow {
+							t.Fatalf("Concurrent(%d,%d) ok=%v, in window %v", i, j, okc, inWindow)
+						}
+						if !ok {
+							continue
+						}
+						if want := bruteHappenedBefore(recs[i], recs[j]); hbGot != want {
+							t.Fatalf("HappenedBefore(%d,%d)=%v, want %v", i, j, hbGot, want)
+						}
+						wantConc := i != j && recs[i].epoch == recs[j].epoch && recs[i].v.Concurrent(recs[j].v)
+						if concGot != wantConc {
+							t.Fatalf("Concurrent(%d,%d)=%v, want %v", i, j, concGot, wantConc)
 						}
 					}
+				}
 
-					var online []detect.Pair
-					for _, d := range m.Detections() {
-						if d.Kind == DetectPair {
-							online = append(online, detect.Pair{First: d.Other, Second: d.Event})
-						}
+				var online []detect.Pair
+				for _, d := range m.Detections() {
+					if d.Kind == DetectPair {
+						online = append(online, detect.Pair{First: d.Other, Second: d.Event})
 					}
-					if want := brutePairs(recs); !reflect.DeepEqual(sortedPairs(online), want) {
-						t.Fatalf("pair sets differ: online %d, brute force %d", len(online), len(want))
-					}
-				})
-			}
+				}
+				if want := brutePairs(recs); !reflect.DeepEqual(sortedPairs(online), want) {
+					t.Fatalf("pair sets differ: online %d, brute force %d", len(online), len(want))
+				}
+			})
 		}
 	}
 	for _, w := range []int{1, 3, 16} {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mixedclock/internal/clock"
+	"mixedclock/internal/core"
 	"mixedclock/internal/vclock"
 )
 
@@ -90,69 +91,65 @@ func TestWriterExcludesReaders(t *testing.T) {
 
 // TestSameObjectFastPathStamps drives the re-acquisition fast path (a thread
 // hammering one object) interleaved with occasional cross-thread traffic
-// that invalidates the version cache, on both backends, and validates every
-// recorded stamp against the happened-before oracle.
+// that invalidates the version cache, and validates every recorded stamp
+// against the happened-before oracle.
 func TestSameObjectFastPathStamps(t *testing.T) {
-	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-		t.Run(backend.String(), func(t *testing.T) {
-			tr := mustOpen(t, "", WithBackend(backend))
-			hot := tr.NewObject("hot")
-			other := tr.NewObject("other")
-			a := tr.NewThread("a")
-			b := tr.NewThread("b")
+	t.Run("flat", func(t *testing.T) {
+		tr := mustOpen(t, "")
+		hot := tr.NewObject("hot")
+		other := tr.NewObject("other")
+		a := tr.NewThread("a")
+		b := tr.NewThread("b")
 
-			for i := 0; i < 120; i++ {
-				// Runs of same-object ops (fast path) with periodic cache
-				// breakers: b commits on hot, or a detours via other.
-				a.Read(hot, nil)
-				a.Write(hot, nil)
-				switch i % 10 {
-				case 4:
-					b.Write(hot, nil)
-				case 9:
-					a.Write(other, nil)
-				}
-			}
-			if err := tr.Err(); err != nil {
-				t.Fatal(err)
-			}
-			trace, stamps := tr.Snapshot()
-			if err := clock.Validate(trace, stamps, "fast-path/"+backend.String()); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestFastPathMatchesSlowPath replays one deterministic same-object-heavy
-// script on both backends and requires identical stamps — the fast path must
-// be invisible in the produced timestamps.
-func TestFastPathMatchesSlowPath(t *testing.T) {
-	runScript := func(b vclock.Backend) []vclock.Vector {
-		tr := mustOpen(t, "", WithBackend(b))
-		th := []*Thread{tr.NewThread("x"), tr.NewThread("y")}
-		obj := []*Object{tr.NewObject("p"), tr.NewObject("q")}
-		for i := 0; i < 80; i++ {
-			// Long same-object runs with occasional switches.
-			tid := (i / 25) % 2
-			oid := (i / 40) % 2
-			if i%3 == 0 {
-				th[tid].Read(obj[oid], nil)
-			} else {
-				th[tid].Write(obj[oid], nil)
+		for i := 0; i < 120; i++ {
+			// Runs of same-object ops (fast path) with periodic cache
+			// breakers: b commits on hot, or a detours via other.
+			a.Read(hot, nil)
+			a.Write(hot, nil)
+			switch i % 10 {
+			case 4:
+				b.Write(hot, nil)
+			case 9:
+				a.Write(other, nil)
 			}
 		}
 		if err := tr.Err(); err != nil {
 			t.Fatal(err)
 		}
-		_, stamps := tr.Snapshot()
-		return stamps
+		trace, stamps := tr.Snapshot()
+		if err := clock.Validate(trace, stamps, "fast-path"); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFastPathMatchesSlowPath replays one deterministic same-object-heavy
+// script through a tracker and through the offline online clock (which runs
+// the full update rule on every event, with no re-acquisition fast path)
+// and requires identical stamps — the fast path must be invisible in the
+// produced timestamps.
+func TestFastPathMatchesSlowPath(t *testing.T) {
+	tr := mustOpen(t, "")
+	th := []*Thread{tr.NewThread("x"), tr.NewThread("y")}
+	obj := []*Object{tr.NewObject("p"), tr.NewObject("q")}
+	for i := 0; i < 80; i++ {
+		// Long same-object runs with occasional switches.
+		tid := (i / 25) % 2
+		oid := (i / 40) % 2
+		if i%3 == 0 {
+			th[tid].Read(obj[oid], nil)
+		} else {
+			th[tid].Write(obj[oid], nil)
+		}
 	}
-	flat := runScript(vclock.BackendFlat)
-	tree := runScript(vclock.BackendTree)
-	for i := range flat {
-		if !flat[i].Equal(tree[i]) {
-			t.Fatalf("event %d: flat %v, tree %v", i, flat[i], tree[i])
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	trace, stamps := tr.Snapshot()
+	slow := clock.Run(trace, core.NewOnlineMixedClock(core.NewHybrid()))
+	for i := range stamps {
+		if !stamps[i].Equal(slow[i]) || len(stamps[i]) != len(slow[i]) {
+			t.Fatalf("event %d: tracker %v, update rule %v", i, stamps[i], slow[i])
 		}
 	}
 }

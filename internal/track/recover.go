@@ -304,17 +304,6 @@ func (t *Tracker) recoverDir(o options) error {
 	}
 	t.cover.Store(core.NewSharedCover(seeded))
 
-	// The requested backend survives the restart unless the caller overrode
-	// it; auto stays a policy, re-resolved against the recovered width.
-	backendReq := o.backend
-	if !o.backendSet && resume != nil && resume.Backend != "" {
-		if b, err := vclock.ParseBackend(resume.Backend); err == nil {
-			backendReq = b
-		}
-	}
-	t.requested = backendReq
-	t.backend = core.ResolveBackend(backendReq, seeded.Size(), core.MaxFanIn(g))
-
 	// Epoch bookkeeping.
 	var epoch int
 	var epochStarts []int
@@ -365,14 +354,16 @@ func (t *Tracker) recoverDir(o options) error {
 	for _, name := range threadNames {
 		th := t.NewThread(name)
 		if v := at(threadLast, int(th.id)); v != nil && resumeUsable {
+			// base is immutable and run belongs to the weave, so the
+			// working clock gets a copy of its own.
 			th.base, th.run = v[:len(v):len(v)], v.Clone()
-			th.clock = clockFromVector(t.backend, v)
+			th.clock = vclock.FlatOf(v.Clone())
 		}
 	}
 	for _, name := range objectNames {
 		ob := t.NewObject(name)
 		if v := at(objectLast, int(ob.id)); v != nil && resumeUsable {
-			ob.clock = clockFromVector(t.backend, v)
+			ob.clock = vclock.FlatOf(v)
 		}
 	}
 
@@ -524,24 +515,6 @@ func quarantineFile(fsys vfs.FS, path string) string {
 		return ""
 	}
 	return filepath.Base(q)
-}
-
-// clockFromVector rebuilds a backend clock equal to v. Deltas are absolute
-// assignments and v is monotone from the zero clock, so one Apply restores
-// any backend's invariants. The clock is grown to v's width first, so its
-// trailing zeros survive and the ascending deltas never regrow it one
-// component at a time.
-func clockFromVector(b vclock.Backend, v vclock.Vector) vclock.Clock {
-	c := core.NewBackendClock(b)
-	c.Grow(len(v))
-	ds := make([]vclock.Delta, 0, len(v))
-	for i, x := range v {
-		if x != 0 {
-			ds = append(ds, vclock.Delta{Index: int32(i), Value: x})
-		}
-	}
-	c.Apply(ds)
-	return c
 }
 
 // growTo extends s with zero values, if needed, so that index i is valid.

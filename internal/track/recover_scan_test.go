@@ -62,7 +62,7 @@ func epochClocks(t *testing.T, dir string) (threads, objects map[int]vclock.Vect
 // with no record in the epoch must have no clock.
 func checkRecoveredClocks(t *testing.T, tr *Tracker, threads, objects map[int]vclock.Vector) {
 	t.Helper()
-	check := func(what string, got vclock.Clock, want vclock.Vector) {
+	check := func(what string, got *vclock.Flat, want vclock.Vector) {
 		t.Helper()
 		switch {
 		case want == nil && got != nil:

@@ -428,9 +428,9 @@ func (nopSink) ConsumeStamp(event.Event, int, vclock.Vector) error { return nil 
 // returns every stamp as its tail replay produced it: the first epoch is
 // snapshotted just before the Compact at mid, the second at the end. It is
 // the seal-independent reference the sealing tracker is checked against.
-func tailStamps(t *testing.T, src *event.Trace, backend vclock.Backend, mid int) []vclock.Vector {
+func tailStamps(t *testing.T, src *event.Trace, mid int) []vclock.Vector {
 	t.Helper()
-	tr := mustOpen(t, "", WithBackend(backend))
+	tr := mustOpen(t, "")
 	var ref []vclock.Vector
 	replayOps(t, tr, src, func(i int, _ []Stamped) {
 		if i == mid {
@@ -471,8 +471,7 @@ func replayOps(t *testing.T, tr *Tracker, src *event.Trace, before func(i int, s
 }
 
 // TestSealedBytesMatchAppendEncode is the seal path's byte-identity
-// property: for every generator workload, on both backends, with an odd
-// SealEvery (cuts split blocks), a mid-run Compact, and Stream freezes
+// property: for every generator workload, with an odd SealEvery (cuts split blocks), a mid-run Compact, and Stream freezes
 // between commits (seals split frozen blocks), every sealed segment is
 // byte-identical to encoding the full stamps of its range with
 // DeltaWriter.Append — the encoding the seal used before it learned to
@@ -488,76 +487,74 @@ func TestSealedBytesMatchAppendEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		mid := src.Len() / 2
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			t.Run(fmt.Sprintf("%v/%v", wl, backend), func(t *testing.T) {
-				ref := tailStamps(t, src, backend, mid)
-				tr := mustOpen(t, "", WithBackend(backend), WithStore(Store{Spill: SpillPolicy{SealEvery: 37}}))
-				early := map[int]vclock.Vector{}
-				got := replayOps(t, tr, src, func(i int, got []Stamped) {
-					switch {
-					case i == mid:
-						if _, _, err := tr.Compact(); err != nil {
-							t.Fatal(err)
-						}
-					case i%29 == 0:
-						if err := tr.Stream(nopSink{}); err != nil {
-							t.Fatal(err)
-						}
-					case i%23 == 0 && i > 0:
-						early[i-1] = got[i-1].Vector()
-					}
-				})
-				tr.waitIdle()
-				full, stamps := tr.Snapshot()
-				if full.Len() != src.Len() {
-					t.Fatalf("snapshot has %d events, want %d", full.Len(), src.Len())
-				}
-				segs := tr.hist.Load().segs
-				if len(segs) < 4 {
-					t.Fatalf("only %d segments sealed", len(segs))
-				}
-				for _, sg := range segs {
-					m := sg.meta
-					var payload bytes.Buffer
-					w := tlog.NewDeltaWriter(&payload)
-					widths := make([]int, 0, m.Count)
-					for i := m.FirstIndex; i < m.FirstIndex+m.Count; i++ {
-						if err := w.Append(full.At(i), ref[i]); err != nil {
-							t.Fatal(err)
-						}
-						widths = append(widths, len(ref[i]))
-					}
-					if err := w.Flush(); err != nil {
+		t.Run(fmt.Sprintf("%v/flat", wl), func(t *testing.T) {
+			ref := tailStamps(t, src, mid)
+			tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: 37}}))
+			early := map[int]vclock.Vector{}
+			got := replayOps(t, tr, src, func(i int, got []Stamped) {
+				switch {
+				case i == mid:
+					if _, _, err := tr.Compact(); err != nil {
 						t.Fatal(err)
 					}
-					want, err := tlog.AppendSegment(nil, m, widths, payload.Bytes())
-					if err != nil {
+				case i%29 == 0:
+					if err := tr.Stream(nopSink{}); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(sg.data, want) {
-						t.Fatalf("segment %v: %d sealed bytes differ from the %d-byte Append re-encode",
-							m, len(sg.data), len(want))
-					}
-				}
-				same := func(what string, i int, v vclock.Vector) {
-					if !v.Equal(ref[i]) || len(v) != len(ref[i]) {
-						t.Fatalf("%s %d = %v (width %d), want %v (width %d)", what, i, v, len(v), ref[i], len(ref[i]))
-					}
-				}
-				for i, v := range stamps {
-					same("snapshot stamp", i, v)
-				}
-				for i, v := range early {
-					same("mid-run tail stamp", i, v)
-				}
-				for i, s := range got {
-					same("lazy stamp", i, s.Vector())
-				}
-				if err := tr.Err(); err != nil {
-					t.Fatal(err)
+				case i%23 == 0 && i > 0:
+					early[i-1] = got[i-1].Vector()
 				}
 			})
-		}
+			tr.waitIdle()
+			full, stamps := tr.Snapshot()
+			if full.Len() != src.Len() {
+				t.Fatalf("snapshot has %d events, want %d", full.Len(), src.Len())
+			}
+			segs := tr.hist.Load().segs
+			if len(segs) < 4 {
+				t.Fatalf("only %d segments sealed", len(segs))
+			}
+			for _, sg := range segs {
+				m := sg.meta
+				var payload bytes.Buffer
+				w := tlog.NewDeltaWriter(&payload)
+				widths := make([]int, 0, m.Count)
+				for i := m.FirstIndex; i < m.FirstIndex+m.Count; i++ {
+					if err := w.Append(full.At(i), ref[i]); err != nil {
+						t.Fatal(err)
+					}
+					widths = append(widths, len(ref[i]))
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				want, err := tlog.AppendSegment(nil, m, widths, payload.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(sg.data, want) {
+					t.Fatalf("segment %v: %d sealed bytes differ from the %d-byte Append re-encode",
+						m, len(sg.data), len(want))
+				}
+			}
+			same := func(what string, i int, v vclock.Vector) {
+				if !v.Equal(ref[i]) || len(v) != len(ref[i]) {
+					t.Fatalf("%s %d = %v (width %d), want %v (width %d)", what, i, v, len(v), ref[i], len(ref[i]))
+				}
+			}
+			for i, v := range stamps {
+				same("snapshot stamp", i, v)
+			}
+			for i, v := range early {
+				same("mid-run tail stamp", i, v)
+			}
+			for i, s := range got {
+				same("lazy stamp", i, s.Vector())
+			}
+			if err := tr.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -4,8 +4,6 @@
 // commits (but, like Epoch, it is not for use inside a Do callback).
 package track
 
-import "mixedclock/internal/vclock"
-
 // TrackerStats is a point-in-time summary of a tracker's clock and storage
 // lifecycle. The first block is current state (what the individual accessors
 // Events, Size, Epoch, Segments report, gathered in one call); the counters
@@ -19,12 +17,10 @@ type TrackerStats struct {
 	Events         int `json:"events"`
 	SealedEvents   int `json:"sealed_events"`
 	RetainedEvents int `json:"retained_events"`
-	// Width is the current mixed-clock width (the live cover size) and
-	// Backend the resolved clock representation; Epoch counts Compact
-	// barriers.
-	Width   int            `json:"width"`
-	Backend vclock.Backend `json:"-"`
-	Epoch   int            `json:"epoch"`
+	// Width is the current mixed-clock width (the live cover size); Epoch
+	// counts Compact barriers.
+	Width int `json:"width"`
+	Epoch int `json:"epoch"`
 	// Segments is the sealed-history length, SpilledBytes the on-disk
 	// total across spilled segments, CatalogGen the published catalog
 	// generation (bumped by every sealed-history change).
@@ -80,7 +76,6 @@ func (t *Tracker) Stats() TrackerStats {
 		SealedEvents:        int(t.sealed.Load()),
 		RetainedEvents:      st.retained,
 		Width:               t.Size(),
-		Backend:             t.Backend(),
 		Epoch:               t.Epoch(),
 		Segments:            len(st.segs),
 		SpilledBytes:        spilled,

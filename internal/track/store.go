@@ -211,7 +211,6 @@ func (t *Tracker) captureResumeLocked() {
 	r := &tlog.CatalogResume{
 		Epoch:       t.epoch,
 		EpochStarts: append([]int(nil), t.epochStart...),
-		Backend:     t.requested.String(),
 		Threads:     threads,
 		Objects:     objects,
 		Components:  make([]tlog.ResumeComponent, len(comps)),

@@ -44,8 +44,8 @@ func replayTrace(t *testing.T, tr *Tracker, src *event.Trace, compactAt int) {
 }
 
 // TestSnapshotToMatchesWriteAllDelta is the pipeline's equivalence property:
-// for every generator workload, on both backends, with and without sealing/
-// spilling/compaction in the middle, the streaming SnapshotTo must produce
+// for every generator workload, with and without sealing/spilling/compaction
+// in the middle, the streaming SnapshotTo must produce
 // byte-identical output to materializing Snapshot() and writing it with
 // tlog.WriteAllDelta. Bytes, not just decoded equality: the stream path re-
 // encodes sealed segments record by record, and any drift in sync-point or
@@ -57,55 +57,53 @@ func TestSnapshotToMatchesWriteAllDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			for _, mode := range []string{"plain", "sealed"} {
-				t.Run(fmt.Sprintf("%v/%v/%s", wl, backend, mode), func(t *testing.T) {
-					opts := []Option{WithBackend(backend)}
-					dir, compactAt := "", -1
-					if mode == "sealed" {
-						dir = t.TempDir()
-						opts = append(opts, WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
-						compactAt = src.Len() / 2
-					}
-					tr := mustOpen(t, dir, opts...)
-					replayTrace(t, tr, src, compactAt)
-					tr.waitIdle()
+		for _, mode := range []string{"plain", "sealed"} {
+			t.Run(fmt.Sprintf("%v/flat/%s", wl, mode), func(t *testing.T) {
+				var opts []Option
+				dir, compactAt := "", -1
+				if mode == "sealed" {
+					dir = t.TempDir()
+					opts = append(opts, WithStore(Store{Spill: SpillPolicy{SealEvery: 75}}))
+					compactAt = src.Len() / 2
+				}
+				tr := mustOpen(t, dir, opts...)
+				replayTrace(t, tr, src, compactAt)
+				tr.waitIdle()
 
-					full, stamps := tr.Snapshot()
-					if full.Len() != src.Len() {
-						t.Fatalf("snapshot has %d events, want %d", full.Len(), src.Len())
+				full, stamps := tr.Snapshot()
+				if full.Len() != src.Len() {
+					t.Fatalf("snapshot has %d events, want %d", full.Len(), src.Len())
+				}
+				var want bytes.Buffer
+				if err := tlog.WriteAllDelta(&want, full, stamps); err != nil {
+					t.Fatal(err)
+				}
+				var got bytes.Buffer
+				if err := tr.SnapshotTo(&got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(want.Bytes(), got.Bytes()) {
+					t.Fatalf("SnapshotTo wrote %d bytes differing from materialize+WriteAllDelta's %d",
+						got.Len(), want.Len())
+				}
+				// The log must decode back to the exact snapshot.
+				decTr, decStamps, err := tlog.ReadAll(&got)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if decTr.Len() != full.Len() {
+					t.Fatalf("decoded %d events, want %d", decTr.Len(), full.Len())
+				}
+				for i := 0; i < full.Len(); i++ {
+					if !decStamps[i].Equal(stamps[i]) {
+						t.Fatalf("stamp %d: decoded %v, snapshot %v", i, decStamps[i], stamps[i])
 					}
-					var want bytes.Buffer
-					if err := tlog.WriteAllDelta(&want, full, stamps); err != nil {
-						t.Fatal(err)
-					}
-					var got bytes.Buffer
-					if err := tr.SnapshotTo(&got); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(want.Bytes(), got.Bytes()) {
-						t.Fatalf("SnapshotTo wrote %d bytes differing from materialize+WriteAllDelta's %d",
-							got.Len(), want.Len())
-					}
-					// The log must decode back to the exact snapshot.
-					decTr, decStamps, err := tlog.ReadAll(&got)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if decTr.Len() != full.Len() {
-						t.Fatalf("decoded %d events, want %d", decTr.Len(), full.Len())
-					}
-					for i := 0; i < full.Len(); i++ {
-						if !decStamps[i].Equal(stamps[i]) {
-							t.Fatalf("stamp %d: decoded %v, snapshot %v", i, decStamps[i], stamps[i])
-						}
-					}
-					if err := tr.Err(); err != nil {
-						t.Fatal(err)
-					}
-					validateEpochs(t, tr)
-				})
-			}
+				}
+				if err := tr.Err(); err != nil {
+					t.Fatal(err)
+				}
+				validateEpochs(t, tr)
+			})
 		}
 	}
 }

@@ -36,68 +36,66 @@ func validateEpochs(t *testing.T, tr *Tracker) {
 // epoch's segment is a valid vector clock, and cross-epoch pairs compare by
 // epoch order.
 func TestCompactRacesDo(t *testing.T) {
-	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-		t.Run(backend.String(), func(t *testing.T) {
-			tr := mustOpen(t, "", WithBackend(backend))
-			const nWorkers, nObjects, opsPer, compactions = 8, 5, 300, 6
-			objects := make([]*Object, nObjects)
-			for i := range objects {
-				objects[i] = tr.NewObject("obj")
-			}
-			recorded := make([][]Stamped, nWorkers)
-			var wg sync.WaitGroup
-			for w := 0; w < nWorkers; w++ {
-				th := tr.NewThread("worker")
-				wg.Add(1)
-				go func(th *Thread, w int) {
-					defer wg.Done()
-					for i := 0; i < opsPer; i++ {
-						s := th.Write(objects[(w+i)%nObjects], nil)
-						recorded[w] = append(recorded[w], s)
-					}
-				}(th, w)
-			}
-			for c := 0; c < compactions; c++ {
-				if _, _, err := tr.Compact(); err != nil {
-					t.Error(err)
-					break
+	t.Run("flat", func(t *testing.T) {
+		tr := mustOpen(t, "")
+		const nWorkers, nObjects, opsPer, compactions = 8, 5, 300, 6
+		objects := make([]*Object, nObjects)
+		for i := range objects {
+			objects[i] = tr.NewObject("obj")
+		}
+		recorded := make([][]Stamped, nWorkers)
+		var wg sync.WaitGroup
+		for w := 0; w < nWorkers; w++ {
+			th := tr.NewThread("worker")
+			wg.Add(1)
+			go func(th *Thread, w int) {
+				defer wg.Done()
+				for i := 0; i < opsPer; i++ {
+					s := th.Write(objects[(w+i)%nObjects], nil)
+					recorded[w] = append(recorded[w], s)
 				}
+			}(th, w)
+		}
+		for c := 0; c < compactions; c++ {
+			if _, _, err := tr.Compact(); err != nil {
+				t.Error(err)
+				break
 			}
-			wg.Wait()
-			if err := tr.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := tr.Events(), nWorkers*opsPer; got != want {
-				t.Fatalf("Events = %d, want %d", got, want)
-			}
+		}
+		wg.Wait()
+		if err := tr.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tr.Events(), nWorkers*opsPer; got != want {
+			t.Fatalf("Events = %d, want %d", got, want)
+		}
 
-			// Each stamp's epoch tag must agree with where its event landed
-			// in the merged trace — the barrier quiesced in-flight Do calls.
-			for _, stamps := range recorded {
-				for _, s := range stamps {
-					if got := tr.EpochOf(s.Event.Index); got != s.Epoch {
-						t.Fatalf("event %d stamped in epoch %d but recorded in segment %d",
-							s.Event.Index, s.Epoch, got)
-					}
+		// Each stamp's epoch tag must agree with where its event landed
+		// in the merged trace — the barrier quiesced in-flight Do calls.
+		for _, stamps := range recorded {
+			for _, s := range stamps {
+				if got := tr.EpochOf(s.Event.Index); got != s.Epoch {
+					t.Fatalf("event %d stamped in epoch %d but recorded in segment %d",
+						s.Event.Index, s.Epoch, got)
 				}
 			}
-			// Cross-epoch stamps are totally ordered by epoch; program order
-			// within a worker must agree.
-			for _, stamps := range recorded {
-				for i := 1; i < len(stamps); i++ {
-					prev, cur := stamps[i-1], stamps[i]
-					if prev.Epoch > cur.Epoch {
-						t.Fatalf("worker's epochs went backwards: %d then %d", prev.Epoch, cur.Epoch)
-					}
-					if got := prev.Order(cur); got != vclock.Before {
-						t.Fatalf("program order lost across stamps %v → %v: %v",
-							prev.Event, cur.Event, got)
-					}
+		}
+		// Cross-epoch stamps are totally ordered by epoch; program order
+		// within a worker must agree.
+		for _, stamps := range recorded {
+			for i := 1; i < len(stamps); i++ {
+				prev, cur := stamps[i-1], stamps[i]
+				if prev.Epoch > cur.Epoch {
+					t.Fatalf("worker's epochs went backwards: %d then %d", prev.Epoch, cur.Epoch)
+				}
+				if got := prev.Order(cur); got != vclock.Before {
+					t.Fatalf("program order lost across stamps %v → %v: %v",
+						prev.Event, cur.Event, got)
 				}
 			}
-			validateEpochs(t, tr)
-		})
-	}
+		}
+		validateEpochs(t, tr)
+	})
 }
 
 // TestAccessorsRaceCompact pins the cover-swap race fixed after review:

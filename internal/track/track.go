@@ -54,6 +54,9 @@
 //
 // # Delta records and lazy stamps
 //
+// Every thread and object clock is a flat vector (vclock.Flat): the delta
+// capture and the fast path below already skip the redundant join work a
+// tree clock would save, so the tracker offers no other representation.
 // Committing an event does not flatten the thread's clock. The update rule
 // runs in change-capture form (core.UpdateRuleDelta): the components the
 // event actually changed are appended to a per-thread delta arena, and the
@@ -688,12 +691,6 @@ type Tracker struct {
 	// atomic so read-only accessors (Size, Components) stay safe — and
 	// deadlock-free even inside a Do callback — without the world lock.
 	cover atomic.Pointer[core.SharedCover]
-	// requested is the backend the tracker was built with (possibly
-	// BackendAuto); backend is the resolved representation clocks are
-	// currently built in. Auto re-resolves at every Compact, when the
-	// epoch's clocks restart from zero anyway.
-	requested vclock.Backend
-	backend   vclock.Backend
 
 	// seq assigns each commit its dense global trace index; fetched while
 	// the object commit exclusion is held so index order linearizes
@@ -886,10 +883,8 @@ func (t *Tracker) swapHist(derive func(old *segState) *segState) *segState {
 type Option func(*options)
 
 type options struct {
-	mech       core.Mechanism
-	backend    vclock.Backend
-	backendSet bool
-	store      Store
+	mech  core.Mechanism
+	store Store
 }
 
 // WithMechanism selects the online component-choice mechanism (default: the
@@ -899,33 +894,20 @@ func WithMechanism(m core.Mechanism) Option {
 	return func(o *options) { o.mech = m }
 }
 
-// WithBackend selects the clock representation (default: the flat vector).
-// The tree backend trades slightly richer bookkeeping for joins that cost
-// only as much as the components they change; timestamps are identical
-// either way. The choice survives Compact. BackendAuto defers the choice to
-// the tracker: flat at first (nothing revealed yet), re-decided at every
-// Compact from the observed component-set width and join shape
-// (core.ChooseBackend).
-func WithBackend(b vclock.Backend) Option {
-	return func(o *options) { o.backend, o.backendSet = b, true }
-}
-
 func defaultOptions() options {
-	return options{mech: core.NewHybrid(), backend: vclock.BackendFlat}
+	return options{mech: core.NewHybrid()}
 }
 
 // newTracker builds an empty tracker spilling to dir ("" keeps sealed
 // history in memory); Open validates o first and recovers dir after.
 func newTracker(dir string, o options) *Tracker {
 	t := &Tracker{
-		world:     newWorldLock(),
-		requested: o.backend,
-		backend:   core.ResolveBackend(o.backend, 0, 0),
-		spill:     o.store.Spill,
-		compact:   o.store.Compact,
-		retain:    o.store.Retain,
-		dir:       dir,
-		fs:        o.store.FS,
+		world:   newWorldLock(),
+		spill:   o.store.Spill,
+		compact: o.store.Compact,
+		retain:  o.store.Retain,
+		dir:     dir,
+		fs:      o.store.FS,
 	}
 	if t.fs == nil {
 		t.fs = vfs.OS
@@ -956,7 +938,7 @@ type Thread struct {
 	// clock is the thread's working clock, nil until the first operation
 	// of an epoch. Owned by the driving goroutine (under the world read
 	// lock); reset by Compact (under the world write lock).
-	clock vclock.Clock
+	clock *vclock.Flat
 	// buf holds committed records not yet merged into the tracker's trace;
 	// deltas is the arena their change sets live in. A merge barrier moves
 	// both into a tail generation and installs the spares in their place:
@@ -1029,7 +1011,7 @@ type Object struct {
 	// clock is the full clock of the object's latest operation, nil until
 	// the first operation of an epoch. Protected by the commit exclusion;
 	// reset by Compact (under the world write lock, with no Do in flight).
-	clock vclock.Clock
+	clock *vclock.Flat
 	// ver counts commits on this object; the thread-side one-entry cache
 	// uses it to prove the object clock is unchanged since the thread's
 	// own last commit here.
@@ -1144,7 +1126,7 @@ func (t *Tracker) commit(th *Thread, o *Object, op event.Op) Stamped {
 func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, objIdx, width int) Stamped {
 	tv := th.clock
 	if tv == nil {
-		tv = core.NewBackendClock(t.backend)
+		tv = vclock.NewFlat(0)
 		th.clock = tv
 	}
 	start := len(th.deltas)
@@ -1162,7 +1144,7 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		o.clock.Apply(th.deltas[start:])
 	} else {
 		if o.clock == nil {
-			o.clock = core.NewBackendClock(t.backend)
+			o.clock = vclock.NewFlat(0)
 		}
 		// The thread absorbs the object's last full clock, ticks the
 		// covered endpoints, and the object re-absorbs the result — the
@@ -1513,15 +1495,6 @@ func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
 		}
 	}
 	return v
-}
-
-// Backend returns the clock representation the tracker currently builds
-// clocks in. For trackers created WithBackend(BackendAuto) this is the
-// resolved concrete backend, which may change at a Compact.
-func (t *Tracker) Backend() vclock.Backend {
-	t.world.RLock(0)
-	defer t.world.RUnlock(0)
-	return t.backend
 }
 
 // Size returns the current vector-clock size (number of components). The

@@ -14,6 +14,9 @@ import (
 // workers to go idle, so none still writes into a temporary directory
 // being removed (cleanups run last-registered first, after the directory's
 // own was registered).
+//
+// The property tests name their subtests ".../flat/..." after the clock
+// representation the tracker keeps, so the names match across versions.
 func mustOpen(tb testing.TB, dir string, opts ...Option) *Tracker {
 	tb.Helper()
 	tr, err := Open(dir, opts...)

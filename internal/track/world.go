@@ -27,7 +27,7 @@ import (
 // order; per-object counters collide). What CAN be fixed is everything
 // around the counter: it lives in a paddedInt64 so the unavoidable RMW at
 // least owns its cache line instead of false-sharing with the read-mostly
-// fields (cover pointer, backend) every commit also touches.
+// cover pointer every commit also touches.
 
 // cacheLineSize is the padding stride. 128 covers the common 64-byte line
 // and the 128-byte spatial prefetcher pairs on recent x86 parts.

@@ -109,8 +109,8 @@ type (
 	// section above.
 	Health = track.Health
 	// TrackerStats is a point-in-time lifecycle summary of a tracker:
-	// committed/sealed/retained event counts, clock width and backend,
-	// sealed-history shape, and the cumulative seal/compaction/retention
+	// committed/sealed/retained event counts, clock width, sealed-history
+	// shape, and the cumulative seal/compaction/retention
 	// totals. See Tracker.Stats; `mvc spam` reports one per run.
 	TrackerStats = track.TrackerStats
 	// Shipper incrementally copies a spill directory's sealed, published
@@ -142,13 +142,12 @@ const (
 	OpRead  = event.OpRead
 )
 
-// Clock backends. Flat is the reference []uint64 representation and the
-// default everywhere; Tree is the tree clock of Mathur et al. (PLDI 2022)
-// over the mixed component space, whose joins skip already-dominated
-// subtrees. Both produce identical timestamps. Auto defers the choice to
-// the observed computation: offline clocks resolve it from the analyzed
-// width and join shape, a Tracker starts flat and re-decides at every
-// Compact.
+// Clock backends of the offline clocks (NewClockBackend,
+// NewOnlineClockBackend). Flat is the reference []uint64 representation and
+// the default; Tree is the tree clock of Mathur et al. (PLDI 2022) over the
+// mixed component space, whose joins skip already-dominated subtrees. Both
+// produce identical timestamps. Auto resolves the choice from the analyzed
+// width and join shape. A Tracker always keeps flat vectors.
 const (
 	Flat = vclock.BackendFlat
 	Tree = vclock.BackendTree
@@ -208,9 +207,6 @@ func Open(dir string, opts ...TrackerOption) (*Tracker, error) { return track.Op
 
 // WithMechanism selects the tracker's online mechanism.
 func WithMechanism(m Mechanism) TrackerOption { return track.WithMechanism(m) }
-
-// WithBackend selects the tracker's clock representation (Flat or Tree).
-func WithBackend(b Backend) TrackerOption { return track.WithBackend(b) }
 
 // WithStore sets the tracker's complete storage configuration — the only
 // storage option. Spill seals the merged tail into immutable delta-encoded
