@@ -194,13 +194,9 @@ func readHeavyTrace(threads, rounds int) *mixedclock.Trace {
 	return reads
 }
 
-// backendTraces builds the workload shapes for the flat-vs-tree backend
-// head-to-head. Each shape stresses a different join profile over a wide
-// component set (hundreds of components), which is where the representations
-// diverge: flat pays O(width) per event regardless, tree pays only for the
-// components each join changes. The w64/w128 variants of the causally local
-// shapes bracket the flat→tree crossover that core.ChooseBackend's
-// AutoTreeWidth threshold encodes.
+// backendTraces builds the join shapes BenchmarkBackends times. Each one
+// stresses a different join profile, three of them over a wide component
+// set (hundreds of components).
 func backendTraces() []struct {
 	name string
 	tr   *mixedclock.Trace
@@ -231,40 +227,33 @@ func backendTraces() []struct {
 		tr   *mixedclock.Trace
 	}{
 		{"deep-join", deepJoinTrace(256, 6000)},
-		{"deep-join-w64", deepJoinTrace(64, 6000)},
-		{"deep-join-w128", deepJoinTrace(128, 6000)},
 		{"wide-fanin", fanin},
 		{"read-heavy", readHeavyTrace(256, 60)},
-		{"read-heavy-w64", readHeavyTrace(64, 240)},
-		{"read-heavy-w128", readHeavyTrace(128, 120)},
 		{"seeded-hotset", seeded},
 	}
 }
 
-// BenchmarkBackends runs the flat and tree clock backends head-to-head over
-// the same optimal component sets. The acceptance bar: tree at least matches
-// flat on the deep-join chain, and wins outright wherever joins have causal
-// locality.
+// BenchmarkBackends times the offline mixed clock per join shape, over each
+// shape's optimal component set. The /flat suffix stays so cmd/benchdiff
+// pairs these sub-benchmarks with runs of older commits.
 func BenchmarkBackends(b *testing.B) {
 	for _, shape := range backendTraces() {
 		analysis := core.AnalyzeTrace(shape.tr)
 		events := shape.tr.Events()
-		for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-			b.Run(shape.name+"/"+backend.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					mc := analysis.NewClockBackend(backend)
-					for _, e := range events {
-						mc.Timestamp(e)
-					}
-					if err := mc.Err(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(shape.name+"/flat", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mc := analysis.NewClock()
+				for _, e := range events {
+					mc.Timestamp(e)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
-				b.ReportMetric(float64(analysis.VectorSize()), "components")
-			})
-		}
+				if err := mc.Err(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
+			b.ReportMetric(float64(analysis.VectorSize()), "components")
+		})
 	}
 }
 

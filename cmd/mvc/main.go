@@ -58,15 +58,10 @@
 //
 //	mvc gen -workload hotset -events 2000 | mvc analyze
 //
-// The offline commands that timestamp events (timestamp, order, recover
-// -trace, validate, export) accept -backend {flat|tree|auto} to pick the
-// clock representation: flat (default) is the reference vector, tree is the
-// Mathur et al. tree clock whose joins skip already-dominated subtrees, and
-// auto picks one from the analyzed computation's width and join shape.
-// Timestamps are identical in every case; only the cost profile changes.
-// export -live rejects tree and auto: the live tracker keeps flat vectors.
-// detect ignores -backend: it needs no mixed-clock stamps, and it runs in
-// time linear in the trace, so million-event traces take seconds.
+// Every clock is a flat vector. -backend flat is still accepted, so older
+// scripts keep working; -backend tree and auto exit with status 2, because
+// the tree clock was removed. detect needs no mixed-clock stamps, and it
+// runs in time linear in the trace, so million-event traces take seconds.
 //
 // export's -format=delta writes the delta-encoded log: per-thread changed
 // components instead of full vectors, streamed straight from the clock's
@@ -149,7 +144,7 @@ func main() {
 	dir := fs.String("dir", "", "recover/detect -live: operate on this spill directory instead of a trace")
 	out := fs.String("out", "", "export: output .mvclog path")
 	logPath := fs.String("log", "", "inspect: input .mvclog path")
-	backendName := fs.String("backend", "flat", "clock representation: flat, tree or auto")
+	backendName := fs.String("backend", "flat", "clock representation: only flat remains (accepted for existing scripts)")
 	format := fs.String("format", "full", "export: log encoding, full or delta")
 	live := fs.Bool("live", false, "export: replay through the live segment pipeline; detect: attach to a spill directory")
 	follow := fs.Bool("follow", false, "detect -live: keep polling the catalog until the run closes")
@@ -164,15 +159,9 @@ func main() {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	backend, err := vclock.ParseBackend(*backendName)
-	if err != nil {
-		fatal(err)
-	}
-	if cmd == "export" && *live {
-		if err := liveBackend(*backendName); err != nil {
-			fmt.Fprintf(os.Stderr, "mvc: %v\n", err)
-			os.Exit(2)
-		}
+	if err := checkBackend(*backendName); err != nil {
+		fmt.Fprintf(os.Stderr, "mvc: %v\n", err)
+		os.Exit(2)
 	}
 
 	// inspect and segments read binary artifacts, not a JSONL trace.
@@ -236,22 +225,22 @@ func main() {
 	case "analyze":
 		err = analyze(os.Stdout, tr)
 	case "timestamp":
-		err = timestamp(os.Stdout, tr, *n, backend)
+		err = timestamp(os.Stdout, tr, *n)
 	case "order":
-		err = order(os.Stdout, tr, *i, *j, backend)
+		err = order(os.Stdout, tr, *i, *j)
 	case "detect":
 		err = detectCmd(os.Stdout, tr)
 	case "recover":
-		err = recover_(os.Stdout, tr, *fail, backend)
+		err = recover_(os.Stdout, tr, *fail)
 	case "validate":
-		err = validate(os.Stdout, tr, backend)
+		err = validate(os.Stdout, tr)
 	case "graph":
 		err = graph(os.Stdout, tr)
 	case "export":
 		if *live {
 			err = exportLive(os.Stdout, tr, *out, *format, *spillDir, *seal, *batch)
 		} else {
-			err = export(os.Stdout, tr, *out, backend, *format)
+			err = export(os.Stdout, tr, *out, *format)
 		}
 	default:
 		usage()
@@ -397,9 +386,9 @@ func analyze(w io.Writer, tr *event.Trace) error {
 	return nil
 }
 
-func timestamp(w io.Writer, tr *event.Trace, n int, b vclock.Backend) error {
+func timestamp(w io.Writer, tr *event.Trace, n int) error {
 	a := core.AnalyzeTrace(tr)
-	mc := a.NewClockBackend(b)
+	mc := a.NewClock()
 	stamps := clock.Run(tr, mc)
 	if err := mc.Err(); err != nil {
 		return err
@@ -418,11 +407,11 @@ func timestamp(w io.Writer, tr *event.Trace, n int, b vclock.Backend) error {
 	return nil
 }
 
-func order(w io.Writer, tr *event.Trace, i, j int, b vclock.Backend) error {
+func order(w io.Writer, tr *event.Trace, i, j int) error {
 	if i < 0 || j < 0 || i >= tr.Len() || j >= tr.Len() {
 		return fmt.Errorf("order needs -i and -j in [0, %d)", tr.Len())
 	}
-	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClockBackend(b))
+	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
 	rel := "concurrent with"
 	switch {
 	case stamps[i].Less(stamps[j]):
@@ -582,11 +571,11 @@ func objectByName(names []string, name string) event.ObjectID {
 	return -1
 }
 
-func recover_(w io.Writer, tr *event.Trace, fail int, b vclock.Backend) error {
+func recover_(w io.Writer, tr *event.Trace, fail int) error {
 	if fail < 0 {
 		return fmt.Errorf("recover needs -fail in [0, %d)", tr.Len())
 	}
-	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClockBackend(b))
+	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
 	line, err := cut.RecoveryLine(tr, stamps, fail)
 	if err != nil {
 		return err
@@ -655,15 +644,15 @@ func recoverDir(w io.Writer, dir string) (quarantined int, err error) {
 
 // validate proves every clock scheme correct on the given trace — handy
 // when hand-editing traces or porting logs between versions.
-func validate(w io.Writer, tr *event.Trace, b vclock.Backend) error {
+func validate(w io.Writer, tr *event.Trace) error {
 	analysis := core.AnalyzeTrace(tr)
 	if err := analysis.Verify(); err != nil {
 		return err
 	}
 	schemes := []clock.Timestamper{
-		analysis.NewClockBackend(b),
-		core.NewOnlineMixedClockBackend(core.Popularity{}, b),
-		core.NewOnlineMixedClockBackend(core.NewHybrid(), b),
+		analysis.NewClock(),
+		core.NewOnlineMixedClock(core.Popularity{}),
+		core.NewOnlineMixedClock(core.NewHybrid()),
 		baseline.NewThreadClock(tr.Threads(), tr.Objects()),
 		baseline.NewObjectClock(tr.Threads(), tr.Objects()),
 		baseline.NewChainClock(),
@@ -690,7 +679,7 @@ func graph(w io.Writer, tr *event.Trace) error {
 // binary log. The delta format streams the clock's change capture straight
 // into the writer — no full vector is materialized per event on the way to
 // disk.
-func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format string) error {
+func export(w io.Writer, tr *event.Trace, out, format string) error {
 	if out == "" {
 		return fmt.Errorf("export needs -out")
 	}
@@ -698,7 +687,7 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 		return fmt.Errorf("export: unknown -format %q (want full or delta)", format)
 	}
 	a := core.AnalyzeTrace(tr)
-	mc := a.NewClockBackend(b)
+	mc := a.NewClock()
 	var stamps []vclock.Vector
 	if format == "full" {
 		// Timestamp before touching the filesystem, so a clock error
@@ -745,14 +734,15 @@ func export(w io.Writer, tr *event.Trace, out string, b vclock.Backend, format s
 	return nil
 }
 
-// liveBackend rejects a -backend that export -live cannot honour: the live
-// tracker keeps flat vectors, so only flat (the default) passes.
-func liveBackend(name string) error {
+// checkBackend is the -backend gate of every command. Every clock is a flat
+// vector, so only flat (the default) passes; it stays accepted so existing
+// scripts keep working.
+func checkBackend(name string) error {
 	if name == "flat" {
 		return nil
 	}
-	return fmt.Errorf("export -live: -backend %s is not supported: the live tracker keeps flat vectors; "+
-		"-backend applies to timestamp, order, recover -trace, validate and export without -live", name)
+	return fmt.Errorf("-backend %s is not supported: the tree clock was removed and every clock is a flat vector; "+
+		"-backend accepts only flat", name)
 }
 
 // exportLive replays the trace through the live tracker's epoch-segment

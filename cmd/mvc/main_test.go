@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -20,7 +21,6 @@ import (
 	"mixedclock/internal/tlog"
 	"mixedclock/internal/trace"
 	"mixedclock/internal/track"
-	"mixedclock/internal/vclock"
 	"mixedclock/internal/vfs"
 )
 
@@ -86,7 +86,7 @@ func TestAnalyzeOutput(t *testing.T) {
 func TestTimestampOutput(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	var buf bytes.Buffer
-	if err := timestamp(&buf, tr, 2, vclock.BackendFlat); err != nil {
+	if err := timestamp(&buf, tr, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -94,7 +94,7 @@ func TestTimestampOutput(t *testing.T) {
 		t.Errorf("timestamp output:\n%s", out)
 	}
 	buf.Reset()
-	if err := timestamp(&buf, tr, 0, vclock.BackendTree); err != nil {
+	if err := timestamp(&buf, tr, 0); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "more;") {
@@ -105,23 +105,23 @@ func TestTimestampOutput(t *testing.T) {
 func TestOrderOutput(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	var buf bytes.Buffer
-	if err := order(&buf, tr, 0, 1, vclock.BackendFlat); err != nil {
+	if err := order(&buf, tr, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "happened before") {
 		t.Errorf("order output: %s", buf.String())
 	}
 	buf.Reset()
-	if err := order(&buf, tr, 0, 3, vclock.BackendTree); err != nil {
+	if err := order(&buf, tr, 0, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "concurrent") {
 		t.Errorf("order output: %s", buf.String())
 	}
-	if err := order(&buf, tr, -1, 0, vclock.BackendFlat); err == nil {
+	if err := order(&buf, tr, -1, 0); err == nil {
 		t.Error("bad indices accepted")
 	}
-	if err := order(&buf, tr, 0, 99, vclock.BackendFlat); err == nil {
+	if err := order(&buf, tr, 0, 99); err == nil {
 		t.Error("out-of-range index accepted")
 	}
 }
@@ -302,13 +302,13 @@ func TestSegmentsTagMix(t *testing.T) {
 func TestRecoverOutput(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	var buf bytes.Buffer
-	if err := recover_(&buf, tr, 0, vclock.BackendFlat); err != nil {
+	if err := recover_(&buf, tr, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "recovery line") {
 		t.Errorf("recover output: %s", buf.String())
 	}
-	if err := recover_(&buf, tr, -1, vclock.BackendFlat); err == nil {
+	if err := recover_(&buf, tr, -1); err == nil {
 		t.Error("missing -fail accepted")
 	}
 }
@@ -316,7 +316,7 @@ func TestRecoverOutput(t *testing.T) {
 func TestValidateOutput(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	var buf bytes.Buffer
-	if err := validate(&buf, tr, vclock.BackendFlat); err != nil {
+	if err := validate(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -345,7 +345,7 @@ func TestExportInspectRoundTrip(t *testing.T) {
 	_, tr := writeTempTrace(t)
 	logPath := filepath.Join(t.TempDir(), "t.mvclog")
 	var buf bytes.Buffer
-	if err := export(&buf, tr, logPath, vclock.BackendFlat, "full"); err != nil {
+	if err := export(&buf, tr, logPath, "full"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "wrote 5 timestamped events") {
@@ -359,7 +359,7 @@ func TestExportInspectRoundTrip(t *testing.T) {
 		t.Errorf("inspect output: %s", buf.String())
 	}
 
-	if err := export(&buf, tr, "", vclock.BackendFlat, "full"); err == nil {
+	if err := export(&buf, tr, "", "full"); err == nil {
 		t.Error("export without -out accepted")
 	}
 	if err := inspect(&buf, "", 0); err == nil {
@@ -373,11 +373,11 @@ func TestExportDeltaInspectRoundTrip(t *testing.T) {
 	fullPath := filepath.Join(dir, "full.mvclog")
 	deltaPath := filepath.Join(dir, "delta.mvclog")
 	var buf bytes.Buffer
-	if err := export(&buf, tr, fullPath, vclock.BackendFlat, "full"); err != nil {
+	if err := export(&buf, tr, fullPath, "full"); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := export(&buf, tr, deltaPath, vclock.BackendAuto, "delta"); err != nil {
+	if err := export(&buf, tr, deltaPath, "delta"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "delta format") {
@@ -395,7 +395,7 @@ func TestExportDeltaInspectRoundTrip(t *testing.T) {
 	if fullOut.String() != deltaOut.String() {
 		t.Errorf("formats decode differently:\nfull:\n%s\ndelta:\n%s", fullOut.String(), deltaOut.String())
 	}
-	if err := export(&buf, tr, deltaPath, vclock.BackendFlat, "cbor"); err == nil {
+	if err := export(&buf, tr, deltaPath, "cbor"); err == nil {
 		t.Error("unknown format accepted")
 	}
 }
@@ -563,25 +563,74 @@ func TestExportLiveFullFormat(t *testing.T) {
 	}
 }
 
-// TestExportLiveRejectsBackend: the live tracker keeps flat vectors, so
-// export -live refuses -backend tree and auto rather than ignore them, and
-// names the offline commands that do take the flag.
+// TestExportLiveRejectsBackend: every clock is a flat vector, so every
+// command keeps accepting -backend flat and exits 2 on tree and auto with
+// one message that says the tree clock was removed — offline commands and
+// export -live alike. Each case runs main in a child process of the test
+// binary, so the exit status is main's own.
 func TestExportLiveRejectsBackend(t *testing.T) {
-	if err := liveBackend("flat"); err != nil {
-		t.Errorf("-backend flat rejected: %v", err)
-	}
-	for _, b := range []string{"tree", "auto"} {
-		err := liveBackend(b)
-		if err == nil {
-			t.Errorf("-backend %s accepted", b)
-			continue
-		}
-		for _, want := range []string{b, "timestamp", "validate", "export without -live"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("-backend %s error %q does not name %q", b, err, want)
+	path, _ := writeTempTrace(t)
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"timestamp", "-trace", path},
+		{"validate", "-trace", path},
+		{"export", "-trace", path},
+		{"export", "-live", "-trace", path},
+	} {
+		for _, b := range []string{"flat", "tree", "auto"} {
+			cmd := append(append([]string(nil), args...), "-backend", b)
+			if args[0] == "export" {
+				cmd = append(cmd, "-out", filepath.Join(dir, fmt.Sprintf("%d-%s.mvclog", len(args), b)))
+			}
+			code, stderr := runMain(t, cmd...)
+			if b == "flat" {
+				if code != 0 {
+					t.Errorf("mvc %v exited %d: %s", cmd, code, stderr)
+				}
+				continue
+			}
+			if code != 2 {
+				t.Errorf("mvc %v exited %d, want 2: %s", cmd, code, stderr)
+			}
+			for _, want := range []string{"-backend " + b, "tree clock was removed", "accepts only flat"} {
+				if !strings.Contains(stderr, want) {
+					t.Errorf("mvc %v: stderr %q does not name %q", cmd, stderr, want)
+				}
 			}
 		}
 	}
+}
+
+// mainArgsEnv carries the arguments runMain hands a child process of the
+// test binary, which TestMain then runs through main instead of the tests.
+const mainArgsEnv = "MVC_TEST_MAIN_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(mainArgsEnv); ok {
+		os.Args = append([]string{"mvc"}, strings.Split(args, "\x1f")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs `mvc args...` in a child process and returns its exit status
+// and standard error.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), mainArgsEnv+"="+strings.Join(args, "\x1f"))
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), stderr.String()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 0, stderr.String()
 }
 
 // TestExportLiveBatched: -batch N routes the replay through the batched
@@ -619,7 +668,7 @@ func TestInspectTruncatedLog(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "t.mvclog")
 	var buf bytes.Buffer
-	if err := export(&buf, tr, logPath, vclock.BackendFlat, "full"); err != nil {
+	if err := export(&buf, tr, logPath, "full"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(logPath)

@@ -257,32 +257,13 @@
 // or corrupt the directory — everything on disk stays exactly the
 // crash-consistent state the last successful publication left.
 //
-// # Choosing a backend
+// # Clock representation
 //
-// The mixed clock minimizes how many components a timestamp carries; the
-// clock backend decides how much work each operation does over them. Two
-// representations are available to the offline clocks, selected per clock:
-//
-//	clk := analysis.NewClockBackend(mixedclock.Tree)
-//	online := mixedclock.NewOnlineClockBackend(mixedclock.NewHybrid(), mixedclock.Tree)
-//
-// Flat (the default) stores a []uint64 and pays O(k) per join, with minimal
-// constants — the right choice for narrow clocks and for workloads whose
-// joins genuinely touch most components. Tree is the tree clock of Mathur,
-// Tunç, Pavlogiannis & Viswanathan (PLDI 2022) adapted to the mixed
-// component space: it remembers how values were learned and skips
-// already-dominated subtrees during joins, so re-acquiring an object you
-// already dominate, deep join chains, and read-mostly phases cost only as
-// much as the components that actually changed. Both backends produce
-// identical timestamps (a property the test suite asserts exhaustively), and
-// both serialize to the same flat wire form, so logs and comparisons are
-// backend-agnostic. See BenchmarkBackends for head-to-head numbers per
-// workload shape. Auto picks a backend from the analyzed width and join
-// shape.
-//
-// A Tracker always keeps flat vectors: its delta capture and same-object
-// fast path already skip the redundant join work a tree clock saves, and
-// the tree clock measured slower on every benchmark workload.
+// Every clock — offline, online and the Tracker's — keeps its thread and
+// object clocks as flat vectors (Vector), updated in place at O(k) per event
+// over the k components. The paper's gain is the smaller k; a Tracker's
+// delta capture and same-object fast path already skip the redundant join
+// work, so there is no second representation to choose.
 //
 // # Online detection
 //

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mixedclock/internal/event"
-	"mixedclock/internal/treeclock"
 	"mixedclock/internal/vclock"
 )
 
@@ -20,51 +19,28 @@ import (
 // guarantees this), the result is a valid vector clock of optimal size
 // (Theorems 2 and 3).
 //
-// The per-thread and per-object clock state is held behind vclock.Clock, so
-// the representation is pluggable: the flat reference backend pays O(k) per
-// event, while the tree backend (internal/treeclock) pays only for the
-// components each join actually changes. Both produce identical timestamps.
+// Each thread and object keeps its clock as a flat vclock.Vector, updated in
+// place: O(k) per event over the k components.
 //
 // MixedClock is not safe for concurrent use; package track wraps it for live
 // goroutines.
 type MixedClock struct {
 	comps   *ComponentSet
-	backend vclock.Backend
-	threads map[event.ThreadID]vclock.Clock
-	objects map[event.ObjectID]vclock.Clock
+	threads map[event.ThreadID]vclock.Vector
+	objects map[event.ObjectID]vclock.Vector
 	err     error
 	events  int
 }
 
-// NewMixedClock returns a clock over the given components, using the flat
-// backend. The set may be grown behind the clock's back (the online tracker
-// does exactly that); vectors expand on demand.
+// NewMixedClock returns a clock over the given components. The set may be
+// grown behind the clock's back (the online tracker does exactly that);
+// vectors expand on demand.
 func NewMixedClock(comps *ComponentSet) *MixedClock {
-	return NewMixedClockBackend(comps, vclock.BackendFlat)
-}
-
-// NewMixedClockBackend is NewMixedClock with an explicit clock
-// representation. BackendAuto is resolved here from the component-set width
-// (Analysis.NewClockBackend resolves it with the join shape too, which it
-// can read off the graph).
-func NewMixedClockBackend(comps *ComponentSet, backend vclock.Backend) *MixedClock {
-	backend = ResolveBackend(backend, comps.Len(), 0)
 	return &MixedClock{
 		comps:   comps,
-		backend: backend,
-		threads: make(map[event.ThreadID]vclock.Clock),
-		objects: make(map[event.ObjectID]vclock.Clock),
+		threads: make(map[event.ThreadID]vclock.Vector),
+		objects: make(map[event.ObjectID]vclock.Vector),
 	}
-}
-
-// NewBackendClock returns an empty clock in the configured representation.
-// BackendAuto must be resolved (ResolveBackend) before clocks are built;
-// unresolved it falls back to the flat reference.
-func NewBackendClock(b vclock.Backend) vclock.Clock {
-	if b == vclock.BackendTree {
-		return treeclock.New(0)
-	}
-	return vclock.NewFlat(0)
 }
 
 // UpdateRule is the single implementation of the §III-C clock update,
@@ -74,27 +50,27 @@ func NewBackendClock(b vclock.Backend) vclock.Clock {
 // grows to the clock width so printed stamps align (the paper's Fig. 3
 // shows fixed-width vectors; comparisons are width-agnostic either way),
 // and the object's clock then re-absorbs the result — in-place joins at
-// both steps, which is where the tree backend's subtree pruning pays off.
-// After the call tv holds the event's timestamp and ov equals it.
+// both steps. After the call *tv holds the event's timestamp and *ov equals
+// it; the two never share storage.
 //
 // thrIdx and objIdx are the endpoints' component indices, -1 when the
 // endpoint is not a component. The return value reports whether any
 // endpoint was covered; false means the clock cannot order this event.
-func UpdateRule(tv, ov vclock.Clock, thrIdx, objIdx, width int) bool {
-	tv.Join(ov)
+func UpdateRule(tv, ov *vclock.Vector, thrIdx, objIdx, width int) bool {
+	*tv = tv.MergeInPlace(*ov)
 	ticked := false
 	if objIdx >= 0 {
-		tv.Tick(objIdx)
+		*tv = tv.Tick(objIdx)
 		ticked = true
 	}
 	if thrIdx >= 0 {
-		tv.Tick(thrIdx)
+		*tv = tv.Tick(thrIdx)
 		ticked = true
 	}
-	tv.Grow(width)
+	*tv = tv.Grow(width)
 	// tv dominates ov (it just joined it), so this join makes ov equal to
-	// the event clock; for the tree backend it copies only what changed.
-	ov.Join(tv)
+	// the event clock.
+	*ov = ov.MergeInPlace(*tv)
 	return ticked
 }
 
@@ -105,11 +81,11 @@ func UpdateRule(tv, ov vclock.Clock, thrIdx, objIdx, width int) bool {
 // caller owns dst (pass a retained scratch slice to keep the hot path
 // allocation-free); the extended slice and TickCovered's tick count are
 // returned.
-func UpdateRuleDelta(tv, ov vclock.Clock, thrIdx, objIdx, width int, dst []vclock.Delta) ([]vclock.Delta, int) {
-	dst = tv.JoinDelta(ov, dst)
+func UpdateRuleDelta(tv, ov *vclock.Vector, thrIdx, objIdx, width int, dst []vclock.Delta) ([]vclock.Delta, int) {
+	*tv, dst = tv.JoinDelta(*ov, dst)
 	dst, ticks := TickCovered(tv, thrIdx, objIdx, dst)
-	tv.Grow(width)
-	ov.Join(tv)
+	*tv = tv.Grow(width)
+	*ov = ov.MergeInPlace(*tv)
 	return dst, ticks
 }
 
@@ -121,32 +97,22 @@ func UpdateRuleDelta(tv, ov vclock.Clock, thrIdx, objIdx, width int, dst []vcloc
 // clock cannot order the event. Shared by UpdateRuleDelta and the live
 // tracker's re-acquisition fast path (which skips the join but must
 // capture ticks identically).
-func TickCovered(tv vclock.Clock, thrIdx, objIdx int, dst []vclock.Delta) ([]vclock.Delta, int) {
+func TickCovered(tv *vclock.Vector, thrIdx, objIdx int, dst []vclock.Delta) ([]vclock.Delta, int) {
 	ticks := 0
 	if objIdx >= 0 {
-		dst = tv.TickDelta(objIdx, dst)
+		*tv, dst = tv.TickDelta(objIdx, dst)
 		ticks++
 	}
 	if thrIdx >= 0 {
-		dst = tv.TickDelta(thrIdx, dst)
+		*tv, dst = tv.TickDelta(thrIdx, dst)
 		ticks++
 	}
 	return dst, ticks
 }
 
-// clocksFor resolves the per-thread and per-object clock state and the
-// component indices of e's endpoints (-1 when not a component).
-func (c *MixedClock) clocksFor(e event.Event) (tv, ov vclock.Clock, thrIdx, objIdx int) {
-	tv = c.threads[e.Thread]
-	if tv == nil {
-		tv = NewBackendClock(c.backend)
-		c.threads[e.Thread] = tv
-	}
-	ov = c.objects[e.Object]
-	if ov == nil {
-		ov = NewBackendClock(c.backend)
-		c.objects[e.Object] = ov
-	}
+// indices returns the component indices of e's endpoints (-1 when not a
+// component).
+func (c *MixedClock) indices(e event.Event) (thrIdx, objIdx int) {
 	thrIdx, objIdx = -1, -1
 	if i, ok := c.comps.IndexOf(ThreadComponent(e.Thread)); ok {
 		thrIdx = i
@@ -154,7 +120,7 @@ func (c *MixedClock) clocksFor(e event.Event) (tv, ov vclock.Clock, thrIdx, objI
 	if i, ok := c.comps.IndexOf(ObjectComponent(e.Object)); ok {
 		objIdx = i
 	}
-	return tv, ov, thrIdx, objIdx
+	return thrIdx, objIdx
 }
 
 // noteUncovered records the clock-misuse error for an uncovered event.
@@ -170,12 +136,14 @@ func (c *MixedClock) noteUncovered(e event.Event) {
 
 // Timestamp implements clock.Timestamper via UpdateRule.
 func (c *MixedClock) Timestamp(e event.Event) vclock.Vector {
-	tv, ov, thrIdx, objIdx := c.clocksFor(e)
-	if !UpdateRule(tv, ov, thrIdx, objIdx, c.comps.Len()) {
+	thrIdx, objIdx := c.indices(e)
+	tv, ov := c.threads[e.Thread], c.objects[e.Object]
+	if !UpdateRule(&tv, &ov, thrIdx, objIdx, c.comps.Len()) {
 		c.noteUncovered(e)
 	}
+	c.threads[e.Thread], c.objects[e.Object] = tv, ov
 	c.events++
-	return tv.Flatten()
+	return tv.Clone()
 }
 
 // TimestampDelta is Timestamp without the O(k) materialization: instead of
@@ -188,11 +156,13 @@ func (c *MixedClock) Timestamp(e event.Event) vclock.Vector {
 // delta writer consumes the capture and tick count directly, so exporting a
 // trace never builds full vectors except at sync points.
 func (c *MixedClock) TimestampDelta(e event.Event, dst []vclock.Delta) ([]vclock.Delta, int) {
-	tv, ov, thrIdx, objIdx := c.clocksFor(e)
-	dst, ticks := UpdateRuleDelta(tv, ov, thrIdx, objIdx, c.comps.Len(), dst)
+	thrIdx, objIdx := c.indices(e)
+	tv, ov := c.threads[e.Thread], c.objects[e.Object]
+	dst, ticks := UpdateRuleDelta(&tv, &ov, thrIdx, objIdx, c.comps.Len(), dst)
 	if ticks == 0 {
 		c.noteUncovered(e)
 	}
+	c.threads[e.Thread], c.objects[e.Object] = tv, ov
 	c.events++
 	return dst, ticks
 }
@@ -203,16 +173,8 @@ func (c *MixedClock) Components() int { return c.comps.Len() }
 // ComponentSet returns the clock's component set (shared, not a copy).
 func (c *MixedClock) ComponentSet() *ComponentSet { return c.comps }
 
-// Backend returns the clock representation in use.
-func (c *MixedClock) Backend() vclock.Backend { return c.backend }
-
 // Name implements clock.Timestamper.
-func (c *MixedClock) Name() string {
-	if c.backend == vclock.BackendFlat {
-		return "mixed/offline"
-	}
-	return "mixed/offline+" + c.backend.String()
-}
+func (c *MixedClock) Name() string { return "mixed/offline" }
 
 // Events returns how many events have been timestamped.
 func (c *MixedClock) Events() int { return c.events }
@@ -224,16 +186,10 @@ func (c *MixedClock) Err() error { return c.err }
 
 // ThreadVector returns a copy of the current vector held by thread t.
 func (c *MixedClock) ThreadVector(t event.ThreadID) vclock.Vector {
-	if v := c.threads[t]; v != nil {
-		return v.Flatten()
-	}
-	return nil
+	return c.threads[t].Clone()
 }
 
 // ObjectVector returns a copy of the current vector held by object o.
 func (c *MixedClock) ObjectVector(o event.ObjectID) vclock.Vector {
-	if v := c.objects[o]; v != nil {
-		return v.Flatten()
-	}
-	return nil
+	return c.objects[o].Clone()
 }

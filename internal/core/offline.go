@@ -6,7 +6,6 @@ import (
 	"mixedclock/internal/bipartite"
 	"mixedclock/internal/event"
 	"mixedclock/internal/matching"
-	"mixedclock/internal/vclock"
 )
 
 // Analysis is the product of the offline algorithm (Algorithm 1) on one
@@ -45,16 +44,6 @@ func AnalyzeTrace(tr *event.Trace) *Analysis {
 // computation whose graph is a subgraph of the analyzed one).
 func (a *Analysis) NewClock() *MixedClock {
 	return NewMixedClock(a.Components)
-}
-
-// NewClockBackend is NewClock with an explicit clock representation.
-// BackendAuto resolves against the analyzed computation: the optimal width
-// and the graph's maximum degree (the join-shape proxy ChooseBackend wants).
-func (a *Analysis) NewClockBackend(b vclock.Backend) *MixedClock {
-	if b == vclock.BackendAuto {
-		b = ChooseBackend(a.Components.Len(), MaxFanIn(a.Graph))
-	}
-	return NewMixedClockBackend(a.Components, b)
 }
 
 // VectorSize returns the size of the optimal mixed vector clock.

@@ -93,21 +93,12 @@ type OnlineMixedClock struct {
 	clock   *MixedClock
 }
 
-// NewOnlineMixedClock returns an online clock driven by mech, using the flat
-// clock representation.
+// NewOnlineMixedClock returns an online clock driven by mech.
 func NewOnlineMixedClock(mech Mechanism) *OnlineMixedClock {
-	return NewOnlineMixedClockBackend(mech, vclock.BackendFlat)
-}
-
-// NewOnlineMixedClockBackend is NewOnlineMixedClock with an explicit clock
-// representation. BackendAuto resolves at construction, when nothing has
-// been revealed yet, so it comes out flat.
-func NewOnlineMixedClockBackend(mech Mechanism, backend vclock.Backend) *OnlineMixedClock {
-	backend = ResolveBackend(backend, 0, 0)
 	tracker := NewCoverTracker(mech)
 	return &OnlineMixedClock{
 		tracker: tracker,
-		clock:   NewMixedClockBackend(tracker.Components(), backend),
+		clock:   NewMixedClock(tracker.Components()),
 	}
 }
 
@@ -121,16 +112,7 @@ func (c *OnlineMixedClock) Timestamp(e event.Event) vclock.Vector {
 func (c *OnlineMixedClock) Components() int { return c.tracker.Size() }
 
 // Name implements clock.Timestamper.
-func (c *OnlineMixedClock) Name() string {
-	name := "mixed/online/" + c.tracker.mech.Name()
-	if b := c.clock.Backend(); b != vclock.BackendFlat {
-		name += "+" + b.String()
-	}
-	return name
-}
-
-// Backend returns the clock representation in use.
-func (c *OnlineMixedClock) Backend() vclock.Backend { return c.clock.Backend() }
+func (c *OnlineMixedClock) Name() string { return "mixed/online/" + c.tracker.mech.Name() }
 
 // Tracker exposes the underlying cover tracker.
 func (c *OnlineMixedClock) Tracker() *CoverTracker { return c.tracker }

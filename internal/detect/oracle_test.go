@@ -124,10 +124,10 @@ func randomCut(tr *event.Trace, rng *rand.Rand) cut.Cut {
 
 // checkAgainstOracle compares every linear analysis on tr against its
 // quadratic reference: the census (thread-clock sums, pairwise mixed
-// stamps under backend b, the oracle), the schedule-sensitive pairs in
-// order, IsConsistent on random cuts, and hb.Adjacency against a scan of
-// the trace and the oracle's reachability.
-func checkAgainstOracle(t *testing.T, tr *event.Trace, b vclock.Backend, rng *rand.Rand) {
+// stamps, the oracle), the schedule-sensitive pairs in order, IsConsistent
+// on random cuts, and hb.Adjacency against a scan of the trace and the
+// oracle's reachability.
+func checkAgainstOracle(t *testing.T, tr *event.Trace, rng *rand.Rand) {
 	t.Helper()
 	o := hb.New(tr)
 
@@ -135,7 +135,7 @@ func checkAgainstOracle(t *testing.T, tr *event.Trace, b vclock.Backend, rng *ra
 	if got := detect.TakeCensus(tr); got != want {
 		t.Fatalf("TakeCensus %+v, oracle %+v", got, want)
 	}
-	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClockBackend(b))
+	stamps := clock.Run(tr, core.AnalyzeTrace(tr).NewClock())
 	if got := pairwiseCensus(stamps); got != want {
 		t.Fatalf("pairwise mixed-stamp census %+v, oracle %+v", got, want)
 	}
@@ -189,20 +189,18 @@ func checkAgainstOracle(t *testing.T, tr *event.Trace, b vclock.Backend, rng *ra
 }
 
 // TestLinearAnalysesMatchOracle runs every generator workload, several
-// seeds, both clock backends and 30% reads through checkAgainstOracle.
+// seeds and 30% reads through checkAgainstOracle.
 func TestLinearAnalysesMatchOracle(t *testing.T) {
 	for _, w := range trace.Workloads() {
 		for seed := int64(1); seed <= 3; seed++ {
-			for _, b := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-				t.Run(fmt.Sprintf("%v/seed%d/%v", w, seed, b), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(seed))
-					tr, err := trace.Generate(w, trace.Config{Threads: 6, Objects: 5, Events: 160, ReadFraction: 0.3}, rng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					checkAgainstOracle(t, tr, b, rng)
-				})
-			}
+			t.Run(fmt.Sprintf("%v/seed%d/flat", w, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				tr, err := trace.Generate(w, trace.Config{Threads: 6, Objects: 5, Events: 160, ReadFraction: 0.3}, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstOracle(t, tr, rng)
+			})
 		}
 	}
 }
@@ -227,7 +225,6 @@ func FuzzDetectOracle(f *testing.F) {
 			tr.Append(event.ThreadID(b&3), event.ObjectID(b>>2&3), op)
 		}
 		rng := rand.New(rand.NewSource(int64(len(data))))
-		checkAgainstOracle(t, tr, vclock.BackendFlat, rng)
-		checkAgainstOracle(t, tr, vclock.BackendTree, rng)
+		checkAgainstOracle(t, tr, rng)
 	})
 }

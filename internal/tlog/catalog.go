@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"mixedclock/internal/vclock"
 )
 
 // Segment catalog: the stable, read-only view of a tracker's sealed history
@@ -97,8 +95,9 @@ type CatalogResume struct {
 	EpochStarts []int `json:"epoch_starts,omitempty"`
 	// Backend is the clock representation ("flat", "tree" or "auto") that
 	// trackers which offered a choice recorded. It is still parsed and
-	// validated so their directories open, but recovery ignores it (the
-	// tracker keeps flat vectors) and no writer emits it any more.
+	// checked against those three names so their directories open, but
+	// recovery ignores it (every clock is a flat vector) and no writer
+	// emits it any more.
 	Backend string `json:"backend,omitempty"`
 	// Threads and Objects are the registered names; index is the dense ID.
 	Threads []string `json:"threads,omitempty"`
@@ -128,10 +127,10 @@ func (r *CatalogResume) validate(sealedEvents int) error {
 		}
 		prev = s
 	}
-	if r.Backend != "" {
-		if _, err := vclock.ParseBackend(r.Backend); err != nil {
-			return fmt.Errorf("tlog: catalog resume: %w", err)
-		}
+	switch r.Backend {
+	case "", "flat", "tree", "auto":
+	default:
+		return fmt.Errorf("tlog: catalog resume: unknown backend %q (want flat, tree or auto)", r.Backend)
 	}
 	seen := make(map[ResumeComponent]bool, len(r.Components))
 	for i, c := range r.Components {

@@ -447,23 +447,21 @@ func (c *canonicalWriters) check(t testing.TB) {
 }
 
 // TestAppendDeltaMatchesReference holds the bitmap AppendDelta to the
-// sort-based body it replaced: on both clock backends' real captures, and
+// sort-based body it replaced: on the offline clock's real captures, and
 // on synthetic captures that shuffle their order, repeat indices and
 // assign components their current value, across sync intervals and clock
 // widths that span several bitmap words.
 func TestAppendDeltaMatchesReference(t *testing.T) {
 	tr, _ := sampleComputation(t)
-	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-		c := newCanonicalWriters(DefaultSyncEvery)
-		mc := core.AnalyzeTrace(tr).NewClockBackend(backend)
-		var scratch []vclock.Delta
-		for i := 0; i < tr.Len(); i++ {
-			var ticks int
-			scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
-			c.append(t, tr.At(i), scratch, ticks)
-		}
-		c.check(t)
+	c := newCanonicalWriters(DefaultSyncEvery)
+	mc := core.AnalyzeTrace(tr).NewClock()
+	var scratch []vclock.Delta
+	for i := 0; i < tr.Len(); i++ {
+		var ticks int
+		scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
+		c.append(t, tr.At(i), scratch, ticks)
 	}
+	c.check(t)
 	rng := rand.New(rand.NewSource(11))
 	for _, width := range []int{3, 64, 65, 153, 300} {
 		for _, sync := range []int{1, 4, DefaultSyncEvery} {

@@ -346,37 +346,34 @@ func TestNextSharedMatchesNext(t *testing.T) {
 
 // TestAppendDeltaByteIdenticalToAppend pins the canonicalization contract:
 // feeding the writer raw change captures produces byte-for-byte the same
-// stream as feeding it the materialized vectors, whichever backend produced
-// the captures (their emission order differs).
+// stream as feeding it the materialized vectors.
 func TestAppendDeltaByteIdenticalToAppend(t *testing.T) {
 	tr, stamps := sampleComputation(t)
-	for _, backend := range []vclock.Backend{vclock.BackendFlat, vclock.BackendTree} {
-		t.Run(backend.String(), func(t *testing.T) {
-			var fromVectors bytes.Buffer
-			if err := WriteAllDelta(&fromVectors, tr, stamps); err != nil {
+	t.Run("flat", func(t *testing.T) {
+		var fromVectors bytes.Buffer
+		if err := WriteAllDelta(&fromVectors, tr, stamps); err != nil {
+			t.Fatal(err)
+		}
+		mc := core.AnalyzeTrace(tr).NewClock()
+		var fromCaptures bytes.Buffer
+		w := NewDeltaWriter(&fromCaptures)
+		var scratch []vclock.Delta
+		for i := 0; i < tr.Len(); i++ {
+			var ticks int
+			scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
+			if err := w.AppendDelta(tr.At(i), scratch, ticks); err != nil {
 				t.Fatal(err)
 			}
-			mc := core.AnalyzeTrace(tr).NewClockBackend(backend)
-			var fromCaptures bytes.Buffer
-			w := NewDeltaWriter(&fromCaptures)
-			var scratch []vclock.Delta
-			for i := 0; i < tr.Len(); i++ {
-				var ticks int
-				scratch, ticks = mc.TimestampDelta(tr.At(i), scratch[:0])
-				if err := w.AppendDelta(tr.At(i), scratch, ticks); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := mc.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(fromVectors.Bytes(), fromCaptures.Bytes()) {
-				t.Fatalf("capture path wrote %d bytes differing from vector path's %d",
-					fromCaptures.Len(), fromVectors.Len())
-			}
-		})
-	}
+		}
+		if err := mc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fromVectors.Bytes(), fromCaptures.Bytes()) {
+			t.Fatalf("capture path wrote %d bytes differing from vector path's %d",
+				fromCaptures.Len(), fromVectors.Len())
+		}
+	})
 }

@@ -357,13 +357,13 @@ func (t *Tracker) recoverDir(o options) error {
 			// base is immutable and run belongs to the weave, so the
 			// working clock gets a copy of its own.
 			th.base, th.run = v[:len(v):len(v)], v.Clone()
-			th.clock = vclock.FlatOf(v.Clone())
+			th.clock = v.Clone()
 		}
 	}
 	for _, name := range objectNames {
 		ob := t.NewObject(name)
 		if v := at(objectLast, int(ob.id)); v != nil && resumeUsable {
-			ob.clock = vclock.FlatOf(v)
+			ob.clock = v
 		}
 	}
 

@@ -62,16 +62,16 @@ func epochClocks(t *testing.T, dir string) (threads, objects map[int]vclock.Vect
 // with no record in the epoch must have no clock.
 func checkRecoveredClocks(t *testing.T, tr *Tracker, threads, objects map[int]vclock.Vector) {
 	t.Helper()
-	check := func(what string, got *vclock.Flat, want vclock.Vector) {
+	check := func(what string, got, want vclock.Vector) {
 		t.Helper()
 		switch {
 		case want == nil && got != nil:
-			t.Errorf("%s: recovered clock %v, want none", what, got.Flatten())
+			t.Errorf("%s: recovered clock %v, want none", what, got)
 		case want != nil && got == nil:
 			t.Errorf("%s: no recovered clock, want %v", what, want)
 		case want != nil:
-			if v := got.Flatten(); len(v) != len(want) || !v.Equal(want) {
-				t.Errorf("%s: recovered clock %v, want %v", what, v, want)
+			if len(got) != len(want) || !got.Equal(want) {
+				t.Errorf("%s: recovered clock %v, want %v", what, got, want)
 			}
 		}
 	}

@@ -54,10 +54,8 @@
 //
 // # Delta records and lazy stamps
 //
-// Every thread and object clock is a flat vector (vclock.Flat): the delta
-// capture and the fast path below already skip the redundant join work a
-// tree clock would save, so the tracker offers no other representation.
-// Committing an event does not flatten the thread's clock. The update rule
+// Every thread and object clock is a flat vclock.Vector, grown on demand
+// from nil. Committing an event does not flatten the thread's clock. The update rule
 // runs in change-capture form (core.UpdateRuleDelta): the components the
 // event actually changed are appended to a per-thread delta arena, and the
 // record buffer stores only the event plus its arena range — O(changed
@@ -938,7 +936,7 @@ type Thread struct {
 	// clock is the thread's working clock, nil until the first operation
 	// of an epoch. Owned by the driving goroutine (under the world read
 	// lock); reset by Compact (under the world write lock).
-	clock *vclock.Flat
+	clock vclock.Vector
 	// buf holds committed records not yet merged into the tracker's trace;
 	// deltas is the arena their change sets live in. A merge barrier moves
 	// both into a tail generation and installs the spares in their place:
@@ -1011,7 +1009,7 @@ type Object struct {
 	// clock is the full clock of the object's latest operation, nil until
 	// the first operation of an epoch. Protected by the commit exclusion;
 	// reset by Compact (under the world write lock, with no Do in flight).
-	clock *vclock.Flat
+	clock vclock.Vector
 	// ver counts commits on this object; the thread-side one-entry cache
 	// uses it to prove the object clock is unchanged since the thread's
 	// own last commit here.
@@ -1124,11 +1122,6 @@ func (t *Tracker) commit(th *Thread, o *Object, op event.Op) Stamped {
 // plan (component indices and width) was already resolved, and record it.
 // The caller holds the object commit exclusion and the world read lock.
 func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, objIdx, width int) Stamped {
-	tv := th.clock
-	if tv == nil {
-		tv = vclock.NewFlat(0)
-		th.clock = tv
-	}
 	start := len(th.deltas)
 	// The ticks are the capture's last entries: core.TickCovered runs last.
 	var ticks int
@@ -1140,17 +1133,14 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		// can adopt the event clock by replaying just the tick deltas:
 		// O(1) at any clock width, the read-heavy steady state. Every op
 		// of a batch after the first lands here by construction.
-		th.deltas, ticks = core.TickCovered(tv, thrIdx, objIdx, th.deltas)
-		o.clock.Apply(th.deltas[start:])
+		th.deltas, ticks = core.TickCovered(&th.clock, thrIdx, objIdx, th.deltas)
+		o.clock = o.clock.Apply(th.deltas[start:])
 	} else {
-		if o.clock == nil {
-			o.clock = vclock.NewFlat(0)
-		}
 		// The thread absorbs the object's last full clock, ticks the
 		// covered endpoints, and the object re-absorbs the result — the
 		// same core.UpdateRule the offline clock runs, with the changes
 		// captured into the thread's arena instead of flattened.
-		th.deltas, ticks = core.UpdateRuleDelta(tv, o.clock, thrIdx, objIdx, width, th.deltas)
+		th.deltas, ticks = core.UpdateRuleDelta(&th.clock, &o.clock, thrIdx, objIdx, width, th.deltas)
 	}
 	o.ver++
 	th.lastObj, th.lastVer = o, o.ver

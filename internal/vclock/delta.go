@@ -34,3 +34,28 @@ func (v Vector) Apply(ds []Delta) Vector {
 	}
 	return v
 }
+
+// TickDelta is Tick that also appends the change it made — one (index,
+// value) pair — to dst. It returns the (possibly reallocated) vector and the
+// extended slice; dst is caller-owned scratch that is only appended to.
+func (v Vector) TickDelta(i int, dst []Delta) (Vector, []Delta) {
+	v = v.Tick(i)
+	return v, append(dst, Delta{Index: int32(i), Value: v[i]})
+}
+
+// JoinDelta is MergeInPlace that also appends one (index, value) pair per
+// component whose value actually increased, in index order, to dst.
+// Components the join left unchanged are never reported, so on causally
+// local workloads the capture is much smaller than the clock width. The scan
+// is still O(len(w)), but nothing is allocated beyond v's and dst's own
+// growth.
+func (v Vector) JoinDelta(w Vector, dst []Delta) (Vector, []Delta) {
+	v = v.Grow(len(w))
+	for i, x := range w {
+		if x > v[i] {
+			v[i] = x
+			dst = append(dst, Delta{Index: int32(i), Value: x})
+		}
+	}
+	return v, dst
+}

@@ -23,12 +23,12 @@ func TestVectorApply(t *testing.T) {
 	}
 }
 
-func TestFlatTickDelta(t *testing.T) {
-	f := vclock.NewFlat(0)
+func TestVectorTickDelta(t *testing.T) {
+	var v vclock.Vector
 	var ds []vclock.Delta
-	ds = f.TickDelta(2, ds)
-	ds = f.TickDelta(2, ds)
-	ds = f.TickDelta(0, ds)
+	v, ds = v.TickDelta(2, ds)
+	v, ds = v.TickDelta(2, ds)
+	v, ds = v.TickDelta(0, ds)
 	want := []vclock.Delta{{Index: 2, Value: 1}, {Index: 2, Value: 2}, {Index: 0, Value: 1}}
 	if len(ds) != len(want) {
 		t.Fatalf("deltas = %v", ds)
@@ -38,17 +38,17 @@ func TestFlatTickDelta(t *testing.T) {
 			t.Fatalf("delta %d = %v, want %v", i, ds[i], want[i])
 		}
 	}
-	if !f.Flatten().Equal(vclock.Vector{1, 0, 2}) {
-		t.Fatalf("clock after ticks = %v", f.Flatten())
+	if !v.Equal(vclock.Vector{1, 0, 2}) {
+		t.Fatalf("vector after ticks = %v", v)
 	}
 }
 
-func TestFlatJoinDeltaReportsOnlyRaises(t *testing.T) {
-	a := vclock.FlatOf(vclock.Vector{3, 0, 1})
-	b := vclock.FlatOf(vclock.Vector{1, 2, 1, 4})
-	ds := a.JoinDelta(b, nil)
-	if !a.Flatten().Equal(vclock.Vector{3, 2, 1, 4}) {
-		t.Fatalf("join result = %v", a.Flatten())
+func TestVectorJoinDeltaReportsOnlyRaises(t *testing.T) {
+	a := vclock.Vector{3, 0, 1}
+	b := vclock.Vector{1, 2, 1, 4}
+	a, ds := a.JoinDelta(b, nil)
+	if !a.Equal(vclock.Vector{3, 2, 1, 4}) {
+		t.Fatalf("join result = %v", a)
 	}
 	want := []vclock.Delta{{Index: 1, Value: 2}, {Index: 3, Value: 4}}
 	if len(ds) != len(want) {
@@ -60,31 +60,28 @@ func TestFlatJoinDeltaReportsOnlyRaises(t *testing.T) {
 		}
 	}
 	// A dominated join changes nothing and reports nothing.
-	if ds := a.JoinDelta(b, ds[:0]); len(ds) != 0 {
+	if _, ds := a.JoinDelta(b, ds[:0]); len(ds) != 0 {
 		t.Fatalf("dominated join reported %v", ds)
+	}
+	if !b.Equal(vclock.Vector{1, 2, 1, 4}) {
+		t.Fatalf("JoinDelta modified its argument: %v", b)
 	}
 }
 
-func TestFlatApplyMatchesCapture(t *testing.T) {
-	a := vclock.FlatOf(vclock.Vector{2, 0, 5})
-	b := vclock.FlatOf(vclock.Vector{1, 7, 5, 1})
-	pre := a.Flatten()
+func TestVectorApplyMatchesCapture(t *testing.T) {
+	a := vclock.Vector{2, 0, 5}
+	b := vclock.Vector{1, 7, 5, 1}
+	pre := a.Clone()
 	var ds []vclock.Delta
-	ds = a.JoinDelta(b, ds)
-	ds = a.TickDelta(0, ds)
-
-	replayed := vclock.FlatOf(pre)
-	replayed.Apply(ds)
-	if !replayed.Flatten().Equal(a.Flatten()) {
-		t.Fatalf("replay %v != live %v", replayed.Flatten(), a.Flatten())
-	}
-	if got := pre.Apply(ds); !got.Equal(a.Flatten()) {
-		t.Fatalf("Vector.Apply %v != live %v", got, a.Flatten())
+	a, ds = a.JoinDelta(b, ds)
+	a, ds = a.TickDelta(0, ds)
+	if got := pre.Apply(ds); !got.Equal(a) {
+		t.Fatalf("Apply %v != live %v", got, a)
 	}
 }
 
 // TestDeltaCaptureRandomized drives random join/tick sequences through a
-// capturing clock and a shadow that only sees the captured deltas; the two
+// capturing vector and a shadow that only sees the captured deltas; the two
 // must stay identical. This is the contract the track record buffers and the
 // delta-encoded trace log both rest on: predecessor.Apply(deltas) is the
 // successor, exactly.
@@ -92,32 +89,30 @@ func TestDeltaCaptureRandomized(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		const width, peers, steps = 12, 4, 200
-		live := vclock.NewFlat(0)
-		shadow := vclock.Vector(nil)
-		peerClocks := make([]*vclock.Flat, peers)
+		var live, shadow vclock.Vector
+		peerClocks := make([]vclock.Vector, peers)
 		for i := range peerClocks {
 			v := make(vclock.Vector, width)
 			for j := range v {
 				v[j] = uint64(rng.Intn(6))
 			}
-			peerClocks[i] = vclock.FlatOf(v)
+			peerClocks[i] = v
 		}
 		var ds []vclock.Delta
 		for s := 0; s < steps; s++ {
 			ds = ds[:0]
 			if rng.Intn(2) == 0 {
-				ds = live.JoinDelta(peerClocks[rng.Intn(peers)], ds)
+				live, ds = live.JoinDelta(peerClocks[rng.Intn(peers)], ds)
 			} else {
-				ds = live.TickDelta(rng.Intn(width), ds)
+				live, ds = live.TickDelta(rng.Intn(width), ds)
 			}
 			shadow = shadow.Apply(ds)
-			if !shadow.Equal(live.Flatten()) {
-				t.Fatalf("seed %d step %d: shadow %v, live %v", seed, s, shadow, live.Flatten())
+			if !shadow.Equal(live) {
+				t.Fatalf("seed %d step %d: shadow %v, live %v", seed, s, shadow, live)
 			}
 			// Peers advance too so joins keep finding new values.
-			p := peerClocks[rng.Intn(peers)]
-			p.Join(live)
-			p.Tick(rng.Intn(width))
+			p := rng.Intn(peers)
+			peerClocks[p] = peerClocks[p].MergeInPlace(live).Tick(rng.Intn(width))
 		}
 	}
 }

@@ -8,6 +8,11 @@
 // is treated as zero. This is what lets the online mixed clock of the paper
 // add components as new threads/objects join the cover while timestamps
 // issued earlier remain comparable.
+//
+// Vector is the only clock representation: the offline and online mixed
+// clocks and the live tracker all keep their thread and object clocks as
+// Vectors, updated in place through the append-idiom methods (Tick,
+// MergeInPlace, and the change-capturing TickDelta and JoinDelta).
 package vclock
 
 import (

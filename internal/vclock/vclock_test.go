@@ -193,6 +193,32 @@ func TestTickSetAtGrow(t *testing.T) {
 	}
 }
 
+// TestVectorClockOps drives one vector through the in-place sequence a
+// thread or object clock sees: ticks that grow it, a join, comparisons
+// against the joined peer, and a clone that must not alias it.
+func TestVectorClockOps(t *testing.T) {
+	v := New(2).Tick(0).Tick(3)
+	if !v.Equal(Vector{1, 0, 0, 1}) || len(v) != 4 {
+		t.Fatalf("after ticks: %v", v)
+	}
+	g := Vector{0, 5}
+	v = v.MergeInPlace(g)
+	if !v.Equal(Vector{1, 5, 0, 1}) {
+		t.Fatalf("after MergeInPlace: %v", v)
+	}
+	if v.Compare(g) != After || !g.Less(v) || g.Concurrent(v) {
+		t.Fatalf("Compare/Less/Concurrent of %v against %v disagree", v, g)
+	}
+	c := v.Clone()
+	v = v.Tick(0)
+	if c.At(0) != 1 || v.At(0) != 2 {
+		t.Fatal("Clone shares storage with the original")
+	}
+	if got, want := v.Grow(6).AppendBinary(nil), v.AppendBinary(nil); string(got) != string(want) {
+		t.Fatalf("trailing zeros leaked into the encoding: %x, want %x", got, want)
+	}
+}
+
 func TestGrowPreservesPrefix(t *testing.T) {
 	v := Vector{5, 6}
 	g := v.Grow(5)

@@ -30,11 +30,6 @@ type (
 	Vector = vclock.Vector
 	// Ordering is the result of comparing two timestamps.
 	Ordering = vclock.Ordering
-	// Clock is the representation-independent timestamp interface; see
-	// Backend for the available implementations.
-	Clock = vclock.Clock
-	// Backend selects a clock representation: Flat or Tree.
-	Backend = vclock.Backend
 
 	// Graph is the thread–object bipartite graph of a computation.
 	Graph = bipartite.Graph
@@ -142,18 +137,6 @@ const (
 	OpRead  = event.OpRead
 )
 
-// Clock backends of the offline clocks (NewClockBackend,
-// NewOnlineClockBackend). Flat is the reference []uint64 representation and
-// the default; Tree is the tree clock of Mathur et al. (PLDI 2022) over the
-// mixed component space, whose joins skip already-dominated subtrees. Both
-// produce identical timestamps. Auto resolves the choice from the analyzed
-// width and join shape. A Tracker always keeps flat vectors.
-const (
-	Flat = vclock.BackendFlat
-	Tree = vclock.BackendTree
-	Auto = vclock.BackendAuto
-)
-
 // NewTrace returns an empty computation; use Append to add operations.
 func NewTrace() *Trace { return event.NewTrace() }
 
@@ -178,18 +161,6 @@ func NewClock(comps *ComponentSet) *MixedClock { return core.NewMixedClock(comps
 // NewOnlineClock returns a clock that grows its components online, driven by
 // the given mechanism.
 func NewOnlineClock(m Mechanism) *OnlineClock { return core.NewOnlineMixedClock(m) }
-
-// NewOnlineClockBackend is NewOnlineClock with an explicit clock
-// representation (Flat or Tree).
-func NewOnlineClockBackend(m Mechanism, b Backend) *OnlineClock {
-	return core.NewOnlineMixedClockBackend(m, b)
-}
-
-// NewClockBackend returns an offline mixed clock over a fixed component set
-// with an explicit clock representation (Flat or Tree).
-func NewClockBackend(comps *ComponentSet, b Backend) *MixedClock {
-	return core.NewMixedClockBackend(comps, b)
-}
 
 // NewHybrid returns the paper's recommended online mechanism: Popularity
 // while the revealed graph is small and sparse, NaiveThreads afterwards.
