@@ -193,10 +193,11 @@ func TestTickSetAtGrow(t *testing.T) {
 	}
 }
 
-// TestVectorClockOps drives one vector through the in-place sequence a
-// thread or object clock sees: ticks that grow it, a join, comparisons
-// against the joined peer, and a clone that must not alias it.
-func TestVectorClockOps(t *testing.T) {
+// TestFlatClockOps drives one vector, the flat clock representation,
+// through the in-place sequence a thread or object clock sees: ticks that
+// grow it, a join, comparisons against the joined peer, and a clone that
+// must not alias it.
+func TestFlatClockOps(t *testing.T) {
 	v := New(2).Tick(0).Tick(3)
 	if !v.Equal(Vector{1, 0, 0, 1}) || len(v) != 4 {
 		t.Fatalf("after ticks: %v", v)
@@ -214,7 +215,22 @@ func TestVectorClockOps(t *testing.T) {
 	if c.At(0) != 1 || v.At(0) != 2 {
 		t.Fatal("Clone shares storage with the original")
 	}
-	if got, want := v.Grow(6).AppendBinary(nil), v.AppendBinary(nil); string(got) != string(want) {
+}
+
+// TestFlatClockGrowAndBinary checks that a vector grown from nil ticks in
+// place and that the zeros Grow adds never reach the encoding.
+func TestFlatClockGrowAndBinary(t *testing.T) {
+	var v Vector
+	v = v.Grow(3)
+	if len(v) != 3 {
+		t.Fatalf("len after Grow(3) = %d", len(v))
+	}
+	v = v.Tick(1)
+	want := Vector{0, 1, 0}.AppendBinary(nil)
+	if got := v.AppendBinary(nil); string(got) != string(want) {
+		t.Fatalf("AppendBinary %x, want %x", got, want)
+	}
+	if got := v.Grow(6).AppendBinary(nil); string(got) != string(want) {
 		t.Fatalf("trailing zeros leaked into the encoding: %x, want %x", got, want)
 	}
 }
