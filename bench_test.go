@@ -636,9 +636,12 @@ func BenchmarkBatch(b *testing.B) {
 
 // BenchmarkStamp measures the Thread.Do hot path in isolation — ns/op and,
 // with -benchmem, allocs/op and B/op — across clock widths. The delta
-// stamping pipeline's contract is that both memory figures stay flat as k
-// grows (allocs/op ≲ 1 amortized at every width; no O(k) flatten per
-// event). Two shapes bracket the commit paths:
+// stamping pipeline's contract is that allocs/op stays 0 at every width
+// and no event pays an O(k) flatten. B/op is the growth of the thread's
+// buffers, which nothing here seals and recycles, so it holds one more
+// O(k) term: every 64th commit of a thread copies its stamp into the
+// checkpoint slab, k/8 bytes per op before the slab's growth slack. Two
+// shapes bracket the commit paths:
 //
 //   - same-object: a thread re-acquiring one object — the version-cache
 //     fast path, O(1) at any width;
@@ -913,11 +916,12 @@ func BenchmarkStreamTail(b *testing.B) {
 // which replays at most 64 change sets from the thread's nearest
 // full-stamp checkpoint, so ns/op stays flat from 5k to 50k events —
 // without the checkpoints it would grow with the stamp's distance from the
-// tail's start. The sealed cases seal the first three fifths of the run on
-// the lifecycle worker (SealEvery), whose seal weaves the generation it
-// cuts through: the ops cover the last two fifths, the unsealed tail, whose
-// checkpoints the run vectors rebuilt starting from the stamps the seal's
-// log writer ended with — and stay as flat, however much is sealed.
+// tail's start. The checkpoints are the copies of the thread's clock its
+// commits took, so no weave or seal rebuilds them. The sealed cases seal
+// the first three fifths of the run on the lifecycle worker (SealEvery),
+// whose seal cuts through a generation: the ops cover the last two fifths,
+// the unsealed tail, which starts in the remainder the seal left — and stay
+// as flat, however much is sealed.
 func BenchmarkLazyTailStamp(b *testing.B) {
 	for _, sealed := range []bool{false, true} {
 		for _, events := range []int{5_000, 50_000} {
@@ -1280,7 +1284,8 @@ func sealWorkload(b *testing.B, tracker *mixedclock.Tracker) (commit func(), eve
 // benchmark's steady state runs at — its auto-seal, without the trigger.
 // Each iteration has two goroutines commit the events (each driving its own
 // threads, outside the timer), then times the Seal: the swap barrier, the
-// weave, the encode, the SHA-256 and the publish barrier. ns/sealed-event
+// weave, which only builds trace order (the commits took the checkpoints),
+// the encode, the SHA-256 and the publish barrier. ns/sealed-event
 // is that whole cost per record; barrier-ns/seal is the world-lock hold
 // Stats reports — the part of it every committer pays, which does not grow
 // with the record count; bytes/event is the sealed segments' size per

@@ -110,8 +110,8 @@ func RunAndValidate(tr *event.Trace, ts Timestamper) ([]vclock.Vector, error) {
 }
 
 // Equivalent checks that two stamp sequences for the same computation induce
-// the same ordering verdict on every event pair — the contract between clock
-// backends: representations may differ, happened-before may not. It returns
+// the same ordering verdict on every event pair — the contract between two
+// clock schemes: their stamps may differ, happened-before may not. It returns
 // nil when the sequences agree, or an error naming the first divergent pair.
 //
 // Cost is O(E² · k); use on test-sized traces.

@@ -56,8 +56,11 @@ func (c Component) String() string {
 //
 // The zero value is an empty set ready for use.
 type ComponentSet struct {
-	index map[Component]int
-	list  []Component
+	// threads[id] and objects[id] are the position of that side's component
+	// id, -1 when it is absent. Thread and object IDs are dense (event.go),
+	// so each side is a slice indexed by ID.
+	threads, objects []int32
+	list             []Component
 }
 
 // NewComponentSet returns an empty component set.
@@ -76,29 +79,48 @@ func FromCover(c *matching.Cover) *ComponentSet {
 	return s
 }
 
-// Add appends c if absent and returns its index.
+// side returns the position slice of c's side, nil when c is on neither.
+func (s *ComponentSet) side(c Component) *[]int32 {
+	switch c.Side {
+	case bipartite.Threads:
+		return &s.threads
+	case bipartite.Objects:
+		return &s.objects
+	}
+	return nil
+}
+
+// Add appends c if absent and returns its index. c must be a thread or an
+// object component with a non-negative ID.
 func (s *ComponentSet) Add(c Component) int {
-	if i, ok := s.index[c]; ok {
+	if i, ok := s.IndexOf(c); ok {
 		return i
 	}
-	if s.index == nil {
-		s.index = make(map[Component]int)
+	pos := s.side(c)
+	if pos == nil || c.ID < 0 {
+		panic(fmt.Sprintf("core: cannot add component %v", c))
+	}
+	for len(*pos) <= c.ID {
+		*pos = append(*pos, -1)
 	}
 	i := len(s.list)
-	s.index[c] = i
+	(*pos)[c.ID] = int32(i)
 	s.list = append(s.list, c)
 	return i
 }
 
 // IndexOf returns the index of c and whether it is present.
 func (s *ComponentSet) IndexOf(c Component) (int, bool) {
-	i, ok := s.index[c]
-	return i, ok
+	pos := s.side(c)
+	if pos == nil || c.ID < 0 || c.ID >= len(*pos) || (*pos)[c.ID] < 0 {
+		return 0, false
+	}
+	return int((*pos)[c.ID]), true
 }
 
 // Contains reports whether c is in the set.
 func (s *ComponentSet) Contains(c Component) bool {
-	_, ok := s.index[c]
+	_, ok := s.IndexOf(c)
 	return ok
 }
 

@@ -514,11 +514,10 @@ func ruleTicks(p, o, v vclock.Vector, ticks *tickSet) {
 // assignments that leave the component unchanged are dropped. What remains
 // is exactly the diff against the thread's previous stamp, so
 // AppendDelta(e, ds, ticks) and Append(e, prev.Apply(ds)) produce
-// identical bytes when the tick count is truthful — capture order is the
-// one thing that differs between clock backends (flat scans ascending, tree
-// walks its marks), and canonicalizing here makes a computation export to
-// identical bytes whichever backend stamped it and whichever entry point
-// fed the writer.
+// identical bytes when the tick count is truthful — a capture lists a
+// join's raises in ascending order and then the ticks, so its order differs
+// from the diff's, and canonicalizing here makes a computation export to
+// identical bytes whichever entry point fed the writer.
 //
 // A record written derived costs one in-order pass over the capture, each
 // assignment landing on the running stamp once — later entries override

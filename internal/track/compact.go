@@ -95,21 +95,18 @@ func (t *Tracker) compactEpoch() (epoch, size int, ticket int64, err error) {
 	// Reset every thread- and object-local clock: the new epoch starts from
 	// zero over the compacted components. No Do is in flight (we hold the
 	// write lock), so the per-thread and per-object state is quiescent.
-	// The delta replay state and the re-acquisition cache restart with it.
-	// The seal wove every generation, so no weave is running; mergeMu, the
-	// run vectors' owner, is taken for the reset anyway.
-	t.mergeMu.Lock()
+	// The delta replay state, the checkpoint cadence and the re-acquisition
+	// cache restart with it.
 	t.reg.Lock()
 	for _, th := range t.threads {
 		th.clock = nil
-		th.base, th.run, th.last, th.merged = nil, nil, -1, 0
+		th.base, th.last, th.merged = nil, -1, 0
 		th.lastObj = nil
 	}
 	for _, o := range t.objects {
 		o.clock = nil
 	}
 	t.reg.Unlock()
-	t.mergeMu.Unlock()
 	t.epoch++
 	t.epochStart = append(t.epochStart, t.mergedLenLocked())
 	// The epoch and component set changed; refresh the resume manifest the

@@ -354,9 +354,9 @@ func (t *Tracker) recoverDir(o options) error {
 	for _, name := range threadNames {
 		th := t.NewThread(name)
 		if v := at(threadLast, int(th.id)); v != nil && resumeUsable {
-			// base is immutable and run belongs to the weave, so the
-			// working clock gets a copy of its own.
-			th.base, th.run = v[:len(v):len(v)], v.Clone()
+			// base is immutable, so the working clock gets a copy of its
+			// own.
+			th.base = v[:len(v):len(v)]
 			th.clock = v.Clone()
 		}
 	}

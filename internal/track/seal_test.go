@@ -276,6 +276,158 @@ func TestSealCutKeepsCheckpoints(t *testing.T) {
 	}
 }
 
+// TestCommitCheckpointsMatchStamps pins that the full-stamp checkpoints a
+// commit takes are the stamps of the records they sit on. Right after a
+// swap, before anything weaves the new generation, every thread entry of
+// every tail generation must hold exactly the checkpoints its record
+// positions call for, each equal, width included, to the stamp Snapshot
+// returns for its record. The runs cover per-op Do on the join and on the
+// same-object fast path (the latter while fresh edges widen the clock, so
+// the copy has to be padded), DoBatch, a mid-run Compact, which restarts
+// the cadence with the epoch, and a tracker reopened from a directory.
+func TestCommitCheckpointsMatchStamps(t *testing.T) {
+	const threads, objects = 3, 4
+	setup := func(tr *Tracker) {
+		for i := range threads {
+			tr.NewThread(fmt.Sprintf("t%d", i))
+		}
+		for i := range objects {
+			tr.NewObject(fmt.Sprintf("o%d", i))
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	// join commits n ops round-robin over the threads on random objects,
+	// mostly through the update rule's join.
+	join := func(tr *Tracker, n int) {
+		ths, objs := tr.Threads()[:threads], tr.Objects()[:objects]
+		for i := range n {
+			ths[i%threads].Do(objs[rng.Intn(objects)], event.Op(rng.Intn(2)), nil)
+		}
+	}
+	// same commits n ops of one thread on one object, the re-acquisition
+	// fast path after the first, and reveals a fresh edge every 16 ops, so
+	// the fast path's clock falls short of the record's width.
+	same := func(tr *Tracker, n int) {
+		th, o := tr.Threads()[0], tr.Objects()[0]
+		for i := range n {
+			th.Read(o, nil)
+			if i%16 == 0 {
+				tr.NewThread("widen").Write(tr.NewObject("widen"), nil)
+			}
+		}
+	}
+	// batch commits n ops per thread as DoBatch runs of 1 to 40 ops.
+	batch := func(tr *Tracker, n int) {
+		ths, objs := tr.Threads()[:threads], tr.Objects()[:objects]
+		for k, th := range ths {
+			for left := n; left > 0; {
+				ops := make([]event.Op, min(left, 1+rng.Intn(40)))
+				for i := range ops {
+					ops[i] = event.Op(rng.Intn(2))
+				}
+				th.DoBatch(objs[(k+left)%objects], ops)
+				left -= len(ops)
+			}
+		}
+	}
+	t.Run("do", func(t *testing.T) {
+		tr := mustOpen(t, "")
+		setup(tr)
+		for round := range 3 {
+			join(tr, threads*70+13*round)
+			same(tr, 150)
+			checkCommitCheckpoints(t, tr)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		tr := mustOpen(t, "")
+		setup(tr)
+		for round := range 3 {
+			batch(tr, 90+31*round)
+			checkCommitCheckpoints(t, tr)
+		}
+	})
+	t.Run("compact", func(t *testing.T) {
+		tr := mustOpen(t, "")
+		setup(tr)
+		join(tr, threads*100)
+		checkCommitCheckpoints(t, tr)
+		// Mid-cadence: the thread's next checkpoint would fall within the
+		// epoch the Compact ends.
+		join(tr, threads*40)
+		if _, _, err := tr.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		join(tr, threads*100)
+		same(tr, 100)
+		checkCommitCheckpoints(t, tr)
+	})
+	t.Run("reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		tr := mustOpen(t, dir)
+		setup(tr)
+		join(tr, threads*90)
+		same(tr, 50)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re := mustOpen(t, dir)
+		defer re.Close()
+		join(re, threads*150)
+		batch(re, 70)
+		checkCommitCheckpoints(t, re)
+	})
+}
+
+// checkCommitCheckpoints swaps tr's per-thread buffers into a new tail
+// generation and, before anything weaves it, takes every checkpoint of the
+// tail with its record's index; it then compares each, and there must be
+// some, with the stamp Snapshot returns for that record.
+func checkCommitCheckpoints(t *testing.T, tr *Tracker) {
+	t.Helper()
+	type ckpt struct {
+		idx int
+		v   vclock.Vector
+	}
+	var got []ckpt
+	fail := func(format string, args ...any) {
+		tr.world.Unlock()
+		t.Fatalf(format, args...)
+	}
+	tr.world.Lock()
+	tr.swapLocked()
+	if n := len(tr.tail); n == 0 || int(tr.woven.Load()) > tr.tail[n-1].start {
+		fail("the swap left no unwoven generation in the tail")
+	}
+	for _, g := range tr.tail {
+		for k := range g.thr {
+			gt := &g.thr[k]
+			if n, want := len(gt.ckpts.vecs), gt.ckptsBelow(len(gt.recs)); n != want {
+				fail("thread %d: %d checkpoints for records %d..%d of the epoch, want %d",
+					gt.id, n, gt.before, gt.before+len(gt.recs)-1, want)
+			}
+			for p, r := range gt.recs {
+				if c, v := gt.checkpoint(p); c == p {
+					got = append(got, ckpt{r.ev.Index, v.Clone()})
+				}
+			}
+		}
+	}
+	tr.world.Unlock()
+	if len(got) == 0 {
+		t.Fatal("the tail holds no checkpoint")
+	}
+	_, stamps := tr.Snapshot()
+	for _, c := range got {
+		if want := stamps[c.idx]; !c.v.Equal(want) || len(c.v) != len(want) {
+			t.Fatalf("checkpoint of record %d = %v, Snapshot has %v", c.idx, c.v, want)
+		}
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSealFailureKeepsCheckpoints pins that a seal which weaves the
 // generations it consumes leaves every one of them with its full set of
 // checkpoints when its spill then fails: the checkpoints below its cut come

@@ -221,11 +221,11 @@ func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 // container straight from the swapped buffers (encodeSeal), hashes it, and
 // spills it when the tracker has a directory. It returns the segment,
 // every thread's base as of j.upTo, and the remainder of a generation the
-// cut goes through (nil when it falls between two). Only the encode holds
-// a lock, mergeMu, and only when the seal weaves: the hash and the spill
-// run with none, on generations that are immutable once woven and bases
-// that always are. The encode's scratch — the record widths and the
-// payload — is the tracker's, reused under sealMu, which the caller holds.
+// cut goes through (nil when it falls between two). It holds no lock but
+// mergeMu, and that only while it weaves: the encode, the hash and the
+// spill read generations that are immutable once woven and bases that
+// always are. The encode's scratch — the record widths and the payload —
+// is the tracker's, reused under sealMu, which the caller holds.
 func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, error) {
 	payload := &t.sealPayload
 	payload.Reset()
@@ -272,46 +272,20 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, 
 
 // encodeSeal writes the records of j below j.upTo to payload in the
 // MVCLOG03 delta format, their widths to t.sealWidths, and returns every
-// thread's base as of j.upTo. The writer's per-thread running stamp is the
-// only vector it keeps: each thread is seeded with its base, so its first
-// record in the segment is written full and every later one straight from
-// its change set and tick count — derived once the record's object has
-// appeared in the segment too, a delta before that; byte-identical to
-// encoding each full stamp, by AppendDelta's contract — and the running
-// stamps the segment ends with are the new bases.
-//
-// Generations still pending are woven here, under mergeMu, and applied
-// once: their trace order is built up front (weaveOrder), their
-// checkpoints below the cut are copied from the writer's running stamps as
-// the encode passes them, and the run vectors then restart from the new
-// bases over the records above the cut, filling the rest. woven moves only
-// after that, so every generation left in the tail — a failed seal's
-// included — has all its checkpoints. A reader that needs one of them
-// waits on mergeMu for the encode, but never for the hash or the spill.
+// thread's base as of j.upTo. It first weaves whatever of j is still
+// pending, then encodes with no lock held. The writer's per-thread running
+// stamp is the only vector it keeps: each thread is seeded with its base,
+// so its first record in the segment is written full and every later one
+// straight from its change set and tick count — derived once the record's
+// object has appeared in the segment too, a delta before that;
+// byte-identical to encoding each full stamp, by AppendDelta's contract —
+// and the running stamps the segment ends with are the new bases.
 func (t *Tracker) encodeSeal(j *sealJob, payload *bytes.Buffer) ([]vclock.Vector, error) {
-	t.mergeMu.Lock()
-	defer t.mergeMu.Unlock()
-	// Pending generations are woven oldest first, so the ones below the cut
-	// are the job's last.
-	t.pendMu.Lock()
-	n := 0
-	for n < len(t.pending) && t.pending[n].start < j.upTo {
-		n++
-	}
-	own := j.blocks[len(j.blocks)-n:]
-	clear(t.pending[:n])
-	t.pending = t.pending[n:]
-	t.pendMu.Unlock()
-	for _, g := range own {
-		t.weaveOrder(g)
-	}
+	t.weaveTo(j.upTo)
 	w := tlog.NewDeltaWriter(payload)
 	t.sealWidths = slices.Grow(t.sealWidths[:0], j.upTo-j.from)
 	started := make([]bool, len(j.bases))
-	var err error
-encode:
-	for bi, b := range j.blocks {
-		weaving := bi >= len(j.blocks)-n
+	for _, b := range j.blocks {
 		for i := range b.order[:min(j.upTo, b.end)-b.start] {
 			sl := &b.order[i]
 			gt := &b.thr[sl.thr]
@@ -319,45 +293,13 @@ encode:
 				started[gt.id] = true
 				w.Seed(gt.id, j.bases[gt.id])
 			}
-			if err = w.AppendDelta(sl.event(b, i), gt.deltas[sl.start:sl.end], sl.ticks()); err != nil {
-				break encode
-			}
-			if weaving && gt.isCheckpoint(int(sl.pos)) {
-				b.addCheckpoint(gt, w.Stamp(gt.id), int(sl.width))
+			if err := w.AppendDelta(sl.event(b, i), gt.deltas[sl.start:sl.end], sl.ticks()); err != nil {
+				return nil, err
 			}
 			t.sealWidths = append(t.sealWidths, int(sl.width))
 		}
 	}
-	if err == nil {
-		err = w.Flush()
-	}
-	switch {
-	case err != nil:
-		// The writer stopped short, so weave the usual way: the run vectors
-		// still stand where these generations start.
-		for _, g := range own {
-			for k := range g.thr {
-				g.thr[k].ckpts = g.thr[k].ckpts[:0]
-			}
-			g.bufs.slab = g.bufs.slab[:0]
-			g.weaveStamps(g.start)
-		}
-	case n > 0:
-		// A thread with no record in these generations has run at its
-		// last record below them already.
-		for _, g := range own {
-			for k := range g.thr {
-				if th := g.thr[k].th; started[th.id] {
-					th.run = append(th.run[:0], w.Stamp(th.id)...)
-				}
-			}
-		}
-		own[n-1].weaveStamps(j.upTo)
-	}
-	if n > 0 {
-		t.woven.Store(int64(own[n-1].end))
-	}
-	if err != nil {
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	// The writer is done with its running stamps: they become the bases.

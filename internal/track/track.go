@@ -66,17 +66,22 @@
 // ticking the covered components — O(1) at any clock width. Either way the
 // capture ends with the ticks, and the record notes how many (0–2).
 //
+// Right after its update the thread's clock is the record's stamp, so every
+// stampCheckpointEvery-th record of a thread's epoch (64, the delta log's
+// sync interval) also gets a full-stamp checkpoint: its commit copies the
+// clock, padded with zeros to the record's width, into a thread-owned slab
+// next to the record buffer: one O(k) copy per 64 of a thread's commits,
+// and nothing downstream rebuilds a stamp to take it.
+//
 // The change sets stay the representation after the merge, too, and in
-// place: the records and arenas a thread filled become part of the tail as
-// they are. Merging is split in two. A barrier swaps every thread's buffer
-// and arena out into a new tail generation — O(threads), no record touched
-// — and the weave then builds, outside the barrier, the generation's trace
-// order (indices are dense, so each record goes straight to its slot, no
-// sort) and materializes no stamp; the only O(k) work left per event is
-// one checkpoint copy of the thread's full stamp every stampCheckpointEvery
-// (64, the delta log's sync interval) records of that thread. Full vectors are
-// rebuilt only where a reader asks for them, from each thread's base — its
-// immutable stamp as of the seal point — plus the thread's change sets:
+// place: the records, arenas and checkpoints a thread filled become part of
+// the tail as they are. Merging is split in two. A barrier swaps every
+// thread's buffers out into a new tail generation — O(threads), no record
+// touched — and the weave then builds, outside the barrier, the
+// generation's trace order (indices are dense, so each record goes straight
+// to its slot, no sort) and touches no stamp. Full vectors are rebuilt only
+// where a reader asks for them, from each thread's base — its immutable
+// stamp as of the seal point — plus the thread's change sets:
 //
 //   - Seal seeds the log writer with each thread's base and encodes every
 //     record straight from its change set and tick count: the thread's
@@ -85,10 +90,9 @@
 //     only: the reader rebuilds the stamp as tick(join) of the thread's and
 //     the object's previous stamps), any other as a delta — exactly the
 //     bytes the writer's Append would write from the full stamp — and the
-//     writer's running stamps become the new bases. A generation no reader
-//     has woven yet is woven by its seal, which builds only the trace order
-//     and takes the checkpoints below its cut from the writer's running
-//     stamps as it encodes, so a seal applies each change set once;
+//     writer's running stamps become the new bases. The seal weaves a
+//     generation no reader has woven yet first, like any reader, and then
+//     only encodes, so it applies each change set once;
 //   - Stream and Snapshot replay the tail through per-thread running
 //     vectors seeded from the bases;
 //   - a lazy tail stamp (Stamped.Vector, the comparison helpers) walks its
@@ -125,10 +129,10 @@
 //   - mergeMu serializes the weave, which whoever needs a generation first
 //     runs — its seal, a Stream, a lazy stamp — with the world lock
 //     released (Compact and Close excepted, which weave under their own
-//     barrier). A seal that weaves holds it across its in-memory encode,
-//     which fills the checkpoints, but releases it before the SHA-256 and
-//     the spill. A reader may wait on mergeMu for a weave or that encode,
-//     never for disk I/O; a commit never waits on it.
+//     barrier). It guards only the building of trace order: a seal
+//     releases it before it encodes. A reader waits on mergeMu only while
+//     trace order is built, never for an encode or disk I/O; a commit
+//     never waits on it.
 //   - reg guards registration and the threads' spare buffers; pendMu the
 //     queue of swapped generations awaiting their weave; the lifecycle
 //     state's mutex the queue of compaction and retention passes; errMu,
@@ -143,9 +147,9 @@
 //     (above). Nothing is ordered or materialized yet.
 //   - Tail: a barrier swaps the buffers into the tail as a new generation,
 //     and the weave orders it — events in trace order with their change
-//     sets and periodic full-stamp checkpoints. The tail is the mutable
-//     suffix of history; Stamped.Vector of a tail event replays at most 64
-//     change sets.
+//     sets and the periodic full-stamp checkpoints their commits took. The
+//     tail is the mutable suffix of history; Stamped.Vector of a tail event
+//     replays at most 64 change sets.
 //   - Sealed: Seal (called by Compact, by the spill policy, or directly)
 //     encodes the tail as one immutable delta-encoded segment — the
 //     MVCLOG03 wire format inside a tlog "MVCSEG01" container that also
@@ -194,11 +198,11 @@
 // snapshot of every thread's base. The weave, the encode straight from the
 // swapped buffers, the SHA-256 and the spill's write, fsync and rename
 // then run with no world lock held while commits fill fresh buffers; the
-// seal weaves a generation no reader has woven yet as part of its encode,
-// so a reader that needs the swapped records meanwhile waits for that
-// in-memory encode at most, never for the hash or the I/O. The weave's
-// buffers, the record widths and the payload are reused from seal to seal,
-// so a seal allocates O(threads) besides the segment itself. The second
+// seal weaves a generation no reader has woven yet before it encodes, so a
+// reader that needs the swapped records meanwhile waits for that weave at
+// most, never for the encode, the hash or the I/O. The order buffer, the
+// record widths and the payload are reused from seal to seal, so a seal
+// allocates O(threads) besides the segment itself. The second
 // barrier publishes: the segment joins the sealed history (swapHist), the
 // threads get their new bases, the consumed generations are cut from the
 // tail (one the seal point cuts through leaves a remainder sharing its
@@ -505,15 +509,14 @@ const cellChunkSize = 128
 // tailBlock is one generation of the merged-but-unsealed tail: every record
 // one barrier swapped out of the per-thread buffers, covering the dense
 // global indices [start, end), all of one epoch. The barrier moves each
-// committing thread's record buffer and delta arena into thr as they stand
-// — no record is copied — and the weave (weaveTo, or the seal that consumes
-// the generation, encodeSeal) then builds, outside the barrier, the trace
-// order over them and the full-stamp checkpoints some of them carry. A
-// woven generation is never mutated again, so a Stream or a seal may read
-// it with no lock held; a seal that cuts through one leaves in the tail a
+// committing thread's record buffer, delta arena and checkpoints into thr
+// as they stand — no record is copied — and the weave (weaveTo) then
+// builds, outside the barrier, the trace order over them. A woven
+// generation is never mutated again, so a Stream or a seal may read it
+// with no lock held; a seal that cuts through one leaves in the tail a
 // remainder (suffix) that shares its storage rather than re-slicing or
-// copying it, and the storage goes back to the threads, and the weave's
-// buffers to the next weave, only once the last generation sharing it is
+// copying it, and the storage goes back to the threads, and the order's
+// buffer to the next weave, only once the last generation sharing it is
 // consumed and no reader holds it.
 type tailBlock struct {
 	start, end int
@@ -523,31 +526,21 @@ type tailBlock struct {
 	thr []genThread
 	// Written by the weave and read only after it: order[i] is record
 	// start+i, and width is the widest record, which sizes a replay's
-	// per-thread running vectors up front. order and the checkpoints are
-	// carved out of bufs, which a remainder shares whole.
+	// per-thread running vectors up front. order is carved out of slots,
+	// which a remainder shares whole and a consumed generation hands back
+	// to the next weave (recycle), so a steady run of seals allocates none
+	// of it.
 	order []genSlot
 	width int
-	bufs  weaveBufs
-}
-
-// weaveBufs is the storage a weave carves one generation's trace order and
-// checkpoints out of: order holds a slot per record, ckpts the checkpoint
-// headers and slab their components. A consumed generation hands it back
-// (recycle), so a steady run of seals allocates none of it.
-type weaveBufs struct {
-	order []genSlot
-	ckpts []vclock.Vector
-	slab  []uint64
+	slots []genSlot
 }
 
 // genThread is one thread's share of a generation: its records in program
-// order and the delta arena their change sets live in (both swapped out of
-// the thread), plus the checkpoints the weave copied out — from the
-// thread's run vector, or, below a seal's cut, from the seal's log writer,
-// whose running stamp is the same vector. prev is the global
-// index of the thread's last record before the swap (-1 when none this
-// epoch), the link a lazy stamp walks back along; before counts the
-// thread's records of the epoch merged ahead of the swap, which fixes
+// order, the delta arena their change sets live in and the full-stamp
+// checkpoints its commits took, all three swapped out of the thread. prev
+// is the global index of the thread's last record before the swap (-1 when
+// none this epoch), the link a lazy stamp walks back along; before counts
+// the thread's records of the epoch merged ahead of the swap, which fixes
 // where its checkpoints fall: record p carries one when (before+p+1) is a
 // multiple of stampCheckpointEvery, and ckpts holds them in record order.
 // off is how many of recs lie below the generation's start: nonzero only
@@ -559,10 +552,51 @@ type genThread struct {
 	id     event.ThreadID
 	recs   []record
 	deltas []vclock.Delta
+	ckpts  checkpoints
 	prev   int
 	before int
 	off    int
-	ckpts  []vclock.Vector
+}
+
+// checkpoints is one thread's full-stamp checkpoints in record order, each
+// a window of slab padded with zeros to its record's width. A commit
+// appends to its thread's (add), the swap moves them into a generation with
+// the records, and recycle hands them back to the thread as a spare.
+type checkpoints struct {
+	vecs []vclock.Vector
+	slab []uint64
+}
+
+// freshCheckpoints is how many checkpoints a thread's first slab and
+// header slice have room for. A thread finds no spare whenever the
+// generation it filled before is still shared by a remainder in the tail,
+// and growing from room for one would then cost several allocations per
+// generation.
+const freshCheckpoints = 8
+
+// add copies v, padded with zeros to width, into the slab as the next
+// checkpoint. A slab with no room left is replaced rather than grown, so
+// the checkpoints already taken keep their storage, which is never written
+// again until the whole set is recycled.
+func (c *checkpoints) add(v vclock.Vector, width int) {
+	n := max(len(v), width)
+	if cap(c.slab)-len(c.slab) < n {
+		c.slab = make([]uint64, 0, max(2*cap(c.slab), freshCheckpoints*n))
+	}
+	if c.vecs == nil {
+		c.vecs = make([]vclock.Vector, 0, freshCheckpoints)
+	}
+	lo := len(c.slab)
+	c.slab = c.slab[:lo+n]
+	clear(c.slab[lo+copy(c.slab[lo:], v):])
+	c.vecs = append(c.vecs, c.slab[lo:lo+n:lo+n])
+}
+
+// reset returns c emptied for reuse. The vectors' headers are cleared, so
+// none keeps an outgrown slab alive.
+func (c checkpoints) reset() checkpoints {
+	clear(c.vecs)
+	return checkpoints{vecs: c.vecs[:0], slab: c.slab[:0]}
 }
 
 // genSlot is one record of a generation in trace order: the thread entry
@@ -596,11 +630,6 @@ func (sl *genSlot) ticks() int { return int(sl.opTicks & 3) }
 // per interval against bounded replay.
 const stampCheckpointEvery = tlog.DefaultSyncEvery
 
-// isCheckpoint reports whether record p carries a checkpoint.
-func (gt *genThread) isCheckpoint(p int) bool {
-	return (gt.before+p+1)%stampCheckpointEvery == 0
-}
-
 // below counts the records with global index below idx.
 func (gt *genThread) below(idx int) int {
 	return sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= idx })
@@ -623,7 +652,7 @@ func (gt *genThread) checkpoint(p int) (int, vclock.Vector) {
 		return -1, nil
 	}
 	first := stampCheckpointEvery - 1 - gt.before%stampCheckpointEvery
-	return first + (n-1)*stampCheckpointEvery, gt.ckpts[n-1]
+	return first + (n-1)*stampCheckpointEvery, gt.ckpts.vecs[n-1]
 }
 
 // suffix returns the remainder of g from global index from on — what a
@@ -634,26 +663,13 @@ func (gt *genThread) checkpoint(p int) (int, vclock.Vector) {
 // woven; so is the result. The shared buffers go back to the threads
 // when the remainder, not g, is consumed.
 func (g *tailBlock) suffix(from int) *tailBlock {
-	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch, order: g.order[from-g.start:], width: g.width, bufs: g.bufs}
+	nb := &tailBlock{start: from, end: g.end, epoch: g.epoch, order: g.order[from-g.start:], width: g.width, slots: g.slots}
 	nb.thr = make([]genThread, len(g.thr))
 	for k, gt := range g.thr {
 		gt.off = gt.below(from)
 		nb.thr[k] = gt
 	}
 	return nb
-}
-
-// addCheckpoint copies v, padded with zeros to width, out of g's slab as
-// gt's next checkpoint.
-func (g *tailBlock) addCheckpoint(gt *genThread, v vclock.Vector, width int) {
-	slab := g.bufs.slab
-	lo := len(slab)
-	slab = append(slab, v...)
-	if n := width - len(v); n > 0 {
-		slab = append(slab, make([]uint64, n)...)
-	}
-	gt.ckpts = append(gt.ckpts, slab[lo:len(slab):len(slab)])
-	g.bufs.slab = slab
 }
 
 // record is one committed operation waiting in a thread's append buffer:
@@ -716,17 +732,16 @@ type Tracker struct {
 	tailStart int
 	tail      []*tailBlock
 	// mergeMu serializes the weave, the half of a merge that runs outside
-	// the barrier (weaveTo, and a seal's own weave in encodeSeal), and owns
-	// every thread's run vector. pendMu guards pending, the generations
-	// swapped but not yet woven, oldest first. woven is where the last
-	// woven generation ends: a reader whose records all lie below it has
-	// nothing to wait for. spareWeave is the weave buffers a consumed
-	// generation handed back (recycle), guarded by reg.
+	// the barrier (weaveTo) and builds trace order. pendMu guards pending,
+	// the generations swapped but not yet woven, oldest first. woven is
+	// where the last woven generation ends: a reader whose records all lie
+	// below it has nothing to wait for. spareSlots is the order buffer a
+	// consumed generation handed back (recycle), guarded by reg.
 	mergeMu    sync.Mutex
 	pendMu     sync.Mutex
 	pending    []*tailBlock
 	woven      atomic.Int64
-	spareWeave weaveBufs
+	spareSlots []genSlot
 	// hist is the current sealed-history snapshot (segment list, retention
 	// floor, catalog generation) as one immutable value behind an atomic
 	// pointer. Readers — Catalog, Segments, streams, lazy stamps — load it
@@ -935,34 +950,32 @@ type Thread struct {
 
 	// clock is the thread's working clock, nil until the first operation
 	// of an epoch. Owned by the driving goroutine (under the world read
-	// lock); reset by Compact (under the world write lock).
+	// lock); reset by Compact (under the world write lock). Right after a
+	// commit it is that record's stamp (§III-C).
 	clock vclock.Vector
 	// buf holds committed records not yet merged into the tracker's trace;
-	// deltas is the arena their change sets live in. A merge barrier moves
-	// both into a tail generation and installs the spares in their place:
-	// the buffers of a generation a seal consumed, handed back through the
-	// reclaimer once no reader holds them (recycle). The spares are
-	// guarded by the tracker's reg mutex.
+	// deltas is the arena their change sets live in, and ckpts the copies
+	// of clock the commits of every stampCheckpointEvery-th record of the
+	// epoch took. A merge barrier moves all three into a tail generation
+	// and installs the spares in their place: the buffers of a generation
+	// a seal consumed, handed back through the reclaimer once no reader
+	// holds them (recycle). The spares are guarded by the tracker's reg
+	// mutex.
 	buf         []record
 	deltas      []vclock.Delta
+	ckpts       checkpoints
 	spareBuf    []record
 	spareDeltas []vclock.Delta
+	spareCkpts  checkpoints
 	// base is the thread's stamp as of tailStart — the stamp of its last
 	// sealed record of the epoch, nil when it has none. Immutable: a seal
 	// replaces it with a fresh vector, Compact resets it, recovery restores
 	// it, so a Stream or seal may read a snapshot of it with no lock held.
 	base vclock.Vector
-	// run is the stamp of the thread's last woven record, advanced in
-	// place by the weave and copied into a tail checkpoint every
-	// stampCheckpointEvery records; it is owned by the tracker's mergeMu.
-	// A seal that weaves the generations it consumes leaves run alone
-	// while it encodes, then overwrites it, in place, with its writer's
-	// running stamp (the thread's new base) and advances it over the
-	// records above its cut.
 	// last is the global index of the thread's last merged record (-1 when
 	// none this epoch) and merged counts the thread's merged records of the
-	// epoch; both are owned by the barrier.
-	run    vclock.Vector
+	// epoch; both are written only by the barrier, so a commit, under the
+	// world read lock, may read merged.
 	last   int
 	merged int
 	// cells is the current chunk lazy stamp handles are allocated from.
@@ -1142,6 +1155,12 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		// captured into the thread's arena instead of flattened.
 		th.deltas, ticks = core.UpdateRuleDelta(&th.clock, &o.clock, thrIdx, objIdx, width, th.deltas)
 	}
+	if (th.merged+len(th.buf)+1)%stampCheckpointEvery == 0 {
+		// Every stampCheckpointEvery-th record of the thread's epoch
+		// carries a checkpoint (genThread.checkpoint), and its stamp is
+		// the clock the update rule just left.
+		th.ckpts.add(th.clock, width)
+	}
 	o.ver++
 	th.lastObj, th.lastVer = o, o.ver
 
@@ -1173,11 +1192,11 @@ func (t *Tracker) noteErr(err error) {
 }
 
 // swapLocked is the barrier half of a merge: it moves every thread's
-// record buffer and delta arena, as they stand, into a new tail generation
-// for [merged length, seq) and hands each thread its spares in their place.
-// No record is touched, so the pause is O(threads) however much was
-// committed; the trace order and checkpoints are built by the weave
-// (weaveTo), outside the barrier. The caller holds the world write lock, so
+// record buffer, delta arena and checkpoints, as they stand, into a new
+// tail generation for [merged length, seq) and hands each thread its spares
+// in their place. No record is touched, so the pause is O(threads) however
+// much was committed; the trace order is built by the weave (weaveTo),
+// outside the barrier. The caller holds the world write lock, so
 // no commit is in flight and the indices below seq are all present exactly
 // once.
 func (t *Tracker) swapLocked() {
@@ -1198,11 +1217,11 @@ func (t *Tracker) swapLocked() {
 		if len(th.buf) == 0 {
 			continue
 		}
-		g.thr = append(g.thr, genThread{th: th, id: th.id, recs: th.buf, deltas: th.deltas, prev: th.last, before: th.merged})
+		g.thr = append(g.thr, genThread{th: th, id: th.id, recs: th.buf, deltas: th.deltas, ckpts: th.ckpts, prev: th.last, before: th.merged})
 		th.last = th.buf[len(th.buf)-1].ev.Index
 		th.merged += len(th.buf)
-		th.buf, th.deltas = th.spareBuf, th.spareDeltas
-		th.spareBuf, th.spareDeltas = nil, nil
+		th.buf, th.deltas, th.ckpts = th.spareBuf, th.spareDeltas, th.spareCkpts
+		th.spareBuf, th.spareDeltas, th.spareCkpts = nil, nil, checkpoints{}
 	}
 	t.reg.Unlock()
 	t.tail = append(t.tail, g)
@@ -1233,68 +1252,32 @@ func (t *Tracker) weaveTo(end int) {
 		t.pending[0] = nil
 		t.pending = t.pending[1:]
 		t.pendMu.Unlock()
-		t.weave(g)
+		t.weaveOrder(g)
 		t.woven.Store(int64(g.end))
 	}
 }
 
-// weave builds generation g's trace order and its checkpoints, by
-// advancing each thread's run vector over the thread's change sets and
-// copying it out every stampCheckpointEvery records. Per record that is
-// O(changed components), plus one O(k) copy per checkpoint. The caller
-// holds mergeMu. A seal weaves the generations it consumes itself
-// (encodeSeal), filling the checkpoints from its log writer instead.
-func (t *Tracker) weave(g *tailBlock) {
-	t.weaveOrder(g)
-	g.weaveStamps(g.start)
-}
-
 // weaveOrder builds generation g's trace order — indices are dense, so each
-// record goes straight to its slot, no sort — and readies its checkpoint
-// storage: each thread entry's ckpts is an empty window of a header slice
-// sized up front, filled in record order by weaveStamps or by a seal's
-// writer, and the slab the vectors are copied into is sized for all of
-// them. Both come from the buffers a consumed generation handed back when
-// those are large enough. No stamp is touched. The caller holds mergeMu.
+// record goes straight to its slot, no sort — in the order buffer a
+// consumed generation handed back when that is large enough. No stamp is
+// touched: the checkpoints came with the records. The caller holds mergeMu.
 func (t *Tracker) weaveOrder(g *tailBlock) {
-	nck, words := 0, 0
-	for k := range g.thr {
-		gt := &g.thr[k]
-		n := gt.ckptsBelow(len(gt.recs))
-		nck += n
-		// A thread's widths only grow within an epoch, so its run vector is
-		// never wider than this across the generation.
-		words += n * max(len(gt.th.run), int(gt.recs[len(gt.recs)-1].width))
-	}
 	t.reg.Lock()
-	b := t.spareWeave
-	t.spareWeave = weaveBufs{}
+	b := t.spareSlots
+	t.spareSlots = nil
 	t.reg.Unlock()
 	// A fresh buffer gets an eighth of headroom: generations a run of
 	// seals consumes differ a little in size, and each would otherwise
 	// outgrow the one before.
-	if n := g.end - g.start; cap(b.order) >= n {
-		b.order = b.order[:n]
+	if n := g.end - g.start; cap(b) >= n {
+		b = b[:n]
 	} else {
-		b.order = make([]genSlot, n, n+n/8)
+		b = make([]genSlot, n, n+n/8)
 	}
-	if cap(b.ckpts) < nck {
-		b.ckpts = make([]vclock.Vector, nck+nck/8)
-	}
-	if cap(b.slab) < words {
-		b.slab = make([]uint64, 0, words+words/8)
-	}
-	// Clear the recycled headers: one left pointing into an outgrown slab
-	// would keep it alive.
-	b.ckpts, b.slab = b.ckpts[:cap(b.ckpts)], b.slab[:0]
-	clear(b.ckpts)
-	g.bufs, g.order = b, b.order
-	filled, first := 0, 0
+	g.slots, g.order = b, b
+	filled := 0
 	for k := range g.thr {
 		gt := &g.thr[k]
-		n := gt.ckptsBelow(len(gt.recs))
-		gt.ckpts = b.ckpts[first : first : first+n]
-		first += n
 		for p, r := range gt.recs {
 			if slot := r.ev.Index - g.start; slot >= 0 && slot < len(g.order) {
 				g.order[slot] = genSlot{
@@ -1316,27 +1299,9 @@ func (t *Tracker) weaveOrder(g *tailBlock) {
 	}
 }
 
-// weaveStamps advances each of g's threads' run vector over its records
-// with global index from on, in place, and copies it out at every
-// checkpoint among them. The checkpoints of the records below from must be
-// in place already. The caller holds mergeMu.
-func (g *tailBlock) weaveStamps(from int) {
-	for k := range g.thr {
-		gt := &g.thr[k]
-		th := gt.th
-		for p := gt.below(from); p < len(gt.recs); p++ {
-			r := &gt.recs[p]
-			th.run = th.run.Apply(gt.deltas[r.start:r.end]).Grow(int(r.width))
-			if gt.isCheckpoint(p) {
-				g.addCheckpoint(gt, th.run, int(r.width))
-			}
-		}
-	}
-}
-
 // recycle hands the buffers of a generation no reader holds any more back
 // to their threads as spares, keeping the larger when a thread is
-// offered two, and its weave buffers to the next weave likewise. It runs
+// offered two, and its order buffer to the next weave likewise. It runs
 // as the reclaimer's free of a generation a seal consumed, with no tracker
 // lock held; reg orders it against swapLocked and weaveOrder.
 func (t *Tracker) recycle(g *tailBlock) {
@@ -1344,11 +1309,11 @@ func (t *Tracker) recycle(g *tailBlock) {
 	for i := range g.thr {
 		gt := &g.thr[i]
 		if th := gt.th; cap(gt.recs) > cap(th.spareBuf) {
-			th.spareBuf, th.spareDeltas = gt.recs[:0], gt.deltas[:0]
+			th.spareBuf, th.spareDeltas, th.spareCkpts = gt.recs[:0], gt.deltas[:0], gt.ckpts.reset()
 		}
 	}
-	if cap(g.bufs.order) > cap(t.spareWeave.order) {
-		t.spareWeave = g.bufs
+	if cap(g.slots) > cap(t.spareSlots) {
+		t.spareSlots = g.slots
 	}
 	t.reg.Unlock()
 }
