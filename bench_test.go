@@ -867,9 +867,10 @@ func (s *countingSink) ConsumeStamp(mixedclock.Event, int, mixedclock.Vector) er
 // the replay rebuilds every stamp by applying its change set to its
 // thread's running vector: ns/op is O(events × changed components), the
 // work the merge no longer does under the barrier. -benchmem locks in that
-// the replay allocates only the freeze snapshot — the block slice, the
-// per-thread bases and one slab for the running vectors — so allocs/op is
-// the same at every event count.
+// the replay allocates only the freeze snapshot and its running vectors —
+// the block slice, the vectors' headers and one slab — so allocs/op is the
+// same at every event count: each generation seeds its threads' vectors
+// from its own checkpoints, in the slab.
 func BenchmarkStreamTail(b *testing.B) {
 	for _, events := range []int{5_000, 50_000} {
 		tracker := openTracker(b)
@@ -913,15 +914,16 @@ func BenchmarkStreamTail(b *testing.B) {
 // BenchmarkLazyTailStamp measures the first Stamped.Vector of a stamp still
 // in the unsealed tail, for one thread. With no seal policy the whole run
 // is one thread chain in the tail. Each op materializes a different stamp,
-// which replays at most 64 change sets from the thread's nearest
-// full-stamp checkpoint, so ns/op stays flat from 5k to 50k events —
+// which replays at most 63 change sets from the nearest full-stamp
+// checkpoint of its generation, so ns/op stays flat from 5k to 50k events —
 // without the checkpoints it would grow with the stamp's distance from the
-// tail's start. The checkpoints are the copies of the thread's clock its
-// commits took, so no weave or seal rebuilds them. The sealed cases seal
-// the first three fifths of the run on the lifecycle worker (SealEvery),
-// whose seal cuts through a generation: the ops cover the last two fifths,
-// the unsealed tail, which starts in the remainder the seal left — and stay
-// as flat, however much is sealed.
+// generation's start. The checkpoints are the copies of the thread's clock
+// its commits took, so no weave or seal rebuilds them, and each generation
+// carries its own, so no replay reaches into an earlier one. The sealed
+// cases seal the first three fifths of the run on the lifecycle worker
+// (SealEvery), whose seal cuts through a generation: the ops cover the last
+// two fifths, the unsealed tail, which starts in the remainder the seal
+// left — and stay as flat, however much is sealed.
 func BenchmarkLazyTailStamp(b *testing.B) {
 	for _, sealed := range []bool{false, true} {
 		for _, events := range []int{5_000, 50_000} {

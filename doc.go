@@ -70,9 +70,9 @@
 // tail, as they are — the barrier costs O(threads), and the records are put
 // in trace order after it lifts. The tail keeps change sets, not stamps:
 // full vectors are rebuilt only where a reader asks for one, and a lazy
-// stamp still in the tail replays at most 64 change sets from its thread's
-// nearest checkpoint. See the internal/track package documentation for
-// the full concurrency model.
+// stamp still in the tail replays at most 63 change sets from the nearest
+// checkpoint its generation carries. See the internal/track package
+// documentation for the full concurrency model.
 //
 // High-rate producers can amortize the remaining per-event cost — one
 // object-stripe acquisition, one world read-lock shard, one cover lookup,

@@ -95,13 +95,12 @@ func (t *Tracker) compactEpoch() (epoch, size int, ticket int64, err error) {
 	// Reset every thread- and object-local clock: the new epoch starts from
 	// zero over the compacted components. No Do is in flight (we hold the
 	// write lock), so the per-thread and per-object state is quiescent.
-	// The delta replay state, the checkpoint cadence and the re-acquisition
-	// cache restart with it.
+	// The re-acquisition cache restarts with it; each thread's next
+	// generation starts from the empty clock.
 	t.reg.Lock()
 	for _, th := range t.threads {
 		th.clock = nil
-		th.base, th.last, th.merged = nil, -1, 0
-		th.lastObj = nil
+		th.fastObj = nil
 	}
 	for _, o := range t.objects {
 		o.clock = nil

@@ -354,10 +354,7 @@ func (t *Tracker) recoverDir(o options) error {
 	for _, name := range threadNames {
 		th := t.NewThread(name)
 		if v := at(threadLast, int(th.id)); v != nil && resumeUsable {
-			// base is immutable, so the working clock gets a copy of its
-			// own.
-			th.base = v[:len(v):len(v)]
-			th.clock = v.Clone()
+			th.clock = v
 		}
 	}
 	for _, name := range objectNames {

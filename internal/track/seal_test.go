@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -238,7 +240,8 @@ func TestSealMergeOffBarrier(t *testing.T) {
 // and the aligned auto-seal cuts it, so the tail keeps a remainder that
 // shares the generation's buffers. With 150 records cut at 100 the
 // remainder's records have full-stamp checkpoints on both sides of the
-// cut; with 50 cut at 40 they have none and replay from the thread's base.
+// cut; with 50 cut at 40 they have only checkpoint 0, the empty clock
+// the generation started from, and replay from there.
 // Every lazy stamp, tail and sealed, must equal a twin's that never seals.
 func TestSealCutKeepsCheckpoints(t *testing.T) {
 	for _, c := range []struct{ batch, every int }{{150, 100}, {50, 40}} {
@@ -281,10 +284,13 @@ func TestSealCutKeepsCheckpoints(t *testing.T) {
 // swap, before anything weaves the new generation, every thread entry of
 // every tail generation must hold exactly the checkpoints its record
 // positions call for, each equal, width included, to the stamp Snapshot
-// returns for its record. The runs cover per-op Do on the join and on the
-// same-object fast path (the latter while fresh edges widen the clock, so
-// the copy has to be padded), DoBatch, a mid-run Compact, which restarts
-// the cadence with the epoch, and a tracker reopened from a directory.
+// returns for its record, and each generation's checkpoint 0 must be the
+// clock its thread's first commit there started from. The runs cover
+// per-op Do on the join and on the same-object fast path (the latter while
+// fresh edges widen the clock, so the copy has to be padded), DoBatch, a
+// mid-run Compact, after which checkpoint 0 starts empty, and a tracker
+// reopened from a directory, whose first checkpoint 0 is a recovered
+// clock.
 func TestCommitCheckpointsMatchStamps(t *testing.T) {
 	const threads, objects = 3, 4
 	setup := func(tr *Tracker) {
@@ -352,8 +358,8 @@ func TestCommitCheckpointsMatchStamps(t *testing.T) {
 		setup(tr)
 		join(tr, threads*100)
 		checkCommitCheckpoints(t, tr)
-		// Mid-cadence: the thread's next checkpoint would fall within the
-		// epoch the Compact ends.
+		// Mid-generation: the thread's next checkpoint would fall within
+		// the epoch the Compact ends.
 		join(tr, threads*40)
 		if _, _, err := tr.Compact(); err != nil {
 			t.Fatal(err)
@@ -379,15 +385,35 @@ func TestCommitCheckpointsMatchStamps(t *testing.T) {
 	})
 }
 
-// checkCommitCheckpoints swaps tr's per-thread buffers into a new tail
-// generation and, before anything weaves it, takes every checkpoint of the
-// tail with its record's index; it then compares each, and there must be
-// some, with the stamp Snapshot returns for that record.
+// checkCommitCheckpoints is checkTailCheckpoints on a tail whose newest
+// generation the swap made and nothing has woven yet, so the checkpoints
+// all come from commits, and that holds some checkpoint past a
+// generation's first.
 func checkCommitCheckpoints(t *testing.T, tr *Tracker) {
 	t.Helper()
+	if checkTailCheckpoints(t, tr, true) == 0 {
+		t.Fatal("the tail holds no checkpoint past a generation's first")
+	}
+}
+
+// checkTailCheckpoints swaps tr's per-thread buffers into a new tail
+// generation and, before anything weaves it, takes every checkpoint of the
+// tail; with unwoven set, the swap must have made a generation. Each thread entry must hold one checkpoint 0 plus one per
+// stampCheckpointEvery of its records. Every later checkpoint is compared,
+// width included, with the stamp Snapshot returns for the record it sits
+// on. Checkpoint 0 is the clock the entry's first commit started from: it
+// must equal Snapshot's stamp of the thread's previous record, and be
+// empty when that record is in an earlier epoch or there is none; it may
+// fall short of that record's width, as the fast path's clock does. It
+// returns how many later checkpoints it compared.
+func checkTailCheckpoints(t *testing.T, tr *Tracker, unwoven bool) int {
+	t.Helper()
 	type ckpt struct {
-		idx int
+		idx int // the record the checkpoint is the stamp of; -1 for a checkpoint 0
 		v   vclock.Vector
+		// first is the first record of the entry: a checkpoint 0 is its
+		// thread's stamp right before it.
+		first event.Event
 	}
 	var got []ckpt
 	fail := func(format string, args ...any) {
@@ -396,36 +422,175 @@ func checkCommitCheckpoints(t *testing.T, tr *Tracker) {
 	}
 	tr.world.Lock()
 	tr.swapLocked()
-	if n := len(tr.tail); n == 0 || int(tr.woven.Load()) > tr.tail[n-1].start {
+	if n := len(tr.tail); unwoven && (n == 0 || int(tr.woven.Load()) > tr.tail[n-1].start) {
 		fail("the swap left no unwoven generation in the tail")
 	}
+	starts := slices.Clone(tr.epochStart)
+	later := 0
 	for _, g := range tr.tail {
 		for k := range g.thr {
 			gt := &g.thr[k]
-			if n, want := len(gt.ckpts.vecs), gt.ckptsBelow(len(gt.recs)); n != want {
-				fail("thread %d: %d checkpoints for records %d..%d of the epoch, want %d",
-					gt.id, n, gt.before, gt.before+len(gt.recs)-1, want)
+			if n, want := len(gt.ckpts.vecs), 1+len(gt.recs)/stampCheckpointEvery; n != want {
+				fail("thread %d: %d checkpoints for %d records of a generation, want %d",
+					gt.id, n, len(gt.recs), want)
 			}
-			for p, r := range gt.recs {
-				if c, v := gt.checkpoint(p); c == p {
-					got = append(got, ckpt{r.ev.Index, v.Clone()})
-				}
+			got = append(got, ckpt{-1, gt.ckpts.vecs[0].Clone(), gt.recs[0].ev})
+			for c, v := range gt.ckpts.vecs[1:] {
+				got = append(got, ckpt{gt.recs[(c+1)*stampCheckpointEvery-1].ev.Index, v.Clone(), gt.recs[0].ev})
+				later++
 			}
 		}
 	}
 	tr.world.Unlock()
-	if len(got) == 0 {
-		t.Fatal("the tail holds no checkpoint")
-	}
-	_, stamps := tr.Snapshot()
+	full, stamps := tr.Snapshot()
+	epochOf := func(idx int) int { return sort.SearchInts(starts, idx+1) }
 	for _, c := range got {
-		if want := stamps[c.idx]; !c.v.Equal(want) || len(c.v) != len(want) {
-			t.Fatalf("checkpoint of record %d = %v, Snapshot has %v", c.idx, c.v, want)
+		if c.idx >= 0 {
+			if want := stamps[c.idx]; !c.v.Equal(want) || len(c.v) != len(want) {
+				t.Fatalf("checkpoint of record %d = %v, Snapshot has %v", c.idx, c.v, want)
+			}
+			continue
+		}
+		prev := c.first.Index - 1
+		for prev >= 0 && full.At(prev).Thread != c.first.Thread {
+			prev--
+		}
+		if prev < 0 || epochOf(prev) != epochOf(c.first.Index) {
+			if len(c.v) != 0 {
+				t.Fatalf("checkpoint 0 before record %d, the first of thread %d's epoch, = %v, want empty",
+					c.first.Index, c.first.Thread, c.v)
+			}
+			continue
+		}
+		if want := stamps[prev]; !c.v.Equal(want) || len(c.v) > len(want) {
+			t.Fatalf("checkpoint 0 before record %d = %v, Snapshot has %v for thread %d's previous record %d",
+				c.first.Index, c.v, want, c.first.Thread, prev)
 		}
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return later
+}
+
+// TestTailStampsAcrossGenerations pins that every tail generation rebuilds
+// its stamps from its own checkpoints. Three threads commit batches while
+// lazy Vector calls and Streams swap the buffers out every few batches, so
+// each thread spans many tiny generations; stretches with no reader let
+// generations grow to a seal interval, and thread 0 commits most records,
+// so its generations carry checkpoints past the first, while thread 2's
+// previous record is often generations back or sealed. The aligned
+// SealEvery cuts through generations — a batch that crosses a boundary
+// always ends one past it — and the tail each Stream reads starts in the
+// remainder such a cut left. One Compact falls mid-run. Every lazy stamp
+// taken mid-run, every stamp a mid-run Stream delivered and every stamp of
+// the sealed end state must equal a twin's that never seals, width
+// included; and at every Stream each checkpoint of the tail must be the
+// stamp its layout says (checkTailCheckpoints).
+func TestTailStampsAcrossGenerations(t *testing.T) {
+	const threads, objects, batches, every = 3, 5, 600, 200
+	rng := rand.New(rand.NewSource(29))
+	tr := mustOpen(t, "", WithStore(Store{Spill: SpillPolicy{SealEvery: every}}))
+	twin := mustOpen(t, "")
+	for _, x := range []*Tracker{tr, twin} {
+		for i := range threads {
+			x.NewThread(fmt.Sprintf("t%d", i))
+		}
+		for i := range objects {
+			x.NewObject(fmt.Sprintf("o%d", i))
+		}
+	}
+	var ref, final []vclock.Vector
+	var got []Stamped
+	lazy, streamed := map[int]vclock.Vector{}, map[int]vclock.Vector{}
+	later, cuts := 0, 0
+	for b := range batches {
+		if b == batches/2 {
+			_, ref = twin.Snapshot()
+			for _, x := range []*Tracker{tr, twin} {
+				if _, _, err := x.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		k := 0
+		if r := rng.Intn(20); r >= 17 {
+			k = 2
+		} else if r >= 11 {
+			k = 1
+		}
+		o := rng.Intn(objects)
+		ops := make([]event.Op, 1+rng.Intn(15))
+		for i := range ops {
+			ops[i] = event.Op(rng.Intn(2))
+		}
+		got = append(got, tr.Threads()[k].DoBatch(tr.Objects()[o], ops)...)
+		twin.Threads()[k].DoBatch(twin.Objects()[o], ops)
+		if b%100 >= 60 {
+			continue // no reader: generations grow to a seal interval
+		}
+		switch b % 6 {
+		case 1:
+			lazy[len(got)-1] = got[len(got)-1].Vector()
+		case 3:
+			j := rng.Intn(len(got))
+			lazy[j] = got[j].Vector()
+		case 5:
+			tr.waitIdle()
+			tr.world.Lock()
+			if len(tr.tail) > 0 {
+				for _, gt := range tr.tail[0].thr {
+					if gt.off > 0 && gt.off < len(gt.recs) {
+						cuts++
+						break
+					}
+				}
+			}
+			tr.world.Unlock()
+			later += checkTailCheckpoints(t, tr, false)
+			var c streamCollector
+			if err := tr.Stream(&c); err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range c.events {
+				streamed[e.Index] = c.stamps[i]
+			}
+		}
+	}
+	_, after := twin.Snapshot()
+	ref = append(ref, after[len(ref):]...)
+	if err := tr.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	_, final = tr.Snapshot()
+	if len(final) != len(ref) || len(got) != len(ref) {
+		t.Fatalf("%d sealed and %d returned stamps, the twin has %d", len(final), len(got), len(ref))
+	}
+	same := func(what string, i int, v vclock.Vector) {
+		t.Helper()
+		if !v.Equal(ref[i]) || len(v) != len(ref[i]) {
+			t.Fatalf("%s %d = %v (width %d), twin has %v (width %d)", what, i, v, len(v), ref[i], len(ref[i]))
+		}
+	}
+	for i, v := range lazy {
+		same("mid-run lazy stamp", i, v)
+	}
+	for i, v := range streamed {
+		same("mid-run streamed stamp", i, v)
+	}
+	for i, v := range final {
+		same("sealed stamp", i, v)
+	}
+	for i, s := range got {
+		same("lazy stamp", i, s.Vector())
+	}
+	if later == 0 || cuts == 0 {
+		t.Fatalf("%d checkpoints past a generation's first and %d Streams from a cut generation's remainder, want some of each", later, cuts)
+	}
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d events, %d segments, %d Streams from a remainder, %d later checkpoints checked", len(got), len(tr.Segments()), cuts, later)
 }
 
 // TestSealFailureKeepsCheckpoints pins that a seal which weaves the

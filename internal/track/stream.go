@@ -188,26 +188,26 @@ func (sg *segment) streamFrom(sink StampSink, from, to int) (int, error) {
 var errSegmentVanished = errors.New("segment unreadable")
 
 // sealJob is one seal in flight: the tail records [from, upTo) of one epoch,
-// as the generations holding them plus every thread's base at from. The
-// first barrier captures it; from then on nothing it references is
-// mutated except by the weave, which finishes before the encode reads it,
-// so the weave, encode and spill all run with no world lock held.
+// as the generations holding them, each of which carries the stamps its
+// threads start from. The first barrier captures it; from then on nothing
+// it references is mutated except by the weave, which finishes before the
+// encode reads it, so the weave, encode and spill all run with no world
+// lock held.
 type sealJob struct {
 	from, upTo, epoch int
 	blocks            []*tailBlock
-	bases             []vclock.Vector
 }
 
 // freezeSealLocked captures the seal of the tail below upTo (clamped to
-// what is merged): the generations holding such records and a snapshot of
-// the threads' bases. nil means there is nothing to seal. The caller holds
-// the world write lock and has swapped.
+// what is merged): the generations holding such records. nil means there
+// is nothing to seal. The caller holds the world write lock and has
+// swapped.
 func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 	upTo = min(upTo, t.mergedLenLocked())
 	if upTo <= t.tailStart {
 		return nil
 	}
-	j := &sealJob{from: t.tailStart, upTo: upTo, epoch: t.epoch, bases: t.basesLocked()}
+	j := &sealJob{from: t.tailStart, upTo: upTo, epoch: t.epoch}
 	for _, b := range t.tail {
 		if b.start >= upTo {
 			break
@@ -219,14 +219,13 @@ func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 
 // writeSeal encodes a seal job's records below j.upTo as one MVCSEG01
 // container straight from the swapped buffers (encodeSeal), hashes it, and
-// spills it when the tracker has a directory. It returns the segment,
-// every thread's base as of j.upTo, and the remainder of a generation the
-// cut goes through (nil when it falls between two). It holds no lock but
-// mergeMu, and that only while it weaves: the encode, the hash and the
-// spill read generations that are immutable once woven and bases that
-// always are. The encode's scratch — the record widths and the payload —
-// is the tracker's, reused under sealMu, which the caller holds.
-func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, error) {
+// spills it when the tracker has a directory. It returns the segment and
+// the remainder of a generation the cut goes through (nil when it falls
+// between two). It holds no lock but mergeMu, and that only while it
+// weaves: the encode, the hash and the spill read generations that are
+// immutable once woven. The encode's scratch — the record widths and the
+// payload — is the tracker's, reused under sealMu, which the caller holds.
+func (t *Tracker) writeSeal(j *sealJob) (*segment, *tailBlock, error) {
 	payload := &t.sealPayload
 	payload.Reset()
 	// Size the payload once, at the last segment's bytes per record plus
@@ -237,20 +236,19 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, 
 			payload.Grow(int(last.size/int64(last.meta.Count)+8) * (j.upTo - j.from))
 		}
 	}
-	bases, err := t.encodeSeal(j, payload)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("track: sealing: %w", err)
+	if err := t.encodeSeal(j, payload); err != nil {
+		return nil, nil, fmt.Errorf("track: sealing: %w", err)
 	}
 	meta := tlog.SegmentMeta{Epoch: j.epoch, FirstIndex: j.from, Count: j.upTo - j.from}
 	data, err := tlog.AppendSegment(nil, meta, t.sealWidths, payload.Bytes())
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("track: sealing: %w", err)
+		return nil, nil, fmt.Errorf("track: sealing: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	sg := &segment{meta: meta, size: int64(len(data)), sha: hex.EncodeToString(sum[:]), sealedAt: time.Now()}
 	if t.dir != "" {
 		if err := t.fs.MkdirAll(t.dir); err != nil {
-			return nil, nil, nil, fmt.Errorf("track: spilling: %w", err)
+			return nil, nil, fmt.Errorf("track: spilling: %w", err)
 		}
 		sg.dir, sg.file, sg.fs = t.dir, tlog.SegmentFileName(meta), t.fs
 		// Write-then-rename with an fsync in between: after the rename
@@ -258,7 +256,7 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, 
 		// leaves at most a stray temp file (ignored and cleaned by Open),
 		// never a torn .mvcseg.
 		if err := writeFileSync(t.fs, sg.dir, sg.file, data); err != nil {
-			return nil, nil, nil, fmt.Errorf("track: spilling: %w", err)
+			return nil, nil, fmt.Errorf("track: spilling: %w", err)
 		}
 	} else {
 		sg.data = data
@@ -267,73 +265,68 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, []vclock.Vector, *tailBlock, 
 	if last := j.blocks[len(j.blocks)-1]; last.end > j.upTo {
 		rest = last.suffix(j.upTo)
 	}
-	return sg, bases, rest, nil
+	return sg, rest, nil
 }
 
 // encodeSeal writes the records of j below j.upTo to payload in the
-// MVCLOG03 delta format, their widths to t.sealWidths, and returns every
-// thread's base as of j.upTo. It first weaves whatever of j is still
-// pending, then encodes with no lock held. The writer's per-thread running
-// stamp is the only vector it keeps: each thread is seeded with its base,
-// so its first record in the segment is written full and every later one
-// straight from its change set and tick count — derived once the record's
-// object has appeared in the segment too, a delta before that;
-// byte-identical to encoding each full stamp, by AppendDelta's contract —
-// and the running stamps the segment ends with are the new bases.
-func (t *Tracker) encodeSeal(j *sealJob, payload *bytes.Buffer) ([]vclock.Vector, error) {
+// MVCLOG03 delta format and their widths to t.sealWidths. It first weaves
+// whatever of j is still pending, then encodes with no lock held. The
+// writer's per-thread running stamp is the only vector it keeps: at a
+// thread's first record in the segment it is seeded with the stamp the
+// record starts from (genThread.stampBefore), so that record is written
+// full and every later one straight from its change set and tick count —
+// derived once the record's object has appeared in the segment too, a
+// delta before that; byte-identical to encoding each full stamp, by
+// AppendDelta's contract.
+func (t *Tracker) encodeSeal(j *sealJob, payload *bytes.Buffer) error {
 	t.weaveTo(j.upTo)
 	w := tlog.NewDeltaWriter(payload)
 	t.sealWidths = slices.Grow(t.sealWidths[:0], j.upTo-j.from)
-	started := make([]bool, len(j.bases))
+	started := make([]bool, threadsIn(j.blocks))
+	var seed vclock.Vector
 	for _, b := range j.blocks {
 		for i := range b.order[:min(j.upTo, b.end)-b.start] {
 			sl := &b.order[i]
 			gt := &b.thr[sl.thr]
 			if !started[gt.id] {
 				started[gt.id] = true
-				w.Seed(gt.id, j.bases[gt.id])
+				seed = gt.stampBefore(int(sl.pos), seed)
+				w.Seed(gt.id, seed)
 			}
 			if err := w.AppendDelta(sl.event(b, i), gt.deltas[sl.start:sl.end], sl.ticks()); err != nil {
-				return nil, err
+				return err
 			}
 			t.sealWidths = append(t.sealWidths, int(sl.width))
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	// The writer is done with its running stamps: they become the bases.
-	bases := make([]vclock.Vector, len(j.bases))
-	for th, ok := range started {
-		if ok {
-			bases[th] = w.Stamp(event.ThreadID(th))
-		} else {
-			bases[th] = j.bases[th]
+	return w.Flush()
+}
+
+// threadsIn returns one more than the highest thread ID with an entry in
+// blocks: the size of a table indexed by their threads.
+func threadsIn(blocks []*tailBlock) int {
+	n := 0
+	for _, b := range blocks {
+		if len(b.thr) > 0 {
+			n = max(n, int(b.thr[len(b.thr)-1].id)+1)
 		}
 	}
-	return bases, nil
+	return n
 }
 
 // publishSealLocked makes a written seal visible: it appends the segment to
-// the sealed history, installs the threads' new bases, replaces the
-// consumed generations at the head of the tail with rest (the cut one's
-// remainder, if any) and moves tailStart. The caller holds the world write
-// lock, and holds sealMu across the freeze, the write and this publish, so
-// the tail below j.upTo is exactly the job's generations.
-func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vector, rest *tailBlock) {
+// the sealed history, replaces the consumed generations at the head of the
+// tail with rest (the cut one's remainder, if any) and moves tailStart. The
+// caller holds the world write lock, and holds sealMu across the freeze,
+// the write and this publish, so the tail below j.upTo is exactly the
+// job's generations.
+func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, rest *tailBlock) {
 	t.swapHist(func(old *segState) *segState {
 		segs := make([]*segment, len(old.segs)+1)
 		copy(segs, old.segs)
 		segs[len(old.segs)] = sg
 		return &segState{segs: segs, retained: old.retained, gen: old.gen + 1}
 	})
-	// Threads registered after the freeze have no record below upTo; their
-	// bases stay nil.
-	t.reg.Lock()
-	for i, v := range bases {
-		t.threads[i].base = v
-	}
-	t.reg.Unlock()
 	t.captureResumeLocked()
 	// Drop the consumed generations outright (rather than truncating) so a
 	// spilling tracker's footprint really is bounded by the seal interval;
@@ -343,7 +336,9 @@ func (t *Tracker) publishSealLocked(j *sealJob, sg *segment, bases []vclock.Vect
 	// back to their threads as spares, only once every reader that could
 	// hold them — a Stream is pinned across its tail replay — has passed.
 	// A cut generation's buffers live on in its remainder, which hands them
-	// back when it is consumed in turn.
+	// back when it is consumed in turn; until then the thread's swaps find
+	// no spare, and its next generation is allocated at its commit
+	// (openGen).
 	for _, b := range j.blocks {
 		if rest != nil && b == j.blocks[len(j.blocks)-1] {
 			break
@@ -417,11 +412,11 @@ func (t *Tracker) sealLocked(upTo int) error {
 	if j == nil {
 		return nil
 	}
-	sg, bases, rest, err := t.writeSeal(j)
+	sg, rest, err := t.writeSeal(j)
 	if err != nil {
 		return err
 	}
-	t.publishSealLocked(j, sg, bases, rest)
+	t.publishSealLocked(j, sg, rest)
 	return nil
 }
 
@@ -455,13 +450,13 @@ func (t *Tracker) sealSplit(cut func() int) (bool, error) {
 	if t.sealPark != nil {
 		t.sealPark(j.upTo)
 	}
-	sg, bases, rest, err := t.writeSeal(j)
+	sg, rest, err := t.writeSeal(j)
 	if err != nil {
 		return false, err
 	}
 	t.world.Lock()
 	held = time.Now()
-	t.publishSealLocked(j, sg, bases, rest)
+	t.publishSealLocked(j, sg, rest)
 	t.noteSealBarrier(held)
 	t.world.Unlock()
 	t.queuePass(j.upTo, j.epoch)
@@ -601,10 +596,10 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 		delivered = n
 	}
 	// Phase 2: the freeze — the stream's only barrier. Swap the per-thread
-	// buffers into a new generation, note how far sealed history reaches,
-	// snapshot the threads' bases there and the tail's generations; commits
-	// restart into fresh buffers the moment the barrier lifts. The weave
-	// of whatever is still pending runs after it, barrier-free.
+	// buffers into a new generation, note how far sealed history reaches
+	// and snapshot the tail's generations; commits restart into fresh
+	// buffers the moment the barrier lifts. The weave of whatever is still
+	// pending runs after it, barrier-free.
 	tailRec := t.tailReclaim.register()
 	defer t.tailReclaim.unregister(tailRec)
 	defer tailRec.unpin()
@@ -613,7 +608,6 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 	t.world.Lock()
 	t.swapLocked()
 	sealedEnd := t.tailStart
-	bases := t.basesLocked()
 	blocks := slices.Clone(t.tail)
 	end := t.mergedLenLocked()
 	t.world.Unlock()
@@ -633,36 +627,41 @@ func (t *Tracker) StreamFrom(from int, sink StampSink) error {
 		}
 		delivered = n
 	}
-	return replayTail(sink, blocks, bases, delivered)
+	return replayTail(sink, blocks, delivered)
 }
 
 // replayTail delivers the frozen tail generations' records with global
 // index at or above from into sink, in trace order, rebuilding each stamp
-// by applying its change set to its thread's running vector. The running
-// vectors start from bases (the threads' stamps where the generations
-// begin) and are carved out of one slab sized by the widest record, so the
-// replay allocates a constant amount whatever the tail's length. Records
-// below from are applied but not delivered. The delivered vector is the
-// running vector itself — borrowed, as StampSink allows.
-func replayTail(sink StampSink, blocks []*tailBlock, bases []vclock.Vector, from int) error {
+// by applying its change set to its thread's running vector. Each
+// generation seeds a thread's running vector at the thread's first slot
+// there, with the stamp that record starts from (genThread.stampBefore):
+// checkpoint 0, or in a cut generation's remainder the stamp of its last
+// sealed record. The running vectors are carved out of one slab sized by
+// the widest record, so the replay allocates a constant amount whatever
+// the tail's length. A generation wholly below from is skipped; records
+// below from in the others are applied but not delivered. The delivered
+// vector is the running vector itself — borrowed, as StampSink allows.
+func replayTail(sink StampSink, blocks []*tailBlock, from int) error {
 	width := 0
-	for _, v := range bases {
-		width = max(width, len(v))
-	}
 	for _, b := range blocks {
 		width = max(width, b.width)
 	}
-	slab := make([]uint64, len(bases)*width)
-	cur := bases // reused in place: each entry is read once, then replaced
-	for i, v := range bases {
-		cur[i] = append(slab[i*width:i*width:(i+1)*width], v...)
-	}
+	n := threadsIn(blocks)
+	slab := make([]uint64, n*width)
+	cur := make([]vclock.Vector, n)
 	for _, b := range blocks {
+		if b.end <= from {
+			continue
+		}
 		for i := range b.order {
 			sl := &b.order[i]
 			gt := &b.thr[sl.thr]
-			v := cur[gt.id].Apply(gt.deltas[sl.start:sl.end]).Grow(int(sl.width))
-			cur[gt.id] = v
+			id := int(gt.id)
+			if int(sl.pos) == gt.off {
+				cur[id] = gt.stampBefore(gt.off, slab[id*width:id*width:(id+1)*width])
+			}
+			v := cur[id].Apply(gt.deltas[sl.start:sl.end]).Grow(int(sl.width))
+			cur[id] = v
 			if b.start+i < from {
 				continue // below from: already consumed by the caller
 			}

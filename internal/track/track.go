@@ -66,12 +66,16 @@
 // ticking the covered components — O(1) at any clock width. Either way the
 // capture ends with the ticks, and the record notes how many (0–2).
 //
-// Right after its update the thread's clock is the record's stamp, so every
-// stampCheckpointEvery-th record of a thread's epoch (64, the delta log's
-// sync interval) also gets a full-stamp checkpoint: its commit copies the
-// clock, padded with zeros to the record's width, into a thread-owned slab
-// next to the record buffer: one O(k) copy per 64 of a thread's commits,
-// and nothing downstream rebuilds a stamp to take it.
+// A thread's clock before a commit is the stamp of its previous record, and
+// right after the update it is the record's own (§III-C). So each
+// generation a thread fills (below) carries full-stamp checkpoints that
+// make it self-contained: the thread's first commit after a swap copies
+// the clock it starts from into a thread-owned slab next to the record
+// buffer as checkpoint 0 — empty at an epoch's start, the recovered clock
+// after Open — and every stampCheckpointEvery-th record of the generation
+// (64, the delta log's sync interval) copies its stamp, padded with zeros
+// to the record's width: one O(k) copy per generation and per 64 of a
+// thread's commits, and nothing downstream rebuilds a stamp to take one.
 //
 // The change sets stay the representation after the merge, too, and in
 // place: the records, arenas and checkpoints a thread filled become part of
@@ -80,24 +84,27 @@
 // touched — and the weave then builds, outside the barrier, the
 // generation's trace order (indices are dense, so each record goes straight
 // to its slot, no sort) and touches no stamp. Full vectors are rebuilt only
-// where a reader asks for them, from each thread's base — its immutable
-// stamp as of the seal point — plus the thread's change sets:
+// where a reader asks for them, each from its generation alone: the stamp
+// a thread's record starts from is the entry's nearest checkpoint plus at
+// most 63 change sets (genThread.stampBefore), and the three readers of the
+// tail take it from there:
 //
-//   - Seal seeds the log writer with each thread's base and encodes every
-//     record straight from its change set and tick count: the thread's
-//     first record of the segment comes out full, a record whose object has
-//     appeared in the segment too as a derived record (its tick indices
-//     only: the reader rebuilds the stamp as tick(join) of the thread's and
-//     the object's previous stamps), any other as a delta — exactly the
-//     bytes the writer's Append would write from the full stamp — and the
-//     writer's running stamps become the new bases. The seal weaves a
-//     generation no reader has woven yet first, like any reader, and then
-//     only encodes, so it applies each change set once;
+//   - Seal seeds the log writer with that stamp at each thread's first
+//     record of the segment and encodes every record straight from its
+//     change set and tick count: that first record comes out full, a record
+//     whose object has appeared in the segment too as a derived record (its
+//     tick indices only: the reader rebuilds the stamp as tick(join) of the
+//     thread's and the object's previous stamps), any other as a delta —
+//     exactly the bytes the writer's Append would write from the full
+//     stamp. The seal weaves a generation no reader has woven yet first,
+//     like any reader, and then only encodes, so it applies each change set
+//     once;
 //   - Stream and Snapshot replay the tail through per-thread running
-//     vectors seeded from the bases;
-//   - a lazy tail stamp (Stamped.Vector, the comparison helpers) walks its
-//     thread's records back to the nearest checkpoint and replays at most
-//     64 change sets, under the barrier, whatever the tail's length;
+//     vectors, seeded likewise at each thread's first record of each
+//     generation;
+//   - a lazy tail stamp (Stamped.Vector, the comparison helpers) replays at
+//     most 63 change sets on its nearest checkpoint, under the barrier,
+//     whatever the tail's length;
 //   - a lazy sealed stamp replays its segment with no barrier at all.
 //
 // A Stamped returned by Do carries a handle, not a vector; the first
@@ -147,9 +154,9 @@
 //     (above). Nothing is ordered or materialized yet.
 //   - Tail: a barrier swaps the buffers into the tail as a new generation,
 //     and the weave orders it — events in trace order with their change
-//     sets and the periodic full-stamp checkpoints their commits took. The
-//     tail is the mutable suffix of history; Stamped.Vector of a tail event
-//     replays at most 64 change sets.
+//     sets and the full-stamp checkpoints their commits took. The tail is
+//     the mutable suffix of history; Stamped.Vector of a tail event replays
+//     at most 63 change sets.
 //   - Sealed: Seal (called by Compact, by the spill policy, or directly)
 //     encodes the tail as one immutable delta-encoded segment — the
 //     MVCLOG03 wire format inside a tlog "MVCSEG01" container that also
@@ -194,23 +201,22 @@
 //
 // A seal stops commits only twice, for pauses independent of the number of
 // records it seals. The first barrier swaps the per-thread buffers into a
-// new generation and captures the generations below the seal point, with a
-// snapshot of every thread's base. The weave, the encode straight from the
-// swapped buffers, the SHA-256 and the spill's write, fsync and rename
-// then run with no world lock held while commits fill fresh buffers; the
-// seal weaves a generation no reader has woven yet before it encodes, so a
-// reader that needs the swapped records meanwhile waits for that weave at
-// most, never for the encode, the hash or the I/O. The order buffer, the
-// record widths and the payload are reused from seal to seal, so a seal
-// allocates O(threads) besides the segment itself. The second
+// new generation and captures the generations below the seal point, which
+// carry every stamp the seal starts from. The weave, the encode straight
+// from the swapped buffers, the SHA-256 and the spill's write, fsync and
+// rename then run with no world lock held while commits fill fresh
+// buffers; the seal weaves a generation no reader has woven yet before it
+// encodes, so a reader that needs the swapped records meanwhile waits for
+// that weave at most, never for the encode, the hash or the I/O. The order
+// buffer, the record widths and the payload are reused from seal to seal,
+// so a seal allocates O(threads) besides the segment itself. The second
 // barrier publishes: the segment joins the sealed history (swapHist), the
-// threads get their new bases, the consumed generations are cut from the
-// tail (one the seal point cuts through leaves a remainder sharing its
-// buffers) and retired through the reclaimer, which hands their buffers
-// back to the threads as spares once no reader holds them, and the resume
-// manifest is brought up to date — it is kept as it is unless a reveal, a
-// registration or an epoch changed it, so only a seal after such a change
-// pays O(revealed edges) to rebuild it.
+// consumed generations are cut from the tail (one the seal point cuts
+// through leaves a remainder sharing its buffers) and retired through the
+// reclaimer, which hands their buffers back to the threads as spares once
+// no reader holds them, and the resume manifest is brought up to date — it
+// is kept as it is unless a reveal, a registration or an epoch changed it,
+// so only a seal after such a change pays O(revealed edges) to rebuild it.
 // A swap happens only when the seal point reaches into the per-thread
 // buffers; a worker catching up seals intervals already in the tail. Stats
 // reports the barriers' cumulative and longest hold. sealMu serializes
@@ -289,11 +295,11 @@
 // per-thread buffers into a new generation and snapshot the tail's
 // generations, weaves what is pending, and replays the generations outside
 // the barrier while commits continue into fresh buffers, rebuilding each
-// stamp from the threads' bases snapshotted at the freeze. The memory
-// model is freeze-and-share: a woven generation is never mutated again
-// (sealing replaces a partially sealed one with a remainder that shares its
-// storage rather than re-slicing it), and bases are immutable, so the
-// replay needs no lock; the streamer's reclaimer pin keeps the buffers of
+// stamp from the checkpoints its own generation carries. The memory model
+// is freeze-and-share: a woven generation is never mutated again (sealing
+// replaces a partially sealed one with a remainder that shares its storage
+// rather than re-slicing it), so the replay needs no lock and reads
+// nothing of the threads; the streamer's reclaimer pin keeps the buffers of
 // generations a seal consumes from being reused underneath it. The stream
 // is a consistent snapshot as of its freeze point, and the stall commits
 // observe is the O(threads) swap — never the weave or the sink's I/O.
@@ -434,7 +440,7 @@ import (
 // operation changed, and Vector (or any comparison helper) reconstructs the
 // full vector on first use, then memoizes it, so later uses are free. A
 // stamp still in the unsealed tail is rebuilt under the same barrier
-// Snapshot takes, from at most 64 change sets; a sealed one is read back
+// Snapshot takes, from at most 63 change sets; a sealed one is read back
 // from its segment with no barrier. Bulk consumers should prefer one
 // Snapshot or Stream call over materializing stamps one by one.
 type Stamped struct {
@@ -511,7 +517,9 @@ const cellChunkSize = 128
 // global indices [start, end), all of one epoch. The barrier moves each
 // committing thread's record buffer, delta arena and checkpoints into thr
 // as they stand — no record is copied — and the weave (weaveTo) then
-// builds, outside the barrier, the trace order over them. A woven
+// builds, outside the barrier, the trace order over them. Each thread
+// entry carries the checkpoints its stamps are rebuilt from, so a reader
+// of a generation needs no other generation and no thread state. A woven
 // generation is never mutated again, so a Stream or a seal may read it
 // with no lock held; a seal that cuts through one leaves in the tail a
 // remainder (suffix) that shares its storage rather than re-slicing or
@@ -537,41 +545,37 @@ type tailBlock struct {
 
 // genThread is one thread's share of a generation: its records in program
 // order, the delta arena their change sets live in and the full-stamp
-// checkpoints its commits took, all three swapped out of the thread. prev
-// is the global index of the thread's last record before the swap (-1 when
-// none this epoch), the link a lazy stamp walks back along; before counts
-// the thread's records of the epoch merged ahead of the swap, which fixes
-// where its checkpoints fall: record p carries one when (before+p+1) is a
-// multiple of stampCheckpointEvery, and ckpts holds them in record order.
-// off is how many of recs lie below the generation's start: nonzero only
-// in the remainder of a generation a seal cut through, which shares the
-// records, arena and checkpoints of the whole swap and whose records
-// recs[:off] are sealed.
+// checkpoints its commits took, all three swapped out of the thread. The
+// entry is self-contained: checkpoint k is the thread's stamp right before
+// record k·stampCheckpointEvery — for k = 0 the clock the thread's first
+// commit of the generation started from, so no reader needs anything from
+// an earlier generation or from the thread itself (stampBefore). off is how
+// many of recs lie below the generation's start: nonzero only in the
+// remainder of a generation a seal cut through, which shares the records,
+// arena and checkpoints of the whole swap and whose records recs[:off] are
+// sealed.
 type genThread struct {
 	th     *Thread
 	id     event.ThreadID
 	recs   []record
 	deltas []vclock.Delta
 	ckpts  checkpoints
-	prev   int
-	before int
 	off    int
 }
 
-// checkpoints is one thread's full-stamp checkpoints in record order, each
-// a window of slab padded with zeros to its record's width. A commit
-// appends to its thread's (add), the swap moves them into a generation with
-// the records, and recycle hands them back to the thread as a spare.
+// checkpoints is one thread's full-stamp checkpoints of one generation, in
+// record order, each a window of slab: checkpoint 0 is the thread's clock
+// as its first commit of the generation found it, every later one a stamp
+// padded with zeros to its record's width. A commit appends to its
+// thread's (add), the swap moves them into a generation with the records,
+// and recycle hands them back to the thread as a spare.
 type checkpoints struct {
 	vecs []vclock.Vector
 	slab []uint64
 }
 
 // freshCheckpoints is how many checkpoints a thread's first slab and
-// header slice have room for. A thread finds no spare whenever the
-// generation it filled before is still shared by a remainder in the tail,
-// and growing from room for one would then cost several allocations per
-// generation.
+// header slice have room for when nothing sized them (openGen).
 const freshCheckpoints = 8
 
 // add copies v, padded with zeros to width, into the slab as the next
@@ -623,11 +627,11 @@ func (sl *genSlot) event(g *tailBlock, i int) event.Event {
 // ticks (see record).
 func (sl *genSlot) ticks() int { return int(sl.opTicks & 3) }
 
-// stampCheckpointEvery is the per-thread cadence of full-stamp checkpoints
-// in the tail: every such record of a thread keeps its materialized stamp,
-// so a lazy tail stamp replays at most this many change sets. It matches
-// the delta log writer's sync interval — the same trade of one full vector
-// per interval against bounded replay.
+// stampCheckpointEvery is the cadence of full-stamp checkpoints within a
+// thread's share of a generation: a stamp is its nearest checkpoint plus at
+// most stampCheckpointEvery-1 change sets. It matches the delta log
+// writer's sync interval — the same trade of one full vector per interval
+// against bounded replay.
 const stampCheckpointEvery = tlog.DefaultSyncEvery
 
 // below counts the records with global index below idx.
@@ -635,24 +639,21 @@ func (gt *genThread) below(idx int) int {
 	return sort.Search(len(gt.recs), func(i int) bool { return gt.recs[i].ev.Index >= idx })
 }
 
-// ckptsBelow counts the checkpoints records [0, q) carry.
-func (gt *genThread) ckptsBelow(q int) int {
-	first := stampCheckpointEvery - 1 - gt.before%stampCheckpointEvery
-	if q <= first {
-		return 0
+// stampBefore returns the thread's stamp right before record q — record
+// q-1's stamp, or checkpoint 0 when q is 0 — so record p's stamp is
+// stampBefore(p+1). It copies the nearest checkpoint at or before q and
+// replays at most stampCheckpointEvery-1 change sets on top, in dst's
+// storage (cleared first, so Grow may reuse its capacity) when that is
+// large enough. Every reader of a tail stamp — a lazy stamp, a replay's and
+// a seal's per-thread seeds — comes through here.
+func (gt *genThread) stampBefore(q int, dst vclock.Vector) vclock.Vector {
+	k := q / stampCheckpointEvery
+	v := append(dst[:0], gt.ckpts.vecs[k]...)
+	clear(v[len(v):cap(v)])
+	for _, r := range gt.recs[k*stampCheckpointEvery : q] {
+		v = v.Apply(gt.deltas[r.start:r.end]).Grow(int(r.width))
 	}
-	return (q-first-1)/stampCheckpointEvery + 1
-}
-
-// checkpoint returns the checkpoint nearest at or before record p: its
-// position and stamp, or -1 and nil when no record up to p carries one.
-func (gt *genThread) checkpoint(p int) (int, vclock.Vector) {
-	n := gt.ckptsBelow(p + 1)
-	if n == 0 {
-		return -1, nil
-	}
-	first := stampCheckpointEvery - 1 - gt.before%stampCheckpointEvery
-	return first + (n-1)*stampCheckpointEvery, gt.ckpts.vecs[n-1]
+	return v
 }
 
 // suffix returns the remainder of g from global index from on — what a
@@ -937,9 +938,11 @@ func newTracker(dir string, o options) *Tracker {
 
 // Thread is a registered logical thread. A Thread must be used by one
 // goroutine at a time (typically the goroutine that created it), mirroring
-// the paper's sequential processes. The thread's clock, delta arena and
-// record buffer are owned by that goroutine; only the stop-the-world
-// barrier touches them from outside.
+// the paper's sequential processes. The thread's clock, delta arena,
+// checkpoints and record buffer are owned by that goroutine; only the
+// stop-the-world barrier touches them from outside. Nothing a reader of
+// history needs lives here: a swapped generation carries its own starting
+// stamps, so the barriers read a Thread only to swap its buffers.
 type Thread struct {
 	t    *Tracker
 	id   event.ThreadID
@@ -950,45 +953,38 @@ type Thread struct {
 
 	// clock is the thread's working clock, nil until the first operation
 	// of an epoch. Owned by the driving goroutine (under the world read
-	// lock); reset by Compact (under the world write lock). Right after a
-	// commit it is that record's stamp (§III-C).
+	// lock); reset by Compact (under the world write lock), restored by
+	// Open. Right after a commit it is that record's stamp (§III-C), which
+	// is why a generation's checkpoint 0 is a copy of it (openGen).
 	clock vclock.Vector
 	// buf holds committed records not yet merged into the tracker's trace;
 	// deltas is the arena their change sets live in, and ckpts the copies
-	// of clock the commits of every stampCheckpointEvery-th record of the
-	// epoch took. A merge barrier moves all three into a tail generation
-	// and installs the spares in their place: the buffers of a generation
-	// a seal consumed, handed back through the reclaimer once no reader
-	// holds them (recycle). The spares are guarded by the tracker's reg
-	// mutex.
+	// of clock the generation's first commit and every
+	// stampCheckpointEvery-th record of it took (genThread). A merge
+	// barrier moves all three into a tail generation and installs the
+	// spares in their place: the buffers of a generation a seal consumed,
+	// handed back through the reclaimer once no reader holds them
+	// (recycle). The spares are guarded by the tracker's reg mutex; sizes
+	// is what the thread's last swapped generation used, so a thread the
+	// swap left with no spare allocates its buffers whole (openGen).
 	buf         []record
 	deltas      []vclock.Delta
 	ckpts       checkpoints
 	spareBuf    []record
 	spareDeltas []vclock.Delta
 	spareCkpts  checkpoints
-	// base is the thread's stamp as of tailStart — the stamp of its last
-	// sealed record of the epoch, nil when it has none. Immutable: a seal
-	// replaces it with a fresh vector, Compact resets it, recovery restores
-	// it, so a Stream or seal may read a snapshot of it with no lock held.
-	base vclock.Vector
-	// last is the global index of the thread's last merged record (-1 when
-	// none this epoch) and merged counts the thread's merged records of the
-	// epoch; both are written only by the barrier, so a commit, under the
-	// world read lock, may read merged.
-	last   int
-	merged int
+	sizes       genSizes
 	// cells is the current chunk lazy stamp handles are allocated from.
 	cells     []stampCell
 	cellsUsed int
 
 	// One-entry stripe cache for the re-acquisition fast path: when the
-	// thread's last commit anywhere was on lastObj and the object's
+	// thread's last commit anywhere was on fastObj and the object's
 	// version counter still matches, the thread's clock and the object's
-	// clock are provably identical, and the next commit on lastObj can
+	// clock are provably identical, and the next commit on fastObj can
 	// skip the join entirely. Reset by Compact.
-	lastObj *Object
-	lastVer uint64
+	fastObj *Object
+	fastVer uint64
 
 	// batchOut is the stamps buffer DoBatch returns, reused batch after
 	// batch; owned by the driving goroutine. It comes last, so the fields
@@ -1039,7 +1035,7 @@ func (o *Object) Name() string { return o.name }
 func (t *Tracker) NewThread(name string) *Thread {
 	t.reg.Lock()
 	defer t.reg.Unlock()
-	th := &Thread{t: t, id: event.ThreadID(len(t.threads)), name: name, last: -1}
+	th := &Thread{t: t, id: event.ThreadID(len(t.threads)), name: name}
 	th.shard = t.world.shardFor(int(th.id))
 	t.threads = append(t.threads, th)
 	return th
@@ -1135,12 +1131,15 @@ func (t *Tracker) commit(th *Thread, o *Object, op event.Op) Stamped {
 // plan (component indices and width) was already resolved, and record it.
 // The caller holds the object commit exclusion and the world read lock.
 func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, objIdx, width int) Stamped {
+	if len(th.buf) == 0 {
+		th.openGen(width)
+	}
 	start := len(th.deltas)
 	// The ticks are the capture's last entries: core.TickCovered runs last.
 	var ticks int
-	if th.lastObj == o && th.lastVer == o.ver {
+	if th.fastObj == o && th.fastVer == o.ver {
 		// Re-acquisition fast path: the thread's last commit anywhere was
-		// on o (it set lastObj and lastVer) and o's version is unchanged,
+		// on o (it set fastObj and fastVer) and o's version is unchanged,
 		// so no other thread has committed here since — th.clock and
 		// o.clock are the same value. The join is a no-op and the object
 		// can adopt the event clock by replaying just the tick deltas:
@@ -1155,14 +1154,14 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 		// captured into the thread's arena instead of flattened.
 		th.deltas, ticks = core.UpdateRuleDelta(&th.clock, &o.clock, thrIdx, objIdx, width, th.deltas)
 	}
-	if (th.merged+len(th.buf)+1)%stampCheckpointEvery == 0 {
-		// Every stampCheckpointEvery-th record of the thread's epoch
-		// carries a checkpoint (genThread.checkpoint), and its stamp is
-		// the clock the update rule just left.
+	if (len(th.buf)+1)%stampCheckpointEvery == 0 {
+		// Every stampCheckpointEvery-th record of the generation carries a
+		// checkpoint (genThread), and its stamp is the clock the update
+		// rule just left.
 		th.ckpts.add(th.clock, width)
 	}
 	o.ver++
-	th.lastObj, th.lastVer = o, o.ver
+	th.fastObj, th.fastVer = o, o.ver
 
 	e := event.Event{Index: idx, Thread: th.id, Object: o.id, Op: op}
 	if ticks == 0 {
@@ -1180,6 +1179,28 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 	th.cellsUsed++
 	cell.t, cell.idx = t, idx
 	return Stamped{Event: e, Epoch: t.epoch, cell: cell}
+}
+
+// genSizes is how many records and change-set entries a thread's share of
+// a generation held.
+type genSizes struct{ recs, deltas int32 }
+
+// openGen starts the thread's share of a new generation at its first
+// commit since the swap, with the clock the commit starts from as
+// checkpoint 0: the stamp of the thread's previous record, empty at an
+// epoch's start, the recovered clock after Open. A swap that found no spare
+// — the thread's last consumed generation is still shared by a remainder
+// in the tail — left the buffers nil, and they are allocated here, off the
+// barrier, at the sizes the thread's previous generation used, the
+// checkpoints at the clock width.
+func (th *Thread) openGen(width int) {
+	if n := int(th.sizes.recs); th.buf == nil && n > 0 {
+		k := n/stampCheckpointEvery + 1
+		th.buf = make([]record, 0, n)
+		th.deltas = make([]vclock.Delta, 0, th.sizes.deltas)
+		th.ckpts = checkpoints{vecs: make([]vclock.Vector, 0, k), slab: make([]uint64, 0, k*width)}
+	}
+	th.ckpts.add(th.clock, 0)
 }
 
 // noteErr retains the first clock misuse.
@@ -1217,9 +1238,8 @@ func (t *Tracker) swapLocked() {
 		if len(th.buf) == 0 {
 			continue
 		}
-		g.thr = append(g.thr, genThread{th: th, id: th.id, recs: th.buf, deltas: th.deltas, ckpts: th.ckpts, prev: th.last, before: th.merged})
-		th.last = th.buf[len(th.buf)-1].ev.Index
-		th.merged += len(th.buf)
+		g.thr = append(g.thr, genThread{th: th, id: th.id, recs: th.buf, deltas: th.deltas, ckpts: th.ckpts})
+		th.sizes = genSizes{int32(len(th.buf)), int32(len(th.deltas))}
 		th.buf, th.deltas, th.ckpts = th.spareBuf, th.spareDeltas, th.spareCkpts
 		th.spareBuf, th.spareDeltas, th.spareCkpts = nil, nil, checkpoints{}
 	}
@@ -1333,20 +1353,6 @@ func (t *Tracker) mergedLenLocked() int {
 // is recorded.
 func (t *Tracker) committedLocked() int { return int(t.seq.Load()) }
 
-// basesLocked snapshots every registered thread's base — the per-thread
-// stamps as of tailStart that a replay of the tail starts from. The vectors
-// are immutable, so the snapshot shares them. The caller holds the world
-// write lock.
-func (t *Tracker) basesLocked() []vclock.Vector {
-	t.reg.Lock()
-	defer t.reg.Unlock()
-	bases := make([]vclock.Vector, len(t.threads))
-	for i, th := range t.threads {
-		bases[i] = th.base
-	}
-	return bases
-}
-
 // tailAtLocked locates merged tail record idx: its generation and, once
 // woven, its slot there. The caller holds the world write lock and has
 // checked idx against the tail's range.
@@ -1362,8 +1368,9 @@ func (t *Tracker) tailAtLocked(idx int) (*tailBlock, genSlot) {
 // stampAt returns the (internal) stamp of event idx — the lazy
 // materialization path behind Stamped. A sealed stamp is rebuilt from its
 // segment with no barrier at all (sealedStamp); a tail stamp takes the
-// barrier, merges, and replays at most stampCheckpointEvery change sets of
-// its thread (tailStampLocked). Either way the caller's stampCell memoizes.
+// barrier, merges, and replays fewer than stampCheckpointEvery change sets
+// of its generation (tailStampLocked). Either way the caller's stampCell
+// memoizes.
 func (t *Tracker) stampAt(idx int) vclock.Vector {
 	if idx >= int(t.sealed.Load()) {
 		if v, ok := t.tailStamp(idx); ok {
@@ -1400,56 +1407,19 @@ func (t *Tracker) tailStamp(idx int) (v vclock.Vector, ok bool) {
 	return t.tailStampLocked(idx), true
 }
 
-// tailStampLocked rebuilds merged tail stamp idx: it walks back along the
-// thread's records — within a generation by position, across generations
-// by each thread entry's prev link — to the nearest full-stamp checkpoint,
-// or, past the tail's start, to the thread's base at tailStart, and replays
-// the change sets forward from there. A checkpoint on a sealed record of a
-// cut generation's remainder still starts a valid replay: the records
-// between it and idx are all still in the shared buffers. The walk stops within
-// stampCheckpointEvery records, so the cost is bounded whatever the tail's
-// length. The caller holds the world write lock, and idx is woven.
+// tailStampLocked rebuilds merged tail stamp idx from its generation
+// alone: the nearest checkpoint of its thread's entry plus at most
+// stampCheckpointEvery-1 change sets (genThread.stampBefore), whatever the
+// tail's length. In a cut generation's remainder the checkpoint may sit on
+// a sealed record: the records between it and idx are all still in the
+// shared buffers. The caller holds the world write lock, and idx is woven.
 func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
 	g, sl := t.tailAtLocked(idx)
 	if g == nil {
 		// Unreachable for cells minted by commit; guard against decay.
 		return nil
 	}
-	// spans[i] is records lo..hi of one thread entry, newest span first.
-	type span struct {
-		gt     *genThread
-		lo, hi int
-	}
-	var spans [stampCheckpointEvery]span
-	n := 0
-	gt, p := &g.thr[sl.thr], int(sl.pos)
-	var from vclock.Vector
-	for {
-		if c, v := gt.checkpoint(p); v != nil {
-			from = v
-			spans[n] = span{gt, c + 1, p}
-			n++
-			break
-		}
-		spans[n] = span{gt, gt.off, p}
-		n++
-		// A remainder's sealed records end right below tailStart, so the
-		// thread's base is their successor's starting point.
-		if gt.off > 0 || gt.prev < t.tailStart {
-			from = gt.th.base
-			break
-		}
-		g, sl = t.tailAtLocked(gt.prev)
-		gt, p = &g.thr[sl.thr], int(sl.pos)
-	}
-	v := from.Clone()
-	for n--; n >= 0; n-- {
-		sp := spans[n]
-		for _, r := range sp.gt.recs[sp.lo : sp.hi+1] {
-			v = v.Apply(sp.gt.deltas[r.start:r.end]).Grow(int(r.width))
-		}
-	}
-	return v
+	return g.thr[sl.thr].stampBefore(int(sl.pos)+1, nil)
 }
 
 // Size returns the current vector-clock size (number of components). The
