@@ -911,11 +911,12 @@ func BenchmarkStreamTail(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyTailStamp measures the first Stamped.Vector of a stamp still
-// in the unsealed tail, for one thread. With no seal policy the whole run
-// is one thread chain in the tail. Each op materializes a different stamp,
-// which replays at most 63 change sets from the nearest full-stamp
-// checkpoint of its generation, so ns/op stays flat from 5k to 50k events —
+// BenchmarkLazyTailStamp measures Stamped.Vector of a stamp still in the
+// unsealed tail, for one thread. With no seal policy the whole run is one
+// thread chain in the tail. Each op materializes a different stamp into the
+// one fresh vector it returns (one allocation), replaying at most 63 change
+// sets from the nearest full-stamp checkpoint of its generation, so ns/op
+// stays flat from 5k to 50k events —
 // without the checkpoints it would grow with the stamp's distance from the
 // generation's start. The checkpoints are the copies of the thread's clock
 // its commits took, so no weave or seal rebuilds them, and each generation

@@ -242,6 +242,54 @@ func TestDetectLiveLegacyDirectory(t *testing.T) {
 	}
 }
 
+// TestExportLiveGolden pins the bytes the live pipeline seals: for
+// `mvc gen -events 2000 -seed 3 | mvc export -live -out L -spill DIR -seal S`
+// at S = 50, 997 and 5000, the SHA-256 of every .mvcseg file and of L must
+// match testdata/export_live.golden, one "seal=S NAME HASH" line each, L
+// named live.mvclog. catalog.json is left out: it records seal times.
+func TestExportLiveGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "export_live.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.jsonl")
+	if err := gen([]string{"-events", "2000", "-seed", "3", "-out", tracePath}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := loadTrace(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, seal := range []int{50, 997, 5000} {
+		out := filepath.Join(dir, fmt.Sprintf("live-%d.mvclog", seal))
+		spill := filepath.Join(dir, fmt.Sprintf("spill-%d", seal))
+		if err := exportLive(io.Discard, tr, out, "full", spill, seal, 0); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := filepath.Glob(filepath.Join(spill, "*.mvcseg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range append(segs, out) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := filepath.Base(path)
+			if path == out {
+				name = "live.mvclog"
+			}
+			sum := sha256.Sum256(data)
+			fmt.Fprintf(&got, "seal=%d %s %s\n", seal, name, hex.EncodeToString(sum[:]))
+		}
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("mvc export -live bytes differ from testdata/export_live.golden:\n%s", got.Bytes())
+	}
+}
+
 // TestSegmentsTagMix pins `mvc segments`' per-segment header — B/event and
 // the counts of full, delta, derived-explicit and derived-implied records —
 // on a tracker-produced spill: every record is derived except where its

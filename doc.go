@@ -60,8 +60,8 @@
 // record only the delta each operation applied to its thread's clock
 // (allocation-free, at any width), and full vectors materialize lazily. A
 // Stamped's Vector() — and its comparison helpers — reconstruct the
-// timestamp on first use and memoize; bulk consumers should take one
-// snapshot instead:
+// timestamp on every call, so a caller keeps Vector's result if it needs
+// it twice; bulk consumers should take one snapshot instead:
 //
 //	trace, stamps := tracker.Snapshot() // one barrier, consistent pair
 //

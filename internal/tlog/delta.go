@@ -284,6 +284,22 @@ func (w *DeltaWriter) object(id event.ObjectID) *objectLogState {
 	return &w.objects[id]
 }
 
+// Reset discards the stream state — running stamps, sync counters, object
+// history, bytes written, any unflushed output — and directs the writer at
+// dst, as if it were new but for its buffers: the bufio buffer and each
+// thread's and object's vector storage are kept, so a writer reused for
+// stream after stream stops allocating once it has seen the widest.
+func (w *DeltaWriter) Reset(dst io.Writer) {
+	w.w.Reset(dst)
+	w.started, w.written = false, 0
+	for i := range w.threads {
+		w.threads[i] = threadLogState{prev: w.threads[i].prev[:0]}
+	}
+	for i := range w.objects {
+		w.objects[i] = objectLogState{last: w.objects[i].last[:0]}
+	}
+}
+
 // Seed installs v (copied) as thread id's running stamp without writing a
 // record. The thread's next record is still written full, as a thread's
 // first always is, but AppendDelta change sets now apply on top of v — so
@@ -294,20 +310,7 @@ func (w *DeltaWriter) Seed(id event.ThreadID, v vclock.Vector) {
 		return
 	}
 	st := w.state(id)
-	st.prev, st.since = v.Clone(), 0
-}
-
-// Stamp returns thread id's running stamp: the full vector of its last
-// record, or its seed; nil when the writer has seen neither. The vector is
-// borrowed — the next Append, AppendDelta or Seed for the thread may
-// overwrite it — so a caller that outlives the writer may keep it. Its
-// capacity is capped at its length, so a holder that grows it copies.
-func (w *DeltaWriter) Stamp(id event.ThreadID) vclock.Vector {
-	if id < 0 || int(id) >= len(w.threads) {
-		return nil
-	}
-	p := w.threads[id].prev
-	return p[:len(p):len(p)]
+	st.prev, st.since = append(st.prev[:0], v...), 0
 }
 
 // begin writes the record prelude shared by every payload kind — the

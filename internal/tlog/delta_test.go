@@ -492,9 +492,75 @@ func TestAppendDeltaMatchesReference(t *testing.T) {
 	}
 }
 
+// TestResetWritesLikeNewWriter pins Reset: a writer reset after one stream
+// writes the next byte for byte as a new writer would — no running stamp,
+// sync count or object history carries over — and, once its buffers have
+// grown, writes it again without allocating.
+func TestResetWritesLikeNewWriter(t *testing.T) {
+	tr, stamps := sampleComputation(t)
+	mc := core.AnalyzeTrace(tr).NewClock()
+	caps := make([][]vclock.Delta, tr.Len())
+	ticks := make([]int, tr.Len())
+	for i := range caps {
+		caps[i], ticks[i] = mc.TimestampDelta(tr.At(i), nil)
+	}
+	// The stream opens with a high index, which a new writer's width budget
+	// makes it write full; then it seeds a thread, writes the sample's
+	// first half from change sets and the second from full stamps, so
+	// every kind of state is touched.
+	wide := []vclock.Vector{{1}, (vclock.Vector{1}).Set(5000, 1)}
+	write := func(w *DeltaWriter) error {
+		for _, v := range wide {
+			if err := w.Append(event.Event{Thread: 7, Object: 7}, v); err != nil {
+				return err
+			}
+		}
+		w.Seed(9, stamps[0])
+		for i := 0; i < tr.Len(); i++ {
+			var err error
+			if i < tr.Len()/2 {
+				err = w.AppendDelta(tr.At(i), caps[i], ticks[i])
+			} else {
+				err = w.Append(tr.At(i), stamps[i])
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return w.Flush()
+	}
+	var want, got bytes.Buffer
+	if err := write(NewDeltaWriterSync(&want, 4)); err != nil {
+		t.Fatal(err)
+	}
+	w := NewDeltaWriterSync(io.Discard, 4)
+	if err := write(w); err != nil {
+		t.Fatal(err)
+	}
+	w.Reset(&got)
+	if err := write(w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("a reset writer's stream differs from a new writer's")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		got.Reset()
+		w.Reset(&got)
+		if err := write(w); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a reset writer allocated %v times per stream", allocs)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("a writer reset again wrote a different stream")
+	}
+}
+
 // TestSeedWritesFirstRecordFromChangeSet pins Seed: a thread seeded with
 // its stamp going in writes its first record from a change set exactly as
-// Append writes the full stamp, and Stamp reads the running vector back.
+// Append writes the full stamp, leaving the running vector at that stamp.
 func TestSeedWritesFirstRecordFromChangeSet(t *testing.T) {
 	base := vclock.Vector{4, 0, 9}
 	ds := []vclock.Delta{{Index: 2, Value: 9}, {Index: 1, Value: 3}, {Index: 4, Value: 1}}
@@ -510,11 +576,11 @@ func TestSeedWritesFirstRecordFromChangeSet(t *testing.T) {
 	if err := wf.Append(e, want); err != nil {
 		t.Fatal(err)
 	}
-	if got := ws.Stamp(e.Thread); !got.Equal(want) {
-		t.Fatalf("Stamp = %v, want %v", got, want)
+	if got := ws.threads[e.Thread].prev; !got.Equal(want) {
+		t.Fatalf("running stamp = %v, want %v", got, want)
 	}
-	if ws.Stamp(7) != nil || ws.Stamp(0) != nil {
-		t.Fatal("Stamp of an unseen thread is not nil")
+	if len(ws.threads) > 7 || ws.threads[0].prev != nil {
+		t.Fatal("running stamp of an unseen thread is not nil")
 	}
 	if err := ws.Flush(); err != nil {
 		t.Fatal(err)
@@ -677,7 +743,7 @@ func TestAppendDeltaDerivedRunningStamp(t *testing.T) {
 		if got := lastRecordTag(t, wd); got != s.tag {
 			t.Fatalf("record %d written with tag %d, want %d", i, got, s.tag)
 		}
-		if got := wd.Stamp(s.th); !got.Equal(v) {
+		if got := wd.threads[s.th].prev; !got.Equal(v) {
 			t.Fatalf("record %d: running stamp %v, want %v", i, got, v)
 		}
 		if !bytes.Equal(wd.buf, wa.buf) {

@@ -413,8 +413,8 @@ func TestReclaimerQuiescent(t *testing.T) {
 
 // TestDoBatchReusesItsBuffer: DoBatch returns the thread's own buffer, so
 // after the first call a steady stream of one-object batches allocates
-// nothing per call (the thread's lazy stamp cells come one chunk per
-// cellChunkSize commits), and the buffer holds the latest batch's stamps.
+// nothing per call (a stamp is a value, with no per-event cell), and the
+// buffer holds the latest batch's stamps.
 func TestDoBatchReusesItsBuffer(t *testing.T) {
 	tr := mustOpen(t, "")
 	defer tr.Close()

@@ -26,9 +26,9 @@ import (
 
 // Order compares two stamped operations from the same tracker, taking
 // epochs into account: within an epoch, the vector order; across epochs,
-// the epoch order. The comparison materializes both lazy stamps (on first
-// use — a tail stamp takes one tracker barrier, a sealed one none;
-// memoized afterwards).
+// the epoch order. Within an epoch the comparison materializes both lazy
+// stamps, on every call: a tail stamp takes one tracker barrier, a sealed
+// one none.
 func (s Stamped) Order(t Stamped) vclock.Ordering {
 	switch {
 	case s.Epoch < t.Epoch:

@@ -197,8 +197,10 @@ func TestReadHeavyParallelValid(t *testing.T) {
 
 // TestLazyStampMaterialization pins the Stamped contract after the delta
 // rework: Vector() reconstructs the exact stamp (matching Snapshot()), copies
-// are independent of tracker internals, and materialization works from
-// inside a Do callback and across compactions.
+// are independent of tracker internals and of each other, materialization
+// works from inside a Do callback and across compactions, and nothing is
+// memoized: a stamp read before retention retires its segment reads nil
+// afterwards, like one never read.
 func TestLazyStampMaterialization(t *testing.T) {
 	tr := mustOpen(t, "")
 	th := tr.NewThread("t")
@@ -216,6 +218,10 @@ func TestLazyStampMaterialization(t *testing.T) {
 		if len(s.Vector()) != len(stamps[i]) {
 			t.Fatalf("stamp %d: width %d, want %d", i, len(s.Vector()), len(stamps[i]))
 		}
+	}
+	// Each call rebuilds the stamp: equal vectors, no shared storage.
+	if a, b := collected[1].Vector(), collected[1].Vector(); !a.Equal(b) || len(a) == 0 || &a[0] == &b[0] {
+		t.Fatalf("two Vector calls on one tail stamp: %v and %v, want equal and unshared", a, b)
 	}
 	// Mutating a returned vector must not corrupt the tracker's history.
 	v := collected[0].Vector()
@@ -243,5 +249,37 @@ func TestLazyStampMaterialization(t *testing.T) {
 	}
 	if zero := (Stamped{}); zero.Vector() != nil {
 		t.Fatal("zero Stamped should have nil vector")
+	}
+
+	// A stamp read before its segment retires is not kept: after Seal,
+	// Compact and RetainSegments it reads nil, and Err notes it (as in
+	// TestRetainStampRetired, for a stamp never read).
+	rt, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rth, rob := rt.NewThread("t0"), rt.NewObject("o0")
+	early := rth.Write(rob, nil)
+	for i := 0; i < 9; i++ {
+		rth.Write(rob, nil)
+	}
+	if early.Vector() == nil {
+		t.Fatal("tail stamp materialized as nil before retention")
+	}
+	if err := rt.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rt.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RetainSegments(RetainPolicy{MaxBytes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if v := early.Vector(); v != nil {
+		t.Errorf("stamp read before retention materialized as %v after it, want nil", v)
+	}
+	if rt.Err() == nil {
+		t.Error("retired-stamp access not noted in Err")
 	}
 }

@@ -223,8 +223,9 @@ func (t *Tracker) freezeSealLocked(upTo int) *sealJob {
 // the remainder of a generation the cut goes through (nil when it falls
 // between two). It holds no lock but mergeMu, and that only while it
 // weaves: the encode, the hash and the spill read generations that are
-// immutable once woven. The encode's scratch — the record widths and the
-// payload — is the tracker's, reused under sealMu, which the caller holds.
+// immutable once woven. The encode's scratch — the record widths, the
+// payload and the writer — is the tracker's, reused under sealMu, which
+// the caller holds.
 func (t *Tracker) writeSeal(j *sealJob) (*segment, *tailBlock, error) {
 	payload := &t.sealPayload
 	payload.Reset()
@@ -277,10 +278,12 @@ func (t *Tracker) writeSeal(j *sealJob) (*segment, *tailBlock, error) {
 // full and every later one straight from its change set and tick count —
 // derived once the record's object has appeared in the segment too, a
 // delta before that; byte-identical to encoding each full stamp, by
-// AppendDelta's contract.
+// AppendDelta's contract. The writer is reset for every seal, so it keeps
+// its buffers and every thread's vector storage from one to the next.
 func (t *Tracker) encodeSeal(j *sealJob, payload *bytes.Buffer) error {
 	t.weaveTo(j.upTo)
-	w := tlog.NewDeltaWriter(payload)
+	w := t.sealWriter
+	w.Reset(payload)
 	t.sealWidths = slices.Grow(t.sealWidths[:0], j.upTo-j.from)
 	started := make([]bool, threadsIn(j.blocks))
 	var seed vclock.Vector

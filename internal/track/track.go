@@ -107,8 +107,8 @@
 //     whatever the tail's length;
 //   - a lazy sealed stamp replays its segment with no barrier at all.
 //
-// A Stamped returned by Do carries a handle, not a vector; the first
-// Vector or comparison materializes it and memoizes.
+// A Stamped returned by Do carries its tracker, not a vector; every Vector
+// or comparison materializes it afresh.
 //
 // Trace recording is deferred: operations accumulate in per-thread buffers
 // and are merged into trace order only when a snapshot is taken —
@@ -438,40 +438,39 @@ import (
 //
 // The timestamp itself is lazy: Do records only the components the
 // operation changed, and Vector (or any comparison helper) reconstructs the
-// full vector on first use, then memoizes it, so later uses are free. A
-// stamp still in the unsealed tail is rebuilt under the same barrier
-// Snapshot takes, from at most 63 change sets; a sealed one is read back
-// from its segment with no barrier. Bulk consumers should prefer one
-// Snapshot or Stream call over materializing stamps one by one.
+// full vector from the tracker on every use. A stamp still in the unsealed
+// tail is rebuilt under the same barrier Snapshot takes, from at most 63
+// change sets; a sealed one is read back from its segment with no barrier.
+// A caller that needs the vector more than once keeps Vector's result;
+// bulk consumers should prefer one Snapshot or Stream call over
+// materializing stamps one by one.
 type Stamped struct {
 	Event event.Event
 	Epoch int
-	cell  *stampCell
+	t     *Tracker
 }
 
-// Vector returns the operation's full timestamp as an independent copy. The
-// zero Stamped returns nil, as does a stamp whose sealed segment could not
-// be read back (a spill file lost underneath the tracker — the cause is in
-// Err, and the read is retried on the next call rather than memoized).
+// Vector returns the operation's full timestamp, a fresh vector the caller
+// owns. The zero Stamped returns nil, as does a stamp whose sealed segment
+// could not be read back (a spill file lost underneath the tracker — the
+// cause is in Err; restoring the file restores the stamp) or that a
+// retention pass has retired.
 func (s Stamped) Vector() vclock.Vector {
-	if s.cell == nil {
+	if s.t == nil {
 		return nil
 	}
-	return s.cell.vector().Clone()
+	return s.t.stampAt(s.Event.Index)
 }
 
-// vec returns the memoized timestamp without copying — for internal
-// comparisons only. Comparisons cannot limp along without the stamp (a nil
-// vector would silently read as all-zero, inventing causality), so a
-// materialization failure here panics with the underlying cause.
+// vec returns the timestamp for internal comparisons. Comparisons cannot
+// limp along without the stamp (a nil vector would silently read as
+// all-zero, inventing causality), so a materialization failure here panics
+// with the underlying cause.
 func (s Stamped) vec() vclock.Vector {
-	if s.cell == nil {
-		return nil
-	}
-	v := s.cell.vector()
-	if v == nil {
+	v := s.Vector()
+	if v == nil && s.t != nil {
 		panic(fmt.Sprintf("track: stamp of event %d cannot be materialized (sealed segment unreadable): %v",
-			s.cell.idx, s.cell.t.Err()))
+			s.Event.Index, s.t.Err()))
 	}
 	return v
 }
@@ -485,32 +484,6 @@ func (s Stamped) HappenedBefore(t Stamped) bool { return s.Order(t) == vclock.Be
 // Operations in different epochs are never concurrent: compaction is a
 // barrier.
 func (s Stamped) Concurrent(t Stamped) bool { return s.Order(t) == vclock.Concurrent }
-
-// stampCell is the shared lazy-materialization state behind a Stamped. The
-// first vector() call reconstructs the stamp through the tracker barrier and
-// memoizes; copies of the Stamped share the cell, so they share the work.
-// Only success is memoized: a failed reconstruction (sealed segment
-// unreadable) returns nil and is retried on the next call, so restoring the
-// spill file restores the stamp.
-type stampCell struct {
-	t   *Tracker
-	idx int
-	mu  sync.Mutex
-	v   vclock.Vector
-}
-
-func (c *stampCell) vector() vclock.Vector {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.v == nil {
-		c.v = c.t.stampAt(c.idx)
-	}
-	return c.v
-}
-
-// cellChunkSize is how many stamp cells a thread allocates at once; cells
-// are handed out from the chunk so the per-event allocation amortizes away.
-const cellChunkSize = 128
 
 // tailBlock is one generation of the merged-but-unsealed tail: every record
 // one barrier swapped out of the per-thread buffers, covering the dense
@@ -759,11 +732,12 @@ type Tracker struct {
 	// Compact, Close — against each other. A seal holds it across the
 	// encode and spill it runs between its two short barriers, so at most
 	// one seal is ever in flight and the tail it froze cannot be cut
-	// underneath it. It also guards sealWidths and sealPayload, the
-	// scratch each seal encodes into (writeSeal).
+	// underneath it. It also guards sealWidths, sealPayload and
+	// sealWriter, the scratch each seal encodes with (writeSeal).
 	sealMu      sync.Mutex
 	sealWidths  []int
 	sealPayload bytes.Buffer
+	sealWriter  *tlog.DeltaWriter
 	// reclaim is the epoch-based reclamation state: sealed replays pin it,
 	// retired resources wait on its limbo list. tailReclaim is a second
 	// domain for the tail generations seals consume, pinned only by a
@@ -916,12 +890,13 @@ func defaultOptions() options {
 // history in memory); Open validates o first and recovers dir after.
 func newTracker(dir string, o options) *Tracker {
 	t := &Tracker{
-		world:   newWorldLock(),
-		spill:   o.store.Spill,
-		compact: o.store.Compact,
-		retain:  o.store.Retain,
-		dir:     dir,
-		fs:      o.store.FS,
+		world:      newWorldLock(),
+		spill:      o.store.Spill,
+		compact:    o.store.Compact,
+		retain:     o.store.Retain,
+		dir:        dir,
+		fs:         o.store.FS,
+		sealWriter: tlog.NewDeltaWriter(nil),
 	}
 	if t.fs == nil {
 		t.fs = vfs.OS
@@ -974,9 +949,6 @@ type Thread struct {
 	spareDeltas []vclock.Delta
 	spareCkpts  checkpoints
 	sizes       genSizes
-	// cells is the current chunk lazy stamp handles are allocated from.
-	cells     []stampCell
-	cellsUsed int
 
 	// One-entry stripe cache for the re-acquisition fast path: when the
 	// thread's last commit anywhere was on fastObj and the object's
@@ -1171,14 +1143,7 @@ func (t *Tracker) commitOne(th *Thread, o *Object, op event.Op, idx, thrIdx, obj
 			idx, e, t.cover.Load().ComponentsString()))
 	}
 	th.buf = append(th.buf, record{ev: e, start: start, end: len(th.deltas), width: int32(width), ticks: uint8(ticks)})
-	if th.cellsUsed == len(th.cells) {
-		th.cells = make([]stampCell, cellChunkSize)
-		th.cellsUsed = 0
-	}
-	cell := &th.cells[th.cellsUsed]
-	th.cellsUsed++
-	cell.t, cell.idx = t, idx
-	return Stamped{Event: e, Epoch: t.epoch, cell: cell}
+	return Stamped{Event: e, Epoch: t.epoch, t: t}
 }
 
 // genSizes is how many records and change-set entries a thread's share of
@@ -1369,8 +1334,8 @@ func (t *Tracker) tailAtLocked(idx int) (*tailBlock, genSlot) {
 // materialization path behind Stamped. A sealed stamp is rebuilt from its
 // segment with no barrier at all (sealedStamp); a tail stamp takes the
 // barrier, merges, and replays fewer than stampCheckpointEvery change sets
-// of its generation (tailStampLocked). Either way the caller's stampCell
-// memoizes.
+// of its generation (tailStampLocked). Either way the result is a fresh
+// vector, rebuilt on every call.
 func (t *Tracker) stampAt(idx int) vclock.Vector {
 	if idx >= int(t.sealed.Load()) {
 		if v, ok := t.tailStamp(idx); ok {
@@ -1416,7 +1381,7 @@ func (t *Tracker) tailStamp(idx int) (v vclock.Vector, ok bool) {
 func (t *Tracker) tailStampLocked(idx int) vclock.Vector {
 	g, sl := t.tailAtLocked(idx)
 	if g == nil {
-		// Unreachable for cells minted by commit; guard against decay.
+		// Unreachable for a stamp commit returned; guard against decay.
 		return nil
 	}
 	return g.thr[sl.thr].stampBefore(int(sl.pos)+1, nil)
