@@ -112,6 +112,11 @@ const (
 	DetectPossibly = track.DetectPossibly
 )
 
+// RecentDetections is how many of its most recent detections a Monitor
+// keeps for Monitor.Detections; MonitorStats counts every detection by
+// kind, and MonitorPolicy.OnDetection sees each one.
+const RecentDetections = track.RecentDetections
+
 // Schedule exploration: a recorded trace is one interleaving of the
 // computation's partial order; these helpers produce and check others.
 

@@ -243,46 +243,65 @@ func TestDetectLiveLegacyDirectory(t *testing.T) {
 }
 
 // TestExportLiveGolden pins the bytes the live pipeline seals: for
-// `mvc gen -events 2000 -seed 3 | mvc export -live -out L -spill DIR -seal S`
-// at S = 50, 997 and 5000, the SHA-256 of every .mvcseg file and of L must
-// match testdata/export_live.golden, one "seal=S NAME HASH" line each, L
-// named live.mvclog. catalog.json is left out: it records seal times.
+// `mvc gen ARGS | mvc export -live -out L -spill DIR -seal S`, the SHA-256
+// of every .mvcseg file and of L must match testdata/export_live.golden,
+// one "[CASE ]seal=S NAME HASH" line each, L named live.mvclog. The first
+// case is `-events 2000 -seed 3` at S = 50, 997 and 5000. Its threads
+// hold 40 records each, fewer than a periodic sync, so the "sync" case
+// runs 4 threads over 1000 objects: each thread writes 250 or more records
+// a segment, most on an object new to the segment, which no record may be
+// derived from, so the thread's periodic full records land where the sync
+// interval puts them, and a change to tlog.DefaultSyncEvery changes the
+// segment hashes. catalog.json is left out: it records seal times.
 func TestExportLiveGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "export_live.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.jsonl")
-	if err := gen([]string{"-events", "2000", "-seed", "3", "-out", tracePath}, io.Discard, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := loadTrace(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got bytes.Buffer
-	for _, seal := range []int{50, 997, 5000} {
-		out := filepath.Join(dir, fmt.Sprintf("live-%d.mvclog", seal))
-		spill := filepath.Join(dir, fmt.Sprintf("spill-%d", seal))
-		if err := exportLive(io.Discard, tr, out, "full", spill, seal, 0); err != nil {
+	for _, c := range []struct {
+		name  string
+		gen   []string
+		seals []int
+	}{
+		{"", []string{"-events", "2000", "-seed", "3"}, []int{50, 997, 5000}},
+		{"sync", []string{"-threads", "4", "-objects", "1000", "-events", "3000", "-seed", "3"}, []int{1000, 5000}},
+	} {
+		prefix := ""
+		if c.name != "" {
+			prefix = c.name + " "
+		}
+		tracePath := filepath.Join(dir, "trace"+c.name+".jsonl")
+		if err := gen(append(c.gen, "-out", tracePath), io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		segs, err := filepath.Glob(filepath.Join(spill, "*.mvcseg"))
+		tr, err := loadTrace(tracePath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, path := range append(segs, out) {
-			data, err := os.ReadFile(path)
+		for _, seal := range c.seals {
+			out := filepath.Join(dir, fmt.Sprintf("live%s-%d.mvclog", c.name, seal))
+			spill := filepath.Join(dir, fmt.Sprintf("spill%s-%d", c.name, seal))
+			if err := exportLive(io.Discard, tr, out, "full", spill, seal, 0); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := filepath.Glob(filepath.Join(spill, "*.mvcseg"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := filepath.Base(path)
-			if path == out {
-				name = "live.mvclog"
+			for _, path := range append(segs, out) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := filepath.Base(path)
+				if path == out {
+					name = "live.mvclog"
+				}
+				sum := sha256.Sum256(data)
+				fmt.Fprintf(&got, "%sseal=%d %s %s\n", prefix, seal, name, hex.EncodeToString(sum[:]))
 			}
-			sum := sha256.Sum256(data)
-			fmt.Fprintf(&got, "seal=%d %s %s\n", seal, name, hex.EncodeToString(sum[:]))
 		}
 	}
 	if !bytes.Equal(got.Bytes(), want) {

@@ -281,12 +281,18 @@
 // tail on demand. The monitor maintains a streaming concurrency census, an
 // exact schedule-sensitive pair scanner, a happened-before index over the
 // last Window events, the registered order and predicate watches, and an
-// incremental König lower bound on the optimal clock width; detections
-// carry epoch and trace-index provenance, and the first order violation
-// arms an online recovery line. The same detection attaches to a run from
-// outside the process via its spill directory: `mvc detect -live -dir DIR`
-// follows the published catalog and evaluates sealed segments as they
-// land. See the internal/track package documentation for the windowing
+// incremental König lower bound on the optimal clock width. Where a
+// record's tick is known — the segment reader names it for most sealed
+// records — ordering it against later stamps costs O(1), not a vector
+// comparison (an event that ticked component c to x precedes a later v of
+// its epoch exactly when v[c] ≥ x). Detections carry epoch and
+// trace-index provenance; every one reaches MonitorPolicy.OnDetection and
+// the per-kind counts of MonitorStats, while Monitor.Detections keeps the
+// last RecentDetections, so a monitor's memory stays bounded on an
+// unbounded run. The first order violation arms an online recovery line.
+// The same detection attaches to a run from outside the process via its
+// spill directory: `mvc detect -live -dir DIR` follows the published
+// catalog and evaluates sealed segments as they land. See the internal/track package documentation for the windowing
 // guarantees (what stays exact, what becomes sound-but-bounded).
 //
 // # Load generation and headline numbers

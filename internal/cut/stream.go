@@ -2,6 +2,7 @@ package cut
 
 import (
 	"mixedclock/internal/event"
+	"mixedclock/internal/hb"
 	"mixedclock/internal/vclock"
 )
 
@@ -14,14 +15,17 @@ import (
 //
 // Events in epochs after the bad event's are causally after it (a Compact
 // barrier separates epochs) and therefore always contaminated; events from
-// the bad event's own epoch are compared by stamp (contaminated iff
-// badStamp < stamp). Events streamed before arming — including every epoch
-// before the bad one — must be fed through Add as well so the clean
-// prefixes count them.
+// the bad event's own epoch are contaminated iff the bad event happened
+// before them: badStamp < stamp, or in O(1), when the bad event's tick is
+// known (ArmTick), stamp[C] ≥ Val — the test the census and the pair
+// scanner use (hb.Tick). A thread already frozen is not tested at all.
+// Events streamed before arming — including every epoch before the bad
+// one — must be fed through Add as well so the clean prefixes count them.
 type LineTracker struct {
 	bad      int
 	badEpoch int
 	badStamp vclock.Vector
+	badTick  hb.Tick
 	armed    bool
 	per      []int
 	seq      []int
@@ -38,9 +42,16 @@ func NewLineTracker() *LineTracker {
 // are retroactively clean except the bad event itself, which callers arm
 // at the moment it is consumed — the usual monitor flow.
 func (lt *LineTracker) Arm(bad, epoch int, stamp vclock.Vector) {
+	lt.ArmTick(bad, epoch, stamp, hb.Tick{})
+}
+
+// ArmTick is Arm for a bad event known to have made tick t, or Arm itself
+// when t is zero.
+func (lt *LineTracker) ArmTick(bad, epoch int, stamp vclock.Vector, t hb.Tick) {
 	lt.bad = bad
 	lt.badEpoch = epoch
 	lt.badStamp = stamp.Clone()
+	lt.badTick = t
 	lt.armed = true
 }
 
@@ -64,18 +75,7 @@ func (lt *LineTracker) grow(t int) {
 func (lt *LineTracker) Add(e event.Event, epoch int, v vclock.Vector) {
 	t := int(e.Thread)
 	lt.grow(t)
-	contaminated := false
-	if lt.armed {
-		switch {
-		case e.Index == lt.bad:
-			contaminated = true
-		case epoch > lt.badEpoch:
-			contaminated = true
-		case epoch == lt.badEpoch:
-			contaminated = lt.badStamp.Less(v)
-		}
-	}
-	if contaminated {
+	if lt.armed && !lt.frozen[t] && lt.contaminated(e.Index, epoch, v) {
 		// Contamination is closed under program order: freeze the
 		// thread's clean prefix here.
 		lt.frozen[t] = true
@@ -84,6 +84,22 @@ func (lt *LineTracker) Add(e event.Event, epoch int, v vclock.Vector) {
 		lt.per[t] = lt.seq[t] + 1
 	}
 	lt.seq[t]++
+}
+
+// contaminated reports whether event i, stamped v in epoch, is the armed
+// bad event or in its causal future.
+func (lt *LineTracker) contaminated(i, epoch int, v vclock.Vector) bool {
+	switch {
+	case i == lt.bad || epoch > lt.badEpoch:
+		return true
+	case epoch < lt.badEpoch:
+		return false
+	case lt.badTick.Val > 0:
+		// The bad event is not this one, so reaching its tick means
+		// coming after it.
+		return lt.badTick.C < len(v) && v[lt.badTick.C] >= lt.badTick.Val
+	}
+	return lt.badStamp.Less(v)
 }
 
 // Line returns the current recovery line: the maximal consistent cut of

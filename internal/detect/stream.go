@@ -30,14 +30,18 @@ import (
 // there — so by Theorem 2 an earlier event r happened before a later v of
 // its epoch exactly when v[c] ≥ r[c], for any component c that r ticked.
 // The window holds each row's ticked component and value beside its stamp
-// (hb.Tick). The accumulator finds them in one pass over the stamp against
-// the running maximum of every component over the epoch: v ticked c
-// exactly when v[c] exceeds that maximum. The maximum is known only once the
-// accumulator has seen its epoch from the start — from trace index 0, or
-// from an epoch change with no gap before it — so rows added after a gap
-// or a mid-epoch anchor fall back to a stamp comparison, as does a stamp
-// that raises no component past the maximum (one no mixed clock gives),
-// until the next epoch.
+// (hb.Tick). A caller that knows a record's ticks — the segment reader
+// does for every derived record — passes them to AddTicks. Otherwise the
+// accumulator finds them in one pass over the stamp against the running
+// maximum of every component over the epoch: v ticked c exactly when v[c]
+// exceeds that maximum. The maximum moves only at an event that ticks, so a
+// record with known ticks updates it at those components alone, in O(1),
+// and it stays exact. It is known only once the accumulator has seen its
+// epoch from the start — from trace index 0, or from an epoch change with
+// no gap before it — so rows added after a gap or a mid-epoch anchor with
+// no known ticks fall back to a stamp comparison, as does a stamp that
+// raises no component past the maximum (one no mixed clock gives), until
+// the next epoch.
 type CensusAccumulator struct {
 	census  Census
 	skipped int
@@ -52,11 +56,18 @@ type CensusAccumulator struct {
 }
 
 // Add folds event i's stamp into the census: it compares the stamp with
-// the window w, then pushes it there with the component it ticked. w must be
-// fed only through this accumulator (Reset aside), so it holds the most
-// recent w.Len() counted events and the rest are the pairs Skipped
-// reports. The vector is borrowed.
-func (a *CensusAccumulator) Add(w *hb.Recent, i, epoch int, v vclock.Vector) {
+// the window w, then pushes it there with the component it ticked, which
+// it returns (the zero hb.Tick when that is not known). w must be fed only
+// through this accumulator (Reset aside), so it holds the most recent
+// w.Len() counted events and the rest are the pairs Skipped reports. The
+// vector is borrowed.
+func (a *CensusAccumulator) Add(w *hb.Recent, i, epoch int, v vclock.Vector) hb.Tick {
+	return a.AddTicks(w, i, epoch, v, hb.Ticks{})
+}
+
+// AddTicks is Add for an event known to have made the ticks ts, or Add
+// itself when ts is zero. The tick it returns is ts[0] then.
+func (a *CensusAccumulator) AddTicks(w *hb.Recent, i, epoch int, v vclock.Vector, ts hb.Ticks) hb.Tick {
 	n := w.Len()
 	a.skipped += a.census.Events - n
 	a.census.Total += n
@@ -78,13 +89,17 @@ func (a *CensusAccumulator) Add(w *hb.Recent, i, epoch int, v vclock.Vector) {
 	a.census.Concurrent += concurrent
 	a.census.Ordered += n - concurrent
 	a.census.Events++
-	w.AddTick(i, epoch, v, a.tick(i, epoch, v))
+	t := a.tick(i, epoch, v, &ts)
+	w.AddTick(i, epoch, v, t)
+	return t
 }
 
-// tick advances the epoch's running maximum over v and returns v's tick:
-// the first component v raises past the maximum, which v ticked, or
-// the zero hb.Tick when the maximum is not known or v raises none.
-func (a *CensusAccumulator) tick(i, epoch int, v vclock.Vector) hb.Tick {
+// tick advances the epoch's running maximum over v and returns v's tick.
+// With known ticks ts, the maximum moves at those components only and the
+// tick is ts[0]. Otherwise it is the first component v raises past the
+// maximum, which v ticked, or the zero hb.Tick when the maximum is not
+// known or v raises none.
+func (a *CensusAccumulator) tick(i, epoch int, v vclock.Vector, ts *hb.Ticks) hb.Tick {
 	switch {
 	case !a.started || i != a.next: // an anchor or a gap
 		a.exact = i == 0
@@ -96,10 +111,18 @@ func (a *CensusAccumulator) tick(i, epoch int, v vclock.Vector) hb.Tick {
 	a.started, a.epoch, a.next = true, epoch, i+1
 	var t hb.Tick
 	if !a.exact {
-		return t
+		return ts[0]
 	}
 	if len(v) > len(a.hi) {
 		a.hi = append(a.hi, make([]uint64, len(v)-len(a.hi))...)
+	}
+	if ts[0].Val > 0 {
+		for _, k := range ts {
+			if k.Val > 0 {
+				a.hi[k.C] = k.Val
+			}
+		}
+		return ts[0]
 	}
 	hi := a.hi[:len(v)]
 	for c, x := range v {
@@ -131,10 +154,11 @@ func (a *CensusAccumulator) Skipped() int { return a.skipped }
 // ts's trace index exceeds f's and ts → f is impossible, so "no successor
 // yet" and "no successor at all" flag identically. The scanner therefore
 // keeps, per object, the last event and — filled in lazily when that
-// event's thread next commits anywhere — its thread successor's stamp.
-// The records are dense slices by object and thread ID, and each object's
-// successor stamp is copied into a buffer the record keeps, so
-// steady-state Add allocates nothing.
+// event's thread next commits anywhere — what it needs of its thread
+// successor: the successor's tick when the caller knows it (AddTick), so
+// ts → f is f[C] ≥ Val in O(1), as for the census; otherwise a copy of the
+// successor's stamp, in a buffer the record keeps. The records are dense
+// slices by object and thread ID, so steady-state Add allocates nothing.
 //
 // A Compact barrier orders everything across epochs, so an epoch change
 // resets the records' flags (keeping their buffers): cross-epoch adjacent
@@ -147,13 +171,14 @@ type PairScanner struct {
 }
 
 // objRecord is an object's last event in the current epoch and, once its
-// thread commits again, that successor's stamp, copied into succ's reused
-// buffer.
+// thread commits again, that successor's tick, or when it is not known
+// the successor's stamp, copied into succ's reused buffer.
 type objRecord struct {
-	e       event.Event
-	has     bool // e is set
-	hasSucc bool // succ holds e's thread successor's stamp
-	succ    vclock.Vector
+	e        event.Event
+	has      bool // e is set
+	hasSucc  bool // succTick or succ holds e's thread successor
+	succTick hb.Tick
+	succ     vclock.Vector
 }
 
 // lastOfThread locates a thread's last event in the current epoch.
@@ -185,6 +210,13 @@ func (s *PairScanner) Reset() {
 // is copied into a reused buffer. The scanner emits each pair when its
 // second event commits; ScheduleSensitivePairs sorts them by first event.
 func (s *PairScanner) Add(e event.Event, epoch int, v vclock.Vector) (Pair, bool) {
+	return s.AddTick(e, epoch, v, hb.Tick{})
+}
+
+// AddTick is Add for an event known to have made tick t, or Add itself
+// when t is zero. It keeps t, not a copy of v, should e turn out to be a
+// thread successor the scanner waits for.
+func (s *PairScanner) AddTick(e event.Event, epoch int, v vclock.Vector, t hb.Tick) (Pair, bool) {
 	if epoch != s.epoch {
 		s.epoch = epoch
 		s.Reset()
@@ -201,7 +233,10 @@ func (s *PairScanner) Add(e event.Event, epoch int, v vclock.Vector) (Pair, bool
 	// been waiting for exactly this stamp.
 	if p := s.last[e.Thread]; p.has {
 		if r := &s.objs[p.obj]; r.has && r.e.Index == p.index && !r.hasSucc {
-			r.succ = append(r.succ[:0], v...)
+			r.succTick = t
+			if t.Val == 0 {
+				r.succ = append(r.succ[:0], v...)
+			}
 			r.hasSucc = true
 		}
 	}
@@ -212,9 +247,10 @@ func (s *PairScanner) Add(e event.Event, epoch int, v vclock.Vector) (Pair, bool
 	if r.has && r.e.Thread != e.Thread &&
 		!(r.e.Op == event.OpRead && e.Op == event.OpRead) {
 		// Lock-only iff the predecessor's thread successor is absent
-		// (so far — arriving later puts it causally after e) or its
-		// stamp does not precede e's.
-		if !r.hasSucc || !r.succ.Less(v) {
+		// (so far — arriving later puts it causally after e) or does not
+		// precede e: the successor is not e, so it precedes e exactly
+		// when e's stamp reaches the successor's tick.
+		if !r.hasSucc || !r.succPrecedes(v) {
 			out = Pair{First: r.e, Second: e}
 			flagged = true
 			s.count++
@@ -224,6 +260,15 @@ func (s *PairScanner) Add(e event.Event, epoch int, v vclock.Vector) (Pair, bool
 	r.e, r.has, r.hasSucc = e, true, false
 	s.last[e.Thread] = lastOfThread{obj: e.Object, index: e.Index, has: true}
 	return out, flagged
+}
+
+// succPrecedes reports whether the record's thread successor happened
+// before the event stamped v, of the same epoch.
+func (r *objRecord) succPrecedes(v vclock.Vector) bool {
+	if t := r.succTick; t.Val > 0 {
+		return t.C < len(v) && v[t.C] >= t.Val
+	}
+	return r.succ.Less(v)
 }
 
 // Count returns how many pairs have been flagged so far.

@@ -50,6 +50,12 @@ type Tick struct {
 	Val uint64
 }
 
+// Ticks is every tick an event is known to have made: an event of a mixed
+// clock ticks its thread's component, its object's, or both, so one or
+// two, in the leading slots; the rest are zero. The zero Ticks stands for
+// ticks that are not known.
+type Ticks [2]Tick
+
 // NewRecent returns an empty window retaining the last window stamps;
 // window <= 0 retains everything (offline-equivalent, unbounded memory).
 func NewRecent(window int) *Recent {

@@ -1,5 +1,7 @@
 package matching
 
+import "slices"
+
 // Incremental maintains a maximum matching of a thread–object bipartite
 // graph whose edges arrive one at a time, as they do on a live tracker:
 // every commit reveals at most one new (thread, object) edge. By
@@ -13,26 +15,31 @@ package matching
 // AddEdge runs at most one augmentation sweep from the currently unmatched
 // threads (O(U·E) worst case, O(E) typical). Both sides grow on demand;
 // vertex IDs are dense, as produced by the tracker's registries.
+//
+// Almost every edge a live stream reveals is a repeat, so the duplicate
+// check is the common case, and it is dense per thread: a repeat of the
+// thread's previous edge is one comparison, and any other edge a search of
+// the thread's sorted adjacency, in O(log degree) with no hashing. The
+// whole structure holds O(threads + objects + edges), however sparse the
+// IDs.
 type Incremental struct {
-	adj     [][]int // adj[t] = objects adjacent to thread t
+	adj     [][]int // adj[t] = objects adjacent to thread t, ascending
+	last    []int   // last[t] = the object of thread t's previous edge
 	match   *Matching
 	edges   int
-	present map[[2]int]struct{}
 	visited []bool // by object; scratch for try
 }
 
 // NewIncremental returns an empty incremental matcher.
 func NewIncremental() *Incremental {
-	return &Incremental{
-		match:   newMatching(0, 0),
-		present: make(map[[2]int]struct{}),
-	}
+	return &Incremental{match: newMatching(0, 0)}
 }
 
 // grow extends both sides to cover thread t and object o.
 func (inc *Incremental) grow(t, o int) {
 	for len(inc.adj) <= t {
 		inc.adj = append(inc.adj, nil)
+		inc.last = append(inc.last, -1)
 		inc.match.ThreadMatch = append(inc.match.ThreadMatch, unmatched)
 	}
 	for len(inc.match.ObjectMatch) <= o {
@@ -47,12 +54,16 @@ func (inc *Incremental) AddEdge(t, o int) bool {
 	if t < 0 || o < 0 {
 		return false
 	}
-	if _, ok := inc.present[[2]int{t, o}]; ok {
+	if t < len(inc.adj) && inc.last[t] == o {
 		return false
 	}
-	inc.present[[2]int{t, o}] = struct{}{}
 	inc.grow(t, o)
-	inc.adj[t] = append(inc.adj[t], o)
+	inc.last[t] = o
+	i, dup := slices.BinarySearch(inc.adj[t], o)
+	if dup {
+		return false
+	}
+	inc.adj[t] = slices.Insert(inc.adj[t], i, o)
 	inc.edges++
 
 	// A new edge admits at most one augmenting path, and any such path

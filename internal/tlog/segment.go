@@ -383,6 +383,21 @@ func (sr *SegmentReader) RecordKinds() RecordKinds {
 	return RecordKinds{Full: k[tagFull], Delta: k[tagDelta], Derived: k[tagDerived] + k[kindImplied], Implied: k[kindImplied]}
 }
 
+// Ticks returns the components the record the last Next returned ticked,
+// ascending in c[:n]. A derived record names them in its payload, so n is
+// 1 or 2 for it; a full or delta record names none, and n is 0. By the
+// §III-C rule the value a tick raises its component to first appears there
+// with the record, so within an epoch the record happened before a later
+// stamp v exactly when v[c[0]] reaches the record's own value there.
+func (sr *SegmentReader) Ticks() (c [maxTicks]int, n int) {
+	t := &sr.r.ticks
+	n = t.len()
+	for k := range n {
+		c[k] = int(t[k])
+	}
+	return c, n
+}
+
 // Next returns the next record: the event (with its global trace index
 // restored) and its stamp grown to the record's clock width, or nil after
 // SkipStamps. The vector aliases the reader's internal state and is valid

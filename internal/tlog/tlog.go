@@ -174,6 +174,9 @@ type Reader struct {
 	scratch vclock.Vector
 	// kinds counts the delta records decoded so far by kind.
 	kinds [kindImplied + 1]int
+	// ticks is the tick indices of the last delta record decoded: a
+	// derived record's, noTicks for any other kind.
+	ticks tickSet
 }
 
 // NewReader validates the magic header of the stream data and returns a
@@ -190,7 +193,7 @@ func NewReader(data []byte) (*Reader, error) {
 
 // reset points the reader at a new stream, keeping its mode and buffers.
 func (r *Reader) reset(data []byte) error {
-	r.data, r.off, r.index, r.version, r.kinds = data, 0, 0, 0, [kindImplied + 1]int{}
+	r.data, r.off, r.index, r.version, r.kinds, r.ticks = data, 0, 0, 0, [kindImplied + 1]int{}, noTicks
 	if r.rows != nil {
 		r.rows.thr.reset()
 		r.rows.obj.reset()
@@ -499,7 +502,7 @@ func (r *Reader) deltaPayload(tr, or *stampRow, t, o uint64, kind int, mask byte
 	}
 	or.gen = rows.obj.gen
 	tr.obj = o
-	tr.ticks, or.ticks = ticks, ticks
+	tr.ticks, or.ticks, r.ticks = ticks, ticks, ticks
 	r.kinds[kind]++
 	if r.scan {
 		return nil, nil

@@ -13,7 +13,9 @@ import (
 	"mixedclock/internal/vclock"
 )
 
-// MonitorPolicy bounds a Monitor's state on unbounded runs.
+// MonitorPolicy bounds a Monitor's state on unbounded runs. What the
+// monitor keeps of its detections needs no setting: a fixed ring of the
+// last RecentDetections.
 type MonitorPolicy struct {
 	// Window is how many recent events the monitor retains stamps and
 	// lattice state for: the census compares new events against the last
@@ -29,9 +31,19 @@ type MonitorPolicy struct {
 	MaxCuts int
 	// OnDetection, when set, is called for every detection, from the
 	// monitor's own goroutine, after the evaluation batch has released
-	// the monitor's lock (so the callback may call Monitor methods).
+	// the monitor's lock (so the callback may call Monitor methods). It is
+	// the way to see every detection of a long run: Detections returns
+	// only the most recent RecentDetections, while MonitorStats counts
+	// them all by kind.
 	OnDetection func(Detection)
 }
+
+// RecentDetections is how many of its most recent detections a Monitor
+// keeps for Detections. On a contended run nearly every record completes a
+// schedule-sensitive pair, so a monitor that kept them all would grow
+// with every record it reads; older ones are counted in MonitorStats and
+// were delivered through OnDetection.
+const RecentDetections = 1024
 
 // Detection kinds.
 const (
@@ -108,10 +120,9 @@ type possiblyWatch struct {
 // finding is a Detection as the monitor keeps it: without the watch's
 // name, its kind or a witness, which kind and watch give, and with one
 // epoch, since a pair's or an order violation's two events share theirs —
-// 80 bytes to a Detection's 144. The monitor keeps every detection for its
-// whole life, and nearly every record of a contended run completes a
-// schedule-sensitive pair, so these are most of a long-running monitor's
-// memory.
+// 80 bytes to a Detection's 144. The monitor keeps the last
+// RecentDetections of them in a fixed ring, and a batch's until it has
+// delivered them to OnDetection.
 type finding struct {
 	e, other event.Event
 	epoch    int
@@ -163,10 +174,18 @@ func (m *Monitor) detection(f *finding) Detection {
 // the exact streaming schedule-sensitive pair scanner, the registered
 // order watches, and an incremental maximum matching (a live König lower
 // bound on clock width); per batch it evaluates the registered predicate
-// watches over the window's suffix-cut lattice. In steady state — window
+// watches over the window's suffix-cut lattice. The record's tick — which
+// the segment reader names for a derived record, and the census finds for
+// the others while it knows its epoch from the start — is worked out once
+// and orders the record against later stamps in O(1) for all three of the
+// census, the pair scanner and the recovery line; a record whose tick is
+// not known falls back to stamp comparisons. In steady state — window
 // full, no new thread, object or clock width — consuming a record
-// allocates nothing. Detections carry epoch and trace-index provenance and
-// are delivered through OnDetection and Detections.
+// allocates nothing, and the monitor's memory is bounded by the window,
+// the thread and object counts and RecentDetections, however long it
+// runs. Detections carry epoch and trace-index provenance; every one is
+// delivered through OnDetection and counted in MonitorStats, and the most
+// recent RecentDetections stay readable through Detections.
 //
 // The monitor starts at the retention floor, and if a retention pass
 // overtakes it, it skips to the new floor: the skipped records are counted
@@ -191,11 +210,15 @@ type Monitor struct {
 	inc       *matching.Incremental
 	orders    []*orderWatch
 	possiblys []*possiblyWatch
-	// findings holds every detection so far; those from delivered on
-	// belong to the batch in progress, which finishBatchLocked hands out.
-	findings  []finding
-	delivered int
-	err       error
+	// findings is the ring of the last RecentDetections detections; once
+	// full, head is the oldest. kinds counts every detection by kind.
+	// pending holds the batch in progress's detections for OnDetection,
+	// which finishBatchLocked hands out; it stays empty without one.
+	findings []finding
+	head     int
+	kinds    [findingPossibly + 1]int
+	pending  []finding
+	err      error
 
 	wake chan struct{}
 	done chan struct{}
@@ -284,12 +307,24 @@ func (m *Monitor) WatchPossibly(name string, pred predicate.Predicate) {
 type monitorSink struct{ m *Monitor }
 
 func (s monitorSink) ConsumeStamp(e event.Event, epoch int, v vclock.Vector) error {
-	s.m.consumeLocked(e, epoch, v)
+	s.m.consumeLocked(e, epoch, v, hb.Ticks{})
 	return nil
 }
 
-// consumeLocked evaluates one record; caller holds m.mu.
-func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
+// consumeTicked implements tickSink: a sealed record whose reader named
+// the components it ticked, c[:n].
+func (s monitorSink) consumeTicked(e event.Event, epoch int, v vclock.Vector, c [2]int, n int) error {
+	var ts hb.Ticks
+	for k := range n {
+		ts[k] = hb.Tick{C: c[k], Val: v[c[k]]}
+	}
+	s.m.consumeLocked(e, epoch, v, ts)
+	return nil
+}
+
+// consumeLocked evaluates one record, with its ticks ts when they are
+// known; caller holds m.mu.
+func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector, ts hb.Ticks) {
 	if e.Index != m.next {
 		// Retention retired [m.next, e.Index) before the monitor read it.
 		// Nothing before the gap may be compared with anything after it,
@@ -311,20 +346,23 @@ func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
 		m.pred.Barrier()
 	}
 	m.epoch = epoch
-	m.census.Add(m.recent, e.Index, epoch, v)
+	// The census returns the record's tick: ts[0] when known, else the
+	// one its running maximum finds, or zero. The pair scanner and the
+	// recovery line order later stamps after the record by it.
+	tick := m.census.AddTicks(m.recent, e.Index, epoch, v, ts)
 	m.inc.AddEdge(int(e.Thread), int(e.Object))
 	m.pred.Add(e)
-	if p, ok := m.pairs.Add(e, epoch, v); ok {
-		m.findings = append(m.findings, finding{e: e, other: p.First, epoch: epoch, kind: findingPair})
+	if p, ok := m.pairs.AddTick(e, epoch, v, tick); ok {
+		m.record(finding{e: e, other: p.First, epoch: epoch, kind: findingPair})
 	}
 	for k, w := range m.orders {
 		// Check the second selector against the previous first-match
 		// before updating it, so an event matching both selectors is
 		// compared against its predecessor, not itself.
 		if w.second(e) && w.has && w.epoch == epoch && w.stamp.Concurrent(v) {
-			m.findings = append(m.findings, finding{e: e, other: w.e, epoch: epoch, kind: findingOrder, watch: int32(k)})
+			m.record(finding{e: e, other: w.e, epoch: epoch, kind: findingOrder, watch: int32(k)})
 			if !m.line.Armed() {
-				m.line.Arm(e.Index, epoch, v)
+				m.line.ArmTick(e.Index, epoch, v, tick)
 			}
 		}
 		if w.first(e) {
@@ -334,6 +372,25 @@ func (m *Monitor) consumeLocked(e event.Event, epoch int, v vclock.Vector) {
 	}
 	m.line.Add(e, epoch, v)
 	m.next = e.Index + 1
+}
+
+// record counts a detection, keeps it in the ring over the oldest once
+// the ring is full, and queues it for OnDetection. The ring takes its
+// whole size at the first detection, so recording never allocates after.
+func (m *Monitor) record(f finding) {
+	m.kinds[f.kind]++
+	if m.policy.OnDetection != nil {
+		m.pending = append(m.pending, f)
+	}
+	if m.findings == nil {
+		m.findings = make([]finding, 0, RecentDetections)
+	}
+	if len(m.findings) < RecentDetections {
+		m.findings = append(m.findings, f)
+		return
+	}
+	m.findings[m.head] = f
+	m.head = (m.head + 1) % RecentDetections
 }
 
 // finishBatchLocked runs the per-batch evaluations (predicate watches) and
@@ -352,19 +409,23 @@ func (m *Monitor) finishBatchLocked() []Detection {
 		}
 		if found {
 			w.fired, w.witness = true, witness
-			m.findings = append(m.findings, finding{
+			m.record(finding{
 				e: event.Event{Index: m.next - 1}, epoch: m.epoch, kind: findingPossibly, watch: int32(k),
 			})
 		}
 	}
-	start := m.delivered
-	m.delivered = len(m.findings)
-	if m.policy.OnDetection == nil || start == m.delivered {
+	if len(m.pending) == 0 {
 		return nil
 	}
-	batch := make([]Detection, 0, m.delivered-start)
-	for i := range m.findings[start:] {
-		batch = append(batch, m.detection(&m.findings[start+i]))
+	batch := make([]Detection, len(m.pending))
+	for i := range m.pending {
+		batch[i] = m.detection(&m.pending[i])
+	}
+	// A catch-up over a long sealed history can make one batch of any
+	// size; keep no more than a ring's worth of it for the next.
+	m.pending = m.pending[:0]
+	if cap(m.pending) > RecentDetections {
+		m.pending = nil
 	}
 	return batch
 }
@@ -451,14 +512,17 @@ func (m *Monitor) Close() {
 	})
 }
 
-// Detections returns a snapshot of every detection so far, in consumption
-// order.
+// Detections returns a snapshot of the most recent RecentDetections
+// detections, oldest first. MonitorStats counts every detection so far,
+// and OnDetection sees each one.
 func (m *Monitor) Detections() []Detection {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ds := make([]Detection, len(m.findings))
-	for i := range m.findings {
-		ds[i] = m.detection(&m.findings[i])
+	ds := make([]Detection, 0, len(m.findings))
+	for _, part := range [2][]finding{m.findings[m.head:], m.findings[:m.head]} {
+		for i := range part {
+			ds = append(ds, m.detection(&part[i]))
+		}
 	}
 	return ds
 }
@@ -515,9 +579,14 @@ type MonitorStats struct {
 	// before comparison.
 	Census        detect.Census
 	CensusSkipped int
-	// Pairs counts schedule-sensitive pairs flagged so far.
-	Pairs int
-	// Detections counts all detections (pairs, order and predicate).
+	// Pairs, Orders and Possibly count the detections of each kind so
+	// far — schedule-sensitive pairs, order-watch violations and fired
+	// predicate watches — and Detections counts them all. They are exact
+	// however long the run: only the last RecentDetections stay readable
+	// through Monitor.Detections.
+	Pairs      int
+	Orders     int
+	Possibly   int
 	Detections int
 	// ClockWidth is the tracker's current mixed-clock width;
 	// CoverLowerBound is the incremental-matching (König) lower bound on
@@ -541,8 +610,10 @@ func (m *Monitor) Stats() MonitorStats {
 		Skipped:         m.skipped,
 		Census:          m.census.Census(),
 		CensusSkipped:   m.census.Skipped(),
-		Pairs:           m.pairs.Count(),
-		Detections:      len(m.findings),
+		Pairs:           m.kinds[findingPair],
+		Orders:          m.kinds[findingOrder],
+		Possibly:        m.kinds[findingPossibly],
+		Detections:      m.kinds[findingPair] + m.kinds[findingOrder] + m.kinds[findingPossibly],
 		ClockWidth:      m.t.Size(),
 		CoverLowerBound: m.inc.Size(),
 		WindowLo:        m.recent.Lo(),

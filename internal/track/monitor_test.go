@@ -181,12 +181,12 @@ func TestMonitorOverlapsCommits(t *testing.T) {
 		objects[i] = tr.NewObject(fmt.Sprintf("o%d", i))
 	}
 	var cbMu sync.Mutex
-	var viaCallback int
+	var viaCallback []Detection
 	m := tr.NewMonitor(MonitorPolicy{
 		Window: 128,
 		OnDetection: func(d Detection) {
 			cbMu.Lock()
-			viaCallback++
+			viaCallback = append(viaCallback, d)
 			cbMu.Unlock()
 		},
 	})
@@ -226,19 +226,24 @@ func TestMonitorOverlapsCommits(t *testing.T) {
 		t.Fatalf("monitor consumed %d of %d", stats.Consumed, total)
 	}
 	ds := m.Detections()
-	for _, d := range ds {
+	// The goroutine may still be mid-delivery for a seal-triggered batch
+	// when Sync returns; Close joins it, after which every detection has
+	// gone through the callback. The run may detect more than the ring
+	// keeps, so the callback's list is the one checked in full, and
+	// Detections must be its most recent RecentDetections.
+	m.Close()
+	cbMu.Lock()
+	defer cbMu.Unlock()
+	for _, d := range viaCallback {
 		if d.Index < 0 || d.Index >= total {
 			t.Fatalf("detection index %d out of range [0,%d): %v", d.Index, total, d)
 		}
 	}
-	// The goroutine may still be mid-delivery for a seal-triggered batch
-	// when Sync returns; Close joins it, after which every detection has
-	// gone through the callback.
-	m.Close()
-	cbMu.Lock()
-	defer cbMu.Unlock()
-	if viaCallback != len(ds) {
-		t.Fatalf("callback saw %d detections, Detections() has %d", viaCallback, len(ds))
+	if st := m.Stats(); len(viaCallback) != st.Detections {
+		t.Fatalf("callback saw %d detections, MonitorStats counts %d", len(viaCallback), st.Detections)
+	}
+	if want := viaCallback[max(0, len(viaCallback)-RecentDetections):]; !reflect.DeepEqual(ds, want) {
+		t.Fatalf("Detections() holds %d detections, not the callback's last %d of %d", len(ds), len(want), len(viaCallback))
 	}
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
@@ -561,9 +566,8 @@ func TestMonitorUnreadableHistoryFails(t *testing.T) {
 
 // TestMonitorConsumeAllocs: once the window is full and no new thread,
 // object or clock width appears, a Monitor consuming records through its
-// StampSink allocates nothing per record. Detections are output the
-// monitor keeps by design, so each run drops the batch's detections again,
-// keeping the retained list from growing.
+// StampSink allocates nothing per record, detections included: they go
+// into the fixed ring of the last RecentDetections.
 func TestMonitorConsumeAllocs(t *testing.T) {
 	src, err := trace.Generate(trace.Uniform, trace.Config{Threads: 8, Objects: 8, Events: 4000}, rand.New(rand.NewSource(59)))
 	if err != nil {
@@ -598,12 +602,7 @@ func TestMonitorConsumeAllocs(t *testing.T) {
 		}
 	}
 	consume(prime)
-	allocs := testing.AllocsPerRun(100, func() {
-		consume(10)
-		m.mu.Lock()
-		m.findings = m.findings[:m.delivered]
-		m.mu.Unlock()
-	})
+	allocs := testing.AllocsPerRun(100, func() { consume(10) })
 	if allocs != 0 {
 		t.Fatalf("steady-state consumption allocates %v per 10 records, want 0", allocs)
 	}

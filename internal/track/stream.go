@@ -147,7 +147,8 @@ func (sg *segment) open() (io.ReadCloser, error) {
 // payload only decodes front to back. An in-memory container is decoded in
 // place and a spill file read whole first; the borrowed vectors are handed
 // straight through, so a replay allocates only the reader state and the
-// file's bytes, independent of the record count. An error opening the
+// file's bytes, independent of the record count. A derived record's ticks
+// go along to a sink that takes them (tickSink). An error opening the
 // container is returned as errSegmentVanished-wrapped so Stream can
 // distinguish a spill file retired by a concurrent compaction from a sink
 // failure.
@@ -160,6 +161,7 @@ func (sg *segment) streamFrom(sink StampSink, from, to int) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("track: segment %v: %w", sg.meta, err)
 	}
+	ts, ticked := sink.(tickSink)
 	delivered := 0
 	for {
 		e, v, err := sr.Next()
@@ -175,11 +177,26 @@ func (sg *segment) streamFrom(sink StampSink, from, to int) (int, error) {
 		if to >= 0 && e.Index >= to {
 			return delivered, nil
 		}
-		if err := sink.ConsumeStamp(e, sg.meta.Epoch, v); err != nil {
+		if c, n := sr.Ticks(); ticked && n > 0 {
+			err = ts.consumeTicked(e, sg.meta.Epoch, v, c, n)
+		} else {
+			err = sink.ConsumeStamp(e, sg.meta.Epoch, v)
+		}
+		if err != nil {
 			return delivered, err
 		}
 		delivered++
 	}
+}
+
+// tickSink is a StampSink that also takes a sealed derived record's ticks,
+// which the segment reader knows from the record's payload: streamFrom
+// hands them, c[:n] ascending, to a sink that implements it, and every
+// other record to ConsumeStamp. The Monitor is the one that does; it
+// orders the record against later stamps by them.
+type tickSink interface {
+	StampSink
+	consumeTicked(e event.Event, epoch int, v vclock.Vector, c [2]int, n int) error
 }
 
 // errSegmentVanished marks a segment container that could not be opened —

@@ -395,11 +395,26 @@
 // counts the gap in MonitorStats.Skipped and restarts its windowed state
 // there, as at an epoch boundary.
 //
+// Within an epoch, an event that ticked component c to value x happened
+// before a later stamp v exactly when v[c] ≥ x (Theorem 2 with the §III-C
+// rule). The monitor uses that test, which is O(1) in the clock width,
+// wherever a record's tick is known: the segment reader names the ticks of
+// every derived record, most of a sealed segment, and hands them to the
+// monitor beside the stamp; the census finds the tick of any other record
+// from its running maximum while it knows the epoch from its start. The
+// one tick orders the record against later stamps for the census, the
+// pair scanner and the recovery line; a record whose tick is not known —
+// after a retention gap or a mid-epoch attach — falls back to stamp
+// comparisons.
+//
 // Detections (schedule-sensitive pairs, order-watch violations, predicate
-// witnesses) carry their epoch and global trace index as provenance. The
-// first order violation arms an online recovery line — the maximal
-// consistent cut excluding the violation's causal future — maintained
-// from then on in O(threads) per record.
+// witnesses) carry their epoch and global trace index as provenance. Every
+// detection is delivered through MonitorPolicy.OnDetection and counted by
+// kind in MonitorStats; Monitor.Detections keeps only the most recent
+// RecentDetections, in a fixed ring, so a monitor's memory does not grow
+// with the records it reads. The first order violation arms an online
+// recovery line — the maximal consistent cut excluding the violation's
+// causal future — maintained from then on in O(threads) per record.
 //
 // # Load generation and headline numbers
 //
